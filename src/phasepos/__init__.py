@@ -19,7 +19,7 @@ from .errors import AmbiguityError, ConfigError, InfeasibleMeasurementError, NoS
 from .harness import (CdfResult, EmptyResultError, ScenarioConfig, TrialResult, compute_cdf,
                       config_from_dict, emit_results, load_config, run_scenario, run_trial)
 from .receiver import (PhaseMeasurement, ToaMeasurement, ccp_measure, circular_mean,
-                       estimate_toa, extract_phase, quantize_toa, wrap_phase)
+                       estimate_toa, quantize_toa, wrap_phase)
 from .waveform import (CONTINUOUS, CONVENTIONAL, BasebandStream, NumerologyConfig, PrsConfig,
                        ResourceGrid, generate_prs_grid, make_numerology, middle_subcarrier,
                        ofdm_demodulate, ofdm_modulate, occupied_signed_indices, signed_to_row,
@@ -36,7 +36,7 @@ __all__ = [
     "add_awgn", "aoa_from_phase_diff", "apply_channel", "apply_frequency_offset", "ccp_measure",
     "circular_mean", "close_in_path_gain", "compute_cdf", "config_from_dict",
     "doppler_ppm", "double_difference", "draw_channel", "emit_results", "estimate_toa",
-    "extract_phase", "generate_prs_grid", "ia_search_toa", "load_config", "make_geometry",
+    "generate_prs_grid", "ia_search_toa", "load_config", "make_geometry",
     "make_numerology", "middle_subcarrier", "occupied_signed_indices", "ofdm_demodulate",
     "ofdm_modulate", "phase_diff_for_angle", "phase_to_fraction", "profile_preset",
     "quantize_toa", "run_scenario", "run_trial", "simulate_two_antenna_phase_diff",

@@ -1,8 +1,11 @@
 """Monte-Carlo scenario runner, CDF statistics, and result emitters.
 
 Per trial the harness draws one channel realization and measures every
-requested method against it: TOA on the conventional waveform, single-window
-carrier phase (cp) and swept carrier phase (ccp) on the continuous waveform.
+requested method against it: TOA on the conventional waveform, and carrier
+phase on the continuous waveform through ``ccp_measure``, whose window plan
+is one window for cp and a stream-spanning sweep for ccp.  Each phase is
+resolved to a range by the configured ambiguity mode (oracle, TOA-bounded
+search or two-carrier widelane).
 Per-trial seeds are split deterministically from the master seed, so results
 are independent of worker count and execution order.
 """
@@ -22,10 +25,10 @@ from .channel import (Geometry, add_awgn, apply_channel, draw_channel, make_geom
                       profile_preset)
 from .constants import SPEED_OF_LIGHT
 from .errors import AmbiguityError, ConfigError, NoSignalError
-from .receiver import ccp_measure, estimate_toa, extract_phase
-from .waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig, ResourceGrid,
-                       generate_prs_grid, make_numerology, middle_subcarrier, ofdm_modulate,
-                       signed_to_row, tile_grid)
+from .receiver import ccp_measure, estimate_toa
+from .waveform import (CONTINUOUS, CONVENTIONAL, BasebandStream, NumerologyConfig, PrsConfig,
+                       ResourceGrid, generate_prs_grid, make_numerology, middle_subcarrier,
+                       ofdm_modulate, signed_to_row, tile_grid)
 
 METHODS = ("toa", "cp", "ccp")
 IA_MODES = ("oracle", "toa", "widelane")
@@ -69,7 +72,6 @@ class TrialResult:
     distance_error_m: dict[str, float]
     resolved_integer: dict[str, int | None]
     ia_failure: dict[str, bool]
-    no_signal: bool = False
 
 
 @dataclass
@@ -95,10 +97,18 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"ambiguity mode must be one of {IA_MODES}")
     if cfg.ambiguity == "widelane" and not cfg.widelane_second_fc_hz:
         raise ConfigError("widelane ambiguity mode needs widelane_second_fc_hz")
+    num = make_numerology(cfg.band)
+    if cfg.widelane_second_fc_hz == num.carrier_frequency_hz:
+        raise ConfigError("widelane_second_fc_hz must differ from the band carrier")
     if cfg.ccp_sweeps < 1 or cfg.ccp_shift < 1:
         raise ConfigError("ccp_sweeps and ccp_shift must be positive")
     if cfg.n_symbols < 2:
         raise ConfigError("n_symbols must be at least 2")
+    # The sweep starts one symbol in and must end inside the stream.
+    room = cfg.n_symbols * num.symbol_samples - num.n_fft - num.symbol_samples
+    if (cfg.ccp_sweeps - 1) * cfg.ccp_shift > room:
+        raise ConfigError(f"{cfg.ccp_sweeps} sweeps {cfg.ccp_shift} samples apart do not fit "
+                          f"in {cfg.n_symbols} symbols")
     if cfg.toa_sigma_s is not None and cfg.toa_sigma_s <= 0:
         raise ConfigError("toa_sigma_s must be positive")
     for key, _ in cfg.profile_overrides:
@@ -113,17 +123,15 @@ class _Assets:
     num: NumerologyConfig
     prs: PrsConfig
     grid: ResourceGrid
-    tx_conv: object
-    tx_cont: object
+    tx_conv: BasebandStream
+    tx_cont: BasebandStream
     subcarrier: int
     ref_symbol: complex
     f_eff_hz: float
-    cp_window_start: int
-    ccp_start: int
-    ccp_stride: int
+    windows: dict[str, tuple[int, int, int]]   # method -> (start, n_sweeps, shift)
     toa_sigma_s: float
     num2: NumerologyConfig | None
-    tx2_cont: object | None
+    tx2_cont: BasebandStream | None
     f2_eff_hz: float | None
 
 
@@ -165,8 +173,9 @@ def _build_assets(cfg: ScenarioConfig) -> _Assets:
         tx2 = ofdm_modulate(ResourceGrid(grid.values, num2), CONTINUOUS)
         f2_eff = num2.carrier_frequency_hz + k * num2.scs_hz
 
-    return _Assets(num, prs, grid, tx_conv, tx_cont, k, ref, f_eff, cp_ws,
-                   ccp_start, stride, toa_sigma, num2, tx2, f2_eff)
+    windows = {"cp": (cp_ws, 1, 1), "ccp": (ccp_start, cfg.ccp_sweeps, stride)}
+    return _Assets(num, prs, grid, tx_conv, tx_cont, k, ref, f_eff, windows,
+                   toa_sigma, num2, tx2, f2_eff)
 
 
 def _trial_seeds(master_seed: int, trial: int) -> np.ndarray:
@@ -211,56 +220,35 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
 
     phase_methods = [m for m in cfg.methods if m in ("cp", "ccp")]
     if phase_methods:
-        rx_c = add_awgn(apply_channel(assets.tx_cont, channel), cfg.snr_db, cp_seed)
-        rx2 = None
+        carriers = [(assets.num, assets.tx_cont, assets.f_eff_hz, cp_seed)]
         if cfg.ambiguity == "widelane":
-            rx2 = add_awgn(apply_channel(assets.tx2_cont, channel), cfg.snr_db, wl_seed)
+            carriers.append((assets.num2, assets.tx2_cont, assets.f2_eff_hz, wl_seed))
+        received = [(num, add_awgn(apply_channel(tx, channel), cfg.snr_db, seed), f_eff)
+                    for num, tx, f_eff, seed in carriers]
+        resolvers = {
+            "oracle": lambda fracs: _oracle_resolve(fracs[0], d_true),
+            "toa": lambda fracs: ia_search_toa(fracs[0], toa.toa_s, assets.toa_sigma_s,
+                                               cfg.k_sigma),
+            "widelane": lambda fracs: widelane_resolve(
+                fracs[0], fracs[1], toa.toa_s * SPEED_OF_LIGHT,
+                assets.toa_sigma_s * SPEED_OF_LIGHT, cfg.k_sigma),
+        }
 
         for method in phase_methods:
-            if method == "cp":
-                meas = extract_phase(rx_c, assets.num, assets.cp_window_start,
-                                     assets.subcarrier, assets.ref_symbol)
-            else:
-                meas = ccp_measure(rx_c, assets.num, assets.subcarrier, cfg.ccp_sweeps,
-                                   assets.ccp_stride, assets.ref_symbol, assets.ccp_start)
-            frac = phase_to_fraction(meas.phase_rad, assets.f_eff_hz)
-            truth = _oracle_resolve(frac, d_true)
-
+            start, sweeps, shift = assets.windows[method]
+            fracs = [phase_to_fraction(ccp_measure(rx, num, assets.subcarrier, sweeps, shift,
+                                                   assets.ref_symbol, start).phase_rad, f_eff)
+                     for num, rx, f_eff in received]
             try:
-                if cfg.ambiguity == "oracle":
-                    resolved = truth
-                elif cfg.ambiguity == "toa":
-                    resolved = ia_search_toa(frac, toa.toa_s, assets.toa_sigma_s, cfg.k_sigma)
-                else:
-                    if method == "cp":
-                        meas2 = extract_phase(rx2, assets.num2, assets.cp_window_start,
-                                              assets.subcarrier, assets.ref_symbol)
-                    else:
-                        meas2 = ccp_measure(rx2, assets.num2, assets.subcarrier,
-                                            cfg.ccp_sweeps, assets.ccp_stride,
-                                            assets.ref_symbol, assets.ccp_start)
-                    frac2 = phase_to_fraction(meas2.phase_rad, assets.f2_eff_hz)
-                    resolved = widelane_resolve(frac, frac2,
-                                                toa.toa_s * SPEED_OF_LIGHT,
-                                                assets.toa_sigma_s * SPEED_OF_LIGHT,
-                                                cfg.k_sigma)
-                failed = False
+                resolved = resolvers[cfg.ambiguity](fracs)
             except AmbiguityError:
-                resolved = None
-                failed = True
-
-            if resolved is not None and cfg.ambiguity == "widelane":
-                # The refined range may sit on the second carrier's wavelength.
-                wrap_truth = _oracle_resolve(
-                    CarrierRange(resolved.wavelength_m, resolved.fractional_cycles), d_true)
-                failed = failed or resolved.integer_cycles != wrap_truth.integer_cycles
-            elif resolved is not None and cfg.ambiguity == "toa":
-                failed = failed or resolved.integer_cycles != truth.integer_cycles
-
-            errors[method] = (np.nan if resolved is None
-                              else resolved.distance_m - d_true)
-            integers[method] = None if resolved is None else resolved.integer_cycles
-            failures[method] = failed
+                errors[method], integers[method], failures[method] = np.nan, None, True
+                continue
+            # The resolved range may sit on the second carrier's wavelength.
+            truth = _oracle_resolve(resolved, d_true)
+            errors[method] = resolved.distance_m - d_true
+            integers[method] = resolved.integer_cycles
+            failures[method] = resolved.integer_cycles != truth.integer_cycles
 
     return TrialResult(trial, errors, integers, failures)
 
@@ -280,18 +268,16 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list[TrialResult]:
 def compute_cdf(results: list[TrialResult], method: str) -> CdfResult:
     """Empirical CDF of |distance error| for one method.
 
-    Trials flagged as IA failures (or with no signal) are excluded from the
-    curve and reported in ``n_failures``; percentiles use the linear
-    interpolation convention.
+    Trials flagged as IA failures are excluded from the curve and reported
+    in ``n_failures``; percentiles use the linear interpolation convention.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
     kept = [r.distance_error_m[method] for r in results
             if method in r.distance_error_m and not r.ia_failure.get(method, False)
-            and not r.no_signal and np.isfinite(r.distance_error_m[method])]
+            and np.isfinite(r.distance_error_m[method])]
     n_failures = sum(1 for r in results
-                     if method in r.distance_error_m
-                     and (r.ia_failure.get(method, False) or r.no_signal))
+                     if method in r.distance_error_m and r.ia_failure.get(method, False))
     if not kept:
         raise EmptyResultError(f"no successful trials for method {method!r}")
     abs_err = np.sort(np.abs(np.asarray(kept, dtype=np.float64)))

@@ -1,5 +1,9 @@
 """Time-of-arrival and carrier-phase measurements.
 
+There is one phase primitive, ``ccp_measure``: the derotated bin of one
+subcarrier averaged over swept FFT windows.  A single window (cp) is the
+same measurement with ``n_sweeps=1``.
+
 Phase convention matches the channel: a propagation delay rotates the
 received tone by a negative angle, so distance grows as the measured phase
 decreases.  All reported phases are wrapped to [-pi, pi).
@@ -13,7 +17,7 @@ import numpy as np
 
 from .constants import NR_TIME_UNIT_S
 from .errors import ConfigError, NoSignalError
-from .waveform import BasebandStream, NumerologyConfig, PrsConfig, is_occupied, ofdm_demodulate
+from .waveform import BasebandStream, NumerologyConfig, PrsConfig, signed_to_row
 
 
 @dataclass(frozen=True)
@@ -126,90 +130,48 @@ def quantize_toa(measurement: ToaMeasurement, k: int) -> ToaMeasurement:
                           measurement.peak_metric, True)
 
 
-def _derotated_bin(segment: np.ndarray, num: NumerologyConfig, subcarrier: int,
-                   absolute_offset: int, ref_symbol: complex) -> complex:
-    """One window's subcarrier value with window placement compensated.
-
-    The stream-position term exp(-j 2 pi k offset / n_fft) subsumes both the
-    continuous-mode symbol rotation and any extra window slide, because the
-    continuous stream is a pure tone per subcarrier.  Integer modular
-    arithmetic keeps the derotation exact for large offsets.
-    """
-    spectrum = np.fft.fft(segment) / np.sqrt(num.n_fft)
-    value = spectrum[subcarrier % num.n_fft]
-    turns = (int(subcarrier) * int(absolute_offset)) % num.n_fft
-    derot = np.exp(-2j * np.pi * turns / num.n_fft)
-    return complex(value * derot * np.conj(ref_symbol))
-
-
-def extract_phase(rx: BasebandStream, num: NumerologyConfig, window_start: int,
-                  subcarrier: int, ref_symbol: complex = 1.0 + 0.0j,
-                  prs: PrsConfig | None = None) -> PhaseMeasurement:
-    """Single-window carrier-phase probe of one subcarrier.
-
-    ``ref_symbol`` is the known transmitted QPSK value on that subcarrier
-    (receivers know the reference signal); it is conjugated away so the
-    result is the channel phase alone.
-    """
-    if prs is not None and not is_occupied(prs, num, subcarrier):
-        raise ConfigError(f"subcarrier {subcarrier} is not occupied by the configured comb")
-    ofdm_demodulate(rx, num, window_start)  # bounds check with the shared error text
-    segment = rx.samples[window_start:window_start + num.n_fft]
-    z = _derotated_bin(segment, num, subcarrier, window_start, ref_symbol)
-    return PhaseMeasurement(float(wrap_phase(np.angle(z))), int(subcarrier), 1, 0.0)
-
-
 def ccp_measure(rx: BasebandStream, num: NumerologyConfig, subcarrier: int,
                 n_sweeps: int, shift_samples: int,
                 ref_symbol: complex = 1.0 + 0.0j, window_start: int = 0,
                 prs: PrsConfig | None = None) -> PhaseMeasurement:
-    """Swept-window phase measurement on a continuous-mode stream.
+    """Carrier phase of one subcarrier averaged over swept FFT windows.
 
     Places ``n_sweeps`` FFT windows ``shift_samples`` apart starting at
-    ``window_start``, derotates each window by its stream position, and
-    returns the circular mean of the per-window phases.  If the stream is
-    too short for the sweep, the useful part of the symbol containing
-    ``window_start`` is replicated to three concatenated periods first
-    (only meaningful in continuous mode, where each period is one cycle of
-    every tone).
+    ``window_start`` and returns the circular mean of the per-window phases,
+    each derotated by its stream position.  ``n_sweeps=1`` is the
+    single-window (cp) measurement.  ``ref_symbol`` is the known transmitted
+    QPSK value on that subcarrier; it is conjugated away so the result is
+    the channel phase alone.
+
+    Derotating window ``o``'s bin by exp(-j 2 pi k o / n_fft) turns it into
+    a sum over absolute stream positions, so every window is a difference
+    of one prefix sum of the covered span times a fixed tone (the sliding-
+    DFT identity): z(o) = C[o + n_fft] - C[o].  Integer modular arithmetic
+    keeps the tone exact at large stream positions.
 
     Raises:
-        ValueError: sweep does not fit even after replication.
+        ValueError: the sweep starts before or ends past the stream.
         ConfigError: bad sweep parameters or unoccupied subcarrier.
+        NoSignalError: a window saw an empty subcarrier bin.
     """
     if n_sweeps < 1 or shift_samples < 1:
         raise ConfigError("n_sweeps and shift_samples must be positive")
-    if prs is not None and not is_occupied(prs, num, subcarrier):
-        raise ConfigError(f"subcarrier {subcarrier} is not occupied by the configured comb")
-
-    samples = rx.samples
-    span = (n_sweeps - 1) * shift_samples + num.n_fft
-    if window_start + span <= len(samples):
-        base = 0            # offsets below are already absolute stream positions
-        pool = samples
-    else:
-        # Replicate the selected symbol's useful part (three periods).
-        sym = window_start // num.symbol_samples
-        useful_start = sym * num.symbol_samples + num.n_cp
-        if useful_start + num.n_fft > len(samples):
-            raise ValueError("stream too short to isolate one full symbol for replication")
-        if span > 3 * num.n_fft:
-            raise ValueError("sweep does not fit in three replicated symbol periods")
-        pool = np.tile(samples[useful_start:useful_start + num.n_fft], 3)
-        base = useful_start   # derotation still uses absolute stream positions
-        window_start = 0
-
-    offsets = window_start + np.arange(n_sweeps, dtype=np.int64) * shift_samples
-    idx = offsets[:, None] + np.arange(num.n_fft)
-    windows = pool[idx]
-
-    # Only one bin is needed, so a direct projection beats per-window FFTs.
     k = int(subcarrier)
-    probe = np.exp(-2j * np.pi * (np.arange(num.n_fft, dtype=np.int64) * k % num.n_fft)
-                   / num.n_fft) / np.sqrt(num.n_fft)
-    bins = windows @ probe
-    turns = (k * (base + offsets)) % num.n_fft
-    z = bins * np.exp(-2j * np.pi * turns / num.n_fft) * np.conj(ref_symbol)
+    if prs is not None and signed_to_row(num, k) % prs.comb_size != prs.comb_offset:
+        raise ConfigError(f"subcarrier {k} is not occupied by the configured comb")
+
+    span = (n_sweeps - 1) * shift_samples + num.n_fft
+    end = window_start + span
+    if window_start < 0 or end > len(rx.samples):
+        raise ValueError(f"sweep [{window_start}, {end}) out of range "
+                         f"for stream of {len(rx.samples)} samples")
+    turns = (k * np.arange(window_start, end, dtype=np.int64)) % num.n_fft
+    tone = np.exp(-2j * np.pi * np.arange(num.n_fft) / num.n_fft)[turns]
+    prefix = np.zeros(span + 1, dtype=np.complex128)
+    np.cumsum(rx.samples[window_start:end] * tone, out=prefix[1:])
+    offsets = np.arange(n_sweeps, dtype=np.int64) * shift_samples
+    z = ((prefix[offsets + num.n_fft] - prefix[offsets])
+         * (np.conj(ref_symbol) / np.sqrt(num.n_fft)))
 
     mags = np.abs(z)
     if np.any(mags == 0.0):

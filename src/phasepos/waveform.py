@@ -133,17 +133,6 @@ def occupied_signed_indices(prs: PrsConfig, num: NumerologyConfig) -> np.ndarray
     return active_signed_indices(num)[comb_rows(prs, num)]
 
 
-def is_occupied(prs: PrsConfig, num: NumerologyConfig, subcarrier: int) -> bool:
-    """Whether signed ``subcarrier`` is occupied by the comb."""
-    half = num.n_active_subcarriers // 2
-    if subcarrier == 0:
-        return False
-    row = subcarrier + half if subcarrier < 0 else half + subcarrier - 1
-    if not 0 <= row < num.n_active_subcarriers:
-        return False
-    return row % prs.comb_size == prs.comb_offset
-
-
 def signed_to_row(num: NumerologyConfig, subcarrier: int) -> int:
     """Row in the active allocation holding signed ``subcarrier``."""
     half = num.n_active_subcarriers // 2

@@ -19,7 +19,7 @@ from phasepos.channel import add_awgn, apply_channel, doppler_ppm, draw_channel,
     make_geometry, profile_preset
 from phasepos.constants import SPEED_OF_LIGHT
 from phasepos.harness import ScenarioConfig, compute_cdf, emit_results, run_scenario
-from phasepos.receiver import ccp_measure, extract_phase, wrap_phase
+from phasepos.receiver import ccp_measure, wrap_phase
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_grid,
                                make_numerology, middle_subcarrier, ofdm_modulate,
                                signed_to_row, tile_grid)
@@ -55,9 +55,9 @@ def window_sweep():
     k = middle_subcarrier(PrsConfig(6, 0, 16, 7), num)
     ref = complex(grid.values[signed_to_row(num, k), 0])
     with Timer() as t:
-        cont_phases = np.array([extract_phase(cont, num, off, k, ref).phase_rad
+        cont_phases = np.array([ccp_measure(cont, num, k, 1, 1, ref, off).phase_rad
                                 for off in range(1000)])
-        conv_phases = np.array([extract_phase(conv, num, off, k, ref).phase_rad
+        conv_phases = np.array([ccp_measure(conv, num, k, 1, 1, ref, off).phase_rad
                                 for off in range(1000)])
     return dict(num=num, cont=cont_phases, conv=conv_phases, elapsed=t.elapsed)
 
@@ -97,9 +97,9 @@ def fr1_paired():
         for trial in range(MC_CFG.n_trials):
             ch = draw_channel(preset, GEO, trial)
             rx0 = apply_channel(tx, ch)
-            truth = extract_phase(rx0, num, cp_ws, k, ref).phase_rad
+            truth = ccp_measure(rx0, num, k, 1, 1, ref, cp_ws).phase_rad
             rx = add_awgn(rx0, MC_CFG.snr_db, 100_000 + trial)
-            cp = extract_phase(rx, num, cp_ws, k, ref).phase_rad
+            cp = ccp_measure(rx, num, k, 1, 1, ref, cp_ws).phase_rad
             ccp = ccp_measure(rx, num, k, MC_CFG.ccp_sweeps, stride, ref,
                               ccp_start).phase_rad
             for name, ph in (("cp", cp), ("ccp", ccp)):

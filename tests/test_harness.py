@@ -41,11 +41,22 @@ def test_default_config_validates():
     {"n_symbols": 1},
     {"toa_sigma_s": 0.0},
     {"profile_overrides": (("k_factor", 3.0),)},
+    {"n_symbols": 2, "ccp_sweeps": 290},   # one sweep past the stream end
+    {"n_symbols": 8, "ccp_sweeps": 100000},
+    {"widelane_second_fc_hz": 3.8e9},       # equals the FR1 carrier: no beat
 ])
 def test_bad_config_rejected(changes):
     cfg = dataclasses.replace(ScenarioConfig(), **changes)
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+def test_sweep_filling_the_stream_runs():
+    # 288 one-sample shifts end the last window exactly on the stream end.
+    cfg = ScenarioConfig(n_trials=1, methods=("cp", "ccp"), n_symbols=2, ccp_sweeps=289)
+    validate_config(cfg)
+    r = run_trial(cfg, 0)
+    assert all(np.isfinite(v) for v in r.distance_error_m.values())
 
 
 def test_config_dict_round_trip():
@@ -164,6 +175,57 @@ def test_workers_validated():
         run_scenario(FAST, workers=0)
 
 
+# Per-trial (distance error repr, integer, IA failure) of FAST under each
+# ambiguity mode, recorded before cp and ccp shared one phase primitive.
+GOLDEN = {
+    "oracle": [
+        {"toa": ("0.02205540409442719", None, False),
+         "cp": ("-0.00011083643250131558", 305, False),
+         "ccp": ("-0.0016151734021008224", 305, False)},
+        {"toa": ("-0.012577912033645333", None, False),
+         "cp": ("0.0023551771365042384", 305, False),
+         "ccp": ("0.0010945361396927922", 305, False)},
+        {"toa": ("-0.08250211717226463", None, False),
+         "cp": ("-0.00018814136261013914", 305, False),
+         "ccp": ("-0.0005083524577358389", 305, False)},
+    ],
+    "toa": [
+        {"toa": ("0.02205540409442719", None, False),
+         "cp": ("-0.00011083643250131558", 305, False),
+         "ccp": ("-0.0016151734021008224", 305, False)},
+        {"toa": ("-0.012577912033645333", None, False),
+         "cp": ("0.0023551771365042384", 305, False),
+         "ccp": ("0.0010945361396927922", 305, False)},
+        {"toa": ("-0.08250211717226463", None, False),
+         "cp": ("-0.07908027063527712", 304, True),
+         "ccp": ("-0.07940048173039926", 304, True)},
+    ],
+    "widelane": [
+        {"toa": ("0.02205540409442719", None, False),
+         "cp": ("-0.15689677183173956", 311, True),
+         "ccp": ("-0.0010809060360159606", 313, False)},
+        {"toa": ("-0.012577912033645333", None, False),
+         "cp": ("-0.07624566933030508", 312, True),
+         "ccp": ("0.0006324174407232874", 313, False)},
+        {"toa": ("-0.08250211717226463", None, False),
+         "cp": ("0.07937398450163613", 314, True),
+         "ccp": ("0.15652041029494157", 315, True)},
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_trials_match_golden(mode):
+    extra = {"widelane_second_fc_hz": 3.9e9} if mode == "widelane" else {}
+    cfg = dataclasses.replace(FAST, ambiguity=mode, **extra)
+    for trial, expected in enumerate(GOLDEN[mode]):
+        r = run_trial(cfg, trial)
+        for method, (error, integer, failed) in expected.items():
+            assert r.distance_error_m[method] == pytest.approx(float(error), abs=1e-9)
+            assert r.resolved_integer[method] == integer
+            assert r.ia_failure[method] is failed
+
+
 def test_widelane_trial_full_waveform():
     # Noiseless two-carrier trial through the whole signal chain: the beat
     # integer plus the fine search land on the exact geometric distance.
@@ -264,6 +326,13 @@ def test_cli_bad_override_exits_2(tmp_path, capsys):
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv"),
                    "--method", "sonar"])
     assert rc == 2
+
+
+def test_cli_sweep_past_stream_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, ccp_sweeps=100000, methods=["ccp"])
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_unwritable_output_exits_3(tmp_path, capsys):

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from phasepos.channel import ChannelRealization, add_awgn, apply_channel, draw_channel, \
     make_geometry, profile_preset
 from phasepos.constants import NR_TIME_UNIT_S, SPEED_OF_LIGHT
 from phasepos.errors import ConfigError, NoSignalError
 from phasepos.receiver import (ToaMeasurement, ccp_measure, circular_mean, estimate_toa,
-                               extract_phase, quantize_toa, wrap_phase)
+                               quantize_toa, wrap_phase)
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig,
                                generate_prs_grid, make_numerology, middle_subcarrier,
-                               ofdm_modulate, signed_to_row, tile_grid)
+                               occupied_signed_indices, ofdm_modulate, signed_to_row,
+                               tile_grid)
 
 
 def small_num(n_fft=64, n_cp=9, n_active=48, scs=15e3, fc=1e9):
@@ -112,12 +115,12 @@ def test_quantize_k_out_of_range():
         quantize_toa(ToaMeasurement(1e-9, 1.0, False), -1)
 
 
-# ------------------------------------------------------------- extract_phase
+# ------------------------------------------------------ single-window phase
 
 def test_phase_zero_for_identity_channel():
     num = small_num()
     stream, k, ref = continuous_stream(num, 4)
-    m = extract_phase(stream, num, num.n_cp, k, ref)
+    m = ccp_measure(stream, num, k, 1, 1, ref, num.n_cp)
     assert abs(m.phase_rad) < 1e-12
     assert m.n_windows == 1
 
@@ -133,7 +136,7 @@ def test_phase_matches_analytic_delay_rotation():
     ref = complex(grid.values[signed_to_row(num, k), 0])
     ch = draw_channel(profile_preset("InF-LOS", rician_k_db=float("inf")), geo, 0)
     rx = apply_channel(stream, ch)
-    m = extract_phase(rx, num, num.symbol_samples + num.n_cp, k, ref)
+    m = ccp_measure(rx, num, k, 1, 1, ref, num.symbol_samples + num.n_cp)
     f_eff = num.carrier_frequency_hz + k * num.scs_hz
     expected = wrap_phase(-2 * np.pi * f_eff * geo.true_delay_s)
     assert abs(wrap_phase(m.phase_rad - expected)) < 1e-6
@@ -142,8 +145,8 @@ def test_phase_matches_analytic_delay_rotation():
 def test_phase_window_invariance_one_sample():
     num = small_num()
     stream, k, ref = continuous_stream(num, 4)
-    a = extract_phase(stream, num, 17, k, ref)
-    b = extract_phase(stream, num, 18, k, ref)
+    a = ccp_measure(stream, num, k, 1, 1, ref, 17)
+    b = ccp_measure(stream, num, k, 1, 1, ref, 18)
     assert abs(wrap_phase(a.phase_rad - b.phase_rad)) < 1e-9
 
 
@@ -153,7 +156,7 @@ def test_phase_unoccupied_subcarrier_rejected():
     prs = PrsConfig(6, 0, 4, 7)
     bad = k + 1 if k + 1 != 0 else k + 2
     with pytest.raises(ConfigError):
-        extract_phase(stream, num, 0, bad, ref, prs=prs)
+        ccp_measure(stream, num, bad, 1, 1, ref, 0, prs=prs)
 
 
 # --------------------------------------------------------------- ccp_measure
@@ -161,21 +164,12 @@ def test_phase_unoccupied_subcarrier_rejected():
 def test_ccp_noiseless_matches_single_shot():
     num = small_num()
     stream, k, ref = continuous_stream(num, 16)
-    single = extract_phase(stream, num, 0, k, ref)
+    single = ccp_measure(stream, num, k, 1, 1, ref, 0)
     swept = ccp_measure(stream, num, k, n_sweeps=200, shift_samples=5,
                         ref_symbol=ref, window_start=0)
     assert swept.circular_variance < 1e-12
     assert abs(wrap_phase(swept.phase_rad - single.phase_rad)) < 1e-12
     assert swept.n_windows == 200
-
-
-def test_ccp_single_sweep_equals_extract_phase():
-    num = small_num()
-    stream, k, ref = continuous_stream(num, 4)
-    a = extract_phase(stream, num, 31, k, ref)
-    b = ccp_measure(stream, num, k, n_sweeps=1, shift_samples=1,
-                    ref_symbol=ref, window_start=31)
-    assert abs(wrap_phase(a.phase_rad - b.phase_rad)) < 1e-12
 
 
 def test_ccp_averaging_reduces_variance():
@@ -185,24 +179,10 @@ def test_ccp_averaging_reduces_variance():
     cp, ccp = [], []
     for trial in range(200):
         noisy = add_awgn(stream, 10.0, seed=trial)
-        cp.append(extract_phase(noisy, num, 0, k, ref).phase_rad)
+        cp.append(ccp_measure(noisy, num, k, 1, 1, ref, 0).phase_rad)
         ccp.append(ccp_measure(noisy, num, k, n_sweeps=1000, shift_samples=1,
                                ref_symbol=ref, window_start=0).phase_rad)
     assert np.var(ccp, ddof=1) < np.var(cp, ddof=1)
-
-
-def test_ccp_replicates_short_stream():
-    num = small_num()
-    stream, k, ref = continuous_stream(num, 2)
-    n = len(stream.samples)
-    assert n == 2 * num.symbol_samples
-    span = (50 - 1) * 2 + num.n_fft
-    assert span > n   # forces the replication path
-    swept = ccp_measure(stream, num, k, n_sweeps=50, shift_samples=2,
-                        ref_symbol=ref, window_start=0)
-    aligned = extract_phase(stream, num, num.n_cp, k, ref)
-    assert swept.circular_variance < 1e-12
-    assert abs(wrap_phase(swept.phase_rad - aligned.phase_rad)) < 1e-10
 
 
 def test_ccp_sweep_too_long_rejected():
@@ -211,6 +191,53 @@ def test_ccp_sweep_too_long_rejected():
     with pytest.raises(ValueError):
         ccp_measure(stream, num, k, n_sweeps=300, shift_samples=1,
                     ref_symbol=ref, window_start=0)
+
+
+def test_ccp_negative_window_start_rejected():
+    num = small_num()
+    stream, k, ref = continuous_stream(num, 4)
+    with pytest.raises(ValueError):
+        ccp_measure(stream, num, k, n_sweeps=1, shift_samples=1,
+                    ref_symbol=ref, window_start=-1)
+
+
+def fft_window_phase(samples, num, k, n_sweeps, shift, ref, window_start):
+    """Reference: one full FFT per window, derotated by the window's stream position."""
+    z = []
+    for o in window_start + shift * np.arange(n_sweeps):
+        value = np.fft.fft(samples[o:o + num.n_fft])[k % num.n_fft] / np.sqrt(num.n_fft)
+        z.append(value * np.exp(-2j * np.pi * ((k * o) % num.n_fft) / num.n_fft)
+                 * np.conj(ref))
+    z = np.asarray(z)
+    return np.mean(z / np.abs(z))
+
+
+PROPERTY_NUM = small_num()
+PROPERTY_PRS = PrsConfig(6, 0, 6, 7)
+PROPERTY_GRID = tile_grid(generate_prs_grid(PrsConfig(6, 0, 1, 7), PROPERTY_NUM), 6)
+PROPERTY_STREAMS = {mode: ofdm_modulate(PROPERTY_GRID, mode)
+                    for mode in (CONVENTIONAL, CONTINUOUS)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(mode=st.sampled_from((CONVENTIONAL, CONTINUOUS)),
+       k=st.sampled_from(occupied_signed_indices(PROPERTY_PRS, PROPERTY_NUM).tolist()),
+       n_sweeps=st.integers(1, 40), shift=st.integers(1, 9),
+       noise_seed=st.integers(0, 2**16), data=st.data())
+def test_ccp_matches_per_window_fft(mode, k, n_sweeps, shift, noise_seed, data):
+    num = PROPERTY_NUM
+    rx = add_awgn(PROPERTY_STREAMS[mode], 10.0, seed=noise_seed)
+    span = (n_sweeps - 1) * shift + num.n_fft
+    assume(span <= len(rx.samples))
+    start = data.draw(st.integers(0, len(rx.samples) - span), label="window_start")
+    ref = complex(PROPERTY_GRID.values[signed_to_row(num, k), 0])
+
+    expected = fft_window_phase(rx.samples, num, k, n_sweeps, shift, ref, start)
+    assume(abs(expected) > 1e-6)    # the mean phase is undefined when phasors cancel
+    got = ccp_measure(rx, num, k, n_sweeps, shift, ref, start, prs=PROPERTY_PRS)
+    assert abs(wrap_phase(got.phase_rad - np.angle(expected))) < 1e-9
+    assert got.circular_variance == pytest.approx(1.0 - abs(expected), abs=1e-9)
+    assert got.n_windows == n_sweeps
 
 
 def test_ccp_parameters_validated():
