@@ -11,7 +11,8 @@ sign convention is fixed here once: a delay produces a *negative* phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -56,16 +57,19 @@ class ScenarioProfile:
     def __post_init__(self) -> None:
         if self.kind not in PROFILE_KINDS:
             raise ConfigError(f"unknown profile kind {self.kind!r}")
-        if self.rms_delay_spread_s <= 0:
-            raise ConfigError("rms_delay_spread_s must be positive")
-        if self.n_clutter_taps < 1:
-            raise ConfigError("n_clutter_taps must be positive")
-        if self.is_los:
-            if self.rician_k_db is None:
-                raise ConfigError("LOS profile needs rician_k_db")
-        else:
-            if self.nlos_excess_delay_mean_s is None or self.nlos_excess_delay_mean_s <= 0:
-                raise ConfigError("NLOS profile needs a positive nlos_excess_delay_mean_s")
+        if not 0 < self.rms_delay_spread_s < math.inf:
+            raise ConfigError("rms_delay_spread_s must be finite and positive")
+        if not isinstance(self.n_clutter_taps, numbers.Integral) or self.n_clutter_taps < 1:
+            raise ConfigError("n_clutter_taps must be a positive integer")
+        if self.is_los and self.rician_k_db is None:
+            raise ConfigError("LOS profile needs rician_k_db")
+        if not self.is_los and self.nlos_excess_delay_mean_s is None:
+            raise ConfigError("NLOS profile needs nlos_excess_delay_mean_s")
+        if self.rician_k_db is not None and math.isnan(self.rician_k_db):
+            raise ConfigError("rician_k_db must not be NaN")
+        if (self.nlos_excess_delay_mean_s is not None
+                and not 0 < self.nlos_excess_delay_mean_s < math.inf):
+            raise ConfigError("nlos_excess_delay_mean_s must be finite and positive")
 
     @property
     def is_los(self) -> bool:
@@ -86,6 +90,9 @@ def profile_preset(kind: str, **overrides) -> ScenarioProfile:
     """Profile for ``kind`` with optional field overrides."""
     if kind not in _PROFILE_PRESETS:
         raise ConfigError(f"unknown profile kind {kind!r}")
+    unknown = set(overrides) - {f.name for f in fields(ScenarioProfile)}
+    if unknown:
+        raise ConfigError(f"unknown profile overrides: {sorted(unknown)}")
     params = dict(_PROFILE_PRESETS[kind])
     params.update(overrides)
     return ScenarioProfile(kind=kind, **params)
@@ -111,8 +118,11 @@ class ChannelRealization:
 def make_geometry(gnb_position_m, ue_position_m) -> Geometry:
     geo = Geometry(tuple(float(v) for v in gnb_position_m),
                    tuple(float(v) for v in ue_position_m))
+    coords = geo.gnb_position_m + geo.ue_position_m
+    if len(coords) != 6 or not all(map(math.isfinite, coords)):
+        raise ConfigError("positions must be three finite coordinates each")
     if geo.true_distance_m <= 0.0:
-        raise ValueError("degenerate geometry: gNB and UE positions coincide")
+        raise ConfigError("degenerate geometry: gNB and UE positions coincide")
     return geo
 
 

@@ -13,8 +13,7 @@ import dataclasses
 import sys
 
 from .errors import AmbiguityError, ConfigError, InfeasibleMeasurementError, NoSignalError
-from .harness import (EmptyResultError, compute_cdf, emit_results, load_config, run_scenario,
-                      validate_config)
+from .harness import EmptyResultError, compute_cdf, emit_results, load_config, run_scenario
 
 _BANDS = {"fr1": "FR1", "fr2": "FR2"}
 _PROFILES = {"los": "InF-LOS", "nlos-s": "InF-NLOS-S", "nlos-d": "InF-NLOS-D"}
@@ -57,10 +56,7 @@ def _apply_overrides(cfg, args):
         changes["methods"] = tuple(m.strip() for m in args.method.split(",") if m.strip())
     if args.ia is not None:
         changes["ambiguity"] = args.ia
-    if changes:
-        cfg = dataclasses.replace(cfg, **changes)
-    validate_config(cfg)
-    return cfg
+    return dataclasses.replace(cfg, **changes)
 
 
 def _cmd_run(args) -> int:

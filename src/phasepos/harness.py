@@ -8,12 +8,18 @@ resolved to a range by the configured ambiguity mode (oracle, TOA-bounded
 search or two-carrier widelane).
 Per-trial seeds are split deterministically from the master seed, so results
 are independent of worker count and execution order.
+
+A ``ScenarioConfig`` validates itself when built, so a bad value raises
+``ConfigError`` before any trial; what every trial reads (streams, profile,
+window plans) is built once per scenario by ``_build_assets``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -21,20 +27,26 @@ from functools import lru_cache
 import numpy as np
 
 from .ambiguity import CarrierRange, ia_search_toa, phase_to_fraction, widelane_resolve
-from .channel import (Geometry, add_awgn, apply_channel, draw_channel, make_geometry,
-                      profile_preset)
+from .channel import (Geometry, ScenarioProfile, add_awgn, apply_channel, draw_channel,
+                      make_geometry, profile_preset)
 from .constants import SPEED_OF_LIGHT
 from .errors import AmbiguityError, ConfigError, NoSignalError
 from .receiver import ccp_measure, estimate_toa
 from .waveform import (CONTINUOUS, CONVENTIONAL, BasebandStream, NumerologyConfig, PrsConfig,
-                       ResourceGrid, generate_prs_grid, make_numerology, middle_subcarrier,
-                       ofdm_modulate, signed_to_row, tile_grid)
+                       generate_prs_grid, make_numerology, middle_subcarrier, ofdm_modulate,
+                       signed_to_row, tile_grid)
 
 METHODS = ("toa", "cp", "ccp")
 IA_MODES = ("oracle", "toa", "widelane")
+_INT_FIELDS = ("n_trials", "ccp_sweeps", "ccp_shift", "n_symbols", "master_seed", "comb_size",
+               "comb_offset", "prs_seed")
 
-_PROFILE_OVERRIDE_KEYS = ("rician_k_db", "rms_delay_spread_s", "n_clutter_taps",
-                          "nlos_excess_delay_mean_s")
+
+def _as_float(name: str, value) -> float:
+    """``value`` as a float; ConfigError if it is not a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 class EmptyResultError(RuntimeError):
@@ -43,7 +55,13 @@ class EmptyResultError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one reproducible scenario run depends on."""
+    """Everything one reproducible scenario run depends on.
+
+    Construction (including ``dataclasses.replace``) validates every field
+    and raises ``ConfigError`` on a wrongly typed or non-finite value, an
+    unknown name, a sweep that does not fit the stream, or a UE at or beyond
+    the comb's TOA range c / (comb_size * scs).
+    """
 
     band: str = "FR1"
     profile: str = "InF-LOS"
@@ -65,6 +83,51 @@ class ScenarioConfig:
     widelane_second_fc_hz: float | None = None
     profile_overrides: tuple[tuple[str, float], ...] = ()
 
+    def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.master_seed < 0 or self.prs_seed < 0:
+            raise ConfigError("master_seed and prs_seed must be nonnegative")
+        snr = _as_float("snr_db", self.snr_db)
+        if math.isnan(snr) or snr == -math.inf:
+            raise ConfigError(f"snr_db must be a number or +inf (noiseless), got {snr!r}")
+        for name in ("k_sigma", "toa_sigma_s", "widelane_second_fc_hz"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < _as_float(name, value) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+        if not isinstance(self.band, str) or self.band.upper() not in ("FR1", "FR2"):
+            raise ConfigError(f"band must be FR1 or FR2, got {self.band!r}")
+        profile_preset(self.profile, **dict(self.profile_overrides))
+        if self.n_trials < 1:
+            raise ConfigError("n_trials must be positive")
+        if not self.methods or any(m not in METHODS for m in self.methods):
+            raise ConfigError(f"methods must be a nonempty subset of {METHODS}")
+        if self.ambiguity not in IA_MODES:
+            raise ConfigError(f"ambiguity mode must be one of {IA_MODES}")
+        if self.ambiguity == "widelane" and self.widelane_second_fc_hz is None:
+            raise ConfigError("widelane ambiguity mode needs widelane_second_fc_hz")
+        num = make_numerology(self.band)
+        if self.widelane_second_fc_hz == num.carrier_frequency_hz:
+            raise ConfigError("widelane_second_fc_hz must differ from the band carrier")
+        if self.ccp_sweeps < 1 or self.ccp_shift < 1:
+            raise ConfigError("ccp_sweeps and ccp_shift must be positive")
+        if self.n_symbols < 2:
+            raise ConfigError("n_symbols must be at least 2")
+        # The sweep starts one symbol in and must end inside the stream.
+        room = self.n_symbols * num.symbol_samples - num.n_fft - num.symbol_samples
+        if (self.ccp_sweeps - 1) * self.ccp_shift > room:
+            raise ConfigError(f"{self.ccp_sweeps} sweeps {self.ccp_shift} samples apart do not "
+                              f"fit in {self.n_symbols} symbols")
+        PrsConfig(self.comb_size, self.comb_offset, self.n_symbols, self.prs_seed)  # comb checks
+        # A comb-N pilot's correlation repeats every n_fft/N samples, so a
+        # farther UE aliases onto a short TOA.
+        limit = SPEED_OF_LIGHT / (self.comb_size * num.scs_hz)
+        if not 0.0 < self.geometry.true_distance_m < limit:
+            raise ConfigError(f"UE distance {self.geometry.true_distance_m!r} m is outside the "
+                              f"comb-{self.comb_size} TOA range of {limit:.1f} m")
+
 
 @dataclass
 class TrialResult:
@@ -84,55 +147,18 @@ class CdfResult:
     n_trials: int
 
 
-def validate_config(cfg: ScenarioConfig) -> None:
-    if cfg.band.upper() not in ("FR1", "FR2"):
-        raise ConfigError(f"band must be FR1 or FR2, got {cfg.band!r}")
-    if cfg.profile not in ("InF-LOS", "InF-NLOS-S", "InF-NLOS-D"):
-        raise ConfigError(f"unknown profile {cfg.profile!r}")
-    if cfg.n_trials < 1:
-        raise ConfigError("n_trials must be positive")
-    if not cfg.methods or any(m not in METHODS for m in cfg.methods):
-        raise ConfigError(f"methods must be a nonempty subset of {METHODS}")
-    if cfg.ambiguity not in IA_MODES:
-        raise ConfigError(f"ambiguity mode must be one of {IA_MODES}")
-    if cfg.ambiguity == "widelane" and not cfg.widelane_second_fc_hz:
-        raise ConfigError("widelane ambiguity mode needs widelane_second_fc_hz")
-    num = make_numerology(cfg.band)
-    if cfg.widelane_second_fc_hz == num.carrier_frequency_hz:
-        raise ConfigError("widelane_second_fc_hz must differ from the band carrier")
-    if cfg.ccp_sweeps < 1 or cfg.ccp_shift < 1:
-        raise ConfigError("ccp_sweeps and ccp_shift must be positive")
-    if cfg.n_symbols < 2:
-        raise ConfigError("n_symbols must be at least 2")
-    # The sweep starts one symbol in and must end inside the stream.
-    room = cfg.n_symbols * num.symbol_samples - num.n_fft - num.symbol_samples
-    if (cfg.ccp_sweeps - 1) * cfg.ccp_shift > room:
-        raise ConfigError(f"{cfg.ccp_sweeps} sweeps {cfg.ccp_shift} samples apart do not fit "
-                          f"in {cfg.n_symbols} symbols")
-    if cfg.toa_sigma_s is not None and cfg.toa_sigma_s <= 0:
-        raise ConfigError("toa_sigma_s must be positive")
-    for key, _ in cfg.profile_overrides:
-        if key not in _PROFILE_OVERRIDE_KEYS:
-            raise ConfigError(f"unknown profile override {key!r}")
-
-
 @dataclass(frozen=True)
 class _Assets:
     """Per-scenario immutables shared by every trial."""
 
     num: NumerologyConfig
-    prs: PrsConfig
-    grid: ResourceGrid
+    profile: ScenarioProfile
     tx_conv: BasebandStream
-    tx_cont: BasebandStream
+    carriers: tuple[tuple[BasebandStream, float], ...]   # (continuous stream, f_eff_hz)
     subcarrier: int
     ref_symbol: complex
-    f_eff_hz: float
     windows: dict[str, tuple[int, int, int]]   # method -> (start, n_sweeps, shift)
     toa_sigma_s: float
-    num2: NumerologyConfig | None
-    tx2_cont: BasebandStream | None
-    f2_eff_hz: float | None
 
 
 @lru_cache(maxsize=8)
@@ -147,7 +173,14 @@ def _build_assets(cfg: ScenarioConfig) -> _Assets:
     tx_cont = ofdm_modulate(grid, CONTINUOUS)
     k = middle_subcarrier(prs, num)
     ref = complex(grid.values[signed_to_row(num, k), 0])
-    f_eff = num.carrier_frequency_hz + k * num.scs_hz
+
+    # The modulated samples do not depend on the carrier, so the widelane
+    # carrier is the same stream relabelled.
+    fcs = [num.carrier_frequency_hz]
+    if cfg.ambiguity == "widelane":
+        fcs.append(float(cfg.widelane_second_fc_hz))
+    carriers = tuple((dataclasses.replace(tx_cont, carrier_frequency_hz=fc), fc + k * num.scs_hz)
+                     for fc in fcs)
 
     # Single-shot window aligned to symbol 1's useful part, clear of the
     # stream head where the circular channel wraps.
@@ -167,15 +200,9 @@ def _build_assets(cfg: ScenarioConfig) -> _Assets:
     if toa_sigma is None:
         toa_sigma = 1.0 / (num.sample_rate_hz * np.sqrt(12.0))
 
-    num2 = tx2 = f2_eff = None
-    if cfg.widelane_second_fc_hz:
-        num2 = dataclasses.replace(num, carrier_frequency_hz=float(cfg.widelane_second_fc_hz))
-        tx2 = ofdm_modulate(ResourceGrid(grid.values, num2), CONTINUOUS)
-        f2_eff = num2.carrier_frequency_hz + k * num2.scs_hz
-
     windows = {"cp": (cp_ws, 1, 1), "ccp": (ccp_start, cfg.ccp_sweeps, stride)}
-    return _Assets(num, prs, grid, tx_conv, tx_cont, k, ref, f_eff, windows,
-                   toa_sigma, num2, tx2, f2_eff)
+    profile = profile_preset(cfg.profile, **dict(cfg.profile_overrides))
+    return _Assets(num, profile, tx_conv, carriers, k, ref, windows, toa_sigma)
 
 
 def _trial_seeds(master_seed: int, trial: int) -> np.ndarray:
@@ -200,8 +227,7 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
     """One full measurement round against one channel realization."""
     assets = _build_assets(cfg)
     ch_seed, toa_seed, cp_seed, wl_seed = (int(s) for s in _trial_seeds(cfg.master_seed, trial))
-    profile = profile_preset(cfg.profile, **dict(cfg.profile_overrides))
-    channel = draw_channel(profile, cfg.geometry, ch_seed)
+    channel = draw_channel(assets.profile, cfg.geometry, ch_seed)
     d_true = cfg.geometry.true_distance_m
 
     errors: dict[str, float] = {}
@@ -220,11 +246,8 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
 
     phase_methods = [m for m in cfg.methods if m in ("cp", "ccp")]
     if phase_methods:
-        carriers = [(assets.num, assets.tx_cont, assets.f_eff_hz, cp_seed)]
-        if cfg.ambiguity == "widelane":
-            carriers.append((assets.num2, assets.tx2_cont, assets.f2_eff_hz, wl_seed))
-        received = [(num, add_awgn(apply_channel(tx, channel), cfg.snr_db, seed), f_eff)
-                    for num, tx, f_eff, seed in carriers]
+        received = [(add_awgn(apply_channel(tx, channel), cfg.snr_db, seed), f_eff)
+                    for (tx, f_eff), seed in zip(assets.carriers, (cp_seed, wl_seed))]
         resolvers = {
             "oracle": lambda fracs: _oracle_resolve(fracs[0], d_true),
             "toa": lambda fracs: ia_search_toa(fracs[0], toa.toa_s, assets.toa_sigma_s,
@@ -236,9 +259,10 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
 
         for method in phase_methods:
             start, sweeps, shift = assets.windows[method]
-            fracs = [phase_to_fraction(ccp_measure(rx, num, assets.subcarrier, sweeps, shift,
-                                                   assets.ref_symbol, start).phase_rad, f_eff)
-                     for num, rx, f_eff in received]
+            fracs = [phase_to_fraction(ccp_measure(rx, assets.num, assets.subcarrier, sweeps,
+                                                   shift, assets.ref_symbol, start).phase_rad,
+                                       f_eff)
+                     for rx, f_eff in received]
             try:
                 resolved = resolvers[cfg.ambiguity](fracs)
             except AmbiguityError:
@@ -255,7 +279,6 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list[TrialResult]:
     """Run all trials; identical results for any worker count."""
-    validate_config(cfg)
     if workers < 1:
         raise ConfigError("workers must be positive")
     trials = range(cfg.n_trials)
@@ -346,11 +369,11 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
             kwargs["geometry"] = make_geometry(g["gnb_position_m"], g["ue_position_m"])
         if "profile_overrides" in kwargs:
             kwargs["profile_overrides"] = tuple(sorted(kwargs["profile_overrides"].items()))
-        cfg = ScenarioConfig(**kwargs)
-    except (TypeError, ValueError, AttributeError, KeyError) as exc:
+        return ScenarioConfig(**kwargs)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, AttributeError, KeyError, OverflowError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    validate_config(cfg)
-    return cfg
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -47,19 +47,19 @@ def circular_mean(phases: np.ndarray) -> float:
 
 
 def estimate_toa(rx: BasebandStream, reference: BasebandStream,
-                 threshold: float = 0.6, max_lag_s: float | None = None) -> ToaMeasurement:
+                 threshold: float = 0.6) -> ToaMeasurement:
     """First-arrival TOA from the normalized circular cross-correlation.
 
-    The earliest local maximum whose height reaches ``threshold`` times the
-    global maximum is taken as the first arrival (later, possibly stronger
-    multipath is ignored), then refined with a three-point parabolic fit so
-    the estimate is not pinned to the sampling grid.
+    Lags up to half the stream duration are searched.  The earliest local
+    maximum whose height reaches ``threshold`` times the global maximum is
+    taken as the first arrival (later, possibly stronger multipath is
+    ignored), then refined with a three-point parabolic fit so the estimate
+    is not pinned to the sampling grid.
 
     Args:
         rx: received stream.
         reference: clean transmitted stream (same sample rate).
         threshold: early-peak acceptance ratio, in (0, 1].
-        max_lag_s: search horizon; defaults to half the stream duration.
 
     Returns:
         ToaMeasurement with ``quantized=False``.
@@ -77,10 +77,11 @@ def estimate_toa(rx: BasebandStream, reference: BasebandStream,
     if energy == 0.0 or not np.any(np.abs(x) > 0):
         raise NoSignalError("correlation input has no energy")
 
-    corr = np.abs(np.fft.ifft(np.fft.fft(x) * np.conj(np.fft.fft(ref)))) / energy
+    cross_spectrum = np.fft.fft(x) * np.conj(np.fft.fft(ref))
+    corr = np.abs(np.fft.ifft(cross_spectrum)) / energy
 
     fs = rx.sample_rate_hz
-    horizon = n // 2 if max_lag_s is None else min(n - 1, int(round(max_lag_s * fs)))
+    horizon = n // 2
     window = corr[:horizon + 1]
     peak_global = float(np.max(window))
     if peak_global <= 0.0:
@@ -100,7 +101,6 @@ def estimate_toa(rx: BasebandStream, reference: BasebandStream,
     # a bias of a few percent of a sample, which is fatal at carrier-
     # wavelength scale.  The fine lags reuse one running phase ramp instead
     # of a full lag-by-frequency matrix.
-    cross_spectrum = np.fft.fft(x) * np.conj(np.fft.fft(ref))
     freqs = np.fft.fftfreq(n)
     lags = p + np.arange(-16, 17) / 16.0
     ramp = cross_spectrum * np.exp(2j * np.pi * freqs * lags[0])

@@ -3,12 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasepos import cli
+from phasepos.channel import make_geometry
 from phasepos.errors import ConfigError
 from phasepos.harness import (CdfResult, EmptyResultError, ScenarioConfig, TrialResult,
                               compute_cdf, config_from_dict, config_to_dict, emit_results,
-                              load_config, run_scenario, run_trial, validate_config)
+                              load_config, run_scenario, run_trial)
 
 # Small, fast scenario used by the mechanics tests: accuracy is irrelevant
 # here, only plumbing and determinism.
@@ -25,7 +28,7 @@ def make_results(errors, failures=None):
 # ------------------------------------------------------------------ validation
 
 def test_default_config_validates():
-    validate_config(ScenarioConfig())
+    ScenarioConfig()
 
 
 @pytest.mark.parametrize("changes", [
@@ -44,17 +47,36 @@ def test_default_config_validates():
     {"n_symbols": 2, "ccp_sweeps": 290},   # one sweep past the stream end
     {"n_symbols": 8, "ccp_sweeps": 100000},
     {"widelane_second_fc_hz": 3.8e9},       # equals the FR1 carrier: no beat
+    {"profile_overrides": (("rms_delay_spread_s", -1.0),)},
+    {"n_trials": "5"},
+    {"n_trials": 2.5},
+    {"n_trials": True},
+    {"master_seed": -1},
+    {"snr_db": float("nan")},
+    {"snr_db": float("-inf")},
+    {"snr_db": "10"},
+    {"k_sigma": 0},
+    {"k_sigma": float("nan")},
+    {"toa_sigma_s": float("inf")},
+    {"widelane_second_fc_hz": float("inf")},
+    {"geometry": make_geometry((0, 0, 0), (1700, 0, 0))},   # past FR1 comb-6 TOA range
+    {"band": "FR2", "geometry": make_geometry((0, 0, 0), (430, 0, 0))},
 ])
 def test_bad_config_rejected(changes):
-    cfg = dataclasses.replace(ScenarioConfig(), **changes)
     with pytest.raises(ConfigError):
-        validate_config(cfg)
+        dataclasses.replace(ScenarioConfig(), **changes)
+
+
+@pytest.mark.parametrize("band,distance_m", [("FR1", 1600.0), ("FR2", 400.0)])
+def test_ue_inside_comb_range_accepted(band, distance_m):
+    cfg = ScenarioConfig(band=band, methods=("toa",), n_symbols=8, snr_db=float("inf"),
+                         geometry=make_geometry((0, 0, 0), (distance_m, 0, 0)))
+    assert abs(run_trial(cfg, 0).distance_error_m["toa"]) < 1.0
 
 
 def test_sweep_filling_the_stream_runs():
     # 288 one-sample shifts end the last window exactly on the stream end.
     cfg = ScenarioConfig(n_trials=1, methods=("cp", "ccp"), n_symbols=2, ccp_sweeps=289)
-    validate_config(cfg)
     r = run_trial(cfg, 0)
     assert all(np.isfinite(v) for v in r.distance_error_m.values())
 
@@ -82,6 +104,41 @@ def test_config_from_dict_rejects_malformed_values():
     with pytest.raises(ConfigError):
         config_from_dict({"geometry": {"gnb_position_m": [0, 0, 1],
                                        "ue_position_m": [0, 0, 1]}})
+    with pytest.raises(ConfigError):
+        config_from_dict({"geometry": {"gnb_position_m": [0, 0, 1],
+                                       "ue_position_m": [float("nan"), 0, 1]}})
+    with pytest.raises(ConfigError):
+        config_from_dict({"k_sigma": 10 ** 400})
+    with pytest.raises(ConfigError, match="^n_trials must be positive$"):
+        config_from_dict({"n_trials": 0})   # raised by the config itself, not re-wrapped
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+                  st.lists(st.integers(), max_size=3))
+_COORDS = st.lists(st.one_of(st.integers(), st.floats()), max_size=4)
+_PLAUSIBLE = {
+    "band": st.sampled_from(["FR1", "fr2", "FR9"]),
+    "profile": st.sampled_from(["InF-LOS", "InF-NLOS-S", "InF-NLOS-D", "InH"]),
+    "methods": st.lists(st.sampled_from(["toa", "cp", "ccp", "sonar"]), max_size=4),
+    "ambiguity": st.sampled_from(["oracle", "toa", "widelane", "fuzzy"]),
+    "geometry": st.fixed_dictionaries({"gnb_position_m": _COORDS, "ue_position_m": _COORDS}),
+    "profile_overrides": st.dictionaries(
+        st.sampled_from(["rician_k_db", "rms_delay_spread_s", "n_clutter_taps",
+                         "nlos_excess_delay_mean_s", "kind", "k_factor"]), _JUNK, max_size=3),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+    f.name: st.one_of(_JUNK, _PLAUSIBLE.get(f.name, _JUNK))
+    for f in dataclasses.fields(ScenarioConfig)}))
+def test_config_from_dict_raises_only_config_error(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return
+    assert dataclasses.replace(cfg) == cfg
+    hash(cfg)   # trials cache their assets by config
 
 
 def test_load_config(tmp_path):
@@ -333,6 +390,26 @@ def test_cli_sweep_past_stream_exits_2(tmp_path, capsys):
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    {"n_trials": "5"},
+    {"n_trials": 2.5},
+    {"snr_db": float("nan")},
+    {"snr_db": float("-inf")},
+    {"k_sigma": 0},
+    {"k_sigma": float("nan")},
+    {"toa_sigma_s": float("inf")},
+    {"geometry": {"gnb_position_m": [0, 0, 1], "ue_position_m": [float("nan"), 0, 1]}},
+    {"geometry": {"gnb_position_m": [0, 0, 0], "ue_position_m": [2000, 0, 0]}},
+    {"profile_overrides": {"rms_delay_spread_s": -1}},
+])
+def test_cli_bad_value_exits_2(tmp_path, capsys, extra):
+    cfg = write_cfg(tmp_path, **extra)
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
 
 
 def test_cli_unwritable_output_exits_3(tmp_path, capsys):
