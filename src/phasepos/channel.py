@@ -45,7 +45,9 @@ class ScenarioProfile:
     """Statistical description of one propagation scenario.
 
     The numeric defaults are simulator choices sized to indoor-factory
-    behaviour; every field can be overridden through the harness config.
+    behaviour; every field but ``kind`` can be overridden through the harness
+    config.  A field the kind does not read (``rician_k_db`` on NLOS,
+    ``nlos_excess_delay_mean_s`` on LOS) is rejected rather than ignored.
     """
 
     kind: str
@@ -61,10 +63,11 @@ class ScenarioProfile:
             raise ConfigError("rms_delay_spread_s must be finite and positive")
         if not isinstance(self.n_clutter_taps, numbers.Integral) or self.n_clutter_taps < 1:
             raise ConfigError("n_clutter_taps must be a positive integer")
-        if self.is_los and self.rician_k_db is None:
-            raise ConfigError("LOS profile needs rician_k_db")
-        if not self.is_los and self.nlos_excess_delay_mean_s is None:
-            raise ConfigError("NLOS profile needs nlos_excess_delay_mean_s")
+        if self.is_los != (self.rician_k_db is not None):
+            raise ConfigError("rician_k_db is required for InF-LOS and applies to no NLOS kind")
+        if self.is_los != (self.nlos_excess_delay_mean_s is None):
+            raise ConfigError("nlos_excess_delay_mean_s is required for NLOS kinds and "
+                              "does not apply to InF-LOS")
         if self.rician_k_db is not None and math.isnan(self.rician_k_db):
             raise ConfigError("rician_k_db must not be NaN")
         if (self.nlos_excess_delay_mean_s is not None
@@ -86,11 +89,11 @@ _PROFILE_PRESETS = {
 }
 
 
-def profile_preset(kind: str, **overrides) -> ScenarioProfile:
-    """Profile for ``kind`` with optional field overrides."""
+def profile_preset(kind: str, /, **overrides) -> ScenarioProfile:
+    """Profile for ``kind`` with optional overrides of its other fields."""
     if kind not in _PROFILE_PRESETS:
         raise ConfigError(f"unknown profile kind {kind!r}")
-    unknown = set(overrides) - {f.name for f in fields(ScenarioProfile)}
+    unknown = set(overrides) - {f.name for f in fields(ScenarioProfile) if f.name != "kind"}
     if unknown:
         raise ConfigError(f"unknown profile overrides: {sorted(unknown)}")
     params = dict(_PROFILE_PRESETS[kind])
@@ -103,8 +106,6 @@ class ChannelRealization:
     """One drawn tapped-delay-line: (delay_s, complex gain) per tap."""
 
     taps: list[tuple[float, complex]]
-    profile_kind: str
-    seed: int
 
     @property
     def first_tap_delay_s(self) -> float:
@@ -140,7 +141,7 @@ def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> Cha
     tau0 = geometry.true_delay_s
 
     if profile.is_los and math.isinf(profile.rician_k_db):
-        return ChannelRealization([(tau0, 1.0 + 0.0j)], profile.kind, seed)
+        return ChannelRealization([(tau0, 1.0 + 0.0j)])
 
     n = profile.n_clutter_taps
     if profile.is_los:
@@ -165,7 +166,7 @@ def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> Cha
     if direct_power > 0.0:
         taps.append((tau0, complex(np.sqrt(direct_power))))
     taps.extend((float(t), complex(g)) for t, g in zip(delays, gains))
-    return ChannelRealization(taps, profile.kind, seed)
+    return ChannelRealization(taps)
 
 
 def apply_channel(stream: BasebandStream, channel: ChannelRealization) -> BasebandStream:

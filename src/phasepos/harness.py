@@ -38,8 +38,8 @@ from .waveform import (CONTINUOUS, CONVENTIONAL, BasebandStream, NumerologyConfi
 
 METHODS = ("toa", "cp", "ccp")
 IA_MODES = ("oracle", "toa", "widelane")
-_INT_FIELDS = ("n_trials", "ccp_sweeps", "ccp_shift", "n_symbols", "master_seed", "comb_size",
-               "comb_offset", "prs_seed")
+_INT_FIELDS = ("n_trials", "ccp_sweeps", "n_symbols", "master_seed", "comb_size", "comb_offset",
+               "prs_seed")
 
 
 def _as_float(name: str, value) -> float:
@@ -53,14 +53,30 @@ class EmptyResultError(RuntimeError):
     """Every trial failed for the requested method."""
 
 
+def _ccp_windows(num: NumerologyConfig, n_symbols: int, n_sweeps: int) -> tuple[int, int, int]:
+    """(start, n_sweeps, stride) of a ccp sweep spread over the whole stream.
+
+    The sweep starts one symbol in, clear of the stream head where the
+    circular channel wraps, and its last window ends inside the stream.
+    Overlapping windows share almost all their noise, so they are spaced as
+    widely as the stream allows; a stride of 0 means the sweeps do not fit.
+    """
+    stride = ((n_symbols - 1) * num.symbol_samples - num.n_fft) // max(n_sweeps - 1, 1)
+    return num.symbol_samples, n_sweeps, stride
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one reproducible scenario run depends on.
 
     Construction (including ``dataclasses.replace``) validates every field
     and raises ``ConfigError`` on a wrongly typed or non-finite value, an
-    unknown name, a sweep that does not fit the stream, or a UE at or beyond
-    the comb's TOA range c / (comb_size * scs).
+    unknown name, a repeated method, a profile override the profile kind
+    does not read, more sweeps than the stream has window positions, or a
+    UE whose geometric delay plus the profile's mean NLOS excess and delay
+    spread reaches the comb's TOA range 1 / (comb_size * scs).  The ccp
+    windows are spread over the whole stream, so their spacing follows
+    from ``n_symbols`` and ``ccp_sweeps``.
     """
 
     band: str = "FR1"
@@ -70,7 +86,6 @@ class ScenarioConfig:
     methods: tuple[str, ...] = ("toa", "cp", "ccp")
     ambiguity: str = "oracle"
     ccp_sweeps: int = 1000
-    ccp_shift: int = 1                    # minimum spacing between swept windows
     n_symbols: int = 128                  # 128 symbols span exactly 137 FFT lengths
     master_seed: int = 20260815
     geometry: Geometry = field(default_factory=lambda: make_geometry(
@@ -99,11 +114,12 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
         if not isinstance(self.band, str) or self.band.upper() not in ("FR1", "FR2"):
             raise ConfigError(f"band must be FR1 or FR2, got {self.band!r}")
-        profile_preset(self.profile, **dict(self.profile_overrides))
+        profile = profile_preset(self.profile, **dict(self.profile_overrides))
         if self.n_trials < 1:
             raise ConfigError("n_trials must be positive")
-        if not self.methods or any(m not in METHODS for m in self.methods):
-            raise ConfigError(f"methods must be a nonempty subset of {METHODS}")
+        if (not self.methods or any(m not in METHODS for m in self.methods)
+                or len(set(self.methods)) != len(self.methods)):
+            raise ConfigError(f"methods must be a nonempty subset of {METHODS} without repeats")
         if self.ambiguity not in IA_MODES:
             raise ConfigError(f"ambiguity mode must be one of {IA_MODES}")
         if self.ambiguity == "widelane" and self.widelane_second_fc_hz is None:
@@ -111,22 +127,23 @@ class ScenarioConfig:
         num = make_numerology(self.band)
         if self.widelane_second_fc_hz == num.carrier_frequency_hz:
             raise ConfigError("widelane_second_fc_hz must differ from the band carrier")
-        if self.ccp_sweeps < 1 or self.ccp_shift < 1:
-            raise ConfigError("ccp_sweeps and ccp_shift must be positive")
+        if self.ccp_sweeps < 1:
+            raise ConfigError("ccp_sweeps must be positive")
         if self.n_symbols < 2:
             raise ConfigError("n_symbols must be at least 2")
-        # The sweep starts one symbol in and must end inside the stream.
-        room = self.n_symbols * num.symbol_samples - num.n_fft - num.symbol_samples
-        if (self.ccp_sweeps - 1) * self.ccp_shift > room:
-            raise ConfigError(f"{self.ccp_sweeps} sweeps {self.ccp_shift} samples apart do not "
-                              f"fit in {self.n_symbols} symbols")
+        if _ccp_windows(num, self.n_symbols, self.ccp_sweeps)[2] < 1:
+            raise ConfigError(f"{self.ccp_sweeps} sweeps do not fit in {self.n_symbols} symbols")
         PrsConfig(self.comb_size, self.comb_offset, self.n_symbols, self.prs_seed)  # comb checks
-        # A comb-N pilot's correlation repeats every n_fft/N samples, so a
-        # farther UE aliases onto a short TOA.
-        limit = SPEED_OF_LIGHT / (self.comb_size * num.scs_hz)
-        if not 0.0 < self.geometry.true_distance_m < limit:
-            raise ConfigError(f"UE distance {self.geometry.true_distance_m!r} m is outside the "
-                              f"comb-{self.comb_size} TOA range of {limit:.1f} m")
+        # A comb-N pilot's correlation repeats every 1/(N scs) seconds, so a
+        # path arriving later aliases onto a short TOA.  The geometric delay
+        # plus the mean NLOS excess and one delay spread must stay inside.
+        reach = (self.geometry.true_delay_s + (profile.nlos_excess_delay_mean_s or 0.0)
+                 + profile.rms_delay_spread_s)
+        limit = 1.0 / (self.comb_size * num.scs_hz)
+        if not 0.0 < self.geometry.true_distance_m or reach >= limit:
+            raise ConfigError(f"UE at {self.geometry.true_distance_m:.6g} m plus the channel's "
+                              f"delay reaches {reach * 1e6:.3g} us, at or past the "
+                              f"comb-{self.comb_size} TOA range of {limit * 1e6:.3g} us")
 
 
 @dataclass
@@ -182,25 +199,14 @@ def _build_assets(cfg: ScenarioConfig) -> _Assets:
     carriers = tuple((dataclasses.replace(tx_cont, carrier_frequency_hz=fc), fc + k * num.scs_hz)
                      for fc in fcs)
 
-    # Single-shot window aligned to symbol 1's useful part, clear of the
-    # stream head where the circular channel wraps.
-    cp_ws = num.symbol_samples + num.n_cp
-
-    # Spread the sweep across the whole received stream: overlapping windows
-    # one sample apart share almost all their noise, so the configured shift
-    # acts as a minimum spacing and the stride grows to cover the stream.
-    length = len(tx_cont.samples)
-    ccp_start = num.symbol_samples
-    avail = length - num.n_fft - ccp_start
-    stride = cfg.ccp_shift
-    if cfg.ccp_sweeps > 1:
-        stride = max(cfg.ccp_shift, avail // (cfg.ccp_sweeps - 1))
-
     toa_sigma = cfg.toa_sigma_s
     if toa_sigma is None:
         toa_sigma = 1.0 / (num.sample_rate_hz * np.sqrt(12.0))
 
-    windows = {"cp": (cp_ws, 1, 1), "ccp": (ccp_start, cfg.ccp_sweeps, stride)}
+    # cp: one window on symbol 1's useful part, clear of the stream head
+    # where the circular channel wraps.
+    windows = {"cp": (num.symbol_samples + num.n_cp, 1, 1),
+               "ccp": _ccp_windows(num, cfg.n_symbols, cfg.ccp_sweeps)}
     profile = profile_preset(cfg.profile, **dict(cfg.profile_overrides))
     return _Assets(num, profile, tx_conv, carriers, k, ref, windows, toa_sigma)
 

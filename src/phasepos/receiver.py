@@ -20,6 +20,9 @@ from .errors import ConfigError, NoSignalError
 from .waveform import BasebandStream, NumerologyConfig, PrsConfig, signed_to_row
 
 
+EARLY_PEAK_RATIO = 0.6     # first-arrival peak height / global correlation maximum
+
+
 @dataclass(frozen=True)
 class ToaMeasurement:
     toa_s: float
@@ -30,7 +33,6 @@ class ToaMeasurement:
 @dataclass(frozen=True)
 class PhaseMeasurement:
     phase_rad: float
-    subcarrier_index: int
     n_windows: int
     circular_variance: float    # 1 - |mean unit phasor|, in [0, 1]
 
@@ -46,35 +48,33 @@ def circular_mean(phases: np.ndarray) -> float:
     return float(wrap_phase(np.angle(np.mean(phasors))))
 
 
-def estimate_toa(rx: BasebandStream, reference: BasebandStream,
-                 threshold: float = 0.6) -> ToaMeasurement:
+def estimate_toa(rx: BasebandStream, reference: BasebandStream) -> ToaMeasurement:
     """First-arrival TOA from the normalized circular cross-correlation.
 
     Lags up to half the stream duration are searched.  The earliest local
-    maximum whose height reaches ``threshold`` times the global maximum is
-    taken as the first arrival (later, possibly stronger multipath is
-    ignored), then refined with a three-point parabolic fit so the estimate
-    is not pinned to the sampling grid.
+    maximum whose height reaches ``EARLY_PEAK_RATIO`` times the global
+    maximum is taken as the first arrival (later, possibly stronger
+    multipath is ignored), then refined with a three-point parabolic fit so
+    the estimate is not pinned to the sampling grid.
 
     Args:
         rx: received stream.
-        reference: clean transmitted stream (same sample rate).
-        threshold: early-peak acceptance ratio, in (0, 1].
+        reference: clean transmitted stream, same sample rate and length.
 
     Returns:
         ToaMeasurement with ``quantized=False``.
+
+    Raises:
+        ValueError: the two streams differ in length.
+        NoSignalError: no energy or no correlation peak.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigError("threshold must be in (0, 1]")
     x = rx.samples
     ref = reference.samples
-    n = max(len(x), len(ref))
-    if len(x) < n:
-        x = np.concatenate([x, np.zeros(n - len(x), dtype=complex)])
-    if len(ref) < n:
-        ref = np.concatenate([ref, np.zeros(n - len(ref), dtype=complex)])
+    n = len(x)
+    if len(ref) != n:
+        raise ValueError(f"received stream has {n} samples, reference {len(ref)}")
     energy = np.linalg.norm(x) * np.linalg.norm(ref)
-    if energy == 0.0 or not np.any(np.abs(x) > 0):
+    if energy == 0.0:
         raise NoSignalError("correlation input has no energy")
 
     cross_spectrum = np.fft.fft(x) * np.conj(np.fft.fft(ref))
@@ -89,7 +89,7 @@ def estimate_toa(rx: BasebandStream, reference: BasebandStream,
 
     prev = np.roll(corr, 1)[:horizon + 1]
     nxt = np.roll(corr, -1)[:horizon + 1]
-    is_peak = (window > prev) & (window >= nxt) & (window >= threshold * peak_global)
+    is_peak = (window > prev) & (window >= nxt) & (window >= EARLY_PEAK_RATIO * peak_global)
     candidates = np.nonzero(is_peak)[0]
     if candidates.size == 0:
         raise NoSignalError("no correlation peak above the early-arrival threshold")
@@ -178,4 +178,4 @@ def ccp_measure(rx: BasebandStream, num: NumerologyConfig, subcarrier: int,
         raise NoSignalError("swept window saw an empty subcarrier bin")
     mean_phasor = np.mean(z / mags)
     phase = float(wrap_phase(np.angle(mean_phasor)))
-    return PhaseMeasurement(phase, k, int(n_sweeps), float(1.0 - np.abs(mean_phasor)))
+    return PhaseMeasurement(phase, int(n_sweeps), float(1.0 - np.abs(mean_phasor)))

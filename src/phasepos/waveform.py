@@ -32,14 +32,13 @@ _COMB_SIZES = (2, 4, 6, 12)
 
 @dataclass(frozen=True)
 class NumerologyConfig:
-    """Static OFDM dimensioning for one carrier."""
+    """Static OFDM dimensioning for one carrier; the sample rate is scs_hz * n_fft."""
 
     carrier_frequency_hz: float
     scs_hz: float                 # subcarrier spacing
     n_fft: int                    # power of two
     n_cp: int                     # cyclic prefix length in samples
     n_active_subcarriers: int
-    sample_rate_hz: float         # must equal scs_hz * n_fft
 
     def __post_init__(self) -> None:
         if self.carrier_frequency_hz <= 0 or self.scs_hz <= 0:
@@ -50,8 +49,10 @@ class NumerologyConfig:
             raise ConfigError("n_cp must satisfy 0 <= n_cp < n_fft")
         if not 0 < self.n_active_subcarriers <= self.n_fft - 1:
             raise ConfigError("active subcarriers must fit in the FFT with DC excluded")
-        if abs(self.sample_rate_hz - self.scs_hz * self.n_fft) > 1e-6:
-            raise ConfigError("sample_rate_hz must equal scs_hz * n_fft")
+
+    @property
+    def sample_rate_hz(self) -> float:
+        return self.scs_hz * self.n_fft
 
     @property
     def wavelength_m(self) -> float:
@@ -101,17 +102,14 @@ class BasebandStream:
     sample_rate_hz: float
     carrier_frequency_hz: float
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
 
 def make_numerology(band: str) -> NumerologyConfig:
     """Return the preset numerology for band "FR1" or "FR2"."""
     key = band.strip().upper()
     if key == "FR1":
-        return NumerologyConfig(3.8e9, 30e3, 4096, 288, 3276, 30e3 * 4096)
+        return NumerologyConfig(3.8e9, 30e3, 4096, 288, 3276)
     if key == "FR2":
-        return NumerologyConfig(28e9, 120e3, 4096, 288, 3276, 120e3 * 4096)
+        return NumerologyConfig(28e9, 120e3, 4096, 288, 3276)
     raise ConfigError(f"unknown band {band!r}, expected FR1 or FR2")
 
 
@@ -188,10 +186,6 @@ def symbol_phase_rotation(subcarrier: int | np.ndarray, symbol_index: int,
     k = np.asarray(subcarrier, dtype=np.int64)
     turns = (k * (symbol_index + 1) * num.n_cp) % num.n_fft
     return np.exp(2j * np.pi * turns / num.n_fft)
-
-
-def _bin_indices(num: NumerologyConfig) -> np.ndarray:
-    return active_signed_indices(num) % num.n_fft
 
 
 def ofdm_modulate(grid: ResourceGrid, mode: str = CONVENTIONAL) -> BasebandStream:

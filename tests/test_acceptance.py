@@ -15,10 +15,10 @@ import pytest
 from phasepos.ambiguity import (double_difference, phase_to_fraction, virtual_wavelength,
                                 widelane_resolve)
 from phasepos.angle import InterferometerConfig, aoa_from_phase_diff, phase_diff_for_angle
-from phasepos.channel import add_awgn, apply_channel, doppler_ppm, draw_channel, \
-    make_geometry, profile_preset
+from phasepos.channel import add_awgn, apply_channel, doppler_ppm, draw_channel, make_geometry
 from phasepos.constants import SPEED_OF_LIGHT
-from phasepos.harness import ScenarioConfig, compute_cdf, emit_results, run_scenario
+from phasepos.harness import (ScenarioConfig, _build_assets, compute_cdf, emit_results,
+                              run_scenario)
 from phasepos.receiver import ccp_measure, wrap_phase
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_grid,
                                make_numerology, middle_subcarrier, ofdm_modulate,
@@ -78,31 +78,25 @@ def fr1_paired():
     The noiseless per-channel tone phase serves as truth for the phase-error
     comparison; oracle-resolved distances feed the error CDFs.
     """
-    num = make_numerology("FR1")
-    n_symbols = MC_CFG.n_symbols
-    grid = tile_grid(generate_prs_grid(PrsConfig(6, 0, 1, 7), num), n_symbols)
-    tx = ofdm_modulate(grid, CONTINUOUS)
-    k = middle_subcarrier(PrsConfig(6, 0, n_symbols, 7), num)
-    ref = complex(grid.values[signed_to_row(num, k), 0])
-    f_eff = num.carrier_frequency_hz + k * num.scs_hz
-    cp_ws = num.symbol_samples + num.n_cp
-    ccp_start = num.symbol_samples
-    stride = max(1, (len(tx.samples) - num.n_fft - ccp_start) // (MC_CFG.ccp_sweeps - 1))
-    preset = profile_preset(MC_CFG.profile)
+    assets = _build_assets(MC_CFG)
+    (tx, f_eff), = assets.carriers
     d_true = GEO.true_distance_m
+
+    def phase(rx, method):
+        start, sweeps, stride = assets.windows[method]
+        return ccp_measure(rx, assets.num, assets.subcarrier, sweeps, stride,
+                           assets.ref_symbol, start).phase_rad
 
     phase_err = {"cp": [], "ccp": []}
     dist_err = {"cp": [], "ccp": []}
     with Timer() as t:
         for trial in range(MC_CFG.n_trials):
-            ch = draw_channel(preset, GEO, trial)
+            ch = draw_channel(assets.profile, GEO, trial)
             rx0 = apply_channel(tx, ch)
-            truth = ccp_measure(rx0, num, k, 1, 1, ref, cp_ws).phase_rad
+            truth = phase(rx0, "cp")
             rx = add_awgn(rx0, MC_CFG.snr_db, 100_000 + trial)
-            cp = ccp_measure(rx, num, k, 1, 1, ref, cp_ws).phase_rad
-            ccp = ccp_measure(rx, num, k, MC_CFG.ccp_sweeps, stride, ref,
-                              ccp_start).phase_rad
-            for name, ph in (("cp", cp), ("ccp", ccp)):
+            for name in ("cp", "ccp"):
+                ph = phase(rx, name)
                 phase_err[name].append(float(wrap_phase(ph - truth)))
                 dist_err[name].append(abs(oracle_distance_error(ph, f_eff, d_true)))
     return dict(phase_err=phase_err, dist_err=dist_err, elapsed=t.elapsed)

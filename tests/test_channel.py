@@ -124,7 +124,7 @@ def test_channel_deterministic_per_seed():
 
 def test_identity_channel():
     tx = make_stream()
-    ch = ChannelRealization([(0.0, 1.0 + 0.0j)], "InF-LOS", 0)
+    ch = ChannelRealization([(0.0, 1.0 + 0.0j)])
     rx = apply_channel(tx, ch)
     assert np.max(np.abs(rx.samples - tx.samples)) < 1e-12
 
@@ -133,7 +133,7 @@ def test_integer_sample_delay_is_circular_shift():
     tx = make_stream()
     d_samples = 9
     tau = d_samples / tx.sample_rate_hz
-    ch = ChannelRealization([(tau, 1.0 + 0.0j)], "InF-LOS", 0)
+    ch = ChannelRealization([(tau, 1.0 + 0.0j)])
     rx = apply_channel(tx, ch)
     expected = np.roll(tx.samples, d_samples) * np.exp(-2j * np.pi
                                                        * tx.carrier_frequency_hz * tau)
@@ -142,9 +142,9 @@ def test_integer_sample_delay_is_circular_shift():
 
 def test_superposition_over_taps():
     tx = make_stream(n=2048)
-    ch1 = ChannelRealization([(5e-9, 0.8 + 0.1j)], "InF-LOS", 0)
-    ch2 = ChannelRealization([(40e-9, -0.3 + 0.5j)], "InF-LOS", 0)
-    both = ChannelRealization([(5e-9, 0.8 + 0.1j), (40e-9, -0.3 + 0.5j)], "InF-LOS", 0)
+    ch1 = ChannelRealization([(5e-9, 0.8 + 0.1j)])
+    ch2 = ChannelRealization([(40e-9, -0.3 + 0.5j)])
+    both = ChannelRealization([(5e-9, 0.8 + 0.1j), (40e-9, -0.3 + 0.5j)])
     lhs = apply_channel(tx, both).samples
     rhs = apply_channel(tx, ch1).samples + apply_channel(tx, ch2).samples
     assert np.max(np.abs(lhs - rhs)) < 1e-10

@@ -37,10 +37,10 @@ def test_default_config_validates():
     {"n_trials": 0},
     {"methods": ()},
     {"methods": ("toa", "doppler")},
+    {"methods": ("toa", "toa")},
     {"ambiguity": "fuzzy"},
     {"ambiguity": "widelane"},             # missing second carrier
     {"ccp_sweeps": 0},
-    {"ccp_shift": 0},
     {"n_symbols": 1},
     {"toa_sigma_s": 0.0},
     {"profile_overrides": (("k_factor", 3.0),)},
@@ -61,6 +61,11 @@ def test_default_config_validates():
     {"widelane_second_fc_hz": float("inf")},
     {"geometry": make_geometry((0, 0, 0), (1700, 0, 0))},   # past FR1 comb-6 TOA range
     {"band": "FR2", "geometry": make_geometry((0, 0, 0), (430, 0, 0))},
+    {"profile_overrides": (("kind", "InF-NLOS-S"),)},
+    {"profile_overrides": (("nlos_excess_delay_mean_s", 50e-9),)},    # LOS reads no excess
+    {"profile": "InF-NLOS-S", "profile_overrides": (("rician_k_db", 10.0),)},
+    {"profile_overrides": (("rms_delay_spread_s", 1e300),)},          # spread past the comb range
+    {"profile": "InF-NLOS-D", "profile_overrides": (("nlos_excess_delay_mean_s", 1e-5),)},
 ])
 def test_bad_config_rejected(changes):
     with pytest.raises(ConfigError):
@@ -90,6 +95,8 @@ def test_config_dict_round_trip():
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         config_from_dict({"n_trials": 5, "bogus": 1})
+    with pytest.raises(ConfigError):
+        config_from_dict({"ccp_shift": 1})    # the sweep spacing follows from the stream
     with pytest.raises(ConfigError):
         config_from_dict({"geometry": {"gnb_position_m": [0, 0, 1],
                                        "ue_position_m": [1, 0, 1],
@@ -403,6 +410,12 @@ def test_cli_sweep_past_stream_exits_2(tmp_path, capsys):
     {"geometry": {"gnb_position_m": [0, 0, 1], "ue_position_m": [float("nan"), 0, 1]}},
     {"geometry": {"gnb_position_m": [0, 0, 0], "ue_position_m": [2000, 0, 0]}},
     {"profile_overrides": {"rms_delay_spread_s": -1}},
+    {"methods": ["toa", "toa"]},
+    {"profile_overrides": {"kind": "InF-NLOS-S"}},
+    {"profile_overrides": {"nlos_excess_delay_mean_s": 5e-8}},
+    {"profile": "InF-NLOS-S", "profile_overrides": {"rician_k_db": 10.0}},
+    {"profile_overrides": {"rms_delay_spread_s": 1e300}},
+    {"profile": "InF-NLOS-D", "profile_overrides": {"nlos_excess_delay_mean_s": 1e-5}},
 ])
 def test_cli_bad_value_exits_2(tmp_path, capsys, extra):
     cfg = write_cfg(tmp_path, **extra)

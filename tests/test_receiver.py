@@ -17,8 +17,7 @@ from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsCo
 
 def small_num(n_fft=64, n_cp=9, n_active=48, scs=15e3, fc=1e9):
     return NumerologyConfig(carrier_frequency_hz=fc, scs_hz=scs, n_fft=n_fft,
-                            n_cp=n_cp, n_active_subcarriers=n_active,
-                            sample_rate_hz=scs * n_fft)
+                            n_cp=n_cp, n_active_subcarriers=n_active)
 
 
 def continuous_stream(num, n_symbols, seed=7, comb=6, offset=0):
@@ -78,13 +77,12 @@ def test_toa_zero_input_rejected():
         estimate_toa(silent, stream)
 
 
-def test_toa_threshold_validated():
+def test_toa_unequal_lengths_rejected():
     num = small_num()
     stream, _, _ = continuous_stream(num, 4)
-    with pytest.raises(ConfigError):
-        estimate_toa(stream, stream, threshold=0.0)
-    with pytest.raises(ConfigError):
-        estimate_toa(stream, stream, threshold=1.5)
+    short = type(stream)(stream.samples[:-1], stream.sample_rate_hz, stream.carrier_frequency_hz)
+    with pytest.raises(ValueError):
+        estimate_toa(short, stream)
 
 
 # ------------------------------------------------------------------ quantize

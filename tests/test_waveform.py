@@ -13,8 +13,7 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 def small_num(n_fft=64, n_cp=9, n_active=48, scs=15e3, fc=1e9):
     return NumerologyConfig(carrier_frequency_hz=fc, scs_hz=scs, n_fft=n_fft,
-                            n_cp=n_cp, n_active_subcarriers=n_active,
-                            sample_rate_hz=scs * n_fft)
+                            n_cp=n_cp, n_active_subcarriers=n_active)
 
 
 def tone_grid(num, subcarrier, value, n_symbols):
@@ -59,12 +58,6 @@ def test_fr1_occupied_bandwidth_inside_allocation():
 def test_unknown_band_rejected():
     with pytest.raises(ConfigError):
         make_numerology("FR9")
-
-
-def test_sample_rate_inconsistency_rejected():
-    with pytest.raises(ConfigError):
-        NumerologyConfig(carrier_frequency_hz=1e9, scs_hz=15e3, n_fft=64,
-                         n_cp=4, n_active_subcarriers=48, sample_rate_hz=15e3 * 64 + 1)
 
 
 def test_active_indices_exclude_dc_and_are_centered():
