@@ -6,7 +6,7 @@ arrival, single-window carrier phase, or window-swept carrier phase, with
 integer-ambiguity resolution and a reproducible Monte-Carlo harness.
 """
 
-from .ambiguity import (CarrierRange, DiffMeasurement, double_difference, ia_search_toa,
+from .ambiguity import (CarrierRange, DiffMeasurement, double_difference, ia_search,
                         phase_to_fraction, single_difference, virtual_wavelength,
                         widelane_resolve)
 from .angle import (InterferometerConfig, aoa_from_phase_diff, phase_diff_for_angle,
@@ -36,7 +36,7 @@ __all__ = [
     "add_awgn", "aoa_from_phase_diff", "apply_channel", "apply_frequency_offset", "ccp_measure",
     "circular_mean", "close_in_path_gain", "compute_cdf", "config_from_dict",
     "doppler_ppm", "double_difference", "draw_channel", "emit_results", "estimate_toa",
-    "generate_prs_grid", "ia_search_toa", "load_config", "make_geometry",
+    "generate_prs_grid", "ia_search", "load_config", "make_geometry",
     "make_numerology", "middle_subcarrier", "occupied_signed_indices", "ofdm_demodulate",
     "ofdm_modulate", "phase_diff_for_angle", "phase_to_fraction", "profile_preset",
     "quantize_toa", "run_scenario", "run_trial", "simulate_two_antenna_phase_diff",

@@ -2,11 +2,14 @@
 
 Distance maps to phase through d = (N + fraction) * wavelength with
 fraction = ((-phase) mod 2 pi) / 2 pi, consistent with the delay =>
-negative-phase convention used by the channel and receiver.
+negative-phase convention used by the channel and receiver.  ``ia_search``
+is the one integer search: the oracle, TOA-bounded and widelane modes all
+call it with a window in metres.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,34 +58,36 @@ def phase_to_fraction(phase_rad: float, frequency_hz: float) -> CarrierRange:
     return CarrierRange(SPEED_OF_LIGHT / frequency_hz, frac)
 
 
-def ia_search_toa(fraction: CarrierRange, toa_s: float, toa_sigma_s: float,
-                  k_sigma: float = 3.0) -> CarrierRange:
-    """Resolve the integer ambiguity inside a TOA confidence window.
+def ia_search(fraction: CarrierRange, center_m: float, half_width_m: float) -> CarrierRange:
+    """Resolve the integer ambiguity inside a distance window.
 
-    Candidates are every integer N with (N + fraction) * wavelength inside
-    [c*(toa - k_sigma*sigma), c*(toa + k_sigma*sigma)]; the one whose
-    distance lies closest to c*toa wins, ties going to the smaller N.
+    Candidates are every integer N >= 0 with (N + fraction) * wavelength
+    inside [max(0, center - half_width), center + half_width]; the one whose
+    distance lies closest to ``center_m`` wins, ties going to the smaller N.
+    That distance is convex in N, so only floor(x) and floor(x) + 1 with
+    x = center / wavelength - fraction, clipped into the window, are compared:
+    time and memory do not grow with the window.
 
     Raises:
-        AmbiguityError: the window contains no candidate (TOA and phase are
-            mutually inconsistent, e.g. under NLOS bias).
+        ValueError: ``center_m`` is not finite, or ``half_width_m`` is not
+            finite and positive.
+        AmbiguityError: the window contains no candidate (the window and the
+            phase are mutually inconsistent, e.g. under NLOS bias).
     """
-    if toa_sigma_s <= 0 or k_sigma <= 0:
-        raise ValueError("toa_sigma_s and k_sigma must be positive")
+    if not (math.isfinite(center_m) and 0 < half_width_m < math.inf):
+        raise ValueError("center_m must be finite and half_width_m finite and positive")
     lam = fraction.wavelength_m
     frac = fraction.fractional_cycles
-    d_toa = toa_s * SPEED_OF_LIGHT
-    half = k_sigma * toa_sigma_s * SPEED_OF_LIGHT
-    lo = max(0.0, d_toa - half)
-    hi = d_toa + half
+    lo = max(0.0, center_m - half_width_m)
+    hi = center_m + half_width_m
     n_min = max(0, int(np.ceil(lo / lam - frac - 1e-12)))
     n_max = int(np.floor(hi / lam - frac + 1e-12))
     if n_max < n_min:
         raise AmbiguityError(
             f"no integer candidate in [{lo:.3f}, {hi:.3f}] m for wavelength {lam:.4f} m")
-    candidates = np.arange(n_min, n_max + 1)
-    dists = (candidates + frac) * lam
-    best = int(candidates[np.argmin(np.abs(dists - d_toa))])   # argmin takes first on ties
+    below = int(np.floor(center_m / lam - frac))
+    pair = (min(max(n, n_min), n_max) for n in (below, below + 1))
+    best = min(pair, key=lambda n: abs((n + frac) * lam - center_m))   # first on ties
     return fraction.resolved(best)
 
 
@@ -105,20 +110,19 @@ def widelane_resolve(range1: CarrierRange, range2: CarrierRange,
     integer.  The widelane distance then bounds a second integer search on
     the shorter of the two carrier wavelengths within +- lambda_virtual/4.
 
-    Returns the refined CarrierRange on the shorter wavelength.
+    Returns the refined CarrierRange on the shorter wavelength.  Raises
+    ValueError unless ``coarse_sigma_m`` and ``k_sigma`` are positive.
     """
+    if not (coarse_sigma_m > 0 and k_sigma > 0):
+        raise ValueError("coarse_sigma_m and k_sigma must be positive")
     lam_v = virtual_wavelength(range1.wavelength_m, range2.wavelength_m)
     fine, coarse = ((range1, range2) if range1.wavelength_m <= range2.wavelength_m
                     else (range2, range1))
     # Higher-frequency fraction minus lower-frequency fraction advances with
     # distance at the beat rate d / lambda_v.
     frac_v = (fine.fractional_cycles - coarse.fractional_cycles) % 1.0
-    wide = ia_search_toa(CarrierRange(lam_v, frac_v),
-                         coarse_distance_m / SPEED_OF_LIGHT,
-                         coarse_sigma_m / SPEED_OF_LIGHT, k_sigma)
-    refined = ia_search_toa(fine, wide.distance_m / SPEED_OF_LIGHT,
-                            (lam_v / 4.0) / SPEED_OF_LIGHT, 1.0)
-    return refined
+    wide = ia_search(CarrierRange(lam_v, frac_v), coarse_distance_m, k_sigma * coarse_sigma_m)
+    return ia_search(fine, wide.distance_m, lam_v / 4.0)
 
 
 def single_difference(phase_rx_a_rad: float, phase_rx_b_rad: float,

@@ -21,6 +21,9 @@ from .errors import ConfigError, NoSignalError
 from .waveform import BasebandStream
 
 PROFILE_KINDS = ("InF-LOS", "InF-NLOS-S", "InF-NLOS-D")
+# 25 clusters x 20 rays, the largest ray count of TR 38.901's InF model;
+# ``apply_channel`` loops over the taps, so the count bounds a trial's time.
+MAX_CLUTTER_TAPS = 500
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,9 @@ class ScenarioProfile:
     The numeric defaults are simulator choices sized to indoor-factory
     behaviour; every field but ``kind`` can be overridden through the harness
     config.  A field the kind does not read (``rician_k_db`` on NLOS,
-    ``nlos_excess_delay_mean_s`` on LOS) is rejected rather than ignored.
+    ``nlos_excess_delay_mean_s`` on LOS) is rejected rather than ignored, as
+    is a value that is not a real number (a bool included) or a tap count
+    outside [1, ``MAX_CLUTTER_TAPS``].
     """
 
     kind: str
@@ -59,19 +64,25 @@ class ScenarioProfile:
     def __post_init__(self) -> None:
         if self.kind not in PROFILE_KINDS:
             raise ConfigError(f"unknown profile kind {self.kind!r}")
-        if not 0 < self.rms_delay_spread_s < math.inf:
-            raise ConfigError("rms_delay_spread_s must be finite and positive")
-        if not isinstance(self.n_clutter_taps, numbers.Integral) or self.n_clutter_taps < 1:
-            raise ConfigError("n_clutter_taps must be a positive integer")
         if self.is_los != (self.rician_k_db is not None):
             raise ConfigError("rician_k_db is required for InF-LOS and applies to no NLOS kind")
         if self.is_los != (self.nlos_excess_delay_mean_s is None):
             raise ConfigError("nlos_excess_delay_mean_s is required for NLOS kinds and "
                               "does not apply to InF-LOS")
-        if self.rician_k_db is not None and math.isnan(self.rician_k_db):
+        for name in ("rms_delay_spread_s",
+                     "rician_k_db" if self.is_los else "nlos_excess_delay_mean_s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not 0 < self.rms_delay_spread_s < math.inf:
+            raise ConfigError("rms_delay_spread_s must be finite and positive")
+        taps = self.n_clutter_taps
+        if (isinstance(taps, bool) or not isinstance(taps, numbers.Integral)
+                or not 1 <= taps <= MAX_CLUTTER_TAPS):
+            raise ConfigError(f"n_clutter_taps must be an integer in [1, {MAX_CLUTTER_TAPS}]")
+        if self.is_los and math.isnan(self.rician_k_db):
             raise ConfigError("rician_k_db must not be NaN")
-        if (self.nlos_excess_delay_mean_s is not None
-                and not 0 < self.nlos_excess_delay_mean_s < math.inf):
+        if not self.is_los and not 0 < self.nlos_excess_delay_mean_s < math.inf:
             raise ConfigError("nlos_excess_delay_mean_s must be finite and positive")
 
     @property

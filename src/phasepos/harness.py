@@ -5,7 +5,9 @@ requested method against it: TOA on the conventional waveform, and carrier
 phase on the continuous waveform through ``ccp_measure``, whose window plan
 is one window for cp and a stream-spanning sweep for ccp.  Each phase is
 resolved to a range by the configured ambiguity mode (oracle, TOA-bounded
-search or two-carrier widelane).
+search or two-carrier widelane), each of them a call to ``ia_search``; the
+oracle's search, centred on the true distance, also decides whether a
+resolved integer is an IA failure.
 Per-trial seeds are split deterministically from the master seed, so results
 are independent of worker count and execution order.
 
@@ -26,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ambiguity import CarrierRange, ia_search_toa, phase_to_fraction, widelane_resolve
+from .ambiguity import CarrierRange, ia_search, phase_to_fraction, widelane_resolve
 from .channel import (Geometry, ScenarioProfile, add_awgn, apply_channel, draw_channel,
                       make_geometry, profile_preset)
 from .constants import SPEED_OF_LIGHT
@@ -216,19 +218,6 @@ def _trial_seeds(master_seed: int, trial: int) -> np.ndarray:
     return ss.generate_state(4, dtype=np.uint64)
 
 
-def _oracle_resolve(fraction: CarrierRange, true_distance_m: float) -> CarrierRange:
-    """Inject the integer nearest the truth given the measured fraction.
-
-    Wrap-aware: a fraction that noise pushed past an integer boundary gets
-    the neighbouring integer, so oracle-mode errors reflect phase noise only.
-    """
-    base = int(np.floor(true_distance_m / fraction.wavelength_m))
-    cands = [n for n in (base - 1, base, base + 1) if n >= 0]
-    best = min(cands, key=lambda n: abs(
-        (n + fraction.fractional_cycles) * fraction.wavelength_m - true_distance_m))
-    return fraction.resolved(best)
-
-
 def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
     """One full measurement round against one channel realization."""
     assets = _build_assets(cfg)
@@ -254,10 +243,16 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
     if phase_methods:
         received = [(add_awgn(apply_channel(tx, channel), cfg.snr_db, seed), f_eff)
                     for (tx, f_eff), seed in zip(assets.carriers, (cp_seed, wl_seed))]
+
+        def nearest_truth(fraction: CarrierRange) -> CarrierRange:
+            # Wrap-aware: a fraction that noise pushed past an integer boundary
+            # gets the neighbouring integer, so oracle errors are phase noise only.
+            return ia_search(fraction, d_true, fraction.wavelength_m)
+
         resolvers = {
-            "oracle": lambda fracs: _oracle_resolve(fracs[0], d_true),
-            "toa": lambda fracs: ia_search_toa(fracs[0], toa.toa_s, assets.toa_sigma_s,
-                                               cfg.k_sigma),
+            "oracle": lambda fracs: nearest_truth(fracs[0]),
+            "toa": lambda fracs: ia_search(fracs[0], toa.toa_s * SPEED_OF_LIGHT,
+                                           cfg.k_sigma * assets.toa_sigma_s * SPEED_OF_LIGHT),
             "widelane": lambda fracs: widelane_resolve(
                 fracs[0], fracs[1], toa.toa_s * SPEED_OF_LIGHT,
                 assets.toa_sigma_s * SPEED_OF_LIGHT, cfg.k_sigma),
@@ -274,11 +269,10 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
             except AmbiguityError:
                 errors[method], integers[method], failures[method] = np.nan, None, True
                 continue
-            # The resolved range may sit on the second carrier's wavelength.
-            truth = _oracle_resolve(resolved, d_true)
             errors[method] = resolved.distance_m - d_true
             integers[method] = resolved.integer_cycles
-            failures[method] = resolved.integer_cycles != truth.integer_cycles
+            # The resolved range may sit on the second carrier's wavelength.
+            failures[method] = resolved.integer_cycles != nearest_truth(resolved).integer_cycles
 
     return TrialResult(trial, errors, integers, failures)
 

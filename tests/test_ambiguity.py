@@ -1,8 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasepos.ambiguity import (DOUBLE, SINGLE, CarrierRange, DiffMeasurement,
-                                double_difference, ia_search_toa, phase_to_fraction,
+                                double_difference, ia_search, phase_to_fraction,
                                 single_difference, virtual_wavelength, widelane_resolve)
 from phasepos.channel import make_geometry
 from phasepos.constants import SPEED_OF_LIGHT
@@ -61,7 +66,7 @@ def test_ia_search_recovers_geometry_integer():
     frac = phase_to_fraction(exact_phase(GEO.true_distance_m, F1), F1)
     # window narrower than half a wavelength => unique candidate
     sigma = lam / (8.0 * SPEED_OF_LIGHT)
-    r = ia_search_toa(frac, GEO.true_delay_s, sigma, k_sigma=3.0)
+    r = ia_search(frac, GEO.true_delay_s * SPEED_OF_LIGHT, 3.0 * sigma * SPEED_OF_LIGHT)
     assert r.integer_cycles == int(np.floor(GEO.true_distance_m / lam))
     assert r.integer_cycles == 305
     assert r.distance_m == pytest.approx(GEO.true_distance_m, abs=1e-6)
@@ -70,7 +75,7 @@ def test_ia_search_recovers_geometry_integer():
 def test_ia_search_unique_candidate_in_tight_window():
     lam = 1.0
     frac = CarrierRange(lam, 0.5)
-    r = ia_search_toa(frac, 10.5 / SPEED_OF_LIGHT, 0.2 / SPEED_OF_LIGHT, k_sigma=1.0)
+    r = ia_search(frac, 10.5, 1.0 * 0.2)
     assert r.integer_cycles == 10
 
 
@@ -78,7 +83,7 @@ def test_ia_search_empty_window_raises():
     # candidates at 0.5, 1.5, ... but the window is [0.1, 0.3]
     frac = CarrierRange(1.0, 0.5)
     with pytest.raises(AmbiguityError):
-        ia_search_toa(frac, 0.2 / SPEED_OF_LIGHT, 0.1 / SPEED_OF_LIGHT, k_sigma=1.0)
+        ia_search(frac, 0.2, 1.0 * 0.1)
 
 
 def test_ia_search_nlos_bias_breaks_resolution():
@@ -89,7 +94,7 @@ def test_ia_search_nlos_bias_breaks_resolution():
     sigma = lam / (8.0 * SPEED_OF_LIGHT)
     biased = GEO.true_delay_s + 50e-9
     try:
-        r = ia_search_toa(frac, biased, sigma, k_sigma=3.0)
+        r = ia_search(frac, biased * SPEED_OF_LIGHT, 3.0 * sigma * SPEED_OF_LIGHT)
     except AmbiguityError:
         return
     assert r.integer_cycles != 305
@@ -98,10 +103,12 @@ def test_ia_search_nlos_bias_breaks_resolution():
 
 def test_ia_search_validates_sigma():
     frac = CarrierRange(1.0, 0.5)
-    with pytest.raises(ValueError):
-        ia_search_toa(frac, 1e-8, 0.0)
-    with pytest.raises(ValueError):
-        ia_search_toa(frac, 1e-8, 1e-9, k_sigma=0.0)
+    for half_width_m in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ia_search(frac, 3.0, half_width_m)
+    for center_m in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            ia_search(frac, center_m, 1.0)
 
 
 def test_ia_search_random_property():
@@ -114,9 +121,53 @@ def test_ia_search_random_property():
         q = d / lam
         frac = CarrierRange(lam, q - np.floor(q))
         sigma = lam / (4.0 * 3.0 * SPEED_OF_LIGHT)
-        r = ia_search_toa(frac, d / SPEED_OF_LIGHT, sigma, k_sigma=3.0)
+        r = ia_search(frac, d, 3.0 * sigma * SPEED_OF_LIGHT)
         assert r.integer_cycles == int(np.floor(q))
         assert r.distance_m == pytest.approx(d, rel=1e-9, abs=1e-12)
+
+
+def brute_force_search(fraction, center_m, half_width_m):
+    """Integer nearest the center among every candidate in the window, or None."""
+    lam, frac = fraction.wavelength_m, fraction.fractional_cycles
+    lo, hi = max(0.0, center_m - half_width_m), center_m + half_width_m
+    n = np.arange(max(0, int(np.ceil(lo / lam - frac - 1e-12))),
+                  int(np.floor(hi / lam - frac + 1e-12)) + 1)
+    if n.size == 0:
+        return None
+    return int(n[np.argmin(np.abs((n + frac) * lam - center_m))])   # first on ties
+
+
+@st.composite
+def search_windows(draw):
+    lam = draw(st.floats(1e-3, 10.0))
+    frac = draw(st.floats(0.0, 1.0, exclude_max=True))
+    # Centers anywhere, on a candidate, or midway between two (a tie).
+    center_m = draw(st.one_of(
+        st.floats(-20.0, 2e3),
+        st.builds(lambda n, half: (n + frac + half) * lam,
+                  st.integers(0, 2000), st.sampled_from([0.0, 0.5]))))
+    half_width_m = lam * draw(st.floats(1e-9, 5e4))   # at most 1e5 candidates
+    return CarrierRange(lam, frac), center_m, half_width_m
+
+
+@settings(max_examples=2000, deadline=None)
+@given(search_windows())
+def test_ia_search_matches_brute_force(window):
+    fraction, center_m, half_width_m = window
+    want = brute_force_search(fraction, center_m, half_width_m)
+    if want is None:
+        with pytest.raises(AmbiguityError):
+            ia_search(fraction, center_m, half_width_m)
+    else:
+        assert ia_search(fraction, center_m, half_width_m).integer_cycles == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, 2e3), st.floats(1e8, 1e11))
+def test_exact_phase_round_trips_through_search(distance_m, frequency_hz):
+    frac = phase_to_fraction(exact_phase(distance_m, frequency_hz), frequency_hz)
+    r = ia_search(frac, distance_m, frac.wavelength_m / 4.0)
+    assert abs(r.distance_m - distance_m) <= 1e-9
 
 
 # ------------------------------------------------------------------- widelane
@@ -148,7 +199,7 @@ def test_widelane_integer_on_beat():
     q = GEO.true_distance_m / lam_v
     assert int(np.floor(q)) == 8
     frac_v = CarrierRange(lam_v, q - np.floor(q))
-    wide = ia_search_toa(frac_v, GEO.true_delay_s, 0.3 / SPEED_OF_LIGHT, k_sigma=3.0)
+    wide = ia_search(frac_v, GEO.true_delay_s * SPEED_OF_LIGHT, 3.0 * 0.3)
     assert wide.integer_cycles == 8
 
 
@@ -169,7 +220,7 @@ def test_widelane_short_range_integer_zero():
     r2 = phase_to_fraction(exact_phase(d, F2), F2)
     lam_v = virtual_wavelength(r1.wavelength_m, r2.wavelength_m)
     frac_v = CarrierRange(lam_v, (r2.fractional_cycles - r1.fractional_cycles) % 1.0)
-    wide = ia_search_toa(frac_v, d / SPEED_OF_LIGHT, 0.3 / SPEED_OF_LIGHT)
+    wide = ia_search(frac_v, d, 3.0 * 0.3)
     assert wide.integer_cycles == 0
     refined = widelane_resolve(r1, r2, d, 0.3)
     assert abs(refined.distance_m - d) < 1e-6
@@ -199,6 +250,33 @@ def test_widelane_noisy_conditional_p90():
             kept.append(abs(refined.distance_m - d))
     assert len(kept) > 0.05 * n_trials
     assert np.percentile(kept, 90) <= lam_fine / 10.0
+
+
+def test_widelane_memory_does_not_grow_with_beat_wavelength():
+    # The refining search spans +- lambda_v / 4: 7.5e4 m (~1e6 fine
+    # integers) at 1 kHz separation, 7.5e7 m at 1 Hz.
+    d = GEO.true_distance_m
+    r1 = phase_to_fraction(exact_phase(d, F1), F1)
+    r2 = phase_to_fraction(exact_phase(d, 3.800001e9), 3.800001e9)
+    tracemalloc.start()
+    try:
+        refined = widelane_resolve(r1, r2, d, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert abs(refined.distance_m - d) < 1e-6
+    f2 = 3.800000001e9
+    refined = widelane_resolve(r1, phase_to_fraction(exact_phase(d, f2), f2), d, 0.3)
+    assert abs(refined.distance_m - d) < 1e-6
+
+
+def test_widelane_validates_sigma():
+    r1 = CarrierRange(SPEED_OF_LIGHT / F1, 0.1)
+    r2 = CarrierRange(SPEED_OF_LIGHT / F2, 0.2)
+    for sigma, k in ((0.0, 3.0), (0.3, 0.0), (-0.3, -3.0)):
+        with pytest.raises(ValueError):
+            widelane_resolve(r1, r2, 24.0, sigma, k)
 
 
 # ---------------------------------------------------------------- differencing

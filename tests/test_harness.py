@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasepos import cli
-from phasepos.channel import make_geometry
+from phasepos.channel import make_geometry, profile_preset
 from phasepos.errors import ConfigError
 from phasepos.harness import (CdfResult, EmptyResultError, ScenarioConfig, TrialResult,
                               compute_cdf, config_from_dict, config_to_dict, emit_results,
@@ -66,10 +66,29 @@ def test_default_config_validates():
     {"profile": "InF-NLOS-S", "profile_overrides": (("rician_k_db", 10.0),)},
     {"profile_overrides": (("rms_delay_spread_s", 1e300),)},          # spread past the comb range
     {"profile": "InF-NLOS-D", "profile_overrides": (("nlos_excess_delay_mean_s", 1e-5),)},
+    {"profile_overrides": (("n_clutter_taps", 10_000_000),)},          # past TR 38.901's 500 rays
 ])
 def test_bad_config_rejected(changes):
     with pytest.raises(ConfigError):
         dataclasses.replace(ScenarioConfig(), **changes)
+
+
+@pytest.mark.parametrize("kind,overrides", [
+    ("InF-LOS", {"rician_k_db": "x"}),
+    ("InF-LOS", {"rician_k_db": True}),
+    ("InF-LOS", {"rms_delay_spread_s": "x"}),
+    ("InF-LOS", {"rms_delay_spread_s": None}),
+    ("InF-LOS", {"n_clutter_taps": True}),
+    ("InF-LOS", {"n_clutter_taps": 501}),
+    ("InF-NLOS-S", {"nlos_excess_delay_mean_s": "x"}),
+    ("InF-NLOS-D", {"nlos_excess_delay_mean_s": False}),
+])
+def test_profile_override_of_wrong_type_rejected(kind, overrides):
+    # Library callers get ConfigError too, not only config_from_dict.
+    with pytest.raises(ConfigError):
+        profile_preset(kind, **overrides)
+    with pytest.raises(ConfigError):
+        ScenarioConfig(profile=kind, profile_overrides=tuple(overrides.items()))
 
 
 @pytest.mark.parametrize("band,distance_m", [("FR1", 1600.0), ("FR2", 400.0)])
@@ -416,6 +435,7 @@ def test_cli_sweep_past_stream_exits_2(tmp_path, capsys):
     {"profile": "InF-NLOS-S", "profile_overrides": {"rician_k_db": 10.0}},
     {"profile_overrides": {"rms_delay_spread_s": 1e300}},
     {"profile": "InF-NLOS-D", "profile_overrides": {"nlos_excess_delay_mean_s": 1e-5}},
+    {"profile_overrides": {"n_clutter_taps": 10000000}},
 ])
 def test_cli_bad_value_exits_2(tmp_path, capsys, extra):
     cfg = write_cfg(tmp_path, **extra)
