@@ -7,39 +7,31 @@ integer-ambiguity resolution and a reproducible Monte-Carlo harness.
 """
 
 from .ambiguity import (CarrierRange, DiffMeasurement, double_difference, ia_search,
-                        phase_to_fraction, single_difference, virtual_wavelength,
-                        widelane_resolve)
-from .angle import (InterferometerConfig, aoa_from_phase_diff, phase_diff_for_angle,
-                    simulate_two_antenna_phase_diff)
+                        phase_to_fraction, virtual_wavelength, widelane_resolve)
+from .angle import InterferometerConfig, aoa_from_phase_diff, phase_diff_for_angle
 from .channel import (ChannelRealization, Geometry, ScenarioProfile, add_awgn, apply_channel,
-                      apply_frequency_offset, close_in_path_gain, doppler_ppm, draw_channel,
-                      make_geometry, profile_preset)
-from .constants import NR_TIME_UNIT_S, SPEED_OF_LIGHT
+                      doppler_ppm, draw_channel, make_geometry, profile_preset)
+from .constants import SPEED_OF_LIGHT
 from .errors import AmbiguityError, ConfigError, InfeasibleMeasurementError, NoSignalError
-from .harness import (CdfResult, EmptyResultError, ScenarioConfig, TrialResult, compute_cdf,
-                      config_from_dict, emit_results, load_config, run_scenario, run_trial)
-from .receiver import (PhaseMeasurement, ToaMeasurement, ccp_measure, circular_mean,
-                       estimate_toa, quantize_toa, wrap_phase)
+from .harness import (CdfResult, ScenarioConfig, TrialResult, compute_cdf, config_from_dict,
+                      emit_results, load_config, run_scenario, run_trial)
+from .receiver import PhaseMeasurement, ToaMeasurement, ccp_measure, estimate_toa, wrap_phase
 from .waveform import (CONTINUOUS, CONVENTIONAL, BasebandStream, NumerologyConfig, PrsConfig,
                        ResourceGrid, generate_prs_grid, make_numerology, middle_subcarrier,
-                       ofdm_demodulate, ofdm_modulate, occupied_signed_indices, signed_to_row,
-                       tile_grid)
+                       ofdm_demodulate, ofdm_modulate, signed_to_row, tile_grid)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguityError", "BasebandStream", "CONTINUOUS", "CONVENTIONAL", "CarrierRange",
-    "CdfResult", "ChannelRealization", "ConfigError", "DiffMeasurement", "EmptyResultError",
-    "Geometry", "InfeasibleMeasurementError", "InterferometerConfig", "NR_TIME_UNIT_S",
-    "NoSignalError", "NumerologyConfig", "PhaseMeasurement", "PrsConfig", "ResourceGrid",
-    "ScenarioConfig", "ScenarioProfile", "SPEED_OF_LIGHT", "ToaMeasurement", "TrialResult",
-    "add_awgn", "aoa_from_phase_diff", "apply_channel", "apply_frequency_offset", "ccp_measure",
-    "circular_mean", "close_in_path_gain", "compute_cdf", "config_from_dict",
-    "doppler_ppm", "double_difference", "draw_channel", "emit_results", "estimate_toa",
-    "generate_prs_grid", "ia_search", "load_config", "make_geometry",
-    "make_numerology", "middle_subcarrier", "occupied_signed_indices", "ofdm_demodulate",
-    "ofdm_modulate", "phase_diff_for_angle", "phase_to_fraction", "profile_preset",
-    "quantize_toa", "run_scenario", "run_trial", "simulate_two_antenna_phase_diff",
-    "signed_to_row", "single_difference", "tile_grid", "virtual_wavelength",
-    "widelane_resolve", "wrap_phase",
+    "CdfResult", "ChannelRealization", "ConfigError", "DiffMeasurement", "Geometry",
+    "InfeasibleMeasurementError", "InterferometerConfig", "NoSignalError", "NumerologyConfig",
+    "PhaseMeasurement", "PrsConfig", "ResourceGrid", "ScenarioConfig", "ScenarioProfile",
+    "SPEED_OF_LIGHT", "ToaMeasurement", "TrialResult",
+    "add_awgn", "aoa_from_phase_diff", "apply_channel", "ccp_measure", "compute_cdf",
+    "config_from_dict", "doppler_ppm", "double_difference", "draw_channel", "emit_results",
+    "estimate_toa", "generate_prs_grid", "ia_search", "load_config", "make_geometry",
+    "make_numerology", "middle_subcarrier", "ofdm_demodulate", "ofdm_modulate",
+    "phase_diff_for_angle", "phase_to_fraction", "profile_preset", "run_scenario", "run_trial",
+    "signed_to_row", "tile_grid", "virtual_wavelength", "widelane_resolve", "wrap_phase",
 ]

@@ -18,10 +18,6 @@ from .constants import SPEED_OF_LIGHT
 from .errors import AmbiguityError
 from .receiver import wrap_phase
 
-SINGLE = "single"
-DOUBLE = "double"
-
-
 @dataclass(frozen=True)
 class CarrierRange:
     """A (possibly unresolved) phase-derived range on one wavelength."""
@@ -38,10 +34,7 @@ class CarrierRange:
 
 @dataclass(frozen=True)
 class DiffMeasurement:
-    kind: str                           # SINGLE or DOUBLE
-    value_rad: float
-    receivers: tuple[str, str]
-    anchors: tuple[str, ...]
+    value_rad: float                    # wrapped to [-pi, pi)
 
 
 def phase_to_fraction(phase_rad: float, frequency_hz: float) -> CarrierRange:
@@ -125,17 +118,7 @@ def widelane_resolve(range1: CarrierRange, range2: CarrierRange,
     return ia_search(fine, wide.distance_m, lam_v / 4.0)
 
 
-def single_difference(phase_rx_a_rad: float, phase_rx_b_rad: float,
-                      receivers: tuple[str, str] = ("A", "B"),
-                      anchor: str = "1") -> DiffMeasurement:
-    """Across-receiver difference for one anchor; cancels the anchor clock."""
-    value = float(wrap_phase(phase_rx_a_rad - phase_rx_b_rad))
-    return DiffMeasurement(SINGLE, value, receivers, (anchor,))
-
-
-def double_difference(phases_rad: np.ndarray,
-                      receivers: tuple[str, str] = ("A", "B"),
-                      anchors: tuple[str, str] = ("1", "2")) -> DiffMeasurement:
+def double_difference(phases_rad: np.ndarray) -> DiffMeasurement:
     """Double difference over a 2x2 phase matrix [receivers x anchors].
 
     (phi_A1 - phi_A2) - (phi_B1 - phi_B2), wrapped to [-pi, pi).  Any
@@ -147,4 +130,4 @@ def double_difference(phases_rad: np.ndarray,
     if not np.all(np.isfinite(mat)):
         raise ValueError("phase matrix contains a missing or non-finite entry")
     value = float(wrap_phase((mat[0, 0] - mat[0, 1]) - (mat[1, 0] - mat[1, 1])))
-    return DiffMeasurement(DOUBLE, value, receivers, anchors)
+    return DiffMeasurement(value)

@@ -52,23 +52,3 @@ def phase_diff_for_angle(angle_rad: float, config: InterferometerConfig) -> floa
     """Forward model: wrapped phase difference seen for a plane wave."""
     delta = 2.0 * np.pi * config.antenna_spacing_m * np.cos(angle_rad) / config.wavelength_m
     return float(wrap_phase(delta))
-
-
-def simulate_two_antenna_phase_diff(angle_rad: float, config: InterferometerConfig,
-                                    snr_db: float, seed: int) -> float:
-    """Noisy inter-antenna phase difference for a plane wave at ``angle_rad``.
-
-    Each antenna's phase estimate carries white phase noise with variance
-    1/(2 SNR); the difference of the two independent estimates is returned
-    wrapped.  +inf SNR is the noiseless sentinel.
-    """
-    if not 0.0 <= angle_rad <= np.pi:
-        raise ValueError("arrival angle must lie in [0, pi]")
-    delta = phase_diff_for_angle(angle_rad, config)
-    if np.isinf(snr_db) and snr_db > 0:
-        return delta
-    snr = 10.0 ** (snr_db / 10.0)
-    rng = np.random.default_rng(seed)
-    sigma = np.sqrt(1.0 / (2.0 * snr))
-    noise = rng.normal(0.0, sigma) - rng.normal(0.0, sigma)
-    return float(wrap_phase(delta + noise))

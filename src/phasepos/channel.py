@@ -220,23 +220,3 @@ def doppler_ppm(speed_m_s: float) -> float:
     if speed_m_s < 0:
         raise ValueError("speed must be nonnegative")
     return speed_m_s / SPEED_OF_LIGHT * 1e6
-
-
-def apply_frequency_offset(stream: BasebandStream, offset_hz: float) -> BasebandStream:
-    """Deterministic CFO/Doppler rotation; off by default everywhere."""
-    t = np.arange(len(stream.samples)) / stream.sample_rate_hz
-    return replace(stream, samples=stream.samples * np.exp(2j * np.pi * offset_hz * t))
-
-
-def close_in_path_gain(distance_m: float, carrier_frequency_hz: float,
-                       exponent: float = 2.0, ref_distance_m: float = 1.0) -> float:
-    """Close-in free-space-referenced path gain (linear power).
-
-    Only used when a scenario explicitly enables path-loss weighting, e.g.
-    to give two anchors different received powers in differencing setups.
-    """
-    if distance_m <= 0 or carrier_frequency_hz <= 0:
-        raise ValueError("distance and carrier frequency must be positive")
-    lam = SPEED_OF_LIGHT / carrier_frequency_hz
-    fs_gain = (lam / (4.0 * np.pi * ref_distance_m)) ** 2
-    return fs_gain * (ref_distance_m / distance_m) ** exponent

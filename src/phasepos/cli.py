@@ -2,8 +2,10 @@
 
     phasepos run --config scenario.json --out results.csv --format csv
 
-Flags override values from the config file.  Exit codes: 0 on success,
-2 for configuration problems, 3 when measurement or output fails at runtime.
+Flags override values from the config file.  Exit codes: 0 on success
+(a method whose every trial fails IA resolution is reported with empty
+results), 2 for configuration problems, 3 when a measurement or writing the
+output fails at runtime.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import argparse
 import dataclasses
 import sys
 
-from .errors import AmbiguityError, ConfigError, InfeasibleMeasurementError, NoSignalError
-from .harness import EmptyResultError, compute_cdf, emit_results, load_config, run_scenario
+from .errors import AmbiguityError, ConfigError, NoSignalError
+from .harness import compute_cdf, emit_results, load_config, run_scenario
 
 _BANDS = {"fr1": "FR1", "fr2": "FR2"}
 _PROFILES = {"los": "InF-LOS", "nlos-s": "InF-NLOS-S", "nlos-d": "InF-NLOS-D"}
@@ -33,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trials", type=int, help="override n_trials")
     run.add_argument("--seed", type=int, help="override master_seed")
     run.add_argument("--band", choices=sorted(_BANDS))
-    run.add_argument("--profile", choices=("los", "nlos-s", "nlos-d"))
+    run.add_argument("--profile", choices=sorted(_PROFILES))
     run.add_argument("--method", help="comma-separated subset of toa,cp,ccp")
     run.add_argument("--ia", choices=("oracle", "toa", "widelane"),
                      help="integer-ambiguity resolution mode")
@@ -65,8 +67,8 @@ def _cmd_run(args) -> int:
     cdfs = [compute_cdf(results, m) for m in cfg.methods]
     emit_results(cdfs, cfg, args.out, args.format)
     for c in cdfs:
-        pct = " ".join(f"p{p}={v:.6g}m" for p, v in sorted(c.percentiles.items()))
-        print(f"{c.method}: trials={c.n_trials} ia_failures={c.n_failures} {pct}")
+        pct = "".join(f" p{p}={v:.6g}m" for p, v in sorted(c.percentiles.items()))
+        print(f"{c.method}: trials={c.n_trials} ia_failures={c.n_failures}{pct}")
     print(f"wrote {args.out}")
     return 0
 
@@ -78,8 +80,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NoSignalError, AmbiguityError, InfeasibleMeasurementError,
-            EmptyResultError, OSError) as exc:
+    except (NoSignalError, AmbiguityError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 3
 

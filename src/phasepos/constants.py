@@ -1,6 +1,3 @@
-"""Physical and NR timing constants."""
+"""Physical constants."""
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-# Basic NR time unit: 1 / (480 kHz * 4096) seconds (~0.509 ns).
-NR_TIME_UNIT_S = 1.0 / (480_000 * 4096)

@@ -13,7 +13,9 @@ are independent of worker count and execution order.
 
 A ``ScenarioConfig`` validates itself when built, so a bad value raises
 ``ConfigError`` before any trial; what every trial reads (streams, profile,
-window plans) is built once per scenario by ``_build_assets``.
+window plans) is built once per scenario by ``_build_assets``.  A method
+whose every trial fails IA resolution gets an empty CDF that still reports
+its failure count.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .ambiguity import CarrierRange, ia_search, phase_to_fraction, widelane_reso
 from .channel import (Geometry, ScenarioProfile, add_awgn, apply_channel, draw_channel,
                       make_geometry, profile_preset)
 from .constants import SPEED_OF_LIGHT
-from .errors import AmbiguityError, ConfigError, NoSignalError
+from .errors import AmbiguityError, ConfigError
 from .receiver import ccp_measure, estimate_toa
 from .waveform import (CONTINUOUS, CONVENTIONAL, BasebandStream, NumerologyConfig, PrsConfig,
                        generate_prs_grid, make_numerology, middle_subcarrier, ofdm_modulate,
@@ -49,10 +51,6 @@ def _as_float(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(value)
-
-
-class EmptyResultError(RuntimeError):
-    """Every trial failed for the requested method."""
 
 
 def _ccp_windows(num: NumerologyConfig, n_symbols: int, n_sweeps: int) -> tuple[int, int, int]:
@@ -78,7 +76,9 @@ class ScenarioConfig:
     UE whose geometric delay plus the profile's mean NLOS excess and delay
     spread reaches the comb's TOA range 1 / (comb_size * scs).  The ccp
     windows are spread over the whole stream, so their spacing follows
-    from ``n_symbols`` and ``ccp_sweeps``.
+    from ``n_symbols`` and ``ccp_sweeps``.  The TOA-bounded and widelane
+    integer windows are ``k_sigma`` times the std of a uniform error over
+    one sample, 1 / (sample_rate * sqrt(12)), on either side of the TOA.
     """
 
     band: str = "FR1"
@@ -95,8 +95,7 @@ class ScenarioConfig:
     comb_size: int = 6
     comb_offset: int = 0
     prs_seed: int = 7
-    k_sigma: float = 3.0
-    toa_sigma_s: float | None = None      # default: one-sample uniform quantization std
+    k_sigma: float = 3.0                  # IA window half-width in one-sample TOA stds
     widelane_second_fc_hz: float | None = None
     profile_overrides: tuple[tuple[str, float], ...] = ()
 
@@ -110,7 +109,7 @@ class ScenarioConfig:
         snr = _as_float("snr_db", self.snr_db)
         if math.isnan(snr) or snr == -math.inf:
             raise ConfigError(f"snr_db must be a number or +inf (noiseless), got {snr!r}")
-        for name in ("k_sigma", "toa_sigma_s", "widelane_second_fc_hz"):
+        for name in ("k_sigma", "widelane_second_fc_hz"):
             value = getattr(self, name)
             if value is not None and not 0.0 < _as_float(name, value) < math.inf:
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
@@ -177,7 +176,7 @@ class _Assets:
     subcarrier: int
     ref_symbol: complex
     windows: dict[str, tuple[int, int, int]]   # method -> (start, n_sweeps, shift)
-    toa_sigma_s: float
+    toa_std_s: float
 
 
 @lru_cache(maxsize=8)
@@ -201,16 +200,15 @@ def _build_assets(cfg: ScenarioConfig) -> _Assets:
     carriers = tuple((dataclasses.replace(tx_cont, carrier_frequency_hz=fc), fc + k * num.scs_hz)
                      for fc in fcs)
 
-    toa_sigma = cfg.toa_sigma_s
-    if toa_sigma is None:
-        toa_sigma = 1.0 / (num.sample_rate_hz * np.sqrt(12.0))
+    # The std of a uniform error over one sample; k_sigma scales it.
+    toa_std = 1.0 / (num.sample_rate_hz * np.sqrt(12.0))
 
     # cp: one window on symbol 1's useful part, clear of the stream head
     # where the circular channel wraps.
     windows = {"cp": (num.symbol_samples + num.n_cp, 1, 1),
                "ccp": _ccp_windows(num, cfg.n_symbols, cfg.ccp_sweeps)}
     profile = profile_preset(cfg.profile, **dict(cfg.profile_overrides))
-    return _Assets(num, profile, tx_conv, carriers, k, ref, windows, toa_sigma)
+    return _Assets(num, profile, tx_conv, carriers, k, ref, windows, toa_std)
 
 
 def _trial_seeds(master_seed: int, trial: int) -> np.ndarray:
@@ -252,10 +250,10 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
         resolvers = {
             "oracle": lambda fracs: nearest_truth(fracs[0]),
             "toa": lambda fracs: ia_search(fracs[0], toa.toa_s * SPEED_OF_LIGHT,
-                                           cfg.k_sigma * assets.toa_sigma_s * SPEED_OF_LIGHT),
+                                           cfg.k_sigma * assets.toa_std_s * SPEED_OF_LIGHT),
             "widelane": lambda fracs: widelane_resolve(
                 fracs[0], fracs[1], toa.toa_s * SPEED_OF_LIGHT,
-                assets.toa_sigma_s * SPEED_OF_LIGHT, cfg.k_sigma),
+                assets.toa_std_s * SPEED_OF_LIGHT, cfg.k_sigma),
         }
 
         for method in phase_methods:
@@ -293,6 +291,8 @@ def compute_cdf(results: list[TrialResult], method: str) -> CdfResult:
 
     Trials flagged as IA failures are excluded from the curve and reported
     in ``n_failures``; percentiles use the linear interpolation convention.
+    A method none of whose trials survive gets empty arrays and no
+    percentiles, so the other methods' results are still written.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
@@ -301,11 +301,9 @@ def compute_cdf(results: list[TrialResult], method: str) -> CdfResult:
             and np.isfinite(r.distance_error_m[method])]
     n_failures = sum(1 for r in results
                      if method in r.distance_error_m and r.ia_failure.get(method, False))
-    if not kept:
-        raise EmptyResultError(f"no successful trials for method {method!r}")
     abs_err = np.sort(np.abs(np.asarray(kept, dtype=np.float64)))
-    cdf = np.arange(1, abs_err.size + 1) / abs_err.size
-    pct = {p: float(np.percentile(abs_err, p)) for p in (50, 67, 90, 95)}
+    cdf = np.arange(1, abs_err.size + 1) / max(abs_err.size, 1)
+    pct = {p: float(np.percentile(abs_err, p)) for p in (50, 67, 90, 95)} if kept else {}
     return CdfResult(method, abs_err, cdf, pct, n_failures, len(results))
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import NR_TIME_UNIT_S
 from .errors import ConfigError, NoSignalError
 from .waveform import BasebandStream, NumerologyConfig, PrsConfig, signed_to_row
 
@@ -27,25 +26,17 @@ EARLY_PEAK_RATIO = 0.6     # first-arrival peak height / global correlation maxi
 class ToaMeasurement:
     toa_s: float
     peak_metric: float      # chosen peak height / global correlation maximum
-    quantized: bool
 
 
 @dataclass(frozen=True)
 class PhaseMeasurement:
     phase_rad: float
-    n_windows: int
     circular_variance: float    # 1 - |mean unit phasor|, in [0, 1]
 
 
 def wrap_phase(phase: float | np.ndarray):
     """Wrap angle(s) to [-pi, pi)."""
     return (np.asarray(phase) + np.pi) % (2.0 * np.pi) - np.pi
-
-
-def circular_mean(phases: np.ndarray) -> float:
-    """Argument of the summed unit phasors; immune to 2 pi offsets."""
-    phasors = np.exp(1j * np.asarray(phases, dtype=np.float64))
-    return float(wrap_phase(np.angle(np.mean(phasors))))
 
 
 def estimate_toa(rx: BasebandStream, reference: BasebandStream) -> ToaMeasurement:
@@ -62,7 +53,8 @@ def estimate_toa(rx: BasebandStream, reference: BasebandStream) -> ToaMeasuremen
         reference: clean transmitted stream, same sample rate and length.
 
     Returns:
-        ToaMeasurement with ``quantized=False``.
+        ToaMeasurement: the refined delay in seconds, off the sampling grid,
+        and the chosen peak's height relative to the global maximum.
 
     Raises:
         ValueError: the two streams differ in length.
@@ -118,16 +110,7 @@ def estimate_toa(rx: BasebandStream, reference: BasebandStream) -> ToaMeasuremen
         if denom != 0.0:
             sub = float(np.clip(0.5 * (c_m - c_p) / denom, -0.5, 0.5))
     lag = float(lags[q]) + sub / 16.0
-    return ToaMeasurement(lag / fs, float(corr[p] / peak_global), False)
-
-
-def quantize_toa(measurement: ToaMeasurement, k: int) -> ToaMeasurement:
-    """Round a TOA to the NR reporting grid of 2**k basic time units."""
-    if not isinstance(k, int) or not 0 <= k <= 5:
-        raise ConfigError("reporting exponent k must be an integer in [0, 5]")
-    step = (2 ** k) * NR_TIME_UNIT_S
-    return ToaMeasurement(round(measurement.toa_s / step) * step,
-                          measurement.peak_metric, True)
+    return ToaMeasurement(lag / fs, float(corr[p] / peak_global))
 
 
 def ccp_measure(rx: BasebandStream, num: NumerologyConfig, subcarrier: int,
@@ -178,4 +161,4 @@ def ccp_measure(rx: BasebandStream, num: NumerologyConfig, subcarrier: int,
         raise NoSignalError("swept window saw an empty subcarrier bin")
     mean_phasor = np.mean(z / mags)
     phase = float(wrap_phase(np.angle(mean_phasor)))
-    return PhaseMeasurement(phase, int(n_sweeps), float(1.0 - np.abs(mean_phasor)))
+    return PhaseMeasurement(phase, float(1.0 - np.abs(mean_phasor)))

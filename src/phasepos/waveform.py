@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError
 
 CONVENTIONAL = "conventional"
@@ -53,10 +52,6 @@ class NumerologyConfig:
     @property
     def sample_rate_hz(self) -> float:
         return self.scs_hz * self.n_fft
-
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_frequency_hz
 
     @property
     def symbol_samples(self) -> int:

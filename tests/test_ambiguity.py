@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasepos.ambiguity import (DOUBLE, SINGLE, CarrierRange, DiffMeasurement,
-                                double_difference, ia_search, phase_to_fraction,
-                                single_difference, virtual_wavelength, widelane_resolve)
+from phasepos.ambiguity import (CarrierRange, DiffMeasurement, double_difference, ia_search,
+                                phase_to_fraction, virtual_wavelength, widelane_resolve)
 from phasepos.channel import make_geometry
 from phasepos.constants import SPEED_OF_LIGHT
 from phasepos.errors import AmbiguityError
@@ -281,14 +280,6 @@ def test_widelane_validates_sigma():
 
 # ---------------------------------------------------------------- differencing
 
-def test_single_difference_wraps():
-    m = single_difference(3.0, -3.0, receivers=("ue", "ref"), anchor="gnb0")
-    assert m.kind == SINGLE
-    assert m.value_rad == pytest.approx(float(wrap_phase(6.0)), abs=1e-15)
-    assert m.receivers == ("ue", "ref")
-    assert m.anchors == ("gnb0",)
-
-
 def test_double_difference_cancels_common_offsets():
     rng = np.random.default_rng(4)
     base = rng.uniform(-0.5, 0.5, size=(2, 2))
@@ -299,7 +290,6 @@ def test_double_difference_cancels_common_offsets():
     assert dirty.value_rad == pytest.approx(clean.value_rad, abs=1e-12)
     expected = (base[0, 0] - base[0, 1]) - (base[1, 0] - base[1, 1])
     assert clean.value_rad == pytest.approx(expected, abs=1e-12)
-    assert clean.kind == DOUBLE
 
 
 def test_double_difference_wraps_to_principal_interval():
@@ -317,5 +307,5 @@ def test_double_difference_rejects_bad_input():
 
 
 def test_diff_measurement_is_plain_record():
-    m = DiffMeasurement(DOUBLE, 0.1, ("A", "B"), ("1", "2"))
+    m = DiffMeasurement(0.1)
     assert m.value_rad == 0.1

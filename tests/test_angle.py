@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from phasepos.angle import (InterferometerConfig, aoa_from_phase_diff,
-                            phase_diff_for_angle, simulate_two_antenna_phase_diff)
+from phasepos.angle import InterferometerConfig, aoa_from_phase_diff, phase_diff_for_angle
 from phasepos.errors import InfeasibleMeasurementError
-from phasepos.receiver import wrap_phase
 
 HALF_WAVE = InterferometerConfig(antenna_spacing_m=0.5, wavelength_m=1.0)
 
@@ -75,35 +73,3 @@ def test_negated_phase_mirrors_candidates():
         fwd = aoa_from_phase_diff(delta, cfg)
         rev = aoa_from_phase_diff(-delta, cfg)
         assert sorted(np.pi - np.asarray(fwd)) == pytest.approx(sorted(rev), abs=1e-9)
-
-
-def test_simulate_noiseless_sentinel():
-    delta = simulate_two_antenna_phase_diff(np.pi / 3, HALF_WAVE, float("inf"), 0)
-    assert delta == phase_diff_for_angle(np.pi / 3, HALF_WAVE)
-
-
-def test_simulate_deterministic_per_seed():
-    a = simulate_two_antenna_phase_diff(1.0, HALF_WAVE, 10.0, 42)
-    b = simulate_two_antenna_phase_diff(1.0, HALF_WAVE, 10.0, 42)
-    c = simulate_two_antenna_phase_diff(1.0, HALF_WAVE, 10.0, 43)
-    assert a == b
-    assert a != c
-
-
-def test_simulate_rejects_angle_out_of_range():
-    with pytest.raises(ValueError):
-        simulate_two_antenna_phase_diff(-0.1, HALF_WAVE, 10.0, 0)
-    with pytest.raises(ValueError):
-        simulate_two_antenna_phase_diff(np.pi + 0.1, HALF_WAVE, 10.0, 0)
-
-
-def test_simulate_error_shrinks_with_snr():
-    theta = np.pi / 3
-    truth = phase_diff_for_angle(theta, HALF_WAVE)
-    rms = []
-    for snr_db in (0.0, 10.0, 20.0):
-        errs = [wrap_phase(simulate_two_antenna_phase_diff(theta, HALF_WAVE,
-                                                           snr_db, seed) - truth)
-                for seed in range(500)]
-        rms.append(np.sqrt(np.mean(np.square(errs))))
-    assert rms[0] > rms[1] > rms[2]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from phasepos.channel import (ChannelRealization, Geometry, ScenarioProfile, add_awgn,
-                              apply_channel, apply_frequency_offset, close_in_path_gain,
-                              doppler_ppm, draw_channel, make_geometry, profile_preset)
+                              apply_channel, doppler_ppm, draw_channel, make_geometry,
+                              profile_preset)
 from phasepos.constants import SPEED_OF_LIGHT
 from phasepos.errors import ConfigError, NoSignalError
 from phasepos.waveform import BasebandStream
@@ -192,18 +192,3 @@ def test_doppler_ppm_values():
 def test_doppler_negative_speed_rejected():
     with pytest.raises(ValueError):
         doppler_ppm(-1.0)
-
-
-def test_frequency_offset_round_trip():
-    tx = make_stream(n=1000)
-    shifted = apply_frequency_offset(tx, 123.4)
-    m = np.arange(1000)
-    direct = tx.samples * np.exp(2j * np.pi * 123.4 * m / tx.sample_rate_hz)
-    assert np.max(np.abs(shifted.samples - direct)) < 1e-12
-    back = apply_frequency_offset(shifted, -123.4)
-    assert np.max(np.abs(back.samples - tx.samples)) < 1e-12
-
-
-def test_close_in_path_gain_monotone():
-    gains = [close_in_path_gain(d, 3.8e9) for d in (1.0, 5.0, 24.13, 100.0, 400.0)]
-    assert all(a >= b for a, b in zip(gains, gains[1:]))

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from phasepos import cli
 from phasepos.channel import make_geometry, profile_preset
 from phasepos.errors import ConfigError
-from phasepos.harness import (CdfResult, EmptyResultError, ScenarioConfig, TrialResult,
-                              compute_cdf, config_from_dict, config_to_dict, emit_results,
-                              load_config, run_scenario, run_trial)
+from phasepos.harness import (CdfResult, ScenarioConfig, TrialResult, compute_cdf,
+                              config_from_dict, config_to_dict, emit_results, load_config,
+                              run_scenario, run_trial)
 
 # Small, fast scenario used by the mechanics tests: accuracy is irrelevant
 # here, only plumbing and determinism.
@@ -42,7 +42,7 @@ def test_default_config_validates():
     {"ambiguity": "widelane"},             # missing second carrier
     {"ccp_sweeps": 0},
     {"n_symbols": 1},
-    {"toa_sigma_s": 0.0},
+    {"widelane_second_fc_hz": 0.0},
     {"profile_overrides": (("k_factor", 3.0),)},
     {"n_symbols": 2, "ccp_sweeps": 290},   # one sweep past the stream end
     {"n_symbols": 8, "ccp_sweeps": 100000},
@@ -57,7 +57,7 @@ def test_default_config_validates():
     {"snr_db": "10"},
     {"k_sigma": 0},
     {"k_sigma": float("nan")},
-    {"toa_sigma_s": float("inf")},
+    {"k_sigma": float("inf")},
     {"widelane_second_fc_hz": float("inf")},
     {"geometry": make_geometry((0, 0, 0), (1700, 0, 0))},   # past FR1 comb-6 TOA range
     {"band": "FR2", "geometry": make_geometry((0, 0, 0), (430, 0, 0))},
@@ -116,6 +116,8 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"n_trials": 5, "bogus": 1})
     with pytest.raises(ConfigError):
         config_from_dict({"ccp_shift": 1})    # the sweep spacing follows from the stream
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        config_from_dict({"toa_sigma_s": 1e-9})   # k_sigma alone sets the IA windows
     with pytest.raises(ConfigError):
         config_from_dict({"geometry": {"gnb_position_m": [0, 0, 1],
                                        "ue_position_m": [1, 0, 1],
@@ -209,10 +211,12 @@ def test_cdf_excludes_failures():
     assert c.n_trials == 4
 
 
-def test_cdf_all_failed_raises():
-    res = make_results([1.0], [True])
-    with pytest.raises(EmptyResultError):
-        compute_cdf(res, "cp")
+def test_cdf_all_failed_is_empty():
+    res = make_results([1.0, np.nan], [True, True])
+    c = compute_cdf(res, "cp")
+    assert c.abs_errors_m.size == 0 and c.cdf.size == 0
+    assert c.percentiles == {}
+    assert c.n_failures == 2 and c.n_trials == 2
     with pytest.raises(ConfigError):
         compute_cdf(res, "sonar")
 
@@ -381,6 +385,22 @@ def test_cli_run_csv(tmp_path, capsys):
     assert out.read_text().startswith("method,abs_error_m,cdf\n")
 
 
+def test_cli_method_with_every_trial_failed_keeps_the_others(tmp_path, capsys):
+    # Under NLOS bias every cp trial misses its TOA window; the toa results remain.
+    cfg = write_cfg(tmp_path, band="FR1", profile="InF-NLOS-S", methods=["toa", "cp"],
+                    ambiguity="toa", k_sigma=40.0, n_trials=8, n_symbols=16)
+    csv_out, json_out = tmp_path / "res.csv", tmp_path / "res.json"
+    assert cli.main(["run", "--config", cfg, "--out", str(csv_out)]) == 0
+    assert "\ncp: trials=8 ia_failures=8\n" in capsys.readouterr().out
+    rows = csv_out.read_text().splitlines()[1:]
+    assert len(rows) == 8 and all(r.startswith("toa,") for r in rows)
+    assert cli.main(["run", "--config", cfg, "--out", str(json_out), "--format", "json"]) == 0
+    methods = json.loads(json_out.read_text())["methods"]
+    assert methods["cp"]["percentiles"] == {} and methods["cp"]["ia_failures"] == 8
+    assert methods["cp"]["abs_errors_m"] == []
+    assert set(methods["toa"]["percentiles"]) == {"p50", "p67", "p90", "p95"}
+
+
 def test_cli_overrides_and_json(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "res.json"
@@ -425,7 +445,7 @@ def test_cli_sweep_past_stream_exits_2(tmp_path, capsys):
     {"snr_db": float("-inf")},
     {"k_sigma": 0},
     {"k_sigma": float("nan")},
-    {"toa_sigma_s": float("inf")},
+    {"k_sigma": float("inf")},
     {"geometry": {"gnb_position_m": [0, 0, 1], "ue_position_m": [float("nan"), 0, 1]}},
     {"geometry": {"gnb_position_m": [0, 0, 0], "ue_position_m": [2000, 0, 0]}},
     {"profile_overrides": {"rms_delay_spread_s": -1}},
