@@ -17,8 +17,8 @@ from .harness import (CdfResult, ScenarioConfig, TrialResult, compute_cdf, confi
                       emit_results, load_config, run_scenario, run_trial)
 from .receiver import PhaseMeasurement, ToaMeasurement, ccp_measure, estimate_toa, wrap_phase
 from .waveform import (CONTINUOUS, CONVENTIONAL, BasebandStream, NumerologyConfig, PrsConfig,
-                       ResourceGrid, generate_prs_grid, make_numerology, middle_subcarrier,
-                       ofdm_demodulate, ofdm_modulate, signed_to_row, tile_grid)
+                       generate_prs_column, make_numerology, middle_subcarrier, ofdm_demodulate,
+                       ofdm_modulate, signed_to_row)
 
 __version__ = "0.1.0"
 
@@ -26,12 +26,12 @@ __all__ = [
     "AmbiguityError", "BasebandStream", "CONTINUOUS", "CONVENTIONAL", "CarrierRange",
     "CdfResult", "ChannelRealization", "ConfigError", "DiffMeasurement", "Geometry",
     "InfeasibleMeasurementError", "InterferometerConfig", "NoSignalError", "NumerologyConfig",
-    "PhaseMeasurement", "PrsConfig", "ResourceGrid", "ScenarioConfig", "ScenarioProfile",
+    "PhaseMeasurement", "PrsConfig", "ScenarioConfig", "ScenarioProfile",
     "SPEED_OF_LIGHT", "ToaMeasurement", "TrialResult",
     "add_awgn", "aoa_from_phase_diff", "apply_channel", "ccp_measure", "compute_cdf",
     "config_from_dict", "doppler_ppm", "double_difference", "draw_channel", "emit_results",
-    "estimate_toa", "generate_prs_grid", "ia_search", "load_config", "make_geometry",
+    "estimate_toa", "generate_prs_column", "ia_search", "load_config", "make_geometry",
     "make_numerology", "middle_subcarrier", "ofdm_demodulate", "ofdm_modulate",
     "phase_diff_for_angle", "phase_to_fraction", "profile_preset", "run_scenario", "run_trial",
-    "signed_to_row", "tile_grid", "virtual_wavelength", "widelane_resolve", "wrap_phase",
+    "signed_to_row", "virtual_wavelength", "widelane_resolve", "wrap_phase",
 ]

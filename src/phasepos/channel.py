@@ -20,7 +20,6 @@ from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, NoSignalError
 from .waveform import BasebandStream
 
-PROFILE_KINDS = ("InF-LOS", "InF-NLOS-S", "InF-NLOS-D")
 # 25 clusters x 20 rays, the largest ray count of TR 38.901's InF model;
 # ``apply_channel`` loops over the taps, so the count bounds a trial's time.
 MAX_CLUTTER_TAPS = 500
@@ -62,7 +61,7 @@ class ScenarioProfile:
     nlos_excess_delay_mean_s: float | None = None   # NLOS only
 
     def __post_init__(self) -> None:
-        if self.kind not in PROFILE_KINDS:
+        if self.kind not in _PROFILE_PRESETS:
             raise ConfigError(f"unknown profile kind {self.kind!r}")
         if self.is_los != (self.rician_k_db is not None):
             raise ConfigError("rician_k_db is required for InF-LOS and applies to no NLOS kind")

@@ -15,7 +15,7 @@ import dataclasses
 import sys
 
 from .errors import AmbiguityError, ConfigError, NoSignalError
-from .harness import compute_cdf, emit_results, load_config, run_scenario
+from .harness import IA_MODES, METHODS, compute_cdf, emit_results, load_config, run_scenario
 
 _BANDS = {"fr1": "FR1", "fr2": "FR2"}
 _PROFILES = {"los": "InF-LOS", "nlos-s": "InF-NLOS-S", "nlos-d": "InF-NLOS-D"}
@@ -36,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="override master_seed")
     run.add_argument("--band", choices=sorted(_BANDS))
     run.add_argument("--profile", choices=sorted(_PROFILES))
-    run.add_argument("--method", help="comma-separated subset of toa,cp,ccp")
-    run.add_argument("--ia", choices=("oracle", "toa", "widelane"),
+    run.add_argument("--method", help=f"comma-separated subset of {','.join(METHODS)}")
+    run.add_argument("--ia", choices=IA_MODES,
                      help="integer-ambiguity resolution mode")
     run.add_argument("--workers", type=int, default=1,
                      help="parallel trial workers (results identical for any count)")

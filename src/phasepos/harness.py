@@ -37,8 +37,8 @@ from .constants import SPEED_OF_LIGHT
 from .errors import AmbiguityError, ConfigError
 from .receiver import ccp_measure, estimate_toa
 from .waveform import (CONTINUOUS, CONVENTIONAL, BasebandStream, NumerologyConfig, PrsConfig,
-                       generate_prs_grid, make_numerology, middle_subcarrier, ofdm_modulate,
-                       signed_to_row, tile_grid)
+                       generate_prs_column, make_numerology, middle_subcarrier, ofdm_modulate,
+                       signed_to_row)
 
 METHODS = ("toa", "cp", "ccp")
 IA_MODES = ("oracle", "toa", "widelane")
@@ -183,14 +183,13 @@ class _Assets:
 def _build_assets(cfg: ScenarioConfig) -> _Assets:
     num = make_numerology(cfg.band)
     prs = PrsConfig(cfg.comb_size, cfg.comb_offset, cfg.n_symbols, cfg.prs_seed)
-    # Block-type reference: one seeded column repeated, so the continuous
-    # waveform is a genuine tone set over the whole stream.
-    grid = tile_grid(generate_prs_grid(
-        PrsConfig(cfg.comb_size, cfg.comb_offset, 1, cfg.prs_seed), num), cfg.n_symbols)
-    tx_conv = ofdm_modulate(grid, CONVENTIONAL)
-    tx_cont = ofdm_modulate(grid, CONTINUOUS)
+    # Block-type reference: one seeded column on every symbol, so the
+    # continuous waveform is a genuine tone set over the whole stream.
+    column = generate_prs_column(prs, num)
+    tx_conv = ofdm_modulate(column, num, prs.n_symbols, CONVENTIONAL)
+    tx_cont = ofdm_modulate(column, num, prs.n_symbols, CONTINUOUS)
     k = middle_subcarrier(prs, num)
-    ref = complex(grid.values[signed_to_row(num, k), 0])
+    ref = complex(column[signed_to_row(num, k)])
 
     # The modulated samples do not depend on the carrier, so the widelane
     # carrier is the same stream relabelled.

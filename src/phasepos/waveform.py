@@ -3,16 +3,16 @@
 Conventions used throughout:
 
 - Transforms are unitary (scaled by 1/sqrt(n_fft) in both directions), so
-  Parseval holds symmetrically and a unit QPSK grid column carries power
+  Parseval holds symmetrically and a unit QPSK pilot column carries power
   equal to the number of occupied subcarriers.
 - Subcarriers are addressed by *signed* index relative to DC.  DC itself is
   never occupied; an even allocation of K active subcarriers spans
   -K/2 .. -1 and +1 .. +K/2.
-- "conventional" mode is plain CP-OFDM.  "continuous" mode pre-rotates
-  subcarrier k of symbol l by exp(+j 2 pi k (l+1) n_cp / n_fft), which makes
-  every occupied subcarrier one phase-continuous tone across symbol and
-  cyclic-prefix boundaries (the prefix of symbol 0 lands on the tone as
-  well: substituting l = -1 gives a rotation of exactly 1).
+- The pilot is block-type: one seeded column on every symbol.  "conventional"
+  mode is plain CP-OFDM, one cyclic-prefixed symbol repeated.  "continuous"
+  mode repeats the useful symbol with no prefix of its own, so every occupied
+  subcarrier is one phase-continuous tone across symbol and cyclic-prefix
+  boundaries.
 """
 
 from __future__ import annotations
@@ -78,18 +78,6 @@ class PrsConfig:
 
 
 @dataclass
-class ResourceGrid:
-    """Frequency-domain grid, shape [n_active_subcarriers, n_symbols]."""
-
-    values: np.ndarray
-    numerology: NumerologyConfig
-
-    @property
-    def n_symbols(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass
 class BasebandStream:
     """Complex time-domain samples plus the physical context they carry."""
 
@@ -144,70 +132,45 @@ def middle_subcarrier(prs: PrsConfig, num: NumerologyConfig) -> int:
     return int(order[0])
 
 
-def generate_prs_grid(prs: PrsConfig, num: NumerologyConfig) -> ResourceGrid:
-    """Fill the comb with seeded unit-magnitude QPSK symbols.
+def generate_prs_column(prs: PrsConfig, num: NumerologyConfig) -> np.ndarray:
+    """Seeded unit-magnitude QPSK on the comb, one value per active subcarrier.
 
     The sequence is drawn once from numpy's PCG64 generator, so a fixed
-    ``sequence_seed`` reproduces the grid bit for bit.
+    ``sequence_seed`` reproduces the column bit for bit.
     """
     rows = comb_rows(prs, num)
-    rng = np.random.default_rng(prs.sequence_seed)
-    quadrants = rng.integers(0, 4, size=(rows.size, prs.n_symbols))
-    values = np.zeros((num.n_active_subcarriers, prs.n_symbols), dtype=np.complex128)
-    values[rows, :] = np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrants))
-    return ResourceGrid(values, num)
+    quadrants = np.random.default_rng(prs.sequence_seed).integers(0, 4, size=rows.size)
+    column = np.zeros(num.n_active_subcarriers, dtype=np.complex128)
+    column[rows] = np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrants))
+    return column
 
 
-def tile_grid(grid: ResourceGrid, n_symbols: int) -> ResourceGrid:
-    """Repeat the first grid column across ``n_symbols`` symbols.
-
-    A constant-per-subcarrier grid is what makes the continuous mode a true
-    tone set (block-type reference signal); the harness transmits these.
-    """
-    if n_symbols < 1:
-        raise ConfigError("n_symbols must be positive")
-    col = grid.values[:, :1]
-    return ResourceGrid(np.tile(col, (1, n_symbols)), grid.numerology)
-
-
-def symbol_phase_rotation(subcarrier: int | np.ndarray, symbol_index: int,
-                          num: NumerologyConfig) -> np.ndarray:
-    """Continuous-mode rotation for ``subcarrier`` of symbol ``symbol_index``.
-
-    Computed with integer modular arithmetic so the angle stays in one turn;
-    naive k*(l+1)*n_cp/n_fft exponents lose ~1e-10 rad per 1e5 cycles, which
-    would show up in the sub-nanoradian window-invariance checks.
-    """
-    k = np.asarray(subcarrier, dtype=np.int64)
-    turns = (k * (symbol_index + 1) * num.n_cp) % num.n_fft
-    return np.exp(2j * np.pi * turns / num.n_fft)
-
-
-def ofdm_modulate(grid: ResourceGrid, mode: str = CONVENTIONAL) -> BasebandStream:
-    """Modulate a resource grid into a cyclic-prefixed baseband stream.
+def ofdm_modulate(column: np.ndarray, num: NumerologyConfig, n_symbols: int,
+                  mode: str = CONVENTIONAL) -> BasebandStream:
+    """Modulate one pilot column, sent on ``n_symbols`` symbols, into a baseband stream.
 
     Args:
-        grid: frequency-domain values, [n_active_subcarriers x n_symbols].
-        mode: CONVENTIONAL for plain CP-OFDM, CONTINUOUS to apply the
-            per-symbol phase rotation that stitches each subcarrier into a
-            single tone across the whole stream.
+        column: frequency-domain values, one per active subcarrier.
+        mode: CONVENTIONAL for plain CP-OFDM, CONTINUOUS to make each
+            subcarrier a single tone across the whole stream.
 
     Returns:
         BasebandStream of n_symbols * (n_fft + n_cp) samples.
     """
     if mode not in (CONVENTIONAL, CONTINUOUS):
         raise ConfigError(f"unknown modulation mode {mode!r}")
-    num = grid.numerology
-    n_sym = grid.n_symbols
-    signed = active_signed_indices(num)
-    spectrum = np.zeros((num.n_fft, n_sym), dtype=np.complex128)
-    spectrum[signed % num.n_fft, :] = grid.values
-    if mode == CONTINUOUS:
-        for l in range(n_sym):
-            spectrum[signed % num.n_fft, l] *= symbol_phase_rotation(signed, l, num)
-    useful = np.fft.ifft(spectrum, axis=0) * np.sqrt(num.n_fft)
-    with_cp = np.concatenate([useful[-num.n_cp:, :], useful], axis=0) if num.n_cp else useful
-    samples = with_cp.reshape(-1, order="F")  # symbol after symbol
+    if n_symbols < 1:
+        raise ConfigError("n_symbols must be positive")
+    spectrum = np.zeros(num.n_fft, dtype=np.complex128)
+    spectrum[active_signed_indices(num) % num.n_fft] = column
+    useful = np.fft.ifft(spectrum) * np.sqrt(num.n_fft)
+    if mode == CONVENTIONAL:
+        samples = np.tile(np.concatenate([useful[num.n_fft - num.n_cp:], useful]), n_symbols)
+    else:
+        # Subcarrier k completes whole cycles in n_fft samples, so repeating
+        # the useful symbol equals CP-OFDM with symbol l pre-rotated by
+        # exp(+j 2 pi k (l+1) n_cp / n_fft), prefixes included.
+        samples = np.resize(useful, n_symbols * num.symbol_samples)
     return BasebandStream(samples, num.sample_rate_hz, num.carrier_frequency_hz)
 
 

@@ -20,9 +20,8 @@ from phasepos.constants import SPEED_OF_LIGHT
 from phasepos.harness import (ScenarioConfig, _build_assets, compute_cdf, emit_results,
                               run_scenario)
 from phasepos.receiver import ccp_measure, wrap_phase
-from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_grid,
-                               make_numerology, middle_subcarrier, ofdm_modulate,
-                               signed_to_row, tile_grid)
+from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column,
+                               make_numerology, middle_subcarrier, ofdm_modulate, signed_to_row)
 
 GEO = make_geometry((100.0, 100.0, 15.0), (120.0, 100.0, 1.5))
 
@@ -49,11 +48,12 @@ class Timer:
 def window_sweep():
     """Noiseless FR1 streams and their middle-subcarrier phase vs window offset."""
     num = make_numerology("FR1")
-    grid = tile_grid(generate_prs_grid(PrsConfig(6, 0, 1, 7), num), 16)
-    cont = ofdm_modulate(grid, CONTINUOUS)
-    conv = ofdm_modulate(grid, CONVENTIONAL)
-    k = middle_subcarrier(PrsConfig(6, 0, 16, 7), num)
-    ref = complex(grid.values[signed_to_row(num, k), 0])
+    prs = PrsConfig(6, 0, 16, 7)
+    column = generate_prs_column(prs, num)
+    cont = ofdm_modulate(column, num, prs.n_symbols, CONTINUOUS)
+    conv = ofdm_modulate(column, num, prs.n_symbols, CONVENTIONAL)
+    k = middle_subcarrier(prs, num)
+    ref = complex(column[signed_to_row(num, k)])
     with Timer() as t:
         cont_phases = np.array([ccp_measure(cont, num, k, 1, 1, ref, off).phase_rad
                                 for off in range(1000)])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from phasepos import cli
 from phasepos.channel import make_geometry, profile_preset
 from phasepos.errors import ConfigError
-from phasepos.harness import (CdfResult, ScenarioConfig, TrialResult, compute_cdf,
+from phasepos.harness import (METHODS, CdfResult, ScenarioConfig, TrialResult, compute_cdf,
                               config_from_dict, config_to_dict, emit_results, load_config,
                               run_scenario, run_trial)
 
@@ -255,6 +255,33 @@ def test_worker_count_does_not_change_output(tmp_path):
         emit_results([compute_cdf(res, "cp")], cfg, str(out))
         paths.append(out)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _run_outcome(cfg, workers):
+    """Per-trial (index, IA flags, integers, error reprs), or the type raised."""
+    try:
+        results = run_scenario(cfg, workers=workers)
+    except Exception as exc:   # the other worker count must raise the same type
+        return type(exc)
+    return [(r.trial_index, r.ia_failure, r.resolved_integer,
+             {m: repr(e) for m, e in r.distance_error_m.items()}) for r in results]
+
+
+# 9-12 trials with chunksize 8 give both workers of a pool a chunk.
+@settings(max_examples=5, deadline=None)
+@given(n_symbols=st.integers(2, 4), ccp_sweeps=st.integers(1, 50),
+       methods=st.lists(st.sampled_from(METHODS), min_size=1, unique=True),
+       ambiguity=st.sampled_from(("oracle", "toa")),
+       profile=st.sampled_from(("InF-LOS", "InF-NLOS-S", "InF-NLOS-D")),
+       snr_db=st.floats(-10.0, 40.0) | st.just(float("inf")),
+       n_trials=st.integers(9, 12), master_seed=st.integers(0, 2**32 - 1))
+def test_any_config_same_trials_for_one_and_two_workers(n_symbols, ccp_sweeps, methods,
+                                                       ambiguity, profile, snr_db, n_trials,
+                                                       master_seed):
+    cfg = ScenarioConfig(n_symbols=n_symbols, ccp_sweeps=ccp_sweeps, methods=tuple(methods),
+                         ambiguity=ambiguity, profile=profile, snr_db=snr_db,
+                         n_trials=n_trials, master_seed=master_seed)
+    assert _run_outcome(cfg, 1) == _run_outcome(cfg, 2)
 
 
 def test_workers_validated():

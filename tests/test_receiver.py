@@ -8,9 +8,8 @@ from phasepos.channel import ChannelRealization, add_awgn, apply_channel, draw_c
 from phasepos.errors import ConfigError, NoSignalError
 from phasepos.receiver import ccp_measure, estimate_toa, wrap_phase
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig,
-                               generate_prs_grid, make_numerology, middle_subcarrier,
-                               occupied_signed_indices, ofdm_modulate, signed_to_row,
-                               tile_grid)
+                               generate_prs_column, make_numerology, middle_subcarrier,
+                               occupied_signed_indices, ofdm_modulate, signed_to_row)
 
 
 def small_num(n_fft=64, n_cp=9, n_active=48, scs=15e3, fc=1e9):
@@ -19,20 +18,18 @@ def small_num(n_fft=64, n_cp=9, n_active=48, scs=15e3, fc=1e9):
 
 
 def continuous_stream(num, n_symbols, seed=7, comb=6, offset=0):
-    prs = PrsConfig(comb, offset, 1, seed)
-    grid = tile_grid(generate_prs_grid(prs, num), n_symbols)
-    full_prs = PrsConfig(comb, offset, n_symbols, seed)
-    k = middle_subcarrier(full_prs, num)
-    ref = complex(grid.values[signed_to_row(num, k), 0])
-    return ofdm_modulate(grid, CONTINUOUS), k, ref
+    prs = PrsConfig(comb, offset, n_symbols, seed)
+    column = generate_prs_column(prs, num)
+    k = middle_subcarrier(prs, num)
+    ref = complex(column[signed_to_row(num, k)])
+    return ofdm_modulate(column, num, n_symbols, CONTINUOUS), k, ref
 
 
 # ----------------------------------------------------------------------- toa
 
 def test_toa_integer_delay_exact():
     num = make_numerology("FR1")
-    grid = tile_grid(generate_prs_grid(PrsConfig(6, 0, 1, 3), num), 4)
-    ref = ofdm_modulate(grid, CONVENTIONAL)
+    ref = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, 4, 3), num), num, 4, CONVENTIONAL)
     d = 7
     rx = type(ref)(np.roll(ref.samples, d), ref.sample_rate_hz, ref.carrier_frequency_hz)
     m = estimate_toa(rx, ref)
@@ -43,8 +40,8 @@ def test_toa_integer_delay_exact():
 def test_toa_fractional_geometric_delay():
     num = make_numerology("FR1")
     geo = make_geometry((100.0, 100.0, 15.0), (120.0, 100.0, 1.5))
-    grid = tile_grid(generate_prs_grid(PrsConfig(6, 0, 1, 3), num), 16)
-    ref = ofdm_modulate(grid, CONVENTIONAL)
+    ref = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, 16, 3), num), num, 16,
+                        CONVENTIONAL)
     ch = draw_channel(profile_preset("InF-LOS", rician_k_db=float("inf")), geo, 0)
     rx = apply_channel(ref, ch)
     m = estimate_toa(rx, ref)
@@ -56,8 +53,7 @@ def test_toa_fractional_geometric_delay():
 
 def test_toa_prefers_earliest_strong_peak():
     num = make_numerology("FR1")
-    grid = tile_grid(generate_prs_grid(PrsConfig(6, 0, 1, 3), num), 4)
-    ref = ofdm_modulate(grid, CONVENTIONAL)
+    ref = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, 4, 3), num), num, 4, CONVENTIONAL)
     rx_samples = 0.7 * np.roll(ref.samples, 5) + 1.0 * np.roll(ref.samples, 50)
     rx = type(ref)(rx_samples, ref.sample_rate_hz, ref.carrier_frequency_hz)
     m = estimate_toa(rx, ref)
@@ -96,10 +92,10 @@ def test_phase_matches_analytic_delay_rotation():
     num = make_numerology("FR1")
     geo = make_geometry((100.0, 100.0, 15.0), (120.0, 100.0, 1.5))
     prs = PrsConfig(6, 0, 16, 5)
-    grid = tile_grid(generate_prs_grid(PrsConfig(6, 0, 1, 5), num), 16)
-    stream = ofdm_modulate(grid, CONTINUOUS)
+    column = generate_prs_column(prs, num)
+    stream = ofdm_modulate(column, num, prs.n_symbols, CONTINUOUS)
     k = middle_subcarrier(prs, num)
-    ref = complex(grid.values[signed_to_row(num, k), 0])
+    ref = complex(column[signed_to_row(num, k)])
     ch = draw_channel(profile_preset("InF-LOS", rician_k_db=float("inf")), geo, 0)
     rx = apply_channel(stream, ch)
     m = ccp_measure(rx, num, k, 1, 1, ref, num.symbol_samples + num.n_cp)
@@ -179,8 +175,9 @@ def fft_window_phase(samples, num, k, n_sweeps, shift, ref, window_start):
 
 PROPERTY_NUM = small_num()
 PROPERTY_PRS = PrsConfig(6, 0, 6, 7)
-PROPERTY_GRID = tile_grid(generate_prs_grid(PrsConfig(6, 0, 1, 7), PROPERTY_NUM), 6)
-PROPERTY_STREAMS = {mode: ofdm_modulate(PROPERTY_GRID, mode)
+PROPERTY_COLUMN = generate_prs_column(PROPERTY_PRS, PROPERTY_NUM)
+PROPERTY_STREAMS = {mode: ofdm_modulate(PROPERTY_COLUMN, PROPERTY_NUM, PROPERTY_PRS.n_symbols,
+                                        mode)
                     for mode in (CONVENTIONAL, CONTINUOUS)}
 
 
@@ -195,7 +192,7 @@ def test_ccp_matches_per_window_fft(mode, k, n_sweeps, shift, noise_seed, data):
     span = (n_sweeps - 1) * shift + num.n_fft
     assume(span <= len(rx.samples))
     start = data.draw(st.integers(0, len(rx.samples) - span), label="window_start")
-    ref = complex(PROPERTY_GRID.values[signed_to_row(num, k), 0])
+    ref = complex(PROPERTY_COLUMN[signed_to_row(num, k)])
 
     expected = fft_window_phase(rx.samples, num, k, n_sweeps, shift, ref, start)
     assume(abs(expected) > 1e-6)    # the mean phase is undefined when phasors cancel

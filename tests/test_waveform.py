@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasepos.errors import ConfigError
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig,
-                               ResourceGrid, active_signed_indices, generate_prs_grid,
+                               active_signed_indices, comb_rows, generate_prs_column,
                                make_numerology, middle_subcarrier, occupied_signed_indices,
-                               ofdm_demodulate, ofdm_modulate,
-                               signed_to_row, symbol_phase_rotation, tile_grid)
+                               ofdm_demodulate, ofdm_modulate, signed_to_row)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -16,11 +17,30 @@ def small_num(n_fft=64, n_cp=9, n_active=48, scs=15e3, fc=1e9):
                             n_cp=n_cp, n_active_subcarriers=n_active)
 
 
-def tone_grid(num, subcarrier, value, n_symbols):
-    """Grid with one subcarrier carrying the same value in every symbol."""
-    values = np.zeros((num.n_active_subcarriers, n_symbols), dtype=complex)
-    values[signed_to_row(num, subcarrier), :] = value
-    return ResourceGrid(values, num)
+def tone_column(num, subcarrier, value):
+    """Pilot column with one subcarrier carrying ``value``."""
+    column = np.zeros(num.n_active_subcarriers, dtype=complex)
+    column[signed_to_row(num, subcarrier)] = value
+    return column
+
+
+def per_symbol_reference(column, num, n_symbols, mode):
+    """CP-OFDM symbol by symbol, with one IFFT each.
+
+    In continuous mode subcarrier k of symbol l is pre-rotated by
+    exp(+j 2 pi k (l+1) n_cp / n_fft), its turns reduced mod n_fft in integers.
+    """
+    signed = active_signed_indices(num)
+    symbols = []
+    for l in range(n_symbols):
+        spectrum = np.zeros(num.n_fft, dtype=complex)
+        spectrum[signed % num.n_fft] = column
+        if mode == CONTINUOUS:
+            turns = (signed * (l + 1) * num.n_cp) % num.n_fft
+            spectrum[signed % num.n_fft] *= np.exp(2j * np.pi * turns / num.n_fft)
+        useful = np.fft.ifft(spectrum) * np.sqrt(num.n_fft)
+        symbols.append(np.concatenate([useful[num.n_fft - num.n_cp:], useful]))
+    return np.concatenate(symbols)
 
 
 # ---------------------------------------------------------------- numerology
@@ -72,23 +92,23 @@ def test_active_indices_exclude_dc_and_are_centered():
 def test_comb6_occupancy_count():
     num = make_numerology("FR1")
     prs = PrsConfig(comb_size=6, comb_offset=0, n_symbols=2, sequence_seed=3)
-    grid = generate_prs_grid(prs, num)
-    occupied = np.abs(grid.values[:, 0]) > 0
+    column = generate_prs_column(prs, num)
+    assert column.shape == (num.n_active_subcarriers,)
+    occupied = np.abs(column) > 0
     assert occupied.sum() == 3276 // 6 == 546
 
 
 def test_comb2_offset1_occupies_odd_rows():
     num = small_num()
     prs = PrsConfig(comb_size=2, comb_offset=1, n_symbols=1, sequence_seed=0)
-    grid = generate_prs_grid(prs, num)
-    rows = np.nonzero(np.abs(grid.values[:, 0]) > 0)[0]
+    rows = np.nonzero(np.abs(generate_prs_column(prs, num)) > 0)[0]
     assert np.all(rows % 2 == 1)
 
 
 def test_occupied_symbols_are_unit_qpsk():
     num = small_num()
-    grid = generate_prs_grid(PrsConfig(6, 2, 3, 11), num)
-    occ = grid.values[np.abs(grid.values) > 0]
+    column = generate_prs_column(PrsConfig(6, 2, 3, 11), num)
+    occ = column[np.abs(column) > 0]
     assert np.allclose(np.abs(occ), 1.0)
     # QPSK at 45/135/225/315 degrees
     quad = np.angle(occ) / (np.pi / 2) - 0.5
@@ -97,16 +117,16 @@ def test_occupied_symbols_are_unit_qpsk():
 
 def test_unoccupied_entries_exactly_zero():
     num = small_num()
-    grid = generate_prs_grid(PrsConfig(4, 1, 2, 5), num)
-    mask = np.abs(grid.values) > 0
-    assert np.all(grid.values[~mask] == 0)
+    column = generate_prs_column(PrsConfig(4, 1, 2, 5), num)
+    mask = np.abs(column) > 0
+    assert np.all(column[~mask] == 0)
 
 
 def test_same_seed_same_grid():
     num = small_num()
-    a = generate_prs_grid(PrsConfig(6, 0, 4, 99), num)
-    b = generate_prs_grid(PrsConfig(6, 0, 4, 99), num)
-    assert np.array_equal(a.values, b.values)
+    a = generate_prs_column(PrsConfig(6, 0, 4, 99), num)
+    b = generate_prs_column(PrsConfig(6, 0, 4, 99), num)
+    assert np.array_equal(a, b)
 
 
 def test_bad_comb_rejected():
@@ -140,11 +160,13 @@ def test_signed_to_row_round_trip():
 
 def test_stream_length():
     num = small_num()
-    grid = generate_prs_grid(PrsConfig(6, 0, 5, 1), num)
-    stream = ofdm_modulate(grid, CONVENTIONAL)
+    column = generate_prs_column(PrsConfig(6, 0, 5, 1), num)
+    stream = ofdm_modulate(column, num, 5, CONVENTIONAL)
     assert len(stream.samples) == 5 * (num.n_fft + num.n_cp)
     assert stream.sample_rate_hz == num.sample_rate_hz
     assert stream.carrier_frequency_hz == num.carrier_frequency_hz
+    with pytest.raises(ConfigError):
+        ofdm_modulate(column, num, 0, CONVENTIONAL)
 
 
 def test_continuous_single_tone_is_global_tone():
@@ -152,7 +174,7 @@ def test_continuous_single_tone_is_global_tone():
     # exponential across every symbol and prefix boundary.
     num = small_num()
     k, value, n_symbols = 6, np.exp(1j * np.pi / 4), 7
-    stream = ofdm_modulate(tone_grid(num, k, value, n_symbols), CONTINUOUS)
+    stream = ofdm_modulate(tone_column(num, k, value), num, n_symbols, CONTINUOUS)
     m = np.arange(len(stream.samples))
     expected = value / np.sqrt(num.n_fft) * np.exp(2j * np.pi * k * m / num.n_fft)
     assert np.max(np.abs(stream.samples - expected)) < 1e-10
@@ -162,44 +184,29 @@ def test_conventional_single_tone_jumps_at_boundaries():
     # n_cp=9 is not a multiple of 64/6 of a cycle, so the prefix copy breaks
     # the tone's phase at some boundary.
     num = small_num()
-    stream = ofdm_modulate(tone_grid(num, 6, 1.0 + 0j, 4), CONVENTIONAL)
+    stream = ofdm_modulate(tone_column(num, 6, 1.0 + 0j), num, 4, CONVENTIONAL)
     x = stream.samples
     steps = np.angle(x[1:] * np.conj(x[:-1]))
     expected_step = 2 * np.pi * 6 / num.n_fft
     assert np.max(np.abs(steps - expected_step)) > 1e-3
 
 
-def test_continuous_rotation_identity_for_symbol_minus_one():
-    num = small_num()
-    assert symbol_phase_rotation(17, -1, num) == 1.0 + 0.0j
-
-
-def test_rotation_unit_magnitude():
-    num = make_numerology("FR1")
-    for l in (0, 1, 63):
-        for k in (-1638, -7, 1, 1638):
-            assert abs(abs(symbol_phase_rotation(k, l, num)) - 1.0) < 1e-15
-
-
 def test_demodulate_round_trip_conventional():
     num = small_num()
     prs = PrsConfig(2, 0, 3, 8)
-    grid = generate_prs_grid(prs, num)
-    stream = ofdm_modulate(grid, CONVENTIONAL)
-    for sym in range(3):
+    column = generate_prs_column(prs, num)
+    stream = ofdm_modulate(column, num, prs.n_symbols, CONVENTIONAL)
+    bins = active_signed_indices(num) % num.n_fft
+    for sym in range(prs.n_symbols):
         start = sym * num.symbol_samples + num.n_cp
         spectrum = ofdm_demodulate(stream, num, start)
-        for k in occupied_signed_indices(prs, num):
-            got = spectrum[int(k) % num.n_fft]
-            want = grid.values[signed_to_row(num, int(k)), sym]
-            assert abs(got - want) < 1e-10
+        assert np.max(np.abs(spectrum[bins] - column)) < 1e-10
 
 
 def test_continuous_any_window_keeps_bin_magnitude():
     num = small_num()
     prs = PrsConfig(6, 3, 4, 21)
-    grid = tile_grid(generate_prs_grid(PrsConfig(6, 3, 1, 21), num), 4)
-    stream = ofdm_modulate(grid, CONTINUOUS)
+    stream = ofdm_modulate(generate_prs_column(prs, num), num, prs.n_symbols, CONTINUOUS)
     aligned = np.abs(ofdm_demodulate(stream, num, num.n_cp))
     for start in (0, 1, 13, num.n_cp + 7, 2 * num.symbol_samples + 5):
         shifted = np.abs(ofdm_demodulate(stream, num, start))
@@ -210,7 +217,8 @@ def test_continuous_any_window_keeps_bin_magnitude():
 
 def test_window_out_of_bounds():
     num = small_num()
-    stream = ofdm_modulate(generate_prs_grid(PrsConfig(2, 0, 1, 0), num), CONVENTIONAL)
+    stream = ofdm_modulate(generate_prs_column(PrsConfig(2, 0, 1, 0), num), num, 1,
+                           CONVENTIONAL)
     with pytest.raises(ValueError):
         ofdm_demodulate(stream, num, len(stream.samples) - num.n_fft + 1)
     with pytest.raises(ValueError):
@@ -221,11 +229,10 @@ def test_window_out_of_bounds():
 def test_mean_power_matches_occupancy(mode):
     num = small_num()
     prs = PrsConfig(6, 0, 6, 2)
-    grid = generate_prs_grid(prs, num)
-    stream = ofdm_modulate(grid, mode)
+    stream = ofdm_modulate(generate_prs_column(prs, num), num, prs.n_symbols, mode)
     occupied = num.n_active_subcarriers // prs.comb_size
     # Unitary transforms: each symbol's useful part carries exactly the
-    # grid column's power.
+    # pilot column's power.
     useful = stream.samples.reshape(-1, num.symbol_samples)[:, num.n_cp:]
     assert np.mean(np.abs(useful) ** 2) == pytest.approx(occupied / num.n_fft, rel=1e-9)
     # Prefix samples duplicate a random stretch of the useful part, so the
@@ -236,16 +243,26 @@ def test_mean_power_matches_occupancy(mode):
 
 def test_modulation_deterministic():
     num = small_num()
-    grid = generate_prs_grid(PrsConfig(6, 0, 3, 4), num)
-    a = ofdm_modulate(grid, CONTINUOUS)
-    b = ofdm_modulate(grid, CONTINUOUS)
+    column = generate_prs_column(PrsConfig(6, 0, 3, 4), num)
+    a = ofdm_modulate(column, num, 3, CONTINUOUS)
+    b = ofdm_modulate(column, num, 3, CONTINUOUS)
     assert np.array_equal(a.samples, b.samples)
 
 
-def test_tile_grid_repeats_first_column():
-    num = small_num()
-    grid = generate_prs_grid(PrsConfig(6, 0, 1, 12), num)
-    tiled = tile_grid(grid, 5)
-    assert tiled.values.shape == (num.n_active_subcarriers, 5)
-    for col in range(5):
-        assert np.array_equal(tiled.values[:, col], grid.values[:, 0])
+@settings(max_examples=150, deadline=None)
+@given(n_fft=st.sampled_from((64, 128)), comb_size=st.sampled_from((2, 4, 6, 12)),
+       seed=st.integers(0, 2**32 - 1), n_symbols=st.integers(1, 20), data=st.data())
+def test_modulator_matches_per_symbol_reference(n_fft, comb_size, seed, n_symbols, data):
+    n_cp = data.draw(st.just(0) | st.integers(0, n_fft - 1), label="n_cp")
+    n_active = data.draw(st.integers(comb_size, n_fft - 1), label="n_active")
+    offset = data.draw(st.integers(0, comb_size - 1), label="comb_offset")
+    num = small_num(n_fft=n_fft, n_cp=n_cp, n_active=n_active)
+    prs = PrsConfig(comb_size, offset, n_symbols, seed)
+    column = generate_prs_column(prs, num)
+    assert np.count_nonzero(column) == comb_rows(prs, num).size
+    conv = ofdm_modulate(column, num, n_symbols, CONVENTIONAL).samples
+    assert np.array_equal(conv, per_symbol_reference(column, num, n_symbols, CONVENTIONAL))
+    cont = ofdm_modulate(column, num, n_symbols, CONTINUOUS).samples
+    want = per_symbol_reference(column, num, n_symbols, CONTINUOUS)
+    assert cont.shape == want.shape
+    assert np.max(np.abs(cont - want)) <= 1e-12
