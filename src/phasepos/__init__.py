@@ -16,14 +16,14 @@ from .errors import AmbiguityError, ConfigError, InfeasibleMeasurementError, NoS
 from .harness import (CdfResult, ScenarioConfig, TrialResult, compute_cdf, config_from_dict,
                       emit_results, load_config, run_scenario, run_trial)
 from .receiver import PhaseMeasurement, ToaMeasurement, ccp_measure, estimate_toa, wrap_phase
-from .waveform import (CONTINUOUS, CONVENTIONAL, BasebandStream, NumerologyConfig, PrsConfig,
-                       generate_prs_column, make_numerology, middle_subcarrier, ofdm_demodulate,
-                       ofdm_modulate, signed_to_row)
+from .waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig, generate_prs_column,
+                       make_numerology, middle_subcarrier, ofdm_demodulate, ofdm_modulate,
+                       signed_to_row)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguityError", "BasebandStream", "CONTINUOUS", "CONVENTIONAL", "CarrierRange",
+    "AmbiguityError", "CONTINUOUS", "CONVENTIONAL", "CarrierRange",
     "CdfResult", "ChannelRealization", "ConfigError", "DiffMeasurement", "Geometry",
     "InfeasibleMeasurementError", "InterferometerConfig", "NoSignalError", "NumerologyConfig",
     "PhaseMeasurement", "PrsConfig", "ScenarioConfig", "ScenarioProfile",

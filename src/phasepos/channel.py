@@ -6,19 +6,21 @@ gain_i * exp(-j 2 pi f_c tau_i) * exp(-j 2 pi f tau_i), which realizes the
 fractional delay exactly for the simulated band (no interpolation error) and
 bakes the carrier-phase rotation of each path into the baseband signal.  The
 sign convention is fixed here once: a delay produces a *negative* phase.
+Streams are complex sample arrays; the carrier f_c and the sample rate that
+spaces the frequencies f are read from the numerology passed with them.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, NoSignalError
-from .waveform import BasebandStream
+from .waveform import NumerologyConfig
 
 # 25 clusters x 20 rays, the largest ray count of TR 38.901's InF model;
 # ``apply_channel`` loops over the taps, so the count bounds a trial's time.
@@ -179,39 +181,38 @@ def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> Cha
     return ChannelRealization(taps)
 
 
-def apply_channel(stream: BasebandStream, channel: ChannelRealization) -> BasebandStream:
-    """Convolve the stream with the tapped delay line (length preserved).
+def apply_channel(x: np.ndarray, num: NumerologyConfig,
+                  channel: ChannelRealization) -> np.ndarray:
+    """Convolve stream ``x`` with the tapped delay line (length preserved).
 
     Delays are applied as exp(-j 2 pi (f_c + f) tau) over the stream's DFT,
-    so fractional delays are exact on the simulated band.
+    f_c and the sample rate from ``num``, so fractional delays are exact.
     """
-    x = stream.samples
     n = len(x)
-    freqs = np.fft.fftfreq(n, d=1.0 / stream.sample_rate_hz)
+    freqs = np.fft.fftfreq(n, d=1.0 / num.sample_rate_hz)
     response = np.zeros(n, dtype=np.complex128)
     for tau, gain in channel.taps:
-        response += gain * np.exp(-2j * np.pi * (stream.carrier_frequency_hz * tau
+        response += gain * np.exp(-2j * np.pi * (num.carrier_frequency_hz * tau
                                                  + freqs * tau))
-    out = np.fft.ifft(np.fft.fft(x) * response)
-    return replace(stream, samples=out)
+    return np.fft.ifft(np.fft.fft(x) * response)
 
 
-def add_awgn(stream: BasebandStream, snr_db: float, seed: int) -> BasebandStream:
-    """Add circularly symmetric white noise at the given SNR.
+def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
+    """Stream ``x`` plus circularly symmetric white noise at the given SNR.
 
-    snr_db = +inf is the noiseless sentinel and returns the stream untouched.
+    snr_db = +inf is the noiseless sentinel and returns a copy of ``x``.
     SNR is referenced to the mean power of the incoming samples.
     """
     if math.isinf(snr_db) and snr_db > 0:
-        return replace(stream, samples=stream.samples.copy())
-    power = float(np.mean(np.abs(stream.samples) ** 2))
+        return x.copy()
+    power = float(np.mean(np.abs(x) ** 2))
     if power == 0.0:
         raise NoSignalError("cannot scale noise against a zero-power signal")
     rng = np.random.default_rng(seed)
     noise_var = power / 10.0 ** (snr_db / 10.0)
-    n = len(stream.samples)
+    n = len(x)
     noise = np.sqrt(noise_var / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return replace(stream, samples=stream.samples + noise)
+    return x + noise
 
 
 def doppler_ppm(speed_m_s: float) -> float:

@@ -24,6 +24,7 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -36,12 +37,12 @@ from .channel import (Geometry, ScenarioProfile, add_awgn, apply_channel, draw_c
 from .constants import SPEED_OF_LIGHT
 from .errors import AmbiguityError, ConfigError
 from .receiver import ccp_measure, estimate_toa
-from .waveform import (CONTINUOUS, CONVENTIONAL, BasebandStream, NumerologyConfig, PrsConfig,
-                       generate_prs_column, make_numerology, middle_subcarrier, ofdm_modulate,
-                       signed_to_row)
+from .waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig, generate_prs_column,
+                       make_numerology, middle_subcarrier, ofdm_modulate, signed_to_row)
 
 METHODS = ("toa", "cp", "ccp")
 IA_MODES = ("oracle", "toa", "widelane")
+MAX_ABS_SNR_DB = 300.0   # far past any link; 10 ** (snr_db / 10) overflows near 3083 dB
 _INT_FIELDS = ("n_trials", "ccp_sweeps", "n_symbols", "master_seed", "comb_size", "comb_offset",
                "prs_seed")
 
@@ -70,15 +71,16 @@ class ScenarioConfig:
     """Everything one reproducible scenario run depends on.
 
     Construction (including ``dataclasses.replace``) validates every field
-    and raises ``ConfigError`` on a wrongly typed or non-finite value, an
-    unknown name, a repeated method, a profile override the profile kind
-    does not read, more sweeps than the stream has window positions, or a
-    UE whose geometric delay plus the profile's mean NLOS excess and delay
-    spread reaches the comb's TOA range 1 / (comb_size * scs).  The ccp
-    windows are spread over the whole stream, so their spacing follows
-    from ``n_symbols`` and ``ccp_sweeps``.  The TOA-bounded and widelane
-    integer windows are ``k_sigma`` times the std of a uniform error over
-    one sample, 1 / (sample_rate * sqrt(12)), on either side of the TOA.
+    and raises ``ConfigError`` on a wrongly typed or non-finite value, a
+    finite SNR beyond ``MAX_ABS_SNR_DB``, an unknown name, a repeated
+    method, a profile override the profile kind does not read, more sweeps
+    than the stream has window positions, or a UE whose geometric delay
+    plus the profile's mean NLOS excess and delay spread reaches the comb's
+    TOA range 1 / (comb_size * scs).  The ccp windows are spread over the
+    whole stream, so their spacing follows from ``n_symbols`` and
+    ``ccp_sweeps``.  The TOA-bounded and widelane integer windows are
+    ``k_sigma`` times the std of a uniform error over one sample,
+    1 / (sample_rate * sqrt(12)), on either side of the TOA.
     """
 
     band: str = "FR1"
@@ -107,8 +109,9 @@ class ScenarioConfig:
         if self.master_seed < 0 or self.prs_seed < 0:
             raise ConfigError("master_seed and prs_seed must be nonnegative")
         snr = _as_float("snr_db", self.snr_db)
-        if math.isnan(snr) or snr == -math.inf:
-            raise ConfigError(f"snr_db must be a number or +inf (noiseless), got {snr!r}")
+        if not (snr == math.inf or abs(snr) <= MAX_ABS_SNR_DB):
+            raise ConfigError(f"snr_db must lie within +-{MAX_ABS_SNR_DB:g} dB or be +inf "
+                              f"(noiseless), got {snr!r}")
         for name in ("k_sigma", "widelane_second_fc_hz"):
             value = getattr(self, name)
             if value is not None and not 0.0 < _as_float(name, value) < math.inf:
@@ -171,8 +174,9 @@ class _Assets:
 
     num: NumerologyConfig
     profile: ScenarioProfile
-    tx_conv: BasebandStream
-    carriers: tuple[tuple[BasebandStream, float], ...]   # (continuous stream, f_eff_hz)
+    tx_conv: np.ndarray
+    tx_cont: np.ndarray
+    carriers: tuple[NumerologyConfig, ...]   # the band's numerology, then the widelane one
     subcarrier: int
     ref_symbol: complex
     windows: dict[str, tuple[int, int, int]]   # method -> (start, n_sweeps, shift)
@@ -192,12 +196,11 @@ def _build_assets(cfg: ScenarioConfig) -> _Assets:
     ref = complex(column[signed_to_row(num, k)])
 
     # The modulated samples do not depend on the carrier, so the widelane
-    # carrier is the same stream relabelled.
-    fcs = [num.carrier_frequency_hz]
+    # carrier sends the same stream on a numerology with another carrier.
+    carriers = (num,)
     if cfg.ambiguity == "widelane":
-        fcs.append(float(cfg.widelane_second_fc_hz))
-    carriers = tuple((dataclasses.replace(tx_cont, carrier_frequency_hz=fc), fc + k * num.scs_hz)
-                     for fc in fcs)
+        fc2 = float(cfg.widelane_second_fc_hz)
+        carriers += (dataclasses.replace(num, carrier_frequency_hz=fc2),)
 
     # The std of a uniform error over one sample; k_sigma scales it.
     toa_std = 1.0 / (num.sample_rate_hz * np.sqrt(12.0))
@@ -207,7 +210,7 @@ def _build_assets(cfg: ScenarioConfig) -> _Assets:
     windows = {"cp": (num.symbol_samples + num.n_cp, 1, 1),
                "ccp": _ccp_windows(num, cfg.n_symbols, cfg.ccp_sweeps)}
     profile = profile_preset(cfg.profile, **dict(cfg.profile_overrides))
-    return _Assets(num, profile, tx_conv, carriers, k, ref, windows, toa_std)
+    return _Assets(num, profile, tx_conv, tx_cont, carriers, k, ref, windows, toa_std)
 
 
 def _trial_seeds(master_seed: int, trial: int) -> np.ndarray:
@@ -229,8 +232,8 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
     need_toa = "toa" in cfg.methods or cfg.ambiguity in ("toa", "widelane")
     toa = None
     if need_toa:
-        rx = add_awgn(apply_channel(assets.tx_conv, channel), cfg.snr_db, toa_seed)
-        toa = estimate_toa(rx, assets.tx_conv)
+        rx = add_awgn(apply_channel(assets.tx_conv, assets.num, channel), cfg.snr_db, toa_seed)
+        toa = estimate_toa(rx, assets.num, assets.tx_conv)
         if "toa" in cfg.methods:
             errors["toa"] = toa.toa_s * SPEED_OF_LIGHT - d_true
             integers["toa"] = None
@@ -238,8 +241,9 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
 
     phase_methods = [m for m in cfg.methods if m in ("cp", "ccp")]
     if phase_methods:
-        received = [(add_awgn(apply_channel(tx, channel), cfg.snr_db, seed), f_eff)
-                    for (tx, f_eff), seed in zip(assets.carriers, (cp_seed, wl_seed))]
+        received = [(add_awgn(apply_channel(assets.tx_cont, c, channel), cfg.snr_db, seed),
+                     c.carrier_frequency_hz + assets.subcarrier * c.scs_hz)
+                    for c, seed in zip(assets.carriers, (cp_seed, wl_seed))]
 
         def nearest_truth(fraction: CarrierRange) -> CarrierRange:
             # Wrap-aware: a fraction that noise pushed past an integer boundary
@@ -275,13 +279,13 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list[TrialResult]:
-    """Run all trials; identical results for any worker count."""
+    """Run all trials; identical results for any worker count, capped at trials and CPUs."""
     if workers < 1:
         raise ConfigError("workers must be positive")
     trials = range(cfg.n_trials)
     if workers == 1:
         return [run_trial(cfg, t) for t in trials]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(min(workers, cfg.n_trials, os.cpu_count() or 1)) as pool:
         return list(pool.map(run_trial, [cfg] * cfg.n_trials, trials, chunksize=8))
 
 

@@ -2,7 +2,8 @@
 
 There is one phase primitive, ``ccp_measure``: the derotated bin of one
 subcarrier averaged over swept FFT windows.  A single window (cp) is the
-same measurement with ``n_sweeps=1``.
+same measurement with ``n_sweeps=1``.  Streams are complex sample arrays;
+the numerology passed beside one gives its sample rate and FFT size.
 
 Phase convention matches the channel: a propagation delay rotates the
 received tone by a negative angle, so distance grows as the measured phase
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoSignalError
-from .waveform import BasebandStream, NumerologyConfig, PrsConfig, signed_to_row
+from .waveform import NumerologyConfig, PrsConfig, signed_to_row
 
 
 EARLY_PEAK_RATIO = 0.6     # first-arrival peak height / global correlation maximum
@@ -39,7 +40,7 @@ def wrap_phase(phase: float | np.ndarray):
     return (np.asarray(phase) + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def estimate_toa(rx: BasebandStream, reference: BasebandStream) -> ToaMeasurement:
+def estimate_toa(rx: np.ndarray, num: NumerologyConfig, reference: np.ndarray) -> ToaMeasurement:
     """First-arrival TOA from the normalized circular cross-correlation.
 
     Lags up to half the stream duration are searched.  The earliest local
@@ -50,7 +51,8 @@ def estimate_toa(rx: BasebandStream, reference: BasebandStream) -> ToaMeasuremen
 
     Args:
         rx: received stream.
-        reference: clean transmitted stream, same sample rate and length.
+        num: numerology of both streams; its sample rate converts lags to seconds.
+        reference: clean transmitted stream, same length as ``rx``.
 
     Returns:
         ToaMeasurement: the refined delay in seconds, off the sampling grid,
@@ -60,19 +62,16 @@ def estimate_toa(rx: BasebandStream, reference: BasebandStream) -> ToaMeasuremen
         ValueError: the two streams differ in length.
         NoSignalError: no energy or no correlation peak.
     """
-    x = rx.samples
-    ref = reference.samples
-    n = len(x)
-    if len(ref) != n:
-        raise ValueError(f"received stream has {n} samples, reference {len(ref)}")
-    energy = np.linalg.norm(x) * np.linalg.norm(ref)
+    n = len(rx)
+    if len(reference) != n:
+        raise ValueError(f"received stream has {n} samples, reference {len(reference)}")
+    energy = np.linalg.norm(rx) * np.linalg.norm(reference)
     if energy == 0.0:
         raise NoSignalError("correlation input has no energy")
 
-    cross_spectrum = np.fft.fft(x) * np.conj(np.fft.fft(ref))
+    cross_spectrum = np.fft.fft(rx) * np.conj(np.fft.fft(reference))
     corr = np.abs(np.fft.ifft(cross_spectrum)) / energy
 
-    fs = rx.sample_rate_hz
     horizon = n // 2
     window = corr[:horizon + 1]
     peak_global = float(np.max(window))
@@ -110,10 +109,10 @@ def estimate_toa(rx: BasebandStream, reference: BasebandStream) -> ToaMeasuremen
         if denom != 0.0:
             sub = float(np.clip(0.5 * (c_m - c_p) / denom, -0.5, 0.5))
     lag = float(lags[q]) + sub / 16.0
-    return ToaMeasurement(lag / fs, float(corr[p] / peak_global))
+    return ToaMeasurement(lag / num.sample_rate_hz, float(corr[p] / peak_global))
 
 
-def ccp_measure(rx: BasebandStream, num: NumerologyConfig, subcarrier: int,
+def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
                 n_sweeps: int, shift_samples: int,
                 ref_symbol: complex = 1.0 + 0.0j, window_start: int = 0,
                 prs: PrsConfig | None = None) -> PhaseMeasurement:
@@ -145,13 +144,13 @@ def ccp_measure(rx: BasebandStream, num: NumerologyConfig, subcarrier: int,
 
     span = (n_sweeps - 1) * shift_samples + num.n_fft
     end = window_start + span
-    if window_start < 0 or end > len(rx.samples):
+    if window_start < 0 or end > len(rx):
         raise ValueError(f"sweep [{window_start}, {end}) out of range "
-                         f"for stream of {len(rx.samples)} samples")
+                         f"for stream of {len(rx)} samples")
     turns = (k * np.arange(window_start, end, dtype=np.int64)) % num.n_fft
     tone = np.exp(-2j * np.pi * np.arange(num.n_fft) / num.n_fft)[turns]
     prefix = np.zeros(span + 1, dtype=np.complex128)
-    np.cumsum(rx.samples[window_start:end] * tone, out=prefix[1:])
+    np.cumsum(rx[window_start:end] * tone, out=prefix[1:])
     offsets = np.arange(n_sweeps, dtype=np.int64) * shift_samples
     z = ((prefix[offsets + num.n_fft] - prefix[offsets])
          * (np.conj(ref_symbol) / np.sqrt(num.n_fft)))

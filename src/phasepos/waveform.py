@@ -13,6 +13,9 @@ Conventions used throughout:
   mode repeats the useful symbol with no prefix of its own, so every occupied
   subcarrier is one phase-continuous tone across symbol and cyclic-prefix
   boundaries.
+- A stream is a plain complex ``np.ndarray``.  Its sample rate and carrier
+  are those of the ``NumerologyConfig`` passed beside it, the one owner of
+  both; a second carrier is a copy of the numerology, not of the samples.
 """
 
 from __future__ import annotations
@@ -77,15 +80,6 @@ class PrsConfig:
             raise ConfigError("n_symbols must be positive")
 
 
-@dataclass
-class BasebandStream:
-    """Complex time-domain samples plus the physical context they carry."""
-
-    samples: np.ndarray
-    sample_rate_hz: float
-    carrier_frequency_hz: float
-
-
 def make_numerology(band: str) -> NumerologyConfig:
     """Return the preset numerology for band "FR1" or "FR2"."""
     key = band.strip().upper()
@@ -146,7 +140,7 @@ def generate_prs_column(prs: PrsConfig, num: NumerologyConfig) -> np.ndarray:
 
 
 def ofdm_modulate(column: np.ndarray, num: NumerologyConfig, n_symbols: int,
-                  mode: str = CONVENTIONAL) -> BasebandStream:
+                  mode: str = CONVENTIONAL) -> np.ndarray:
     """Modulate one pilot column, sent on ``n_symbols`` symbols, into a baseband stream.
 
     Args:
@@ -155,7 +149,7 @@ def ofdm_modulate(column: np.ndarray, num: NumerologyConfig, n_symbols: int,
             subcarrier a single tone across the whole stream.
 
     Returns:
-        BasebandStream of n_symbols * (n_fft + n_cp) samples.
+        complex samples, n_symbols * (n_fft + n_cp) of them.
     """
     if mode not in (CONVENTIONAL, CONTINUOUS):
         raise ConfigError(f"unknown modulation mode {mode!r}")
@@ -165,25 +159,21 @@ def ofdm_modulate(column: np.ndarray, num: NumerologyConfig, n_symbols: int,
     spectrum[active_signed_indices(num) % num.n_fft] = column
     useful = np.fft.ifft(spectrum) * np.sqrt(num.n_fft)
     if mode == CONVENTIONAL:
-        samples = np.tile(np.concatenate([useful[num.n_fft - num.n_cp:], useful]), n_symbols)
-    else:
-        # Subcarrier k completes whole cycles in n_fft samples, so repeating
-        # the useful symbol equals CP-OFDM with symbol l pre-rotated by
-        # exp(+j 2 pi k (l+1) n_cp / n_fft), prefixes included.
-        samples = np.resize(useful, n_symbols * num.symbol_samples)
-    return BasebandStream(samples, num.sample_rate_hz, num.carrier_frequency_hz)
+        return np.tile(np.concatenate([useful[num.n_fft - num.n_cp:], useful]), n_symbols)
+    # Subcarrier k completes whole cycles in n_fft samples, so repeating the
+    # useful symbol equals CP-OFDM with symbol l pre-rotated by
+    # exp(+j 2 pi k (l+1) n_cp / n_fft), prefixes included.
+    return np.resize(useful, n_symbols * num.symbol_samples)
 
 
-def ofdm_demodulate(stream: BasebandStream, num: NumerologyConfig,
-                    window_start: int) -> np.ndarray:
+def ofdm_demodulate(x: np.ndarray, num: NumerologyConfig, window_start: int) -> np.ndarray:
     """Unitary DFT of one n_fft window.  No derotation is applied here.
 
     Returns the full n_fft spectrum in FFT bin order; signed subcarrier k
     lives at bin k % n_fft.
     """
-    if window_start < 0 or window_start + num.n_fft > len(stream.samples):
+    if window_start < 0 or window_start + num.n_fft > len(x):
         raise ValueError(
             f"window [{window_start}, {window_start + num.n_fft}) out of range "
-            f"for stream of {len(stream.samples)} samples")
-    segment = stream.samples[window_start:window_start + num.n_fft]
-    return np.fft.fft(segment) / np.sqrt(num.n_fft)
+            f"for stream of {len(x)} samples")
+    return np.fft.fft(x[window_start:window_start + num.n_fft]) / np.sqrt(num.n_fft)

@@ -79,7 +79,8 @@ def fr1_paired():
     comparison; oracle-resolved distances feed the error CDFs.
     """
     assets = _build_assets(MC_CFG)
-    (tx, f_eff), = assets.carriers
+    tx, num = assets.tx_cont, assets.num
+    f_eff = num.carrier_frequency_hz + assets.subcarrier * num.scs_hz
     d_true = GEO.true_distance_m
 
     def phase(rx, method):
@@ -92,7 +93,7 @@ def fr1_paired():
     with Timer() as t:
         for trial in range(MC_CFG.n_trials):
             ch = draw_channel(assets.profile, GEO, trial)
-            rx0 = apply_channel(tx, ch)
+            rx0 = apply_channel(tx, num, ch)
             truth = phase(rx0, "cp")
             rx = add_awgn(rx0, MC_CFG.snr_db, 100_000 + trial)
             for name in ("cp", "ccp"):

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasepos import cli
+from phasepos import cli, harness
 from phasepos.channel import make_geometry, profile_preset
 from phasepos.errors import ConfigError
 from phasepos.harness import (METHODS, CdfResult, ScenarioConfig, TrialResult, compute_cdf,
@@ -67,6 +68,8 @@ def test_default_config_validates():
     {"profile_overrides": (("rms_delay_spread_s", 1e300),)},          # spread past the comb range
     {"profile": "InF-NLOS-D", "profile_overrides": (("nlos_excess_delay_mean_s", 1e-5),)},
     {"profile_overrides": (("n_clutter_taps", 10_000_000),)},          # past TR 38.901's 500 rays
+    {"snr_db": 5000.0},
+    {"snr_db": -5000.0},
 ])
 def test_bad_config_rejected(changes):
     with pytest.raises(ConfigError):
@@ -289,6 +292,35 @@ def test_workers_validated():
         run_scenario(FAST, workers=0)
 
 
+def test_snr_bound_is_inclusive():
+    for snr_db in (-harness.MAX_ABS_SNR_DB, harness.MAX_ABS_SNR_DB, float("inf")):
+        assert dataclasses.replace(FAST, snr_db=snr_db).snr_db == snr_db
+
+
+def test_pool_capped_at_trials_and_cpus(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the requested pool size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    results = run_scenario(FAST, workers=10**6)
+    assert sizes == [min(FAST.n_trials, os.cpu_count() or 1)]
+    assert results == run_scenario(FAST)
+
+
 # Per-trial (distance error repr, integer, IA failure) of FAST under each
 # ambiguity mode, recorded before cp and ccp shared one phase primitive.
 GOLDEN = {
@@ -483,6 +515,8 @@ def test_cli_sweep_past_stream_exits_2(tmp_path, capsys):
     {"profile_overrides": {"rms_delay_spread_s": 1e300}},
     {"profile": "InF-NLOS-D", "profile_overrides": {"nlos_excess_delay_mean_s": 1e-5}},
     {"profile_overrides": {"n_clutter_taps": 10000000}},
+    {"snr_db": 5000},
+    {"snr_db": -5000},
 ])
 def test_cli_bad_value_exits_2(tmp_path, capsys, extra):
     cfg = write_cfg(tmp_path, **extra)

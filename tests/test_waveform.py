@@ -162,9 +162,8 @@ def test_stream_length():
     num = small_num()
     column = generate_prs_column(PrsConfig(6, 0, 5, 1), num)
     stream = ofdm_modulate(column, num, 5, CONVENTIONAL)
-    assert len(stream.samples) == 5 * (num.n_fft + num.n_cp)
-    assert stream.sample_rate_hz == num.sample_rate_hz
-    assert stream.carrier_frequency_hz == num.carrier_frequency_hz
+    assert stream.shape == (5 * (num.n_fft + num.n_cp),)
+    assert stream.dtype == np.complex128
     with pytest.raises(ConfigError):
         ofdm_modulate(column, num, 0, CONVENTIONAL)
 
@@ -175,17 +174,16 @@ def test_continuous_single_tone_is_global_tone():
     num = small_num()
     k, value, n_symbols = 6, np.exp(1j * np.pi / 4), 7
     stream = ofdm_modulate(tone_column(num, k, value), num, n_symbols, CONTINUOUS)
-    m = np.arange(len(stream.samples))
+    m = np.arange(len(stream))
     expected = value / np.sqrt(num.n_fft) * np.exp(2j * np.pi * k * m / num.n_fft)
-    assert np.max(np.abs(stream.samples - expected)) < 1e-10
+    assert np.max(np.abs(stream - expected)) < 1e-10
 
 
 def test_conventional_single_tone_jumps_at_boundaries():
     # n_cp=9 is not a multiple of 64/6 of a cycle, so the prefix copy breaks
     # the tone's phase at some boundary.
     num = small_num()
-    stream = ofdm_modulate(tone_column(num, 6, 1.0 + 0j), num, 4, CONVENTIONAL)
-    x = stream.samples
+    x = ofdm_modulate(tone_column(num, 6, 1.0 + 0j), num, 4, CONVENTIONAL)
     steps = np.angle(x[1:] * np.conj(x[:-1]))
     expected_step = 2 * np.pi * 6 / num.n_fft
     assert np.max(np.abs(steps - expected_step)) > 1e-3
@@ -220,7 +218,7 @@ def test_window_out_of_bounds():
     stream = ofdm_modulate(generate_prs_column(PrsConfig(2, 0, 1, 0), num), num, 1,
                            CONVENTIONAL)
     with pytest.raises(ValueError):
-        ofdm_demodulate(stream, num, len(stream.samples) - num.n_fft + 1)
+        ofdm_demodulate(stream, num, len(stream) - num.n_fft + 1)
     with pytest.raises(ValueError):
         ofdm_demodulate(stream, num, -1)
 
@@ -233,11 +231,11 @@ def test_mean_power_matches_occupancy(mode):
     occupied = num.n_active_subcarriers // prs.comb_size
     # Unitary transforms: each symbol's useful part carries exactly the
     # pilot column's power.
-    useful = stream.samples.reshape(-1, num.symbol_samples)[:, num.n_cp:]
+    useful = stream.reshape(-1, num.symbol_samples)[:, num.n_cp:]
     assert np.mean(np.abs(useful) ** 2) == pytest.approx(occupied / num.n_fft, rel=1e-9)
     # Prefix samples duplicate a random stretch of the useful part, so the
     # whole-stream mean only matches statistically.
-    assert np.mean(np.abs(stream.samples) ** 2) == pytest.approx(
+    assert np.mean(np.abs(stream) ** 2) == pytest.approx(
         occupied / num.n_fft, rel=0.2)
 
 
@@ -246,7 +244,7 @@ def test_modulation_deterministic():
     column = generate_prs_column(PrsConfig(6, 0, 3, 4), num)
     a = ofdm_modulate(column, num, 3, CONTINUOUS)
     b = ofdm_modulate(column, num, 3, CONTINUOUS)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -260,9 +258,9 @@ def test_modulator_matches_per_symbol_reference(n_fft, comb_size, seed, n_symbol
     prs = PrsConfig(comb_size, offset, n_symbols, seed)
     column = generate_prs_column(prs, num)
     assert np.count_nonzero(column) == comb_rows(prs, num).size
-    conv = ofdm_modulate(column, num, n_symbols, CONVENTIONAL).samples
+    conv = ofdm_modulate(column, num, n_symbols, CONVENTIONAL)
     assert np.array_equal(conv, per_symbol_reference(column, num, n_symbols, CONVENTIONAL))
-    cont = ofdm_modulate(column, num, n_symbols, CONTINUOUS).samples
+    cont = ofdm_modulate(column, num, n_symbols, CONTINUOUS)
     want = per_symbol_reference(column, num, n_symbols, CONTINUOUS)
     assert cont.shape == want.shape
     assert np.max(np.abs(cont - want)) <= 1e-12
