@@ -10,7 +10,7 @@ from .ambiguity import (CarrierRange, DiffMeasurement, double_difference, ia_sea
                         phase_to_fraction, virtual_wavelength, widelane_resolve)
 from .angle import InterferometerConfig, aoa_from_phase_diff, phase_diff_for_angle
 from .channel import (ChannelRealization, Geometry, ScenarioProfile, add_awgn, apply_channel,
-                      doppler_ppm, draw_channel, make_geometry, profile_preset)
+                      doppler_ppm, draw_channel, profile_preset)
 from .constants import SPEED_OF_LIGHT
 from .errors import AmbiguityError, ConfigError, InfeasibleMeasurementError, NoSignalError
 from .harness import (CdfResult, ScenarioConfig, TrialResult, compute_cdf, config_from_dict,
@@ -30,8 +30,8 @@ __all__ = [
     "SPEED_OF_LIGHT", "ToaMeasurement", "TrialResult",
     "add_awgn", "aoa_from_phase_diff", "apply_channel", "ccp_measure", "compute_cdf",
     "config_from_dict", "doppler_ppm", "double_difference", "draw_channel", "emit_results",
-    "estimate_toa", "generate_prs_column", "ia_search", "load_config", "make_geometry",
-    "make_numerology", "middle_subcarrier", "ofdm_demodulate", "ofdm_modulate",
-    "phase_diff_for_angle", "phase_to_fraction", "profile_preset", "run_scenario", "run_trial",
-    "signed_to_row", "virtual_wavelength", "widelane_resolve", "wrap_phase",
+    "estimate_toa", "generate_prs_column", "ia_search", "load_config", "make_numerology",
+    "middle_subcarrier", "ofdm_demodulate", "ofdm_modulate", "phase_diff_for_angle",
+    "phase_to_fraction", "profile_preset", "run_scenario", "run_trial", "signed_to_row",
+    "virtual_wavelength", "widelane_resolve", "wrap_phase",
 ]

@@ -13,13 +13,12 @@ spaces the frequencies f are read from the numerology passed with them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigError, NoSignalError
+from .errors import ConfigError, NoSignalError, as_int, as_real
 from .waveform import NumerologyConfig
 
 # 25 clusters x 20 rays, the largest ray count of TR 38.901's InF model;
@@ -29,15 +28,32 @@ MAX_CLUTTER_TAPS = 500
 
 @dataclass(frozen=True)
 class Geometry:
-    """Static transmitter/receiver placement, coordinates in metres."""
+    """Static transmitter/receiver placement, coordinates in metres.
+
+    Each position is a 3-element tuple, list or array of finite real numbers,
+    stored as a tuple of floats; ``ConfigError`` otherwise, or when the two
+    positions coincide or their distance overflows a float.
+    """
 
     gnb_position_m: tuple[float, float, float]
     ue_position_m: tuple[float, float, float]
 
+    def __post_init__(self) -> None:
+        for name in ("gnb_position_m", "ue_position_m"):
+            position = getattr(self, name)
+            if isinstance(position, np.ndarray):
+                position = position.tolist()
+            if not isinstance(position, (tuple, list)) or len(position) != 3:
+                raise ConfigError(f"{name} must be three coordinates, got {position!r}")
+            object.__setattr__(self, name, tuple(as_real(name, v) for v in position))
+        # NaN and infinite coordinates give a NaN or infinite distance.
+        if not 0.0 < self.true_distance_m < math.inf:
+            raise ConfigError(f"positions must be finite and distinct, got {self.gnb_position_m} "
+                              f"and {self.ue_position_m}")
+
     @property
     def true_distance_m(self) -> float:
-        d = np.subtract(self.ue_position_m, self.gnb_position_m)
-        return float(np.linalg.norm(d))
+        return math.dist(self.ue_position_m, self.gnb_position_m)
 
     @property
     def true_delay_s(self) -> float:
@@ -63,27 +79,21 @@ class ScenarioProfile:
     nlos_excess_delay_mean_s: float | None = None   # NLOS only
 
     def __post_init__(self) -> None:
-        if self.kind not in _PROFILE_PRESETS:
+        if not isinstance(self.kind, str) or self.kind not in _PROFILE_PRESETS:
             raise ConfigError(f"unknown profile kind {self.kind!r}")
         if self.is_los != (self.rician_k_db is not None):
             raise ConfigError("rician_k_db is required for InF-LOS and applies to no NLOS kind")
         if self.is_los != (self.nlos_excess_delay_mean_s is None):
             raise ConfigError("nlos_excess_delay_mean_s is required for NLOS kinds and "
                               "does not apply to InF-LOS")
-        for name in ("rms_delay_spread_s",
-                     "rician_k_db" if self.is_los else "nlos_excess_delay_mean_s"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-        if not 0 < self.rms_delay_spread_s < math.inf:
+        if not 0 < as_real("rms_delay_spread_s", self.rms_delay_spread_s) < math.inf:
             raise ConfigError("rms_delay_spread_s must be finite and positive")
-        taps = self.n_clutter_taps
-        if (isinstance(taps, bool) or not isinstance(taps, numbers.Integral)
-                or not 1 <= taps <= MAX_CLUTTER_TAPS):
+        if not 1 <= as_int("n_clutter_taps", self.n_clutter_taps) <= MAX_CLUTTER_TAPS:
             raise ConfigError(f"n_clutter_taps must be an integer in [1, {MAX_CLUTTER_TAPS}]")
-        if self.is_los and math.isnan(self.rician_k_db):
+        if self.is_los and math.isnan(as_real("rician_k_db", self.rician_k_db)):
             raise ConfigError("rician_k_db must not be NaN")
-        if not self.is_los and not 0 < self.nlos_excess_delay_mean_s < math.inf:
+        excess = self.nlos_excess_delay_mean_s
+        if not (self.is_los or 0 < as_real("nlos_excess_delay_mean_s", excess) < math.inf):
             raise ConfigError("nlos_excess_delay_mean_s must be finite and positive")
 
     @property
@@ -103,7 +113,7 @@ _PROFILE_PRESETS = {
 
 def profile_preset(kind: str, /, **overrides) -> ScenarioProfile:
     """Profile for ``kind`` with optional overrides of its other fields."""
-    if kind not in _PROFILE_PRESETS:
+    if not isinstance(kind, str) or kind not in _PROFILE_PRESETS:
         raise ConfigError(f"unknown profile kind {kind!r}")
     unknown = set(overrides) - {f.name for f in fields(ScenarioProfile) if f.name != "kind"}
     if unknown:
@@ -126,17 +136,6 @@ class ChannelRealization:
     @property
     def total_power(self) -> float:
         return float(sum(abs(g) ** 2 for _, g in self.taps))
-
-
-def make_geometry(gnb_position_m, ue_position_m) -> Geometry:
-    geo = Geometry(tuple(float(v) for v in gnb_position_m),
-                   tuple(float(v) for v in ue_position_m))
-    coords = geo.gnb_position_m + geo.ue_position_m
-    if len(coords) != 6 or not all(map(math.isfinite, coords)):
-        raise ConfigError("positions must be three finite coordinates each")
-    if geo.true_distance_m <= 0.0:
-        raise ConfigError("degenerate geometry: gNB and UE positions coincide")
-    return geo
 
 
 def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> ChannelRealization:

@@ -23,19 +23,19 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import os
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .ambiguity import CarrierRange, ia_search, phase_to_fraction, widelane_resolve
 from .channel import (Geometry, ScenarioProfile, add_awgn, apply_channel, draw_channel,
-                      make_geometry, profile_preset)
+                      profile_preset)
 from .constants import SPEED_OF_LIGHT
-from .errors import AmbiguityError, ConfigError
+from .errors import AmbiguityError, ConfigError, as_int, as_real
 from .receiver import ccp_measure, estimate_toa
 from .waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig, generate_prs_column,
                        make_numerology, middle_subcarrier, ofdm_modulate, signed_to_row)
@@ -43,15 +43,9 @@ from .waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig, ge
 METHODS = ("toa", "cp", "ccp")
 IA_MODES = ("oracle", "toa", "widelane")
 MAX_ABS_SNR_DB = 300.0   # far past any link; 10 ** (snr_db / 10) overflows near 3083 dB
+MAX_SYMBOLS = 1024       # 8x the default; one FR1 stream of this length is 72 MB
 _INT_FIELDS = ("n_trials", "ccp_sweeps", "n_symbols", "master_seed", "comb_size", "comb_offset",
                "prs_seed")
-
-
-def _as_float(name: str, value) -> float:
-    """``value`` as a float; ConfigError if it is not a real number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 def _ccp_windows(num: NumerologyConfig, n_symbols: int, n_sweeps: int) -> tuple[int, int, int]:
@@ -70,14 +64,19 @@ def _ccp_windows(num: NumerologyConfig, n_symbols: int, n_sweeps: int) -> tuple[
 class ScenarioConfig:
     """Everything one reproducible scenario run depends on.
 
-    Construction (including ``dataclasses.replace``) validates every field
-    and raises ``ConfigError`` on a wrongly typed or non-finite value, a
-    finite SNR beyond ``MAX_ABS_SNR_DB``, an unknown name, a repeated
-    method, a profile override the profile kind does not read, more sweeps
-    than the stream has window positions, or a UE whose geometric delay
-    plus the profile's mean NLOS excess and delay spread reaches the comb's
-    TOA range 1 / (comb_size * scs).  The ccp windows are spread over the
-    whole stream, so their spacing follows from ``n_symbols`` and
+    It takes the JSON shapes as well as its own: a list of methods becomes a
+    tuple, a mapping of exactly ``gnb_position_m`` and ``ue_position_m``
+    becomes a ``Geometry``, and a mapping of profile overrides becomes a
+    tuple of (name, value) pairs sorted by name.  Construction (including
+    ``dataclasses.replace``) validates every field and raises
+    ``ConfigError`` on any other shape, a wrongly typed, non-finite or
+    too large value, a finite SNR beyond ``MAX_ABS_SNR_DB``, more than
+    ``MAX_SYMBOLS`` symbols, an unknown name, a repeated method, a profile
+    override the profile kind does not read, more sweeps than the stream
+    has window positions, or a UE whose geometric delay plus the profile's
+    mean NLOS excess and delay spread reaches the comb's TOA range
+    1 / (comb_size * scs).  The ccp windows are spread over the whole
+    stream, so their spacing follows from ``n_symbols`` and
     ``ccp_sweeps``.  The TOA-bounded and widelane integer windows are
     ``k_sigma`` times the std of a uniform error over one sample,
     1 / (sample_rate * sqrt(12)), on either side of the TOA.
@@ -92,8 +91,7 @@ class ScenarioConfig:
     ccp_sweeps: int = 1000
     n_symbols: int = 128                  # 128 symbols span exactly 137 FFT lengths
     master_seed: int = 20260815
-    geometry: Geometry = field(default_factory=lambda: make_geometry(
-        (100.0, 100.0, 15.0), (120.0, 100.0, 1.5)))
+    geometry: Geometry = Geometry((100.0, 100.0, 15.0), (120.0, 100.0, 1.5))
     comb_size: int = 6
     comb_offset: int = 0
     prs_seed: int = 7
@@ -102,28 +100,45 @@ class ScenarioConfig:
     profile_overrides: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
+        # The JSON shapes become the hashable ones trials cache their assets by.
+        if isinstance(self.methods, list):
+            object.__setattr__(self, "methods", tuple(self.methods))
+        if (isinstance(self.geometry, Mapping)
+                and set(self.geometry) == {"gnb_position_m", "ue_position_m"}):
+            object.__setattr__(self, "geometry", Geometry(**self.geometry))
+        if (isinstance(self.profile_overrides, Mapping)
+                and all(isinstance(k, str) for k in self.profile_overrides)):
+            object.__setattr__(self, "profile_overrides",
+                               tuple(sorted(self.profile_overrides.items())))
+        if not isinstance(self.geometry, Geometry):
+            raise ConfigError(f"geometry must be a Geometry or a mapping of its two positions, "
+                              f"got {self.geometry!r}")
+        if not (isinstance(self.profile_overrides, tuple)
+                and all(isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str)
+                        for p in self.profile_overrides)):
+            raise ConfigError("profile_overrides must map profile field names to values")
         for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            as_int(name, getattr(self, name))
         if self.master_seed < 0 or self.prs_seed < 0:
             raise ConfigError("master_seed and prs_seed must be nonnegative")
-        snr = _as_float("snr_db", self.snr_db)
+        snr = as_real("snr_db", self.snr_db)
         if not (snr == math.inf or abs(snr) <= MAX_ABS_SNR_DB):
             raise ConfigError(f"snr_db must lie within +-{MAX_ABS_SNR_DB:g} dB or be +inf "
                               f"(noiseless), got {snr!r}")
         for name in ("k_sigma", "widelane_second_fc_hz"):
             value = getattr(self, name)
-            if value is not None and not 0.0 < _as_float(name, value) < math.inf:
+            if ((value is not None or name == "k_sigma")
+                    and not 0.0 < as_real(name, value) < math.inf):
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
         if not isinstance(self.band, str) or self.band.upper() not in ("FR1", "FR2"):
             raise ConfigError(f"band must be FR1 or FR2, got {self.band!r}")
         profile = profile_preset(self.profile, **dict(self.profile_overrides))
         if self.n_trials < 1:
             raise ConfigError("n_trials must be positive")
-        if (not self.methods or any(m not in METHODS for m in self.methods)
+        if (not isinstance(self.methods, tuple) or not self.methods
+                or any(m not in METHODS for m in self.methods)
                 or len(set(self.methods)) != len(self.methods)):
-            raise ConfigError(f"methods must be a nonempty subset of {METHODS} without repeats")
+            raise ConfigError(f"methods must be a nonempty list of {METHODS} without repeats")
         if self.ambiguity not in IA_MODES:
             raise ConfigError(f"ambiguity mode must be one of {IA_MODES}")
         if self.ambiguity == "widelane" and self.widelane_second_fc_hz is None:
@@ -133,8 +148,8 @@ class ScenarioConfig:
             raise ConfigError("widelane_second_fc_hz must differ from the band carrier")
         if self.ccp_sweeps < 1:
             raise ConfigError("ccp_sweeps must be positive")
-        if self.n_symbols < 2:
-            raise ConfigError("n_symbols must be at least 2")
+        if not 2 <= self.n_symbols <= MAX_SYMBOLS:
+            raise ConfigError(f"n_symbols must lie in [2, {MAX_SYMBOLS}]")
         if _ccp_windows(num, self.n_symbols, self.ccp_sweeps)[2] < 1:
             raise ConfigError(f"{self.ccp_sweeps} sweeps do not fit in {self.n_symbols} symbols")
         PrsConfig(self.comb_size, self.comb_offset, self.n_symbols, self.prs_seed)  # comb checks
@@ -144,7 +159,7 @@ class ScenarioConfig:
         reach = (self.geometry.true_delay_s + (profile.nlos_excess_delay_mean_s or 0.0)
                  + profile.rms_delay_spread_s)
         limit = 1.0 / (self.comb_size * num.scs_hz)
-        if not 0.0 < self.geometry.true_distance_m or reach >= limit:
+        if reach >= limit:
             raise ConfigError(f"UE at {self.geometry.true_distance_m:.6g} m plus the channel's "
                               f"delay reaches {reach * 1e6:.3g} us, at or past the "
                               f"comb-{self.comb_size} TOA range of {limit * 1e6:.3g} us")
@@ -311,12 +326,8 @@ def compute_cdf(results: list[TrialResult], method: str) -> CdfResult:
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    raw = dataclasses.asdict(cfg)
-    raw["methods"] = list(cfg.methods)
-    raw["geometry"] = {"gnb_position_m": list(cfg.geometry.gnb_position_m),
-                       "ue_position_m": list(cfg.geometry.ue_position_m)}
-    raw["profile_overrides"] = {k: v for k, v in cfg.profile_overrides}
-    return raw
+    """``cfg`` in the JSON shapes ``ScenarioConfig`` takes; tuples are written as lists."""
+    return dict(dataclasses.asdict(cfg), profile_overrides=dict(cfg.profile_overrides))
 
 
 def emit_results(cdfs: list[CdfResult], cfg: ScenarioConfig, path: str,
@@ -358,19 +369,8 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(raw)
     try:
-        if "methods" in kwargs:
-            kwargs["methods"] = tuple(kwargs["methods"])
-        if "geometry" in kwargs:
-            g = kwargs["geometry"]
-            extra = set(g) - {"gnb_position_m", "ue_position_m"}
-            if extra:
-                raise ConfigError(f"unknown geometry keys: {sorted(extra)}")
-            kwargs["geometry"] = make_geometry(g["gnb_position_m"], g["ue_position_m"])
-        if "profile_overrides" in kwargs:
-            kwargs["profile_overrides"] = tuple(sorted(kwargs["profile_overrides"].items()))
-        return ScenarioConfig(**kwargs)
+        return ScenarioConfig(**raw)
     except ConfigError:
         raise
     except (TypeError, ValueError, AttributeError, KeyError, OverflowError) as exc:
@@ -382,7 +382,7 @@ def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # bad JSON, bad UTF-8, an int past 4300 digits
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")

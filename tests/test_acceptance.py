@@ -15,7 +15,7 @@ import pytest
 from phasepos.ambiguity import (double_difference, phase_to_fraction, virtual_wavelength,
                                 widelane_resolve)
 from phasepos.angle import InterferometerConfig, aoa_from_phase_diff, phase_diff_for_angle
-from phasepos.channel import add_awgn, apply_channel, doppler_ppm, draw_channel, make_geometry
+from phasepos.channel import Geometry, add_awgn, apply_channel, doppler_ppm, draw_channel
 from phasepos.constants import SPEED_OF_LIGHT
 from phasepos.harness import (ScenarioConfig, _build_assets, compute_cdf, emit_results,
                               run_scenario)
@@ -23,7 +23,7 @@ from phasepos.receiver import ccp_measure, wrap_phase
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column,
                                make_numerology, middle_subcarrier, ofdm_modulate, signed_to_row)
 
-GEO = make_geometry((100.0, 100.0, 15.0), (120.0, 100.0, 1.5))
+GEO = Geometry((100.0, 100.0, 15.0), (120.0, 100.0, 1.5))
 
 MC_CFG = ScenarioConfig(band="FR1", profile="InF-LOS", snr_db=10.0, n_trials=200,
                         methods=("cp", "ccp"), ambiguity="oracle", ccp_sweeps=1000,

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from phasepos.ambiguity import (CarrierRange, DiffMeasurement, double_difference, ia_search,
                                 phase_to_fraction, virtual_wavelength, widelane_resolve)
-from phasepos.channel import make_geometry
+from phasepos.channel import Geometry
 from phasepos.constants import SPEED_OF_LIGHT
 from phasepos.errors import AmbiguityError
 from phasepos.receiver import wrap_phase
 
 F1 = 3.8e9
 F2 = 3.9e9
-GEO = make_geometry((100.0, 100.0, 15.0), (120.0, 100.0, 1.5))
+GEO = Geometry((100.0, 100.0, 15.0), (120.0, 100.0, 1.5))
 
 
 def exact_phase(distance_m, frequency_hz):

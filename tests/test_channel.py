@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from phasepos.channel import (ChannelRealization, Geometry, ScenarioProfile, add_awgn,
-                              apply_channel, doppler_ppm, draw_channel, make_geometry,
-                              profile_preset)
+                              apply_channel, doppler_ppm, draw_channel, profile_preset)
 from phasepos.constants import SPEED_OF_LIGHT
 from phasepos.errors import ConfigError, NoSignalError
 from phasepos.waveform import make_numerology
@@ -23,22 +22,49 @@ def make_stream(n=4096, seed=0):
 # ------------------------------------------------------------------ geometry
 
 def test_reference_geometry_distance():
-    geo = make_geometry(GNB, UE)
+    geo = Geometry(GNB, UE)
     assert geo.true_distance_m == pytest.approx(math.sqrt(20.0 ** 2 + 13.5 ** 2), rel=1e-12)
     assert geo.true_distance_m == pytest.approx(24.1299, abs=5e-5)
 
 
 def test_unit_displacement():
-    assert make_geometry((0, 0, 0), (1, 0, 0)).true_distance_m == 1.0
+    assert Geometry((0, 0, 0), (1, 0, 0)).true_distance_m == 1.0
 
 
 def test_coincident_positions_rejected():
     with pytest.raises(ValueError):
-        make_geometry((0, 0, 0), (0, 0, 0))
+        Geometry((0, 0, 0), (0, 0, 0))
+
+
+def test_positions_stored_as_tuples_of_floats():
+    geo = Geometry(np.zeros(3), [3, 4, 0])
+    assert geo == Geometry((0.0, 0.0, 0.0), (3.0, 4.0, 0.0))
+    assert all(type(v) is float for v in geo.gnb_position_m + geo.ue_position_m)
+    assert geo.true_distance_m == 5.0
+
+
+@pytest.mark.parametrize("gnb,ue", [
+    ((0, 0), (3, 4)),                          # 2-D
+    ((0, 0, 0), (3, 4, 0, 1)),
+    (("a", 0, 0), (1, 1, 1)),
+    ((0, 0, 0), (True, 0, 0)),
+    ((0, 0, 0), (float("nan"), 0, 0)),
+    ((0, 0, 0), (float("inf"), 0, 0)),
+    ((float("inf"), 0, 0), (float("inf"), 0, 0)),
+    ((0, 0, 0), (10 ** 400, 0, 0)),
+    ((0, 0, -1.7e308), (0, 0, 1.7e308)),      # finite positions, distance overflows
+    ((0, 0, 0), np.array(5.0)),
+    ((0, 0, 0), np.ones((3, 1))),
+    ((0, 0, 0), "abc"),
+    ((0, 0, 0), None),
+])
+def test_malformed_positions_rejected(gnb, ue):
+    with pytest.raises(ConfigError):
+        Geometry(gnb, ue)
 
 
 def test_true_delay():
-    geo = make_geometry(GNB, UE)
+    geo = Geometry(GNB, UE)
     assert geo.true_delay_s == pytest.approx(geo.true_distance_m / SPEED_OF_LIGHT, rel=1e-12)
     assert geo.true_delay_s == pytest.approx(80.49e-9, abs=5e-12)
 
@@ -70,13 +96,13 @@ def test_nlos_requires_excess_delay():
 # -------------------------------------------------------------- draw_channel
 
 def test_pure_los_limit_single_tap():
-    geo = make_geometry(GNB, UE)
+    geo = Geometry(GNB, UE)
     ch = draw_channel(profile_preset("InF-LOS", rician_k_db=float("inf")), geo, 3)
     assert ch.taps == [(geo.true_delay_s, 1.0 + 0.0j)]
 
 
 def test_los_earliest_tap_at_geometric_delay():
-    geo = make_geometry(GNB, UE)
+    geo = Geometry(GNB, UE)
     for seed in range(20):
         ch = draw_channel(profile_preset("InF-LOS"), geo, seed)
         assert ch.first_tap_delay_s == pytest.approx(geo.true_delay_s, rel=1e-12)
@@ -84,7 +110,7 @@ def test_los_earliest_tap_at_geometric_delay():
 
 
 def test_tap_power_normalized():
-    geo = make_geometry(GNB, UE)
+    geo = Geometry(GNB, UE)
     for kind in ("InF-LOS", "InF-NLOS-S", "InF-NLOS-D"):
         for seed in range(25):
             ch = draw_channel(profile_preset(kind), geo, seed)
@@ -92,7 +118,7 @@ def test_tap_power_normalized():
 
 
 def test_rician_k_enforced_exactly():
-    geo = make_geometry(GNB, UE)
+    geo = Geometry(GNB, UE)
     profile = profile_preset("InF-LOS", rician_k_db=16.0)
     for seed in range(10):
         ch = draw_channel(profile, geo, seed)
@@ -104,7 +130,7 @@ def test_rician_k_enforced_exactly():
 
 
 def test_nlos_strictly_delays_many_seeds():
-    geo = make_geometry(GNB, UE)
+    geo = Geometry(GNB, UE)
     tau0 = geo.true_delay_s
     for kind in ("InF-NLOS-S", "InF-NLOS-D"):
         profile = profile_preset(kind)
@@ -114,7 +140,7 @@ def test_nlos_strictly_delays_many_seeds():
 
 
 def test_channel_deterministic_per_seed():
-    geo = make_geometry(GNB, UE)
+    geo = Geometry(GNB, UE)
     a = draw_channel(profile_preset("InF-LOS"), geo, 77)
     b = draw_channel(profile_preset("InF-LOS"), geo, 77)
     assert a.taps == b.taps

@@ -4,11 +4,11 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasepos import cli, harness
-from phasepos.channel import make_geometry, profile_preset
+from phasepos.channel import Geometry, profile_preset
 from phasepos.errors import ConfigError
 from phasepos.harness import (METHODS, CdfResult, ScenarioConfig, TrialResult, compute_cdf,
                               config_from_dict, config_to_dict, emit_results, load_config,
@@ -60,8 +60,8 @@ def test_default_config_validates():
     {"k_sigma": float("nan")},
     {"k_sigma": float("inf")},
     {"widelane_second_fc_hz": float("inf")},
-    {"geometry": make_geometry((0, 0, 0), (1700, 0, 0))},   # past FR1 comb-6 TOA range
-    {"band": "FR2", "geometry": make_geometry((0, 0, 0), (430, 0, 0))},
+    {"geometry": Geometry((0, 0, 0), (1700, 0, 0))},   # past FR1 comb-6 TOA range
+    {"band": "FR2", "geometry": Geometry((0, 0, 0), (430, 0, 0))},
     {"profile_overrides": (("kind", "InF-NLOS-S"),)},
     {"profile_overrides": (("nlos_excess_delay_mean_s", 50e-9),)},    # LOS reads no excess
     {"profile": "InF-NLOS-S", "profile_overrides": (("rician_k_db", 10.0),)},
@@ -70,6 +70,26 @@ def test_default_config_validates():
     {"profile_overrides": (("n_clutter_taps", 10_000_000),)},          # past TR 38.901's 500 rays
     {"snr_db": 5000.0},
     {"snr_db": -5000.0},
+    {"n_symbols": 1025},                   # past MAX_SYMBOLS
+    {"k_sigma": None},
+    {"profile": ["InF-LOS"]},
+    {"methods": ["toa", "toa"]},
+    {"methods": "toa"},
+    {"methods": {"toa": 1}},
+    {"profile_overrides": {"rms_delay_spread_s": -1.0}},
+    {"profile_overrides": {1: 4e-8}},
+    {"profile_overrides": (1, 2)},
+    {"profile_overrides": [("rms_delay_spread_s", 4e-8)]},
+    {"geometry": {"gnb_position_m": (0, 0), "ue_position_m": (3, 4)}},        # 2-D
+    {"geometry": {"gnb_position_m": (0, 0, 0)}},
+    {"geometry": {"gnb_position_m": (0, 0, 0), "ue_position_m": (20, 0, 0), "x": 1}},
+    {"geometry": ((0, 0, 0), (20, 0, 0))},
+    {"snr_db": 10 ** 400},
+    {"k_sigma": 10 ** 400},
+    {"widelane_second_fc_hz": 10 ** 400},
+    {"profile_overrides": {"rms_delay_spread_s": 10 ** 400}},
+    {"profile_overrides": {"rician_k_db": 10 ** 400}},
+    {"profile": "InF-NLOS-S", "profile_overrides": {"nlos_excess_delay_mean_s": 10 ** 400}},
 ])
 def test_bad_config_rejected(changes):
     with pytest.raises(ConfigError):
@@ -85,6 +105,9 @@ def test_bad_config_rejected(changes):
     ("InF-LOS", {"n_clutter_taps": 501}),
     ("InF-NLOS-S", {"nlos_excess_delay_mean_s": "x"}),
     ("InF-NLOS-D", {"nlos_excess_delay_mean_s": False}),
+    ("InF-LOS", {"rms_delay_spread_s": 10 ** 400}),
+    ("InF-LOS", {"rician_k_db": 10 ** 400}),
+    ("InF-NLOS-S", {"nlos_excess_delay_mean_s": 10 ** 400}),
 ])
 def test_profile_override_of_wrong_type_rejected(kind, overrides):
     # Library callers get ConfigError too, not only config_from_dict.
@@ -97,7 +120,7 @@ def test_profile_override_of_wrong_type_rejected(kind, overrides):
 @pytest.mark.parametrize("band,distance_m", [("FR1", 1600.0), ("FR2", 400.0)])
 def test_ue_inside_comb_range_accepted(band, distance_m):
     cfg = ScenarioConfig(band=band, methods=("toa",), n_symbols=8, snr_db=float("inf"),
-                         geometry=make_geometry((0, 0, 0), (distance_m, 0, 0)))
+                         geometry=Geometry((0, 0, 0), (distance_m, 0, 0)))
     assert abs(run_trial(cfg, 0).distance_error_m["toa"]) < 1.0
 
 
@@ -112,6 +135,18 @@ def test_config_dict_round_trip():
     cfg = dataclasses.replace(ScenarioConfig(), n_trials=7, snr_db=3.0,
                               profile_overrides=(("rician_k_db", 20.0),))
     assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def test_library_constructor_takes_the_json_shapes():
+    raw = {"methods": ["toa", "cp"], "n_symbols": 8, "ccp_sweeps": 50,
+           "geometry": {"gnb_position_m": [0, 0, 0], "ue_position_m": [3, 4, 0]},
+           "profile_overrides": {"rms_delay_spread_s": 4e-8, "n_clutter_taps": 9}}
+    cfg = ScenarioConfig(**raw)
+    assert cfg == config_from_dict(raw)
+    assert cfg.methods == ("toa", "cp")
+    assert cfg.geometry == Geometry((0.0, 0.0, 0.0), (3.0, 4.0, 0.0))
+    assert cfg.profile_overrides == (("n_clutter_taps", 9), ("rms_delay_spread_s", 4e-8))
+    assert set(run_trial(cfg, 0).distance_error_m) == {"toa", "cp"}
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -159,13 +194,17 @@ _PLAUSIBLE = {
 }
 
 
+@pytest.mark.parametrize("build", [config_from_dict, lambda raw: ScenarioConfig(**raw)],
+                         ids=["config_from_dict", "ScenarioConfig"])
 @settings(max_examples=400, deadline=None)
-@given(st.fixed_dictionaries({}, optional={
+@given(raw=st.fixed_dictionaries({}, optional={
     f.name: st.one_of(_JUNK, _PLAUSIBLE.get(f.name, _JUNK))
     for f in dataclasses.fields(ScenarioConfig)}))
-def test_config_from_dict_raises_only_config_error(raw):
+@example(raw={"geometry": {"gnb_position_m": [0, 0, 0],        # squared length overflows
+                           "ue_position_m": [0, 0, 1.3407807929942597e154]}})
+def test_config_from_dict_raises_only_config_error(build, raw):
     try:
-        cfg = config_from_dict(raw)
+        cfg = build(raw)
     except ConfigError:
         return
     assert dataclasses.replace(cfg) == cfg
@@ -184,6 +223,12 @@ def test_load_config(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(bad))
     bad.write_text("{not json")
+    with pytest.raises(ConfigError):
+        load_config(str(bad))
+    bad.write_bytes(b"\xff{}")                  # not UTF-8
+    with pytest.raises(ConfigError):
+        load_config(str(bad))
+    bad.write_text('{"master_seed": ' + "1" * 5000 + "}")   # past Python's int digit limit
     with pytest.raises(ConfigError):
         load_config(str(bad))
 
@@ -517,6 +562,12 @@ def test_cli_sweep_past_stream_exits_2(tmp_path, capsys):
     {"profile_overrides": {"n_clutter_taps": 10000000}},
     {"snr_db": 5000},
     {"snr_db": -5000},
+    {"n_symbols": 1025},
+    {"snr_db": 10 ** 400},
+    {"profile_overrides": {"rms_delay_spread_s": 10 ** 400}},
+    {"geometry": {"gnb_position_m": [0, 0], "ue_position_m": [3, 4]}},
+    {"geometry": [[0, 0, 0], [20, 0, 0]]},
+    {"profile_overrides": [1, 2]},
 ])
 def test_cli_bad_value_exits_2(tmp_path, capsys, extra):
     cfg = write_cfg(tmp_path, **extra)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from phasepos.channel import ChannelRealization, add_awgn, apply_channel, draw_channel, \
-    make_geometry, profile_preset
+from phasepos.channel import ChannelRealization, Geometry, add_awgn, apply_channel, \
+    draw_channel, profile_preset
 from phasepos.errors import ConfigError, NoSignalError
 from phasepos.receiver import ccp_measure, estimate_toa, wrap_phase
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig,
@@ -39,7 +39,7 @@ def test_toa_integer_delay_exact():
 
 def test_toa_fractional_geometric_delay():
     num = make_numerology("FR1")
-    geo = make_geometry((100.0, 100.0, 15.0), (120.0, 100.0, 1.5))
+    geo = Geometry((100.0, 100.0, 15.0), (120.0, 100.0, 1.5))
     ref = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, 16, 3), num), num, 16,
                         CONVENTIONAL)
     ch = draw_channel(profile_preset("InF-LOS", rician_k_db=float("inf")), geo, 0)
@@ -86,7 +86,7 @@ def test_phase_zero_for_identity_channel():
 def test_phase_matches_analytic_delay_rotation():
     # Pure LOS: the middle-subcarrier phase is -2 pi (f_c + f_sub) tau, mod 2 pi.
     num = make_numerology("FR1")
-    geo = make_geometry((100.0, 100.0, 15.0), (120.0, 100.0, 1.5))
+    geo = Geometry((100.0, 100.0, 15.0), (120.0, 100.0, 1.5))
     prs = PrsConfig(6, 0, 16, 5)
     column = generate_prs_column(prs, num)
     stream = ofdm_modulate(column, num, prs.n_symbols, CONTINUOUS)
