@@ -6,8 +6,8 @@ arrival, single-window carrier phase, or window-swept carrier phase, with
 integer-ambiguity resolution and a reproducible Monte-Carlo harness.
 """
 
-from .ambiguity import (CarrierRange, DiffMeasurement, double_difference, ia_search,
-                        phase_to_fraction, virtual_wavelength, widelane_resolve)
+from .ambiguity import (CarrierRange, double_difference, ia_search, phase_to_fraction,
+                        virtual_wavelength, widelane_resolve)
 from .angle import InterferometerConfig, aoa_from_phase_diff, phase_diff_for_angle
 from .channel import (ChannelRealization, Geometry, ScenarioProfile, add_awgn, apply_channel,
                       doppler_ppm, draw_channel, profile_preset)
@@ -17,14 +17,13 @@ from .harness import (CdfResult, ScenarioConfig, TrialResult, compute_cdf, confi
                       emit_results, load_config, run_scenario, run_trial)
 from .receiver import PhaseMeasurement, ToaMeasurement, ccp_measure, estimate_toa, wrap_phase
 from .waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig, generate_prs_column,
-                       make_numerology, middle_subcarrier, ofdm_demodulate, ofdm_modulate,
-                       signed_to_row)
+                       make_numerology, middle_subcarrier, ofdm_demodulate, ofdm_modulate)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguityError", "CONTINUOUS", "CONVENTIONAL", "CarrierRange",
-    "CdfResult", "ChannelRealization", "ConfigError", "DiffMeasurement", "Geometry",
+    "CdfResult", "ChannelRealization", "ConfigError", "Geometry",
     "InfeasibleMeasurementError", "InterferometerConfig", "NoSignalError", "NumerologyConfig",
     "PhaseMeasurement", "PrsConfig", "ScenarioConfig", "ScenarioProfile",
     "SPEED_OF_LIGHT", "ToaMeasurement", "TrialResult",
@@ -32,6 +31,6 @@ __all__ = [
     "config_from_dict", "doppler_ppm", "double_difference", "draw_channel", "emit_results",
     "estimate_toa", "generate_prs_column", "ia_search", "load_config", "make_numerology",
     "middle_subcarrier", "ofdm_demodulate", "ofdm_modulate", "phase_diff_for_angle",
-    "phase_to_fraction", "profile_preset", "run_scenario", "run_trial", "signed_to_row",
+    "phase_to_fraction", "profile_preset", "run_scenario", "run_trial",
     "virtual_wavelength", "widelane_resolve", "wrap_phase",
 ]

@@ -32,11 +32,6 @@ class CarrierRange:
         return CarrierRange(self.wavelength_m, self.fractional_cycles, integer_cycles, d)
 
 
-@dataclass(frozen=True)
-class DiffMeasurement:
-    value_rad: float                    # wrapped to [-pi, pi)
-
-
 def phase_to_fraction(phase_rad: float, frequency_hz: float) -> CarrierRange:
     """Fractional carrier cycles implied by a measured phase.
 
@@ -118,7 +113,7 @@ def widelane_resolve(range1: CarrierRange, range2: CarrierRange,
     return ia_search(fine, wide.distance_m, lam_v / 4.0)
 
 
-def double_difference(phases_rad: np.ndarray) -> DiffMeasurement:
+def double_difference(phases_rad: np.ndarray) -> float:
     """Double difference over a 2x2 phase matrix [receivers x anchors].
 
     (phi_A1 - phi_A2) - (phi_B1 - phi_B2), wrapped to [-pi, pi).  Any
@@ -129,5 +124,4 @@ def double_difference(phases_rad: np.ndarray) -> DiffMeasurement:
         raise ValueError(f"phase matrix must be 2x2 [receivers x anchors], got {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("phase matrix contains a missing or non-finite entry")
-    value = float(wrap_phase((mat[0, 0] - mat[0, 1]) - (mat[1, 0] - mat[1, 1])))
-    return DiffMeasurement(value)
+    return float(wrap_phase((mat[0, 0] - mat[0, 1]) - (mat[1, 0] - mat[1, 1])))

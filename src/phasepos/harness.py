@@ -38,7 +38,7 @@ from .constants import SPEED_OF_LIGHT
 from .errors import AmbiguityError, ConfigError, as_int, as_real
 from .receiver import ccp_measure, estimate_toa
 from .waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig, generate_prs_column,
-                       make_numerology, middle_subcarrier, ofdm_modulate, signed_to_row)
+                       make_numerology, middle_subcarrier, ofdm_modulate)
 
 METHODS = ("toa", "cp", "ccp")
 IA_MODES = ("oracle", "toa", "widelane")
@@ -72,9 +72,9 @@ class ScenarioConfig:
     ``ConfigError`` on any other shape, a wrongly typed, non-finite or
     too large value, a finite SNR beyond ``MAX_ABS_SNR_DB``, more than
     ``MAX_SYMBOLS`` symbols, an unknown name, a repeated method, a profile
-    override the profile kind does not read, more sweeps than the stream
-    has window positions, or a UE whose geometric delay plus the profile's
-    mean NLOS excess and delay spread reaches the comb's TOA range
+    override named twice or not read by the profile kind, more sweeps than
+    the stream has window positions, or a UE whose geometric delay plus the
+    profile's mean NLOS excess and delay spread reaches the comb's TOA range
     1 / (comb_size * scs).  The ccp windows are spread over the whole
     stream, so their spacing follows from ``n_symbols`` and
     ``ccp_sweeps``.  The TOA-bounded and widelane integer windows are
@@ -115,8 +115,9 @@ class ScenarioConfig:
                               f"got {self.geometry!r}")
         if not (isinstance(self.profile_overrides, tuple)
                 and all(isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str)
-                        for p in self.profile_overrides)):
-            raise ConfigError("profile_overrides must map profile field names to values")
+                        for p in self.profile_overrides)
+                and len(dict(self.profile_overrides)) == len(self.profile_overrides)):
+            raise ConfigError("profile_overrides must map each profile field name to one value")
         for name in _INT_FIELDS:
             as_int(name, getattr(self, name))
         if self.master_seed < 0 or self.prs_seed < 0:
@@ -130,8 +131,6 @@ class ScenarioConfig:
             if ((value is not None or name == "k_sigma")
                     and not 0.0 < as_real(name, value) < math.inf):
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-        if not isinstance(self.band, str) or self.band.upper() not in ("FR1", "FR2"):
-            raise ConfigError(f"band must be FR1 or FR2, got {self.band!r}")
         profile = profile_preset(self.profile, **dict(self.profile_overrides))
         if self.n_trials < 1:
             raise ConfigError("n_trials must be positive")
@@ -208,7 +207,7 @@ def _build_assets(cfg: ScenarioConfig) -> _Assets:
     tx_conv = ofdm_modulate(column, num, prs.n_symbols, CONVENTIONAL)
     tx_cont = ofdm_modulate(column, num, prs.n_symbols, CONTINUOUS)
     k = middle_subcarrier(prs, num)
-    ref = complex(column[signed_to_row(num, k)])
+    ref = complex(column[k % num.n_fft])
 
     # The modulated samples do not depend on the carrier, so the widelane
     # carrier sends the same stream on a numerology with another carrier.

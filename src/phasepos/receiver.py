@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoSignalError
-from .waveform import NumerologyConfig, PrsConfig, signed_to_row
+from .waveform import NumerologyConfig, PrsConfig, comb_subcarriers
 
 
 EARLY_PEAK_RATIO = 0.6     # first-arrival peak height / global correlation maximum
@@ -139,7 +139,7 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     if n_sweeps < 1 or shift_samples < 1:
         raise ConfigError("n_sweeps and shift_samples must be positive")
     k = int(subcarrier)
-    if prs is not None and signed_to_row(num, k) % prs.comb_size != prs.comb_offset:
+    if prs is not None and k not in comb_subcarriers(prs, num):
         raise ConfigError(f"subcarrier {k} is not occupied by the configured comb")
 
     span = (n_sweeps - 1) * shift_samples + num.n_fft

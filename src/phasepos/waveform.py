@@ -7,7 +7,9 @@ Conventions used throughout:
   equal to the number of occupied subcarriers.
 - Subcarriers are addressed by *signed* index relative to DC.  DC itself is
   never occupied; an even allocation of K active subcarriers spans
-  -K/2 .. -1 and +1 .. +K/2.
+  -K/2 .. -1 and +1 .. +K/2.  A pilot column, like a demodulated spectrum,
+  is n_fft values in FFT-bin order: signed subcarrier k sits at bin
+  k % n_fft.
 - The pilot is block-type: one seeded column on every symbol.  "conventional"
   mode is plain CP-OFDM, one cyclic-prefixed symbol repeated.  "continuous"
   mode repeats the useful symbol with no prefix of its own, so every occupied
@@ -81,8 +83,8 @@ class PrsConfig:
 
 
 def make_numerology(band: str) -> NumerologyConfig:
-    """Return the preset numerology for band "FR1" or "FR2"."""
-    key = band.strip().upper()
+    """Return the preset numerology for band "FR1" or "FR2", in either letter case."""
+    key = band.upper() if isinstance(band, str) else band
     if key == "FR1":
         return NumerologyConfig(3.8e9, 30e3, 4096, 288, 3276)
     if key == "FR2":
@@ -90,52 +92,35 @@ def make_numerology(band: str) -> NumerologyConfig:
     raise ConfigError(f"unknown band {band!r}, expected FR1 or FR2")
 
 
-def active_signed_indices(num: NumerologyConfig) -> np.ndarray:
-    """Signed subcarrier indices of the active allocation, ascending, DC excluded."""
+def comb_subcarriers(prs: PrsConfig, num: NumerologyConfig) -> np.ndarray:
+    """Signed indices of the comb's subcarriers, ascending, DC excluded.
+
+    The comb takes every ``comb_size``-th of the active subcarriers, counted
+    from the lowest one at ``comb_offset``; the allocation's upper half
+    starts at +1, so it skips DC.
+    """
     half = num.n_active_subcarriers // 2
-    neg = np.arange(-half, 0)
-    pos = np.arange(1, num.n_active_subcarriers - half + 1)
-    return np.concatenate([neg, pos])
-
-
-def comb_rows(prs: PrsConfig, num: NumerologyConfig) -> np.ndarray:
-    """Row indices (into the active allocation) occupied by the comb."""
-    rows = np.arange(num.n_active_subcarriers)
-    return rows[rows % prs.comb_size == prs.comb_offset]
-
-
-def occupied_signed_indices(prs: PrsConfig, num: NumerologyConfig) -> np.ndarray:
-    return active_signed_indices(num)[comb_rows(prs, num)]
-
-
-def signed_to_row(num: NumerologyConfig, subcarrier: int) -> int:
-    """Row in the active allocation holding signed ``subcarrier``."""
-    half = num.n_active_subcarriers // 2
-    if subcarrier == 0:
-        raise ConfigError("DC is never part of the active allocation")
-    row = subcarrier + half if subcarrier < 0 else half + subcarrier - 1
-    if not 0 <= row < num.n_active_subcarriers:
-        raise ConfigError(f"subcarrier {subcarrier} outside the active allocation")
-    return row
+    rows = np.arange(prs.comb_offset, num.n_active_subcarriers, prs.comb_size)
+    return rows - half + (rows >= half)
 
 
 def middle_subcarrier(prs: PrsConfig, num: NumerologyConfig) -> int:
     """Occupied signed index closest to DC.  Ties break to the positive side."""
-    occ = occupied_signed_indices(prs, num)
-    order = sorted(occ, key=lambda k: (abs(int(k)), k < 0))
-    return int(order[0])
+    return int(min(comb_subcarriers(prs, num), key=lambda k: (abs(k), k < 0)))
 
 
 def generate_prs_column(prs: PrsConfig, num: NumerologyConfig) -> np.ndarray:
-    """Seeded unit-magnitude QPSK on the comb, one value per active subcarrier.
+    """Seeded unit-magnitude QPSK on the comb, as an n_fft column in FFT-bin order.
 
-    The sequence is drawn once from numpy's PCG64 generator, so a fixed
-    ``sequence_seed`` reproduces the column bit for bit.
+    Signed subcarrier k sits at bin k % n_fft; every other bin is zero.  The
+    sequence is drawn once from numpy's PCG64 generator, one value per comb
+    subcarrier in ascending order, so a fixed ``sequence_seed`` reproduces
+    the column bit for bit.
     """
-    rows = comb_rows(prs, num)
-    quadrants = np.random.default_rng(prs.sequence_seed).integers(0, 4, size=rows.size)
-    column = np.zeros(num.n_active_subcarriers, dtype=np.complex128)
-    column[rows] = np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrants))
+    k = comb_subcarriers(prs, num)
+    quadrants = np.random.default_rng(prs.sequence_seed).integers(0, 4, size=k.size)
+    column = np.zeros(num.n_fft, dtype=np.complex128)
+    column[k % num.n_fft] = np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrants))
     return column
 
 
@@ -144,7 +129,7 @@ def ofdm_modulate(column: np.ndarray, num: NumerologyConfig, n_symbols: int,
     """Modulate one pilot column, sent on ``n_symbols`` symbols, into a baseband stream.
 
     Args:
-        column: frequency-domain values, one per active subcarrier.
+        column: frequency-domain values, n_fft of them in FFT-bin order.
         mode: CONVENTIONAL for plain CP-OFDM, CONTINUOUS to make each
             subcarrier a single tone across the whole stream.
 
@@ -155,9 +140,10 @@ def ofdm_modulate(column: np.ndarray, num: NumerologyConfig, n_symbols: int,
         raise ConfigError(f"unknown modulation mode {mode!r}")
     if n_symbols < 1:
         raise ConfigError("n_symbols must be positive")
-    spectrum = np.zeros(num.n_fft, dtype=np.complex128)
-    spectrum[active_signed_indices(num) % num.n_fft] = column
-    useful = np.fft.ifft(spectrum) * np.sqrt(num.n_fft)
+    column = np.asarray(column, dtype=np.complex128)
+    if column.shape != (num.n_fft,):
+        raise ValueError(f"column must hold n_fft = {num.n_fft} bins, got {column.shape}")
+    useful = np.fft.ifft(column) * np.sqrt(num.n_fft)
     if mode == CONVENTIONAL:
         return np.tile(np.concatenate([useful[num.n_fft - num.n_cp:], useful]), n_symbols)
     # Subcarrier k completes whole cycles in n_fft samples, so repeating the

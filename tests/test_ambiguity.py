@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasepos.ambiguity import (CarrierRange, DiffMeasurement, double_difference, ia_search,
-                                phase_to_fraction, virtual_wavelength, widelane_resolve)
+from phasepos.ambiguity import (CarrierRange, double_difference, ia_search, phase_to_fraction,
+                                virtual_wavelength, widelane_resolve)
 from phasepos.channel import Geometry
 from phasepos.constants import SPEED_OF_LIGHT
 from phasepos.errors import AmbiguityError
@@ -287,16 +287,16 @@ def test_double_difference_cancels_common_offsets():
     anchor_offset = rng.uniform(-np.pi, np.pi, size=(1, 2))  # per-anchor clock
     clean = double_difference(base)
     dirty = double_difference(base + rx_offset + anchor_offset)
-    assert dirty.value_rad == pytest.approx(clean.value_rad, abs=1e-12)
+    assert dirty == pytest.approx(clean, abs=1e-12)
     expected = (base[0, 0] - base[0, 1]) - (base[1, 0] - base[1, 1])
-    assert clean.value_rad == pytest.approx(expected, abs=1e-12)
+    assert clean == pytest.approx(expected, abs=1e-12)
 
 
 def test_double_difference_wraps_to_principal_interval():
     mat = np.array([[3.0, -3.0], [-3.0, 3.0]])   # raw value 12.0
     m = double_difference(mat)
-    assert -np.pi <= m.value_rad < np.pi
-    assert m.value_rad == pytest.approx(float(wrap_phase(12.0)), abs=1e-12)
+    assert -np.pi <= m < np.pi
+    assert m == pytest.approx(float(wrap_phase(12.0)), abs=1e-12)
 
 
 def test_double_difference_rejects_bad_input():
@@ -304,8 +304,3 @@ def test_double_difference_rejects_bad_input():
         double_difference(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         double_difference(np.array([[0.0, np.nan], [0.0, 0.0]]))
-
-
-def test_diff_measurement_is_plain_record():
-    m = DiffMeasurement(0.1)
-    assert m.value_rad == 0.1

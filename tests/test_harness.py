@@ -90,6 +90,9 @@ def test_default_config_validates():
     {"profile_overrides": {"rms_delay_spread_s": 10 ** 400}},
     {"profile_overrides": {"rician_k_db": 10 ** 400}},
     {"profile": "InF-NLOS-S", "profile_overrides": {"nlos_excess_delay_mean_s": 10 ** 400}},
+    {"band": " FR1"},
+    {"band": 3},
+    {"profile_overrides": (("rms_delay_spread_s", 1e-8), ("rms_delay_spread_s", 2e-8))},
 ])
 def test_bad_config_rejected(changes):
     with pytest.raises(ConfigError):

@@ -8,8 +8,8 @@ from phasepos.channel import ChannelRealization, Geometry, add_awgn, apply_chann
 from phasepos.errors import ConfigError, NoSignalError
 from phasepos.receiver import ccp_measure, estimate_toa, wrap_phase
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig,
-                               generate_prs_column, make_numerology, middle_subcarrier,
-                               occupied_signed_indices, ofdm_modulate, signed_to_row)
+                               comb_subcarriers, generate_prs_column, make_numerology,
+                               middle_subcarrier, ofdm_modulate)
 
 
 def small_num(n_fft=64, n_cp=9, n_active=48, scs=15e3, fc=1e9):
@@ -21,7 +21,7 @@ def continuous_stream(num, n_symbols, seed=7, comb=6, offset=0):
     prs = PrsConfig(comb, offset, n_symbols, seed)
     column = generate_prs_column(prs, num)
     k = middle_subcarrier(prs, num)
-    ref = complex(column[signed_to_row(num, k)])
+    ref = complex(column[k % num.n_fft])
     return ofdm_modulate(column, num, n_symbols, CONTINUOUS), k, ref
 
 
@@ -91,7 +91,7 @@ def test_phase_matches_analytic_delay_rotation():
     column = generate_prs_column(prs, num)
     stream = ofdm_modulate(column, num, prs.n_symbols, CONTINUOUS)
     k = middle_subcarrier(prs, num)
-    ref = complex(column[signed_to_row(num, k)])
+    ref = complex(column[k % num.n_fft])
     ch = draw_channel(profile_preset("InF-LOS", rician_k_db=float("inf")), geo, 0)
     rx = apply_channel(stream, num, ch)
     m = ccp_measure(rx, num, k, 1, 1, ref, num.symbol_samples + num.n_cp)
@@ -113,8 +113,9 @@ def test_phase_unoccupied_subcarrier_rejected():
     stream, k, ref = continuous_stream(num, 4, comb=6, offset=0)
     prs = PrsConfig(6, 0, 4, 7)
     bad = k + 1 if k + 1 != 0 else k + 2
-    with pytest.raises(ConfigError):
-        ccp_measure(stream, num, bad, 1, 1, ref, 0, prs=prs)
+    for subcarrier in (bad, 0, 25):     # off the comb, DC, outside the allocation
+        with pytest.raises(ConfigError):
+            ccp_measure(stream, num, subcarrier, 1, 1, ref, 0, prs=prs)
 
 
 # --------------------------------------------------------------- ccp_measure
@@ -179,7 +180,7 @@ PROPERTY_STREAMS = {mode: ofdm_modulate(PROPERTY_COLUMN, PROPERTY_NUM, PROPERTY_
 
 @settings(max_examples=150, deadline=None)
 @given(mode=st.sampled_from((CONVENTIONAL, CONTINUOUS)),
-       k=st.sampled_from(occupied_signed_indices(PROPERTY_PRS, PROPERTY_NUM).tolist()),
+       k=st.sampled_from(comb_subcarriers(PROPERTY_PRS, PROPERTY_NUM).tolist()),
        n_sweeps=st.integers(1, 40), shift=st.integers(1, 9),
        noise_seed=st.integers(0, 2**16), data=st.data())
 def test_ccp_matches_per_window_fft(mode, k, n_sweeps, shift, noise_seed, data):
@@ -188,7 +189,7 @@ def test_ccp_matches_per_window_fft(mode, k, n_sweeps, shift, noise_seed, data):
     span = (n_sweeps - 1) * shift + num.n_fft
     assume(span <= len(rx))
     start = data.draw(st.integers(0, len(rx) - span), label="window_start")
-    ref = complex(PROPERTY_COLUMN[signed_to_row(num, k)])
+    ref = complex(PROPERTY_COLUMN[k % num.n_fft])
 
     expected = fft_window_phase(rx, num, k, n_sweeps, shift, ref, start)
     assume(abs(expected) > 1e-6)    # the mean phase is undefined when phasors cancel

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from phasepos.errors import ConfigError
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig,
-                               active_signed_indices, comb_rows, generate_prs_column,
-                               make_numerology, middle_subcarrier, occupied_signed_indices,
-                               ofdm_demodulate, ofdm_modulate, signed_to_row)
+                               comb_subcarriers, generate_prs_column, make_numerology,
+                               middle_subcarrier, ofdm_demodulate, ofdm_modulate)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -19,25 +18,34 @@ def small_num(n_fft=64, n_cp=9, n_active=48, scs=15e3, fc=1e9):
 
 def tone_column(num, subcarrier, value):
     """Pilot column with one subcarrier carrying ``value``."""
-    column = np.zeros(num.n_active_subcarriers, dtype=complex)
-    column[signed_to_row(num, subcarrier)] = value
+    column = np.zeros(num.n_fft, dtype=complex)
+    column[subcarrier % num.n_fft] = value
     return column
+
+
+def row_based_comb(prs, num):
+    """Reference: signed indices of the active allocation, ascending, at the comb's rows."""
+    half = num.n_active_subcarriers // 2
+    active = np.concatenate([np.arange(-half, 0),
+                             np.arange(1, num.n_active_subcarriers - half + 1)])
+    rows = np.arange(num.n_active_subcarriers)
+    return active[rows % prs.comb_size == prs.comb_offset]
 
 
 def per_symbol_reference(column, num, n_symbols, mode):
     """CP-OFDM symbol by symbol, with one IFFT each.
 
     In continuous mode subcarrier k of symbol l is pre-rotated by
-    exp(+j 2 pi k (l+1) n_cp / n_fft), its turns reduced mod n_fft in integers.
+    exp(+j 2 pi k (l+1) n_cp / n_fft), its turns reduced mod n_fft in integers;
+    bin k % n_fft gives the same turns as signed k.
     """
-    signed = active_signed_indices(num)
+    bins = np.arange(num.n_fft)
     symbols = []
     for l in range(n_symbols):
-        spectrum = np.zeros(num.n_fft, dtype=complex)
-        spectrum[signed % num.n_fft] = column
+        spectrum = np.array(column, dtype=complex)
         if mode == CONTINUOUS:
-            turns = (signed * (l + 1) * num.n_cp) % num.n_fft
-            spectrum[signed % num.n_fft] *= np.exp(2j * np.pi * turns / num.n_fft)
+            turns = (bins * (l + 1) * num.n_cp) % num.n_fft
+            spectrum *= np.exp(2j * np.pi * turns / num.n_fft)
         useful = np.fft.ifft(spectrum) * np.sqrt(num.n_fft)
         symbols.append(np.concatenate([useful[num.n_fft - num.n_cp:], useful]))
     return np.concatenate(symbols)
@@ -75,13 +83,14 @@ def test_fr1_occupied_bandwidth_inside_allocation():
 
 
 def test_unknown_band_rejected():
-    with pytest.raises(ConfigError):
-        make_numerology("FR9")
+    for band in ("FR9", 3, " FR1 "):
+        with pytest.raises(ConfigError):
+            make_numerology(band)
 
 
 def test_active_indices_exclude_dc_and_are_centered():
     num = small_num()
-    idx = active_signed_indices(num)
+    idx = np.sort(np.concatenate([comb_subcarriers(PrsConfig(2, o), num) for o in (0, 1)]))
     assert 0 not in idx
     assert idx.min() == -24 and idx.max() == 24
     assert len(idx) == 48
@@ -93,7 +102,7 @@ def test_comb6_occupancy_count():
     num = make_numerology("FR1")
     prs = PrsConfig(comb_size=6, comb_offset=0, n_symbols=2, sequence_seed=3)
     column = generate_prs_column(prs, num)
-    assert column.shape == (num.n_active_subcarriers,)
+    assert column.shape == (num.n_fft,)
     occupied = np.abs(column) > 0
     assert occupied.sum() == 3276 // 6 == 546
 
@@ -101,7 +110,9 @@ def test_comb6_occupancy_count():
 def test_comb2_offset1_occupies_odd_rows():
     num = small_num()
     prs = PrsConfig(comb_size=2, comb_offset=1, n_symbols=1, sequence_seed=0)
-    rows = np.nonzero(np.abs(generate_prs_column(prs, num)) > 0)[0]
+    allocation = np.concatenate([np.arange(-24, 0), np.arange(1, 25)])   # row order
+    column = generate_prs_column(prs, num)
+    rows = np.nonzero(np.abs(column[allocation % num.n_fft]) > 0)[0]
     assert np.all(rows % 2 == 1)
 
 
@@ -140,20 +151,20 @@ def test_middle_subcarrier_closest_to_dc():
     num = make_numerology("FR1")
     prs = PrsConfig(6, 0, 1, 0)
     k = middle_subcarrier(prs, num)
-    occ = occupied_signed_indices(prs, num)
+    occ = comb_subcarriers(prs, num)
     assert k in occ
     assert abs(k) == np.min(np.abs(occ))
 
 
-def test_signed_to_row_round_trip():
-    num = small_num()
-    for k in active_signed_indices(num):
-        row = signed_to_row(num, int(k))
-        assert 0 <= row < num.n_active_subcarriers
-    with pytest.raises(ConfigError):
-        signed_to_row(num, 0)
-    with pytest.raises(ConfigError):
-        signed_to_row(num, 25)
+@settings(max_examples=300, deadline=None)
+@given(n_fft=st.sampled_from((16, 64, 128, 4096)), comb_size=st.sampled_from((2, 4, 6, 12)),
+       data=st.data())
+def test_comb_subcarriers_match_row_based_definition(n_fft, comb_size, data):
+    n_active = data.draw(st.integers(comb_size, n_fft - 1), label="n_active")
+    offset = data.draw(st.integers(0, comb_size - 1), label="comb_offset")
+    num = small_num(n_fft=n_fft, n_cp=0, n_active=n_active)
+    prs = PrsConfig(comb_size, offset)
+    assert np.array_equal(comb_subcarriers(prs, num), row_based_comb(prs, num))
 
 
 # ---------------------------------------------------------------- modulation
@@ -166,6 +177,8 @@ def test_stream_length():
     assert stream.dtype == np.complex128
     with pytest.raises(ConfigError):
         ofdm_modulate(column, num, 0, CONVENTIONAL)
+    with pytest.raises(ValueError):
+        ofdm_modulate(column[:-1], num, 5, CONVENTIONAL)
 
 
 def test_continuous_single_tone_is_global_tone():
@@ -194,11 +207,10 @@ def test_demodulate_round_trip_conventional():
     prs = PrsConfig(2, 0, 3, 8)
     column = generate_prs_column(prs, num)
     stream = ofdm_modulate(column, num, prs.n_symbols, CONVENTIONAL)
-    bins = active_signed_indices(num) % num.n_fft
     for sym in range(prs.n_symbols):
         start = sym * num.symbol_samples + num.n_cp
         spectrum = ofdm_demodulate(stream, num, start)
-        assert np.max(np.abs(spectrum[bins] - column)) < 1e-10
+        assert np.max(np.abs(spectrum - column)) < 1e-10
 
 
 def test_continuous_any_window_keeps_bin_magnitude():
@@ -208,7 +220,7 @@ def test_continuous_any_window_keeps_bin_magnitude():
     aligned = np.abs(ofdm_demodulate(stream, num, num.n_cp))
     for start in (0, 1, 13, num.n_cp + 7, 2 * num.symbol_samples + 5):
         shifted = np.abs(ofdm_demodulate(stream, num, start))
-        for k in occupied_signed_indices(prs, num):
+        for k in comb_subcarriers(prs, num):
             b = int(k) % num.n_fft
             assert abs(shifted[b] - aligned[b]) < 1e-10
 
@@ -257,7 +269,7 @@ def test_modulator_matches_per_symbol_reference(n_fft, comb_size, seed, n_symbol
     num = small_num(n_fft=n_fft, n_cp=n_cp, n_active=n_active)
     prs = PrsConfig(comb_size, offset, n_symbols, seed)
     column = generate_prs_column(prs, num)
-    assert np.count_nonzero(column) == comb_rows(prs, num).size
+    assert np.count_nonzero(column) == comb_subcarriers(prs, num).size
     conv = ofdm_modulate(column, num, n_symbols, CONVENTIONAL)
     assert np.array_equal(conv, per_symbol_reference(column, num, n_symbols, CONVENTIONAL))
     cont = ofdm_modulate(column, num, n_symbols, CONTINUOUS)
