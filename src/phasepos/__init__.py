@@ -17,7 +17,7 @@ from .harness import (CdfResult, ScenarioConfig, TrialResult, compute_cdf, confi
                       emit_results, load_config, run_scenario, run_trial)
 from .receiver import PhaseMeasurement, ToaMeasurement, ccp_measure, estimate_toa, wrap_phase
 from .waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig, generate_prs_column,
-                       make_numerology, middle_subcarrier, ofdm_demodulate, ofdm_modulate)
+                       make_numerology, middle_subcarrier, ofdm_modulate)
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,7 @@ __all__ = [
     "add_awgn", "aoa_from_phase_diff", "apply_channel", "ccp_measure", "compute_cdf",
     "config_from_dict", "doppler_ppm", "double_difference", "draw_channel", "emit_results",
     "estimate_toa", "generate_prs_column", "ia_search", "load_config", "make_numerology",
-    "middle_subcarrier", "ofdm_demodulate", "ofdm_modulate", "phase_diff_for_angle",
+    "middle_subcarrier", "ofdm_modulate", "phase_diff_for_angle",
     "phase_to_fraction", "profile_preset", "run_scenario", "run_trial",
     "virtual_wavelength", "widelane_resolve", "wrap_phase",
 ]

@@ -129,14 +129,6 @@ class ChannelRealization:
 
     taps: list[tuple[float, complex]]
 
-    @property
-    def first_tap_delay_s(self) -> float:
-        return min(t for t, _ in self.taps)
-
-    @property
-    def total_power(self) -> float:
-        return float(sum(abs(g) ** 2 for _, g in self.taps))
-
 
 def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> ChannelRealization:
     """Draw one tapped-delay-line realization.

@@ -73,8 +73,9 @@ class ScenarioConfig:
     too large value, a finite SNR beyond ``MAX_ABS_SNR_DB``, more than
     ``MAX_SYMBOLS`` symbols, an unknown name, a repeated method, a profile
     override named twice or not read by the profile kind, more sweeps than
-    the stream has window positions, or a UE whose geometric delay plus the
-    profile's mean NLOS excess and delay spread reaches the comb's TOA range
+    the stream has window positions when ccp is measured (no other method
+    reads ``ccp_sweeps``), or a UE whose geometric delay plus the profile's
+    mean NLOS excess and delay spread reaches the comb's TOA range
     1 / (comb_size * scs).  The ccp windows are spread over the whole
     stream, so their spacing follows from ``n_symbols`` and
     ``ccp_sweeps``.  The TOA-bounded and widelane integer windows are
@@ -149,7 +150,7 @@ class ScenarioConfig:
             raise ConfigError("ccp_sweeps must be positive")
         if not 2 <= self.n_symbols <= MAX_SYMBOLS:
             raise ConfigError(f"n_symbols must lie in [2, {MAX_SYMBOLS}]")
-        if _ccp_windows(num, self.n_symbols, self.ccp_sweeps)[2] < 1:
+        if "ccp" in self.methods and _ccp_windows(num, self.n_symbols, self.ccp_sweeps)[2] < 1:
             raise ConfigError(f"{self.ccp_sweeps} sweeps do not fit in {self.n_symbols} symbols")
         PrsConfig(self.comb_size, self.comb_offset, self.n_symbols, self.prs_seed)  # comb checks
         # A comb-N pilot's correlation repeats every 1/(N scs) seconds, so a
@@ -297,9 +298,10 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list[TrialResult]:
     if workers < 1:
         raise ConfigError("workers must be positive")
     trials = range(cfg.n_trials)
+    workers = min(workers, cfg.n_trials, os.cpu_count() or 1)
     if workers == 1:
         return [run_trial(cfg, t) for t in trials]
-    with ProcessPoolExecutor(min(workers, cfg.n_trials, os.cpu_count() or 1)) as pool:
+    with ProcessPoolExecutor(workers) as pool:
         return list(pool.map(run_trial, [cfg] * cfg.n_trials, trials, chunksize=8))
 
 
@@ -368,12 +370,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        return ScenarioConfig(**raw)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, AttributeError, KeyError, OverflowError) as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
+    return ScenarioConfig(**raw)
 
 
 def load_config(path: str) -> ScenarioConfig:

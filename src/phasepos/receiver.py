@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoSignalError
-from .waveform import NumerologyConfig, PrsConfig, comb_subcarriers
+from .waveform import NumerologyConfig
 
 
 EARLY_PEAK_RATIO = 0.6     # first-arrival peak height / global correlation maximum
@@ -114,8 +114,7 @@ def estimate_toa(rx: np.ndarray, num: NumerologyConfig, reference: np.ndarray) -
 
 def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
                 n_sweeps: int, shift_samples: int,
-                ref_symbol: complex = 1.0 + 0.0j, window_start: int = 0,
-                prs: PrsConfig | None = None) -> PhaseMeasurement:
+                ref_symbol: complex = 1.0 + 0.0j, window_start: int = 0) -> PhaseMeasurement:
     """Carrier phase of one subcarrier averaged over swept FFT windows.
 
     Places ``n_sweeps`` FFT windows ``shift_samples`` apart starting at
@@ -133,14 +132,12 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
 
     Raises:
         ValueError: the sweep starts before or ends past the stream.
-        ConfigError: bad sweep parameters or unoccupied subcarrier.
+        ConfigError: bad sweep parameters.
         NoSignalError: a window saw an empty subcarrier bin.
     """
     if n_sweeps < 1 or shift_samples < 1:
         raise ConfigError("n_sweeps and shift_samples must be positive")
     k = int(subcarrier)
-    if prs is not None and k not in comb_subcarriers(prs, num):
-        raise ConfigError(f"subcarrier {k} is not occupied by the configured comb")
 
     span = (n_sweeps - 1) * shift_samples + num.n_fft
     end = window_start + span

@@ -7,9 +7,9 @@ Conventions used throughout:
   equal to the number of occupied subcarriers.
 - Subcarriers are addressed by *signed* index relative to DC.  DC itself is
   never occupied; an even allocation of K active subcarriers spans
-  -K/2 .. -1 and +1 .. +K/2.  A pilot column, like a demodulated spectrum,
-  is n_fft values in FFT-bin order: signed subcarrier k sits at bin
-  k % n_fft.
+  -K/2 .. -1 and +1 .. +K/2.  A pilot column, like the unitary FFT of any
+  n_fft window, is n_fft values in FFT-bin order: signed subcarrier k sits
+  at bin k % n_fft.
 - The pilot is block-type: one seeded column on every symbol.  "conventional"
   mode is plain CP-OFDM, one cyclic-prefixed symbol repeated.  "continuous"
   mode repeats the useful symbol with no prefix of its own, so every occupied
@@ -150,16 +150,3 @@ def ofdm_modulate(column: np.ndarray, num: NumerologyConfig, n_symbols: int,
     # useful symbol equals CP-OFDM with symbol l pre-rotated by
     # exp(+j 2 pi k (l+1) n_cp / n_fft), prefixes included.
     return np.resize(useful, n_symbols * num.symbol_samples)
-
-
-def ofdm_demodulate(x: np.ndarray, num: NumerologyConfig, window_start: int) -> np.ndarray:
-    """Unitary DFT of one n_fft window.  No derotation is applied here.
-
-    Returns the full n_fft spectrum in FFT bin order; signed subcarrier k
-    lives at bin k % n_fft.
-    """
-    if window_start < 0 or window_start + num.n_fft > len(x):
-        raise ValueError(
-            f"window [{window_start}, {window_start + num.n_fft}) out of range "
-            f"for stream of {len(x)} samples")
-    return np.fft.fft(x[window_start:window_start + num.n_fft]) / np.sqrt(num.n_fft)

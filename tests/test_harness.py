@@ -340,6 +340,15 @@ def test_workers_validated():
         run_scenario(FAST, workers=0)
 
 
+def test_sweep_fit_checked_only_when_ccp_is_measured():
+    # Two symbols hold cp's window [4672, 8768) exactly but not 1000 ccp sweeps.
+    for methods in (("toa",), ("toa", "cp")):
+        cfg = dataclasses.replace(FAST, methods=methods, n_symbols=2, ccp_sweeps=1000)
+        assert set(run_trial(cfg, 0).distance_error_m) == set(methods)
+    with pytest.raises(ConfigError, match="sweeps do not fit"):
+        dataclasses.replace(FAST, methods=("ccp",), n_symbols=2, ccp_sweeps=1000)
+
+
 def test_snr_bound_is_inclusive():
     for snr_db in (-harness.MAX_ABS_SNR_DB, harness.MAX_ABS_SNR_DB, float("inf")):
         assert dataclasses.replace(FAST, snr_db=snr_db).snr_db == snr_db
@@ -364,9 +373,13 @@ def test_pool_capped_at_trials_and_cpus(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-    results = run_scenario(FAST, workers=10**6)
-    assert sizes == [min(FAST.n_trials, os.cpu_count() or 1)]
-    assert results == run_scenario(FAST)
+    for n_trials, workers in ((FAST.n_trials, 10**6), (1, 2)):
+        cfg = dataclasses.replace(FAST, n_trials=n_trials)
+        sizes.clear()
+        results = run_scenario(cfg, workers=workers)
+        capped = min(workers, n_trials, os.cpu_count() or 1)
+        assert sizes == ([capped] if capped > 1 else [])   # one worker runs in this process
+        assert results == run_scenario(cfg)
 
 
 # Per-trial (distance error repr, integer, IA failure) of FAST under each
@@ -413,6 +426,32 @@ def test_trials_match_golden(mode):
     extra = {"widelane_second_fc_hz": 3.9e9} if mode == "widelane" else {}
     cfg = dataclasses.replace(FAST, ambiguity=mode, **extra)
     for trial, expected in enumerate(GOLDEN[mode]):
+        r = run_trial(cfg, trial)
+        for method, (error, integer, failed) in expected.items():
+            assert r.distance_error_m[method] == pytest.approx(float(error), abs=1e-9)
+            assert r.resolved_integer[method] == integer
+            assert r.ia_failure[method] is failed
+
+
+# Per-trial (distance error repr, integer, IA failure) of FAST at 128
+# symbols under TOA-bounded resolution: the default stream length, which
+# GOLDEN's 8-symbol streams do not reach.  Trial 2 pins cp and ccp IA failures.
+GOLDEN_128_SYMBOLS = [
+    {"toa": ("0.02116457952612194", None, False),
+     "cp": ("-0.0003784030565334717", 305, False),
+     "ccp": ("-0.0015934136520918685", 305, False)},
+    {"toa": ("-0.012025917580178458", None, False),
+     "cp": ("0.001926188455801281", 305, False),
+     "ccp": ("0.0014976243765829622", 305, False)},
+    {"toa": ("-0.08531756667933621", None, False),
+     "cp": ("-0.08034414777056753", 304, True),
+     "ccp": ("-0.07919230506272612", 304, True)},
+]
+
+
+def test_128_symbol_trials_match_golden():
+    cfg = dataclasses.replace(FAST, ambiguity="toa", n_symbols=128)
+    for trial, expected in enumerate(GOLDEN_128_SYMBOLS):
         r = run_trial(cfg, trial)
         for method, (error, integer, failed) in expected.items():
             assert r.distance_error_m[method] == pytest.approx(float(error), abs=1e-9)

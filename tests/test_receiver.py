@@ -3,8 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from phasepos.channel import ChannelRealization, Geometry, add_awgn, apply_channel, \
-    draw_channel, profile_preset
+from phasepos.channel import Geometry, add_awgn, apply_channel, draw_channel, profile_preset
 from phasepos.errors import ConfigError, NoSignalError
 from phasepos.receiver import ccp_measure, estimate_toa, wrap_phase
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig,
@@ -108,16 +107,6 @@ def test_phase_window_invariance_one_sample():
     assert abs(wrap_phase(a.phase_rad - b.phase_rad)) < 1e-9
 
 
-def test_phase_unoccupied_subcarrier_rejected():
-    num = small_num()
-    stream, k, ref = continuous_stream(num, 4, comb=6, offset=0)
-    prs = PrsConfig(6, 0, 4, 7)
-    bad = k + 1 if k + 1 != 0 else k + 2
-    for subcarrier in (bad, 0, 25):     # off the comb, DC, outside the allocation
-        with pytest.raises(ConfigError):
-            ccp_measure(stream, num, subcarrier, 1, 1, ref, 0, prs=prs)
-
-
 # --------------------------------------------------------------- ccp_measure
 
 def test_ccp_noiseless_matches_single_shot():
@@ -193,7 +182,7 @@ def test_ccp_matches_per_window_fft(mode, k, n_sweeps, shift, noise_seed, data):
 
     expected = fft_window_phase(rx, num, k, n_sweeps, shift, ref, start)
     assume(abs(expected) > 1e-6)    # the mean phase is undefined when phasors cancel
-    got = ccp_measure(rx, num, k, n_sweeps, shift, ref, start, prs=PROPERTY_PRS)
+    got = ccp_measure(rx, num, k, n_sweeps, shift, ref, start)
     assert abs(wrap_phase(got.phase_rad - np.angle(expected))) < 1e-9
     assert got.circular_variance == pytest.approx(1.0 - abs(expected), abs=1e-9)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from phasepos.errors import ConfigError
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig,
                                comb_subcarriers, generate_prs_column, make_numerology,
-                               middle_subcarrier, ofdm_demodulate, ofdm_modulate)
+                               middle_subcarrier, ofdm_modulate)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -209,7 +209,7 @@ def test_demodulate_round_trip_conventional():
     stream = ofdm_modulate(column, num, prs.n_symbols, CONVENTIONAL)
     for sym in range(prs.n_symbols):
         start = sym * num.symbol_samples + num.n_cp
-        spectrum = ofdm_demodulate(stream, num, start)
+        spectrum = np.fft.fft(stream[start:start + num.n_fft]) / np.sqrt(num.n_fft)
         assert np.max(np.abs(spectrum - column)) < 1e-10
 
 
@@ -217,22 +217,16 @@ def test_continuous_any_window_keeps_bin_magnitude():
     num = small_num()
     prs = PrsConfig(6, 3, 4, 21)
     stream = ofdm_modulate(generate_prs_column(prs, num), num, prs.n_symbols, CONTINUOUS)
-    aligned = np.abs(ofdm_demodulate(stream, num, num.n_cp))
+
+    def bins(s):
+        return np.abs(np.fft.fft(stream[s:s + num.n_fft]) / np.sqrt(num.n_fft))
+
+    aligned = bins(num.n_cp)
     for start in (0, 1, 13, num.n_cp + 7, 2 * num.symbol_samples + 5):
-        shifted = np.abs(ofdm_demodulate(stream, num, start))
+        shifted = bins(start)
         for k in comb_subcarriers(prs, num):
             b = int(k) % num.n_fft
             assert abs(shifted[b] - aligned[b]) < 1e-10
-
-
-def test_window_out_of_bounds():
-    num = small_num()
-    stream = ofdm_modulate(generate_prs_column(PrsConfig(2, 0, 1, 0), num), num, 1,
-                           CONVENTIONAL)
-    with pytest.raises(ValueError):
-        ofdm_demodulate(stream, num, len(stream) - num.n_fft + 1)
-    with pytest.raises(ValueError):
-        ofdm_demodulate(stream, num, -1)
 
 
 @pytest.mark.parametrize("mode", [CONVENTIONAL, CONTINUOUS])
