@@ -3,8 +3,8 @@
 Distance maps to phase through d = (N + fraction) * wavelength with
 fraction = ((-phase) mod 2 pi) / 2 pi, consistent with the delay =>
 negative-phase convention used by the channel and receiver.  ``ia_search``
-is the one integer search: the oracle, TOA-bounded and widelane modes all
-call it with a window in metres.
+is the one integer search; ``resolve`` picks each IA mode's window for it
+and judges the resolved integer against the truth.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT
 from .errors import AmbiguityError
 from .receiver import wrap_phase
+
+IA_MODES = ("oracle", "toa", "widelane")
+
 
 @dataclass(frozen=True)
 class CarrierRange:
@@ -111,6 +114,33 @@ def widelane_resolve(range1: CarrierRange, range2: CarrierRange,
     frac_v = (fine.fractional_cycles - coarse.fractional_cycles) % 1.0
     wide = ia_search(CarrierRange(lam_v, frac_v), coarse_distance_m, k_sigma * coarse_sigma_m)
     return ia_search(fine, wide.distance_m, lam_v / 4.0)
+
+
+def resolve(mode: str, fractions: list[CarrierRange], truth_m: float, toa_s: float | None,
+            sample_rate_hz: float, k_sigma: float) -> tuple[CarrierRange | None, bool]:
+    """(range, IA failure) of ``fractions`` (band carrier, then widelane's second) under ``mode``.
+
+    The oracle searches +-lambda around the truth; toa and widelane search
+    ``k_sigma`` one-sample TOA stds, 1 / (fs sqrt(12)), around ``toa_s``.  No
+    candidate gives (None, True); else the IA fails unless the integer is the
+    one nearest the truth on its own wavelength.  ValueError for an unknown mode.
+    """
+    if mode not in IA_MODES:
+        raise ValueError(f"ambiguity mode must be one of {IA_MODES}, got {mode!r}")
+    std_s = 1.0 / (sample_rate_hz * np.sqrt(12.0))
+    try:
+        if mode == "oracle":   # wrap-aware: noise past an integer boundary takes the neighbour
+            resolved = ia_search(fractions[0], truth_m, fractions[0].wavelength_m)
+        elif mode == "toa":
+            resolved = ia_search(fractions[0], toa_s * SPEED_OF_LIGHT,
+                                 k_sigma * std_s * SPEED_OF_LIGHT)
+        else:
+            resolved = widelane_resolve(fractions[0], fractions[1], toa_s * SPEED_OF_LIGHT,
+                                        std_s * SPEED_OF_LIGHT, k_sigma)
+    except AmbiguityError:
+        return None, True
+    nearest = ia_search(resolved, truth_m, resolved.wavelength_m)   # on widelane's finer carrier
+    return resolved, resolved.integer_cycles != nearest.integer_cycles
 
 
 def double_difference(phases_rad: np.ndarray) -> float:

@@ -192,10 +192,13 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     """Stream ``x`` plus circularly symmetric white noise at the given SNR.
 
     snr_db = +inf is the noiseless sentinel and returns a copy of ``x``.
-    SNR is referenced to the mean power of the incoming samples.
+    SNR is referenced to the mean power of the incoming samples.  A NaN or
+    -inf SNR is a ``ConfigError``.
     """
-    if math.isinf(snr_db) and snr_db > 0:
+    if snr_db == math.inf:
         return x.copy()
+    if not math.isfinite(snr_db):
+        raise ConfigError(f"snr_db must be finite or +inf, got {snr_db!r}")
     power = float(np.mean(np.abs(x) ** 2))
     if power == 0.0:
         raise NoSignalError("cannot scale noise against a zero-power signal")

@@ -1,8 +1,9 @@
 """Error types shared across the simulator, and the one type check of a config number.
 
-``Geometry``, ``ScenarioProfile`` and ``ScenarioConfig`` read every number
-through ``as_real`` or ``as_int``, so a bool, a string or an int too large for
-a float is a ``ConfigError`` whichever constructor it reaches.
+``Geometry``, ``ScenarioProfile``, ``NumerologyConfig``, ``PrsConfig`` and
+``ScenarioConfig`` read every number through ``as_real`` or ``as_int``, so a
+bool, a string or an int too large for a float is a ``ConfigError`` whichever
+constructor it reaches.
 """
 
 import numbers

@@ -4,10 +4,7 @@ Per trial the harness draws one channel realization and measures every
 requested method against it: TOA on the conventional waveform, and carrier
 phase on the continuous waveform through ``ccp_measure``, whose window plan
 is one window for cp and a stream-spanning sweep for ccp.  Each phase is
-resolved to a range by the configured ambiguity mode (oracle, TOA-bounded
-search or two-carrier widelane), each of them a call to ``ia_search``; the
-oracle's search, centred on the true distance, also decides whether a
-resolved integer is an IA failure.
+resolved to a range, and judged for IA failure, by ``ambiguity.resolve``.
 Per-trial seeds are split deterministically from the master seed, so results
 are independent of worker count and execution order.
 
@@ -31,21 +28,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ambiguity import CarrierRange, ia_search, phase_to_fraction, widelane_resolve
+from .ambiguity import IA_MODES, phase_to_fraction, resolve
 from .channel import (Geometry, ScenarioProfile, add_awgn, apply_channel, draw_channel,
                       profile_preset)
 from .constants import SPEED_OF_LIGHT
-from .errors import AmbiguityError, ConfigError, as_int, as_real
+from .errors import ConfigError, as_int, as_real
 from .receiver import ccp_measure, estimate_toa
 from .waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig, generate_prs_column,
                        make_numerology, middle_subcarrier, ofdm_modulate)
 
 METHODS = ("toa", "cp", "ccp")
-IA_MODES = ("oracle", "toa", "widelane")
 MAX_ABS_SNR_DB = 300.0   # far past any link; 10 ** (snr_db / 10) overflows near 3083 dB
 MAX_SYMBOLS = 1024       # 8x the default; one FR1 stream of this length is 72 MB
-_INT_FIELDS = ("n_trials", "ccp_sweeps", "n_symbols", "master_seed", "comb_size", "comb_offset",
-               "prs_seed")
+_INT_FIELDS = ("n_trials", "ccp_sweeps", "n_symbols", "master_seed")
 
 
 def _ccp_windows(num: NumerologyConfig, n_symbols: int, n_sweeps: int) -> tuple[int, int, int]:
@@ -78,9 +73,7 @@ class ScenarioConfig:
     mean NLOS excess and delay spread reaches the comb's TOA range
     1 / (comb_size * scs).  The ccp windows are spread over the whole
     stream, so their spacing follows from ``n_symbols`` and
-    ``ccp_sweeps``.  The TOA-bounded and widelane integer windows are
-    ``k_sigma`` times the std of a uniform error over one sample,
-    1 / (sample_rate * sqrt(12)), on either side of the TOA.
+    ``ccp_sweeps``.
     """
 
     band: str = "FR1"
@@ -121,8 +114,8 @@ class ScenarioConfig:
             raise ConfigError("profile_overrides must map each profile field name to one value")
         for name in _INT_FIELDS:
             as_int(name, getattr(self, name))
-        if self.master_seed < 0 or self.prs_seed < 0:
-            raise ConfigError("master_seed and prs_seed must be nonnegative")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be nonnegative")
         snr = as_real("snr_db", self.snr_db)
         if not (snr == math.inf or abs(snr) <= MAX_ABS_SNR_DB):
             raise ConfigError(f"snr_db must lie within +-{MAX_ABS_SNR_DB:g} dB or be +inf "
@@ -152,7 +145,7 @@ class ScenarioConfig:
             raise ConfigError(f"n_symbols must lie in [2, {MAX_SYMBOLS}]")
         if "ccp" in self.methods and _ccp_windows(num, self.n_symbols, self.ccp_sweeps)[2] < 1:
             raise ConfigError(f"{self.ccp_sweeps} sweeps do not fit in {self.n_symbols} symbols")
-        PrsConfig(self.comb_size, self.comb_offset, self.n_symbols, self.prs_seed)  # comb checks
+        PrsConfig(self.comb_size, self.comb_offset, self.n_symbols, self.prs_seed)  # comb and seed
         # A comb-N pilot's correlation repeats every 1/(N scs) seconds, so a
         # path arriving later aliases onto a short TOA.  The geometric delay
         # plus the mean NLOS excess and one delay spread must stay inside.
@@ -195,7 +188,6 @@ class _Assets:
     subcarrier: int
     ref_symbol: complex
     windows: dict[str, tuple[int, int, int]]   # method -> (start, n_sweeps, shift)
-    toa_std_s: float
 
 
 @lru_cache(maxsize=8)
@@ -207,6 +199,8 @@ def _build_assets(cfg: ScenarioConfig) -> _Assets:
     column = generate_prs_column(prs, num)
     tx_conv = ofdm_modulate(column, num, prs.n_symbols, CONVENTIONAL)
     tx_cont = ofdm_modulate(column, num, prs.n_symbols, CONTINUOUS)
+    for stream in (tx_conv, tx_cont):   # cached: every trial of the scenario reads them
+        stream.flags.writeable = False
     k = middle_subcarrier(prs, num)
     ref = complex(column[k % num.n_fft])
 
@@ -217,15 +211,12 @@ def _build_assets(cfg: ScenarioConfig) -> _Assets:
         fc2 = float(cfg.widelane_second_fc_hz)
         carriers += (dataclasses.replace(num, carrier_frequency_hz=fc2),)
 
-    # The std of a uniform error over one sample; k_sigma scales it.
-    toa_std = 1.0 / (num.sample_rate_hz * np.sqrt(12.0))
-
     # cp: one window on symbol 1's useful part, clear of the stream head
     # where the circular channel wraps.
     windows = {"cp": (num.symbol_samples + num.n_cp, 1, 1),
                "ccp": _ccp_windows(num, cfg.n_symbols, cfg.ccp_sweeps)}
     profile = profile_preset(cfg.profile, **dict(cfg.profile_overrides))
-    return _Assets(num, profile, tx_conv, tx_cont, carriers, k, ref, windows, toa_std)
+    return _Assets(num, profile, tx_conv, tx_cont, carriers, k, ref, windows)
 
 
 def _trial_seeds(master_seed: int, trial: int) -> np.ndarray:
@@ -244,13 +235,12 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
     integers: dict[str, int | None] = {}
     failures: dict[str, bool] = {}
 
-    need_toa = "toa" in cfg.methods or cfg.ambiguity in ("toa", "widelane")
-    toa = None
-    if need_toa:
+    toa_s = None
+    if "toa" in cfg.methods or cfg.ambiguity in ("toa", "widelane"):
         rx = add_awgn(apply_channel(assets.tx_conv, assets.num, channel), cfg.snr_db, toa_seed)
-        toa = estimate_toa(rx, assets.num, assets.tx_conv)
+        toa_s = estimate_toa(rx, assets.num, assets.tx_conv).toa_s
         if "toa" in cfg.methods:
-            errors["toa"] = toa.toa_s * SPEED_OF_LIGHT - d_true
+            errors["toa"] = toa_s * SPEED_OF_LIGHT - d_true
             integers["toa"] = None
             failures["toa"] = False
 
@@ -259,36 +249,16 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
         received = [(add_awgn(apply_channel(assets.tx_cont, c, channel), cfg.snr_db, seed),
                      c.carrier_frequency_hz + assets.subcarrier * c.scs_hz)
                     for c, seed in zip(assets.carriers, (cp_seed, wl_seed))]
-
-        def nearest_truth(fraction: CarrierRange) -> CarrierRange:
-            # Wrap-aware: a fraction that noise pushed past an integer boundary
-            # gets the neighbouring integer, so oracle errors are phase noise only.
-            return ia_search(fraction, d_true, fraction.wavelength_m)
-
-        resolvers = {
-            "oracle": lambda fracs: nearest_truth(fracs[0]),
-            "toa": lambda fracs: ia_search(fracs[0], toa.toa_s * SPEED_OF_LIGHT,
-                                           cfg.k_sigma * assets.toa_std_s * SPEED_OF_LIGHT),
-            "widelane": lambda fracs: widelane_resolve(
-                fracs[0], fracs[1], toa.toa_s * SPEED_OF_LIGHT,
-                assets.toa_std_s * SPEED_OF_LIGHT, cfg.k_sigma),
-        }
-
         for method in phase_methods:
             start, sweeps, shift = assets.windows[method]
             fracs = [phase_to_fraction(ccp_measure(rx, assets.num, assets.subcarrier, sweeps,
                                                    shift, assets.ref_symbol, start).phase_rad,
                                        f_eff)
                      for rx, f_eff in received]
-            try:
-                resolved = resolvers[cfg.ambiguity](fracs)
-            except AmbiguityError:
-                errors[method], integers[method], failures[method] = np.nan, None, True
-                continue
-            errors[method] = resolved.distance_m - d_true
-            integers[method] = resolved.integer_cycles
-            # The resolved range may sit on the second carrier's wavelength.
-            failures[method] = resolved.integer_cycles != nearest_truth(resolved).integer_cycles
+            resolved, failures[method] = resolve(cfg.ambiguity, fracs, d_true, toa_s,
+                                                 assets.num.sample_rate_hz, cfg.k_sigma)
+            errors[method] = np.nan if resolved is None else resolved.distance_m - d_true
+            integers[method] = None if resolved is None else resolved.integer_cycles
 
     return TrialResult(trial, errors, integers, failures)
 

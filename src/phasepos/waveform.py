@@ -22,11 +22,12 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_int, as_real
 
 CONVENTIONAL = "conventional"
 CONTINUOUS = "continuous"
@@ -45,13 +46,16 @@ class NumerologyConfig:
     n_active_subcarriers: int
 
     def __post_init__(self) -> None:
-        if self.carrier_frequency_hz <= 0 or self.scs_hz <= 0:
-            raise ConfigError("carrier frequency and subcarrier spacing must be positive")
-        if self.n_fft <= 0 or (self.n_fft & (self.n_fft - 1)) != 0:
-            raise ConfigError(f"n_fft must be a positive power of two, got {self.n_fft}")
-        if not 0 <= self.n_cp < self.n_fft:
+        if not all(0 < as_real(name, getattr(self, name)) < math.inf
+                   for name in ("carrier_frequency_hz", "scs_hz")):
+            raise ConfigError("carrier_frequency_hz and scs_hz must be finite and positive")
+        n_fft, n_cp, n_active = (as_int(name, getattr(self, name))
+                                 for name in ("n_fft", "n_cp", "n_active_subcarriers"))
+        if n_fft <= 0 or (n_fft & (n_fft - 1)) != 0:
+            raise ConfigError(f"n_fft must be a positive power of two, got {n_fft}")
+        if not 0 <= n_cp < n_fft:
             raise ConfigError("n_cp must satisfy 0 <= n_cp < n_fft")
-        if not 0 < self.n_active_subcarriers <= self.n_fft - 1:
+        if not 0 < n_active <= n_fft - 1:
             raise ConfigError("active subcarriers must fit in the FFT with DC excluded")
 
     @property
@@ -74,12 +78,17 @@ class PrsConfig:
     sequence_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.comb_size not in _COMB_SIZES:
+        comb_size, comb_offset, n_symbols, seed = (
+            as_int(name, getattr(self, name))
+            for name in ("comb_size", "comb_offset", "n_symbols", "sequence_seed"))
+        if comb_size not in _COMB_SIZES:
             raise ConfigError(f"comb_size must be one of {_COMB_SIZES}")
-        if not 0 <= self.comb_offset < self.comb_size:
+        if not 0 <= comb_offset < comb_size:
             raise ConfigError("comb_offset must lie in [0, comb_size)")
-        if self.n_symbols < 1:
+        if n_symbols < 1:
             raise ConfigError("n_symbols must be positive")
+        if seed < 0:
+            raise ConfigError("sequence_seed must be nonnegative")
 
 
 def make_numerology(band: str) -> NumerologyConfig:

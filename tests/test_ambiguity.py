@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasepos.ambiguity import (CarrierRange, double_difference, ia_search, phase_to_fraction,
-                                virtual_wavelength, widelane_resolve)
+from phasepos import harness
+from phasepos.ambiguity import (IA_MODES, CarrierRange, double_difference, ia_search,
+                                phase_to_fraction, resolve, virtual_wavelength, widelane_resolve)
 from phasepos.channel import Geometry
 from phasepos.constants import SPEED_OF_LIGHT
 from phasepos.errors import AmbiguityError
@@ -276,6 +277,55 @@ def test_widelane_validates_sigma():
     for sigma, k in ((0.0, 3.0), (0.3, 0.0), (-0.3, -3.0)):
         with pytest.raises(ValueError):
             widelane_resolve(r1, r2, 24.0, sigma, k)
+
+
+# ---------------------------------------------------------------- resolve
+
+FS = 122.88e6   # the FR1 sample rate
+STD_S = 1.0 / (FS * np.sqrt(12.0))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(IA_MODES), st.floats(0.5, 200.0), st.sampled_from([(F1, F2), (F2, F1)]),
+       st.floats(-2.0, 2.0), st.floats(0.01, 20.0), st.floats(-0.2, 0.2), st.floats(-0.2, 0.2))
+def test_resolve_is_the_mode_search(mode, distance_m, carriers, toa_offset_m, k_sigma,
+                                    noise1, noise2):
+    fracs = [phase_to_fraction(exact_phase(distance_m, fc) + 2 * np.pi * noise, fc)
+             for fc, noise in zip(carriers, (noise1, noise2))]
+    toa_s = (distance_m + toa_offset_m) / SPEED_OF_LIGHT
+    direct = {
+        "oracle": lambda: ia_search(fracs[0], distance_m, fracs[0].wavelength_m),
+        "toa": lambda: ia_search(fracs[0], toa_s * SPEED_OF_LIGHT,
+                                 k_sigma * STD_S * SPEED_OF_LIGHT),
+        "widelane": lambda: widelane_resolve(fracs[0], fracs[1], toa_s * SPEED_OF_LIGHT,
+                                             STD_S * SPEED_OF_LIGHT, k_sigma),
+    }[mode]
+    try:
+        expected = direct()
+    except AmbiguityError:
+        expected = None
+    resolved, failed = resolve(mode, fracs, distance_m, toa_s, FS, k_sigma)
+    assert resolved == expected
+    if expected is None:
+        assert failed
+        return
+    # Phase noise stays under half a cycle, so rounding finds the truth's integer.
+    nearest = round(distance_m / resolved.wavelength_m - resolved.fractional_cycles)
+    assert failed == (resolved.integer_cycles != nearest)
+    assert not (mode == "oracle" and failed)
+
+
+def test_resolve_empty_window_is_a_failure():
+    lam = SPEED_OF_LIGHT / F1
+    # The only candidates sit half a wavelength from the TOA, outside +-0.007 m.
+    fracs = [CarrierRange(lam, 0.5)]
+    assert resolve("toa", fracs, 300.5 * lam, 300 * lam / SPEED_OF_LIGHT, FS, 0.01) == (None, True)
+
+
+def test_resolve_rejects_unknown_mode():
+    assert harness.IA_MODES is IA_MODES
+    with pytest.raises(ValueError):
+        resolve("nearest", [CarrierRange(0.08, 0.25)], 24.0, None, FS, 3.0)
 
 
 # ---------------------------------------------------------------- differencing

@@ -206,6 +206,12 @@ def test_awgn_zero_power_rejected():
         add_awgn(tx, 10.0, seed=0)
 
 
+@pytest.mark.parametrize("snr_db", [float("nan"), -math.inf])
+def test_awgn_non_finite_snr_rejected(snr_db):
+    with pytest.raises(ConfigError):
+        add_awgn(np.ones(64, dtype=complex), snr_db, seed=0)
+
+
 # ------------------------------------------------------- doppler and offsets
 
 def test_doppler_ppm_values():

@@ -459,6 +459,14 @@ def test_128_symbol_trials_match_golden():
             assert r.ia_failure[method] is failed
 
 
+def test_cached_streams_are_read_only():
+    # Every trial of a scenario reads the same cached streams.
+    assets = harness._build_assets(FAST)
+    for stream in (assets.tx_conv, assets.tx_cont):
+        with pytest.raises(ValueError):
+            stream[0] = stream[0]
+
+
 def test_widelane_trial_full_waveform():
     # Noiseless two-carrier trial through the whole signal chain: the beat
     # integer plus the fine search land on the exact geometric distance.

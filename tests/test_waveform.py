@@ -145,6 +145,20 @@ def test_bad_comb_rejected():
         PrsConfig(comb_size=5, comb_offset=0, n_symbols=1, sequence_seed=0)
     with pytest.raises(ConfigError):
         PrsConfig(comb_size=6, comb_offset=6, n_symbols=1, sequence_seed=0)
+    # Wrongly typed or negative numbers, each of which once built a PrsConfig.
+    for args in ((6.0, 0, 1, 7), (6, 0.0, 1, 7), (6, 0, 1.5, 7), (6, 0, 1, -1), (6, 0, 1, "x")):
+        with pytest.raises(ConfigError):
+            PrsConfig(*args)
+
+
+@pytest.mark.parametrize("changes", [
+    {"fc": "3.8e9"}, {"fc": float("nan")}, {"fc": float("inf")}, {"fc": True},
+    {"scs": float("nan")}, {"scs": float("inf")},
+    {"n_fft": 8.0}, {"n_cp": 9.0}, {"n_active": 48.0},
+])
+def test_bad_numerology_rejected(changes):
+    with pytest.raises(ConfigError):
+        small_num(**changes)
 
 
 def test_middle_subcarrier_closest_to_dc():
