@@ -22,8 +22,12 @@ from .errors import ConfigError, NoSignalError, as_int, as_real
 from .waveform import NumerologyConfig
 
 # 25 clusters x 20 rays, the largest ray count of TR 38.901's InF model;
-# ``apply_channel`` loops over the taps, so the count bounds a trial's time.
+# ``ChannelRealization.response`` loops over the taps, so the count bounds a
+# trial's time.
 MAX_CLUTTER_TAPS = 500
+# Bound on a finite dB figure (Rician K, SNR): far past any link, while
+# 10 ** (x / 10) overflows near 3083 dB.
+MAX_ABS_DB = 300.0
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,10 @@ class ScenarioProfile:
             raise ConfigError("rms_delay_spread_s must be finite and positive")
         if not 1 <= as_int("n_clutter_taps", self.n_clutter_taps) <= MAX_CLUTTER_TAPS:
             raise ConfigError(f"n_clutter_taps must be an integer in [1, {MAX_CLUTTER_TAPS}]")
-        if self.is_los and math.isnan(as_real("rician_k_db", self.rician_k_db)):
-            raise ConfigError("rician_k_db must not be NaN")
+        if self.is_los and not (as_real("rician_k_db", self.rician_k_db) == math.inf
+                                or abs(self.rician_k_db) <= MAX_ABS_DB):
+            raise ConfigError(f"rician_k_db must lie within +-{MAX_ABS_DB:g} dB or be +inf "
+                              f"(no clutter), got {self.rician_k_db!r}")
         excess = self.nlos_excess_delay_mean_s
         if not (self.is_los or 0 < as_real("nlos_excess_delay_mean_s", excess) < math.inf):
             raise ConfigError("nlos_excess_delay_mean_s must be finite and positive")
@@ -123,11 +129,21 @@ def profile_preset(kind: str, /, **overrides) -> ScenarioProfile:
     return ScenarioProfile(kind=kind, **params)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)     # a generated == or hash over arrays is ambiguous
 class ChannelRealization:
-    """One drawn tapped-delay-line: (delay_s, complex gain) per tap."""
+    """One drawn tapped-delay-line: tap i delays by ``delays_s[i]`` and scales by ``gains[i]``."""
 
-    taps: list[tuple[float, complex]]
+    delays_s: np.ndarray      # float64
+    gains: np.ndarray         # complex128
+
+    def response(self, num: NumerologyConfig, baseband_hz):
+        """Sum of g_i exp(-j 2 pi (f_c + f) tau_i) at baseband f (scalar or array), f_c of num."""
+        out = np.zeros(np.shape(baseband_hz), dtype=np.complex128)
+        # Python scalars: a numpy complex128 scalar times an array rounds differently.
+        for tau, gain in zip(self.delays_s.tolist(), self.gains.tolist()):
+            out += gain * np.exp(-2j * np.pi * (num.carrier_frequency_hz * tau
+                                                + baseband_hz * tau))
+        return out
 
 
 def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> ChannelRealization:
@@ -143,8 +159,8 @@ def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> Cha
     rng = np.random.default_rng(seed)
     tau0 = geometry.true_delay_s
 
-    if profile.is_los and math.isinf(profile.rician_k_db):
-        return ChannelRealization([(tau0, 1.0 + 0.0j)])
+    if profile.is_los and profile.rician_k_db == math.inf:
+        return ChannelRealization(np.array([tau0]), np.array([1.0 + 0.0j]))
 
     n = profile.n_clutter_taps
     if profile.is_los:
@@ -165,11 +181,10 @@ def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> Cha
                                          + 1j * rng.standard_normal(delays.size))
     gains *= np.sqrt(clutter_power / np.sum(np.abs(gains) ** 2))
 
-    taps = []
     if direct_power > 0.0:
-        taps.append((tau0, complex(np.sqrt(direct_power))))
-    taps.extend((float(t), complex(g)) for t, g in zip(delays, gains))
-    return ChannelRealization(taps)
+        delays = np.concatenate([[tau0], delays])
+        gains = np.concatenate([[np.sqrt(direct_power)], gains])
+    return ChannelRealization(delays, gains)
 
 
 def apply_channel(x: np.ndarray, num: NumerologyConfig,
@@ -179,13 +194,8 @@ def apply_channel(x: np.ndarray, num: NumerologyConfig,
     Delays are applied as exp(-j 2 pi (f_c + f) tau) over the stream's DFT,
     f_c and the sample rate from ``num``, so fractional delays are exact.
     """
-    n = len(x)
-    freqs = np.fft.fftfreq(n, d=1.0 / num.sample_rate_hz)
-    response = np.zeros(n, dtype=np.complex128)
-    for tau, gain in channel.taps:
-        response += gain * np.exp(-2j * np.pi * (num.carrier_frequency_hz * tau
-                                                 + freqs * tau))
-    return np.fft.ifft(np.fft.fft(x) * response)
+    freqs = np.fft.fftfreq(len(x), d=1.0 / num.sample_rate_hz)
+    return np.fft.ifft(np.fft.fft(x) * channel.response(num, freqs))
 
 
 def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:

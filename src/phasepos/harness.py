@@ -29,8 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .ambiguity import IA_MODES, phase_to_fraction, resolve
-from .channel import (Geometry, ScenarioProfile, add_awgn, apply_channel, draw_channel,
-                      profile_preset)
+from .channel import (MAX_ABS_DB, Geometry, ScenarioProfile, add_awgn, apply_channel,
+                      draw_channel, profile_preset)
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, as_int, as_real
 from .receiver import ccp_measure, estimate_toa
@@ -38,7 +38,6 @@ from .waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig, ge
                        make_numerology, middle_subcarrier, ofdm_modulate)
 
 METHODS = ("toa", "cp", "ccp")
-MAX_ABS_SNR_DB = 300.0   # far past any link; 10 ** (snr_db / 10) overflows near 3083 dB
 MAX_SYMBOLS = 1024       # 8x the default; one FR1 stream of this length is 72 MB
 _INT_FIELDS = ("n_trials", "ccp_sweeps", "n_symbols", "master_seed")
 
@@ -65,15 +64,15 @@ class ScenarioConfig:
     tuple of (name, value) pairs sorted by name.  Construction (including
     ``dataclasses.replace``) validates every field and raises
     ``ConfigError`` on any other shape, a wrongly typed, non-finite or
-    too large value, a finite SNR beyond ``MAX_ABS_SNR_DB``, more than
-    ``MAX_SYMBOLS`` symbols, an unknown name, a repeated method, a profile
-    override named twice or not read by the profile kind, more sweeps than
-    the stream has window positions when ccp is measured (no other method
-    reads ``ccp_sweeps``), or a UE whose geometric delay plus the profile's
-    mean NLOS excess and delay spread reaches the comb's TOA range
-    1 / (comb_size * scs).  The ccp windows are spread over the whole
-    stream, so their spacing follows from ``n_symbols`` and
-    ``ccp_sweeps``.
+    too large value, a finite SNR beyond ``MAX_ABS_DB``, a widelane carrier
+    at or below half the sample rate, more than ``MAX_SYMBOLS`` symbols, an
+    unknown name, a repeated method, a profile override named twice or not
+    read by the profile kind, more sweeps than the stream has window
+    positions when ccp is measured (no other method reads ``ccp_sweeps``),
+    or a UE whose geometric delay plus the profile's mean NLOS excess and
+    delay spread reaches the comb's TOA range 1 / (comb_size * scs).  The
+    ccp windows are spread over the whole stream, so their spacing follows
+    from ``n_symbols`` and ``ccp_sweeps``.
     """
 
     band: str = "FR1"
@@ -117,8 +116,8 @@ class ScenarioConfig:
         if self.master_seed < 0:
             raise ConfigError("master_seed must be nonnegative")
         snr = as_real("snr_db", self.snr_db)
-        if not (snr == math.inf or abs(snr) <= MAX_ABS_SNR_DB):
-            raise ConfigError(f"snr_db must lie within +-{MAX_ABS_SNR_DB:g} dB or be +inf "
+        if not (snr == math.inf or abs(snr) <= MAX_ABS_DB):
+            raise ConfigError(f"snr_db must lie within +-{MAX_ABS_DB:g} dB or be +inf "
                               f"(noiseless), got {snr!r}")
         for name in ("k_sigma", "widelane_second_fc_hz"):
             value = getattr(self, name)
@@ -139,6 +138,8 @@ class ScenarioConfig:
         num = make_numerology(self.band)
         if self.widelane_second_fc_hz == num.carrier_frequency_hz:
             raise ConfigError("widelane_second_fc_hz must differ from the band carrier")
+        if self.widelane_second_fc_hz is not None:   # the carrier rule of the numerology
+            dataclasses.replace(num, carrier_frequency_hz=self.widelane_second_fc_hz)
         if self.ccp_sweeps < 1:
             raise ConfigError("ccp_sweeps must be positive")
         if not 2 <= self.n_symbols <= MAX_SYMBOLS:

@@ -41,7 +41,7 @@ def wrap_phase(phase: float | np.ndarray):
 
 
 def estimate_toa(rx: np.ndarray, num: NumerologyConfig, reference: np.ndarray) -> ToaMeasurement:
-    """First-arrival TOA from the normalized circular cross-correlation.
+    """First-arrival TOA from the circular cross-correlation.
 
     Lags up to half the stream duration are searched.  The earliest local
     maximum whose height reaches ``EARLY_PEAK_RATIO`` times the global
@@ -60,17 +60,13 @@ def estimate_toa(rx: np.ndarray, num: NumerologyConfig, reference: np.ndarray) -
 
     Raises:
         ValueError: the two streams differ in length.
-        NoSignalError: no energy or no correlation peak.
+        NoSignalError: no correlation peak.
     """
     n = len(rx)
     if len(reference) != n:
         raise ValueError(f"received stream has {n} samples, reference {len(reference)}")
-    energy = np.linalg.norm(rx) * np.linalg.norm(reference)
-    if energy == 0.0:
-        raise NoSignalError("correlation input has no energy")
-
     cross_spectrum = np.fft.fft(rx) * np.conj(np.fft.fft(reference))
-    corr = np.abs(np.fft.ifft(cross_spectrum)) / energy
+    corr = np.abs(np.fft.ifft(cross_spectrum))
 
     horizon = n // 2
     window = corr[:horizon + 1]
@@ -100,7 +96,6 @@ def estimate_toa(rx: np.ndarray, num: NumerologyConfig, reference: np.ndarray) -
     for i in range(lags.size):
         fine[i] = np.abs(ramp.sum())
         ramp *= step
-    fine /= n * energy
     q = int(np.argmax(fine))
     sub = 0.0
     if 0 < q < fine.size - 1:

@@ -37,7 +37,11 @@ _COMB_SIZES = (2, 4, 6, 12)
 
 @dataclass(frozen=True)
 class NumerologyConfig:
-    """Static OFDM dimensioning for one carrier; the sample rate is scs_hz * n_fft."""
+    """Static OFDM dimensioning for one carrier; the sample rate is scs_hz * n_fft.
+
+    The carrier must exceed half the sample rate, so every subcarrier sits at a
+    positive frequency; ``ConfigError`` otherwise or for a malformed field.
+    """
 
     carrier_frequency_hz: float
     scs_hz: float                 # subcarrier spacing
@@ -57,6 +61,10 @@ class NumerologyConfig:
             raise ConfigError("n_cp must satisfy 0 <= n_cp < n_fft")
         if not 0 < n_active <= n_fft - 1:
             raise ConfigError("active subcarriers must fit in the FFT with DC excluded")
+        if not self.carrier_frequency_hz > self.sample_rate_hz / 2:
+            raise ConfigError(f"carrier {self.carrier_frequency_hz:g} Hz must exceed half the "
+                              f"sample rate, {self.sample_rate_hz / 2:g} Hz, so that every "
+                              f"subcarrier has a positive frequency")
 
     @property
     def sample_rate_hz(self) -> float:

@@ -7,7 +7,9 @@ from phasepos.channel import (ChannelRealization, Geometry, ScenarioProfile, add
                               apply_channel, doppler_ppm, draw_channel, profile_preset)
 from phasepos.constants import SPEED_OF_LIGHT
 from phasepos.errors import ConfigError, NoSignalError
-from phasepos.waveform import make_numerology
+from phasepos.receiver import ccp_measure
+from phasepos.waveform import (CONTINUOUS, PrsConfig, generate_prs_column, make_numerology,
+                               middle_subcarrier, ofdm_modulate)
 
 GNB = (100.0, 100.0, 15.0)
 UE = (120.0, 100.0, 1.5)
@@ -98,14 +100,21 @@ def test_nlos_requires_excess_delay():
 def test_pure_los_limit_single_tap():
     geo = Geometry(GNB, UE)
     ch = draw_channel(profile_preset("InF-LOS", rician_k_db=float("inf")), geo, 3)
-    assert ch.taps == [(geo.true_delay_s, 1.0 + 0.0j)]
+    assert ch.delays_s.tolist() == [geo.true_delay_s]
+    assert ch.gains.tolist() == [1.0 + 0.0j]
+
+
+@pytest.mark.parametrize("k_db", [-300.0, 300.0])
+def test_rician_k_bound_is_inclusive(k_db):
+    ch = draw_channel(profile_preset("InF-LOS", rician_k_db=k_db), Geometry(GNB, UE), 3)
+    assert np.sum(np.abs(ch.gains) ** 2) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_los_earliest_tap_at_geometric_delay():
     geo = Geometry(GNB, UE)
     for seed in range(20):
         ch = draw_channel(profile_preset("InF-LOS"), geo, seed)
-        first = min(t for t, _ in ch.taps)
+        first = ch.delays_s.min()
         assert first == pytest.approx(geo.true_delay_s, rel=1e-12)
         assert first == pytest.approx(80.49e-9, abs=5e-12)
 
@@ -115,7 +124,7 @@ def test_tap_power_normalized():
     for kind in ("InF-LOS", "InF-NLOS-S", "InF-NLOS-D"):
         for seed in range(25):
             ch = draw_channel(profile_preset(kind), geo, seed)
-            assert sum(abs(g) ** 2 for _, g in ch.taps) == pytest.approx(1.0, abs=1e-9)
+            assert np.sum(np.abs(ch.gains) ** 2) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_rician_k_enforced_exactly():
@@ -123,10 +132,10 @@ def test_rician_k_enforced_exactly():
     profile = profile_preset("InF-LOS", rician_k_db=16.0)
     for seed in range(10):
         ch = draw_channel(profile, geo, seed)
-        direct = [g for t, g in ch.taps if t == geo.true_delay_s]
-        clutter = [g for t, g in ch.taps if t != geo.true_delay_s]
-        assert len(direct) == 1
-        ratio = abs(direct[0]) ** 2 / sum(abs(g) ** 2 for g in clutter)
+        is_direct = ch.delays_s == geo.true_delay_s
+        assert np.count_nonzero(is_direct) == 1
+        power = np.abs(ch.gains) ** 2
+        ratio = np.sum(power[is_direct]) / np.sum(power[~is_direct])
         assert ratio == pytest.approx(10.0 ** 1.6, rel=1e-9)
 
 
@@ -137,21 +146,22 @@ def test_nlos_strictly_delays_many_seeds():
         profile = profile_preset(kind)
         for seed in range(5000):
             ch = draw_channel(profile, geo, seed)
-            assert min(t for t, _ in ch.taps) > tau0
+            assert ch.delays_s.min() > tau0
 
 
 def test_channel_deterministic_per_seed():
     geo = Geometry(GNB, UE)
     a = draw_channel(profile_preset("InF-LOS"), geo, 77)
     b = draw_channel(profile_preset("InF-LOS"), geo, 77)
-    assert a.taps == b.taps
+    assert np.array_equal(a.delays_s, b.delays_s)
+    assert np.array_equal(a.gains, b.gains)
 
 
 # ------------------------------------------------------------- apply_channel
 
 def test_identity_channel():
     tx = make_stream()
-    ch = ChannelRealization([(0.0, 1.0 + 0.0j)])
+    ch = ChannelRealization(np.array([0.0]), np.array([1.0 + 0.0j]))
     rx = apply_channel(tx, NUM, ch)
     assert np.max(np.abs(rx - tx)) < 1e-12
 
@@ -160,7 +170,7 @@ def test_integer_sample_delay_is_circular_shift():
     tx = make_stream()
     d_samples = 9
     tau = d_samples / NUM.sample_rate_hz
-    ch = ChannelRealization([(tau, 1.0 + 0.0j)])
+    ch = ChannelRealization(np.array([tau]), np.array([1.0 + 0.0j]))
     rx = apply_channel(tx, NUM, ch)
     expected = np.roll(tx, d_samples) * np.exp(-2j * np.pi * NUM.carrier_frequency_hz * tau)
     assert np.max(np.abs(rx - expected)) < 1e-10
@@ -168,12 +178,29 @@ def test_integer_sample_delay_is_circular_shift():
 
 def test_superposition_over_taps():
     tx = make_stream(n=2048)
-    ch1 = ChannelRealization([(5e-9, 0.8 + 0.1j)])
-    ch2 = ChannelRealization([(40e-9, -0.3 + 0.5j)])
-    both = ChannelRealization([(5e-9, 0.8 + 0.1j), (40e-9, -0.3 + 0.5j)])
+    ch1 = ChannelRealization(np.array([5e-9]), np.array([0.8 + 0.1j]))
+    ch2 = ChannelRealization(np.array([40e-9]), np.array([-0.3 + 0.5j]))
+    both = ChannelRealization(np.array([5e-9, 40e-9]), np.array([0.8 + 0.1j, -0.3 + 0.5j]))
     lhs = apply_channel(tx, NUM, both)
     rhs = apply_channel(tx, NUM, ch1) + apply_channel(tx, NUM, ch2)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["InF-LOS", "InF-NLOS-S"])
+def test_response_is_the_noiseless_carrier_phase(kind):
+    # At 128 symbols the continuous stream is n_fft-periodic, so the circular
+    # channel scales each subcarrier's tone by exactly the tap response there.
+    prs = PrsConfig(6, 0, 128, 7)
+    column = generate_prs_column(prs, NUM)
+    tx = ofdm_modulate(column, NUM, prs.n_symbols, CONTINUOUS)
+    k = middle_subcarrier(prs, NUM)
+    for seed in range(3):
+        ch = draw_channel(profile_preset(kind), Geometry(GNB, UE), seed)
+        rx = apply_channel(tx, NUM, ch)
+        phase = ccp_measure(rx, NUM, k, 1, 1, complex(column[k % NUM.n_fft]),
+                            NUM.symbol_samples + NUM.n_cp).phase_rad   # the harness's cp window
+        expected = np.angle(ch.response(NUM, k * NUM.scs_hz))
+        assert abs(np.angle(np.exp(1j * (phase - expected)))) < 1e-12
 
 
 # ---------------------------------------------------------------------- awgn

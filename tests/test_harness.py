@@ -93,6 +93,11 @@ def test_default_config_validates():
     {"band": " FR1"},
     {"band": 3},
     {"profile_overrides": (("rms_delay_spread_s", 1e-8), ("rms_delay_spread_s", 2e-8))},
+    {"profile_overrides": {"rician_k_db": float("-inf")}},   # no direct path is not pure LOS
+    {"profile_overrides": {"rician_k_db": 4000.0}},          # 10 ** (K / 10) overflows
+    {"profile_overrides": {"rician_k_db": -300.5}},
+    {"ambiguity": "widelane", "comb_offset": 5, "widelane_second_fc_hz": 1000.0},
+    {"widelane_second_fc_hz": 61.44e6},    # exactly half the FR1 sample rate
 ])
 def test_bad_config_rejected(changes):
     with pytest.raises(ConfigError):
@@ -350,7 +355,7 @@ def test_sweep_fit_checked_only_when_ccp_is_measured():
 
 
 def test_snr_bound_is_inclusive():
-    for snr_db in (-harness.MAX_ABS_SNR_DB, harness.MAX_ABS_SNR_DB, float("inf")):
+    for snr_db in (-harness.MAX_ABS_DB, harness.MAX_ABS_DB, float("inf")):
         assert dataclasses.replace(FAST, snr_db=snr_db).snr_db == snr_db
 
 
@@ -618,6 +623,10 @@ def test_cli_sweep_past_stream_exits_2(tmp_path, capsys):
     {"geometry": {"gnb_position_m": [0, 0], "ue_position_m": [3, 4]}},
     {"geometry": [[0, 0, 0], [20, 0, 0]]},
     {"profile_overrides": [1, 2]},
+    {"profile_overrides": {"rician_k_db": float("-inf")}},
+    {"profile_overrides": {"rician_k_db": 4000}},
+    {"ambiguity": "widelane", "comb_offset": 5, "widelane_second_fc_hz": 1000.0},
+    {"widelane_second_fc_hz": 1000.0},
 ])
 def test_cli_bad_value_exits_2(tmp_path, capsys, extra):
     cfg = write_cfg(tmp_path, **extra)

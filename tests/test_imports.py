@@ -1,15 +1,17 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and the package needs only numpy.
 
-``__init__.py`` is skipped: its imports are the package's re-exports, which
-``test_exports.py`` checks.
+``__init__.py`` is skipped by the unused-import scan: its imports are the
+package's re-exports, which ``test_exports.py`` checks.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted(ROOT.glob("src/phasepos/*.py"))
 MODULES = sorted(p for p in [*ROOT.glob("src/phasepos/*.py"), *ROOT.glob("tests/*.py")]
                  if p.name != "__init__.py")
 
@@ -40,3 +42,26 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level modules imported from outside the stdlib, numpy and the package."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "phasepos"}
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:   # level > 0: relative
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] not in allowed]
+
+
+def test_scan_finds_a_foreign_import():
+    assert foreign_imports("import os, numpy.fft\nfrom . import waveform\n"
+                           "from scipy import signal\nimport yaml\n") == ["scipy", "yaml"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_only_stdlib_and_numpy(path):
+    # numpy is the one runtime dependency pyproject.toml declares.
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []

@@ -155,6 +155,7 @@ def test_bad_comb_rejected():
     {"fc": "3.8e9"}, {"fc": float("nan")}, {"fc": float("inf")}, {"fc": True},
     {"scs": float("nan")}, {"scs": float("inf")},
     {"n_fft": 8.0}, {"n_cp": 9.0}, {"n_active": 48.0},
+    {"fc": 480e3}, {"fc": 1e3},    # at or below half the 960 kHz sample rate
 ])
 def test_bad_numerology_rejected(changes):
     with pytest.raises(ConfigError):
