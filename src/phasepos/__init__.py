@@ -12,7 +12,7 @@ from .angle import InterferometerConfig, aoa_from_phase_diff, phase_diff_for_ang
 from .channel import (ChannelRealization, Geometry, ScenarioProfile, add_awgn, apply_channel,
                       doppler_ppm, draw_channel, profile_preset)
 from .constants import SPEED_OF_LIGHT
-from .errors import AmbiguityError, ConfigError, InfeasibleMeasurementError, NoSignalError
+from .errors import ConfigError, NoSignalError
 from .harness import (CdfResult, ScenarioConfig, TrialResult, compute_cdf, config_from_dict,
                       emit_results, load_config, run_scenario, run_trial)
 from .receiver import PhaseMeasurement, ToaMeasurement, ccp_measure, estimate_toa, wrap_phase
@@ -22,9 +22,9 @@ from .waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig, ge
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguityError", "CONTINUOUS", "CONVENTIONAL", "CarrierRange",
+    "CONTINUOUS", "CONVENTIONAL", "CarrierRange",
     "CdfResult", "ChannelRealization", "ConfigError", "Geometry",
-    "InfeasibleMeasurementError", "InterferometerConfig", "NoSignalError", "NumerologyConfig",
+    "InterferometerConfig", "NoSignalError", "NumerologyConfig",
     "PhaseMeasurement", "PrsConfig", "ScenarioConfig", "ScenarioProfile",
     "SPEED_OF_LIGHT", "ToaMeasurement", "TrialResult",
     "add_awgn", "aoa_from_phase_diff", "apply_channel", "ccp_measure", "compute_cdf",

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import AmbiguityError
 from .receiver import wrap_phase
 
 IA_MODES = ("oracle", "toa", "widelane")
@@ -41,15 +40,16 @@ def phase_to_fraction(phase_rad: float, frequency_hz: float) -> CarrierRange:
     A pure delay tau gives phase -2 pi f tau, so the fraction of a cycle
     travelled is (-phase mod 2 pi) / 2 pi.
     """
-    if frequency_hz <= 0:
-        raise ValueError("frequency must be positive")
+    if not 0 < frequency_hz < math.inf:
+        raise ValueError("frequency must be finite and positive")
     frac = float((-phase_rad) % (2.0 * np.pi)) / (2.0 * np.pi)
     if frac >= 1.0:    # guard the -0.0 / 2 pi edge
         frac -= 1.0
     return CarrierRange(SPEED_OF_LIGHT / frequency_hz, frac)
 
 
-def ia_search(fraction: CarrierRange, center_m: float, half_width_m: float) -> CarrierRange:
+def ia_search(fraction: CarrierRange, center_m: float,
+              half_width_m: float) -> CarrierRange | None:
     """Resolve the integer ambiguity inside a distance window.
 
     Candidates are every integer N >= 0 with (N + fraction) * wavelength
@@ -57,13 +57,10 @@ def ia_search(fraction: CarrierRange, center_m: float, half_width_m: float) -> C
     distance lies closest to ``center_m`` wins, ties going to the smaller N.
     That distance is convex in N, so only floor(x) and floor(x) + 1 with
     x = center / wavelength - fraction, clipped into the window, are compared:
-    time and memory do not grow with the window.
-
-    Raises:
-        ValueError: ``center_m`` is not finite, or ``half_width_m`` is not
-            finite and positive.
-        AmbiguityError: the window contains no candidate (the window and the
-            phase are mutually inconsistent, e.g. under NLOS bias).
+    time and memory do not grow with the window.  A window with no candidate
+    (narrower than a wavelength and between two, e.g. under NLOS bias) gives
+    None.  ValueError unless ``center_m`` is finite and ``half_width_m`` finite
+    and positive.
     """
     if not (math.isfinite(center_m) and 0 < half_width_m < math.inf):
         raise ValueError("center_m must be finite and half_width_m finite and positive")
@@ -74,8 +71,7 @@ def ia_search(fraction: CarrierRange, center_m: float, half_width_m: float) -> C
     n_min = max(0, int(np.ceil(lo / lam - frac - 1e-12)))
     n_max = int(np.floor(hi / lam - frac + 1e-12))
     if n_max < n_min:
-        raise AmbiguityError(
-            f"no integer candidate in [{lo:.3f}, {hi:.3f}] m for wavelength {lam:.4f} m")
+        return None
     below = int(np.floor(center_m / lam - frac))
     pair = (min(max(n, n_min), n_max) for n in (below, below + 1))
     best = min(pair, key=lambda n: abs((n + frac) * lam - center_m))   # first on ties
@@ -84,8 +80,8 @@ def ia_search(fraction: CarrierRange, center_m: float, half_width_m: float) -> C
 
 def virtual_wavelength(lambda1_m: float, lambda2_m: float) -> float:
     """Beat wavelength of two carriers: lambda1*lambda2 / |lambda2 - lambda1|."""
-    if lambda1_m <= 0 or lambda2_m <= 0:
-        raise ValueError("wavelengths must be positive")
+    if not (0 < lambda1_m < math.inf and 0 < lambda2_m < math.inf):
+        raise ValueError("wavelengths must be finite and positive")
     if lambda1_m == lambda2_m:
         raise ValueError("equal wavelengths have no beat (virtual wavelength diverges)")
     return lambda1_m * lambda2_m / abs(lambda2_m - lambda1_m)
@@ -93,7 +89,7 @@ def virtual_wavelength(lambda1_m: float, lambda2_m: float) -> float:
 
 def widelane_resolve(range1: CarrierRange, range2: CarrierRange,
                      coarse_distance_m: float, coarse_sigma_m: float,
-                     k_sigma: float = 3.0) -> CarrierRange:
+                     k_sigma: float = 3.0) -> CarrierRange | None:
     """Two-carrier widelane resolution refined back to the finer carrier.
 
     The difference of the two fractional phases lives on the much longer
@@ -101,8 +97,9 @@ def widelane_resolve(range1: CarrierRange, range2: CarrierRange,
     integer.  The widelane distance then bounds a second integer search on
     the shorter of the two carrier wavelengths within +- lambda_virtual/4.
 
-    Returns the refined CarrierRange on the shorter wavelength.  Raises
-    ValueError unless ``coarse_sigma_m`` and ``k_sigma`` are positive.
+    Returns the refined CarrierRange on the shorter wavelength, or None when
+    either search finds no candidate.  Raises ValueError unless
+    ``coarse_sigma_m`` and ``k_sigma`` are positive.
     """
     if not (coarse_sigma_m > 0 and k_sigma > 0):
         raise ValueError("coarse_sigma_m and k_sigma must be positive")
@@ -113,7 +110,7 @@ def widelane_resolve(range1: CarrierRange, range2: CarrierRange,
     # distance at the beat rate d / lambda_v.
     frac_v = (fine.fractional_cycles - coarse.fractional_cycles) % 1.0
     wide = ia_search(CarrierRange(lam_v, frac_v), coarse_distance_m, k_sigma * coarse_sigma_m)
-    return ia_search(fine, wide.distance_m, lam_v / 4.0)
+    return None if wide is None else ia_search(fine, wide.distance_m, lam_v / 4.0)
 
 
 def resolve(mode: str, fractions: list[CarrierRange], truth_m: float, toa_s: float | None,
@@ -128,16 +125,15 @@ def resolve(mode: str, fractions: list[CarrierRange], truth_m: float, toa_s: flo
     if mode not in IA_MODES:
         raise ValueError(f"ambiguity mode must be one of {IA_MODES}, got {mode!r}")
     std_s = 1.0 / (sample_rate_hz * np.sqrt(12.0))
-    try:
-        if mode == "oracle":   # wrap-aware: noise past an integer boundary takes the neighbour
-            resolved = ia_search(fractions[0], truth_m, fractions[0].wavelength_m)
-        elif mode == "toa":
-            resolved = ia_search(fractions[0], toa_s * SPEED_OF_LIGHT,
-                                 k_sigma * std_s * SPEED_OF_LIGHT)
-        else:
-            resolved = widelane_resolve(fractions[0], fractions[1], toa_s * SPEED_OF_LIGHT,
-                                        std_s * SPEED_OF_LIGHT, k_sigma)
-    except AmbiguityError:
+    if mode == "oracle":   # wrap-aware: noise past an integer boundary takes the neighbour
+        resolved = ia_search(fractions[0], truth_m, fractions[0].wavelength_m)
+    elif mode == "toa":
+        resolved = ia_search(fractions[0], toa_s * SPEED_OF_LIGHT,
+                             k_sigma * std_s * SPEED_OF_LIGHT)
+    else:
+        resolved = widelane_resolve(fractions[0], fractions[1], toa_s * SPEED_OF_LIGHT,
+                                    std_s * SPEED_OF_LIGHT, k_sigma)
+    if resolved is None:
         return None, True
     nearest = ia_search(resolved, truth_m, resolved.wavelength_m)   # on widelane's finer carrier
     return resolved, resolved.integer_cycles != nearest.integer_cycles

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleMeasurementError
+from .errors import ConfigError, as_real
 from .receiver import wrap_phase
 
 
@@ -18,8 +19,9 @@ class InterferometerConfig:
     wavelength_m: float
 
     def __post_init__(self) -> None:
-        if self.antenna_spacing_m <= 0 or self.wavelength_m <= 0:
-            raise ValueError("antenna spacing and wavelength must be positive")
+        for name in ("antenna_spacing_m", "wavelength_m"):
+            if not 0 < as_real(name, getattr(self, name)) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive")
 
 
 def aoa_from_phase_diff(phase_diff_rad: float, config: InterferometerConfig) -> list[float]:
@@ -29,7 +31,8 @@ def aoa_from_phase_diff(phase_diff_rad: float, config: InterferometerConfig) -> 
     with inter-antenna phase difference 2 pi d cos(theta) / lambda; spacings
     beyond half a wavelength alias, so every integer wrap m with
     |(Delta + 2 pi m) lambda / (2 pi d)| <= 1 contributes a candidate.
-    Candidates are returned ascending in angle, in [0, pi].
+    Candidates are returned ascending in angle, in [0, pi]; a phase no angle
+    fits (|Delta| > 2 pi d / lambda at sub-half-wave spacing) gives [].
     """
     d, lam = config.antenna_spacing_m, config.wavelength_m
     scale = lam / (2.0 * np.pi * d)
@@ -41,10 +44,6 @@ def aoa_from_phase_diff(phase_diff_rad: float, config: InterferometerConfig) -> 
         c = (phase_diff_rad + 2.0 * np.pi * m) * scale
         if -1.0 <= c <= 1.0:
             angles.append(float(np.arccos(c)))
-    if not angles:
-        raise InfeasibleMeasurementError(
-            f"phase difference {phase_diff_rad:.4f} rad fits no arrival angle "
-            f"at spacing {d:.4f} m")
     return sorted(angles)
 
 

@@ -30,6 +30,14 @@ MAX_CLUTTER_TAPS = 500
 MAX_ABS_DB = 300.0
 
 
+def as_db(name: str, value) -> float:
+    """``value`` as a dB float; ConfigError unless a number within +-``MAX_ABS_DB`` or +inf."""
+    db = as_real(name, value)
+    if not (db == math.inf or abs(db) <= MAX_ABS_DB):
+        raise ConfigError(f"{name} must lie within +-{MAX_ABS_DB:g} dB or be +inf, got {value!r}")
+    return db
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Static transmitter/receiver placement, coordinates in metres.
@@ -94,10 +102,8 @@ class ScenarioProfile:
             raise ConfigError("rms_delay_spread_s must be finite and positive")
         if not 1 <= as_int("n_clutter_taps", self.n_clutter_taps) <= MAX_CLUTTER_TAPS:
             raise ConfigError(f"n_clutter_taps must be an integer in [1, {MAX_CLUTTER_TAPS}]")
-        if self.is_los and not (as_real("rician_k_db", self.rician_k_db) == math.inf
-                                or abs(self.rician_k_db) <= MAX_ABS_DB):
-            raise ConfigError(f"rician_k_db must lie within +-{MAX_ABS_DB:g} dB or be +inf "
-                              f"(no clutter), got {self.rician_k_db!r}")
+        if self.is_los:
+            as_db("rician_k_db", self.rician_k_db)
         excess = self.nlos_excess_delay_mean_s
         if not (self.is_los or 0 < as_real("nlos_excess_delay_mean_s", excess) < math.inf):
             raise ConfigError("nlos_excess_delay_mean_s must be finite and positive")
@@ -202,13 +208,12 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     """Stream ``x`` plus circularly symmetric white noise at the given SNR.
 
     snr_db = +inf is the noiseless sentinel and returns a copy of ``x``.
-    SNR is referenced to the mean power of the incoming samples.  A NaN or
-    -inf SNR is a ``ConfigError``.
+    SNR is referenced to the mean power of the incoming samples.  Any other
+    SNR ``as_db`` rejects (not a number, NaN, -inf, or past +-``MAX_ABS_DB``)
+    is a ``ConfigError``.
     """
-    if snr_db == math.inf:
+    if as_db("snr_db", snr_db) == math.inf:
         return x.copy()
-    if not math.isfinite(snr_db):
-        raise ConfigError(f"snr_db must be finite or +inf, got {snr_db!r}")
     power = float(np.mean(np.abs(x) ** 2))
     if power == 0.0:
         raise NoSignalError("cannot scale noise against a zero-power signal")
@@ -221,6 +226,6 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
 
 def doppler_ppm(speed_m_s: float) -> float:
     """Fractional Doppler shift in parts per million for a radial speed."""
-    if speed_m_s < 0:
-        raise ValueError("speed must be nonnegative")
+    if not 0 <= speed_m_s < math.inf:
+        raise ValueError("speed must be finite and nonnegative")
     return speed_m_s / SPEED_OF_LIGHT * 1e6

@@ -4,8 +4,8 @@
 
 Flags override values from the config file.  Exit codes: 0 on success
 (a method whose every trial fails IA resolution is reported with empty
-results), 2 for configuration problems, 3 when a measurement or writing the
-output fails at runtime.
+results), 2 for configuration problems, 3 when a trial finds no usable
+signal or writing the output fails.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import argparse
 import dataclasses
 import sys
 
-from .errors import AmbiguityError, ConfigError, NoSignalError
+from .errors import ConfigError, NoSignalError
 from .harness import IA_MODES, METHODS, compute_cdf, emit_results, load_config, run_scenario
 
 _BANDS = {"fr1": "FR1", "fr2": "FR2"}
@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NoSignalError, AmbiguityError, OSError) as exc:
+    except (NoSignalError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 3
 

@@ -17,14 +17,6 @@ class NoSignalError(RuntimeError):
     """No usable signal energy for the requested measurement."""
 
 
-class AmbiguityError(RuntimeError):
-    """Integer-ambiguity search produced no admissible candidate."""
-
-
-class InfeasibleMeasurementError(RuntimeError):
-    """Measured value is inconsistent with any physical geometry."""
-
-
 def as_real(name: str, value) -> float:
     """``value`` as a float; ConfigError for a bool, a non-real or an int past float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):

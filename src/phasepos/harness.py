@@ -29,8 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .ambiguity import IA_MODES, phase_to_fraction, resolve
-from .channel import (MAX_ABS_DB, Geometry, ScenarioProfile, add_awgn, apply_channel,
-                      draw_channel, profile_preset)
+from .channel import (Geometry, ScenarioProfile, add_awgn, apply_channel, as_db, draw_channel,
+                      profile_preset)
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, as_int, as_real
 from .receiver import ccp_measure, estimate_toa
@@ -115,10 +115,7 @@ class ScenarioConfig:
             as_int(name, getattr(self, name))
         if self.master_seed < 0:
             raise ConfigError("master_seed must be nonnegative")
-        snr = as_real("snr_db", self.snr_db)
-        if not (snr == math.inf or abs(snr) <= MAX_ABS_DB):
-            raise ConfigError(f"snr_db must lie within +-{MAX_ABS_DB:g} dB or be +inf "
-                              f"(noiseless), got {snr!r}")
+        as_db("snr_db", self.snr_db)
         for name in ("k_sigma", "widelane_second_fc_hz"):
             value = getattr(self, name)
             if ((value is not None or name == "k_sigma")

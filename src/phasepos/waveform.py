@@ -161,9 +161,10 @@ def ofdm_modulate(column: np.ndarray, num: NumerologyConfig, n_symbols: int,
     if column.shape != (num.n_fft,):
         raise ValueError(f"column must hold n_fft = {num.n_fft} bins, got {column.shape}")
     useful = np.fft.ifft(column) * np.sqrt(num.n_fft)
-    if mode == CONVENTIONAL:
-        return np.tile(np.concatenate([useful[num.n_fft - num.n_cp:], useful]), n_symbols)
-    # Subcarrier k completes whole cycles in n_fft samples, so repeating the
-    # useful symbol equals CP-OFDM with symbol l pre-rotated by
-    # exp(+j 2 pi k (l+1) n_cp / n_fft), prefixes included.
-    return np.resize(useful, n_symbols * num.symbol_samples)
+    # Conventional repeats the prefixed symbol, continuous the useful one:
+    # subcarrier k completes whole cycles in n_fft samples, so that equals
+    # CP-OFDM with symbol l pre-rotated by exp(+j 2 pi k (l+1) n_cp / n_fft),
+    # prefixes included.
+    block = (useful if mode == CONTINUOUS
+             else np.concatenate([useful[num.n_fft - num.n_cp:], useful]))
+    return np.resize(block, n_symbols * num.symbol_samples)

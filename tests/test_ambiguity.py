@@ -11,7 +11,6 @@ from phasepos.ambiguity import (IA_MODES, CarrierRange, double_difference, ia_se
                                 phase_to_fraction, resolve, virtual_wavelength, widelane_resolve)
 from phasepos.channel import Geometry
 from phasepos.constants import SPEED_OF_LIGHT
-from phasepos.errors import AmbiguityError
 from phasepos.receiver import wrap_phase
 
 F1 = 3.8e9
@@ -47,10 +46,9 @@ def test_fraction_matches_geometry():
 
 
 def test_fraction_rejects_bad_frequency():
-    with pytest.raises(ValueError):
-        phase_to_fraction(0.1, 0.0)
-    with pytest.raises(ValueError):
-        phase_to_fraction(0.1, -1e9)
+    for frequency_hz in (0.0, -1e9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            phase_to_fraction(0.1, frequency_hz)
 
 
 def test_resolved_distance_formula():
@@ -79,11 +77,10 @@ def test_ia_search_unique_candidate_in_tight_window():
     assert r.integer_cycles == 10
 
 
-def test_ia_search_empty_window_raises():
+def test_ia_search_empty_window_is_none():
     # candidates at 0.5, 1.5, ... but the window is [0.1, 0.3]
     frac = CarrierRange(1.0, 0.5)
-    with pytest.raises(AmbiguityError):
-        ia_search(frac, 0.2, 1.0 * 0.1)
+    assert ia_search(frac, 0.2, 1.0 * 0.1) is None
 
 
 def test_ia_search_nlos_bias_breaks_resolution():
@@ -93,9 +90,8 @@ def test_ia_search_nlos_bias_breaks_resolution():
     frac = phase_to_fraction(exact_phase(GEO.true_distance_m, F1), F1)
     sigma = lam / (8.0 * SPEED_OF_LIGHT)
     biased = GEO.true_delay_s + 50e-9
-    try:
-        r = ia_search(frac, biased * SPEED_OF_LIGHT, 3.0 * sigma * SPEED_OF_LIGHT)
-    except AmbiguityError:
+    r = ia_search(frac, biased * SPEED_OF_LIGHT, 3.0 * sigma * SPEED_OF_LIGHT)
+    if r is None:
         return
     assert r.integer_cycles != 305
     assert abs(r.distance_m - GEO.true_distance_m) > lam / 2
@@ -154,12 +150,9 @@ def search_windows(draw):
 @given(search_windows())
 def test_ia_search_matches_brute_force(window):
     fraction, center_m, half_width_m = window
+    got = ia_search(fraction, center_m, half_width_m)
     want = brute_force_search(fraction, center_m, half_width_m)
-    if want is None:
-        with pytest.raises(AmbiguityError):
-            ia_search(fraction, center_m, half_width_m)
-    else:
-        assert ia_search(fraction, center_m, half_width_m).integer_cycles == want
+    assert (None if got is None else got.integer_cycles) == want
 
 
 @settings(max_examples=500, deadline=None)
@@ -187,10 +180,9 @@ def test_virtual_wavelength_identity():
 
 
 def test_virtual_wavelength_rejects_degenerate():
-    with pytest.raises(ValueError):
-        virtual_wavelength(0.1, 0.1)
-    with pytest.raises(ValueError):
-        virtual_wavelength(0.0, 0.1)
+    for lambda1_m, lambda2_m in ((0.1, 0.1), (0.0, 0.1), (math.nan, 0.1), (0.1, math.inf)):
+        with pytest.raises(ValueError):
+            virtual_wavelength(lambda1_m, lambda2_m)
 
 
 def test_widelane_integer_on_beat():
@@ -241,12 +233,9 @@ def test_widelane_noisy_conditional_p90():
         p1 = wrap_phase(exact_phase(d, F1) + 2 * np.pi * rng.normal(0.0, 0.05))
         p2 = wrap_phase(exact_phase(d, F2) + 2 * np.pi * rng.normal(0.0, 0.05))
         coarse = d + rng.normal(0.0, 0.3)
-        try:
-            refined = widelane_resolve(phase_to_fraction(p1, F1),
-                                       phase_to_fraction(p2, F2), coarse, 0.3)
-        except AmbiguityError:
-            continue
-        if refined.integer_cycles == n_true:
+        refined = widelane_resolve(phase_to_fraction(p1, F1),
+                                   phase_to_fraction(p2, F2), coarse, 0.3)
+        if refined is not None and refined.integer_cycles == n_true:
             kept.append(abs(refined.distance_m - d))
     assert len(kept) > 0.05 * n_trials
     assert np.percentile(kept, 90) <= lam_fine / 10.0
@@ -300,10 +289,7 @@ def test_resolve_is_the_mode_search(mode, distance_m, carriers, toa_offset_m, k_
         "widelane": lambda: widelane_resolve(fracs[0], fracs[1], toa_s * SPEED_OF_LIGHT,
                                              STD_S * SPEED_OF_LIGHT, k_sigma),
     }[mode]
-    try:
-        expected = direct()
-    except AmbiguityError:
-        expected = None
+    expected = direct()
     resolved, failed = resolve(mode, fracs, distance_m, toa_s, FS, k_sigma)
     assert resolved == expected
     if expected is None:

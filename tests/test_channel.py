@@ -233,7 +233,7 @@ def test_awgn_zero_power_rejected():
         add_awgn(tx, 10.0, seed=0)
 
 
-@pytest.mark.parametrize("snr_db", [float("nan"), -math.inf])
+@pytest.mark.parametrize("snr_db", [float("nan"), -math.inf, 4000.0, -4000.0, "10"])
 def test_awgn_non_finite_snr_rejected(snr_db):
     with pytest.raises(ConfigError):
         add_awgn(np.ones(64, dtype=complex), snr_db, seed=0)
@@ -249,5 +249,6 @@ def test_doppler_ppm_values():
 
 
 def test_doppler_negative_speed_rejected():
-    with pytest.raises(ValueError):
-        doppler_ppm(-1.0)
+    for speed_m_s in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            doppler_ppm(speed_m_s)

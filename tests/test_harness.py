@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasepos import cli, harness
-from phasepos.channel import Geometry, profile_preset
+from phasepos.channel import MAX_ABS_DB, Geometry, profile_preset
 from phasepos.errors import ConfigError
 from phasepos.harness import (METHODS, CdfResult, ScenarioConfig, TrialResult, compute_cdf,
                               config_from_dict, config_to_dict, emit_results, load_config,
@@ -355,7 +355,7 @@ def test_sweep_fit_checked_only_when_ccp_is_measured():
 
 
 def test_snr_bound_is_inclusive():
-    for snr_db in (-harness.MAX_ABS_DB, harness.MAX_ABS_DB, float("inf")):
+    for snr_db in (-MAX_ABS_DB, MAX_ABS_DB, float("inf")):
         assert dataclasses.replace(FAST, snr_db=snr_db).snr_db == snr_db
 
 

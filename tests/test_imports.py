@@ -1,4 +1,5 @@
-"""Every name a module imports is used in it, and the package needs only numpy.
+"""Every name a module imports is used in it, the package needs only numpy, and
+it raises only ``ConfigError``, ``NoSignalError`` or ``ValueError``.
 
 ``__init__.py`` is skipped by the unused-import scan: its imports are the
 package's re-exports, which ``test_exports.py`` checks.
@@ -65,3 +66,26 @@ def test_scan_finds_a_foreign_import():
 def test_package_imports_only_stdlib_and_numpy(path):
     # numpy is the one runtime dependency pyproject.toml declares.
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_raises(source: str) -> list[str]:
+    """Exceptions raised outside the package's vocabulary; a bare re-raise is not counted."""
+    allowed = {"ConfigError", "NoSignalError", "ValueError"}
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.append((ast.unparse(exc), node.lineno))
+    return [f"{name} (line {line})" for name, line in names if name not in allowed]
+
+
+def test_scan_finds_a_foreign_raise():
+    assert foreign_raises("raise ValueError('x')\nraise ConfigError from None\n"
+                          "raise TypeError('y')\nraise errors.NoSignalError\nraise\n") == [
+        "TypeError (line 3)", "errors.NoSignalError (line 4)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_raises_only_its_vocabulary(path):
+    # A search that finds nothing returns None or [], not an exception.
+    assert foreign_raises(path.read_text(encoding="utf-8")) == []
