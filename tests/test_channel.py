@@ -8,8 +8,8 @@ from phasepos.channel import (ChannelRealization, Geometry, ScenarioProfile, add
 from phasepos.constants import SPEED_OF_LIGHT
 from phasepos.errors import ConfigError, NoSignalError
 from phasepos.receiver import ccp_measure
-from phasepos.waveform import (CONTINUOUS, PrsConfig, generate_prs_column, make_numerology,
-                               middle_subcarrier, ofdm_modulate)
+from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column,
+                               make_numerology, middle_subcarrier, ofdm_modulate)
 
 GNB = (100.0, 100.0, 15.0)
 UE = (120.0, 100.0, 1.5)
@@ -184,6 +184,37 @@ def test_superposition_over_taps():
     lhs = apply_channel(tx, NUM, both)
     rhs = apply_channel(tx, NUM, ch1) + apply_channel(tx, NUM, ch2)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def dense_channel(x, num, ch):
+    """The tapped delay line over the whole stream's DFT."""
+    freqs = np.fft.fftfreq(len(x), 1.0 / num.sample_rate_hz)
+    return np.fft.ifft(np.fft.fft(x) * ch.response(num, freqs))
+
+
+@pytest.mark.parametrize("n_symbols, mode, periodic", [
+    (128, CONVENTIONAL, True), (128, CONTINUOUS, True),
+    (16, CONTINUOUS, False),    # 70,144 samples: no whole number of n_fft periods
+    (16, CONVENTIONAL, True),
+])
+def test_apply_channel_matches_dense_transform(n_symbols, mode, periodic):
+    tx = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, n_symbols, 7), NUM), NUM,
+                       n_symbols, mode)
+    ch = draw_channel(profile_preset("InF-NLOS-S"), Geometry(GNB, UE), 4)
+    rx, dense = apply_channel(tx, NUM, ch), dense_channel(tx, NUM, ch)
+    if periodic:
+        rms = np.sqrt(np.mean(np.abs(tx) ** 2))
+        assert np.max(np.abs(rx - dense)) <= 1e-12 * rms
+    else:
+        assert np.array_equal(rx, dense)
+
+
+def test_apply_channel_on_an_aperiodic_stream_is_the_dense_transform():
+    ch = draw_channel(profile_preset("InF-LOS"), Geometry(GNB, UE), 2)
+    tx = np.tile(make_stream(NUM.symbol_samples), 4)
+    tx[5000] += 1.0     # one changed sample breaks the one-symbol period
+    for x in (make_stream(), tx):
+        assert np.array_equal(apply_channel(x, NUM, ch), dense_channel(x, NUM, ch))
 
 
 @pytest.mark.parametrize("kind", ["InF-LOS", "InF-NLOS-S"])

@@ -73,6 +73,30 @@ def test_toa_unequal_lengths_rejected():
         estimate_toa(stream[:-1], num, stream)
 
 
+# (band, n_symbols, mode) -> (toa_s, peak_metric) of one noisy InF-NLOS-D
+# stream, recorded from the full-length cross-correlation.  The 128-symbol
+# conventional references are one-symbol periodic; the 16-symbol continuous
+# one (70,144 samples, no multiple of n_fft) is not periodic at all.
+TOA_PINNED = {
+    ("FR1", 128, CONVENTIONAL): (1.8739743448282446e-07, 0.9041964273852287),
+    ("FR2", 128, CONVENTIONAL): (1.881148620439413e-07, 0.9999999999999996),
+    ("FR1", 16, CONTINUOUS): (1.8744401387780577e-07, 0.8863153899068416),
+}
+
+
+@pytest.mark.parametrize("band, n_symbols, mode", sorted(TOA_PINNED))
+def test_toa_matches_pinned_values(band, n_symbols, mode):
+    num = make_numerology(band)
+    ref = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, n_symbols, 3), num), num,
+                        n_symbols, mode)
+    ch = draw_channel(profile_preset("InF-NLOS-D"),
+                      Geometry((100.0, 100.0, 15.0), (120.0, 100.0, 1.5)), 1)
+    m = estimate_toa(add_awgn(apply_channel(ref, num, ch), 0.0, 11), num, ref)
+    toa_s, peak_metric = TOA_PINNED[band, n_symbols, mode]
+    assert abs(m.toa_s - toa_s) <= 1e-15
+    assert m.peak_metric == pytest.approx(peak_metric, rel=1e-12)
+
+
 # ------------------------------------------------------ single-window phase
 
 def test_phase_zero_for_identity_channel():
