@@ -38,10 +38,11 @@ def phase_to_fraction(phase_rad: float, frequency_hz: float) -> CarrierRange:
     """Fractional carrier cycles implied by a measured phase.
 
     A pure delay tau gives phase -2 pi f tau, so the fraction of a cycle
-    travelled is (-phase mod 2 pi) / 2 pi.
+    travelled is (-phase mod 2 pi) / 2 pi.  ValueError unless the phase is
+    finite and the frequency finite and positive.
     """
-    if not 0 < frequency_hz < math.inf:
-        raise ValueError("frequency must be finite and positive")
+    if not (math.isfinite(phase_rad) and 0 < frequency_hz < math.inf):
+        raise ValueError("phase must be finite and frequency finite and positive")
     frac = float((-phase_rad) % (2.0 * np.pi)) / (2.0 * np.pi)
     if frac >= 1.0:    # guard the -0.0 / 2 pi edge
         frac -= 1.0

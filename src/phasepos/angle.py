@@ -32,8 +32,11 @@ def aoa_from_phase_diff(phase_diff_rad: float, config: InterferometerConfig) -> 
     beyond half a wavelength alias, so every integer wrap m with
     |(Delta + 2 pi m) lambda / (2 pi d)| <= 1 contributes a candidate.
     Candidates are returned ascending in angle, in [0, pi]; a phase no angle
-    fits (|Delta| > 2 pi d / lambda at sub-half-wave spacing) gives [].
+    fits (|Delta| > 2 pi d / lambda at sub-half-wave spacing) gives [], and a
+    NaN or infinite one is a ValueError.
     """
+    if not math.isfinite(phase_diff_rad):
+        raise ValueError(f"phase difference must be finite, got {phase_diff_rad!r}")
     d, lam = config.antenna_spacing_m, config.wavelength_m
     scale = lam / (2.0 * np.pi * d)
     # cos(theta) = (Delta + 2 pi m) * scale must land in [-1, 1]

@@ -1,10 +1,12 @@
 """Multipath channel models for indoor factory scenarios.
 
-The channel is a tapped delay line applied in the frequency domain over the
-whole stream: tap i multiplies the stream spectrum by
+The channel is a tapped delay line applied circularly in the frequency
+domain: tap i multiplies the stream spectrum by
 gain_i * exp(-j 2 pi f_c tau_i) * exp(-j 2 pi f tau_i), which realizes the
 fractional delay exactly for the simulated band (no interpolation error) and
-bakes the carrier-phase rotation of each path into the baseband signal.  The
+bakes the carrier-phase rotation of each path into the baseband signal.  A
+periodic stream is filtered over one period and tiled, which equals the
+filter over the whole stream; any other stream is filtered whole.  The
 sign convention is fixed here once: a delay produces a *negative* phase.
 Streams are complex sample arrays; the carrier f_c and the sample rate that
 spaces the frequencies f are read from the numerology passed with them.
@@ -19,7 +21,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, NoSignalError, as_int, as_real
-from .waveform import NumerologyConfig
+from .waveform import NumerologyConfig, stream_period
 
 # 25 clusters x 20 rays, the largest ray count of TR 38.901's InF model;
 # ``ChannelRealization.response`` loops over the taps, so the count bounds a
@@ -195,13 +197,18 @@ def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> Cha
 
 def apply_channel(x: np.ndarray, num: NumerologyConfig,
                   channel: ChannelRealization) -> np.ndarray:
-    """Convolve stream ``x`` with the tapped delay line (length preserved).
+    """Circularly convolve stream ``x`` with the tapped delay line (length preserved).
 
-    Delays are applied as exp(-j 2 pi (f_c + f) tau) over the stream's DFT,
-    f_c and the sample rate from ``num``, so fractional delays are exact.
+    Delays are applied as exp(-j 2 pi (f_c + f) tau) over the DFT of one
+    ``stream_period`` of ``x``, f_c and the sample rate from ``num``, so
+    fractional delays are exact; the filtered period is tiled back to the
+    stream's length.  A periodic stream's whole-length spectrum is zero off
+    that period's bins, so this is the whole-stream filter; a stream with no
+    period is filtered whole.
     """
-    freqs = np.fft.fftfreq(len(x), d=1.0 / num.sample_rate_hz)
-    return np.fft.ifft(np.fft.fft(x) * channel.response(num, freqs))
+    p = stream_period(x, num)
+    freqs = np.fft.fftfreq(p, d=1.0 / num.sample_rate_hz)
+    return np.tile(np.fft.ifft(np.fft.fft(x[:p]) * channel.response(num, freqs)), len(x) // p)
 
 
 def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:

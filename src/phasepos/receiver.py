@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoSignalError
-from .waveform import NumerologyConfig
+from .waveform import NumerologyConfig, stream_period
 
 
 EARLY_PEAK_RATIO = 0.6     # first-arrival peak height / global correlation maximum
@@ -43,11 +43,17 @@ def wrap_phase(phase: float | np.ndarray):
 def estimate_toa(rx: np.ndarray, num: NumerologyConfig, reference: np.ndarray) -> ToaMeasurement:
     """First-arrival TOA from the circular cross-correlation.
 
-    Lags up to half the stream duration are searched.  The earliest local
-    maximum whose height reaches ``EARLY_PEAK_RATIO`` times the global
-    maximum is taken as the first arrival (later, possibly stronger
-    multipath is ignored), then refined with a three-point parabolic fit so
-    the estimate is not pinned to the sampling grid.
+    The reference repeats with its ``stream_period`` p, so its n-point
+    spectrum is zero off every (n / p)-th bin, and on those bins the received
+    spectrum is the p-point DFT of ``rx`` folded into one period (its n / p
+    periods summed).  The correlation is then p-periodic and is computed on p
+    points; lags up to one period, or half the stream if that is shorter,
+    are searched.  A reference with no period gives p = n, the whole-stream
+    correlation.  The earliest local maximum whose height reaches
+    ``EARLY_PEAK_RATIO`` times the global maximum is taken as the first
+    arrival (later, possibly stronger multipath is ignored), then refined
+    with a three-point parabolic fit so the estimate is not pinned to the
+    sampling grid.
 
     Args:
         rx: received stream.
@@ -65,10 +71,12 @@ def estimate_toa(rx: np.ndarray, num: NumerologyConfig, reference: np.ndarray) -
     n = len(rx)
     if len(reference) != n:
         raise ValueError(f"received stream has {n} samples, reference {len(reference)}")
-    cross_spectrum = np.fft.fft(rx) * np.conj(np.fft.fft(reference))
+    p = stream_period(reference, num)     # never from rx: its noise is not periodic
+    cross_spectrum = (np.fft.fft(rx.reshape(-1, p).sum(axis=0))
+                      * np.conj(np.fft.fft(reference[:p])))
     corr = np.abs(np.fft.ifft(cross_spectrum))
 
-    horizon = n // 2
+    horizon = min(n // 2, p - 1)
     window = corr[:horizon + 1]
     peak_global = float(np.max(window))
     if peak_global <= 0.0:
@@ -80,7 +88,7 @@ def estimate_toa(rx: np.ndarray, num: NumerologyConfig, reference: np.ndarray) -
     candidates = np.nonzero(is_peak)[0]
     if candidates.size == 0:
         raise NoSignalError("no correlation peak above the early-arrival threshold")
-    p = int(candidates[0])
+    peak = int(candidates[0])
 
     # Refine around the chosen peak: evaluate the correlation on a 1/16-
     # sample grid straight from the cross-spectrum, then fit a parabola at
@@ -88,8 +96,8 @@ def estimate_toa(rx: np.ndarray, num: NumerologyConfig, reference: np.ndarray) -
     # a bias of a few percent of a sample, which is fatal at carrier-
     # wavelength scale.  The fine lags reuse one running phase ramp instead
     # of a full lag-by-frequency matrix.
-    freqs = np.fft.fftfreq(n)
-    lags = p + np.arange(-16, 17) / 16.0
+    freqs = np.fft.fftfreq(p)
+    lags = peak + np.arange(-16, 17) / 16.0
     ramp = cross_spectrum * np.exp(2j * np.pi * freqs * lags[0])
     step = np.exp(2j * np.pi * freqs / 16.0)
     fine = np.empty(lags.size)
@@ -104,7 +112,7 @@ def estimate_toa(rx: np.ndarray, num: NumerologyConfig, reference: np.ndarray) -
         if denom != 0.0:
             sub = float(np.clip(0.5 * (c_m - c_p) / denom, -0.5, 0.5))
     lag = float(lags[q]) + sub / 16.0
-    return ToaMeasurement(lag / num.sample_rate_hz, float(corr[p] / peak_global))
+    return ToaMeasurement(lag / num.sample_rate_hz, float(corr[peak] / peak_global))
 
 
 def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,

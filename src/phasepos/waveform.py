@@ -18,6 +18,11 @@ Conventions used throughout:
 - A stream is a plain complex ``np.ndarray``.  Its sample rate and carrier
   are those of the ``NumerologyConfig`` passed beside it, the one owner of
   both; a second carrier is a copy of the numerology, not of the samples.
+- Sending one pilot column on every symbol makes both streams exactly
+  periodic: conventional with one prefixed symbol, continuous with n_fft
+  samples when n_fft divides n_symbols * n_cp.  ``stream_period`` finds that
+  period in the samples themselves, so the channel and the TOA correlator
+  can work on one period; any other stream has period ``len(x)``.
 """
 
 from __future__ import annotations
@@ -139,6 +144,14 @@ def generate_prs_column(prs: PrsConfig, num: NumerologyConfig) -> np.ndarray:
     column = np.zeros(num.n_fft, dtype=np.complex128)
     column[k % num.n_fft] = np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrants))
     return column
+
+
+def stream_period(x: np.ndarray, num: NumerologyConfig) -> int:
+    """First of one symbol and n_fft samples that ``x`` repeats with exactly, else ``len(x)``."""
+    for p in (num.symbol_samples, num.n_fft):
+        if p < len(x) and len(x) % p == 0 and np.array_equal(x[p:], x[:-p]):
+            return p
+    return len(x)
 
 
 def ofdm_modulate(column: np.ndarray, num: NumerologyConfig, n_symbols: int,

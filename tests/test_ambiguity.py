@@ -49,6 +49,9 @@ def test_fraction_rejects_bad_frequency():
     for frequency_hz in (0.0, -1e9, math.nan, math.inf):
         with pytest.raises(ValueError):
             phase_to_fraction(0.1, frequency_hz)
+    for phase_rad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            phase_to_fraction(phase_rad, F1)
 
 
 def test_resolved_distance_formula():

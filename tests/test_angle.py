@@ -44,6 +44,12 @@ def test_impossible_phase_has_no_angle():
     assert aoa_from_phase_diff(np.pi, cfg) == []
 
 
+@pytest.mark.parametrize("phase_diff_rad", [math.nan, math.inf, -math.inf])
+def test_non_finite_phase_rejected(phase_diff_rad):
+    with pytest.raises(ValueError):
+        aoa_from_phase_diff(phase_diff_rad, HALF_WAVE)
+
+
 def test_sixty_degree_oracle():
     delta = phase_diff_for_angle(np.pi / 3, HALF_WAVE)
     assert delta == pytest.approx(np.pi / 2, abs=1e-12)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from phasepos.errors import ConfigError
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig,
                                comb_subcarriers, generate_prs_column, make_numerology,
-                               middle_subcarrier, ofdm_modulate)
+                               middle_subcarrier, ofdm_modulate, stream_period)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -285,3 +285,28 @@ def test_modulator_matches_per_symbol_reference(n_fft, comb_size, seed, n_symbol
     want = per_symbol_reference(column, num, n_symbols, CONTINUOUS)
     assert cont.shape == want.shape
     assert np.max(np.abs(cont - want)) <= 1e-12
+
+
+# ------------------------------------------------------------- stream period
+
+@pytest.mark.parametrize("n_symbols, mode, period", [
+    (128, CONVENTIONAL, 4384),      # one prefixed symbol, for any symbol count
+    (128, CONTINUOUS, 4096),        # n_fft divides 128 * n_cp
+    (16, CONTINUOUS, 16 * 4384),    # 70,144 samples: no whole number of n_fft periods
+])
+def test_stream_period_of_fr1_streams(n_symbols, mode, period):
+    num = make_numerology("FR1")
+    stream = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, n_symbols, 2), num), num,
+                           n_symbols, mode)
+    assert stream_period(stream, num) == period
+
+
+def test_stream_period_is_exact():
+    num = make_numerology("FR1")
+    stream = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, 8, 2), num), num, 8,
+                           CONVENTIONAL)
+    assert stream_period(stream, num) == num.symbol_samples
+    stream[5 * num.symbol_samples + 17] += 1e-12    # one sample changed
+    assert stream_period(stream, num) == stream.size
+    one_symbol = stream[:num.symbol_samples]
+    assert stream_period(one_symbol, num) == one_symbol.size
