@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, as_real
+from .errors import as_positive
 from .receiver import wrap_phase
 
 
@@ -19,9 +19,8 @@ class InterferometerConfig:
     wavelength_m: float
 
     def __post_init__(self) -> None:
-        for name in ("antenna_spacing_m", "wavelength_m"):
-            if not 0 < as_real(name, getattr(self, name)) < math.inf:
-                raise ConfigError(f"{name} must be finite and positive")
+        as_positive("antenna_spacing_m", self.antenna_spacing_m)
+        as_positive("wavelength_m", self.wavelength_m)
 
 
 def aoa_from_phase_diff(phase_diff_rad: float, config: InterferometerConfig) -> list[float]:

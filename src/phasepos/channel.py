@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigError, NoSignalError, as_int, as_real
+from .errors import ConfigError, NoSignalError, as_int, as_positive, as_real
 from .waveform import NumerologyConfig, stream_period
 
 # 25 clusters x 20 rays, the largest ray count of TR 38.901's InF model;
@@ -100,15 +100,12 @@ class ScenarioProfile:
         if self.is_los != (self.nlos_excess_delay_mean_s is None):
             raise ConfigError("nlos_excess_delay_mean_s is required for NLOS kinds and "
                               "does not apply to InF-LOS")
-        if not 0 < as_real("rms_delay_spread_s", self.rms_delay_spread_s) < math.inf:
-            raise ConfigError("rms_delay_spread_s must be finite and positive")
-        if not 1 <= as_int("n_clutter_taps", self.n_clutter_taps) <= MAX_CLUTTER_TAPS:
-            raise ConfigError(f"n_clutter_taps must be an integer in [1, {MAX_CLUTTER_TAPS}]")
+        as_positive("rms_delay_spread_s", self.rms_delay_spread_s)
+        as_int("n_clutter_taps", self.n_clutter_taps, 1, MAX_CLUTTER_TAPS)
         if self.is_los:
             as_db("rician_k_db", self.rician_k_db)
-        excess = self.nlos_excess_delay_mean_s
-        if not (self.is_los or 0 < as_real("nlos_excess_delay_mean_s", excess) < math.inf):
-            raise ConfigError("nlos_excess_delay_mean_s must be finite and positive")
+        else:
+            as_positive("nlos_excess_delay_mean_s", self.nlos_excess_delay_mean_s)
 
     @property
     def is_los(self) -> bool:

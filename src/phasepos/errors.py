@@ -1,11 +1,10 @@
-"""Error types shared across the simulator, and the one type check of a config number.
+"""Error types, and the one owner of the type, positivity and range rules of a number.
 
-``Geometry``, ``ScenarioProfile``, ``NumerologyConfig``, ``PrsConfig`` and
-``ScenarioConfig`` read every number through ``as_real`` or ``as_int``, so a
-bool, a string or an int too large for a float is a ``ConfigError`` whichever
-constructor it reaches.
+Every config number and count is read through ``as_real``, ``as_positive`` or
+``as_int``; the ``ConfigError`` they raise names the field, its rule and the value.
 """
 
+import math
 import numbers
 
 
@@ -17,18 +16,33 @@ class NoSignalError(RuntimeError):
     """No usable signal energy for the requested measurement."""
 
 
+def _shown(value) -> str:
+    try:
+        return repr(value)
+    except ValueError:   # an int past Python's int-to-str digit limit
+        return f"an int of {value.bit_length()} bits"
+
+
 def as_real(name: str, value) -> float:
     """``value`` as a float; ConfigError for a bool, a non-real or an int past float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        raise ConfigError(f"{name} must be a number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError as exc:
-        raise ConfigError(f"{name} is too large for a float") from exc
+        raise ConfigError(f"{name} must fit in a float, got {_shown(value)}") from exc
 
 
-def as_int(name: str, value) -> int:
-    """``value`` as an int; ConfigError for a bool or a non-integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+def as_positive(name: str, value) -> float:
+    """``value`` as a float; ConfigError unless ``as_real`` takes it, finite and positive."""
+    real = as_real(name, value)
+    if not 0.0 < real < math.inf:
+        raise ConfigError(f"{name} must be finite and positive, got {_shown(value)}")
+    return real
+
+
+def as_int(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """``value`` as an int; ConfigError for a bool, a non-integer or a value outside [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise ConfigError(f"{name} must be an integer in [{lo}, {hi}], got {_shown(value)}")
     return int(value)

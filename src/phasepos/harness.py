@@ -32,14 +32,16 @@ from .ambiguity import IA_MODES, phase_to_fraction, resolve
 from .channel import (Geometry, ScenarioProfile, add_awgn, apply_channel, as_db, draw_channel,
                       profile_preset)
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigError, as_int, as_real
+from .errors import ConfigError, as_int, as_positive
 from .receiver import ccp_measure, estimate_toa
 from .waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig, generate_prs_column,
                        make_numerology, middle_subcarrier, ofdm_modulate)
 
 METHODS = ("toa", "cp", "ccp")
 MAX_SYMBOLS = 1024       # 8x the default; one FR1 stream of this length is 72 MB
-_INT_FIELDS = ("n_trials", "ccp_sweeps", "n_symbols", "master_seed")
+MAX_TRIALS = 1_000_000   # each kept TrialResult is about 0.8 KB
+_INT_RANGES = {"n_trials": (1, MAX_TRIALS), "ccp_sweeps": (1, math.inf),
+               "n_symbols": (2, MAX_SYMBOLS), "master_seed": (0, math.inf)}
 
 
 def _ccp_windows(num: NumerologyConfig, n_symbols: int, n_sweeps: int) -> tuple[int, int, int]:
@@ -65,14 +67,14 @@ class ScenarioConfig:
     ``dataclasses.replace``) validates every field and raises
     ``ConfigError`` on any other shape, a wrongly typed, non-finite or
     too large value, a finite SNR beyond ``MAX_ABS_DB``, a widelane carrier
-    at or below half the sample rate, more than ``MAX_SYMBOLS`` symbols, an
-    unknown name, a repeated method, a profile override named twice or not
-    read by the profile kind, more sweeps than the stream has window
-    positions when ccp is measured (no other method reads ``ccp_sweeps``),
-    or a UE whose geometric delay plus the profile's mean NLOS excess and
-    delay spread reaches the comb's TOA range 1 / (comb_size * scs).  The
-    ccp windows are spread over the whole stream, so their spacing follows
-    from ``n_symbols`` and ``ccp_sweeps``.
+    at or below half the sample rate, more than ``MAX_SYMBOLS`` symbols or
+    ``MAX_TRIALS`` trials, an unknown name, a repeated method, a profile
+    override named twice or not read by the profile kind, more sweeps than
+    the stream has window positions when ccp is measured (no other method
+    reads ``ccp_sweeps``), or a UE whose geometric delay plus the profile's
+    mean NLOS excess and delay spread reaches the comb's TOA range
+    1 / (comb_size * scs).  A rejected number's message names the field,
+    its allowed range and the value.
     """
 
     band: str = "FR1"
@@ -111,19 +113,11 @@ class ScenarioConfig:
                         for p in self.profile_overrides)
                 and len(dict(self.profile_overrides)) == len(self.profile_overrides)):
             raise ConfigError("profile_overrides must map each profile field name to one value")
-        for name in _INT_FIELDS:
-            as_int(name, getattr(self, name))
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be nonnegative")
+        for name, (lo, hi) in _INT_RANGES.items():
+            as_int(name, getattr(self, name), lo, hi)
         as_db("snr_db", self.snr_db)
-        for name in ("k_sigma", "widelane_second_fc_hz"):
-            value = getattr(self, name)
-            if ((value is not None or name == "k_sigma")
-                    and not 0.0 < as_real(name, value) < math.inf):
-                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+        as_positive("k_sigma", self.k_sigma)
         profile = profile_preset(self.profile, **dict(self.profile_overrides))
-        if self.n_trials < 1:
-            raise ConfigError("n_trials must be positive")
         if (not isinstance(self.methods, tuple) or not self.methods
                 or any(m not in METHODS for m in self.methods)
                 or len(set(self.methods)) != len(self.methods)):
@@ -136,11 +130,8 @@ class ScenarioConfig:
         if self.widelane_second_fc_hz == num.carrier_frequency_hz:
             raise ConfigError("widelane_second_fc_hz must differ from the band carrier")
         if self.widelane_second_fc_hz is not None:   # the carrier rule of the numerology
+            as_positive("widelane_second_fc_hz", self.widelane_second_fc_hz)
             dataclasses.replace(num, carrier_frequency_hz=self.widelane_second_fc_hz)
-        if self.ccp_sweeps < 1:
-            raise ConfigError("ccp_sweeps must be positive")
-        if not 2 <= self.n_symbols <= MAX_SYMBOLS:
-            raise ConfigError(f"n_symbols must lie in [2, {MAX_SYMBOLS}]")
         if "ccp" in self.methods and _ccp_windows(num, self.n_symbols, self.ccp_sweeps)[2] < 1:
             raise ConfigError(f"{self.ccp_sweeps} sweeps do not fit in {self.n_symbols} symbols")
         PrsConfig(self.comb_size, self.comb_offset, self.n_symbols, self.prs_seed)  # comb and seed
@@ -188,7 +179,7 @@ class _Assets:
     windows: dict[str, tuple[int, int, int]]   # method -> (start, n_sweeps, shift)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)   # callers run one scenario at a time
 def _build_assets(cfg: ScenarioConfig) -> _Assets:
     num = make_numerology(cfg.band)
     prs = PrsConfig(cfg.comb_size, cfg.comb_offset, cfg.n_symbols, cfg.prs_seed)
@@ -263,8 +254,7 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list[TrialResult]:
     """Run all trials; identical results for any worker count, capped at trials and CPUs."""
-    if workers < 1:
-        raise ConfigError("workers must be positive")
+    as_int("workers", workers, 1)
     trials = range(cfg.n_trials)
     workers = min(workers, cfg.n_trials, os.cpu_count() or 1)
     if workers == 1:

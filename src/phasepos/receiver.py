@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoSignalError
+from .errors import NoSignalError, as_int
 from .waveform import NumerologyConfig, stream_period
 
 
@@ -138,8 +138,8 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
         ConfigError: bad sweep parameters.
         NoSignalError: a window saw an empty subcarrier bin.
     """
-    if n_sweeps < 1 or shift_samples < 1:
-        raise ConfigError("n_sweeps and shift_samples must be positive")
+    as_int("n_sweeps", n_sweeps, 1)
+    as_int("shift_samples", shift_samples, 1)
     k = int(subcarrier)
 
     span = (n_sweeps - 1) * shift_samples + num.n_fft

@@ -27,12 +27,11 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, as_int, as_real
+from .errors import ConfigError, as_int, as_positive
 
 CONVENTIONAL = "conventional"
 CONTINUOUS = "continuous"
@@ -55,17 +54,13 @@ class NumerologyConfig:
     n_active_subcarriers: int
 
     def __post_init__(self) -> None:
-        if not all(0 < as_real(name, getattr(self, name)) < math.inf
-                   for name in ("carrier_frequency_hz", "scs_hz")):
-            raise ConfigError("carrier_frequency_hz and scs_hz must be finite and positive")
-        n_fft, n_cp, n_active = (as_int(name, getattr(self, name))
-                                 for name in ("n_fft", "n_cp", "n_active_subcarriers"))
-        if n_fft <= 0 or (n_fft & (n_fft - 1)) != 0:
-            raise ConfigError(f"n_fft must be a positive power of two, got {n_fft}")
-        if not 0 <= n_cp < n_fft:
-            raise ConfigError("n_cp must satisfy 0 <= n_cp < n_fft")
-        if not 0 < n_active <= n_fft - 1:
-            raise ConfigError("active subcarriers must fit in the FFT with DC excluded")
+        as_positive("carrier_frequency_hz", self.carrier_frequency_hz)
+        as_positive("scs_hz", self.scs_hz)
+        n_fft = as_int("n_fft", self.n_fft, 1)
+        if n_fft & (n_fft - 1):
+            raise ConfigError(f"n_fft must be a power of two, got {n_fft}")
+        as_int("n_cp", self.n_cp, 0, n_fft - 1)
+        as_int("n_active_subcarriers", self.n_active_subcarriers, 1, n_fft - 1)   # DC excluded
         if not self.carrier_frequency_hz > self.sample_rate_hz / 2:
             raise ConfigError(f"carrier {self.carrier_frequency_hz:g} Hz must exceed half the "
                               f"sample rate, {self.sample_rate_hz / 2:g} Hz, so that every "
@@ -91,17 +86,11 @@ class PrsConfig:
     sequence_seed: int = 0
 
     def __post_init__(self) -> None:
-        comb_size, comb_offset, n_symbols, seed = (
-            as_int(name, getattr(self, name))
-            for name in ("comb_size", "comb_offset", "n_symbols", "sequence_seed"))
-        if comb_size not in _COMB_SIZES:
-            raise ConfigError(f"comb_size must be one of {_COMB_SIZES}")
-        if not 0 <= comb_offset < comb_size:
-            raise ConfigError("comb_offset must lie in [0, comb_size)")
-        if n_symbols < 1:
-            raise ConfigError("n_symbols must be positive")
-        if seed < 0:
-            raise ConfigError("sequence_seed must be nonnegative")
+        if as_int("comb_size", self.comb_size) not in _COMB_SIZES:
+            raise ConfigError(f"comb_size must be one of {_COMB_SIZES}, got {self.comb_size!r}")
+        as_int("comb_offset", self.comb_offset, 0, self.comb_size - 1)
+        as_int("n_symbols", self.n_symbols, 1)
+        as_int("sequence_seed", self.sequence_seed, 0)
 
 
 def make_numerology(band: str) -> NumerologyConfig:
@@ -168,8 +157,7 @@ def ofdm_modulate(column: np.ndarray, num: NumerologyConfig, n_symbols: int,
     """
     if mode not in (CONVENTIONAL, CONTINUOUS):
         raise ConfigError(f"unknown modulation mode {mode!r}")
-    if n_symbols < 1:
-        raise ConfigError("n_symbols must be positive")
+    as_int("n_symbols", n_symbols, 1)
     column = np.asarray(column, dtype=np.complex128)
     if column.shape != (num.n_fft,):
         raise ValueError(f"column must hold n_fft = {num.n_fft} bins, got {column.shape}")

@@ -98,6 +98,7 @@ def test_default_config_validates():
     {"profile_overrides": {"rician_k_db": -300.5}},
     {"ambiguity": "widelane", "comb_offset": 5, "widelane_second_fc_hz": 1000.0},
     {"widelane_second_fc_hz": 61.44e6},    # exactly half the FR1 sample rate
+    {"n_trials": 1_000_001},               # past MAX_TRIALS
 ])
 def test_bad_config_rejected(changes):
     with pytest.raises(ConfigError):
@@ -183,7 +184,8 @@ def test_config_from_dict_rejects_malformed_values():
                                        "ue_position_m": [float("nan"), 0, 1]}})
     with pytest.raises(ConfigError):
         config_from_dict({"k_sigma": 10 ** 400})
-    with pytest.raises(ConfigError, match="^n_trials must be positive$"):
+    with pytest.raises(ConfigError,
+                       match=r"^n_trials must be an integer in \[1, 1000000\], got 0$"):
         config_from_dict({"n_trials": 0})   # raised by the config itself, not re-wrapped
 
 
@@ -464,6 +466,14 @@ def test_128_symbol_trials_match_golden():
             assert r.ia_failure[method] is failed
 
 
+def test_asset_cache_holds_one_scenario():
+    # Each entry holds two full streams; callers run one scenario at a time.
+    harness._build_assets.cache_clear()
+    harness._build_assets(FAST)
+    harness._build_assets(dataclasses.replace(FAST, snr_db=0.0))
+    assert harness._build_assets.cache_info().currsize == 1
+
+
 def test_cached_streams_are_read_only():
     # Every trial of a scenario reads the same cached streams.
     assets = harness._build_assets(FAST)
@@ -627,6 +637,7 @@ def test_cli_sweep_past_stream_exits_2(tmp_path, capsys):
     {"profile_overrides": {"rician_k_db": 4000}},
     {"ambiguity": "widelane", "comb_offset": 5, "widelane_second_fc_hz": 1000.0},
     {"widelane_second_fc_hz": 1000.0},
+    {"n_trials": 100000000000000000000},
 ])
 def test_cli_bad_value_exits_2(tmp_path, capsys, extra):
     cfg = write_cfg(tmp_path, **extra)

@@ -1,5 +1,6 @@
-"""Every name a module imports is used in it, the package needs only numpy, and
-it raises only ``ConfigError``, ``NoSignalError`` or ``ValueError``.
+"""Every name a module imports is used in it, the package needs only numpy, it
+raises only ``ConfigError``, ``NoSignalError`` or ``ValueError``, and it leaves
+the range and positivity of a config number to ``errors.py``.
 
 ``__init__.py`` is skipped by the unused-import scan: its imports are the
 package's re-exports, which ``test_exports.py`` checks.
@@ -89,3 +90,29 @@ def test_scan_finds_a_foreign_raise():
 def test_package_raises_only_its_vocabulary(path):
     # A search that finds nothing returns None or [], not an exception.
     assert foreign_raises(path.read_text(encoding="utf-8")) == []
+
+
+def hand_written_ranges(source: str) -> list[str]:
+    """``as_real``/``as_int`` calls compared with <, <=, > or >=: a range check by hand."""
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare) and any(isinstance(op, ordering) for op in node.ops):
+            found += [(operand.lineno, ast.unparse(operand.func))
+                      for operand in (node.left, *node.comparators)
+                      if isinstance(operand, ast.Call)
+                      and ast.unparse(operand.func) in ("as_real", "as_int")]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_scan_finds_a_hand_written_range():
+    assert hand_written_ranges("if not 0 < as_real('x', x) < inf: pass\n"
+                               "ok = as_int('n', n, 1) in (2, 4) or as_real('y', y) == 1\n"
+                               "if as_int('n', n) >= 2: pass\n") == [
+        "as_real (line 1)", "as_int (line 3)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_leaves_number_ranges_to_errors(path):
+    # as_int takes the range and as_positive the finite-positive rule.
+    assert hand_written_ranges(path.read_text(encoding="utf-8")) == []
