@@ -4,8 +4,12 @@ The channel is a tapped delay line applied circularly in the frequency
 domain: tap i multiplies the stream spectrum by
 gain_i * exp(-j 2 pi f_c tau_i) * exp(-j 2 pi f tau_i), which realizes the
 fractional delay exactly for the simulated band (no interpolation error) and
-bakes the carrier-phase rotation of each path into the baseband signal.  A
-periodic stream is filtered over one period and tiled, which equals the
+bakes the carrier-phase rotation of each path into the baseband signal.  The
+transform's bins are a uniform grid, so ``ChannelRealization.response``
+factors each tap's exponential into two short tables (the chirp-z
+factoring): n bins cost taps * (sqrt(n) + n / sqrt(n)) exps plus a taps * n
+multiply-add, where one exp per tap per bin would cost taps * n.
+A periodic stream is filtered over one period and tiled, which equals the
 filter over the whole stream; any other stream is filtered whole.  The
 sign convention is fixed here once: a delay produces a *negative* phase.
 Streams are complex sample arrays; the carrier f_c and the sample rate that
@@ -24,8 +28,8 @@ from .errors import ConfigError, NoSignalError, as_int, as_positive, as_real
 from .waveform import NumerologyConfig, stream_period
 
 # 25 clusters x 20 rays, the largest ray count of TR 38.901's InF model;
-# ``ChannelRealization.response`` loops over the taps, so the count bounds a
-# trial's time.
+# ``ChannelRealization.response`` costs taps * (sqrt(n) + n / sqrt(n)) exps and
+# a taps * n multiply-add on n bins, so the count bounds a trial's time.
 MAX_CLUTTER_TAPS = 500
 # Bound on a finite dB figure (Rician K, SNR): far past any link, while
 # 10 ** (x / 10) overflows near 3083 dB.
@@ -141,14 +145,25 @@ class ChannelRealization:
     delays_s: np.ndarray      # float64
     gains: np.ndarray         # complex128
 
-    def response(self, num: NumerologyConfig, baseband_hz):
-        """Sum of g_i exp(-j 2 pi (f_c + f) tau_i) at baseband f (scalar or array), f_c of num."""
-        out = np.zeros(np.shape(baseband_hz), dtype=np.complex128)
-        # Python scalars: a numpy complex128 scalar times an array rounds differently.
-        for tau, gain in zip(self.delays_s.tolist(), self.gains.tolist()):
-            out += gain * np.exp(-2j * np.pi * (num.carrier_frequency_hz * tau
-                                                + baseband_hz * tau))
-        return out
+    def response(self, num: NumerologyConfig, first_bin: int, n_bins: int,
+                 spacing_hz: float) -> np.ndarray:
+        """Sum of g_i exp(-j 2 pi (f_c + f) tau_i) at f = (first_bin + j) * spacing_hz, j < n_bins.
+
+        f_c is the carrier of ``num``.  Writing j = q * B + r with B = ceil(sqrt(n_bins)),
+        each tap's term is a table over q times a table over r, so the grid is a
+        (ceil(n_bins / B), B) sum of outer products, reshaped and cut to ``n_bins``.
+        """
+        block = math.isqrt(as_int("n_bins", n_bins, 1) - 1) + 1
+        rows = -(-n_bins // block)
+        tau = self.delays_s[:, None]
+        # The carrier's large phase is rounded once per tap, not once per bin;
+        # the tables hold only phases of at most 2 pi n_bins spacing_hz tau.
+        start = self.gains[:, None] * np.exp(
+            -2j * np.pi * (num.carrier_frequency_hz + first_bin * spacing_hz) * tau)
+        hi = start * np.exp(-2j * np.pi * tau * (block * spacing_hz * np.arange(rows)))
+        lo = np.exp(-2j * np.pi * tau * (spacing_hz * np.arange(block)))
+        # einsum sums the outer products in numpy's own loops: no BLAS call.
+        return np.einsum("iq,ir->qr", hi, lo).reshape(-1)[:n_bins]
 
 
 def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> ChannelRealization:
@@ -204,8 +219,8 @@ def apply_channel(x: np.ndarray, num: NumerologyConfig,
     period is filtered whole.
     """
     p = stream_period(x, num)
-    freqs = np.fft.fftfreq(p, d=1.0 / num.sample_rate_hz)
-    return np.tile(np.fft.ifft(np.fft.fft(x[:p]) * channel.response(num, freqs)), len(x) // p)
+    h = np.fft.ifftshift(channel.response(num, -(p // 2), p, num.sample_rate_hz / p))
+    return np.tile(np.fft.ifft(np.fft.fft(x[:p]) * h), len(x) // p)
 
 
 def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:

@@ -134,21 +134,23 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     keeps the tone exact at large stream positions.
 
     Raises:
-        ValueError: the sweep starts before or ends past the stream.
-        ConfigError: bad sweep parameters.
+        ValueError: the sweep ends past the stream.
+        ConfigError: bad sweep parameters, a negative ``window_start`` included.
         NoSignalError: a window saw an empty subcarrier bin.
     """
     as_int("n_sweeps", n_sweeps, 1)
     as_int("shift_samples", shift_samples, 1)
+    as_int("window_start", window_start, 0)
     k = int(subcarrier)
 
     span = (n_sweeps - 1) * shift_samples + num.n_fft
     end = window_start + span
-    if window_start < 0 or end > len(rx):
+    if end > len(rx):
         raise ValueError(f"sweep [{window_start}, {end}) out of range "
                          f"for stream of {len(rx)} samples")
-    turns = (k * np.arange(window_start, end, dtype=np.int64)) % num.n_fft
-    tone = np.exp(-2j * np.pi * np.arange(num.n_fft) / num.n_fft)[turns]
+    # The tone repeats every n_fft positions: build one period and repeat it.
+    turns = (k * np.arange(window_start, window_start + num.n_fft, dtype=np.int64)) % num.n_fft
+    tone = np.resize(np.exp(-2j * np.pi * np.arange(num.n_fft) / num.n_fft)[turns], span)
     prefix = np.zeros(span + 1, dtype=np.complex128)
     np.cumsum(rx[window_start:end] * tone, out=prefix[1:])
     offsets = np.arange(n_sweeps, dtype=np.int64) * shift_samples

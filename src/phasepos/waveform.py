@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, as_int, as_positive
+from .errors import ConfigError, as_int, as_positive, as_real
 
 CONVENTIONAL = "conventional"
 CONTINUOUS = "continuous"
@@ -57,6 +57,7 @@ class NumerologyConfig:
         as_positive("carrier_frequency_hz", self.carrier_frequency_hz)
         as_positive("scs_hz", self.scs_hz)
         n_fft = as_int("n_fft", self.n_fft, 1)
+        as_real("n_fft", n_fft)     # the sample rate is a float
         if n_fft & (n_fft - 1):
             raise ConfigError(f"n_fft must be a power of two, got {n_fft}")
         as_int("n_cp", self.n_cp, 0, n_fft - 1)

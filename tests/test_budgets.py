@@ -1,10 +1,12 @@
-"""Work and memory budgets of one 128-symbol trial.
+"""Work and memory budgets of one trial.
 
 Both 128-symbol streams repeat exactly (conventional every symbol,
 continuous every n_fft samples), so the channel and the TOA correlator need
 transforms and tap responses of one period only.  These tests hold the
 simulator to that: a transform or a response over the whole 561,152-sample
-stream, or one more full-length array alive at once, fails them.
+stream, or one more full-length array alive at once, fails them.  A stream
+with no period is filtered whole, but its tap response is two short exp
+tables per tap, not one exp per tap per bin.
 """
 
 import tracemalloc
@@ -20,7 +22,14 @@ FR1_TOA = ScenarioConfig(band="FR1", methods=("toa", "cp", "ccp"), ambiguity="to
                          n_symbols=128, ccp_sweeps=1000)
 FR2_CCP = ScenarioConfig(band="FR2", methods=("ccp",), ambiguity="oracle",
                          n_symbols=128, ccp_sweeps=8192)
+# The fr1-short-widelane benchmark scenario: 16 * 4,384 samples is no whole
+# number of n_fft periods, so its continuous streams are filtered whole.
+FR1_WIDELANE = ScenarioConfig(band="FR1", methods=("toa", "cp", "ccp"), ambiguity="widelane",
+                              widelane_second_fc_hz=3.9e9, n_symbols=16, ccp_sweeps=1000)
 ONE_SYMBOL = make_numerology("FR1").symbol_samples      # 4,384 samples, FR1 and FR2 alike
+# Elements through np.exp in one widelane trial: measured at 40.7k, while one
+# exp per tap per bin of the two dense 70,144-sample streams is 1.9M.
+WIDELANE_EXP_ELEMENTS = 64_000
 
 MIB = 2 ** 20
 # tracemalloc peak of one trial after a warm-up trial, measured with
@@ -52,14 +61,30 @@ def test_tap_response_is_evaluated_on_one_period(monkeypatch, cfg):
     sizes = []
     response = ChannelRealization.response
 
-    def counted(self, num, baseband_hz):
-        sizes.append(np.size(baseband_hz))
-        return response(self, num, baseband_hz)
+    def counted(self, num, first_bin, n_bins, spacing_hz):
+        sizes.append(n_bins)
+        return response(self, num, first_bin, n_bins, spacing_hz)
 
     monkeypatch.setattr(ChannelRealization, "response", counted)
     run_trial(cfg, 0)
     assert sizes, "the trial evaluated no tap response"
     assert max(sizes) <= ONE_SYMBOL, f"response sizes {sizes}"
+
+
+def test_dense_trial_exp_work(monkeypatch):
+    run_trial(FR1_WIDELANE, 0)      # builds the cached streams outside the count
+    sizes = []
+    exp = np.exp
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    run_trial(FR1_WIDELANE, 1)
+    assert sizes, "the trial made no np.exp call"
+    assert max(sizes) <= ONE_SYMBOL, f"np.exp sizes {sorted(sizes)[-5:]}"
+    assert sum(sizes) <= WIDELANE_EXP_ELEMENTS, f"{sum(sizes)} np.exp elements"
 
 
 @pytest.mark.parametrize("name", sorted(PEAK_MIB))

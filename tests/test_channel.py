@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasepos.channel import (ChannelRealization, Geometry, ScenarioProfile, add_awgn,
                               apply_channel, doppler_ppm, draw_channel, profile_preset)
@@ -188,8 +190,9 @@ def test_superposition_over_taps():
 
 def dense_channel(x, num, ch):
     """The tapped delay line over the whole stream's DFT."""
-    freqs = np.fft.fftfreq(len(x), 1.0 / num.sample_rate_hz)
-    return np.fft.ifft(np.fft.fft(x) * ch.response(num, freqs))
+    n = len(x)
+    return np.fft.ifft(np.fft.fft(x) * np.fft.ifftshift(ch.response(num, -(n // 2), n,
+                                                                   num.sample_rate_hz / n)))
 
 
 @pytest.mark.parametrize("n_symbols, mode, periodic", [
@@ -217,6 +220,53 @@ def test_apply_channel_on_an_aperiodic_stream_is_the_dense_transform():
         assert np.array_equal(apply_channel(x, NUM, ch), dense_channel(x, NUM, ch))
 
 
+def loop_response(ch, num, first_bin, n_bins, spacing_hz):
+    """The tap line with one exp per tap per bin, each phase in turns reduced in long double."""
+    ld = np.longdouble
+    bins = np.arange(first_bin, first_bin + n_bins).astype(ld)
+    f = ld(num.carrier_frequency_hz) + bins * ld(spacing_hz)
+    out = np.zeros(n_bins, dtype=complex)
+    for tau, gain in zip(ch.delays_s.astype(ld), ch.gains):
+        turns = f * tau
+        out += gain * np.exp(-2j * np.pi * (turns - np.round(turns)).astype(float))
+    return out
+
+
+PROFILE_KINDS = ["InF-LOS", "InF-NLOS-S", "InF-NLOS-D"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(band=st.sampled_from(["FR1", "FR2"]), kind=st.sampled_from(PROFILE_KINDS),
+       seed=st.integers(0, 2 ** 32 - 1), n_bins=st.integers(1, 20_000),
+       grid=st.sampled_from(["transform", "subcarrier"]), data=st.data())
+def test_response_matches_per_tap_loop(band, kind, seed, n_bins, grid, data):
+    num = make_numerology(band)
+    if grid == "transform":         # apply_channel's bins: a DFT of n_bins points
+        first_bin, spacing_hz = -(n_bins // 2), num.sample_rate_hz / n_bins
+    else:
+        first_bin = data.draw(st.integers(-num.n_fft, num.n_fft), label="first_bin")
+        spacing_hz = num.scs_hz
+    ch = draw_channel(profile_preset(kind), Geometry(GNB, UE), seed)
+    got = ch.response(num, first_bin, n_bins, spacing_hz)
+    assert got.shape == (n_bins,)
+    # Relative to sum |g_i|, the largest |H| can be.
+    err = np.max(np.abs(got - loop_response(ch, num, first_bin, n_bins, spacing_hz)))
+    assert err <= 2e-11 * np.sum(np.abs(ch.gains))
+
+
+@settings(max_examples=10, deadline=None)
+@given(band=st.sampled_from(["FR1", "FR2"]), mode=st.sampled_from([CONVENTIONAL, CONTINUOUS]),
+       kind=st.sampled_from(PROFILE_KINDS), n_symbols=st.integers(2, 300),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_apply_channel_matches_dense_transform_property(band, mode, kind, n_symbols, seed):
+    num = make_numerology(band)
+    tx = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, n_symbols, seed), num), num,
+                       n_symbols, mode)
+    ch = draw_channel(profile_preset(kind), Geometry(GNB, UE), seed)
+    rx, dense = apply_channel(tx, num, ch), dense_channel(tx, num, ch)
+    assert np.max(np.abs(rx - dense)) <= 1e-12 * np.sqrt(np.mean(np.abs(tx) ** 2))
+
+
 @pytest.mark.parametrize("kind", ["InF-LOS", "InF-NLOS-S"])
 def test_response_is_the_noiseless_carrier_phase(kind):
     # At 128 symbols the continuous stream is n_fft-periodic, so the circular
@@ -230,7 +280,7 @@ def test_response_is_the_noiseless_carrier_phase(kind):
         rx = apply_channel(tx, NUM, ch)
         phase = ccp_measure(rx, NUM, k, 1, 1, complex(column[k % NUM.n_fft]),
                             NUM.symbol_samples + NUM.n_cp).phase_rad   # the harness's cp window
-        expected = np.angle(ch.response(NUM, k * NUM.scs_hz))
+        expected = np.angle(ch.response(NUM, k, 1, NUM.scs_hz)[0])
         assert abs(np.angle(np.exp(1j * (phase - expected)))) < 1e-12
 
 

@@ -218,6 +218,9 @@ def test_ccp_parameters_validated():
         ccp_measure(stream, num, k, n_sweeps=0, shift_samples=1)
     with pytest.raises(ConfigError):
         ccp_measure(stream, num, k, n_sweeps=10, shift_samples=0)
+    with pytest.raises(ConfigError, match="window_start"):
+        ccp_measure(stream, num, k, n_sweeps=1, shift_samples=1,
+                    ref_symbol=ref, window_start=float(num.symbol_samples))
 
 
 # ------------------------------------------------------------ phase plumbing

@@ -156,6 +156,7 @@ def test_bad_comb_rejected():
     {"scs": float("nan")}, {"scs": float("inf")},
     {"n_fft": 8.0}, {"n_cp": 9.0}, {"n_active": 48.0},
     {"fc": 480e3}, {"fc": 1e3},    # at or below half the 960 kHz sample rate
+    {"n_fft": 2 ** 1100},          # a power of two past float range
 ])
 def test_bad_numerology_rejected(changes):
     with pytest.raises(ConfigError):
