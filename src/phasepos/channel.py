@@ -24,24 +24,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigError, NoSignalError, as_int, as_positive, as_real
+from .errors import ConfigError, NoSignalError, as_db, as_int, as_positive, as_real
 from .waveform import NumerologyConfig, stream_period
 
 # 25 clusters x 20 rays, the largest ray count of TR 38.901's InF model;
 # ``ChannelRealization.response`` costs taps * (sqrt(n) + n / sqrt(n)) exps and
 # a taps * n multiply-add on n bins, so the count bounds a trial's time.
 MAX_CLUTTER_TAPS = 500
-# Bound on a finite dB figure (Rician K, SNR): far past any link, while
-# 10 ** (x / 10) overflows near 3083 dB.
-MAX_ABS_DB = 300.0
-
-
-def as_db(name: str, value) -> float:
-    """``value`` as a dB float; ConfigError unless a number within +-``MAX_ABS_DB`` or +inf."""
-    db = as_real(name, value)
-    if not (db == math.inf or abs(db) <= MAX_ABS_DB):
-        raise ConfigError(f"{name} must lie within +-{MAX_ABS_DB:g} dB or be +inf, got {value!r}")
-    return db
 
 
 @dataclass(frozen=True)
@@ -87,7 +76,8 @@ class ScenarioProfile:
     config.  A field the kind does not read (``rician_k_db`` on NLOS,
     ``nlos_excess_delay_mean_s`` on LOS) is rejected rather than ignored, as
     is a value that is not a real number (a bool included) or a tap count
-    outside [1, ``MAX_CLUTTER_TAPS``].
+    outside [1, ``MAX_CLUTTER_TAPS``].  Each value is stored as the Python
+    float or int its check returns.
     """
 
     kind: str
@@ -104,12 +94,12 @@ class ScenarioProfile:
         if self.is_los != (self.nlos_excess_delay_mean_s is None):
             raise ConfigError("nlos_excess_delay_mean_s is required for NLOS kinds and "
                               "does not apply to InF-LOS")
-        as_positive("rms_delay_spread_s", self.rms_delay_spread_s)
-        as_int("n_clutter_taps", self.n_clutter_taps, 1, MAX_CLUTTER_TAPS)
-        if self.is_los:
-            as_db("rician_k_db", self.rician_k_db)
-        else:
-            as_positive("nlos_excess_delay_mean_s", self.nlos_excess_delay_mean_s)
+        rules = [("rms_delay_spread_s", as_positive),
+                 ("n_clutter_taps", as_int, 1, MAX_CLUTTER_TAPS),
+                 ("rician_k_db", as_db) if self.is_los
+                 else ("nlos_excess_delay_mean_s", as_positive)]
+        for name, check, *bounds in rules:
+            object.__setattr__(self, name, check(name, getattr(self, name), *bounds))
 
     @property
     def is_los(self) -> bool:

@@ -1,11 +1,16 @@
 """Error types, and the one owner of the type, positivity and range rules of a number.
 
-Every config number and count is read through ``as_real``, ``as_positive`` or
-``as_int``; the ``ConfigError`` they raise names the field, its rule and the value.
+Every config number and count is read through ``as_real``, ``as_positive``,
+``as_int`` or ``as_db``; the ``ConfigError`` they raise names the field, its rule
+and the value.
 """
 
 import math
 import numbers
+
+# Bound on a finite dB figure (Rician K, SNR): far past any link, while
+# 10 ** (x / 10) overflows near 3083 dB.
+MAX_ABS_DB = 300.0
 
 
 class ConfigError(ValueError):
@@ -46,3 +51,11 @@ def as_int(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> int
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
         raise ConfigError(f"{name} must be an integer in [{lo}, {hi}], got {_shown(value)}")
     return int(value)
+
+
+def as_db(name: str, value) -> float:
+    """``value`` as a dB float; ConfigError unless a number within +-``MAX_ABS_DB`` or +inf."""
+    db = as_real(name, value)
+    if not (db == math.inf or abs(db) <= MAX_ABS_DB):
+        raise ConfigError(f"{name} must lie within +-{MAX_ABS_DB:g} dB or be +inf, got {value!r}")
+    return db

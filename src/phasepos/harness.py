@@ -9,8 +9,9 @@ Per-trial seeds are split deterministically from the master seed, so results
 are independent of worker count and execution order.
 
 A ``ScenarioConfig`` validates itself when built, so a bad value raises
-``ConfigError`` before any trial; what every trial reads (streams, profile,
-window plans) is built once per scenario by ``_build_assets``.  A method
+``ConfigError`` before any trial.  One derivation of a scenario, ``_Assets``,
+serves both that check and every trial; it modulates a transmit stream when
+first read, so a scenario builds only the streams its methods use.  A method
 whose every trial fails IA resolution gets an empty CDF that still reports
 its failure count.
 """
@@ -24,36 +25,24 @@ import os
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .ambiguity import IA_MODES, phase_to_fraction, resolve
-from .channel import (Geometry, ScenarioProfile, add_awgn, apply_channel, as_db, draw_channel,
-                      profile_preset)
+from .channel import Geometry, add_awgn, apply_channel, draw_channel, profile_preset
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigError, as_int, as_positive
+from .errors import ConfigError, as_db, as_int, as_positive
 from .receiver import ccp_measure, estimate_toa
-from .waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig, generate_prs_column,
-                       make_numerology, middle_subcarrier, ofdm_modulate)
+from .waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column, make_numerology,
+                       middle_subcarrier, ofdm_modulate)
 
 METHODS = ("toa", "cp", "ccp")
 MAX_SYMBOLS = 1024       # 8x the default; one FR1 stream of this length is 72 MB
 MAX_TRIALS = 1_000_000   # each kept TrialResult is about 0.8 KB
-_INT_RANGES = {"n_trials": (1, MAX_TRIALS), "ccp_sweeps": (1, math.inf),
-               "n_symbols": (2, MAX_SYMBOLS), "master_seed": (0, math.inf)}
-
-
-def _ccp_windows(num: NumerologyConfig, n_symbols: int, n_sweeps: int) -> tuple[int, int, int]:
-    """(start, n_sweeps, stride) of a ccp sweep spread over the whole stream.
-
-    The sweep starts one symbol in, clear of the stream head where the
-    circular channel wraps, and its last window ends inside the stream.
-    Overlapping windows share almost all their noise, so they are spaced as
-    widely as the stream allows; a stride of 0 means the sweeps do not fit.
-    """
-    stride = ((n_symbols - 1) * num.symbol_samples - num.n_fft) // max(n_sweeps - 1, 1)
-    return num.symbol_samples, n_sweeps, stride
+_NUMBER_RULES = (("n_trials", as_int, 1, MAX_TRIALS), ("ccp_sweeps", as_int, 1, math.inf),
+                 ("n_symbols", as_int, 2, MAX_SYMBOLS), ("master_seed", as_int, 0, math.inf),
+                 ("snr_db", as_db), ("k_sigma", as_positive))
 
 
 @dataclass(frozen=True)
@@ -66,15 +55,13 @@ class ScenarioConfig:
     tuple of (name, value) pairs sorted by name.  Construction (including
     ``dataclasses.replace``) validates every field and raises
     ``ConfigError`` on any other shape, a wrongly typed, non-finite or
-    too large value, a finite SNR beyond ``MAX_ABS_DB``, a widelane carrier
-    at or below half the sample rate, more than ``MAX_SYMBOLS`` symbols or
-    ``MAX_TRIALS`` trials, an unknown name, a repeated method, a profile
-    override named twice or not read by the profile kind, more sweeps than
-    the stream has window positions when ccp is measured (no other method
-    reads ``ccp_sweeps``), or a UE whose geometric delay plus the profile's
-    mean NLOS excess and delay spread reaches the comb's TOA range
-    1 / (comb_size * scs).  A rejected number's message names the field,
-    its allowed range and the value.
+    too large value, a finite SNR beyond ``MAX_ABS_DB``, more than
+    ``MAX_SYMBOLS`` symbols or ``MAX_TRIALS`` trials, an unknown name, a
+    repeated method, a profile override named twice or not read by the
+    profile kind, or parts that do not fit together (``_Assets`` checks
+    those).  A rejected number's message names the field, its allowed range
+    and the value; an accepted one is stored as the Python int or float its
+    check returns.
     """
 
     band: str = "FR1"
@@ -113,11 +100,11 @@ class ScenarioConfig:
                         for p in self.profile_overrides)
                 and len(dict(self.profile_overrides)) == len(self.profile_overrides)):
             raise ConfigError("profile_overrides must map each profile field name to one value")
-        for name, (lo, hi) in _INT_RANGES.items():
-            as_int(name, getattr(self, name), lo, hi)
-        as_db("snr_db", self.snr_db)
-        as_positive("k_sigma", self.k_sigma)
-        profile = profile_preset(self.profile, **dict(self.profile_overrides))
+        rules = _NUMBER_RULES
+        if self.widelane_second_fc_hz is not None:
+            rules += (("widelane_second_fc_hz", as_positive),)
+        for name, check, *bounds in rules:
+            object.__setattr__(self, name, check(name, getattr(self, name), *bounds))
         if (not isinstance(self.methods, tuple) or not self.methods
                 or any(m not in METHODS for m in self.methods)
                 or len(set(self.methods)) != len(self.methods)):
@@ -126,25 +113,11 @@ class ScenarioConfig:
             raise ConfigError(f"ambiguity mode must be one of {IA_MODES}")
         if self.ambiguity == "widelane" and self.widelane_second_fc_hz is None:
             raise ConfigError("widelane ambiguity mode needs widelane_second_fc_hz")
-        num = make_numerology(self.band)
-        if self.widelane_second_fc_hz == num.carrier_frequency_hz:
-            raise ConfigError("widelane_second_fc_hz must differ from the band carrier")
-        if self.widelane_second_fc_hz is not None:   # the carrier rule of the numerology
-            as_positive("widelane_second_fc_hz", self.widelane_second_fc_hz)
-            dataclasses.replace(num, carrier_frequency_hz=self.widelane_second_fc_hz)
-        if "ccp" in self.methods and _ccp_windows(num, self.n_symbols, self.ccp_sweeps)[2] < 1:
-            raise ConfigError(f"{self.ccp_sweeps} sweeps do not fit in {self.n_symbols} symbols")
-        PrsConfig(self.comb_size, self.comb_offset, self.n_symbols, self.prs_seed)  # comb and seed
-        # A comb-N pilot's correlation repeats every 1/(N scs) seconds, so a
-        # path arriving later aliases onto a short TOA.  The geometric delay
-        # plus the mean NLOS excess and one delay spread must stay inside.
-        reach = (self.geometry.true_delay_s + (profile.nlos_excess_delay_mean_s or 0.0)
-                 + profile.rms_delay_spread_s)
-        limit = 1.0 / (self.comb_size * num.scs_hz)
-        if reach >= limit:
-            raise ConfigError(f"UE at {self.geometry.true_distance_m:.6g} m plus the channel's "
-                              f"delay reaches {reach * 1e6:.3g} us, at or past the "
-                              f"comb-{self.comb_size} TOA range of {limit * 1e6:.3g} us")
+        profile = _Assets(self).profile   # the rules that join the parts
+        object.__setattr__(self, "profile_overrides", tuple(
+            (name, getattr(profile, name)) for name, _ in self.profile_overrides))
+        for name in ("comb_size", "comb_offset", "prs_seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass
@@ -165,47 +138,64 @@ class CdfResult:
     n_trials: int
 
 
-@dataclass(frozen=True)
 class _Assets:
-    """Per-scenario immutables shared by every trial."""
+    """What every trial of one scenario reads, derived once from its config.
 
-    num: NumerologyConfig
-    profile: ScenarioProfile
-    tx_conv: np.ndarray
-    tx_cont: np.ndarray
-    carriers: tuple[NumerologyConfig, ...]   # the band's numerology, then the widelane one
-    subcarrier: int
-    ref_symbol: complex
-    windows: dict[str, tuple[int, int, int]]   # method -> (start, n_sweeps, shift)
+    Building it raises ``ConfigError`` when the config's parts do not fit
+    together: a widelane carrier equal to the band's or at or below half the
+    sample rate, more sweeps than the stream has window positions when ccp is
+    measured (no other method reads ``ccp_sweeps``), or a UE whose geometric
+    delay plus the profile's mean NLOS excess and delay spread reaches the
+    comb's TOA range 1 / (comb_size * scs).  Each transmit stream is
+    modulated when first read, and is read-only: every trial shares it.
+    """
 
+    def __init__(self, cfg: ScenarioConfig) -> None:
+        self.num = num = make_numerology(cfg.band)
+        self.profile = profile = profile_preset(cfg.profile, **dict(cfg.profile_overrides))
+        fc2 = cfg.widelane_second_fc_hz
+        if fc2 == num.carrier_frequency_hz:
+            raise ConfigError("widelane_second_fc_hz must differ from the band carrier")
+        # The modulated samples do not depend on the carrier, so the widelane
+        # carrier sends the same stream on a numerology with another carrier.
+        widelane = () if fc2 is None else (dataclasses.replace(num, carrier_frequency_hz=fc2),)
+        self.carriers = (num, *widelane)[:2 if cfg.ambiguity == "widelane" else 1]
+        # cp: one window on symbol 1's useful part, clear of the stream head
+        # where the circular channel wraps.  ccp: a sweep from one symbol in
+        # whose last window ends inside the stream; overlapping windows share
+        # almost all their noise, so they are spaced as widely as it allows.
+        span = (cfg.n_symbols - 1) * num.symbol_samples - num.n_fft
+        stride = span // max(cfg.ccp_sweeps - 1, 1)
+        if "ccp" in cfg.methods and stride < 1:
+            raise ConfigError(f"{cfg.ccp_sweeps} sweeps do not fit in {cfg.n_symbols} symbols")
+        self.windows = {"cp": (num.symbol_samples + num.n_cp, 1, 1),   # (start, n_sweeps, shift)
+                        "ccp": (num.symbol_samples, cfg.ccp_sweeps, stride)}
+        self.prs = PrsConfig(cfg.comb_size, cfg.comb_offset, cfg.n_symbols, cfg.prs_seed)
+        # Block-type reference: one seeded column on every symbol, so the
+        # continuous waveform is a genuine tone set over the whole stream.
+        self.column = generate_prs_column(self.prs, num)
+        self.subcarrier = middle_subcarrier(self.prs, num)
+        self.ref_symbol = complex(self.column[self.subcarrier % num.n_fft])
+        # A comb-N pilot's correlation repeats every 1/(N scs) seconds, so a
+        # path arriving later aliases onto a short TOA.
+        reach = (cfg.geometry.true_delay_s + (profile.nlos_excess_delay_mean_s or 0.0)
+                 + profile.rms_delay_spread_s)
+        limit = 1.0 / (cfg.comb_size * num.scs_hz)
+        if reach >= limit:
+            raise ConfigError(f"UE at {cfg.geometry.true_distance_m:.6g} m plus the channel's "
+                              f"delay reaches {reach * 1e6:.3g} us, at or past the "
+                              f"comb-{cfg.comb_size} TOA range of {limit * 1e6:.3g} us")
 
-@lru_cache(maxsize=1)   # callers run one scenario at a time
-def _build_assets(cfg: ScenarioConfig) -> _Assets:
-    num = make_numerology(cfg.band)
-    prs = PrsConfig(cfg.comb_size, cfg.comb_offset, cfg.n_symbols, cfg.prs_seed)
-    # Block-type reference: one seeded column on every symbol, so the
-    # continuous waveform is a genuine tone set over the whole stream.
-    column = generate_prs_column(prs, num)
-    tx_conv = ofdm_modulate(column, num, prs.n_symbols, CONVENTIONAL)
-    tx_cont = ofdm_modulate(column, num, prs.n_symbols, CONTINUOUS)
-    for stream in (tx_conv, tx_cont):   # cached: every trial of the scenario reads them
+    def _modulate(self, mode: str) -> np.ndarray:
+        stream = ofdm_modulate(self.column, self.num, self.prs.n_symbols, mode)
         stream.flags.writeable = False
-    k = middle_subcarrier(prs, num)
-    ref = complex(column[k % num.n_fft])
+        return stream
 
-    # The modulated samples do not depend on the carrier, so the widelane
-    # carrier sends the same stream on a numerology with another carrier.
-    carriers = (num,)
-    if cfg.ambiguity == "widelane":
-        fc2 = float(cfg.widelane_second_fc_hz)
-        carriers += (dataclasses.replace(num, carrier_frequency_hz=fc2),)
+    tx_conv = cached_property(lambda self: self._modulate(CONVENTIONAL))
+    tx_cont = cached_property(lambda self: self._modulate(CONTINUOUS))
 
-    # cp: one window on symbol 1's useful part, clear of the stream head
-    # where the circular channel wraps.
-    windows = {"cp": (num.symbol_samples + num.n_cp, 1, 1),
-               "ccp": _ccp_windows(num, cfg.n_symbols, cfg.ccp_sweeps)}
-    profile = profile_preset(cfg.profile, **dict(cfg.profile_overrides))
-    return _Assets(num, profile, tx_conv, tx_cont, carriers, k, ref, windows)
+
+_build_assets = lru_cache(maxsize=1)(_Assets)   # callers run one scenario at a time
 
 
 def _trial_seeds(master_seed: int, trial: int) -> np.ndarray:

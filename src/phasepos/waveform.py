@@ -79,7 +79,7 @@ class NumerologyConfig:
 
 @dataclass(frozen=True)
 class PrsConfig:
-    """Comb occupancy and seeding for a positioning reference signal."""
+    """Comb occupancy and seeding for a positioning reference signal, as checked Python ints."""
 
     comb_size: int = 6
     comb_offset: int = 0
@@ -87,11 +87,13 @@ class PrsConfig:
     sequence_seed: int = 0
 
     def __post_init__(self) -> None:
-        if as_int("comb_size", self.comb_size) not in _COMB_SIZES:
+        comb = as_int("comb_size", self.comb_size)
+        if comb not in _COMB_SIZES:
             raise ConfigError(f"comb_size must be one of {_COMB_SIZES}, got {self.comb_size!r}")
-        as_int("comb_offset", self.comb_offset, 0, self.comb_size - 1)
-        as_int("n_symbols", self.n_symbols, 1)
-        as_int("sequence_seed", self.sequence_seed, 0)
+        object.__setattr__(self, "comb_size", comb)
+        for name, *bounds in (("comb_offset", 0, comb - 1), ("n_symbols", 1),
+                              ("sequence_seed", 0)):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), *bounds))
 
 
 def make_numerology(band: str) -> NumerologyConfig:

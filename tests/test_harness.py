@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasepos import cli, harness
-from phasepos.channel import MAX_ABS_DB, Geometry, profile_preset
-from phasepos.errors import ConfigError
+from phasepos.channel import Geometry, profile_preset
+from phasepos.errors import MAX_ABS_DB, ConfigError
 from phasepos.harness import (METHODS, CdfResult, ScenarioConfig, TrialResult, compute_cdf,
                               config_from_dict, config_to_dict, emit_results, load_config,
                               run_scenario, run_trial)
@@ -144,6 +145,31 @@ def test_config_dict_round_trip():
     cfg = dataclasses.replace(ScenarioConfig(), n_trials=7, snr_db=3.0,
                               profile_overrides=(("rician_k_db", 20.0),))
     assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def test_numbers_of_other_types_are_stored_as_python_numbers(tmp_path):
+    # numpy and Fraction values pass the number checks; the config keeps what
+    # the checks return, so it writes the JSON of the plain int/float config.
+    plain = ScenarioConfig(n_trials=2, n_symbols=8, ccp_sweeps=50, methods=("cp",),
+                           ambiguity="widelane", widelane_second_fc_hz=3.9e9, k_sigma=3.5,
+                           comb_offset=1, profile_overrides={
+                               "rician_k_db": 20.0, "n_clutter_taps": 9,
+                               "rms_delay_spread_s": 2.0 ** -25})
+    other = ScenarioConfig(n_trials=np.int64(2), n_symbols=np.int32(8), ccp_sweeps=np.uint16(50),
+                           methods=("cp",), ambiguity="widelane",
+                           widelane_second_fc_hz=np.float32(3.9e9), k_sigma=Fraction(7, 2),
+                           snr_db=np.float32(10.0), master_seed=np.int64(20260815),
+                           comb_size=np.int64(6), comb_offset=np.int8(1), prs_seed=np.uint8(7),
+                           profile_overrides={"rician_k_db": np.float32(20.0),
+                                              "n_clutter_taps": np.int64(9),
+                                              "rms_delay_spread_s": Fraction(1, 2 ** 25)})
+    texts = []
+    for name, cfg in (("plain", plain), ("other", other)):
+        emit_results([], cfg, str(tmp_path / f"{name}.json"), "json")
+        texts.append((tmp_path / f"{name}.json").read_text())
+    assert texts[0] == texts[1]
+    (tmp_path / "config.json").write_text(json.dumps(json.loads(texts[1])["config"]))
+    assert load_config(str(tmp_path / "config.json")) == plain
 
 
 def test_library_constructor_takes_the_json_shapes():
@@ -480,6 +506,17 @@ def test_cached_streams_are_read_only():
     for stream in (assets.tx_conv, assets.tx_cont):
         with pytest.raises(ValueError):
             stream[0] = stream[0]
+
+
+def test_scenario_builds_only_the_streams_its_methods_read():
+    ccp = ScenarioConfig(band="FR2", methods=("ccp",), n_symbols=8, ccp_sweeps=50, n_trials=1)
+    run_trial(ccp, 0)
+    assert "tx_cont" in vars(harness._build_assets(ccp))
+    assert "tx_conv" not in vars(harness._build_assets(ccp))
+    toa = dataclasses.replace(FAST, methods=("toa",))
+    run_trial(toa, 0)
+    assert "tx_conv" in vars(harness._build_assets(toa))
+    assert "tx_cont" not in vars(harness._build_assets(toa))
 
 
 def test_widelane_trial_full_waveform():

@@ -1,6 +1,7 @@
 """Every name a module imports is used in it, the package needs only numpy, it
-raises only ``ConfigError``, ``NoSignalError`` or ``ValueError``, and it leaves
-the range and positivity of a config number to ``errors.py``.
+raises only ``ConfigError``, ``NoSignalError`` or ``ValueError``, it leaves
+the range and positivity of a config number to ``errors.py``, and the harness
+derives a scenario's parts in one place, ``_Assets``.
 
 ``__init__.py`` is skipped by the unused-import scan: its imports are the
 package's re-exports, which ``test_exports.py`` checks.
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from phasepos import harness
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/phasepos/*.py"))
@@ -116,3 +119,46 @@ def test_scan_finds_a_hand_written_range():
 def test_package_leaves_number_ranges_to_errors(path):
     # as_int takes the range and as_positive the finite-positive rule.
     assert hand_written_ranges(path.read_text(encoding="utf-8")) == []
+
+
+# What builds a part of a scenario: its numerology, pilot, profile and streams.
+_DERIVERS = {"make_numerology", "PrsConfig", "profile_preset", "generate_prs_column",
+             "middle_subcarrier", "ofdm_modulate"}
+
+
+def derivations_outside(source: str, owner: str = "_Assets") -> list[str]:
+    """Calls to a part's builder, and reads of ``symbol_samples`` (the window
+    plans), made outside class ``owner``."""
+    tree = ast.parse(source)
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == owner for node in ast.walk(cls)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in _DERIVERS:
+            found.append((node.lineno, ast.unparse(node.func)))
+        elif isinstance(node, ast.Attribute) and node.attr == "symbol_samples":
+            found.append((node.lineno, ".symbol_samples"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_scan_finds_a_derivation_outside_assets():
+    assert derivations_outside("class Config:\n"
+                               "    def check(self):\n"
+                               "        num = make_numerology(self.band)\n"
+                               "class _Assets:\n"
+                               "    def __init__(self, cfg):\n"
+                               "        self.num = make_numerology(cfg.band)\n"
+                               "        self.start = self.num.symbol_samples\n"
+                               "def stride(num):\n"
+                               "    return num.symbol_samples // 2\n") == [
+        "make_numerology (line 3)", ".symbol_samples (line 9)"]
+
+
+def test_harness_derives_a_scenario_once():
+    # The config check and the per-scenario cache both build _Assets.
+    source = (ROOT / "src/phasepos/harness.py").read_text(encoding="utf-8")
+    assert derivations_outside(source) == []
+    assert harness._build_assets.__wrapped__ is harness._Assets
+    assert harness._build_assets.cache_parameters() == {"maxsize": 1, "typed": False}
