@@ -9,9 +9,11 @@ transform's bins are a uniform grid, so ``ChannelRealization.response``
 factors each tap's exponential into two short tables (the chirp-z
 factoring): n bins cost taps * (sqrt(n) + n / sqrt(n)) exps plus a taps * n
 multiply-add, where one exp per tap per bin would cost taps * n.
-A periodic stream is filtered over one period and tiled, which equals the
-filter over the whole stream; any other stream is filtered whole.  The
-sign convention is fixed here once: a delay produces a *negative* phase.
+A periodic stream is filtered over one period, which equals the filter
+over the whole stream; held as its ``(n / p, p)`` period view, it gets the
+filtered period broadcast to its rows, which ``add_awgn`` adds to the noise
+without tiling.  A stream with no period is filtered whole.  The sign
+convention is fixed here once: a delay produces a *negative* phase.
 Streams are complex sample arrays; the carrier f_c and the sample rate that
 spaces the frequencies f are read from the numerology passed with them.
 """
@@ -199,38 +201,47 @@ def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> Cha
 
 def apply_channel(x: np.ndarray, num: NumerologyConfig,
                   channel: ChannelRealization) -> np.ndarray:
-    """Circularly convolve stream ``x`` with the tapped delay line (length preserved).
+    """Circularly convolve stream ``x`` with the tapped delay line (shape preserved).
 
     Delays are applied as exp(-j 2 pi (f_c + f) tau) over the DFT of one
-    ``stream_period`` of ``x``, f_c and the sample rate from ``num``, so
-    fractional delays are exact; the filtered period is tiled back to the
-    stream's length.  A periodic stream's whole-length spectrum is zero off
-    that period's bins, so this is the whole-stream filter; a stream with no
-    period is filtered whole.
+    period of ``x``, f_c and the sample rate from ``num``, so fractional
+    delays are exact.  A 2-D ``x`` is rows of one period, a 1-D one has its
+    ``stream_period``.  A periodic stream's whole-length spectrum is zero off
+    that period's bins, so this is the whole-stream filter.  The filtered
+    period is broadcast to the rows: a read-only view for a 2-D ``x``, a new
+    tiled stream for a 1-D one.
     """
-    p = stream_period(x, num)
+    rows = x if x.ndim == 2 else x.reshape(-1, stream_period(x, num))
+    p = rows.shape[1]
     h = np.fft.ifftshift(channel.response(num, -(p // 2), p, num.sample_rate_hz / p))
-    return np.tile(np.fft.ifft(np.fft.fft(x[:p]) * h), len(x) // p)
+    y = np.broadcast_to(np.fft.ifft(np.fft.fft(rows[0]) * h), rows.shape)
+    return y if x.ndim == 2 else y.flatten()
 
 
 def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
-    """Stream ``x`` plus circularly symmetric white noise at the given SNR.
+    """Stream ``x``, flattened, plus circularly symmetric white noise at the given SNR.
 
     snr_db = +inf is the noiseless sentinel and returns a copy of ``x``.
     SNR is referenced to the mean power of the incoming samples.  Any other
     SNR ``as_db`` rejects (not a number, NaN, -inf, or past +-``MAX_ABS_DB``)
-    is a ``ConfigError``.
+    is a ``ConfigError``.  A zero mean power raises ``NoSignalError``, a
+    non-finite one (a NaN or inf sample, or an overflow) ``ValueError``.
     """
     if as_db("snr_db", snr_db) == math.inf:
-        return x.copy()
-    power = float(np.mean(np.abs(x) ** 2))
+        return x.flatten()
+    with np.errstate(over="ignore"):
+        power = float(np.mean(np.abs(x) ** 2))
+    if not math.isfinite(power):
+        raise ValueError(f"signal power is {power}, not finite")
     if power == 0.0:
         raise NoSignalError("cannot scale noise against a zero-power signal")
     rng = np.random.default_rng(seed)
-    noise_var = power / 10.0 ** (snr_db / 10.0)
-    n = len(x)
-    noise = np.sqrt(noise_var / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return x + noise
+    scale = np.sqrt(power / 10.0 ** (snr_db / 10.0) / 2.0)
+    out = np.empty(x.shape, dtype=np.complex128)
+    for part in (out.real, out.imag):
+        np.multiply(rng.standard_normal(x.shape), scale, out=part)
+    out += x
+    return out.reshape(-1)
 
 
 def doppler_ppm(speed_m_s: float) -> float:

@@ -35,7 +35,7 @@ from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, as_db, as_int, as_positive
 from .receiver import ccp_measure, estimate_toa
 from .waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column, make_numerology,
-                       middle_subcarrier, ofdm_modulate)
+                       middle_subcarrier, ofdm_modulate, stream_period)
 
 METHODS = ("toa", "cp", "ccp")
 MAX_SYMBOLS = 1024       # 8x the default; one FR1 stream of this length is 72 MB
@@ -147,7 +147,8 @@ class _Assets:
     measured (no other method reads ``ccp_sweeps``), or a UE whose geometric
     delay plus the profile's mean NLOS excess and delay spread reaches the
     comb's TOA range 1 / (comb_size * scs).  Each transmit stream is
-    modulated when first read, and is read-only: every trial shares it.
+    modulated when first read and kept read-only as its ``(n / p, p)`` period
+    view: every trial shares it, and none scans it for its period.
     """
 
     def __init__(self, cfg: ScenarioConfig) -> None:
@@ -188,6 +189,7 @@ class _Assets:
 
     def _modulate(self, mode: str) -> np.ndarray:
         stream = ofdm_modulate(self.column, self.num, self.prs.n_symbols, mode)
+        stream = stream.reshape(-1, stream_period(stream, self.num))
         stream.flags.writeable = False
         return stream
 

@@ -43,7 +43,8 @@ def wrap_phase(phase: float | np.ndarray):
 def estimate_toa(rx: np.ndarray, num: NumerologyConfig, reference: np.ndarray) -> ToaMeasurement:
     """First-arrival TOA from the circular cross-correlation.
 
-    The reference repeats with its ``stream_period`` p, so its n-point
+    The reference, never the noisy ``rx``, gives the period p: the row length
+    of its ``(n / p, p)`` period view, or its ``stream_period``.  Its n-point
     spectrum is zero off every (n / p)-th bin, and on those bins the received
     spectrum is the p-point DFT of ``rx`` folded into one period (its n / p
     periods summed).  The correlation is then p-periodic and is computed on p
@@ -58,7 +59,7 @@ def estimate_toa(rx: np.ndarray, num: NumerologyConfig, reference: np.ndarray) -
     Args:
         rx: received stream.
         num: numerology of both streams; its sample rate converts lags to seconds.
-        reference: clean transmitted stream, same length as ``rx``.
+        reference: clean transmitted stream or its period view, as many samples as ``rx``.
 
     Returns:
         ToaMeasurement: the refined delay in seconds, off the sampling grid,
@@ -68,12 +69,12 @@ def estimate_toa(rx: np.ndarray, num: NumerologyConfig, reference: np.ndarray) -
         ValueError: the two streams differ in length.
         NoSignalError: no correlation peak.
     """
-    n = len(rx)
-    if len(reference) != n:
-        raise ValueError(f"received stream has {n} samples, reference {len(reference)}")
-    p = stream_period(reference, num)     # never from rx: its noise is not periodic
+    n = rx.size
+    if reference.size != n:
+        raise ValueError(f"received stream has {n} samples, reference {reference.size}")
+    p = reference.shape[1] if reference.ndim == 2 else stream_period(reference, num)
     cross_spectrum = (np.fft.fft(rx.reshape(-1, p).sum(axis=0))
-                      * np.conj(np.fft.fft(reference[:p])))
+                      * np.conj(np.fft.fft(reference.reshape(-1, p)[0])))
     corr = np.abs(np.fft.ifft(cross_spectrum))
 
     horizon = min(n // 2, p - 1)
@@ -131,7 +132,7 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     a sum over absolute stream positions, so every window is a difference
     of one prefix sum of the covered span times a fixed tone (the sliding-
     DFT identity): z(o) = C[o + n_fft] - C[o].  Integer modular arithmetic
-    keeps the tone exact at large stream positions.
+    keeps the tone exact at large stream positions.  ``rx`` is read flattened.
 
     Raises:
         ValueError: the sweep ends past the stream.
@@ -143,19 +144,24 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     as_int("window_start", window_start, 0)
     k = int(subcarrier)
 
-    span = (n_sweeps - 1) * shift_samples + num.n_fft
-    end = window_start + span
-    if end > len(rx):
-        raise ValueError(f"sweep [{window_start}, {end}) out of range "
-                         f"for stream of {len(rx)} samples")
-    # The tone repeats every n_fft positions: build one period and repeat it.
-    turns = (k * np.arange(window_start, window_start + num.n_fft, dtype=np.int64)) % num.n_fft
-    tone = np.resize(np.exp(-2j * np.pi * np.arange(num.n_fft) / num.n_fft)[turns], span)
+    n_fft = num.n_fft
+    span = (n_sweeps - 1) * shift_samples + n_fft
+    covered = rx.reshape(-1)[window_start:window_start + span]
+    if covered.size < span:
+        raise ValueError(f"sweep [{window_start}, {window_start + span}) out of range "
+                         f"for stream of {rx.size} samples")
+    # The tone repeats every n_fft positions: one row of it multiplies the
+    # span's whole rows, then its tail, straight into the prefix sum.
+    turns = (k * np.arange(window_start, window_start + n_fft, dtype=np.int64)) % n_fft
+    tone = np.exp(-2j * np.pi * np.arange(n_fft) / n_fft)[turns]
     prefix = np.zeros(span + 1, dtype=np.complex128)
-    np.cumsum(rx[window_start:end] * tone, out=prefix[1:])
+    cut = span - span % n_fft
+    np.multiply(covered[:cut].reshape(-1, n_fft), tone, out=prefix[1:cut + 1].reshape(-1, n_fft))
+    np.multiply(covered[cut:], tone[:span - cut], out=prefix[cut + 1:])
+    np.cumsum(prefix[1:], out=prefix[1:])
     offsets = np.arange(n_sweeps, dtype=np.int64) * shift_samples
-    z = ((prefix[offsets + num.n_fft] - prefix[offsets])
-         * (np.conj(ref_symbol) / np.sqrt(num.n_fft)))
+    z = ((prefix[offsets + n_fft] - prefix[offsets])
+         * (np.conj(ref_symbol) / np.sqrt(n_fft)))
 
     mags = np.abs(z)
     if np.any(mags == 0.0):

@@ -21,8 +21,9 @@ Conventions used throughout:
 - Sending one pilot column on every symbol makes both streams exactly
   periodic: conventional with one prefixed symbol, continuous with n_fft
   samples when n_fft divides n_symbols * n_cp.  ``stream_period`` finds that
-  period in the samples themselves, so the channel and the TOA correlator
-  can work on one period; any other stream has period ``len(x)``.
+  period in the samples themselves; any other stream has period ``len(x)``.
+  Reshaped to its ``(n / p, p)`` period view, a stream carries its period in
+  its shape, and the channel, noise and TOA correlator work on one period.
 """
 
 from __future__ import annotations

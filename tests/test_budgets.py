@@ -2,11 +2,12 @@
 
 Both 128-symbol streams repeat exactly (conventional every symbol,
 continuous every n_fft samples), so the channel and the TOA correlator need
-transforms and tap responses of one period only.  These tests hold the
-simulator to that: a transform or a response over the whole 561,152-sample
-stream, or one more full-length array alive at once, fails them.  A stream
-with no period is filtered whole, but its tap response is two short exp
-tables per tap, not one exp per tap per bin.
+transforms and tap responses of one period only, and the scenario finds
+that period once.  These tests hold the simulator to that: a transform or a
+response over the whole 561,152-sample stream, a period scan, tiled or
+resized stream inside a trial, or one more full-length array alive at once,
+fails them.  A stream with no period is filtered whole, but its tap response
+is two short exp tables per tap, not one exp per tap per bin.
 """
 
 import tracemalloc
@@ -14,8 +15,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from phasepos import channel, harness, receiver, waveform
 from phasepos.channel import ChannelRealization
-from phasepos.harness import ScenarioConfig, run_trial
+from phasepos.harness import ScenarioConfig, _build_assets, run_trial
+from phasepos.receiver import ccp_measure
 from phasepos.waveform import make_numerology
 
 FR1_TOA = ScenarioConfig(band="FR1", methods=("toa", "cp", "ccp"), ambiguity="toa",
@@ -33,10 +36,15 @@ WIDELANE_EXP_ELEMENTS = 64_000
 
 MIB = 2 ** 20
 # tracemalloc peak of one trial after a warm-up trial, measured with
-# numpy 2.4 (FR1: 46.9 MiB, FR2: 38.1 MiB), plus a headroom of under half
+# numpy 2.4 (FR1: 25.9 MiB, FR2: 17.6 MiB), plus a headroom of under half
 # of one 8.6 MiB stream, so one more full-length array alive at the peak fails.
 PEAK_HEADROOM_MIB = 4.0
-PEAK_MIB = {"FR1 toa+cp+ccp": (FR1_TOA, 46.9), "FR2 ccp 8192 sweeps": (FR2_CCP, 38.1)}
+PEAK_MIB = {"FR1 toa+cp+ccp": (FR1_TOA, 25.9), "FR2 ccp 8192 sweeps": (FR2_CCP, 17.6)}
+# ccp_measure's allocations beside its (span + 1)-sample prefix sum: a few
+# arrays of one value per window (measured at 76 bytes per window with the
+# n_fft-sample tone row included), where one n_fft window per sweep is 64 KiB.
+CCP_BYTES_PER_WINDOW = 96
+CCP_BYTES_PER_TONE_SAMPLE = 64
 
 
 def test_no_transform_is_longer_than_one_symbol(monkeypatch):
@@ -98,3 +106,39 @@ def test_trial_peak_memory(name):
     finally:
         tracemalloc.stop()
     assert peak_mib <= measured_mib + PEAK_HEADROOM_MIB
+
+
+@pytest.mark.parametrize("cfg", [FR1_TOA, FR2_CCP], ids=["FR1-toa", "FR2-ccp"])
+def test_trial_scans_for_no_period_and_tiles_nothing(monkeypatch, cfg):
+    run_trial(cfg, 0)       # finds the cached streams' periods outside the count
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (waveform, channel, receiver, harness):
+        monkeypatch.setattr(module, "stream_period",
+                            counted("stream_period", waveform.stream_period))
+    for name in ("tile", "resize"):
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    run_trial(cfg, 1)
+    assert calls == []
+
+
+def test_ccp_measure_allocates_one_span():
+    assets = _build_assets(FR2_CCP)
+    rx, num = assets.tx_cont.reshape(-1), assets.num      # a view: nothing allocated
+    start, sweeps, shift = assets.windows["ccp"]
+    span = (sweeps - 1) * shift + num.n_fft
+    tracemalloc.start()
+    try:
+        ccp_measure(rx, num, assets.subcarrier, sweeps, shift, assets.ref_symbol, start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sweeps == 8192
+    assert peak <= ((span + 1) * 16 + CCP_BYTES_PER_WINDOW * sweeps
+                    + CCP_BYTES_PER_TONE_SAMPLE * num.n_fft), f"{peak} bytes"

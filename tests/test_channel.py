@@ -9,6 +9,7 @@ from phasepos.channel import (ChannelRealization, Geometry, ScenarioProfile, add
                               apply_channel, doppler_ppm, draw_channel, profile_preset)
 from phasepos.constants import SPEED_OF_LIGHT
 from phasepos.errors import ConfigError, NoSignalError
+from phasepos.harness import ScenarioConfig, _Assets
 from phasepos.receiver import ccp_measure
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column,
                                make_numerology, middle_subcarrier, ofdm_modulate)
@@ -220,6 +221,17 @@ def test_apply_channel_on_an_aperiodic_stream_is_the_dense_transform():
         assert np.array_equal(apply_channel(x, NUM, ch), dense_channel(x, NUM, ch))
 
 
+def test_apply_channel_broadcasts_a_period_view_and_copies_a_1d_stream():
+    ch = draw_channel(profile_preset("InF-LOS"), Geometry(GNB, UE), 2)
+    tx = np.tile(make_stream(NUM.symbol_samples), 4)
+    view = apply_channel(tx.reshape(4, -1), NUM, ch)
+    assert view.shape == (4, NUM.symbol_samples) and view.strides[0] == 0
+    assert not view.flags.writeable
+    for x in (tx, make_stream()):       # periodic and aperiodic 1-D streams
+        rx = apply_channel(x, NUM, ch)
+        assert rx.shape == x.shape and rx.flags.writeable and rx.base is None
+
+
 def loop_response(ch, num, first_bin, n_bins, spacing_hz):
     """The tap line with one exp per tap per bin, each phase in turns reduced in long double."""
     ld = np.longdouble
@@ -318,6 +330,42 @@ def test_awgn_zero_power_rejected():
 def test_awgn_non_finite_snr_rejected(snr_db):
     with pytest.raises(ConfigError):
         add_awgn(np.ones(64, dtype=complex), snr_db, seed=0)
+
+
+@pytest.mark.parametrize("sample, fill", [(np.nan, 1.0), (np.inf, 1.0), (1e200, 1e200)],
+                         ids=["nan-sample", "inf-sample", "overflowing-stream"])
+def test_awgn_non_finite_power_rejected(sample, fill):
+    tx = np.full(64, fill, dtype=complex)
+    tx[17] = sample
+    with pytest.raises(ValueError, match="not finite"):
+        add_awgn(tx, 10.0, seed=0)
+
+
+def tiled_awgn(x, snr_db, seed):
+    """``x`` plus noise built as sqrt(v / 2) * (a + 1j * b) from two full-length draws."""
+    rng = np.random.default_rng(seed)
+    noise_var = float(np.mean(np.abs(x) ** 2)) / 10.0 ** (snr_db / 10.0)
+    n = len(x)
+    return x + np.sqrt(noise_var / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+@settings(max_examples=15, deadline=None)
+@given(band=st.sampled_from(["FR1", "FR2"]), mode=st.sampled_from([CONVENTIONAL, CONTINUOUS]),
+       kind=st.sampled_from(PROFILE_KINDS), n_symbols=st.integers(2, 300),
+       seed=st.integers(0, 2 ** 32 - 1), snr_db=st.sampled_from([-5.0, 10.0, 40.0]))
+def test_period_view_receive_path_is_the_tiled_one(band, mode, kind, n_symbols, seed, snr_db):
+    # The harness holds each transmit stream as its (n / p, p) period view.
+    assets = _Assets(ScenarioConfig(band=band, profile=kind, methods=("toa", "cp"),
+                                    n_symbols=n_symbols))
+    view = assets.tx_conv if mode == CONVENTIONAL else assets.tx_cont
+    tx = view.reshape(-1)
+    ch = draw_channel(assets.profile, Geometry(GNB, UE), seed)
+    tiled = apply_channel(tx, assets.num, ch)
+    assert np.array_equal(tiled, np.tile(tiled[:view.shape[1]], view.shape[0]))
+    rx = add_awgn(apply_channel(view, assets.num, ch), snr_db, seed)
+    assert rx.shape == tx.shape
+    assert np.array_equal(rx, add_awgn(tiled, snr_db, seed))
+    assert np.array_equal(rx, tiled_awgn(tiled, snr_db, seed))
 
 
 # ------------------------------------------------------- doppler and offsets

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from phasepos.channel import Geometry, add_awgn, apply_channel, draw_channel, profile_preset
 from phasepos.errors import ConfigError, NoSignalError
-from phasepos.receiver import ccp_measure, estimate_toa, wrap_phase
+from phasepos.harness import ScenarioConfig, _Assets
+from phasepos.receiver import PhaseMeasurement, ccp_measure, estimate_toa, wrap_phase
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig,
                                comb_subcarriers, generate_prs_column, make_numerology,
                                middle_subcarrier, ofdm_modulate)
@@ -209,6 +210,35 @@ def test_ccp_matches_per_window_fft(mode, k, n_sweeps, shift, noise_seed, data):
     got = ccp_measure(rx, num, k, n_sweeps, shift, ref, start)
     assert abs(wrap_phase(got.phase_rad - np.angle(expected))) < 1e-9
     assert got.circular_variance == pytest.approx(1.0 - abs(expected), abs=1e-9)
+
+
+def resized_tone_ccp(rx, num, k, n_sweeps, shift, ref, start):
+    """ccp_measure's phase with the tone ``np.resize``d to the whole span before the product."""
+    span = (n_sweeps - 1) * shift + num.n_fft
+    turns = (k * np.arange(start, start + num.n_fft, dtype=np.int64)) % num.n_fft
+    tone = np.resize(np.exp(-2j * np.pi * np.arange(num.n_fft) / num.n_fft)[turns], span)
+    prefix = np.zeros(span + 1, dtype=np.complex128)
+    np.cumsum(rx[start:start + span] * tone, out=prefix[1:])
+    offsets = np.arange(n_sweeps, dtype=np.int64) * shift
+    z = (prefix[offsets + num.n_fft] - prefix[offsets]) * (np.conj(ref) / np.sqrt(num.n_fft))
+    mean_phasor = np.mean(z / np.abs(z))
+    return PhaseMeasurement(float(wrap_phase(np.angle(mean_phasor))),
+                            float(1.0 - np.abs(mean_phasor)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(band=st.sampled_from(["FR1", "FR2"]), n_symbols=st.integers(2, 300),
+       noise_seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_ccp_matches_resized_tone_formulation(band, n_symbols, noise_seed, data):
+    num = make_numerology(band)
+    longest = (n_symbols - 1) * num.symbol_samples - num.n_fft + 1     # stride 1
+    sweeps = data.draw(st.integers(1, min(longest, 8192)), label="ccp_sweeps")
+    assets = _Assets(ScenarioConfig(band=band, methods=("cp", "ccp"), n_symbols=n_symbols,
+                                    ccp_sweeps=sweeps))
+    rx = add_awgn(assets.tx_cont, 10.0, noise_seed)
+    for start, n_sweeps, shift in (assets.windows["cp"], assets.windows["ccp"]):
+        args = (assets.subcarrier, n_sweeps, shift, assets.ref_symbol, start)
+        assert ccp_measure(rx, num, *args) == resized_tone_ccp(rx, num, *args)
 
 
 def test_ccp_parameters_validated():
