@@ -9,10 +9,10 @@ transform's bins are a uniform grid, so ``ChannelRealization.response``
 factors each tap's exponential into two short tables (the chirp-z
 factoring): n bins cost taps * (sqrt(n) + n / sqrt(n)) exps plus a taps * n
 multiply-add, where one exp per tap per bin would cost taps * n.
-A periodic stream is filtered over one period, which equals the filter
-over the whole stream; held as its ``(n / p, p)`` period view, it gets the
-filtered period broadcast to its rows, which ``add_awgn`` adds to the noise
-without tiling.  A stream with no period is filtered whole.  The sign
+A stream's last axis is one period (``ofdm_modulate``'s ``(n / p, p)``
+view; a 1-D array is one period), and filtering that period equals the
+filter over the whole stream; the filtered period is broadcast to the
+rows, which ``add_awgn`` adds to the noise without tiling.  The sign
 convention is fixed here once: a delay produces a *negative* phase.
 Streams are complex sample arrays; the carrier f_c and the sample rate that
 spaces the frequencies f are read from the numerology passed with them.
@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, NoSignalError, as_db, as_int, as_positive, as_real
-from .waveform import NumerologyConfig, stream_period
+from .waveform import NumerologyConfig
 
 # 25 clusters x 20 rays, the largest ray count of TR 38.901's InF model;
 # ``ChannelRealization.response`` costs taps * (sqrt(n) + n / sqrt(n)) exps and
@@ -201,21 +201,18 @@ def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> Cha
 
 def apply_channel(x: np.ndarray, num: NumerologyConfig,
                   channel: ChannelRealization) -> np.ndarray:
-    """Circularly convolve stream ``x`` with the tapped delay line (shape preserved).
+    """Circularly convolve stream ``x`` with the tapped delay line.
 
     Delays are applied as exp(-j 2 pi (f_c + f) tau) over the DFT of one
-    period of ``x``, f_c and the sample rate from ``num``, so fractional
-    delays are exact.  A 2-D ``x`` is rows of one period, a 1-D one has its
-    ``stream_period``.  A periodic stream's whole-length spectrum is zero off
-    that period's bins, so this is the whole-stream filter.  The filtered
-    period is broadcast to the rows: a read-only view for a 2-D ``x``, a new
-    tiled stream for a 1-D one.
+    period of ``x``, its last axis (a 1-D ``x`` is one period), f_c and the
+    sample rate from ``num``, so fractional delays are exact.  A periodic
+    stream's whole-length spectrum is zero off that period's bins, so this
+    is the whole-stream filter.  Returns the filtered period broadcast to
+    ``x.shape``: a read-only view, which a caller copies before writing.
     """
-    rows = x if x.ndim == 2 else x.reshape(-1, stream_period(x, num))
-    p = rows.shape[1]
+    p = x.shape[-1]
     h = np.fft.ifftshift(channel.response(num, -(p // 2), p, num.sample_rate_hz / p))
-    y = np.broadcast_to(np.fft.ifft(np.fft.fft(rows[0]) * h), rows.shape)
-    return y if x.ndim == 2 else y.flatten()
+    return np.broadcast_to(np.fft.ifft(np.fft.fft(x.reshape(-1, p)[0]) * h), x.shape)
 
 
 def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:

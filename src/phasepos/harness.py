@@ -35,10 +35,10 @@ from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, as_db, as_int, as_positive
 from .receiver import ccp_measure, estimate_toa
 from .waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column, make_numerology,
-                       middle_subcarrier, ofdm_modulate, stream_period)
+                       middle_subcarrier, ofdm_modulate)
 
 METHODS = ("toa", "cp", "ccp")
-MAX_SYMBOLS = 1024       # 8x the default; one FR1 stream of this length is 72 MB
+MAX_SYMBOLS = 1024       # 8x the default; an FR1 received stream and its noise draw are 72 MB each
 MAX_TRIALS = 1_000_000   # each kept TrialResult is about 0.8 KB
 _NUMBER_RULES = (("n_trials", as_int, 1, MAX_TRIALS), ("ccp_sweeps", as_int, 1, math.inf),
                  ("n_symbols", as_int, 2, MAX_SYMBOLS), ("master_seed", as_int, 0, math.inf),
@@ -147,8 +147,8 @@ class _Assets:
     measured (no other method reads ``ccp_sweeps``), or a UE whose geometric
     delay plus the profile's mean NLOS excess and delay spread reaches the
     comb's TOA range 1 / (comb_size * scs).  Each transmit stream is
-    modulated when first read and kept read-only as its ``(n / p, p)`` period
-    view: every trial shares it, and none scans it for its period.
+    modulated when first read and kept as ``ofdm_modulate`` returns it, a
+    read-only ``(n / p, p)`` period view that every trial shares.
     """
 
     def __init__(self, cfg: ScenarioConfig) -> None:
@@ -187,14 +187,10 @@ class _Assets:
                               f"delay reaches {reach * 1e6:.3g} us, at or past the "
                               f"comb-{cfg.comb_size} TOA range of {limit * 1e6:.3g} us")
 
-    def _modulate(self, mode: str) -> np.ndarray:
-        stream = ofdm_modulate(self.column, self.num, self.prs.n_symbols, mode)
-        stream = stream.reshape(-1, stream_period(stream, self.num))
-        stream.flags.writeable = False
-        return stream
-
-    tx_conv = cached_property(lambda self: self._modulate(CONVENTIONAL))
-    tx_cont = cached_property(lambda self: self._modulate(CONTINUOUS))
+    tx_conv = cached_property(
+        lambda self: ofdm_modulate(self.column, self.num, self.prs.n_symbols, CONVENTIONAL))
+    tx_cont = cached_property(
+        lambda self: ofdm_modulate(self.column, self.num, self.prs.n_symbols, CONTINUOUS))
 
 
 _build_assets = lru_cache(maxsize=1)(_Assets)   # callers run one scenario at a time

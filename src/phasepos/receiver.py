@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoSignalError, as_int
-from .waveform import NumerologyConfig, stream_period
+from .waveform import NumerologyConfig
 
 
 EARLY_PEAK_RATIO = 0.6     # first-arrival peak height / global correlation maximum
@@ -43,23 +43,24 @@ def wrap_phase(phase: float | np.ndarray):
 def estimate_toa(rx: np.ndarray, num: NumerologyConfig, reference: np.ndarray) -> ToaMeasurement:
     """First-arrival TOA from the circular cross-correlation.
 
-    The reference, never the noisy ``rx``, gives the period p: the row length
-    of its ``(n / p, p)`` period view, or its ``stream_period``.  Its n-point
-    spectrum is zero off every (n / p)-th bin, and on those bins the received
-    spectrum is the p-point DFT of ``rx`` folded into one period (its n / p
-    periods summed).  The correlation is then p-periodic and is computed on p
-    points; lags up to one period, or half the stream if that is shorter,
-    are searched.  A reference with no period gives p = n, the whole-stream
-    correlation.  The earliest local maximum whose height reaches
-    ``EARLY_PEAK_RATIO`` times the global maximum is taken as the first
-    arrival (later, possibly stronger multipath is ignored), then refined
-    with a three-point parabolic fit so the estimate is not pinned to the
-    sampling grid.
+    The reference, never the noisy ``rx``, gives the period p: the length of
+    its last axis, the row length of ``ofdm_modulate``'s ``(n / p, p)``
+    period view.  Its n-point spectrum is zero off every (n / p)-th bin, and
+    on those bins the received spectrum is the p-point DFT of ``rx`` folded
+    into one period (its n / p periods summed).  The correlation is then
+    p-periodic and is computed on p points; lags up to one period, or half
+    the stream if that is shorter, are searched.  A 1-D reference is one
+    period, p = n: the whole-stream correlation.  The earliest local maximum
+    whose height reaches ``EARLY_PEAK_RATIO`` times the global maximum is
+    taken as the first arrival (later, possibly stronger multipath is
+    ignored), then refined with a three-point parabolic fit so the estimate
+    is not pinned to the sampling grid.
 
     Args:
-        rx: received stream.
+        rx: received stream, of any shape.
         num: numerology of both streams; its sample rate converts lags to seconds.
-        reference: clean transmitted stream or its period view, as many samples as ``rx``.
+        reference: clean transmitted stream, an ``(n / p, p)`` period view or a
+            1-D array, as many samples as ``rx``; it is only read.
 
     Returns:
         ToaMeasurement: the refined delay in seconds, off the sampling grid,
@@ -72,7 +73,7 @@ def estimate_toa(rx: np.ndarray, num: NumerologyConfig, reference: np.ndarray) -
     n = rx.size
     if reference.size != n:
         raise ValueError(f"received stream has {n} samples, reference {reference.size}")
-    p = reference.shape[1] if reference.ndim == 2 else stream_period(reference, num)
+    p = reference.shape[-1]
     cross_spectrum = (np.fft.fft(rx.reshape(-1, p).sum(axis=0))
                       * np.conj(np.fft.fft(reference.reshape(-1, p)[0])))
     corr = np.abs(np.fft.ifft(cross_spectrum))
@@ -136,13 +137,13 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
 
     Raises:
         ValueError: the sweep ends past the stream.
-        ConfigError: bad sweep parameters, a negative ``window_start`` included.
+        ConfigError: bad ``subcarrier`` or sweep parameters, a negative ``window_start`` included.
         NoSignalError: a window saw an empty subcarrier bin.
     """
     as_int("n_sweeps", n_sweeps, 1)
     as_int("shift_samples", shift_samples, 1)
     as_int("window_start", window_start, 0)
-    k = int(subcarrier)
+    k = as_int("subcarrier", subcarrier)
 
     n_fft = num.n_fft
     span = (n_sweeps - 1) * shift_samples + n_fft

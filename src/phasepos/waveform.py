@@ -20,10 +20,9 @@ Conventions used throughout:
   both; a second carrier is a copy of the numerology, not of the samples.
 - Sending one pilot column on every symbol makes both streams exactly
   periodic: conventional with one prefixed symbol, continuous with n_fft
-  samples when n_fft divides n_symbols * n_cp.  ``stream_period`` finds that
-  period in the samples themselves; any other stream has period ``len(x)``.
-  Reshaped to its ``(n / p, p)`` period view, a stream carries its period in
-  its shape, and the channel, noise and TOA correlator work on one period.
+  samples when n_fft divides n_symbols * n_cp.  ``ofdm_modulate`` returns
+  a stream as its read-only ``(n / p, p)`` period view, one period held in
+  memory, and the channel, noise and TOA correlator work on that period.
 """
 
 from __future__ import annotations
@@ -139,14 +138,6 @@ def generate_prs_column(prs: PrsConfig, num: NumerologyConfig) -> np.ndarray:
     return column
 
 
-def stream_period(x: np.ndarray, num: NumerologyConfig) -> int:
-    """First of one symbol and n_fft samples that ``x`` repeats with exactly, else ``len(x)``."""
-    for p in (num.symbol_samples, num.n_fft):
-        if p < len(x) and len(x) % p == 0 and np.array_equal(x[p:], x[:-p]):
-            return p
-    return len(x)
-
-
 def ofdm_modulate(column: np.ndarray, num: NumerologyConfig, n_symbols: int,
                   mode: str = CONVENTIONAL) -> np.ndarray:
     """Modulate one pilot column, sent on ``n_symbols`` symbols, into a baseband stream.
@@ -157,7 +148,10 @@ def ofdm_modulate(column: np.ndarray, num: NumerologyConfig, n_symbols: int,
             subcarrier a single tone across the whole stream.
 
     Returns:
-        complex samples, n_symbols * (n_fft + n_cp) of them.
+        the n = n_symbols * (n_fft + n_cp) samples as a read-only ``(n / p, p)``
+        view whose rows share one period: p is one prefixed symbol
+        (conventional) or n_fft (continuous) when that divides n, else n.
+        A caller copies it before writing to it.
     """
     if mode not in (CONVENTIONAL, CONTINUOUS):
         raise ConfigError(f"unknown modulation mode {mode!r}")
@@ -172,4 +166,6 @@ def ofdm_modulate(column: np.ndarray, num: NumerologyConfig, n_symbols: int,
     # prefixes included.
     block = (useful if mode == CONTINUOUS
              else np.concatenate([useful[num.n_fft - num.n_cp:], useful]))
-    return np.resize(block, n_symbols * num.symbol_samples)
+    n = n_symbols * num.symbol_samples
+    p = block.size if n % block.size == 0 else n
+    return np.broadcast_to(np.resize(block, p), (n // p, p))

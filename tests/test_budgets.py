@@ -2,12 +2,12 @@
 
 Both 128-symbol streams repeat exactly (conventional every symbol,
 continuous every n_fft samples), so the channel and the TOA correlator need
-transforms and tap responses of one period only, and the scenario finds
-that period once.  These tests hold the simulator to that: a transform or a
-response over the whole 561,152-sample stream, a period scan, tiled or
-resized stream inside a trial, or one more full-length array alive at once,
-fails them.  A stream with no period is filtered whole, but its tap response
-is two short exp tables per tap, not one exp per tap per bin.
+transforms and tap responses of one period only, and the modulator holds
+that one period.  These tests hold the simulator to that: a transform or a
+response over the whole 561,152-sample stream, a tiled or resized stream
+inside a trial, a transmit stream held whole, or one more full-length array
+alive at once, fails them.  A stream with no period is filtered whole, but
+its tap response is two short exp tables per tap, not one exp per tap per bin.
 """
 
 import tracemalloc
@@ -15,9 +15,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phasepos import channel, harness, receiver, waveform
 from phasepos.channel import ChannelRealization
-from phasepos.harness import ScenarioConfig, _build_assets, run_trial
+from phasepos.harness import ScenarioConfig, _Assets, _build_assets, run_trial
 from phasepos.receiver import ccp_measure
 from phasepos.waveform import make_numerology
 
@@ -45,6 +44,10 @@ PEAK_MIB = {"FR1 toa+cp+ccp": (FR1_TOA, 25.9), "FR2 ccp 8192 sweeps": (FR2_CCP, 
 # n_fft-sample tone row included), where one n_fft window per sweep is 64 KiB.
 CCP_BYTES_PER_WINDOW = 96
 CCP_BYTES_PER_TONE_SAMPLE = 64
+# Building both 128-symbol FR1 transmit streams: one period and a few
+# one-symbol transforms each (measured peak 0.33 MB), where each stream held
+# whole is 8.98 MB.
+STREAM_BUILD_BYTES = 2 ** 20
 
 
 def test_no_transform_is_longer_than_one_symbol(monkeypatch):
@@ -109,8 +112,8 @@ def test_trial_peak_memory(name):
 
 
 @pytest.mark.parametrize("cfg", [FR1_TOA, FR2_CCP], ids=["FR1-toa", "FR2-ccp"])
-def test_trial_scans_for_no_period_and_tiles_nothing(monkeypatch, cfg):
-    run_trial(cfg, 0)       # finds the cached streams' periods outside the count
+def test_trial_tiles_and_resizes_nothing(monkeypatch, cfg):
+    run_trial(cfg, 0)       # builds the cached streams outside the count
     calls = []
 
     def counted(name, fn):
@@ -119,9 +122,6 @@ def test_trial_scans_for_no_period_and_tiles_nothing(monkeypatch, cfg):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (waveform, channel, receiver, harness):
-        monkeypatch.setattr(module, "stream_period",
-                            counted("stream_period", waveform.stream_period))
     for name in ("tile", "resize"):
         monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
     run_trial(cfg, 1)
@@ -130,7 +130,7 @@ def test_trial_scans_for_no_period_and_tiles_nothing(monkeypatch, cfg):
 
 def test_ccp_measure_allocates_one_span():
     assets = _build_assets(FR2_CCP)
-    rx, num = assets.tx_cont.reshape(-1), assets.num      # a view: nothing allocated
+    rx, num = assets.tx_cont.reshape(-1), assets.num      # copied before the trace starts
     start, sweeps, shift = assets.windows["ccp"]
     span = (sweeps - 1) * shift + num.n_fft
     tracemalloc.start()
@@ -142,3 +142,15 @@ def test_ccp_measure_allocates_one_span():
     assert sweeps == 8192
     assert peak <= ((span + 1) * 16 + CCP_BYTES_PER_WINDOW * sweeps
                     + CCP_BYTES_PER_TONE_SAMPLE * num.n_fft), f"{peak} bytes"
+
+
+def test_transmit_streams_hold_one_period():
+    assets = _Assets(FR1_TOA)
+    tracemalloc.start()
+    try:
+        streams = (assets.tx_conv, assets.tx_cont)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.size for s in streams] == [128 * ONE_SYMBOL] * 2
+    assert peak < STREAM_BUILD_BYTES, f"{peak} bytes"

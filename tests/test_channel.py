@@ -205,7 +205,7 @@ def test_apply_channel_matches_dense_transform(n_symbols, mode, periodic):
     tx = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, n_symbols, 7), NUM), NUM,
                        n_symbols, mode)
     ch = draw_channel(profile_preset("InF-NLOS-S"), Geometry(GNB, UE), 4)
-    rx, dense = apply_channel(tx, NUM, ch), dense_channel(tx, NUM, ch)
+    rx, dense = apply_channel(tx, NUM, ch).reshape(-1), dense_channel(tx.reshape(-1), NUM, ch)
     if periodic:
         rms = np.sqrt(np.mean(np.abs(tx) ** 2))
         assert np.max(np.abs(rx - dense)) <= 1e-12 * rms
@@ -221,15 +221,16 @@ def test_apply_channel_on_an_aperiodic_stream_is_the_dense_transform():
         assert np.array_equal(apply_channel(x, NUM, ch), dense_channel(x, NUM, ch))
 
 
-def test_apply_channel_broadcasts_a_period_view_and_copies_a_1d_stream():
+def test_apply_channel_broadcasts_a_period_view_and_filters_a_1d_stream_whole():
     ch = draw_channel(profile_preset("InF-LOS"), Geometry(GNB, UE), 2)
     tx = np.tile(make_stream(NUM.symbol_samples), 4)
     view = apply_channel(tx.reshape(4, -1), NUM, ch)
     assert view.shape == (4, NUM.symbol_samples) and view.strides[0] == 0
     assert not view.flags.writeable
-    for x in (tx, make_stream()):       # periodic and aperiodic 1-D streams
+    for x in (tx, make_stream()):       # periodic and aperiodic 1-D streams: one period each
         rx = apply_channel(x, NUM, ch)
-        assert rx.shape == x.shape and rx.flags.writeable and rx.base is None
+        assert rx.shape == x.shape and not rx.flags.writeable
+        assert np.array_equal(rx, dense_channel(x, NUM, ch))
 
 
 def loop_response(ch, num, first_bin, n_bins, spacing_hz):
@@ -275,7 +276,7 @@ def test_apply_channel_matches_dense_transform_property(band, mode, kind, n_symb
     tx = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, n_symbols, seed), num), num,
                        n_symbols, mode)
     ch = draw_channel(profile_preset(kind), Geometry(GNB, UE), seed)
-    rx, dense = apply_channel(tx, num, ch), dense_channel(tx, num, ch)
+    rx, dense = apply_channel(tx, num, ch).reshape(-1), dense_channel(tx.reshape(-1), num, ch)
     assert np.max(np.abs(rx - dense)) <= 1e-12 * np.sqrt(np.mean(np.abs(tx) ** 2))
 
 
@@ -358,12 +359,11 @@ def test_period_view_receive_path_is_the_tiled_one(band, mode, kind, n_symbols, 
     assets = _Assets(ScenarioConfig(band=band, profile=kind, methods=("toa", "cp"),
                                     n_symbols=n_symbols))
     view = assets.tx_conv if mode == CONVENTIONAL else assets.tx_cont
-    tx = view.reshape(-1)
     ch = draw_channel(assets.profile, Geometry(GNB, UE), seed)
-    tiled = apply_channel(tx, assets.num, ch)
-    assert np.array_equal(tiled, np.tile(tiled[:view.shape[1]], view.shape[0]))
-    rx = add_awgn(apply_channel(view, assets.num, ch), snr_db, seed)
-    assert rx.shape == tx.shape
+    filtered = apply_channel(view, assets.num, ch)
+    tiled = np.tile(filtered[0], view.shape[0])
+    rx = add_awgn(filtered, snr_db, seed)
+    assert rx.shape == (view.size,)
     assert np.array_equal(rx, add_awgn(tiled, snr_db, seed))
     assert np.array_equal(rx, tiled_awgn(tiled, snr_db, seed))
 

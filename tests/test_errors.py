@@ -97,3 +97,11 @@ _STREAM = np.ones(8 * _FR1.symbol_samples, dtype=np.complex128)
 def test_float_count_is_a_config_error(call, name):
     with pytest.raises(ConfigError, match=rf"^{name} must be an integer in \[1, inf\], got "):
         call()
+
+
+# A subcarrier is any signed integer; int() would read 2.9 as subcarrier 2.
+@pytest.mark.parametrize("subcarrier", [2.9, True, "3"], ids=["float", "bool", "str"])
+def test_non_integer_subcarrier_is_a_config_error(subcarrier):
+    with pytest.raises(ConfigError,
+                       match=r"^subcarrier must be an integer in \[-inf, inf\], got "):
+        ccp_measure(_STREAM, _FR1, subcarrier, 1, 1)

@@ -121,10 +121,10 @@ def test_package_leaves_number_ranges_to_errors(path):
     assert hand_written_ranges(path.read_text(encoding="utf-8")) == []
 
 
-# What builds a part of a scenario: its numerology, pilot, profile, streams
-# and their periods.
+# What builds a part of a scenario: its numerology, pilot, profile and
+# streams, each stream as its period view.
 _DERIVERS = {"make_numerology", "PrsConfig", "profile_preset", "generate_prs_column",
-             "middle_subcarrier", "ofdm_modulate", "stream_period"}
+             "middle_subcarrier", "ofdm_modulate"}
 
 
 def derivations_outside(source: str, owner: str = "_Assets") -> list[str]:

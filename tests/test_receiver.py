@@ -71,7 +71,7 @@ def test_toa_unequal_lengths_rejected():
     num = small_num()
     stream, _, _ = continuous_stream(num, 4)
     with pytest.raises(ValueError):
-        estimate_toa(stream[:-1], num, stream)
+        estimate_toa(stream.reshape(-1)[:-1], num, stream)
 
 
 # (band, n_symbols, mode) -> (toa_s, peak_metric) of one noisy InF-NLOS-D

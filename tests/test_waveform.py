@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from phasepos.errors import ConfigError
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig,
                                comb_subcarriers, generate_prs_column, make_numerology,
-                               middle_subcarrier, ofdm_modulate, stream_period)
+                               middle_subcarrier, ofdm_modulate)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -198,7 +198,7 @@ def test_stream_length():
     num = small_num()
     column = generate_prs_column(PrsConfig(6, 0, 5, 1), num)
     stream = ofdm_modulate(column, num, 5, CONVENTIONAL)
-    assert stream.shape == (5 * (num.n_fft + num.n_cp),)
+    assert stream.size == 5 * (num.n_fft + num.n_cp)
     assert stream.dtype == np.complex128
     with pytest.raises(ConfigError):
         ofdm_modulate(column, num, 0, CONVENTIONAL)
@@ -211,7 +211,7 @@ def test_continuous_single_tone_is_global_tone():
     # exponential across every symbol and prefix boundary.
     num = small_num()
     k, value, n_symbols = 6, np.exp(1j * np.pi / 4), 7
-    stream = ofdm_modulate(tone_column(num, k, value), num, n_symbols, CONTINUOUS)
+    stream = ofdm_modulate(tone_column(num, k, value), num, n_symbols, CONTINUOUS).reshape(-1)
     m = np.arange(len(stream))
     expected = value / np.sqrt(num.n_fft) * np.exp(2j * np.pi * k * m / num.n_fft)
     assert np.max(np.abs(stream - expected)) < 1e-10
@@ -221,7 +221,7 @@ def test_conventional_single_tone_jumps_at_boundaries():
     # n_cp=9 is not a multiple of 64/6 of a cycle, so the prefix copy breaks
     # the tone's phase at some boundary.
     num = small_num()
-    x = ofdm_modulate(tone_column(num, 6, 1.0 + 0j), num, 4, CONVENTIONAL)
+    x = ofdm_modulate(tone_column(num, 6, 1.0 + 0j), num, 4, CONVENTIONAL).reshape(-1)
     steps = np.angle(x[1:] * np.conj(x[:-1]))
     expected_step = 2 * np.pi * 6 / num.n_fft
     assert np.max(np.abs(steps - expected_step)) > 1e-3
@@ -231,7 +231,7 @@ def test_demodulate_round_trip_conventional():
     num = small_num()
     prs = PrsConfig(2, 0, 3, 8)
     column = generate_prs_column(prs, num)
-    stream = ofdm_modulate(column, num, prs.n_symbols, CONVENTIONAL)
+    stream = ofdm_modulate(column, num, prs.n_symbols, CONVENTIONAL).reshape(-1)
     for sym in range(prs.n_symbols):
         start = sym * num.symbol_samples + num.n_cp
         spectrum = np.fft.fft(stream[start:start + num.n_fft]) / np.sqrt(num.n_fft)
@@ -241,7 +241,8 @@ def test_demodulate_round_trip_conventional():
 def test_continuous_any_window_keeps_bin_magnitude():
     num = small_num()
     prs = PrsConfig(6, 3, 4, 21)
-    stream = ofdm_modulate(generate_prs_column(prs, num), num, prs.n_symbols, CONTINUOUS)
+    stream = ofdm_modulate(generate_prs_column(prs, num), num, prs.n_symbols,
+                           CONTINUOUS).reshape(-1)
 
     def bins(s):
         return np.abs(np.fft.fft(stream[s:s + num.n_fft]) / np.sqrt(num.n_fft))
@@ -289,9 +290,9 @@ def test_modulator_matches_per_symbol_reference(n_fft, comb_size, seed, n_symbol
     prs = PrsConfig(comb_size, offset, n_symbols, seed)
     column = generate_prs_column(prs, num)
     assert np.count_nonzero(column) == comb_subcarriers(prs, num).size
-    conv = ofdm_modulate(column, num, n_symbols, CONVENTIONAL)
+    conv = ofdm_modulate(column, num, n_symbols, CONVENTIONAL).reshape(-1)
     assert np.array_equal(conv, per_symbol_reference(column, num, n_symbols, CONVENTIONAL))
-    cont = ofdm_modulate(column, num, n_symbols, CONTINUOUS)
+    cont = ofdm_modulate(column, num, n_symbols, CONTINUOUS).reshape(-1)
     want = per_symbol_reference(column, num, n_symbols, CONTINUOUS)
     assert cont.shape == want.shape
     assert np.max(np.abs(cont - want)) <= 1e-12
@@ -299,24 +300,31 @@ def test_modulator_matches_per_symbol_reference(n_fft, comb_size, seed, n_symbol
 
 # ------------------------------------------------------------- stream period
 
-@pytest.mark.parametrize("n_symbols, mode, period", [
-    (128, CONVENTIONAL, 4384),      # one prefixed symbol, for any symbol count
-    (128, CONTINUOUS, 4096),        # n_fft divides 128 * n_cp
-    (16, CONTINUOUS, 16 * 4384),    # 70,144 samples: no whole number of n_fft periods
-])
-def test_stream_period_of_fr1_streams(n_symbols, mode, period):
-    num = make_numerology("FR1")
-    stream = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, n_symbols, 2), num), num,
-                           n_symbols, mode)
-    assert stream_period(stream, num) == period
+def scanned_period(x, num):
+    """First of one symbol and n_fft samples that ``x`` repeats with exactly, else ``len(x)``."""
+    for p in (num.symbol_samples, num.n_fft):
+        if p < len(x) and len(x) % p == 0 and np.array_equal(x[p:], x[:-p]):
+            return p
+    return len(x)
 
 
-def test_stream_period_is_exact():
-    num = make_numerology("FR1")
-    stream = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, 8, 2), num), num, 8,
-                           CONVENTIONAL)
-    assert stream_period(stream, num) == num.symbol_samples
-    stream[5 * num.symbol_samples + 17] += 1e-12    # one sample changed
-    assert stream_period(stream, num) == stream.size
-    one_symbol = stream[:num.symbol_samples]
-    assert stream_period(one_symbol, num) == one_symbol.size
+@settings(max_examples=50, deadline=None)
+@given(band=st.sampled_from(["FR1", "FR2"]), mode=st.sampled_from([CONVENTIONAL, CONTINUOUS]),
+       # n_fft divides the continuous stream only at multiples of 128 symbols.
+       n_symbols=st.integers(1, 300) | st.sampled_from((128, 256)),
+       comb_size=st.sampled_from((2, 4, 6, 12)), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_stream_is_its_scanned_period_view(band, mode, n_symbols, comb_size, seed, data):
+    num = make_numerology(band)
+    offset = data.draw(st.integers(0, comb_size - 1), label="comb_offset")
+    column = generate_prs_column(PrsConfig(comb_size, offset, n_symbols, seed), num)
+    stream = ofdm_modulate(column, num, n_symbols, mode)
+    assert not stream.flags.writeable and stream.strides[0] == 0
+    flat = stream.reshape(-1)
+    assert stream.shape[1] == scanned_period(flat, num)
+    want = per_symbol_reference(column, num, n_symbols, mode)
+    if mode == CONVENTIONAL:
+        assert np.array_equal(flat, want)
+    else:
+        assert flat.shape == want.shape
+        assert np.max(np.abs(flat - want)) <= 1e-12
