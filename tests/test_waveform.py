@@ -308,6 +308,31 @@ def scanned_period(x, num):
     return len(x)
 
 
+@pytest.mark.parametrize("n_symbols, mode, period", [
+    (128, CONVENTIONAL, 4384),      # one prefixed symbol, for any symbol count
+    (128, CONTINUOUS, 4096),        # n_fft divides 128 * n_cp
+    (16, CONTINUOUS, 16 * 4384),    # 70,144 samples: no whole number of n_fft periods
+])
+def test_stream_period_of_fr1_streams(n_symbols, mode, period):
+    num = make_numerology("FR1")
+    stream = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, n_symbols, 2), num), num,
+                           n_symbols, mode)
+    assert stream.shape == (n_symbols * num.symbol_samples // period, period)
+    assert scanned_period(stream.reshape(-1), num) == period
+
+
+def test_stream_period_is_exact():
+    """The oracle notices one changed sample, so the property below can fail."""
+    num = make_numerology("FR1")
+    stream = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, 8, 2), num), num, 8,
+                           CONVENTIONAL).reshape(-1)
+    assert scanned_period(stream, num) == num.symbol_samples
+    stream[5 * num.symbol_samples + 17] += 1e-12    # one sample changed
+    assert scanned_period(stream, num) == stream.size
+    one_symbol = stream[:num.symbol_samples]
+    assert scanned_period(one_symbol, num) == one_symbol.size
+
+
 @settings(max_examples=50, deadline=None)
 @given(band=st.sampled_from(["FR1", "FR2"]), mode=st.sampled_from([CONVENTIONAL, CONTINUOUS]),
        # n_fft divides the continuous stream only at multiples of 128 symbols.
