@@ -9,9 +9,9 @@ transform's bins are a uniform grid, so ``ChannelRealization.response``
 factors each tap's exponential into two short tables (the chirp-z
 factoring): n bins cost taps * (sqrt(n) + n / sqrt(n)) exps plus a taps * n
 multiply-add, where one exp per tap per bin would cost taps * n.
-A stream's last axis is one period (``ofdm_modulate``'s ``(n / p, p)``
-view; a 1-D array is one period), and filtering that period equals the
-filter over the whole stream; the filtered period is broadcast to the
+A periodic stream (``ofdm_modulate``'s ``(n / p, p)`` view) is filtered
+through the spectrum of one period, which the caller keeps, and that equals
+the filter over the whole stream; the filtered period is broadcast to the
 rows, which ``add_awgn`` adds to the noise without tiling.  The sign
 convention is fixed here once: a delay produces a *negative* phase.
 Streams are complex sample arrays; the carrier f_c and the sample rate that
@@ -199,20 +199,20 @@ def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> Cha
     return ChannelRealization(delays, gains)
 
 
-def apply_channel(x: np.ndarray, num: NumerologyConfig,
+def apply_channel(spectrum: np.ndarray, rows: int, num: NumerologyConfig,
                   channel: ChannelRealization) -> np.ndarray:
-    """Circularly convolve stream ``x`` with the tapped delay line.
+    """Circularly convolve a stream of ``rows`` periods with the tapped delay line.
 
-    Delays are applied as exp(-j 2 pi (f_c + f) tau) over the DFT of one
-    period of ``x``, its last axis (a 1-D ``x`` is one period), f_c and the
-    sample rate from ``num``, so fractional delays are exact.  A periodic
-    stream's whole-length spectrum is zero off that period's bins, so this
-    is the whole-stream filter.  Returns the filtered period broadcast to
-    ``x.shape``: a read-only view, which a caller copies before writing.
+    ``spectrum`` is the DFT of one period of p = ``spectrum.size`` samples (a
+    whole stream is one period); delays act as exp(-j 2 pi (f_c + f) tau) on
+    its bins, f_c and the sample rate from ``num``, so fractional delays are
+    exact.  A periodic stream's whole-length spectrum is zero off that
+    period's bins, so this is the whole-stream filter.  Returns the filtered
+    period broadcast to ``(rows, p)``: a read-only view a caller copies to write.
     """
-    p = x.shape[-1]
+    p = spectrum.size
     h = np.fft.ifftshift(channel.response(num, -(p // 2), p, num.sample_rate_hz / p))
-    return np.broadcast_to(np.fft.ifft(np.fft.fft(x.reshape(-1, p)[0]) * h), x.shape)
+    return np.broadcast_to(np.fft.ifft(spectrum * h), (rows, p))
 
 
 def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:

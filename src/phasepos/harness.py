@@ -10,10 +10,10 @@ are independent of worker count and execution order.
 
 A ``ScenarioConfig`` validates itself when built, so a bad value raises
 ``ConfigError`` before any trial.  One derivation of a scenario, ``_Assets``,
-serves both that check and every trial; it modulates a transmit stream when
-first read, so a scenario builds only the streams its methods use.  A method
-whose every trial fails IA resolution gets an empty CDF that still reports
-its failure count.
+serves both that check and every trial; it keeps one period's spectrum of each
+transmit stream, built when first read, so a scenario transforms only the
+streams its methods use, and each once.  A method whose every trial fails IA
+resolution gets an empty CDF that still reports its failure count.
 """
 
 from __future__ import annotations
@@ -147,8 +147,8 @@ class _Assets:
     measured (no other method reads ``ccp_sweeps``), or a UE whose geometric
     delay plus the profile's mean NLOS excess and delay spread reaches the
     comb's TOA range 1 / (comb_size * scs).  Each transmit stream is
-    modulated when first read and kept as ``ofdm_modulate`` returns it, a
-    read-only ``(n / p, p)`` period view that every trial shares.
+    modulated when first read into the pair every trial reads, the read-only
+    spectrum of one period and the period count n / p; no samples are kept.
     """
 
     def __init__(self, cfg: ScenarioConfig) -> None:
@@ -158,7 +158,7 @@ class _Assets:
         if fc2 == num.carrier_frequency_hz:
             raise ConfigError("widelane_second_fc_hz must differ from the band carrier")
         # The modulated samples do not depend on the carrier, so the widelane
-        # carrier sends the same stream on a numerology with another carrier.
+        # carrier sends the same stream (one spectrum) on a numerology with another carrier.
         widelane = () if fc2 is None else (dataclasses.replace(num, carrier_frequency_hz=fc2),)
         self.carriers = (num, *widelane)[:2 if cfg.ambiguity == "widelane" else 1]
         # cp: one window on symbol 1's useful part, clear of the stream head
@@ -187,10 +187,14 @@ class _Assets:
                               f"delay reaches {reach * 1e6:.3g} us, at or past the "
                               f"comb-{cfg.comb_size} TOA range of {limit * 1e6:.3g} us")
 
-    tx_conv = cached_property(
-        lambda self: ofdm_modulate(self.column, self.num, self.prs.n_symbols, CONVENTIONAL))
-    tx_cont = cached_property(
-        lambda self: ofdm_modulate(self.column, self.num, self.prs.n_symbols, CONTINUOUS))
+    def _period(self, mode: str) -> tuple[np.ndarray, int]:
+        stream = ofdm_modulate(self.column, self.num, self.prs.n_symbols, mode)
+        spectrum = np.fft.fft(stream[0])
+        spectrum.flags.writeable = False
+        return spectrum, stream.shape[0]
+
+    conv_period = cached_property(lambda self: self._period(CONVENTIONAL))
+    cont_period = cached_property(lambda self: self._period(CONTINUOUS))
 
 
 _build_assets = lru_cache(maxsize=1)(_Assets)   # callers run one scenario at a time
@@ -214,8 +218,9 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
 
     toa_s = None
     if "toa" in cfg.methods or cfg.ambiguity in ("toa", "widelane"):
-        rx = add_awgn(apply_channel(assets.tx_conv, assets.num, channel), cfg.snr_db, toa_seed)
-        toa_s = estimate_toa(rx, assets.num, assets.tx_conv).toa_s
+        spectrum, rows = assets.conv_period
+        rx = add_awgn(apply_channel(spectrum, rows, assets.num, channel), cfg.snr_db, toa_seed)
+        toa_s = estimate_toa(rx, assets.num, spectrum).toa_s
         if "toa" in cfg.methods:
             errors["toa"] = toa_s * SPEED_OF_LIGHT - d_true
             integers["toa"] = None
@@ -223,7 +228,7 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
 
     phase_methods = [m for m in cfg.methods if m in ("cp", "ccp")]
     if phase_methods:
-        received = [(add_awgn(apply_channel(assets.tx_cont, c, channel), cfg.snr_db, seed),
+        received = [(add_awgn(apply_channel(*assets.cont_period, c, channel), cfg.snr_db, seed),
                      c.carrier_frequency_hz + assets.subcarrier * c.scs_hz)
                     for c, seed in zip(assets.carriers, (cp_seed, wl_seed))]
         for method in phase_methods:

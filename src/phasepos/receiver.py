@@ -40,42 +40,41 @@ def wrap_phase(phase: float | np.ndarray):
     return (np.asarray(phase) + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def estimate_toa(rx: np.ndarray, num: NumerologyConfig, reference: np.ndarray) -> ToaMeasurement:
+def estimate_toa(rx: np.ndarray, num: NumerologyConfig,
+                 reference_spectrum: np.ndarray) -> ToaMeasurement:
     """First-arrival TOA from the circular cross-correlation.
 
     The reference, never the noisy ``rx``, gives the period p: the length of
-    its last axis, the row length of ``ofdm_modulate``'s ``(n / p, p)``
-    period view.  Its n-point spectrum is zero off every (n / p)-th bin, and
-    on those bins the received spectrum is the p-point DFT of ``rx`` folded
-    into one period (its n / p periods summed).  The correlation is then
-    p-periodic and is computed on p points; lags up to one period, or half
-    the stream if that is shorter, are searched.  A 1-D reference is one
-    period, p = n: the whole-stream correlation.  The earliest local maximum
-    whose height reaches ``EARLY_PEAK_RATIO`` times the global maximum is
-    taken as the first arrival (later, possibly stronger multipath is
-    ignored), then refined with a three-point parabolic fit so the estimate
-    is not pinned to the sampling grid.
+    ``reference_spectrum``, the DFT of one period of the clean stream (one
+    row of ``ofdm_modulate``'s ``(n / p, p)`` period view; a whole stream is
+    one period, p = n).  The reference's n-point spectrum is zero off every
+    (n / p)-th bin, and on those bins the received spectrum is the p-point
+    DFT of ``rx`` folded into one period (its n / p periods summed).  The
+    correlation is then p-periodic and is computed on p points; lags up to
+    one period, or half the stream if that is shorter, are searched.  The
+    earliest local maximum whose height reaches ``EARLY_PEAK_RATIO`` times
+    the global maximum is taken as the first arrival (later, possibly
+    stronger multipath is ignored), then refined with a three-point
+    parabolic fit so the estimate is not pinned to the sampling grid.
 
     Args:
         rx: received stream, of any shape.
         num: numerology of both streams; its sample rate converts lags to seconds.
-        reference: clean transmitted stream, an ``(n / p, p)`` period view or a
-            1-D array, as many samples as ``rx``; it is only read.
+        reference_spectrum: DFT of one period of the clean transmitted stream;
+            it is only read.
 
     Returns:
         ToaMeasurement: the refined delay in seconds, off the sampling grid,
         and the chosen peak's height relative to the global maximum.
 
     Raises:
-        ValueError: the two streams differ in length.
+        ValueError: ``rx`` is not a whole number of periods.
         NoSignalError: no correlation peak.
     """
-    n = rx.size
-    if reference.size != n:
-        raise ValueError(f"received stream has {n} samples, reference {reference.size}")
-    p = reference.shape[-1]
-    cross_spectrum = (np.fft.fft(rx.reshape(-1, p).sum(axis=0))
-                      * np.conj(np.fft.fft(reference.reshape(-1, p)[0])))
+    n, p = rx.size, reference_spectrum.size
+    if n % p:
+        raise ValueError(f"{n} received samples are no whole number of {p}-sample periods")
+    cross_spectrum = np.fft.fft(rx.reshape(-1, p).sum(axis=0)) * np.conj(reference_spectrum)
     corr = np.abs(np.fft.ifft(cross_spectrum))
 
     horizon = min(n // 2, p - 1)
@@ -147,7 +146,10 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
 
     n_fft = num.n_fft
     span = (n_sweeps - 1) * shift_samples + n_fft
-    covered = rx.reshape(-1)[window_start:window_start + span]
+    rows = rx.reshape(-1, rx.shape[-1])     # flatten only the rows that hold the span
+    first, skip = divmod(window_start, rows.shape[1])
+    last = first + (skip + span - 1) // rows.shape[1] + 1
+    covered = rows[first:last].reshape(-1)[skip:skip + span]
     if covered.size < span:
         raise ValueError(f"sweep [{window_start}, {window_start + span}) out of range "
                          f"for stream of {rx.size} samples")

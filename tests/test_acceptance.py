@@ -79,7 +79,7 @@ def fr1_paired():
     comparison; oracle-resolved distances feed the error CDFs.
     """
     assets = _build_assets(MC_CFG)
-    tx, num = assets.tx_cont, assets.num
+    (spectrum, rows), num = assets.cont_period, assets.num
     f_eff = num.carrier_frequency_hz + assets.subcarrier * num.scs_hz
     d_true = GEO.true_distance_m
 
@@ -93,7 +93,7 @@ def fr1_paired():
     with Timer() as t:
         for trial in range(MC_CFG.n_trials):
             ch = draw_channel(assets.profile, GEO, trial)
-            rx0 = apply_channel(tx, num, ch)
+            rx0 = apply_channel(spectrum, rows, num, ch)
             truth = phase(rx0, "cp")
             rx = add_awgn(rx0, MC_CFG.snr_db, 100_000 + trial)
             for name in ("cp", "ccp"):

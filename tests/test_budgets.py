@@ -3,10 +3,12 @@
 Both 128-symbol streams repeat exactly (conventional every symbol,
 continuous every n_fft samples), so the channel and the TOA correlator need
 transforms and tap responses of one period only, and the modulator holds
-that one period.  These tests hold the simulator to that: a transform or a
-response over the whole 561,152-sample stream, a tiled or resized stream
-inside a trial, a transmit stream held whole, or one more full-length array
-alive at once, fails them.  A stream with no period is filtered whole, but
+that one period.  The scenario keeps each period's spectrum, so after its
+first trial no trial transforms a transmit period again.  These tests hold
+the simulator to that: a transform or a response over the whole
+561,152-sample stream, a forward transform of a transmit period inside a
+trial, a tiled or resized stream inside a trial, a transmit stream held
+whole, or one more full-length array alive at once, fails them.  A stream with no period is filtered whole, but
 its tap response is two short exp tables per tap, not one exp per tap per bin.
 """
 
@@ -18,7 +20,7 @@ import pytest
 from phasepos.channel import ChannelRealization
 from phasepos.harness import ScenarioConfig, _Assets, _build_assets, run_trial
 from phasepos.receiver import ccp_measure
-from phasepos.waveform import make_numerology
+from phasepos.waveform import CONTINUOUS, CONVENTIONAL, make_numerology, ofdm_modulate
 
 FR1_TOA = ScenarioConfig(band="FR1", methods=("toa", "cp", "ccp"), ambiguity="toa",
                          n_symbols=128, ccp_sweeps=1000)
@@ -130,7 +132,8 @@ def test_trial_tiles_and_resizes_nothing(monkeypatch, cfg):
 
 def test_ccp_measure_allocates_one_span():
     assets = _build_assets(FR2_CCP)
-    rx, num = assets.tx_cont.reshape(-1), assets.num      # copied before the trace starts
+    num = assets.num
+    rx = ofdm_modulate(assets.column, num, FR2_CCP.n_symbols, CONTINUOUS).reshape(-1)   # a copy
     start, sweeps, shift = assets.windows["ccp"]
     span = (sweeps - 1) * shift + num.n_fft
     tracemalloc.start()
@@ -148,9 +151,38 @@ def test_transmit_streams_hold_one_period():
     assets = _Assets(FR1_TOA)
     tracemalloc.start()
     try:
-        streams = (assets.tx_conv, assets.tx_cont)
+        periods = (assets.conv_period, assets.cont_period)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [s.size for s in streams] == [128 * ONE_SYMBOL] * 2
+    assert [spectrum.size * rows for spectrum, rows in periods] == [128 * ONE_SYMBOL] * 2
     assert peak < STREAM_BUILD_BYTES, f"{peak} bytes"
+
+
+@pytest.mark.parametrize("cfg, folds", [(FR1_WIDELANE, 1), (FR1_TOA, 1), (FR2_CCP, 0)],
+                         ids=["FR1-widelane", "FR1-toa", "FR2-ccp"])
+def test_trial_transforms_no_transmit_period(monkeypatch, cfg, folds):
+    run_trial(cfg, 0)       # builds the cached period spectra outside the count
+    lengths = []
+    fft = np.fft.fft
+
+    def counted(a, *args, **kwargs):
+        lengths.append(np.shape(a)[-1])
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    run_trial(cfg, 1)
+    # The one forward transform left is estimate_toa's fold of the received stream.
+    assert len(lengths) == folds, f"forward transform lengths {lengths}"
+
+
+@pytest.mark.parametrize("cfg", [FR1_WIDELANE, FR1_TOA, FR2_CCP],
+                         ids=["FR1-widelane", "FR1-toa", "FR2-ccp"])
+def test_cached_spectra_are_the_transmit_periods(cfg):
+    assets = _Assets(cfg)
+    for (spectrum, rows), mode in ((assets.conv_period, CONVENTIONAL),
+                                   (assets.cont_period, CONTINUOUS)):
+        stream = ofdm_modulate(assets.column, assets.num, cfg.n_symbols, mode)
+        assert not spectrum.flags.writeable
+        assert rows == stream.shape[0]
+        assert np.array_equal(spectrum, np.fft.fft(stream[0]))

@@ -165,7 +165,7 @@ def test_channel_deterministic_per_seed():
 def test_identity_channel():
     tx = make_stream()
     ch = ChannelRealization(np.array([0.0]), np.array([1.0 + 0.0j]))
-    rx = apply_channel(tx, NUM, ch)
+    rx = apply_channel(np.fft.fft(tx), 1, NUM, ch)
     assert np.max(np.abs(rx - tx)) < 1e-12
 
 
@@ -174,7 +174,7 @@ def test_integer_sample_delay_is_circular_shift():
     d_samples = 9
     tau = d_samples / NUM.sample_rate_hz
     ch = ChannelRealization(np.array([tau]), np.array([1.0 + 0.0j]))
-    rx = apply_channel(tx, NUM, ch)
+    rx = apply_channel(np.fft.fft(tx), 1, NUM, ch)
     expected = np.roll(tx, d_samples) * np.exp(-2j * np.pi * NUM.carrier_frequency_hz * tau)
     assert np.max(np.abs(rx - expected)) < 1e-10
 
@@ -184,8 +184,9 @@ def test_superposition_over_taps():
     ch1 = ChannelRealization(np.array([5e-9]), np.array([0.8 + 0.1j]))
     ch2 = ChannelRealization(np.array([40e-9]), np.array([-0.3 + 0.5j]))
     both = ChannelRealization(np.array([5e-9, 40e-9]), np.array([0.8 + 0.1j, -0.3 + 0.5j]))
-    lhs = apply_channel(tx, NUM, both)
-    rhs = apply_channel(tx, NUM, ch1) + apply_channel(tx, NUM, ch2)
+    spectrum = np.fft.fft(tx)
+    lhs = apply_channel(spectrum, 1, NUM, both)
+    rhs = apply_channel(spectrum, 1, NUM, ch1) + apply_channel(spectrum, 1, NUM, ch2)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -205,7 +206,8 @@ def test_apply_channel_matches_dense_transform(n_symbols, mode, periodic):
     tx = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, n_symbols, 7), NUM), NUM,
                        n_symbols, mode)
     ch = draw_channel(profile_preset("InF-NLOS-S"), Geometry(GNB, UE), 4)
-    rx, dense = apply_channel(tx, NUM, ch).reshape(-1), dense_channel(tx.reshape(-1), NUM, ch)
+    rx = apply_channel(np.fft.fft(tx[0]), len(tx), NUM, ch).reshape(-1)
+    dense = dense_channel(tx.reshape(-1), NUM, ch)
     if periodic:
         rms = np.sqrt(np.mean(np.abs(tx) ** 2))
         assert np.max(np.abs(rx - dense)) <= 1e-12 * rms
@@ -218,19 +220,20 @@ def test_apply_channel_on_an_aperiodic_stream_is_the_dense_transform():
     tx = np.tile(make_stream(NUM.symbol_samples), 4)
     tx[5000] += 1.0     # one changed sample breaks the one-symbol period
     for x in (make_stream(), tx):
-        assert np.array_equal(apply_channel(x, NUM, ch), dense_channel(x, NUM, ch))
+        rx = apply_channel(np.fft.fft(x), 1, NUM, ch)[0]
+        assert np.array_equal(rx, dense_channel(x, NUM, ch))
 
 
 def test_apply_channel_broadcasts_a_period_view_and_filters_a_1d_stream_whole():
     ch = draw_channel(profile_preset("InF-LOS"), Geometry(GNB, UE), 2)
     tx = np.tile(make_stream(NUM.symbol_samples), 4)
-    view = apply_channel(tx.reshape(4, -1), NUM, ch)
+    view = apply_channel(np.fft.fft(tx[:NUM.symbol_samples]), 4, NUM, ch)
     assert view.shape == (4, NUM.symbol_samples) and view.strides[0] == 0
     assert not view.flags.writeable
-    for x in (tx, make_stream()):       # periodic and aperiodic 1-D streams: one period each
-        rx = apply_channel(x, NUM, ch)
-        assert rx.shape == x.shape and not rx.flags.writeable
-        assert np.array_equal(rx, dense_channel(x, NUM, ch))
+    for x in (tx, make_stream()):       # periodic and aperiodic whole streams: one period each
+        rx = apply_channel(np.fft.fft(x), 1, NUM, ch)
+        assert rx.shape == (1, x.size) and not rx.flags.writeable
+        assert np.array_equal(rx[0], dense_channel(x, NUM, ch))
 
 
 def loop_response(ch, num, first_bin, n_bins, spacing_hz):
@@ -276,7 +279,8 @@ def test_apply_channel_matches_dense_transform_property(band, mode, kind, n_symb
     tx = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, n_symbols, seed), num), num,
                        n_symbols, mode)
     ch = draw_channel(profile_preset(kind), Geometry(GNB, UE), seed)
-    rx, dense = apply_channel(tx, num, ch).reshape(-1), dense_channel(tx.reshape(-1), num, ch)
+    rx = apply_channel(np.fft.fft(tx[0]), len(tx), num, ch).reshape(-1)
+    dense = dense_channel(tx.reshape(-1), num, ch)
     assert np.max(np.abs(rx - dense)) <= 1e-12 * np.sqrt(np.mean(np.abs(tx) ** 2))
 
 
@@ -290,7 +294,7 @@ def test_response_is_the_noiseless_carrier_phase(kind):
     k = middle_subcarrier(prs, NUM)
     for seed in range(3):
         ch = draw_channel(profile_preset(kind), Geometry(GNB, UE), seed)
-        rx = apply_channel(tx, NUM, ch)
+        rx = apply_channel(np.fft.fft(tx[0]), len(tx), NUM, ch)
         phase = ccp_measure(rx, NUM, k, 1, 1, complex(column[k % NUM.n_fft]),
                             NUM.symbol_samples + NUM.n_cp).phase_rad   # the harness's cp window
         expected = np.angle(ch.response(NUM, k, 1, NUM.scs_hz)[0])
@@ -355,15 +359,15 @@ def tiled_awgn(x, snr_db, seed):
        kind=st.sampled_from(PROFILE_KINDS), n_symbols=st.integers(2, 300),
        seed=st.integers(0, 2 ** 32 - 1), snr_db=st.sampled_from([-5.0, 10.0, 40.0]))
 def test_period_view_receive_path_is_the_tiled_one(band, mode, kind, n_symbols, seed, snr_db):
-    # The harness holds each transmit stream as its (n / p, p) period view.
+    # The harness holds each transmit stream as one period's spectrum and its row count.
     assets = _Assets(ScenarioConfig(band=band, profile=kind, methods=("toa", "cp"),
                                     n_symbols=n_symbols))
-    view = assets.tx_conv if mode == CONVENTIONAL else assets.tx_cont
+    spectrum, rows = assets.conv_period if mode == CONVENTIONAL else assets.cont_period
     ch = draw_channel(assets.profile, Geometry(GNB, UE), seed)
-    filtered = apply_channel(view, assets.num, ch)
-    tiled = np.tile(filtered[0], view.shape[0])
+    filtered = apply_channel(spectrum, rows, assets.num, ch)
+    tiled = np.tile(filtered[0], rows)
     rx = add_awgn(filtered, snr_db, seed)
-    assert rx.shape == (view.size,)
+    assert rx.shape == (rows * spectrum.size,)
     assert np.array_equal(rx, add_awgn(tiled, snr_db, seed))
     assert np.array_equal(rx, tiled_awgn(tiled, snr_db, seed))
 

@@ -493,7 +493,7 @@ def test_128_symbol_trials_match_golden():
 
 
 def test_asset_cache_holds_one_scenario():
-    # Each entry holds two full streams; callers run one scenario at a time.
+    # Each entry holds two period spectra; callers run one scenario at a time.
     harness._build_assets.cache_clear()
     harness._build_assets(FAST)
     harness._build_assets(dataclasses.replace(FAST, snr_db=0.0))
@@ -501,22 +501,22 @@ def test_asset_cache_holds_one_scenario():
 
 
 def test_cached_streams_are_read_only():
-    # Every trial of a scenario reads the same cached streams.
+    # Every trial of a scenario reads the same cached period spectra.
     assets = harness._build_assets(FAST)
-    for stream in (assets.tx_conv, assets.tx_cont):
+    for spectrum, _ in (assets.conv_period, assets.cont_period):
         with pytest.raises(ValueError):
-            stream[0] = stream[0]
+            spectrum[0] = spectrum[0]
 
 
 def test_scenario_builds_only_the_streams_its_methods_read():
     ccp = ScenarioConfig(band="FR2", methods=("ccp",), n_symbols=8, ccp_sweeps=50, n_trials=1)
     run_trial(ccp, 0)
-    assert "tx_cont" in vars(harness._build_assets(ccp))
-    assert "tx_conv" not in vars(harness._build_assets(ccp))
+    assert "cont_period" in vars(harness._build_assets(ccp))
+    assert "conv_period" not in vars(harness._build_assets(ccp))
     toa = dataclasses.replace(FAST, methods=("toa",))
     run_trial(toa, 0)
-    assert "tx_conv" in vars(harness._build_assets(toa))
-    assert "tx_cont" not in vars(harness._build_assets(toa))
+    assert "conv_period" in vars(harness._build_assets(toa))
+    assert "cont_period" not in vars(harness._build_assets(toa))
 
 
 def test_widelane_trial_full_waveform():

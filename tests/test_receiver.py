@@ -32,7 +32,7 @@ def test_toa_integer_delay_exact():
     ref = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, 4, 3), num), num, 4, CONVENTIONAL)
     d = 7
     rx = np.roll(ref, d)
-    m = estimate_toa(rx, num, ref)
+    m = estimate_toa(rx, num, np.fft.fft(ref[0]))
     assert m.toa_s == pytest.approx(d / num.sample_rate_hz, rel=1e-12)
     assert 0.0 <= m.peak_metric <= 1.0
 
@@ -43,8 +43,9 @@ def test_toa_fractional_geometric_delay():
     ref = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, 16, 3), num), num, 16,
                         CONVENTIONAL)
     ch = draw_channel(profile_preset("InF-LOS", rician_k_db=float("inf")), geo, 0)
-    rx = apply_channel(ref, num, ch)
-    m = estimate_toa(rx, num, ref)
+    spectrum = np.fft.fft(ref[0])
+    rx = apply_channel(spectrum, len(ref), num, ch)
+    m = estimate_toa(rx, num, spectrum)
     half_sample = 0.5 / num.sample_rate_hz
     assert abs(m.toa_s - geo.true_delay_s) <= half_sample
     # fine refinement should do far better than the half-sample bound
@@ -55,7 +56,7 @@ def test_toa_prefers_earliest_strong_peak():
     num = make_numerology("FR1")
     ref = ofdm_modulate(generate_prs_column(PrsConfig(6, 0, 4, 3), num), num, 4, CONVENTIONAL)
     rx = 0.7 * np.roll(ref, 5) + 1.0 * np.roll(ref, 50)
-    m = estimate_toa(rx, num, ref)
+    m = estimate_toa(rx, num, np.fft.fft(ref[0]))
     assert abs(m.toa_s * num.sample_rate_hz - 5) < 0.5
     assert m.peak_metric < 1.0
 
@@ -64,14 +65,14 @@ def test_toa_zero_input_rejected():
     num = small_num()
     stream, _, _ = continuous_stream(num, 4)
     with pytest.raises(NoSignalError):
-        estimate_toa(np.zeros_like(stream), num, stream)
+        estimate_toa(np.zeros_like(stream), num, np.fft.fft(stream[0]))
 
 
 def test_toa_unequal_lengths_rejected():
     num = small_num()
     stream, _, _ = continuous_stream(num, 4)
-    with pytest.raises(ValueError):
-        estimate_toa(stream.reshape(-1)[:-1], num, stream)
+    with pytest.raises(ValueError, match="no whole number"):
+        estimate_toa(stream.reshape(-1)[:-1], num, np.fft.fft(stream[0]))
 
 
 # (band, n_symbols, mode) -> (toa_s, peak_metric) of one noisy InF-NLOS-D
@@ -92,7 +93,8 @@ def test_toa_matches_pinned_values(band, n_symbols, mode):
                         n_symbols, mode)
     ch = draw_channel(profile_preset("InF-NLOS-D"),
                       Geometry((100.0, 100.0, 15.0), (120.0, 100.0, 1.5)), 1)
-    m = estimate_toa(add_awgn(apply_channel(ref, num, ch), 0.0, 11), num, ref)
+    spectrum = np.fft.fft(ref[0])
+    m = estimate_toa(add_awgn(apply_channel(spectrum, len(ref), num, ch), 0.0, 11), num, spectrum)
     toa_s, peak_metric = TOA_PINNED[band, n_symbols, mode]
     assert abs(m.toa_s - toa_s) <= 1e-15
     assert m.peak_metric == pytest.approx(peak_metric, rel=1e-12)
@@ -117,7 +119,7 @@ def test_phase_matches_analytic_delay_rotation():
     k = middle_subcarrier(prs, num)
     ref = complex(column[k % num.n_fft])
     ch = draw_channel(profile_preset("InF-LOS", rician_k_db=float("inf")), geo, 0)
-    rx = apply_channel(stream, num, ch)
+    rx = apply_channel(np.fft.fft(stream[0]), len(stream), num, ch)
     m = ccp_measure(rx, num, k, 1, 1, ref, num.symbol_samples + num.n_cp)
     f_eff = num.carrier_frequency_hz + k * num.scs_hz
     expected = wrap_phase(-2 * np.pi * f_eff * geo.true_delay_s)
@@ -212,6 +214,24 @@ def test_ccp_matches_per_window_fft(mode, k, n_sweeps, shift, noise_seed, data):
     assert got.circular_variance == pytest.approx(1.0 - abs(expected), abs=1e-9)
 
 
+@settings(max_examples=100, deadline=None)
+@given(mode=st.sampled_from((CONVENTIONAL, CONTINUOUS)), n_sweeps=st.integers(1, 40),
+       shift=st.integers(1, 9), data=st.data())
+def test_ccp_reads_a_period_view_as_its_samples(mode, n_sweeps, shift, data):
+    # Only the rows that hold the span are flattened, so a window may straddle
+    # rows (six of them in the conventional view) and read the same bits.
+    num, view = PROPERTY_NUM, PROPERTY_STREAMS[mode]
+    span = (n_sweeps - 1) * shift + num.n_fft
+    start = data.draw(st.integers(0, view.size), label="window_start")
+    k = middle_subcarrier(PROPERTY_PRS, num)
+    args = (num, k, n_sweeps, shift, complex(PROPERTY_COLUMN[k % num.n_fft]), start)
+    if start + span > view.size:
+        with pytest.raises(ValueError, match="out of range"):
+            ccp_measure(view, *args)
+    else:
+        assert ccp_measure(view, *args) == ccp_measure(view.reshape(-1), *args)
+
+
 def resized_tone_ccp(rx, num, k, n_sweeps, shift, ref, start):
     """ccp_measure's phase with the tone ``np.resize``d to the whole span before the product."""
     span = (n_sweeps - 1) * shift + num.n_fft
@@ -235,10 +255,13 @@ def test_ccp_matches_resized_tone_formulation(band, n_symbols, noise_seed, data)
     sweeps = data.draw(st.integers(1, min(longest, 8192)), label="ccp_sweeps")
     assets = _Assets(ScenarioConfig(band=band, methods=("cp", "ccp"), n_symbols=n_symbols,
                                     ccp_sweeps=sweeps))
-    rx = add_awgn(assets.tx_cont, 10.0, noise_seed)
+    tx = ofdm_modulate(assets.column, num, n_symbols, CONTINUOUS)
+    rx = add_awgn(tx, 10.0, noise_seed)
     for start, n_sweeps, shift in (assets.windows["cp"], assets.windows["ccp"]):
         args = (assets.subcarrier, n_sweeps, shift, assets.ref_symbol, start)
         assert ccp_measure(rx, num, *args) == resized_tone_ccp(rx, num, *args)
+        # The period view is read by the rows that hold the span, to the same bits.
+        assert ccp_measure(tx, num, *args) == resized_tone_ccp(tx.reshape(-1), num, *args)
 
 
 def test_ccp_parameters_validated():
