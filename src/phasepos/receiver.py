@@ -72,7 +72,7 @@ def estimate_toa(rx: np.ndarray, num: NumerologyConfig,
         NoSignalError: no correlation peak.
     """
     n, p = rx.size, reference_spectrum.size
-    if n % p:
+    if p == 0 or n % p:
         raise ValueError(f"{n} received samples are no whole number of {p}-sample periods")
     cross_spectrum = np.fft.fft(rx.reshape(-1, p).sum(axis=0)) * np.conj(reference_spectrum)
     corr = np.abs(np.fft.ifft(cross_spectrum))
@@ -146,13 +146,14 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
 
     n_fft = num.n_fft
     span = (n_sweeps - 1) * shift_samples + n_fft
-    rows = rx.reshape(-1, rx.shape[-1])     # flatten only the rows that hold the span
+    if window_start + span > rx.size:
+        raise ValueError(f"sweep [{window_start}, {window_start + span}) out of range "
+                         f"for stream of {rx.size} samples")
+    # Flatten only the rows that hold the span, not a whole period view.
+    rows = rx.reshape(-1, rx.shape[-1])
     first, skip = divmod(window_start, rows.shape[1])
     last = first + (skip + span - 1) // rows.shape[1] + 1
     covered = rows[first:last].reshape(-1)[skip:skip + span]
-    if covered.size < span:
-        raise ValueError(f"sweep [{window_start}, {window_start + span}) out of range "
-                         f"for stream of {rx.size} samples")
     # The tone repeats every n_fft positions: one row of it multiplies the
     # span's whole rows, then its tail, straight into the prefix sum.
     turns = (k * np.arange(window_start, window_start + n_fft, dtype=np.int64)) % n_fft
