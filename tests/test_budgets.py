@@ -6,10 +6,11 @@ transforms and tap responses of one period only, and the modulator holds
 that one period.  The scenario keeps each period's spectrum, so after its
 first trial no trial transforms a transmit period again.  These tests hold
 the simulator to that: a transform or a response over the whole
-561,152-sample stream, a forward transform of a transmit period inside a
-trial, a tiled or resized stream inside a trial, a transmit stream held
-whole, or one more full-length array alive at once, fails them.  A stream with no period is filtered whole, but
-its tap response is two short exp tables per tap, not one exp per tap per bin.
+561,152-sample stream, a forward transform of a transmit period or a tiled
+or resized stream inside a trial, a transmit stream held whole, or one more
+full-length array alive at once, fails them.  A stream with no period is
+filtered whole, but its tap response is two short exp tables per tap, not
+one exp per tap per bin.
 """
 
 import tracemalloc
@@ -172,7 +173,7 @@ def test_trial_transforms_no_transmit_period(monkeypatch, cfg, folds):
 
     monkeypatch.setattr(np.fft, "fft", counted)
     run_trial(cfg, 1)
-    # The one forward transform left is estimate_toa's fold of the received stream.
+    # The only forward transform left is estimate_toa's fold of the received stream.
     assert len(lengths) == folds, f"forward transform lengths {lengths}"
 
 

@@ -73,6 +73,8 @@ def test_toa_unequal_lengths_rejected():
     stream, _, _ = continuous_stream(num, 4)
     with pytest.raises(ValueError, match="no whole number"):
         estimate_toa(stream.reshape(-1)[:-1], num, np.fft.fft(stream[0]))
+    with pytest.raises(ValueError, match="no whole number"):
+        estimate_toa(stream, num, np.zeros(0, dtype=complex))
 
 
 # (band, n_symbols, mode) -> (toa_s, peak_metric) of one noisy InF-NLOS-D
@@ -165,6 +167,9 @@ def test_ccp_sweep_too_long_rejected():
     with pytest.raises(ValueError):
         ccp_measure(stream, num, k, n_sweeps=300, shift_samples=1,
                     ref_symbol=ref, window_start=0)
+    for empty in (np.zeros(0, dtype=complex), np.zeros((3, 0), dtype=complex)):
+        with pytest.raises(ValueError, match="out of range"):
+            ccp_measure(empty, num, k, n_sweeps=1, shift_samples=1, ref_symbol=ref)
 
 
 def test_ccp_negative_window_start_rejected():
