@@ -3,8 +3,8 @@
 Distance maps to phase through d = (N + fraction) * wavelength with
 fraction = ((-phase) mod 2 pi) / 2 pi, consistent with the delay =>
 negative-phase convention used by the channel and receiver.  ``ia_search``
-is the one integer search; ``resolve`` picks each IA mode's window for it
-and judges the resolved integer against the truth.
+is the one integer search, over a window in metres that widelane takes too;
+``resolve`` builds each IA mode's window once and alone decides IA failure.
 """
 
 from __future__ import annotations
@@ -88,29 +88,25 @@ def virtual_wavelength(lambda1_m: float, lambda2_m: float) -> float:
     return lambda1_m * lambda2_m / abs(lambda2_m - lambda1_m)
 
 
-def widelane_resolve(range1: CarrierRange, range2: CarrierRange,
-                     coarse_distance_m: float, coarse_sigma_m: float,
-                     k_sigma: float = 3.0) -> CarrierRange | None:
+def widelane_resolve(range1: CarrierRange, range2: CarrierRange, *, center_m: float,
+                     half_width_m: float) -> CarrierRange | None:
     """Two-carrier widelane resolution refined back to the finer carrier.
 
     The difference of the two fractional phases lives on the much longer
-    beat wavelength, where a coarse TOA-grade distance is enough to fix the
-    integer.  The widelane distance then bounds a second integer search on
-    the shorter of the two carrier wavelengths within +- lambda_virtual/4.
+    beat wavelength, where ``ia_search`` fixes the integer inside the
+    caller's TOA-grade window.  The widelane distance then bounds a second
+    integer search on the shorter carrier wavelength within +- lambda_virtual/4.
 
     Returns the refined CarrierRange on the shorter wavelength, or None when
-    either search finds no candidate.  Raises ValueError unless
-    ``coarse_sigma_m`` and ``k_sigma`` are positive.
+    either search finds no candidate.  ValueError as ``ia_search`` for a bad window.
     """
-    if not (coarse_sigma_m > 0 and k_sigma > 0):
-        raise ValueError("coarse_sigma_m and k_sigma must be positive")
     lam_v = virtual_wavelength(range1.wavelength_m, range2.wavelength_m)
     fine, coarse = ((range1, range2) if range1.wavelength_m <= range2.wavelength_m
                     else (range2, range1))
     # Higher-frequency fraction minus lower-frequency fraction advances with
     # distance at the beat rate d / lambda_v.
     frac_v = (fine.fractional_cycles - coarse.fractional_cycles) % 1.0
-    wide = ia_search(CarrierRange(lam_v, frac_v), coarse_distance_m, k_sigma * coarse_sigma_m)
+    wide = ia_search(CarrierRange(lam_v, frac_v), center_m, half_width_m)
     return None if wide is None else ia_search(fine, wide.distance_m, lam_v / 4.0)
 
 
@@ -118,22 +114,20 @@ def resolve(mode: str, fractions: list[CarrierRange], truth_m: float, toa_s: flo
             sample_rate_hz: float, k_sigma: float) -> tuple[CarrierRange | None, bool]:
     """(range, IA failure) of ``fractions`` (band carrier, then widelane's second) under ``mode``.
 
-    The oracle searches +-lambda around the truth; toa and widelane search
-    ``k_sigma`` one-sample TOA stds, 1 / (fs sqrt(12)), around ``toa_s``.  No
-    candidate gives (None, True); else the IA fails unless the integer is the
-    one nearest the truth on its own wavelength.  ValueError for an unknown mode.
+    The oracle searches +-lambda around the truth, so it is its own judge.
+    toa and widelane search ``k_sigma`` one-sample TOA stds, 1 / (fs sqrt(12)),
+    around ``toa_s``.  No candidate gives (None, True); else the IA fails unless
+    the integer is the one nearest the truth on its wavelength.  ValueError for an unknown mode.
     """
     if mode not in IA_MODES:
         raise ValueError(f"ambiguity mode must be one of {IA_MODES}, got {mode!r}")
-    std_s = 1.0 / (sample_rate_hz * np.sqrt(12.0))
     if mode == "oracle":   # wrap-aware: noise past an integer boundary takes the neighbour
         resolved = ia_search(fractions[0], truth_m, fractions[0].wavelength_m)
-    elif mode == "toa":
-        resolved = ia_search(fractions[0], toa_s * SPEED_OF_LIGHT,
-                             k_sigma * std_s * SPEED_OF_LIGHT)
-    else:
-        resolved = widelane_resolve(fractions[0], fractions[1], toa_s * SPEED_OF_LIGHT,
-                                    std_s * SPEED_OF_LIGHT, k_sigma)
+        return resolved, resolved is None
+    std_s = 1.0 / (sample_rate_hz * np.sqrt(12.0))
+    window = {"center_m": toa_s * SPEED_OF_LIGHT, "half_width_m": k_sigma * std_s * SPEED_OF_LIGHT}
+    resolved = (ia_search(fractions[0], **window) if mode == "toa"
+                else widelane_resolve(fractions[0], fractions[1], **window))
     if resolved is None:
         return None, True
     nearest = ia_search(resolved, truth_m, resolved.wavelength_m)   # on widelane's finer carrier

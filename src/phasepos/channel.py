@@ -209,8 +209,11 @@ def apply_channel(spectrum: np.ndarray, rows: int, num: NumerologyConfig,
     exact.  A periodic stream's whole-length spectrum is zero off that
     period's bins, so this is the whole-stream filter.  Returns the filtered
     period broadcast to ``(rows, p)``: a read-only view a caller copies to write.
+    ConfigError unless ``rows`` is an integer >= 1; ValueError for an empty spectrum.
     """
-    p = spectrum.size
+    rows, p = as_int("rows", rows, 1), spectrum.size
+    if p == 0:
+        raise ValueError("spectrum is empty: no period to filter")
     h = np.fft.ifftshift(channel.response(num, -(p // 2), p, num.sample_rate_hz / p))
     return np.broadcast_to(np.fft.ifft(spectrum * h), (rows, p))
 

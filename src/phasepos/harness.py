@@ -259,18 +259,16 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list[TrialResult]:
 def compute_cdf(results: list[TrialResult], method: str) -> CdfResult:
     """Empirical CDF of |distance error| for one method.
 
-    Trials flagged as IA failures are excluded from the curve and reported
-    in ``n_failures``; percentiles use the linear interpolation convention.
-    A method none of whose trials survive gets empty arrays and no
-    percentiles, so the other methods' results are still written.
+    A trial is kept unless ``resolve`` flagged an IA failure, and the rest
+    are reported in ``n_failures``; percentiles use the linear interpolation
+    convention.  A method none of whose trials survive gets empty arrays and
+    no percentiles, so the other methods' results are still written.
+    ConfigError unless every trial measured ``method``.
     """
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}")
-    kept = [r.distance_error_m[method] for r in results
-            if method in r.distance_error_m and not r.ia_failure.get(method, False)
-            and np.isfinite(r.distance_error_m[method])]
-    n_failures = sum(1 for r in results
-                     if method in r.distance_error_m and r.ia_failure.get(method, False))
+    if method not in METHODS or any(method not in r.ia_failure for r in results):
+        raise ConfigError(f"method {method!r} is not one of {METHODS} measured in every trial")
+    kept = [r.distance_error_m[method] for r in results if not r.ia_failure[method]]
+    n_failures = len(results) - len(kept)
     abs_err = np.sort(np.abs(np.asarray(kept, dtype=np.float64)))
     cdf = np.arange(1, abs_err.size + 1) / max(abs_err.size, 1)
     pct = {p: float(np.percentile(abs_err, p)) for p in (50, 67, 90, 95)} if kept else {}

@@ -136,13 +136,14 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
 
     Raises:
         ValueError: the sweep ends past the stream.
-        ConfigError: bad ``subcarrier`` or sweep parameters, a negative ``window_start`` included.
+        ConfigError: ``subcarrier`` outside the allocation, bad sweep or negative ``window_start``.
         NoSignalError: a window saw an empty subcarrier bin.
     """
     as_int("n_sweeps", n_sweeps, 1)
     as_int("shift_samples", shift_samples, 1)
     as_int("window_start", window_start, 0)
-    k = as_int("subcarrier", subcarrier)
+    half = num.n_active_subcarriers // 2
+    k = as_int("subcarrier", subcarrier, -half, half)    # inside the allocation: no alias
 
     n_fft = num.n_fft
     span = (n_sweeps - 1) * shift_samples + n_fft

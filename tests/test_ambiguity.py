@@ -202,7 +202,7 @@ def test_widelane_noiseless_chain():
     d = GEO.true_distance_m
     r1 = phase_to_fraction(exact_phase(d, F1), F1)
     r2 = phase_to_fraction(exact_phase(d, F2), F2)
-    refined = widelane_resolve(r1, r2, d, 0.3)
+    refined = widelane_resolve(r1, r2, center_m=d, half_width_m=3.0 * 0.3)
     lam_fine = SPEED_OF_LIGHT / F2
     assert refined.wavelength_m == pytest.approx(lam_fine, rel=1e-12)
     assert refined.integer_cycles == int(np.floor(d / lam_fine))
@@ -217,7 +217,7 @@ def test_widelane_short_range_integer_zero():
     frac_v = CarrierRange(lam_v, (r2.fractional_cycles - r1.fractional_cycles) % 1.0)
     wide = ia_search(frac_v, d, 3.0 * 0.3)
     assert wide.integer_cycles == 0
-    refined = widelane_resolve(r1, r2, d, 0.3)
+    refined = widelane_resolve(r1, r2, center_m=d, half_width_m=3.0 * 0.3)
     assert abs(refined.distance_m - d) < 1e-6
 
 
@@ -236,8 +236,8 @@ def test_widelane_noisy_conditional_p90():
         p1 = wrap_phase(exact_phase(d, F1) + 2 * np.pi * rng.normal(0.0, 0.05))
         p2 = wrap_phase(exact_phase(d, F2) + 2 * np.pi * rng.normal(0.0, 0.05))
         coarse = d + rng.normal(0.0, 0.3)
-        refined = widelane_resolve(phase_to_fraction(p1, F1),
-                                   phase_to_fraction(p2, F2), coarse, 0.3)
+        refined = widelane_resolve(phase_to_fraction(p1, F1), phase_to_fraction(p2, F2),
+                                   center_m=coarse, half_width_m=3.0 * 0.3)
         if refined is not None and refined.integer_cycles == n_true:
             kept.append(abs(refined.distance_m - d))
     assert len(kept) > 0.05 * n_trials
@@ -252,23 +252,26 @@ def test_widelane_memory_does_not_grow_with_beat_wavelength():
     r2 = phase_to_fraction(exact_phase(d, 3.800001e9), 3.800001e9)
     tracemalloc.start()
     try:
-        refined = widelane_resolve(r1, r2, d, 0.3)
+        refined = widelane_resolve(r1, r2, center_m=d, half_width_m=3.0 * 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1e6
     assert abs(refined.distance_m - d) < 1e-6
     f2 = 3.800000001e9
-    refined = widelane_resolve(r1, phase_to_fraction(exact_phase(d, f2), f2), d, 0.3)
+    refined = widelane_resolve(r1, phase_to_fraction(exact_phase(d, f2), f2),
+                               center_m=d, half_width_m=3.0 * 0.3)
     assert abs(refined.distance_m - d) < 1e-6
 
 
 def test_widelane_validates_sigma():
     r1 = CarrierRange(SPEED_OF_LIGHT / F1, 0.1)
     r2 = CarrierRange(SPEED_OF_LIGHT / F2, 0.2)
-    for sigma, k in ((0.0, 3.0), (0.3, 0.0), (-0.3, -3.0)):
+    for half_width_m in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            widelane_resolve(r1, r2, 24.0, sigma, k)
+            widelane_resolve(r1, r2, center_m=24.0, half_width_m=half_width_m)
+    with pytest.raises(TypeError):      # the window is keyword-only
+        widelane_resolve(r1, r2, 24.0, 0.9)
 
 
 # ---------------------------------------------------------------- resolve
@@ -289,8 +292,8 @@ def test_resolve_is_the_mode_search(mode, distance_m, carriers, toa_offset_m, k_
         "oracle": lambda: ia_search(fracs[0], distance_m, fracs[0].wavelength_m),
         "toa": lambda: ia_search(fracs[0], toa_s * SPEED_OF_LIGHT,
                                  k_sigma * STD_S * SPEED_OF_LIGHT),
-        "widelane": lambda: widelane_resolve(fracs[0], fracs[1], toa_s * SPEED_OF_LIGHT,
-                                             STD_S * SPEED_OF_LIGHT, k_sigma),
+        "widelane": lambda: widelane_resolve(fracs[0], fracs[1], center_m=toa_s * SPEED_OF_LIGHT,
+                                             half_width_m=k_sigma * STD_S * SPEED_OF_LIGHT),
     }[mode]
     expected = direct()
     resolved, failed = resolve(mode, fracs, distance_m, toa_s, FS, k_sigma)
@@ -302,6 +305,24 @@ def test_resolve_is_the_mode_search(mode, distance_m, carriers, toa_offset_m, k_
     nearest = round(distance_m / resolved.wavelength_m - resolved.fractional_cycles)
     assert failed == (resolved.integer_cycles != nearest)
     assert not (mode == "oracle" and failed)
+
+
+@pytest.mark.parametrize("mode, searches", [("oracle", 1), ("toa", 2), ("widelane", 3)])
+def test_resolve_searches_one_window_per_mode(monkeypatch, mode, searches):
+    windows = []
+
+    def recording(fraction, center_m, half_width_m):
+        windows.append((center_m, half_width_m))
+        return ia_search(fraction, center_m, half_width_m)
+
+    monkeypatch.setattr("phasepos.ambiguity.ia_search", recording)
+    d, toa_s, k_sigma = GEO.true_distance_m, GEO.true_delay_s + 1e-10, 4.0
+    fracs = [phase_to_fraction(exact_phase(d, fc), fc) for fc in (F1, F2)]
+    resolve(mode, fracs, d, toa_s, FS, k_sigma)
+    # The oracle's one search is its own judge; toa and widelane open with the TOA window.
+    assert len(windows) == searches
+    if mode != "oracle":
+        assert windows[0] == (toa_s * SPEED_OF_LIGHT, k_sigma * STD_S * SPEED_OF_LIGHT)
 
 
 def test_resolve_empty_window_is_a_failure():

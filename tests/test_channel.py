@@ -236,6 +236,19 @@ def test_apply_channel_broadcasts_a_period_view_and_filters_a_1d_stream_whole():
         assert np.array_equal(rx[0], dense_channel(x, NUM, ch))
 
 
+@pytest.mark.parametrize("rows", [0, -1, 2.5, True, None, "2"])
+def test_apply_channel_rejects_a_row_count_that_is_not_a_positive_integer(rows):
+    ch = ChannelRealization(np.array([0.0]), np.array([1.0 + 0.0j]))
+    with pytest.raises(ConfigError, match=r"^rows must be an integer in \[1, inf\], got "):
+        apply_channel(np.fft.fft(make_stream()), rows, NUM, ch)
+
+
+def test_apply_channel_rejects_an_empty_spectrum():
+    ch = ChannelRealization(np.array([0.0]), np.array([1.0 + 0.0j]))
+    with pytest.raises(ValueError, match="empty"):
+        apply_channel(np.array([], dtype=complex), 1, NUM, ch)
+
+
 def loop_response(ch, num, first_bin, n_bins, spacing_hz):
     """The tap line with one exp per tap per bin, each phase in turns reduced in long double."""
     ld = np.longdouble

@@ -99,9 +99,22 @@ def test_float_count_is_a_config_error(call, name):
         call()
 
 
-# A subcarrier is any signed integer; int() would read 2.9 as subcarrier 2.
+# A subcarrier is a signed integer inside the 3,276-subcarrier allocation;
+# int() would read 2.9 as subcarrier 2.
 @pytest.mark.parametrize("subcarrier", [2.9, True, "3"], ids=["float", "bool", "str"])
 def test_non_integer_subcarrier_is_a_config_error(subcarrier):
     with pytest.raises(ConfigError,
-                       match=r"^subcarrier must be an integer in \[-inf, inf\], got "):
+                       match=r"^subcarrier must be an integer in \[-1638, 1638\], got "):
         ccp_measure(_STREAM, _FR1, subcarrier, 1, 1)
+
+
+# Past the allocation a bin aliases (3000 reads bin -1096) or overflows int64.
+@pytest.mark.parametrize("subcarrier", [1639, -1639, 3000, 10 ** 30, -10 ** 30])
+def test_subcarrier_outside_the_allocation_is_a_config_error(subcarrier):
+    with pytest.raises(ConfigError, match=rf"^subcarrier must be .* got {subcarrier}$"):
+        ccp_measure(_STREAM, _FR1, subcarrier, 1, 1)
+
+
+@pytest.mark.parametrize("subcarrier", [-1638, 1638])
+def test_subcarrier_at_the_allocation_edge_is_accepted(subcarrier):
+    ccp_measure(_STREAM, _FR1, subcarrier, 1, 1)

@@ -303,6 +303,8 @@ def test_cdf_all_failed_is_empty():
     assert c.n_failures == 2 and c.n_trials == 2
     with pytest.raises(ConfigError):
         compute_cdf(res, "sonar")
+    with pytest.raises(ConfigError, match="measured in every trial"):
+        compute_cdf(res, "toa")     # a method these trials did not measure
 
 
 # --------------------------------------------------------------------- trials

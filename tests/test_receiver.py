@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from phasepos.channel import Geometry, add_awgn, apply_channel, draw_channel, profile_preset
@@ -251,16 +251,28 @@ def resized_tone_ccp(rx, num, k, n_sweeps, shift, ref, start):
                             float(1.0 - np.abs(mean_phasor)))
 
 
-@settings(max_examples=25, deadline=None)
-@given(band=st.sampled_from(["FR1", "FR2"]), n_symbols=st.integers(2, 300),
-       noise_seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-def test_ccp_matches_resized_tone_formulation(band, n_symbols, noise_seed, data):
+@st.composite
+def ccp_runs(draw):
+    """(band, n_symbols, ccp_sweeps) with every sweep inside the stream at stride 1."""
+    band, n_symbols = draw(st.sampled_from(["FR1", "FR2"])), draw(st.integers(2, 300))
     num = make_numerology(band)
-    longest = (n_symbols - 1) * num.symbol_samples - num.n_fft + 1     # stride 1
-    sweeps = data.draw(st.integers(1, min(longest, 8192)), label="ccp_sweeps")
+    longest = (n_symbols - 1) * num.symbol_samples - num.n_fft + 1
+    return band, n_symbols, draw(st.integers(1, min(longest, 8192)), label="ccp_sweeps")
+
+
+# The continuous stream is a multi-row period view only at multiples of 128
+# symbols, so every run measures a 128- and a 256-symbol view explicitly.
+@settings(max_examples=25, deadline=None)
+@given(run=ccp_runs(), noise_seed=st.integers(0, 2 ** 32 - 1))
+@example(run=("FR1", 128, 8192), noise_seed=1)
+@example(run=("FR2", 256, 1000), noise_seed=2)
+def test_ccp_matches_resized_tone_formulation(run, noise_seed):
+    band, n_symbols, sweeps = run
+    num = make_numerology(band)
     assets = _Assets(ScenarioConfig(band=band, methods=("cp", "ccp"), n_symbols=n_symbols,
                                     ccp_sweeps=sweeps))
     tx = ofdm_modulate(assets.column, num, n_symbols, CONTINUOUS)
+    assert (tx.shape[0] > 1) == (n_symbols % 128 == 0)
     rx = add_awgn(tx, 10.0, noise_seed)
     for start, n_sweeps, shift in (assets.windows["cp"], assets.windows["ccp"]):
         args = (assets.subcarrier, n_sweeps, shift, assets.ref_symbol, start)
