@@ -12,8 +12,10 @@ multiply-add, where one exp per tap per bin would cost taps * n.
 A periodic stream (``ofdm_modulate``'s ``(n / p, p)`` view) is filtered
 through the spectrum of one period, which the caller keeps, and that equals
 the filter over the whole stream; the filtered period is broadcast to the
-rows, which ``add_awgn`` adds to the noise without tiling.  The sign
-convention is fixed here once: a delay produces a *negative* phase.
+rows, which ``add_awgn`` adds to the noise without tiling; it squares the
+magnitudes of one row only, and one float64 buffer holds those squares and
+then each noise draw, so its output is its only other stream-sized array.
+The sign convention is fixed here once: a delay produces a *negative* phase.
 Streams are complex sample arrays; the carrier f_c and the sample rate that
 spaces the frequencies f are read from the numerology passed with them.
 """
@@ -144,8 +146,10 @@ class ChannelRealization:
         f_c is the carrier of ``num``.  Writing j = q * B + r with B = ceil(sqrt(n_bins)),
         each tap's term is a table over q times a table over r, so the grid is a
         (ceil(n_bins / B), B) sum of outer products, reshaped and cut to ``n_bins``.
+        ConfigError unless ``n_bins`` is an integer >= 1 and ``spacing_hz`` finite and positive.
         """
         block = math.isqrt(as_int("n_bins", n_bins, 1) - 1) + 1
+        spacing_hz = as_positive("spacing_hz", spacing_hz)
         rows = -(-n_bins // block)
         tau = self.delays_s[:, None]
         # The carrier's large phase is rounded once per tap, not once per bin;
@@ -166,9 +170,10 @@ def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> Cha
     decaying exponentially with excess delay.  The K-factor is enforced
     exactly by rescaling the clutter block.  NLOS: no direct tap; the first
     tap is pushed past the geometric delay by an exponential excess.
-    Total tap power is normalized to exactly 1.
+    Total tap power is normalized to exactly 1.  ConfigError unless ``seed``
+    is an integer >= 0.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int("seed", seed, 0))
     tau0 = geometry.true_delay_s
 
     if profile.is_los and profile.rician_k_db == math.inf:
@@ -222,15 +227,35 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     """Stream ``x``, flattened, plus circularly symmetric white noise at the given SNR.
 
     snr_db = +inf is the noiseless sentinel and returns a copy of ``x``.
-    SNR is referenced to the mean power of the incoming samples.  Any other
-    SNR ``as_db`` rejects (not a number, NaN, -inf, or past +-``MAX_ABS_DB``)
-    is a ``ConfigError``.  A zero mean power raises ``NoSignalError``, a
-    non-finite one (a NaN or inf sample, or an overflow) ``ValueError``.
+    SNR is referenced to the mean power of the incoming samples: the mean of
+    |x|^2 held in one float64 buffer the size of ``x``.  A period view (rows
+    of stride 0, as ``apply_channel`` returns) has one row's magnitudes
+    squared and copied to the other rows, so the mean sums the same array in
+    the same order as over the whole stream.  The same buffer then takes the
+    real and the imaginary noise draw in turn, each scaled in place and
+    added to ``x`` into its half of the complex output.
+
+    Raises:
+        ConfigError: an SNR ``as_db`` rejects (not a number, NaN, -inf, or
+            past +-``MAX_ABS_DB``), or a seed that is not an integer >= 0.
+        ValueError: ``x`` is empty or not numeric, or its mean power is not
+            finite (a NaN or inf sample, or an overflow).
+        NoSignalError: the mean power is zero.
     """
+    x = np.asarray(x)
+    seed = as_int("seed", seed, 0)
+    if x.dtype.kind not in "iufc" or x.size == 0:
+        raise ValueError(f"x must be a non-empty numeric stream, got {x.size} {x.dtype} samples")
     if as_db("snr_db", snr_db) == math.inf:
         return x.flatten()
+    buf = np.empty(x.shape)
     with np.errstate(over="ignore"):
-        power = float(np.mean(np.abs(x) ** 2))
+        if x.ndim > 1 and x.strides[0] == 0:
+            np.square(np.abs(x[:1], out=buf[:1]), out=buf[:1])
+            buf[1:] = buf[:1]
+        else:
+            np.square(np.abs(x, out=buf), out=buf)
+    power = float(np.mean(buf))
     if not math.isfinite(power):
         raise ValueError(f"signal power is {power}, not finite")
     if power == 0.0:
@@ -238,14 +263,19 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     scale = np.sqrt(power / 10.0 ** (snr_db / 10.0) / 2.0)
     out = np.empty(x.shape, dtype=np.complex128)
-    for part in (out.real, out.imag):
-        np.multiply(rng.standard_normal(x.shape), scale, out=part)
-    out += x
+    for part, signal in ((out.real, x.real), (out.imag, x.imag)):
+        np.multiply(rng.standard_normal(out=buf), scale, out=buf)
+        np.add(buf, signal, out=part)
     return out.reshape(-1)
 
 
 def doppler_ppm(speed_m_s: float) -> float:
-    """Fractional Doppler shift in parts per million for a radial speed."""
-    if not 0 <= speed_m_s < math.inf:
+    """Fractional Doppler shift in parts per million for a radial speed.
+
+    ConfigError for a speed that is not a real number; ValueError for a
+    negative or non-finite one.
+    """
+    speed = as_real("speed_m_s", speed_m_s)
+    if not 0 <= speed < math.inf:
         raise ValueError("speed must be finite and nonnegative")
-    return speed_m_s / SPEED_OF_LIGHT * 1e6
+    return speed / SPEED_OF_LIGHT * 1e6

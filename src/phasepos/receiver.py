@@ -12,11 +12,12 @@ decreases.  All reported phases are wrapped to [-pi, pi).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSignalError, as_int
+from .errors import ConfigError, NoSignalError, as_int
 from .waveform import NumerologyConfig
 
 
@@ -36,8 +37,11 @@ class PhaseMeasurement:
 
 
 def wrap_phase(phase: float | np.ndarray):
-    """Wrap angle(s) to [-pi, pi)."""
-    return (np.asarray(phase) + np.pi) % (2.0 * np.pi) - np.pi
+    """Wrap angle(s) to [-pi, pi); ValueError unless they are real numbers."""
+    phase = np.asarray(phase)
+    if phase.dtype.kind not in "iuf":
+        raise ValueError(f"phase must be real, got {phase.dtype}")
+    return (phase + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def estimate_toa(rx: np.ndarray, num: NumerologyConfig,
@@ -71,6 +75,7 @@ def estimate_toa(rx: np.ndarray, num: NumerologyConfig,
         ValueError: ``rx`` is not a whole number of periods.
         NoSignalError: no correlation peak.
     """
+    rx = np.asarray(rx)
     n, p = rx.size, reference_spectrum.size
     if p == 0 or n % p:
         raise ValueError(f"{n} received samples are no whole number of {p}-sample periods")
@@ -136,7 +141,8 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
 
     Raises:
         ValueError: the sweep ends past the stream.
-        ConfigError: ``subcarrier`` outside the allocation, bad sweep or negative ``window_start``.
+        ConfigError: ``subcarrier`` outside the allocation, ``ref_symbol`` not a
+            complex number, bad sweep or negative ``window_start``.
         NoSignalError: a window saw an empty subcarrier bin.
     """
     as_int("n_sweeps", n_sweeps, 1)
@@ -144,6 +150,8 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     as_int("window_start", window_start, 0)
     half = num.n_active_subcarriers // 2
     k = as_int("subcarrier", subcarrier, -half, half)    # inside the allocation: no alias
+    if isinstance(ref_symbol, bool) or not isinstance(ref_symbol, numbers.Complex):
+        raise ConfigError(f"ref_symbol must be a complex number, got {ref_symbol!r}")
 
     n_fft = num.n_fft
     span = (n_sweeps - 1) * shift_samples + n_fft
@@ -159,7 +167,8 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     # span's whole rows, then its tail, straight into the prefix sum.
     turns = (k * np.arange(window_start, window_start + n_fft, dtype=np.int64)) % n_fft
     tone = np.exp(-2j * np.pi * np.arange(n_fft) / n_fft)[turns]
-    prefix = np.zeros(span + 1, dtype=np.complex128)
+    prefix = np.empty(span + 1, dtype=np.complex128)
+    prefix[0] = 0.0
     cut = span - span % n_fft
     np.multiply(covered[:cut].reshape(-1, n_fft), tone, out=prefix[1:cut + 1].reshape(-1, n_fft))
     np.multiply(covered[cut:], tone[:span - cut], out=prefix[cut + 1:])

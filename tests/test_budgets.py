@@ -2,10 +2,11 @@
 
 Both 128-symbol streams repeat exactly (conventional every symbol,
 continuous every n_fft samples), so the channel and the TOA correlator need
-transforms and tap responses of one period only, and the modulator holds
-that one period.  The scenario keeps each period's spectrum, so after its
-first trial no trial transforms a transmit period again.  These tests hold
-the simulator to that: a transform or a response over the whole
+transforms and tap responses of one period only, the noise's signal power
+needs the magnitudes of one period, and the modulator holds that one
+period.  The scenario keeps each period's spectrum, so after its first
+trial no trial transforms a transmit period again.  These tests hold the
+simulator to that: a transform, a response or magnitudes over the whole
 561,152-sample stream, a forward transform of a transmit period or a tiled
 or resized stream inside a trial, a transmit stream held whole, or one more
 full-length array alive at once, fails them.  A stream with no period is
@@ -18,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phasepos.channel import ChannelRealization
+from phasepos.channel import ChannelRealization, add_awgn, apply_channel, draw_channel
 from phasepos.harness import ScenarioConfig, _Assets, _build_assets, run_trial
 from phasepos.receiver import ccp_measure
 from phasepos.waveform import CONTINUOUS, CONVENTIONAL, make_numerology, ofdm_modulate
@@ -68,6 +69,25 @@ def test_no_transform_is_longer_than_one_symbol(monkeypatch):
     run_trial(FR1_TOA, 1)
     assert lengths, "the trial ran no transform through numpy.fft"
     assert max(lengths) <= ONE_SYMBOL, f"transform lengths {lengths}"
+
+
+def test_awgn_takes_the_magnitudes_of_one_period_row(monkeypatch):
+    assets = _Assets(FR1_TOA)
+    spectrum, rows = assets.conv_period
+    view = apply_channel(spectrum, rows, assets.num,
+                         draw_channel(assets.profile, FR1_TOA.geometry, 0))
+    sizes = []
+    absolute = np.abs
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return absolute(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", counted)
+    add_awgn(view, FR1_TOA.snr_db, 0)
+    assert view.shape == (128, ONE_SYMBOL)
+    assert sizes, "add_awgn took no magnitude through np.abs"
+    assert sum(sizes) <= ONE_SYMBOL, f"np.abs sizes {sizes}"
 
 
 @pytest.mark.parametrize("cfg", [FR1_TOA, FR2_CCP], ids=["FR1-toa", "FR2-ccp"])

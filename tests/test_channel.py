@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,20 @@ def test_response_is_the_noiseless_carrier_phase(kind):
         assert abs(np.angle(np.exp(1j * (phase - expected)))) < 1e-12
 
 
+def test_response_reads_an_int_spacing_past_int64_as_a_float():
+    ch = draw_channel(profile_preset("InF-LOS"), Geometry(GNB, UE), 0)
+    assert np.all(np.isfinite(ch.response(NUM, 0, 4, spacing_hz=10 ** 30)))
+
+
+@pytest.mark.parametrize(
+    "spacing_hz", [0.0, -1.0, math.nan, math.inf, 10 ** 400, "1", None, True],
+    ids=["zero", "negative", "nan", "inf", "past-float", "str", "None", "bool"])
+def test_response_spacing_that_is_not_finite_and_positive_is_a_config_error(spacing_hz):
+    ch = draw_channel(profile_preset("InF-LOS"), Geometry(GNB, UE), 0)
+    with pytest.raises(ConfigError, match="^spacing_hz must "):
+        ch.response(NUM, 0, 4, spacing_hz)
+
+
 # ---------------------------------------------------------------------- awgn
 
 def test_awgn_snr_calibrated():
@@ -359,6 +374,39 @@ def test_awgn_non_finite_power_rejected(sample, fill):
         add_awgn(tx, 10.0, seed=0)
 
 
+@pytest.mark.parametrize("seed", ["x", -1, 2.5, None, True], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda seed: add_awgn(np.ones(64, dtype=complex), 10.0, seed),
+    lambda seed: add_awgn(np.ones(64, dtype=complex), math.inf, seed),
+    lambda seed: draw_channel(profile_preset("InF-LOS"), Geometry(GNB, UE), seed),
+], ids=["add_awgn", "add_awgn-noiseless", "draw_channel"])
+def test_seed_that_is_not_a_non_negative_integer_is_a_config_error(call, seed):
+    with pytest.raises(ConfigError, match=r"^seed must be an integer in \[0, inf\], got "):
+        call(seed)
+
+
+@pytest.mark.parametrize("snr_db", [10.0, math.inf])
+@pytest.mark.parametrize("shape", [(0,), (3, 0)])
+def test_awgn_empty_stream_rejected(shape, snr_db):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no "Mean of empty slice" on the way
+        with pytest.raises(ValueError, match="non-empty numeric"):
+            add_awgn(np.zeros(shape, dtype=complex), snr_db, seed=0)
+
+
+@pytest.mark.parametrize(
+    "x", [None, "abc", [None, 1.0], [True, False], np.array([1, 2], dtype=object)],
+    ids=["None", "str", "object-list", "bool-list", "object-array"])
+def test_awgn_non_numeric_stream_rejected(x):
+    with pytest.raises(ValueError, match="non-empty numeric"):
+        add_awgn(x, 10.0, seed=0)
+
+
+def test_awgn_reads_a_sequence_as_its_array():
+    tx = make_stream(n=64)
+    assert np.array_equal(add_awgn(tx.tolist(), 10.0, seed=3), add_awgn(tx, 10.0, seed=3))
+
+
 def tiled_awgn(x, snr_db, seed):
     """``x`` plus noise built as sqrt(v / 2) * (a + 1j * b) from two full-length draws."""
     rng = np.random.default_rng(seed)
@@ -385,6 +433,27 @@ def test_period_view_receive_path_is_the_tiled_one(band, mode, kind, n_symbols, 
     assert np.array_equal(rx, tiled_awgn(tiled, snr_db, seed))
 
 
+@pytest.mark.parametrize("band", ["FR1", "FR2"])
+def test_awgn_on_a_period_view_is_the_tiled_stream_bit_for_bit(band):
+    # The continuous 128-symbol stream is a 137-row view whose one-row power
+    # differs from the whole-stream power by an ulp.  At -5 and 40 dB on both
+    # bands (10 dB on FR1 alone) that ulp survives the square root, so a power
+    # taken over one row would rescale every noise sample.
+    cfg = ScenarioConfig(band=band, methods=("ccp",), n_symbols=128)
+    assets = _Assets(cfg)
+    spectrum, rows = assets.cont_period
+    view = apply_channel(spectrum, rows, assets.num, draw_channel(assets.profile, cfg.geometry, 0))
+    before = view.copy()
+    tiled = np.tile(view[0], rows)
+    assert rows == 137
+    assert np.mean(np.abs(view[0]) ** 2) != np.mean(np.abs(tiled) ** 2)
+    for snr_db in (-5.0, 10.0, 40.0):
+        rx = add_awgn(view, snr_db, 0)
+        assert rx.tobytes() == tiled_awgn(tiled, snr_db, 0).tobytes()
+        assert rx.shape == (tiled.size,) and rx.dtype == np.complex128 and rx.flags.writeable
+    assert view.tobytes() == before.tobytes()
+
+
 # ------------------------------------------------------- doppler and offsets
 
 def test_doppler_ppm_values():
@@ -398,3 +467,10 @@ def test_doppler_negative_speed_rejected():
     for speed_m_s in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             doppler_ppm(speed_m_s)
+
+
+@pytest.mark.parametrize("speed_m_s", [None, "1", True, 10 ** 400],
+                         ids=["None", "str", "bool", "past-float"])
+def test_doppler_speed_that_is_not_a_real_number_is_a_config_error(speed_m_s):
+    with pytest.raises(ConfigError, match="^speed_m_s must "):
+        doppler_ppm(speed_m_s)

@@ -68,6 +68,16 @@ def test_toa_zero_input_rejected():
         estimate_toa(np.zeros_like(stream), num, np.fft.fft(stream[0]))
 
 
+def test_toa_reads_a_sequence_as_its_array():
+    num = small_num()
+    stream, _, _ = continuous_stream(num, 4)
+    spectrum = np.fft.fft(stream[0])
+    assert estimate_toa(stream.reshape(-1).tolist(), num, spectrum) == estimate_toa(stream, num,
+                                                                                    spectrum)
+    with pytest.raises(ValueError, match="no whole number"):
+        estimate_toa(None, num, spectrum)
+
+
 def test_toa_unequal_lengths_rejected():
     num = small_num()
     stream, _, _ = continuous_stream(num, 4)
@@ -170,6 +180,14 @@ def test_ccp_sweep_too_long_rejected():
     for empty in (np.zeros(0, dtype=complex), np.zeros((3, 0), dtype=complex)):
         with pytest.raises(ValueError, match="out of range"):
             ccp_measure(empty, num, k, n_sweeps=1, shift_samples=1, ref_symbol=ref)
+
+
+@pytest.mark.parametrize("ref_symbol", [None, "1", True, [1.0]], ids=repr)
+def test_ccp_reference_symbol_that_is_not_a_number_is_a_config_error(ref_symbol):
+    num = small_num()
+    stream, k, _ = continuous_stream(num, 4)
+    with pytest.raises(ConfigError, match="^ref_symbol must be a complex number, got "):
+        ccp_measure(stream, num, k, n_sweeps=1, shift_samples=1, ref_symbol=ref_symbol)
 
 
 def test_ccp_negative_window_start_rejected():
@@ -300,6 +318,12 @@ def test_wrap_phase_principal_interval():
     assert np.all(vals >= -np.pi) and np.all(vals < np.pi)
     assert wrap_phase(np.pi) == pytest.approx(-np.pi)
     assert wrap_phase(0.25) == pytest.approx(0.25, abs=1e-15)
+
+
+@pytest.mark.parametrize("phase", [None, "1", 1j, [True]], ids=repr)
+def test_wrap_phase_of_a_non_real_value_is_rejected(phase):
+    with pytest.raises(ValueError, match="^phase must be real, got "):
+        wrap_phase(phase)
 
 
 def test_ccp_mean_near_wrap():
