@@ -9,12 +9,12 @@ is the one integer search, over a window in metres that widelane takes too;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
+from .errors import as_finite, as_positive, as_samples
 from .receiver import wrap_phase
 
 IA_MODES = ("oracle", "toa", "widelane")
@@ -38,11 +38,11 @@ def phase_to_fraction(phase_rad: float, frequency_hz: float) -> CarrierRange:
     """Fractional carrier cycles implied by a measured phase.
 
     A pure delay tau gives phase -2 pi f tau, so the fraction of a cycle
-    travelled is (-phase mod 2 pi) / 2 pi.  ValueError unless the phase is
+    travelled is (-phase mod 2 pi) / 2 pi.  ConfigError unless the phase is
     finite and the frequency finite and positive.
     """
-    if not (math.isfinite(phase_rad) and 0 < frequency_hz < math.inf):
-        raise ValueError("phase must be finite and frequency finite and positive")
+    phase_rad = as_finite("phase_rad", phase_rad)
+    frequency_hz = as_positive("frequency_hz", frequency_hz)
     frac = float((-phase_rad) % (2.0 * np.pi)) / (2.0 * np.pi)
     if frac >= 1.0:    # guard the -0.0 / 2 pi edge
         frac -= 1.0
@@ -60,11 +60,11 @@ def ia_search(fraction: CarrierRange, center_m: float,
     x = center / wavelength - fraction, clipped into the window, are compared:
     time and memory do not grow with the window.  A window with no candidate
     (narrower than a wavelength and between two, e.g. under NLOS bias) gives
-    None.  ValueError unless ``center_m`` is finite and ``half_width_m`` finite
+    None.  ConfigError unless ``center_m`` is finite and ``half_width_m`` finite
     and positive.
     """
-    if not (math.isfinite(center_m) and 0 < half_width_m < math.inf):
-        raise ValueError("center_m must be finite and half_width_m finite and positive")
+    center_m = as_finite("center_m", center_m)
+    half_width_m = as_positive("half_width_m", half_width_m)
     lam = fraction.wavelength_m
     frac = fraction.fractional_cycles
     lo = max(0.0, center_m - half_width_m)
@@ -80,9 +80,9 @@ def ia_search(fraction: CarrierRange, center_m: float,
 
 
 def virtual_wavelength(lambda1_m: float, lambda2_m: float) -> float:
-    """Beat wavelength of two carriers: lambda1*lambda2 / |lambda2 - lambda1|."""
-    if not (0 < lambda1_m < math.inf and 0 < lambda2_m < math.inf):
-        raise ValueError("wavelengths must be finite and positive")
+    """Beat wavelength of two carriers: lambda1*lambda2 / |lambda2 - lambda1|.  ConfigError
+    unless both are finite and positive; ValueError when they are equal."""
+    lambda1_m, lambda2_m = as_positive("lambda1_m", lambda1_m), as_positive("lambda2_m", lambda2_m)
     if lambda1_m == lambda2_m:
         raise ValueError("equal wavelengths have no beat (virtual wavelength diverges)")
     return lambda1_m * lambda2_m / abs(lambda2_m - lambda1_m)
@@ -98,7 +98,7 @@ def widelane_resolve(range1: CarrierRange, range2: CarrierRange, *, center_m: fl
     integer search on the shorter carrier wavelength within +- lambda_virtual/4.
 
     Returns the refined CarrierRange on the shorter wavelength, or None when
-    either search finds no candidate.  ValueError as ``ia_search`` for a bad window.
+    either search finds no candidate.  ConfigError as ``ia_search`` for a bad window.
     """
     lam_v = virtual_wavelength(range1.wavelength_m, range2.wavelength_m)
     fine, coarse = ((range1, range2) if range1.wavelength_m <= range2.wavelength_m
@@ -135,12 +135,12 @@ def resolve(mode: str, fractions: list[CarrierRange], truth_m: float, toa_s: flo
 
 
 def double_difference(phases_rad: np.ndarray) -> float:
-    """Double difference over a 2x2 phase matrix [receivers x anchors].
+    """Double difference over a 2x2 real phase matrix [receivers x anchors].
 
-    (phi_A1 - phi_A2) - (phi_B1 - phi_B2), wrapped to [-pi, pi).  Any
-    receiver- or anchor-common phase offset cancels exactly before the wrap.
-    """
-    mat = np.asarray(phases_rad, dtype=np.float64)
+    (phi_A1 - phi_A2) - (phi_B1 - phi_B2), wrapped to [-pi, pi); a receiver- or
+    anchor-common phase offset cancels exactly before the wrap.  ConfigError for a
+    non-real matrix, ValueError for another shape or a NaN or infinite entry."""
+    mat = as_samples("phases_rad", phases_rad, "iuf").astype(np.float64)
     if mat.shape != (2, 2):
         raise ValueError(f"phase matrix must be 2x2 [receivers x anchors], got {mat.shape}")
     if not np.all(np.isfinite(mat)):

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import as_positive
+from .errors import as_finite, as_positive
 from .receiver import wrap_phase
 
 
@@ -32,10 +31,9 @@ def aoa_from_phase_diff(phase_diff_rad: float, config: InterferometerConfig) -> 
     |(Delta + 2 pi m) lambda / (2 pi d)| <= 1 contributes a candidate.
     Candidates are returned ascending in angle, in [0, pi]; a phase no angle
     fits (|Delta| > 2 pi d / lambda at sub-half-wave spacing) gives [], and a
-    NaN or infinite one is a ValueError.
+    phase ``as_finite`` rejects (a NaN or infinite one) is a ConfigError.
     """
-    if not math.isfinite(phase_diff_rad):
-        raise ValueError(f"phase difference must be finite, got {phase_diff_rad!r}")
+    phase_diff_rad = as_finite("phase_diff_rad", phase_diff_rad)
     d, lam = config.antenna_spacing_m, config.wavelength_m
     scale = lam / (2.0 * np.pi * d)
     # cos(theta) = (Delta + 2 pi m) * scale must land in [-1, 1]
@@ -50,6 +48,7 @@ def aoa_from_phase_diff(phase_diff_rad: float, config: InterferometerConfig) -> 
 
 
 def phase_diff_for_angle(angle_rad: float, config: InterferometerConfig) -> float:
-    """Forward model: wrapped phase difference seen for a plane wave."""
+    """Wrapped phase difference of a plane wave at a finite angle (ConfigError otherwise)."""
+    angle_rad = as_finite("angle_rad", angle_rad)
     delta = 2.0 * np.pi * config.antenna_spacing_m * np.cos(angle_rad) / config.wavelength_m
     return float(wrap_phase(delta))

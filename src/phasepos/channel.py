@@ -28,7 +28,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigError, NoSignalError, as_db, as_int, as_positive, as_real
+from .errors import (ConfigError, NoSignalError, as_db, as_finite, as_int, as_positive, as_real,
+                     as_samples)
 from .waveform import NumerologyConfig
 
 # 25 clusters x 20 rays, the largest ray count of TR 38.901's InF model;
@@ -146,8 +147,9 @@ class ChannelRealization:
         f_c is the carrier of ``num``.  Writing j = q * B + r with B = ceil(sqrt(n_bins)),
         each tap's term is a table over q times a table over r, so the grid is a
         (ceil(n_bins / B), B) sum of outer products, reshaped and cut to ``n_bins``.
-        ConfigError unless ``n_bins`` is an integer >= 1 and ``spacing_hz`` finite and positive.
+        ConfigError unless ``first_bin`` is finite, ``spacing_hz`` finite > 0, n_bins an int >= 1.
         """
+        first_bin = as_finite("first_bin", first_bin)
         block = math.isqrt(as_int("n_bins", n_bins, 1) - 1) + 1
         spacing_hz = as_positive("spacing_hz", spacing_hz)
         rows = -(-n_bins // block)
@@ -214,11 +216,10 @@ def apply_channel(spectrum: np.ndarray, rows: int, num: NumerologyConfig,
     exact.  A periodic stream's whole-length spectrum is zero off that
     period's bins, so this is the whole-stream filter.  Returns the filtered
     period broadcast to ``(rows, p)``: a read-only view a caller copies to write.
-    ConfigError unless ``rows`` is an integer >= 1; ValueError for an empty spectrum.
+    ConfigError unless ``rows`` is an integer >= 1 and ``spectrum`` non-empty and numeric.
     """
-    rows, p = as_int("rows", rows, 1), spectrum.size
-    if p == 0:
-        raise ValueError("spectrum is empty: no period to filter")
+    rows, spectrum = as_int("rows", rows, 1), as_samples("spectrum", spectrum)
+    p = spectrum.size
     h = np.fft.ifftshift(channel.response(num, -(p // 2), p, num.sample_rate_hz / p))
     return np.broadcast_to(np.fft.ifft(spectrum * h), (rows, p))
 
@@ -236,16 +237,13 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     added to ``x`` into its half of the complex output.
 
     Raises:
-        ConfigError: an SNR ``as_db`` rejects (not a number, NaN, -inf, or
-            past +-``MAX_ABS_DB``), or a seed that is not an integer >= 0.
-        ValueError: ``x`` is empty or not numeric, or its mean power is not
-            finite (a NaN or inf sample, or an overflow).
+        ConfigError: an SNR ``as_db`` rejects (not a number, NaN, -inf, or past
+            +-``MAX_ABS_DB``), a seed not an integer >= 0, or an empty or non-numeric ``x``.
+        ValueError: the mean power is not finite (a NaN or inf sample, or an overflow).
         NoSignalError: the mean power is zero.
     """
-    x = np.asarray(x)
     seed = as_int("seed", seed, 0)
-    if x.dtype.kind not in "iufc" or x.size == 0:
-        raise ValueError(f"x must be a non-empty numeric stream, got {x.size} {x.dtype} samples")
+    x = as_samples("x", x)
     if as_db("snr_db", snr_db) == math.inf:
         return x.flatten()
     buf = np.empty(x.shape)
@@ -272,10 +270,6 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
 def doppler_ppm(speed_m_s: float) -> float:
     """Fractional Doppler shift in parts per million for a radial speed.
 
-    ConfigError for a speed that is not a real number; ValueError for a
-    negative or non-finite one.
+    ConfigError unless the speed is a finite real number >= 0.
     """
-    speed = as_real("speed_m_s", speed_m_s)
-    if not 0 <= speed < math.inf:
-        raise ValueError("speed must be finite and nonnegative")
-    return speed / SPEED_OF_LIGHT * 1e6
+    return as_finite("speed_m_s", speed_m_s, 0) / SPEED_OF_LIGHT * 1e6

@@ -1,12 +1,14 @@
-"""Error types, and the one owner of the type, positivity and range rules of a number.
+"""Error types, and the one owner of the rules of a number or a sample-array argument.
 
-Every config number and count is read through ``as_real``, ``as_positive``,
-``as_int`` or ``as_db``; the ``ConfigError`` they raise names the field, its rule
-and the value.
+Every config number and every number or sample array an exported function takes
+is read through ``as_real``, ``as_finite``, ``as_positive``, ``as_int``, ``as_db``
+or ``as_samples``; the ``ConfigError`` they raise names the argument, its rule and the value.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 # Bound on a finite dB figure (Rician K, SNR): far past any link, while
 # 10 ** (x / 10) overflows near 3083 dB.
@@ -38,6 +40,14 @@ def as_real(name: str, value) -> float:
         raise ConfigError(f"{name} must fit in a float, got {_shown(value)}") from exc
 
 
+def as_finite(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """``value`` as a float; ConfigError unless ``as_real`` takes it, finite and in [lo, hi]."""
+    real = as_real(name, value)
+    if not (math.isfinite(real) and lo <= real <= hi):
+        raise ConfigError(f"{name} must be finite and in [{lo}, {hi}], got {_shown(value)}")
+    return real
+
+
 def as_positive(name: str, value) -> float:
     """``value`` as a float; ConfigError unless ``as_real`` takes it, finite and positive."""
     real = as_real(name, value)
@@ -59,3 +69,13 @@ def as_db(name: str, value) -> float:
     if not (db == math.inf or abs(db) <= MAX_ABS_DB):
         raise ConfigError(f"{name} must lie within +-{MAX_ABS_DB:g} dB or be +inf, got {value!r}")
     return db
+
+
+def as_samples(name: str, value, kinds: str = "iufc") -> np.ndarray:
+    """``np.asarray(value)``: no copy, cast or pass over the data.  ConfigError unless
+    it is non-empty and its dtype kind is in ``kinds`` ("iufc": numeric)."""
+    samples = np.asarray(value)
+    if samples.dtype.kind not in kinds or samples.size == 0:
+        raise ConfigError(f"{name} must be a non-empty array of dtype kind in {kinds!r}, "
+                          f"got {samples.size} {samples.dtype} values")
+    return samples

@@ -201,12 +201,12 @@ _build_assets = lru_cache(maxsize=1)(_Assets)   # callers run one scenario at a 
 
 
 def _trial_seeds(master_seed: int, trial: int) -> np.ndarray:
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial,))
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(as_int("trial", trial, 0),))
     return ss.generate_state(4, dtype=np.uint64)
 
 
 def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
-    """One full measurement round against one channel realization."""
+    """One full measurement round on one channel; ConfigError unless ``trial`` is an int >= 0."""
     assets = _build_assets(cfg)
     ch_seed, toa_seed, cp_seed, wl_seed = (int(s) for s in _trial_seeds(cfg.master_seed, trial))
     channel = draw_channel(assets.profile, cfg.geometry, ch_seed)
@@ -282,7 +282,9 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 def emit_results(cdfs: list[CdfResult], cfg: ScenarioConfig, path: str,
                  fmt: str = "csv") -> str:
-    """Write CDFs to ``path`` as csv or json.  Output is byte-deterministic."""
+    """Write CDFs to ``path``, a str or os.PathLike, as csv or json; byte-deterministic."""
+    if not isinstance(path, (str, os.PathLike)):   # open() takes an int as a file descriptor
+        raise ConfigError(f"path must be a str or os.PathLike, got {path!r}")
     if fmt == "csv":
         lines = ["method,abs_error_m,cdf"]
         for c in cdfs:
@@ -323,7 +325,9 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Parse a JSON config file whose keys mirror ScenarioConfig fields."""
+    """Parse a JSON config file, a str or os.PathLike, whose keys mirror ScenarioConfig fields."""
+    if not isinstance(path, (str, os.PathLike)):   # open() takes an int as a file descriptor
+        raise ConfigError(f"path must be a str or os.PathLike, got {path!r}")
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)

@@ -12,12 +12,11 @@ decreases.  All reported phases are wrapped to [-pi, pi).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoSignalError, as_int
+from .errors import NoSignalError, as_finite, as_int, as_samples
 from .waveform import NumerologyConfig
 
 
@@ -37,11 +36,9 @@ class PhaseMeasurement:
 
 
 def wrap_phase(phase: float | np.ndarray):
-    """Wrap angle(s) to [-pi, pi); ValueError unless they are real numbers."""
-    phase = np.asarray(phase)
-    if phase.dtype.kind not in "iuf":
-        raise ValueError(f"phase must be real, got {phase.dtype}")
-    return (phase + np.pi) % (2.0 * np.pi) - np.pi
+    """Wrap angle(s) to [-pi, pi), NaN for a NaN or inf; ConfigError unless real and non-empty."""
+    with np.errstate(invalid="ignore"):     # an inf phase gives NaN, as a NaN one does
+        return (as_samples("phase", phase, "iuf") + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def estimate_toa(rx: np.ndarray, num: NumerologyConfig,
@@ -64,22 +61,22 @@ def estimate_toa(rx: np.ndarray, num: NumerologyConfig,
     Args:
         rx: received stream, of any shape.
         num: numerology of both streams; its sample rate converts lags to seconds.
-        reference_spectrum: DFT of one period of the clean transmitted stream;
-            it is only read.
+        reference_spectrum: DFT of one period of the clean sent stream, read flattened.
 
     Returns:
         ToaMeasurement: the refined delay in seconds, off the sampling grid,
         and the chosen peak's height relative to the global maximum.
 
     Raises:
+        ConfigError: ``rx`` or ``reference_spectrum`` is not a non-empty numeric array.
         ValueError: ``rx`` is not a whole number of periods.
         NoSignalError: no correlation peak.
     """
-    rx = np.asarray(rx)
-    n, p = rx.size, reference_spectrum.size
-    if p == 0 or n % p:
+    rx, ref = as_samples("rx", rx), as_samples("reference_spectrum", reference_spectrum)
+    n, p = rx.size, ref.size
+    if n % p:
         raise ValueError(f"{n} received samples are no whole number of {p}-sample periods")
-    cross_spectrum = np.fft.fft(rx.reshape(-1, p).sum(axis=0)) * np.conj(reference_spectrum)
+    cross_spectrum = np.fft.fft(rx.reshape(-1, p).sum(axis=0)) * np.conj(ref.reshape(-1))
     corr = np.abs(np.fft.ifft(cross_spectrum))
 
     horizon = min(n // 2, p - 1)
@@ -141,17 +138,18 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
 
     Raises:
         ValueError: the sweep ends past the stream.
-        ConfigError: ``subcarrier`` outside the allocation, ``ref_symbol`` not a
-            complex number, bad sweep or negative ``window_start``.
+        ConfigError: an empty or non-numeric ``rx``, ``ref_symbol`` not one finite
+            number, ``subcarrier`` outside the allocation, or a bad sweep.
         NoSignalError: a window saw an empty subcarrier bin.
     """
+    rx = as_samples("rx", rx)
     as_int("n_sweeps", n_sweeps, 1)
     as_int("shift_samples", shift_samples, 1)
     as_int("window_start", window_start, 0)
     half = num.n_active_subcarriers // 2
     k = as_int("subcarrier", subcarrier, -half, half)    # inside the allocation: no alias
-    if isinstance(ref_symbol, bool) or not isinstance(ref_symbol, numbers.Complex):
-        raise ConfigError(f"ref_symbol must be a complex number, got {ref_symbol!r}")
+    ref = as_samples("ref_symbol", ref_symbol if np.ndim(ref_symbol) == 0 else None)  # not a list
+    as_finite("|ref_symbol|", abs(ref))
 
     n_fft = num.n_fft
     span = (n_sweeps - 1) * shift_samples + n_fft
@@ -175,7 +173,7 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     np.cumsum(prefix[1:], out=prefix[1:])
     offsets = np.arange(n_sweeps, dtype=np.int64) * shift_samples
     z = ((prefix[offsets + n_fft] - prefix[offsets])
-         * (np.conj(ref_symbol) / np.sqrt(n_fft)))
+         * (np.conj(ref) / np.sqrt(n_fft)))
 
     mags = np.abs(z)
     if np.any(mags == 0.0):

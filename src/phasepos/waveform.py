@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, as_int, as_positive, as_real
+from .errors import ConfigError, as_int, as_positive, as_real, as_samples
 
 CONVENTIONAL = "conventional"
 CONTINUOUS = "continuous"
@@ -143,7 +143,8 @@ def ofdm_modulate(column: np.ndarray, num: NumerologyConfig, n_symbols: int,
     """Modulate one pilot column, sent on ``n_symbols`` symbols, into a baseband stream.
 
     Args:
-        column: frequency-domain values, n_fft of them in FFT-bin order.
+        column: n_fft numeric frequency-domain values in FFT-bin order;
+            ConfigError for a non-numeric or empty one, ValueError for another count.
         mode: CONVENTIONAL for plain CP-OFDM, CONTINUOUS to make each
             subcarrier a single tone across the whole stream.
 
@@ -156,7 +157,7 @@ def ofdm_modulate(column: np.ndarray, num: NumerologyConfig, n_symbols: int,
     if mode not in (CONVENTIONAL, CONTINUOUS):
         raise ConfigError(f"unknown modulation mode {mode!r}")
     as_int("n_symbols", n_symbols, 1)
-    column = np.asarray(column, dtype=np.complex128)
+    column = as_samples("column", column).astype(np.complex128, copy=False)
     if column.shape != (num.n_fft,):
         raise ValueError(f"column must hold n_fft = {num.n_fft} bins, got {column.shape}")
     useful = np.fft.ifft(column) * np.sqrt(num.n_fft)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from phasepos.errors import ConfigError, as_int, as_positive
+from phasepos.errors import ConfigError, as_finite, as_int, as_positive, as_samples
 from phasepos.harness import ScenarioConfig, run_scenario
 from phasepos.receiver import ccp_measure
 from phasepos.waveform import make_numerology, ofdm_modulate
@@ -67,6 +67,42 @@ def test_as_positive_takes_exactly_the_finite_positive_reals(value):
 def test_as_positive_rejects_what_is_no_float(value):
     message = _rejected(as_positive, "wavelength_m", value)
     assert message.startswith("wavelength_m must ") and repr(value) in message
+
+
+@given(st.one_of(st.floats(allow_nan=True), st.integers(-10 ** 310, 10 ** 310)),
+       st.one_of(st.just(-math.inf), st.floats(-1e3, 1e3)),
+       st.one_of(st.just(math.inf), st.floats(-1e3, 1e3)))
+@example(10 ** 400, -math.inf, math.inf)
+@example(math.nan, -math.inf, math.inf)
+@example(-0.0, 0, math.inf)
+@example(True, 0, 1)
+def test_as_finite_takes_exactly_the_finite_reals_in_range(value, lo, hi):
+    try:
+        real = float(value)
+    except OverflowError:
+        real = math.nan
+    if not isinstance(value, bool) and math.isfinite(real) and lo <= real <= hi:
+        assert as_finite("speed_m_s", value, lo, hi) == real
+    else:
+        message = _rejected(lambda n, v: as_finite(n, v, lo, hi), "speed_m_s", value)
+        assert message.startswith("speed_m_s must ") and repr(value) in message
+
+
+def test_as_samples_returns_its_array_neither_copied_nor_cast():
+    view = ofdm_modulate(np.ones(_FR1.n_fft), _FR1, 4)    # read-only, rows of stride 0
+    for array in (view, np.arange(10.0)[::3], np.ones(3, dtype=np.complex64), np.ones(1, np.int8),
+                  np.full(2, np.nan)):                    # no pass over the values
+        assert as_samples("x", array) is array
+    assert as_samples("x", [1, 2]).dtype == np.int_
+
+
+@pytest.mark.parametrize("value,kinds", [
+    (np.zeros(0), "iufc"), (np.zeros((3, 0), complex), "iufc"), (None, "iufc"), ("ab", "iufc"),
+    ([True], "iufc"), (np.array([1.0, None]), "iufc"), ([10 ** 400], "iufc"), (1j, "iuf")])
+def test_as_samples_rejects_an_empty_or_foreign_array(value, kinds):
+    with pytest.raises(ConfigError, match=rf"^rx must be a non-empty array of dtype kind in "
+                                          rf"'{kinds}', got "):
+        as_samples("rx", value, kinds)
 
 
 def test_positive_fraction_and_numpy_values_pass():

@@ -570,6 +570,25 @@ def test_unknown_format_rejected(tmp_path):
         emit_results([c], FAST, str(tmp_path / "x.yaml"), "yaml")
 
 
+def test_a_path_that_is_no_str_or_path_like_is_a_config_error(tmp_path):
+    # open() takes an int, a bool included, as a file descriptor, writes to it
+    # and closes it; the path rule refuses it before anything is opened.
+    c = CdfResult("cp", np.array([1.0]), np.array([1.0]), {50: 1.0}, 0, 1)
+    fd = os.open(tmp_path / "descriptor.csv", os.O_RDWR | os.O_CREAT)
+    try:
+        for call, path in [(lambda p: emit_results([c], FAST, p), fd),
+                           (lambda p: emit_results([c], FAST, p), True),
+                           (load_config, fd), (load_config, None)]:
+            with pytest.raises(ConfigError, match=r"^path must be a str or os\.PathLike, got "):
+                call(path)
+        os.fstat(fd)                        # still open
+        assert os.path.getsize(tmp_path / "descriptor.csv") == 0
+    finally:
+        os.close(fd)
+    emit_results([c], FAST, tmp_path / "results.csv")   # a pathlib.Path is a path
+    assert (tmp_path / "results.csv").read_text().startswith("method,abs_error_m,cdf\n")
+
+
 # ------------------------------------------------------------------------ cli
 
 def write_cfg(tmp_path, **extra):

@@ -1,6 +1,7 @@
 """Every name a module imports is used in it, the package needs only numpy, it
 raises only ``ConfigError``, ``NoSignalError`` or ``ValueError``, it leaves
-the range and positivity of a config number to ``errors.py``, and the harness
+the type, finiteness and range of a number argument and the kind and
+emptiness of a sample-array argument to ``errors.py``, and the harness
 derives a scenario's parts in one place, ``_Assets``.
 
 ``__init__.py`` is skipped by the unused-import scan: its imports are the
@@ -119,6 +120,142 @@ def test_scan_finds_a_hand_written_range():
 def test_package_leaves_number_ranges_to_errors(path):
     # as_int takes the range and as_positive the finite-positive rule.
     assert hand_written_ranges(path.read_text(encoding="utf-8")) == []
+
+
+_FINITE = {"math.isfinite", "np.isfinite"}
+_ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _bindings(node: ast.Assign) -> list[tuple[str, ast.expr]]:
+    """(name, value) pairs of ``a = v`` and ``a, b = v, w``."""
+    target, value = node.targets[-1], node.value
+    if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+        return [(t.id, v) for t, v in zip(target.elts, value.elts) if isinstance(t, ast.Name)]
+    return [(target.id, value)] if isinstance(target, ast.Name) else []
+
+
+def _applies_rule(node: ast.AST, is_arg, is_size) -> bool:
+    if isinstance(node, ast.Call):
+        func = ast.unparse(node.func)
+        return ((func in _FINITE and any(map(is_arg, node.args)))
+                or (func == "isinstance" and is_arg(node.args[0])
+                    and "numbers." in ast.unparse(node.args[1])))
+    if isinstance(node, ast.Compare):
+        operands = (node.left, *node.comparators)
+        if any(isinstance(op, _ORDERING) for op in node.ops):
+            return ("math.inf" in map(ast.unparse, operands)) and any(map(is_arg, operands))
+        return (isinstance(node.ops[0], ast.Eq) and "0" in map(ast.unparse, operands)
+                and any(map(is_size, operands)))
+    return (isinstance(node, ast.Attribute) and node.attr == "kind"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"
+            and is_arg(node.value.value))
+
+
+def hand_written_rules(source: str) -> list[str]:
+    """Rules of ``errors.py`` applied by hand to an argument of the enclosing function.
+
+    Flags ``math.isfinite`` / ``np.isfinite``, an ordering comparison with
+    ``math.inf``, a ``.dtype.kind`` read, an ``isinstance(..., numbers.*)``
+    test and an emptiness test (``== 0`` on a ``.size``).  An argument is a
+    parameter, or a name bound to a call on one (``x = np.asarray(x)``,
+    ``speed = as_real("speed_m_s", speed_m_s)``); a value computed from one
+    (a power, a distance, a cast matrix) is not.
+    """
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = func.args
+        args = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
+        sizes = set()                       # names bound to an argument's .size
+
+        def is_arg(node):
+            return isinstance(node, ast.Name) and node.id in args
+
+        def is_size(node):
+            return ((isinstance(node, ast.Name) and node.id in sizes)
+                    or (isinstance(node, ast.Attribute) and node.attr == "size"
+                        and is_arg(node.value)))
+
+        for node in ast.walk(func):         # breadth first: a binding before its use
+            for name, value in _bindings(node) if isinstance(node, ast.Assign) else ():
+                if isinstance(value, ast.Call) and any(map(is_arg, value.args)):
+                    args.add(name)
+                elif is_size(value):
+                    sizes.add(name)
+        found |= {(node.lineno, ast.unparse(node)) for node in ast.walk(func)
+                  if _applies_rule(node, is_arg, is_size)}
+    return [f"{text} (line {line})" for line, text in sorted(found)]
+
+
+# The hand-written checks the rules replaced, as they stood, and two checks
+# on computed values that stay.
+_REPLACED_CHECKS = """\
+def phase_to_fraction(phase_rad, frequency_hz):
+    if not (math.isfinite(phase_rad) and 0 < frequency_hz < math.inf):
+        raise ValueError
+def ia_search(fraction, center_m, half_width_m):
+    if not (math.isfinite(center_m) and 0 < half_width_m < math.inf):
+        raise ValueError
+def virtual_wavelength(lambda1_m, lambda2_m):
+    if not (0 < lambda1_m < math.inf and 0 < lambda2_m < math.inf):
+        raise ValueError
+def aoa_from_phase_diff(phase_diff_rad, config):
+    if not math.isfinite(phase_diff_rad):
+        raise ValueError
+def doppler_ppm(speed_m_s):
+    speed = as_real("speed_m_s", speed_m_s)
+    if not 0 <= speed < math.inf:
+        raise ValueError
+def add_awgn(x, snr_db, seed):
+    x = np.asarray(x)
+    if x.dtype.kind not in "iufc" or x.size == 0:
+        raise ValueError
+    buf = np.empty(x.shape)
+    power = float(np.mean(buf))
+    if not math.isfinite(power):
+        raise ValueError
+def apply_channel(spectrum, rows, num, channel):
+    rows, p = as_int("rows", rows, 1), spectrum.size
+    if p == 0:
+        raise ValueError
+def wrap_phase(phase):
+    phase = np.asarray(phase)
+    if phase.dtype.kind not in "iuf":
+        raise ValueError
+def estimate_toa(rx, num, reference_spectrum):
+    n, p = rx.size, reference_spectrum.size
+    if p == 0 or n % p:
+        raise ValueError
+def ccp_measure(rx, num, subcarrier, n_sweeps, shift_samples, ref_symbol=1.0, window_start=0):
+    if isinstance(ref_symbol, bool) or not isinstance(ref_symbol, numbers.Complex):
+        raise ConfigError
+class Geometry:
+    def __post_init__(self):
+        if not 0.0 < self.true_distance_m < math.inf:
+            raise ConfigError
+"""
+
+
+def test_scan_finds_a_hand_written_rule():
+    assert hand_written_rules(_REPLACED_CHECKS) == [
+        "0 < frequency_hz < math.inf (line 2)", "math.isfinite(phase_rad) (line 2)",
+        "0 < half_width_m < math.inf (line 5)", "math.isfinite(center_m) (line 5)",
+        "0 < lambda1_m < math.inf (line 8)", "0 < lambda2_m < math.inf (line 8)",
+        "math.isfinite(phase_diff_rad) (line 11)",
+        "0 <= speed < math.inf (line 15)",
+        "x.dtype.kind (line 19)", "x.size == 0 (line 19)",
+        "p == 0 (line 27)",
+        "phase.dtype.kind (line 31)",
+        "p == 0 (line 35)",
+        "isinstance(ref_symbol, numbers.Complex) (line 38)"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_package_leaves_argument_rules_to_errors(path):
+    # errors.py owns the rules: as_finite, as_positive, as_samples and the rest.
+    assert hand_written_rules(path.read_text(encoding="utf-8")) == []
 
 
 # What builds a part of a scenario: its numerology, pilot, profile and

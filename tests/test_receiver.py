@@ -74,7 +74,7 @@ def test_toa_reads_a_sequence_as_its_array():
     spectrum = np.fft.fft(stream[0])
     assert estimate_toa(stream.reshape(-1).tolist(), num, spectrum) == estimate_toa(stream, num,
                                                                                     spectrum)
-    with pytest.raises(ValueError, match="no whole number"):
+    with pytest.raises(ValueError, match="^rx must be a non-empty array of dtype kind in "):
         estimate_toa(None, num, spectrum)
 
 
@@ -83,7 +83,7 @@ def test_toa_unequal_lengths_rejected():
     stream, _, _ = continuous_stream(num, 4)
     with pytest.raises(ValueError, match="no whole number"):
         estimate_toa(stream.reshape(-1)[:-1], num, np.fft.fft(stream[0]))
-    with pytest.raises(ValueError, match="no whole number"):
+    with pytest.raises(ValueError, match="^reference_spectrum must be a non-empty array of "):
         estimate_toa(stream, num, np.zeros(0, dtype=complex))
 
 
@@ -178,7 +178,7 @@ def test_ccp_sweep_too_long_rejected():
         ccp_measure(stream, num, k, n_sweeps=300, shift_samples=1,
                     ref_symbol=ref, window_start=0)
     for empty in (np.zeros(0, dtype=complex), np.zeros((3, 0), dtype=complex)):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="^rx must be a non-empty array of "):
             ccp_measure(empty, num, k, n_sweeps=1, shift_samples=1, ref_symbol=ref)
 
 
@@ -186,7 +186,7 @@ def test_ccp_sweep_too_long_rejected():
 def test_ccp_reference_symbol_that_is_not_a_number_is_a_config_error(ref_symbol):
     num = small_num()
     stream, k, _ = continuous_stream(num, 4)
-    with pytest.raises(ConfigError, match="^ref_symbol must be a complex number, got "):
+    with pytest.raises(ConfigError, match="^ref_symbol must be a non-empty array of dtype "):
         ccp_measure(stream, num, k, n_sweeps=1, shift_samples=1, ref_symbol=ref_symbol)
 
 
@@ -322,7 +322,7 @@ def test_wrap_phase_principal_interval():
 
 @pytest.mark.parametrize("phase", [None, "1", 1j, [True]], ids=repr)
 def test_wrap_phase_of_a_non_real_value_is_rejected(phase):
-    with pytest.raises(ValueError, match="^phase must be real, got "):
+    with pytest.raises(ValueError, match="^phase must be a non-empty array of dtype kind in 'iuf"):
         wrap_phase(phase)
 
 
