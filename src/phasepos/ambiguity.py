@@ -60,17 +60,17 @@ def ia_search(fraction: CarrierRange, center_m: float,
     x = center / wavelength - fraction, clipped into the window, are compared:
     time and memory do not grow with the window.  A window with no candidate
     (narrower than a wavelength and between two, e.g. under NLOS bias) gives
-    None.  ConfigError unless ``center_m`` is finite and ``half_width_m`` finite
-    and positive.
+    None.  ConfigError unless ``center_m`` is finite, ``half_width_m`` finite
+    and positive, and both window edges finite in wavelengths.
     """
     center_m = as_finite("center_m", center_m)
     half_width_m = as_positive("half_width_m", half_width_m)
     lam = fraction.wavelength_m
     frac = fraction.fractional_cycles
-    lo = max(0.0, center_m - half_width_m)
-    hi = center_m + half_width_m
-    n_min = max(0, int(np.ceil(lo / lam - frac - 1e-12)))
-    n_max = int(np.floor(hi / lam - frac + 1e-12))
+    lo, hi = (as_finite("center_m +- half_width_m in wavelengths", edge / lam)
+              for edge in (center_m - half_width_m, center_m + half_width_m))
+    n_min = max(0, int(np.ceil(lo - frac - 1e-12)))     # no N < 0: the window starts at 0
+    n_max = int(np.floor(hi - frac + 1e-12))
     if n_max < n_min:
         return None
     below = int(np.floor(center_m / lam - frac))
@@ -98,7 +98,8 @@ def widelane_resolve(range1: CarrierRange, range2: CarrierRange, *, center_m: fl
     integer search on the shorter carrier wavelength within +- lambda_virtual/4.
 
     Returns the refined CarrierRange on the shorter wavelength, or None when
-    either search finds no candidate.  ConfigError as ``ia_search`` for a bad window.
+    either search finds no candidate.  ConfigError as ``ia_search`` for a bad
+    window, one whose edges overflow included.
     """
     lam_v = virtual_wavelength(range1.wavelength_m, range2.wavelength_m)
     fine, coarse = ((range1, range2) if range1.wavelength_m <= range2.wavelength_m

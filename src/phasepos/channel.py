@@ -13,8 +13,9 @@ A periodic stream (``ofdm_modulate``'s ``(n / p, p)`` view) is filtered
 through the spectrum of one period, which the caller keeps, and that equals
 the filter over the whole stream; the filtered period is broadcast to the
 rows, which ``add_awgn`` adds to the noise without tiling; it squares the
-magnitudes of one row only, and one float64 buffer holds those squares and
-then each noise draw, so its output is its only other stream-sized array.
+magnitudes of one row only, into the first half of its own complex output,
+and draws the noise ``STREAM_BLOCK`` samples at a time into one small
+buffer, so its output is the only stream-sized array it makes.
 The sign convention is fixed here once: a delay produces a *negative* phase.
 Streams are complex sample arrays; the carrier f_c and the sample rate that
 spaces the frequencies f are read from the numerology passed with them.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT
+from .constants import SPEED_OF_LIGHT, STREAM_BLOCK
 from .errors import (ConfigError, NoSignalError, as_db, as_finite, as_int, as_positive, as_real,
                      as_samples)
 from .waveform import NumerologyConfig
@@ -147,11 +148,16 @@ class ChannelRealization:
         f_c is the carrier of ``num``.  Writing j = q * B + r with B = ceil(sqrt(n_bins)),
         each tap's term is a table over q times a table over r, so the grid is a
         (ceil(n_bins / B), B) sum of outer products, reshaped and cut to ``n_bins``.
-        ConfigError unless ``first_bin`` is finite, ``spacing_hz`` finite > 0, n_bins an int >= 1.
+        ConfigError unless ``first_bin`` is finite, ``spacing_hz`` finite > 0, n_bins an int
+        >= 1 that indexes an array, and 2 pi times f_c plus the first and the last bin's
+        frequency finite.
         """
         first_bin = as_finite("first_bin", first_bin)
-        block = math.isqrt(as_int("n_bins", n_bins, 1) - 1) + 1
+        block = math.isqrt(as_int("n_bins", n_bins, 1, np.iinfo(np.intp).max) - 1) + 1
         spacing_hz = as_positive("spacing_hz", spacing_hz)
+        for edge in (first_bin, first_bin + n_bins - 1):
+            as_finite("2 pi (f_c + f) at the grid's edges",
+                      2.0 * math.pi * (num.carrier_frequency_hz + edge * spacing_hz))
         rows = -(-n_bins // block)
         tau = self.delays_s[:, None]
         # The carrier's large phase is rounded once per tap, not once per bin;
@@ -229,12 +235,14 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
 
     snr_db = +inf is the noiseless sentinel and returns a copy of ``x``.
     SNR is referenced to the mean power of the incoming samples: the mean of
-    |x|^2 held in one float64 buffer the size of ``x``.  A period view (rows
-    of stride 0, as ``apply_channel`` returns) has one row's magnitudes
-    squared and copied to the other rows, so the mean sums the same array in
-    the same order as over the whole stream.  The same buffer then takes the
-    real and the imaginary noise draw in turn, each scaled in place and
-    added to ``x`` into its half of the complex output.
+    |x|^2, held in the first ``x.size`` float64s of the complex output.  A
+    period view (rows of stride 0, as ``apply_channel`` returns) has one
+    row's magnitudes squared and copied to the other rows, so the mean sums
+    the same array in the same order as over the whole stream.  The real and
+    then the imaginary noise draw are taken ``STREAM_BLOCK`` samples at a
+    time into one small buffer, each block scaled and added to its samples
+    of ``x`` in the output; consecutive draws from one generator are one
+    draw, so the noise is that of two whole-stream draws, bit for bit.
 
     Raises:
         ConfigError: an SNR ``as_db`` rejects (not a number, NaN, -inf, or past
@@ -246,24 +254,34 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     x = as_samples("x", x)
     if as_db("snr_db", snr_db) == math.inf:
         return x.flatten()
-    buf = np.empty(x.shape)
+    out = np.empty(x.shape, dtype=np.complex128)
+    squares = out.reshape(-1).view(np.float64)[:x.size].reshape(x.shape)
     with np.errstate(over="ignore"):
         if x.ndim > 1 and x.strides[0] == 0:
-            np.square(np.abs(x[:1], out=buf[:1]), out=buf[:1])
-            buf[1:] = buf[:1]
+            np.square(np.abs(x[:1], out=squares[:1]), out=squares[:1])
+            squares[1:] = squares[:1]
         else:
-            np.square(np.abs(x, out=buf), out=buf)
-    power = float(np.mean(buf))
+            np.square(np.abs(x, out=squares), out=squares)
+    power = float(np.mean(squares))
     if not math.isfinite(power):
         raise ValueError(f"signal power is {power}, not finite")
     if power == 0.0:
         raise NoSignalError("cannot scale noise against a zero-power signal")
     rng = np.random.default_rng(seed)
     scale = np.sqrt(power / 10.0 ** (snr_db / 10.0) / 2.0)
-    out = np.empty(x.shape, dtype=np.complex128)
-    for part, signal in ((out.real, x.real), (out.imag, x.imag)):
-        np.multiply(rng.standard_normal(out=buf), scale, out=buf)
-        np.add(buf, signal, out=part)
+    # Blocks of whole rows, or of one row's samples when a row is longer.
+    rows = x.reshape(-1, x.shape[-1] if x.ndim else 1)
+    n_rows, width = rows.shape
+    step_rows, step = max(STREAM_BLOCK // width, 1), min(STREAM_BLOCK, width)
+    noise = np.empty(min(STREAM_BLOCK, x.size))
+    out_rows = out.reshape(rows.shape)
+    for part, signal in ((out_rows.real, rows.real), (out_rows.imag, rows.imag)):
+        for r in range(0, n_rows, step_rows):
+            for c in range(0, width, step):
+                target = part[r:r + step_rows, c:c + step]
+                block = noise[:target.size].reshape(target.shape)
+                np.multiply(rng.standard_normal(out=block), scale, out=block)
+                np.add(block, signal[r:r + step_rows, c:c + step], out=target)
     return out.reshape(-1)
 
 

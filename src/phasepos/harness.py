@@ -23,7 +23,6 @@ import json
 import math
 import os
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -219,8 +218,9 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
     toa_s = None
     if "toa" in cfg.methods or cfg.ambiguity in ("toa", "widelane"):
         spectrum, rows = assets.conv_period
-        rx = add_awgn(apply_channel(spectrum, rows, assets.num, channel), cfg.snr_db, toa_seed)
-        toa_s = estimate_toa(rx, assets.num, spectrum).toa_s
+        # The received stream is freed with the call, before the phase streams exist.
+        toa_s = estimate_toa(add_awgn(apply_channel(spectrum, rows, assets.num, channel),
+                                      cfg.snr_db, toa_seed), assets.num, spectrum).toa_s
         if "toa" in cfg.methods:
             errors["toa"] = toa_s * SPEED_OF_LIGHT - d_true
             integers["toa"] = None
@@ -252,6 +252,7 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list[TrialResult]:
     workers = min(workers, cfg.n_trials, os.cpu_count() or 1)
     if workers == 1:
         return [run_trial(cfg, t) for t in trials]
+    from concurrent.futures import ProcessPoolExecutor   # 13-15 ms at import, for pools only
     with ProcessPoolExecutor(workers) as pool:
         return list(pool.map(run_trial, [cfg] * cfg.n_trials, trials, chunksize=8))
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import STREAM_BLOCK
 from .errors import NoSignalError, as_finite, as_int, as_samples
 from .waveform import NumerologyConfig
 
@@ -134,7 +135,11 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     a sum over absolute stream positions, so every window is a difference
     of one prefix sum of the covered span times a fixed tone (the sliding-
     DFT identity): z(o) = C[o + n_fft] - C[o].  Integer modular arithmetic
-    keeps the tone exact at large stream positions.  ``rx`` is read flattened.
+    keeps the tone exact at large stream positions.  The prefix sum runs over
+    blocks of about ``STREAM_BLOCK`` samples, each seeded with the last sum
+    before it (the additions of one ``np.cumsum``, in its order), and keeps
+    only the C entries the windows read: memory grows with the block and
+    ``n_sweeps``, not with the span.  ``rx`` is read flattened.
 
     Raises:
         ValueError: the sweep ends past the stream.
@@ -156,24 +161,33 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     if window_start + span > rx.size:
         raise ValueError(f"sweep [{window_start}, {window_start + span}) out of range "
                          f"for stream of {rx.size} samples")
-    # Flatten only the rows that hold the span, not a whole period view.
     rows = rx.reshape(-1, rx.shape[-1])
-    first, skip = divmod(window_start, rows.shape[1])
-    last = first + (skip + span - 1) // rows.shape[1] + 1
-    covered = rows[first:last].reshape(-1)[skip:skip + span]
-    # The tone repeats every n_fft positions: one row of it multiplies the
-    # span's whole rows, then its tail, straight into the prefix sum.
+    # The tone repeats every n_fft positions and each block starts on a
+    # multiple of n_fft: one row of it multiplies a block's whole rows, then its tail.
     turns = (k * np.arange(window_start, window_start + n_fft, dtype=np.int64)) % n_fft
     tone = np.exp(-2j * np.pi * np.arange(n_fft) / n_fft)[turns]
-    prefix = np.empty(span + 1, dtype=np.complex128)
-    prefix[0] = 0.0
-    cut = span - span % n_fft
-    np.multiply(covered[:cut].reshape(-1, n_fft), tone, out=prefix[1:cut + 1].reshape(-1, n_fft))
-    np.multiply(covered[cut:], tone[:span - cut], out=prefix[cut + 1:])
-    np.cumsum(prefix[1:], out=prefix[1:])
+    block = max(STREAM_BLOCK // n_fft, 1) * n_fft
+    sums = np.empty(min(block, span), dtype=np.complex128)
     offsets = np.arange(n_sweeps, dtype=np.int64) * shift_samples
-    z = ((prefix[offsets + n_fft] - prefix[offsets])
-         * (np.conj(ref) / np.sqrt(n_fft)))
+    picks = np.stack((offsets, offsets + n_fft))     # the C entries the windows read, C[0] = 0
+    picked = np.zeros(picks.shape, dtype=np.complex128)
+    for lo in range(0, span, block):
+        hi = min(lo + block, span)
+        # Flatten only the rows that hold this block, not a whole period view.
+        first, skip = divmod(window_start + lo, rows.shape[1])
+        last = (window_start + hi - 1) // rows.shape[1] + 1
+        covered = rows[first:last].reshape(-1)[skip:skip + hi - lo]
+        part, cut = sums[:hi - lo], (hi - lo) - (hi - lo) % n_fft
+        np.multiply(covered[:cut].reshape(-1, n_fft), tone, out=part[:cut].reshape(-1, n_fft))
+        np.multiply(covered[cut:], tone[:hi - lo - cut], out=part[cut:])
+        if lo:
+            part[0] += carry    # C[lo], the previous block's last sum
+        np.cumsum(part, out=part)
+        carry = part[-1]
+        for index, value in zip(picks, picked):    # C[i] for lo < i <= hi is part[i - lo - 1]
+            a, b = np.searchsorted(index, (lo, hi), side="right")
+            value[a:b] = part[index[a:b] - lo - 1]
+    z = (picked[1] - picked[0]) * (np.conj(ref) / np.sqrt(n_fft))
 
     mags = np.abs(z)
     if np.any(mags == 0.0):

@@ -11,6 +11,7 @@ from phasepos.ambiguity import (IA_MODES, CarrierRange, double_difference, ia_se
                                 phase_to_fraction, resolve, virtual_wavelength, widelane_resolve)
 from phasepos.channel import Geometry
 from phasepos.constants import SPEED_OF_LIGHT
+from phasepos.errors import ConfigError
 from phasepos.receiver import wrap_phase
 
 F1 = 3.8e9
@@ -262,6 +263,24 @@ def test_widelane_memory_does_not_grow_with_beat_wavelength():
     refined = widelane_resolve(r1, phase_to_fraction(exact_phase(d, f2), f2),
                                center_m=d, half_width_m=3.0 * 0.3)
     assert abs(refined.distance_m - d) < 1e-6
+
+
+@pytest.mark.parametrize("center_m, half_width_m", [(1e308, 1e308), (-1e308, 1e308)])
+def test_a_window_whose_edge_overflows_is_a_config_error(center_m, half_width_m):
+    # Each argument is finite, but center +- half_width is not: the integer
+    # bounds floor(edge / lambda) would be an infinity.
+    r1 = CarrierRange(SPEED_OF_LIGHT / F1, 0.1)
+    r2 = CarrierRange(SPEED_OF_LIGHT / F2, 0.2)
+    with pytest.raises(ConfigError, match="^center_m [+]- half_width_m in wavelengths must be "):
+        ia_search(r1, center_m, half_width_m)
+    with pytest.raises(ConfigError, match="^center_m [+]- half_width_m in wavelengths must be "):
+        widelane_resolve(r1, r2, center_m=center_m, half_width_m=half_width_m)
+
+
+def test_a_window_finite_in_metres_but_not_in_wavelengths_is_a_config_error():
+    tiny = CarrierRange(1e-300, 0.5)
+    with pytest.raises(ConfigError, match="^center_m [+]- half_width_m in wavelengths must be "):
+        ia_search(tiny, 1e10, 1.0)
 
 
 def test_widelane_validates_sigma():

@@ -5,13 +5,19 @@ continuous every n_fft samples), so the channel and the TOA correlator need
 transforms and tap responses of one period only, the noise's signal power
 needs the magnitudes of one period, and the modulator holds that one
 period.  The scenario keeps each period's spectrum, so after its first
-trial no trial transforms a transmit period again.  These tests hold the
-simulator to that: a transform, a response or magnitudes over the whole
-561,152-sample stream, a forward transform of a transmit period or a tiled
-or resized stream inside a trial, a transmit stream held whole, or one more
-full-length array alive at once, fails them.  A stream with no period is
-filtered whole, but its tap response is two short exp tables per tap, not
-one exp per tap per bin.
+trial no trial transforms a transmit period again.  The receive path makes
+no stream-sized array but the received stream: ``add_awgn`` squares into
+its own output and draws the noise in blocks of ``STREAM_BLOCK`` samples,
+``ccp_measure`` prefix-sums in such blocks and keeps two sums per window,
+and ``run_trial`` frees the conventional received stream before it builds
+the continuous one.  These tests hold the simulator to that: a transform,
+a response or magnitudes over the whole 561,152-sample stream, a forward
+transform of a transmit period or a tiled or resized stream inside a
+trial, a transmit stream held whole, a stream-sized temporary in
+``add_awgn``, a ``ccp_measure`` whose memory grows with its span, or one
+more full-length array alive at once, fails them.  A stream with no period
+is filtered whole, but its tap response is two short exp tables per tap,
+not one exp per tap per bin.
 """
 
 import tracemalloc
@@ -20,6 +26,7 @@ import numpy as np
 import pytest
 
 from phasepos.channel import ChannelRealization, add_awgn, apply_channel, draw_channel
+from phasepos.constants import STREAM_BLOCK
 from phasepos.harness import ScenarioConfig, _Assets, _build_assets, run_trial
 from phasepos.receiver import ccp_measure
 from phasepos.waveform import CONTINUOUS, CONVENTIONAL, make_numerology, ofdm_modulate
@@ -39,15 +46,21 @@ WIDELANE_EXP_ELEMENTS = 64_000
 
 MIB = 2 ** 20
 # tracemalloc peak of one trial after a warm-up trial, measured with
-# numpy 2.4 (FR1: 25.9 MiB, FR2: 17.6 MiB), plus a headroom of under half
-# of one 8.6 MiB stream, so one more full-length array alive at the peak fails.
+# numpy 2.4 (FR1: 9.34 MiB, FR2: 10.04 MiB; one received stream is 8.56 MiB),
+# plus a headroom of under half of one stream, so one more full-length array
+# alive at the peak fails.
 PEAK_HEADROOM_MIB = 4.0
-PEAK_MIB = {"FR1 toa+cp+ccp": (FR1_TOA, 25.9), "FR2 ccp 8192 sweeps": (FR2_CCP, 17.6)}
-# ccp_measure's allocations beside its (span + 1)-sample prefix sum: a few
-# arrays of one value per window (measured at 76 bytes per window with the
-# n_fft-sample tone row included), where one n_fft window per sweep is 64 KiB.
+PEAK_MIB = {"FR1 toa+cp+ccp": (FR1_TOA, 9.4), "FR2 ccp 8192 sweeps": (FR2_CCP, 10.1)}
+# ccp_measure's allocations beside its STREAM_BLOCK-sample block of sums: a
+# few arrays of one value per window, where one n_fft window per sweep is 64 KiB,
+# and the n_fft-sample tone row.
 CCP_BYTES_PER_WINDOW = 96
 CCP_BYTES_PER_TONE_SAMPLE = 64
+# add_awgn's allocations beside its complex output and its float64 noise
+# block: the generator, a few scalars and, on the 4,096-sample rows of the
+# continuous view, one 64 KiB buffer numpy's add takes (measured at 69 KB),
+# where one stream-sized temporary is 4.5 MB or more.
+AWGN_OVERHEAD_BYTES = 96 * 1024
 # Building both 128-symbol FR1 transmit streams: one period and a few
 # one-symbol transforms each (measured peak 0.33 MB), where each stream held
 # whole is 8.98 MB.
@@ -151,21 +164,39 @@ def test_trial_tiles_and_resizes_nothing(monkeypatch, cfg):
     assert calls == []
 
 
-def test_ccp_measure_allocates_one_span():
+def test_ccp_measure_memory_does_not_grow_with_the_span():
     assets = _build_assets(FR2_CCP)
     num = assets.num
     rx = ofdm_modulate(assets.column, num, FR2_CCP.n_symbols, CONTINUOUS).reshape(-1)   # a copy
     start, sweeps, shift = assets.windows["ccp"]
-    span = (sweeps - 1) * shift + num.n_fft
+    peaks = []
+    for stride in (shift // 4, shift):      # spans of 135,152 and 552,826 samples
+        tracemalloc.start()
+        try:
+            ccp_measure(rx, num, assets.subcarrier, sweeps, stride, assets.ref_symbol, start)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert sweeps == 8192
+    assert peaks[1] <= peaks[0], f"{peaks} bytes"
+    assert peaks[1] <= (STREAM_BLOCK * 16 + CCP_BYTES_PER_WINDOW * sweeps
+                        + CCP_BYTES_PER_TONE_SAMPLE * num.n_fft), f"{peaks[1]} bytes"
+
+
+@pytest.mark.parametrize("mode", [CONVENTIONAL, CONTINUOUS])
+def test_awgn_allocates_its_output_and_one_noise_block(mode):
+    assets = _Assets(FR1_TOA)
+    spectrum, rows = assets.conv_period if mode == CONVENTIONAL else assets.cont_period
+    view = apply_channel(spectrum, rows, assets.num,
+                         draw_channel(assets.profile, FR1_TOA.geometry, 0))
     tracemalloc.start()
     try:
-        ccp_measure(rx, num, assets.subcarrier, sweeps, shift, assets.ref_symbol, start)
+        rx = add_awgn(view, FR1_TOA.snr_db, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sweeps == 8192
-    assert peak <= ((span + 1) * 16 + CCP_BYTES_PER_WINDOW * sweeps
-                    + CCP_BYTES_PER_TONE_SAMPLE * num.n_fft), f"{peak} bytes"
+    assert rx.nbytes == 128 * ONE_SYMBOL * 16
+    assert peak <= rx.nbytes + STREAM_BLOCK * 8 + AWGN_OVERHEAD_BYTES, f"{peak} bytes"
 
 
 def test_transmit_streams_hold_one_period():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from phasepos.channel import (ChannelRealization, Geometry, ScenarioProfile, add_awgn,
                               apply_channel, doppler_ppm, draw_channel, profile_preset)
-from phasepos.constants import SPEED_OF_LIGHT
+from phasepos.constants import SPEED_OF_LIGHT, STREAM_BLOCK
 from phasepos.errors import ConfigError, NoSignalError
 from phasepos.harness import ScenarioConfig, _Assets
 from phasepos.receiver import ccp_measure
@@ -452,6 +452,37 @@ def test_awgn_on_a_period_view_is_the_tiled_stream_bit_for_bit(band):
         assert rx.tobytes() == tiled_awgn(tiled, snr_db, 0).tobytes()
         assert rx.shape == (tiled.size,) and rx.dtype == np.complex128 and rx.flags.writeable
     assert view.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("sizes", [(STREAM_BLOCK,) * 3 + (17,), (4384,) * 7 + (1,),
+                                   (1,) * 5 + (STREAM_BLOCK,), (3, STREAM_BLOCK - 1, 2)],
+                         ids=["blocks-and-tail", "rows", "singles-then-block", "uneven"])
+def test_consecutive_noise_draws_are_one_draw(sizes):
+    # add_awgn draws its noise a block at a time into one buffer; this holds it
+    # to the realizations of one whole-stream draw for the numpy it runs on.
+    whole = np.random.default_rng(11).standard_normal(sum(sizes))
+    rng = np.random.default_rng(11)
+    buf = np.empty(max(sizes))
+    parts = [rng.standard_normal(out=buf[:m]).copy() for m in sizes]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def _period_view(rows, width, seed=0):
+    return np.broadcast_to(make_stream(width, seed), (rows, width))
+
+
+@pytest.mark.parametrize("x", [make_stream(2 * STREAM_BLOCK + 123), make_stream(STREAM_BLOCK),
+                               _period_view(3, STREAM_BLOCK + 5), _period_view(40, 1000),
+                               _period_view(1, 70_144), make_stream(5 * 7000).reshape(5, 7000),
+                               make_stream(6 * 4 * 1500)[::2].reshape(4, 3, 1500)],
+                         ids=["long-1d", "one-block", "rows-past-a-block", "short-rows",
+                              "one-dense-row", "contiguous-2d", "strided-3d"])
+def test_awgn_in_blocks_is_the_whole_stream_draw(x):
+    before = x.copy()
+    for snr_db in (-5.0, 10.0, 40.0):
+        rx = add_awgn(x, snr_db, 5)
+        assert rx.tobytes() == tiled_awgn(x.reshape(-1), snr_db, 5).tobytes()
+    assert np.array_equal(x, before)
 
 
 # ------------------------------------------------------- doppler and offsets

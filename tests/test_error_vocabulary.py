@@ -146,3 +146,26 @@ def test_a_bad_argument_raises_only_the_package_errors(name, param, value):
         call(**{**valid, param: value})
     except (pp.ConfigError, pp.NoSignalError, ValueError):
         pass
+
+
+# Finite arguments whose combination overflows: the grid's carrier-plus-bin
+# frequency (a NaN response and a RuntimeWarning before it was checked) and
+# an IA window's edge (an OverflowError before).
+FINITE_EXTREMES = [
+    ("ChannelRealization.response", dict(first_bin=1e308)),
+    ("ChannelRealization.response", dict(first_bin=-1e308)),
+    ("ChannelRealization.response", dict(spacing_hz=1e308)),
+    ("ChannelRealization.response", dict(first_bin=-1, n_bins=2, spacing_hz=1e308)),
+    ("ChannelRealization.response", dict(first_bin=1e303, spacing_hz=1e5)),
+    ("ia_search", dict(center_m=1e308, half_width_m=1e308)),
+    ("ia_search", dict(center_m=-1e308, half_width_m=1e308)),
+    ("widelane_resolve", dict(center_m=1e308, half_width_m=1e308)),
+]
+
+
+@pytest.mark.parametrize("name,values", FINITE_EXTREMES,
+                         ids=[f"{n}-{v}" for n, v in FINITE_EXTREMES])
+def test_finite_arguments_that_overflow_together_are_a_config_error(name, values):
+    call, valid = SIGNATURES[name]
+    with pytest.raises(pp.ConfigError):
+        call(**{**valid, **values})

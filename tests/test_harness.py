@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -407,7 +408,7 @@ def test_pool_capped_at_trials_and_cpus(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     for n_trials, workers in ((FAST.n_trials, 10**6), (1, 2)):
         cfg = dataclasses.replace(FAST, n_trials=n_trials)
         sizes.clear()

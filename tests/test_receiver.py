@@ -4,6 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from phasepos.channel import Geometry, add_awgn, apply_channel, draw_channel, profile_preset
+from phasepos.constants import STREAM_BLOCK
 from phasepos.errors import ConfigError, NoSignalError
 from phasepos.harness import ScenarioConfig, _Assets
 from phasepos.receiver import PhaseMeasurement, ccp_measure, estimate_toa, wrap_phase
@@ -267,6 +268,29 @@ def resized_tone_ccp(rx, num, k, n_sweeps, shift, ref, start):
     mean_phasor = np.mean(z / np.abs(z))
     return PhaseMeasurement(float(wrap_phase(np.angle(mean_phasor))),
                             float(1.0 - np.abs(mean_phasor)))
+
+
+BLOCK_NUM = small_num()     # its block is STREAM_BLOCK samples: 512 rows of n_fft
+BLOCK_STREAM = np.random.default_rng(3).standard_normal((3 * STREAM_BLOCK + 1000, 2)) @ [1, 1j]
+BLOCK_VIEW = np.broadcast_to(BLOCK_STREAM[:1000], (BLOCK_STREAM.size // 1000, 1000))
+
+
+@pytest.mark.parametrize("n_sweeps, shift, start", [
+    (100, 997, 5),                                  # a span of 3 blocks and 463 samples
+    (3, STREAM_BLOCK, 0),                           # C[o] on block edges
+    (2, STREAM_BLOCK - 64, 0),                      # C[o + n_fft] on a block edge
+    (2, 2 * STREAM_BLOCK - 64, 999),                # a span of exactly two blocks
+    (40, 811, 40_000),                              # window_start a block into the stream
+    (1, 1, 970),                                    # one window, across a view row
+    (3000, 32, 1),                                  # many windows per block
+], ids=["ragged-span", "starts-on-edges", "ends-on-edge", "two-whole-blocks", "late-start",
+        "one-window", "dense-windows"])
+@pytest.mark.parametrize("layout", ["1-D", "period view"])
+def test_ccp_in_blocks_is_the_one_cumsum_prefix(n_sweeps, shift, start, layout):
+    rx = BLOCK_STREAM if layout == "1-D" else BLOCK_VIEW
+    flat = rx.reshape(-1)
+    args = (BLOCK_NUM, 5, n_sweeps, shift, 0.6 - 0.8j, start)
+    assert ccp_measure(rx, *args) == resized_tone_ccp(flat, *args)
 
 
 @st.composite
