@@ -4,7 +4,8 @@ Distance maps to phase through d = (N + fraction) * wavelength with
 fraction = ((-phase) mod 2 pi) / 2 pi, consistent with the delay =>
 negative-phase convention used by the channel and receiver.  ``ia_search``
 is the one integer search, over a window in metres that widelane takes too;
-``resolve`` builds each IA mode's window once and alone decides IA failure.
+``resolve`` alone decides IA failure, with one window rule for every mode:
++- the searched wavelength around the mode's centre.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def widelane_resolve(range1: CarrierRange, range2: CarrierRange, *, center_m: fl
 
     The difference of the two fractional phases lives on the much longer
     beat wavelength, where ``ia_search`` fixes the integer inside the
-    caller's TOA-grade window.  The widelane distance then bounds a second
+    caller's window.  The widelane distance then bounds a second
     integer search on the shorter carrier wavelength within +- lambda_virtual/4.
 
     Returns the refined CarrierRange on the shorter wavelength, or None when
@@ -111,24 +112,24 @@ def widelane_resolve(range1: CarrierRange, range2: CarrierRange, *, center_m: fl
     return None if wide is None else ia_search(fine, wide.distance_m, lam_v / 4.0)
 
 
-def resolve(mode: str, fractions: list[CarrierRange], truth_m: float, toa_s: float | None,
-            sample_rate_hz: float, k_sigma: float) -> tuple[CarrierRange | None, bool]:
+def resolve(mode: str, fractions: list[CarrierRange], truth_m: float,
+            toa_s: float | None) -> tuple[CarrierRange | None, bool]:
     """(range, IA failure) of ``fractions`` (band carrier, then widelane's second) under ``mode``.
 
-    The oracle searches +-lambda around the truth, so it is its own judge.
-    toa and widelane search ``k_sigma`` one-sample TOA stds, 1 / (fs sqrt(12)),
-    around ``toa_s``.  No candidate gives (None, True); else the IA fails unless
-    the integer is the one nearest the truth on its wavelength.  ValueError for an unknown mode.
+    Every mode searches +- the searched wavelength (widelane's beat one) around its
+    centre: the truth for the oracle, else the TOA range clamped at zero.  Only
+    widelane's fine search can find no candidate, giving (None, True); else the IA
+    fails unless the integer is the one nearest the truth.  ValueError for an unknown mode.
     """
     if mode not in IA_MODES:
         raise ValueError(f"ambiguity mode must be one of {IA_MODES}, got {mode!r}")
-    if mode == "oracle":   # wrap-aware: noise past an integer boundary takes the neighbour
-        resolved = ia_search(fractions[0], truth_m, fractions[0].wavelength_m)
-        return resolved, resolved is None
-    std_s = 1.0 / (sample_rate_hz * np.sqrt(12.0))
-    window = {"center_m": toa_s * SPEED_OF_LIGHT, "half_width_m": k_sigma * std_s * SPEED_OF_LIGHT}
-    resolved = (ia_search(fractions[0], **window) if mode == "toa"
-                else widelane_resolve(fractions[0], fractions[1], **window))
+    # A TOA range below zero (a UE next to the gNB) could leave no N >= 0 within +-lambda.
+    center_m = truth_m if mode == "oracle" else max(toa_s * SPEED_OF_LIGHT, 0.0)
+    if mode == "widelane":
+        lam_v = virtual_wavelength(fractions[0].wavelength_m, fractions[1].wavelength_m)
+        resolved = widelane_resolve(*fractions, center_m=center_m, half_width_m=lam_v)
+    else:
+        resolved = ia_search(fractions[0], center_m, fractions[0].wavelength_m)
     if resolved is None:
         return None, True
     nearest = ia_search(resolved, truth_m, resolved.wavelength_m)   # on widelane's finer carrier

@@ -41,7 +41,7 @@ MAX_SYMBOLS = 1024       # 8x the default; an FR1 received stream and its noise 
 MAX_TRIALS = 1_000_000   # each kept TrialResult is about 0.8 KB
 _NUMBER_RULES = (("n_trials", as_int, 1, MAX_TRIALS), ("ccp_sweeps", as_int, 1, math.inf),
                  ("n_symbols", as_int, 2, MAX_SYMBOLS), ("master_seed", as_int, 0, math.inf),
-                 ("snr_db", as_db), ("k_sigma", as_positive))
+                 ("snr_db", as_db))
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ class ScenarioConfig:
     comb_size: int = 6
     comb_offset: int = 0
     prs_seed: int = 7
-    k_sigma: float = 3.0                  # IA window half-width in one-sample TOA stds
     widelane_second_fc_hz: float | None = None
     profile_overrides: tuple[tuple[str, float], ...] = ()
 
@@ -237,8 +236,7 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
                                                    shift, assets.ref_symbol, start).phase_rad,
                                        f_eff)
                      for rx, f_eff in received]
-            resolved, failures[method] = resolve(cfg.ambiguity, fracs, d_true, toa_s,
-                                                 assets.num.sample_rate_hz, cfg.k_sigma)
+            resolved, failures[method] = resolve(cfg.ambiguity, fracs, d_true, toa_s)
             errors[method] = np.nan if resolved is None else resolved.distance_m - d_true
             integers[method] = None if resolved is None else resolved.integer_cycles
 

@@ -295,27 +295,24 @@ def test_widelane_validates_sigma():
 
 # ---------------------------------------------------------------- resolve
 
-FS = 122.88e6   # the FR1 sample rate
-STD_S = 1.0 / (FS * np.sqrt(12.0))
+LAM_V = virtual_wavelength(SPEED_OF_LIGHT / F1, SPEED_OF_LIGHT / F2)
+# TOA ranges near the truth, and ones far enough below it to put the centre under zero.
+TOA_OFFSETS_M = st.one_of(st.floats(-2.0, 2.0), st.floats(-300.0, -2.0))
 
 
 @settings(max_examples=1000, deadline=None)
 @given(st.sampled_from(IA_MODES), st.floats(0.5, 200.0), st.sampled_from([(F1, F2), (F2, F1)]),
-       st.floats(-2.0, 2.0), st.floats(0.01, 20.0), st.floats(-0.2, 0.2), st.floats(-0.2, 0.2))
-def test_resolve_is_the_mode_search(mode, distance_m, carriers, toa_offset_m, k_sigma,
-                                    noise1, noise2):
+       TOA_OFFSETS_M, st.floats(-0.2, 0.2), st.floats(-0.2, 0.2))
+def test_resolve_is_the_mode_search(mode, distance_m, carriers, toa_offset_m, noise1, noise2):
     fracs = [phase_to_fraction(exact_phase(distance_m, fc) + 2 * np.pi * noise, fc)
              for fc, noise in zip(carriers, (noise1, noise2))]
     toa_s = (distance_m + toa_offset_m) / SPEED_OF_LIGHT
-    direct = {
-        "oracle": lambda: ia_search(fracs[0], distance_m, fracs[0].wavelength_m),
-        "toa": lambda: ia_search(fracs[0], toa_s * SPEED_OF_LIGHT,
-                                 k_sigma * STD_S * SPEED_OF_LIGHT),
-        "widelane": lambda: widelane_resolve(fracs[0], fracs[1], center_m=toa_s * SPEED_OF_LIGHT,
-                                             half_width_m=k_sigma * STD_S * SPEED_OF_LIGHT),
-    }[mode]
-    expected = direct()
-    resolved, failed = resolve(mode, fracs, distance_m, toa_s, FS, k_sigma)
+    # +- the searched wavelength around the truth, or around the TOA range clamped at zero.
+    center_m = distance_m if mode == "oracle" else max(toa_s * SPEED_OF_LIGHT, 0.0)
+    expected = (widelane_resolve(*fracs, center_m=center_m, half_width_m=LAM_V)
+                if mode == "widelane" else
+                ia_search(fracs[0], center_m, fracs[0].wavelength_m))
+    resolved, failed = resolve(mode, fracs, distance_m, toa_s)
     assert resolved == expected
     if expected is None:
         assert failed
@@ -326,7 +323,38 @@ def test_resolve_is_the_mode_search(mode, distance_m, carriers, toa_offset_m, k_
     assert not (mode == "oracle" and failed)
 
 
-@pytest.mark.parametrize("mode, searches", [("oracle", 1), ("toa", 2), ("widelane", 3)])
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(["oracle", "toa"]), st.floats(0.0, 200.0),
+       st.floats(0.0, 1.0, exclude_max=True), st.floats(-1e290, 1e290),
+       st.sampled_from([F1, 28e9]))
+def test_oracle_and_toa_always_find_a_candidate(mode, distance_m, fraction, toa_s, fc):
+    # A window of +-lambda, clamped at zero, holds at least one whole wavelength.
+    fracs = [CarrierRange(SPEED_OF_LIGHT / fc, fraction)]
+    resolved, failed = resolve(mode, fracs, distance_m, toa_s)
+    assert resolved is not None and resolved.integer_cycles >= 0
+    assert not (mode == "oracle" and failed)
+
+
+def test_resolve_clamps_a_toa_range_below_zero():
+    # A UE 5 cm from the gNB: the TOA range can fall below zero, where N = 0 is nearest.
+    lam = SPEED_OF_LIGHT / F1
+    fracs = [CarrierRange(lam, 0.05 / lam)]
+    for toa_m in (-0.3, -5.0, -1e6):
+        resolved, failed = resolve("toa", fracs, 0.05, toa_m / SPEED_OF_LIGHT)
+        assert (resolved.integer_cycles, failed) == (0, False)
+
+
+def test_resolve_widelane_without_a_fine_candidate_is_a_failure():
+    # lambda_v / 2 = 7.5 cm is under the fine 10 cm wavelength, so the fine window can be
+    # empty: the beat integer nearest 0.5 m puts the range at 0.45 m, and 0.45 +- 0.0375 m
+    # holds neither 0.4 m nor 0.5 m.
+    fine, coarse = CarrierRange(0.1, 0.0), CarrierRange(0.3, 0.0)
+    assert virtual_wavelength(0.1, 0.3) == pytest.approx(0.15)
+    assert widelane_resolve(fine, coarse, center_m=0.5, half_width_m=0.15) is None
+    assert resolve("widelane", [fine, coarse], 0.5, 0.5 / SPEED_OF_LIGHT) == (None, True)
+
+
+@pytest.mark.parametrize("mode, searches", [("oracle", 2), ("toa", 2), ("widelane", 3)])
 def test_resolve_searches_one_window_per_mode(monkeypatch, mode, searches):
     windows = []
 
@@ -335,26 +363,21 @@ def test_resolve_searches_one_window_per_mode(monkeypatch, mode, searches):
         return ia_search(fraction, center_m, half_width_m)
 
     monkeypatch.setattr("phasepos.ambiguity.ia_search", recording)
-    d, toa_s, k_sigma = GEO.true_distance_m, GEO.true_delay_s + 1e-10, 4.0
+    d, toa_s = GEO.true_distance_m, GEO.true_delay_s + 1e-10
     fracs = [phase_to_fraction(exact_phase(d, fc), fc) for fc in (F1, F2)]
-    resolve(mode, fracs, d, toa_s, FS, k_sigma)
-    # The oracle's one search is its own judge; toa and widelane open with the TOA window.
+    resolve(mode, fracs, d, toa_s)
+    # One search in the mode's window, then the judge's, +-lambda around the truth.
     assert len(windows) == searches
-    if mode != "oracle":
-        assert windows[0] == (toa_s * SPEED_OF_LIGHT, k_sigma * STD_S * SPEED_OF_LIGHT)
-
-
-def test_resolve_empty_window_is_a_failure():
-    lam = SPEED_OF_LIGHT / F1
-    # The only candidates sit half a wavelength from the TOA, outside +-0.007 m.
-    fracs = [CarrierRange(lam, 0.5)]
-    assert resolve("toa", fracs, 300.5 * lam, 300 * lam / SPEED_OF_LIGHT, FS, 0.01) == (None, True)
+    assert windows[0] == {"oracle": (d, SPEED_OF_LIGHT / F1),
+                          "toa": (toa_s * SPEED_OF_LIGHT, SPEED_OF_LIGHT / F1),
+                          "widelane": (toa_s * SPEED_OF_LIGHT, LAM_V)}[mode]
+    assert windows[-1] == (d, SPEED_OF_LIGHT / (F2 if mode == "widelane" else F1))
 
 
 def test_resolve_rejects_unknown_mode():
     assert harness.IA_MODES is IA_MODES
     with pytest.raises(ValueError):
-        resolve("nearest", [CarrierRange(0.08, 0.25)], 24.0, None, FS, 3.0)
+        resolve("nearest", [CarrierRange(0.08, 0.25)], 24.0, None)
 
 
 # ---------------------------------------------------------------- differencing

@@ -58,7 +58,7 @@ SIGNATURES = {
                                      sequence_seed=7)),
     "ScenarioConfig": (pp.ScenarioConfig,
                        dict(snr_db=10.0, n_trials=1, ccp_sweeps=20, n_symbols=8, master_seed=1,
-                            comb_size=6, comb_offset=0, prs_seed=7, k_sigma=3.0,
+                            comb_size=6, comb_offset=0, prs_seed=7,
                             widelane_second_fc_hz=3.9e9)),
     "ScenarioProfile": (partial(pp.ScenarioProfile, "InF-NLOS-S"),
                         dict(rms_delay_spread_s=60e-9, n_clutter_taps=12,

@@ -57,10 +57,10 @@ def test_as_int_takes_exactly_the_integers_in_range(tagged, lo, hi):
 @example(5e-324)
 def test_as_positive_takes_exactly_the_finite_positive_reals(value):
     if value > 0 and value != math.inf:
-        assert as_positive("k_sigma", value) == float(value)
+        assert as_positive("half_width_m", value) == float(value)
     else:
-        message = _rejected(as_positive, "k_sigma", value)
-        assert message.startswith("k_sigma must be finite and positive") and repr(value) in message
+        message = _rejected(as_positive, "half_width_m", value)
+        assert message.startswith("half_width_m must be finite and positive") and repr(value) in message
 
 
 @pytest.mark.parametrize("value", [True, False, 10 ** 400, -(10 ** 400), "1.0", None, 1j, [1.0]])

@@ -58,9 +58,6 @@ def test_default_config_validates():
     {"snr_db": float("nan")},
     {"snr_db": float("-inf")},
     {"snr_db": "10"},
-    {"k_sigma": 0},
-    {"k_sigma": float("nan")},
-    {"k_sigma": float("inf")},
     {"widelane_second_fc_hz": float("inf")},
     {"geometry": Geometry((0, 0, 0), (1700, 0, 0))},   # past FR1 comb-6 TOA range
     {"band": "FR2", "geometry": Geometry((0, 0, 0), (430, 0, 0))},
@@ -73,7 +70,6 @@ def test_default_config_validates():
     {"snr_db": 5000.0},
     {"snr_db": -5000.0},
     {"n_symbols": 1025},                   # past MAX_SYMBOLS
-    {"k_sigma": None},
     {"profile": ["InF-LOS"]},
     {"methods": ["toa", "toa"]},
     {"methods": "toa"},
@@ -87,7 +83,6 @@ def test_default_config_validates():
     {"geometry": {"gnb_position_m": (0, 0, 0), "ue_position_m": (20, 0, 0), "x": 1}},
     {"geometry": ((0, 0, 0), (20, 0, 0))},
     {"snr_db": 10 ** 400},
-    {"k_sigma": 10 ** 400},
     {"widelane_second_fc_hz": 10 ** 400},
     {"profile_overrides": {"rms_delay_spread_s": 10 ** 400}},
     {"profile_overrides": {"rician_k_db": 10 ** 400}},
@@ -152,13 +147,13 @@ def test_numbers_of_other_types_are_stored_as_python_numbers(tmp_path):
     # numpy and Fraction values pass the number checks; the config keeps what
     # the checks return, so it writes the JSON of the plain int/float config.
     plain = ScenarioConfig(n_trials=2, n_symbols=8, ccp_sweeps=50, methods=("cp",),
-                           ambiguity="widelane", widelane_second_fc_hz=3.9e9, k_sigma=3.5,
+                           ambiguity="widelane", widelane_second_fc_hz=3.9e9,
                            comb_offset=1, profile_overrides={
                                "rician_k_db": 20.0, "n_clutter_taps": 9,
                                "rms_delay_spread_s": 2.0 ** -25})
     other = ScenarioConfig(n_trials=np.int64(2), n_symbols=np.int32(8), ccp_sweeps=np.uint16(50),
                            methods=("cp",), ambiguity="widelane",
-                           widelane_second_fc_hz=np.float32(3.9e9), k_sigma=Fraction(7, 2),
+                           widelane_second_fc_hz=np.float32(3.9e9),
                            snr_db=np.float32(10.0), master_seed=np.int64(20260815),
                            comb_size=np.int64(6), comb_offset=np.int8(1), prs_seed=np.uint8(7),
                            profile_overrides={"rician_k_db": np.float32(20.0),
@@ -191,7 +186,9 @@ def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         config_from_dict({"ccp_shift": 1})    # the sweep spacing follows from the stream
     with pytest.raises(ConfigError, match="unknown config keys"):
-        config_from_dict({"toa_sigma_s": 1e-9})   # k_sigma alone sets the IA windows
+        config_from_dict({"toa_sigma_s": 1e-9})   # the IA windows follow from the wavelengths
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        config_from_dict({"k_sigma": 3.0})        # an old config fails loudly, not silently
     with pytest.raises(ConfigError):
         config_from_dict({"geometry": {"gnb_position_m": [0, 0, 1],
                                        "ue_position_m": [1, 0, 1],
@@ -210,7 +207,7 @@ def test_config_from_dict_rejects_malformed_values():
         config_from_dict({"geometry": {"gnb_position_m": [0, 0, 1],
                                        "ue_position_m": [float("nan"), 0, 1]}})
     with pytest.raises(ConfigError):
-        config_from_dict({"k_sigma": 10 ** 400})
+        config_from_dict({"snr_db": 10 ** 400})
     with pytest.raises(ConfigError,
                        match=r"^n_trials must be an integer in \[1, 1000000\], got 0$"):
         config_from_dict({"n_trials": 0})   # raised by the config itself, not re-wrapped
@@ -614,9 +611,9 @@ def test_cli_run_csv(tmp_path, capsys):
 
 
 def test_cli_method_with_every_trial_failed_keeps_the_others(tmp_path, capsys):
-    # Under NLOS bias every cp trial misses its TOA window; the toa results remain.
+    # Under NLOS bias every cp trial takes a wrong integer; the toa results remain.
     cfg = write_cfg(tmp_path, band="FR1", profile="InF-NLOS-S", methods=["toa", "cp"],
-                    ambiguity="toa", k_sigma=40.0, n_trials=8, n_symbols=16)
+                    ambiguity="toa", n_trials=8, n_symbols=16)
     csv_out, json_out = tmp_path / "res.csv", tmp_path / "res.json"
     assert cli.main(["run", "--config", cfg, "--out", str(csv_out)]) == 0
     assert "\ncp: trials=8 ia_failures=8\n" in capsys.readouterr().out
@@ -671,9 +668,6 @@ def test_cli_sweep_past_stream_exits_2(tmp_path, capsys):
     {"n_trials": 2.5},
     {"snr_db": float("nan")},
     {"snr_db": float("-inf")},
-    {"k_sigma": 0},
-    {"k_sigma": float("nan")},
-    {"k_sigma": float("inf")},
     {"geometry": {"gnb_position_m": [0, 0, 1], "ue_position_m": [float("nan"), 0, 1]}},
     {"geometry": {"gnb_position_m": [0, 0, 0], "ue_position_m": [2000, 0, 0]}},
     {"profile_overrides": {"rms_delay_spread_s": -1}},
