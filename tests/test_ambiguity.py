@@ -354,6 +354,26 @@ def test_resolve_widelane_without_a_fine_candidate_is_a_failure():
     assert resolve("widelane", [fine, coarse], 0.5, 0.5 / SPEED_OF_LIGHT) == (None, True)
 
 
+@pytest.mark.parametrize("mode, fc", [("toa", F1), ("toa", 28e9), ("widelane", F1)])
+def test_resolve_keeps_the_integer_within_half_the_searched_wavelength(mode, fc):
+    # With exact phases, a TOA range off by under half the searched wavelength (the beat
+    # one for widelane) keeps the true integer; past half of it the neighbour wins.
+    carriers = (fc, F2)
+    lam = SPEED_OF_LIGHT / fc
+    lam_searched = virtual_wavelength(lam, SPEED_OF_LIGHT / F2) if mode == "widelane" else lam
+    d = 40.0 + 0.3 * lam     # far from zero, so the clamp plays no part
+    fracs = [phase_to_fraction(exact_phase(d, f), f) for f in carriers]
+    for sign in (-1.0, 1.0):
+        toa_s = (d + sign * 0.45 * lam_searched) / SPEED_OF_LIGHT
+        resolved, failed = resolve(mode, fracs, d, toa_s)
+        assert resolved.distance_m == pytest.approx(d, abs=1e-9) and not failed
+        toa_s = (d + sign * 0.55 * lam_searched) / SPEED_OF_LIGHT
+        resolved, failed = resolve(mode, fracs, d, toa_s)
+        assert failed
+        if mode == "toa":
+            assert resolved.distance_m == pytest.approx(d + sign * lam, abs=1e-9)
+
+
 @pytest.mark.parametrize("mode, searches", [("oracle", 2), ("toa", 2), ("widelane", 3)])
 def test_resolve_searches_one_window_per_mode(monkeypatch, mode, searches):
     windows = []

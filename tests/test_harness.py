@@ -195,6 +195,15 @@ def test_config_from_dict_rejects_unknown_keys():
                                        "extra": 2}})
 
 
+def test_scenario_config_has_no_k_sigma():
+    # The IA windows follow from the wavelengths alone; no field is left to tune them.
+    assert "k_sigma" not in {f.name for f in dataclasses.fields(ScenarioConfig)}
+    with pytest.raises(TypeError):
+        ScenarioConfig(k_sigma=3.0)
+    with pytest.raises(TypeError):
+        dataclasses.replace(ScenarioConfig(), k_sigma=3.0)
+
+
 def test_config_from_dict_rejects_malformed_values():
     with pytest.raises(ConfigError):
         config_from_dict({"methods": 5})
@@ -698,6 +707,16 @@ def test_cli_bad_value_exits_2(tmp_path, capsys, extra):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("k_sigma", [3.0, 40.0, 0, "x"])
+def test_cli_old_k_sigma_config_exits_2_as_an_unknown_key(tmp_path, capsys, k_sigma):
+    # Whatever value an old config gave the deleted key, the key itself is the error.
+    cfg = write_cfg(tmp_path, k_sigma=k_sigma)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown config keys") and "k_sigma" in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_unwritable_output_exits_3(tmp_path, capsys):
