@@ -8,7 +8,9 @@ bakes the carrier-phase rotation of each path into the baseband signal.  The
 transform's bins are a uniform grid, so ``ChannelRealization.response``
 factors each tap's exponential into two short tables (the chirp-z
 factoring): n bins cost taps * (sqrt(n) + n / sqrt(n)) exps plus a taps * n
-multiply-add, where one exp per tap per bin would cost taps * n.
+multiply-add, where one exp per tap per bin would cost taps * n.  The
+filter writes the spectrum times that response straight into FFT order, so
+it holds two period-sized arrays at once.
 A periodic stream (``ofdm_modulate``'s ``(n / p, p)`` view) is filtered
 through the spectrum of one period, which the caller keeps, and that equals
 the filter over the whole stream; the filtered period is broadcast to the
@@ -159,15 +161,16 @@ class ChannelRealization:
             as_finite("2 pi (f_c + f) at the grid's edges",
                       2.0 * math.pi * (num.carrier_frequency_hz + edge * spacing_hz))
         rows = -(-n_bins // block)
-        tau = self.delays_s[:, None]
+        tau = self.delays_s
         # The carrier's large phase is rounded once per tap, not once per bin;
         # the tables hold only phases of at most 2 pi n_bins spacing_hz tau.
-        start = self.gains[:, None] * np.exp(
+        start = self.gains * np.exp(
             -2j * np.pi * (num.carrier_frequency_hz + first_bin * spacing_hz) * tau)
-        hi = start * np.exp(-2j * np.pi * tau * (block * spacing_hz * np.arange(rows)))
-        lo = np.exp(-2j * np.pi * tau * (spacing_hz * np.arange(block)))
-        # einsum sums the outer products in numpy's own loops: no BLAS call.
-        return np.einsum("iq,ir->qr", hi, lo).reshape(-1)[:n_bins]
+        hi = start * np.exp(-2j * np.pi * tau * (block * spacing_hz * np.arange(rows))[:, None])
+        lo = np.exp(-2j * np.pi * tau * (spacing_hz * np.arange(block))[:, None])
+        # Each (bins, taps) table is C-contiguous, so the tap sum of every bin
+        # runs over adjacent memory; einsum sums in numpy's own loops: no BLAS call.
+        return np.einsum("qi,ri->qr", hi, lo).reshape(-1)[:n_bins]
 
 
 def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> ChannelRealization:
@@ -216,18 +219,27 @@ def apply_channel(spectrum: np.ndarray, rows: int, num: NumerologyConfig,
                   channel: ChannelRealization) -> np.ndarray:
     """Circularly convolve a stream of ``rows`` periods with the tapped delay line.
 
-    ``spectrum`` is the DFT of one period of p = ``spectrum.size`` samples (a
-    whole stream is one period); delays act as exp(-j 2 pi (f_c + f) tau) on
-    its bins, f_c and the sample rate from ``num``, so fractional delays are
-    exact.  A periodic stream's whole-length spectrum is zero off that
-    period's bins, so this is the whole-stream filter.  Returns the filtered
+    ``spectrum``, read flattened, is the DFT of one period of p =
+    ``spectrum.size`` samples (a whole stream is one period); delays act as
+    exp(-j 2 pi (f_c + f) tau) on its bins, f_c and the sample rate from
+    ``num``, so fractional delays are exact.  A periodic stream's whole-length
+    spectrum is zero off that period's bins, so this is the whole-stream
+    filter.  The response, on bins -(p // 2) .. p - p // 2 - 1, multiplies the
+    spectrum in two halves written in FFT order: element for element
+    ``spectrum * np.fft.ifftshift(response)``, without the shifted copy, and
+    the response is freed before the inverse transform.  Returns the filtered
     period broadcast to ``(rows, p)``: a read-only view a caller copies to write.
     ConfigError unless ``rows`` is an integer >= 1 and ``spectrum`` non-empty and numeric.
     """
-    rows, spectrum = as_int("rows", rows, 1), as_samples("spectrum", spectrum)
-    p = spectrum.size
-    h = np.fft.ifftshift(channel.response(num, -(p // 2), p, num.sample_rate_hz / p))
-    return np.broadcast_to(np.fft.ifft(spectrum * h), (rows, p))
+    rows, spectrum = as_int("rows", rows, 1), as_samples("spectrum", spectrum).reshape(-1)
+    p, half = spectrum.size, spectrum.size // 2
+    h = channel.response(num, -half, p, num.sample_rate_hz / p)
+    y = np.empty(p, np.result_type(spectrum, h))
+    # Spectrum first, as in spectrum * h: numpy's complex product is not bitwise commutative.
+    np.multiply(spectrum[:p - half], h[half:], out=y[:p - half])
+    np.multiply(spectrum[p - half:], h[:half], out=y[p - half:])
+    del h
+    return np.broadcast_to(np.fft.ifft(y), (rows, p))
 
 
 def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:

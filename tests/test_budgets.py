@@ -17,7 +17,10 @@ trial, a transmit stream held whole, a stream-sized temporary in
 ``add_awgn``, a ``ccp_measure`` whose memory grows with its span, or one
 more full-length array alive at once, fails them.  A stream with no period
 is filtered whole, but its tap response is two short exp tables per tap,
-not one exp per tap per bin.
+not one exp per tap per bin, and the filter holds two period-sized arrays
+at once: the response and the product, written in FFT order, then the
+product and its inverse transform.  A shifted copy of the response, or a
+response kept alive through the transform, fails them.
 """
 
 import tracemalloc
@@ -61,6 +64,10 @@ CCP_BYTES_PER_TONE_SAMPLE = 64
 # continuous view, one 64 KiB buffer numpy's add takes (measured at 69 KB),
 # where one stream-sized temporary is 4.5 MB or more.
 AWGN_OVERHEAD_BYTES = 96 * 1024
+# One dense apply_channel beside its two period-sized arrays: the response's
+# ceil(sqrt(p))**2 - p spare bins (1,296 B at p = 70,144) and numpy's small
+# objects (measured 2,064 B in all), where one more period is 1.1 MB.
+DENSE_FILTER_OVERHEAD_BYTES = 16 * 1024
 # Building both 128-symbol FR1 transmit streams: one period and a few
 # one-symbol transforms each (measured peak 0.33 MB), where each stream held
 # whole is 8.98 MB.
@@ -132,6 +139,21 @@ def test_dense_trial_exp_work(monkeypatch):
     assert sizes, "the trial made no np.exp call"
     assert max(sizes) <= ONE_SYMBOL, f"np.exp sizes {sorted(sizes)[-5:]}"
     assert sum(sizes) <= WIDELANE_EXP_ELEMENTS, f"{sum(sizes)} np.exp elements"
+
+
+def test_dense_filter_holds_two_periods():
+    assets = _Assets(FR1_WIDELANE)
+    spectrum, rows = assets.cont_period
+    channel = draw_channel(assets.profile, FR1_WIDELANE.geometry, 0)
+    apply_channel(spectrum, rows, assets.num, channel)     # a warm-up outside the count
+    tracemalloc.start()
+    try:
+        apply_channel(spectrum, rows, assets.num, channel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (spectrum.size, rows) == (16 * ONE_SYMBOL, 1)
+    assert peak <= 2 * spectrum.nbytes + DENSE_FILTER_OVERHEAD_BYTES, f"{peak} bytes"
 
 
 @pytest.mark.parametrize("name", sorted(PEAK_MIB))

@@ -250,6 +250,29 @@ def test_apply_channel_rejects_an_empty_spectrum():
         apply_channel(np.array([], dtype=complex), 1, NUM, ch)
 
 
+def test_apply_channel_reads_the_spectrum_flattened():
+    ch = draw_channel(profile_preset("InF-NLOS-S"), Geometry(GNB, UE), 1)
+    spectrum = np.fft.fft(make_stream(16))
+    got = apply_channel(spectrum.reshape(2, 8), 3, NUM, ch)
+    assert got.shape == (3, 16)
+    assert np.array_equal(got, apply_channel(spectrum.copy(), 3, NUM, ch))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 4096, 4384, 70_144])
+def test_apply_channel_is_the_shifted_product_bit_for_bit(p):
+    # The product is written in FFT order, half by half, in place of
+    # spectrum * ifftshift(response): the same multiplies, odd p included.
+    ch = draw_channel(profile_preset("InF-LOS"), Geometry(GNB, UE), p)
+    spectrum = np.fft.fft(make_stream(p, seed=p))
+    got = apply_channel(spectrum, 3, NUM, ch)
+    # Named: numpy computes x * <large temporary> as temporary *= x, and its
+    # complex product with the operands swapped can round differently.
+    shifted = np.fft.ifftshift(ch.response(NUM, -(p // 2), p, NUM.sample_rate_hz / p))
+    expected = np.broadcast_to(np.fft.ifft(spectrum * shifted), (3, p))
+    assert got.shape == (3, p) and got.strides[0] == 0 and not got.flags.writeable
+    assert np.array_equal(got, expected)
+
+
 def loop_response(ch, num, first_bin, n_bins, spacing_hz):
     """The tap line with one exp per tap per bin, each phase in turns reduced in long double."""
     ld = np.longdouble
@@ -313,6 +336,47 @@ def test_response_is_the_noiseless_carrier_phase(kind):
                             NUM.symbol_samples + NUM.n_cp).phase_rad   # the harness's cp window
         expected = np.angle(ch.response(NUM, k, 1, NUM.scs_hz)[0])
         assert abs(np.angle(np.exp(1j * (phase - expected)))) < 1e-12
+
+
+def tap_major_response(ch, num, first_bin, n_bins, spacing_hz):
+    """``response`` summing (taps, bins) tables, each entry evaluated as it is there."""
+    block = math.isqrt(n_bins - 1) + 1
+    tau = ch.delays_s[:, None]
+    start = ch.gains[:, None] * np.exp(
+        -2j * np.pi * (num.carrier_frequency_hz + first_bin * spacing_hz) * tau)
+    hi = start * np.exp(-2j * np.pi * tau * (block * spacing_hz * np.arange(-(-n_bins // block))))
+    lo = np.exp(-2j * np.pi * tau * (spacing_hz * np.arange(block)))
+    return np.einsum("iq,ir->qr", hi, lo).reshape(-1)[:n_bins]
+
+
+# Both sums add the same products in an order that only the SIMD loop numpy
+# dispatches to may change; each rounding of a running sum is at most one ulp
+# of sum |g_i|, and the reordered sums differ by a few of them.  Bit-equal on
+# x86-64 with numpy 2.4.
+TAP_SUM_ULPS = 8
+
+
+@pytest.mark.parametrize("taps", [1, 13, 500])
+@pytest.mark.parametrize("n_bins", [1, 2, 70_144, 70_225])
+def test_response_sums_bin_major_tables(monkeypatch, taps, n_bins):
+    rng = np.random.default_rng(taps)
+    ch = ChannelRealization(np.sort(rng.uniform(60e-9, 600e-9, taps)),
+                            rng.standard_normal(taps) + 1j * rng.standard_normal(taps))
+    args = (NUM, -(n_bins // 2), n_bins, NUM.sample_rate_hz / n_bins)
+    layouts = []
+    einsum = np.einsum
+
+    def recorded(subscripts, *operands, **kwargs):
+        layouts.append((subscripts, [(op.shape, op.flags.c_contiguous) for op in operands]))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recorded)
+    got = ch.response(*args)
+    monkeypatch.undo()
+    block = math.isqrt(n_bins - 1) + 1
+    assert layouts == [("qi,ri->qr", [((-(-n_bins // block), taps), True), ((block, taps), True)])]
+    err = np.max(np.abs(got - tap_major_response(ch, *args)))
+    assert err <= TAP_SUM_ULPS * np.spacing(np.sum(np.abs(ch.gains)))
 
 
 def test_response_reads_an_int_spacing_past_int64_as_a_float():
