@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import as_finite, as_positive
+from .errors import as_finite, as_positive, set_checked
 from .receiver import wrap_phase
 
 
@@ -18,8 +18,7 @@ class InterferometerConfig:
     wavelength_m: float
 
     def __post_init__(self) -> None:
-        as_positive("antenna_spacing_m", self.antenna_spacing_m)
-        as_positive("wavelength_m", self.wavelength_m)
+        set_checked(self, (("antenna_spacing_m", as_positive), ("wavelength_m", as_positive)))
 
 
 def aoa_from_phase_diff(phase_diff_rad: float, config: InterferometerConfig) -> list[float]:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT, STREAM_BLOCK
 from .errors import (ConfigError, NoSignalError, as_db, as_finite, as_int, as_positive, as_real,
-                     as_samples)
+                     as_samples, set_checked)
 from .waveform import NumerologyConfig
 
 # 25 clusters x 20 rays, the largest ray count of TR 38.901's InF model;
@@ -102,12 +102,10 @@ class ScenarioProfile:
         if self.is_los != (self.nlos_excess_delay_mean_s is None):
             raise ConfigError("nlos_excess_delay_mean_s is required for NLOS kinds and "
                               "does not apply to InF-LOS")
-        rules = [("rms_delay_spread_s", as_positive),
-                 ("n_clutter_taps", as_int, 1, MAX_CLUTTER_TAPS),
-                 ("rician_k_db", as_db) if self.is_los
-                 else ("nlos_excess_delay_mean_s", as_positive)]
-        for name, check, *bounds in rules:
-            object.__setattr__(self, name, check(name, getattr(self, name), *bounds))
+        set_checked(self, (("rms_delay_spread_s", as_positive),
+                           ("n_clutter_taps", as_int, 1, MAX_CLUTTER_TAPS),
+                           ("rician_k_db", as_db) if self.is_los
+                           else ("nlos_excess_delay_mean_s", as_positive)))
 
     @property
     def is_los(self) -> bool:

@@ -3,6 +3,8 @@
 Every config number and every number or sample array an exported function takes
 is read through ``as_real``, ``as_finite``, ``as_positive``, ``as_int``, ``as_db``
 or ``as_samples``; the ``ConfigError`` they raise names the argument, its rule and the value.
+A config object's number fields are checked, and stored as what their rules return, by
+``set_checked``: a numpy scalar or a ``Fraction`` becomes a Python int or float.
 """
 
 import math
@@ -69,6 +71,12 @@ def as_db(name: str, value) -> float:
     if not (db == math.inf or abs(db) <= MAX_ABS_DB):
         raise ConfigError(f"{name} must lie within +-{MAX_ABS_DB:g} dB or be +inf, got {value!r}")
     return db
+
+
+def set_checked(config, rules) -> None:
+    """Set each ``(field, rule, *bounds)`` field of frozen ``config`` to what its rule returns."""
+    for name, rule, *bounds in rules:
+        object.__setattr__(config, name, rule(name, getattr(config, name), *bounds))
 
 
 def as_samples(name: str, value, kinds: str = "iufc") -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 from .ambiguity import IA_MODES, phase_to_fraction, resolve
 from .channel import Geometry, add_awgn, apply_channel, draw_channel, profile_preset
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigError, as_db, as_int, as_positive
+from .errors import ConfigError, as_db, as_int, as_positive, set_checked
 from .receiver import ccp_measure, estimate_toa
 from .waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column, make_numerology,
                        middle_subcarrier, ofdm_modulate)
@@ -41,7 +41,8 @@ MAX_SYMBOLS = 1024       # 8x the default; an FR1 received stream and its noise 
 MAX_TRIALS = 1_000_000   # each kept TrialResult is about 0.8 KB
 _NUMBER_RULES = (("n_trials", as_int, 1, MAX_TRIALS), ("ccp_sweeps", as_int, 1, math.inf),
                  ("n_symbols", as_int, 2, MAX_SYMBOLS), ("master_seed", as_int, 0, math.inf),
-                 ("snr_db", as_db))
+                 ("snr_db", as_db), ("comb_size", as_int), ("comb_offset", as_int),
+                 ("prs_seed", as_int, 0, math.inf))    # PrsConfig holds the comb's ranges
 
 
 @dataclass(frozen=True)
@@ -98,11 +99,8 @@ class ScenarioConfig:
                         for p in self.profile_overrides)
                 and len(dict(self.profile_overrides)) == len(self.profile_overrides)):
             raise ConfigError("profile_overrides must map each profile field name to one value")
-        rules = _NUMBER_RULES
-        if self.widelane_second_fc_hz is not None:
-            rules += (("widelane_second_fc_hz", as_positive),)
-        for name, check, *bounds in rules:
-            object.__setattr__(self, name, check(name, getattr(self, name), *bounds))
+        set_checked(self, _NUMBER_RULES if self.widelane_second_fc_hz is None
+                    else (*_NUMBER_RULES, ("widelane_second_fc_hz", as_positive)))
         if (not isinstance(self.methods, tuple) or not self.methods
                 or any(m not in METHODS for m in self.methods)
                 or len(set(self.methods)) != len(self.methods)):
@@ -114,8 +112,6 @@ class ScenarioConfig:
         profile = _Assets(self).profile   # the rules that join the parts
         object.__setattr__(self, "profile_overrides", tuple(
             (name, getattr(profile, name)) for name, _ in self.profile_overrides))
-        for name in ("comb_size", "comb_offset", "prs_seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass

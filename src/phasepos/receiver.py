@@ -138,8 +138,9 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     keeps the tone exact at large stream positions.  The prefix sum runs over
     blocks of about ``STREAM_BLOCK`` samples, each seeded with the last sum
     before it (the additions of one ``np.cumsum``, in its order), and keeps
-    only the C entries the windows read: memory grows with the block and
-    ``n_sweeps``, not with the span.  ``rx`` is read flattened.
+    only the C entries the windows read, two strided slices of a block's
+    sums: memory grows with the block and ``n_sweeps``, not with the span.
+    ``rx`` is read flattened.
 
     Raises:
         ValueError: the sweep ends past the stream.
@@ -168,9 +169,7 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     tone = np.exp(-2j * np.pi * np.arange(n_fft) / n_fft)[turns]
     block = max(STREAM_BLOCK // n_fft, 1) * n_fft
     sums = np.empty(min(block, span), dtype=np.complex128)
-    offsets = np.arange(n_sweeps, dtype=np.int64) * shift_samples
-    picks = np.stack((offsets, offsets + n_fft))     # the C entries the windows read, C[0] = 0
-    picked = np.zeros(picks.shape, dtype=np.complex128)
+    picked = np.zeros((2, n_sweeps), dtype=np.complex128)   # C[j shift], C[j shift + n_fft]
     for lo in range(0, span, block):
         hi = min(lo + block, span)
         # Flatten only the rows that hold this block, not a whole period view.
@@ -184,9 +183,11 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
             part[0] += carry    # C[lo], the previous block's last sum
         np.cumsum(part, out=part)
         carry = part[-1]
-        for index, value in zip(picks, picked):    # C[i] for lo < i <= hi is part[i - lo - 1]
-            a, b = np.searchsorted(index, (lo, hi), side="right")
-            value[a:b] = part[index[a:b] - lo - 1]
+        for value, base in zip(picked, (0, n_fft)):    # C[i] for lo < i <= hi is part[i - lo - 1]
+            a = max((lo - base) // shift_samples + 1, 0)   # window j reads i = j shift + base
+            b = min((hi - base) // shift_samples + 1, n_sweeps)
+            if a < b:
+                value[a:b] = part[a * shift_samples + base - lo - 1::shift_samples][:b - a]
     z = (picked[1] - picked[0]) * (np.conj(ref) / np.sqrt(n_fft))
 
     mags = np.abs(z)

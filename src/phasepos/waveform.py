@@ -27,11 +27,12 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, as_int, as_positive, as_real, as_samples
+from .errors import ConfigError, as_int, as_positive, as_samples, set_checked
 
 CONVENTIONAL = "conventional"
 CONTINUOUS = "continuous"
@@ -54,14 +55,12 @@ class NumerologyConfig:
     n_active_subcarriers: int
 
     def __post_init__(self) -> None:
-        as_positive("carrier_frequency_hz", self.carrier_frequency_hz)
-        as_positive("scs_hz", self.scs_hz)
-        n_fft = as_int("n_fft", self.n_fft, 1)
-        as_real("n_fft", n_fft)     # the sample rate is a float
-        if n_fft & (n_fft - 1):
-            raise ConfigError(f"n_fft must be a power of two, got {n_fft}")
-        as_int("n_cp", self.n_cp, 0, n_fft - 1)
-        as_int("n_active_subcarriers", self.n_active_subcarriers, 1, n_fft - 1)   # DC excluded
+        set_checked(self, (("carrier_frequency_hz", as_positive), ("scs_hz", as_positive),
+                           ("n_fft", as_int, 1, sys.float_info.max)))   # sample rate: a float
+        if self.n_fft & (self.n_fft - 1):
+            raise ConfigError(f"n_fft must be a power of two, got {self.n_fft}")
+        set_checked(self, (("n_cp", as_int, 0, self.n_fft - 1),
+                           ("n_active_subcarriers", as_int, 1, self.n_fft - 1)))   # DC excluded
         if not self.carrier_frequency_hz > self.sample_rate_hz / 2:
             raise ConfigError(f"carrier {self.carrier_frequency_hz:g} Hz must exceed half the "
                               f"sample rate, {self.sample_rate_hz / 2:g} Hz, so that every "
@@ -87,13 +86,11 @@ class PrsConfig:
     sequence_seed: int = 0
 
     def __post_init__(self) -> None:
-        comb = as_int("comb_size", self.comb_size)
-        if comb not in _COMB_SIZES:
+        set_checked(self, (("comb_size", as_int),))
+        if self.comb_size not in _COMB_SIZES:
             raise ConfigError(f"comb_size must be one of {_COMB_SIZES}, got {self.comb_size!r}")
-        object.__setattr__(self, "comb_size", comb)
-        for name, *bounds in (("comb_offset", 0, comb - 1), ("n_symbols", 1),
-                              ("sequence_seed", 0)):
-            object.__setattr__(self, name, as_int(name, getattr(self, name), *bounds))
+        set_checked(self, (("comb_offset", as_int, 0, self.comb_size - 1),
+                           ("n_symbols", as_int, 1), ("sequence_seed", as_int, 0)))
 
 
 def make_numerology(band: str) -> NumerologyConfig:

@@ -54,10 +54,11 @@ MIB = 2 ** 20
 # alive at the peak fails.
 PEAK_HEADROOM_MIB = 4.0
 PEAK_MIB = {"FR1 toa+cp+ccp": (FR1_TOA, 9.4), "FR2 ccp 8192 sweeps": (FR2_CCP, 10.1)}
-# ccp_measure's allocations beside its STREAM_BLOCK-sample block of sums: a
-# few arrays of one value per window, where one n_fft window per sweep is 64 KiB,
-# and the n_fft-sample tone row.
-CCP_BYTES_PER_WINDOW = 96
+# ccp_measure's allocations beside its STREAM_BLOCK-sample block of sums: the
+# two prefix sums each window reads, then its bin, magnitude and unit phasor
+# (measured 68.3 B per window on FR2's 8,192 sweeps), where one n_fft window
+# per sweep is 64 KiB, and the n_fft-sample tone row.
+CCP_BYTES_PER_WINDOW = 72
 CCP_BYTES_PER_TONE_SAMPLE = 64
 # add_awgn's allocations beside its complex output and its float64 noise
 # block: the generator, a few scalars and, on the 4,096-sample rows of the

@@ -222,6 +222,12 @@ def test_config_from_dict_rejects_malformed_values():
         config_from_dict({"n_trials": 0})   # raised by the config itself, not re-wrapped
 
 
+def test_a_negative_prs_seed_is_named_as_the_config_field():
+    # PrsConfig, which the harness builds from it, calls the seed sequence_seed.
+    with pytest.raises(ConfigError, match=r"^prs_seed must be an integer in \[0, inf\], got -1$"):
+        ScenarioConfig(prs_seed=-1)
+
+
 _JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
                   st.lists(st.integers(), max_size=3))
 _COORDS = st.lists(st.one_of(st.integers(), st.floats()), max_size=4)

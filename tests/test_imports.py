@@ -1,8 +1,9 @@
 """Every name a module imports is used in it, the package needs only numpy, it
 raises only ``ConfigError``, ``NoSignalError`` or ``ValueError``, it leaves
 the type, finiteness and range of a number argument and the kind and
-emptiness of a sample-array argument to ``errors.py``, and the harness
-derives a scenario's parts in one place, ``_Assets``.
+emptiness of a sample-array argument to ``errors.py``, every config object
+stores what its checks return, and the harness derives a scenario's parts in
+one place, ``_Assets``.
 
 ``__init__.py`` is skipped by the unused-import scan: its imports are the
 package's re-exports, which ``test_exports.py`` checks.
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from phasepos import harness
+from phasepos import errors, harness
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/phasepos/*.py"))
@@ -300,3 +301,65 @@ def test_harness_derives_a_scenario_once():
     assert derivations_outside(source) == []
     assert harness._build_assets.__wrapped__ is harness._Assets
     assert harness._build_assets.cache_parameters() == {"maxsize": 1, "typed": False}
+
+
+_RULES = {name for name in vars(errors) if name.startswith("as_")}
+
+
+def discarded_checks(source: str) -> list[str]:
+    """Rules of ``errors.py`` called on a ``self.<field>`` as a bare statement in a
+    ``__post_init__``: the field is checked but keeps its given value, not the
+    Python number the rule returns (``errors.set_checked`` stores that)."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not (isinstance(func, ast.FunctionDef) and func.name == "__post_init__"):
+            continue
+        found += [(node.lineno, ast.unparse(node.value)) for node in ast.walk(func)
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                  and ast.unparse(node.value.func).split(".")[-1] in _RULES
+                  and any(isinstance(arg, ast.Attribute) and ast.unparse(arg.value) == "self"
+                          for arg in node.value.args)]
+    return [f"{text} (line {line})" for line, text in sorted(found)]
+
+
+# The two bodies that checked their fields and kept the given values, as they
+# stood, and a dotted rule.  A bound value (n_fft = ...), set_checked and a
+# check outside a __post_init__ are not flagged.
+_DISCARDING_POST_INITS = """\
+class NumerologyConfig:
+    def __post_init__(self) -> None:
+        as_positive("carrier_frequency_hz", self.carrier_frequency_hz)
+        as_positive("scs_hz", self.scs_hz)
+        n_fft = as_int("n_fft", self.n_fft, 1)
+        as_real("n_fft", n_fft)     # the sample rate is a float
+        if n_fft & (n_fft - 1):
+            raise ConfigError(f"n_fft must be a power of two, got {n_fft}")
+        as_int("n_cp", self.n_cp, 0, n_fft - 1)
+        as_int("n_active_subcarriers", self.n_active_subcarriers, 1, n_fft - 1)   # DC excluded
+class InterferometerConfig:
+    def __post_init__(self) -> None:
+        as_positive("antenna_spacing_m", self.antenna_spacing_m)
+        as_positive("wavelength_m", self.wavelength_m)
+class PrsConfig:
+    def __post_init__(self) -> None:
+        errors.as_int("n_symbols", self.n_symbols, 1)
+        set_checked(self, (("comb_size", as_int),))
+def ccp_measure(rx, num, subcarrier, n_sweeps, shift_samples):
+    as_int("n_sweeps", n_sweeps, 1)
+"""
+
+
+def test_scan_finds_a_discarded_check():
+    assert discarded_checks(_DISCARDING_POST_INITS) == [
+        "as_positive('carrier_frequency_hz', self.carrier_frequency_hz) (line 3)",
+        "as_positive('scs_hz', self.scs_hz) (line 4)",
+        "as_int('n_cp', self.n_cp, 0, n_fft - 1) (line 9)",
+        "as_int('n_active_subcarriers', self.n_active_subcarriers, 1, n_fft - 1) (line 10)",
+        "as_positive('antenna_spacing_m', self.antenna_spacing_m) (line 13)",
+        "as_positive('wavelength_m', self.wavelength_m) (line 14)",
+        "errors.as_int('n_symbols', self.n_symbols, 1) (line 17)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_config_objects_store_what_their_checks_return(path):
+    assert discarded_checks(path.read_text(encoding="utf-8")) == []

@@ -283,12 +283,18 @@ BLOCK_VIEW = np.broadcast_to(BLOCK_STREAM[:1000], (BLOCK_STREAM.size // 1000, 10
     (40, 811, 40_000),                              # window_start a block into the stream
     (1, 1, 970),                                    # one window, across a view row
     (3000, 32, 1),                                  # many windows per block
+    (2, 2 * STREAM_BLOCK + 100, 300),               # a middle block that no window reads
+    (100, 990, None),                               # ends on the stream's last sample
+    (2048, 16, 3),                                  # a last block past every window's start
 ], ids=["ragged-span", "starts-on-edges", "ends-on-edge", "two-whole-blocks", "late-start",
-        "one-window", "dense-windows"])
+        "one-window", "dense-windows", "shift-past-two-blocks", "ends-on-stream-end",
+        "last-block-only-ends"])
 @pytest.mark.parametrize("layout", ["1-D", "period view"])
 def test_ccp_in_blocks_is_the_one_cumsum_prefix(n_sweeps, shift, start, layout):
     rx = BLOCK_STREAM if layout == "1-D" else BLOCK_VIEW
     flat = rx.reshape(-1)
+    if start is None:       # 1,230 (1-D) or 926 (view): off every block and row edge
+        start = flat.size - (n_sweeps - 1) * shift - BLOCK_NUM.n_fft
     args = (BLOCK_NUM, 5, n_sweeps, shift, 0.6 - 0.8j, start)
     assert ccp_measure(rx, *args) == resized_tone_ccp(flat, *args)
 
