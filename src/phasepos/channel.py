@@ -14,10 +14,10 @@ it holds two period-sized arrays at once.
 A periodic stream (``ofdm_modulate``'s ``(n / p, p)`` view) is filtered
 through the spectrum of one period, which the caller keeps, and that equals
 the filter over the whole stream; the filtered period is broadcast to the
-rows, which ``add_awgn`` adds to the noise without tiling; it squares the
+rows, and ``add_awgn`` turns that view into a flat stream: it squares the
 magnitudes of one row only, into the first half of its own complex output,
-and draws the noise ``STREAM_BLOCK`` samples at a time into one small
-buffer, so its output is the only stream-sized array it makes.
+copies the view in and adds the noise over flat ``STREAM_BLOCK`` slices from
+one small buffer, so its output is the only stream-sized array it makes.
 The sign convention is fixed here once: a delay produces a *negative* phase.
 Streams are complex sample arrays; the carrier f_c and the sample rate that
 spaces the frequencies f are read from the numerology passed with them.
@@ -248,11 +248,12 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     |x|^2, held in the first ``x.size`` float64s of the complex output.  A
     period view (rows of stride 0, as ``apply_channel`` returns) has one
     row's magnitudes squared and copied to the other rows, so the mean sums
-    the same array in the same order as over the whole stream.  The real and
-    then the imaginary noise draw are taken ``STREAM_BLOCK`` samples at a
-    time into one small buffer, each block scaled and added to its samples
-    of ``x`` in the output; consecutive draws from one generator are one
-    draw, so the noise is that of two whole-stream draws, bit for bit.
+    the same array in the same order as over the whole stream.  ``x`` is then
+    copied into the output, read flat from there on (a wider dtype, such as
+    long double, is rounded to complex128 first), and the real and then the
+    imaginary noise draw are added ``STREAM_BLOCK`` samples at a time from one
+    small buffer; consecutive draws from one generator are one draw, so the
+    noise is that of two whole-stream draws, bit for bit.
 
     Raises:
         ConfigError: an SNR ``as_db`` rejects (not a number, NaN, -inf, or past
@@ -264,8 +265,8 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     x = as_samples("x", x)
     if as_db("snr_db", snr_db) == math.inf:
         return x.flatten()
-    out = np.empty(x.shape, dtype=np.complex128)
-    squares = out.reshape(-1).view(np.float64)[:x.size].reshape(x.shape)
+    out = np.empty(x.size, dtype=np.complex128)
+    squares = out.view(np.float64)[:x.size].reshape(x.shape)
     with np.errstate(over="ignore"):
         if x.ndim > 1 and x.strides[0] == 0:
             np.square(np.abs(x[:1], out=squares[:1]), out=squares[:1])
@@ -279,20 +280,14 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
         raise NoSignalError("cannot scale noise against a zero-power signal")
     rng = np.random.default_rng(seed)
     scale = np.sqrt(power / 10.0 ** (snr_db / 10.0) / 2.0)
-    # Blocks of whole rows, or of one row's samples when a row is longer.
-    rows = x.reshape(-1, x.shape[-1] if x.ndim else 1)
-    n_rows, width = rows.shape
-    step_rows, step = max(STREAM_BLOCK // width, 1), min(STREAM_BLOCK, width)
+    out.reshape(x.shape)[...] = x
     noise = np.empty(min(STREAM_BLOCK, x.size))
-    out_rows = out.reshape(rows.shape)
-    for part, signal in ((out_rows.real, rows.real), (out_rows.imag, rows.imag)):
-        for r in range(0, n_rows, step_rows):
-            for c in range(0, width, step):
-                target = part[r:r + step_rows, c:c + step]
-                block = noise[:target.size].reshape(target.shape)
-                np.multiply(rng.standard_normal(out=block), scale, out=block)
-                np.add(block, signal[r:r + step_rows, c:c + step], out=target)
-    return out.reshape(-1)
+    for part in (out.real, out.imag):
+        for lo in range(0, x.size, STREAM_BLOCK):
+            block = noise[:min(STREAM_BLOCK, x.size - lo)]
+            np.multiply(rng.standard_normal(out=block), scale, out=block)
+            part[lo:lo + STREAM_BLOCK] += block
+    return out
 
 
 def doppler_ppm(speed_m_s: float) -> float:

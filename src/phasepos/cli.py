@@ -17,7 +17,6 @@ import sys
 from .errors import ConfigError, NoSignalError
 from .harness import IA_MODES, METHODS, compute_cdf, emit_results, load_config, run_scenario
 
-_BANDS = {"fr1": "FR1", "fr2": "FR2"}
 _PROFILES = {"los": "InF-LOS", "nlos-s": "InF-NLOS-S", "nlos-d": "InF-NLOS-D"}
 
 
@@ -34,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--trials", type=int, help="override n_trials")
     run.add_argument("--seed", type=int, help="override master_seed")
-    run.add_argument("--band", choices=sorted(_BANDS))
+    run.add_argument("--band", help="FR1 or FR2, in either letter case")
     run.add_argument("--profile", choices=sorted(_PROFILES))
     run.add_argument("--method", help=f"comma-separated subset of {','.join(METHODS)}")
     run.add_argument("--ia", choices=IA_MODES,
@@ -51,7 +50,7 @@ def _apply_overrides(cfg, args):
     if args.seed is not None:
         changes["master_seed"] = args.seed
     if args.band is not None:
-        changes["band"] = _BANDS[args.band]
+        changes["band"] = args.band
     if args.profile is not None:
         changes["profile"] = _PROFILES[args.profile]
     if args.method is not None:

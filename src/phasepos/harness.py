@@ -49,12 +49,12 @@ _NUMBER_RULES = (("n_trials", as_int, 1, MAX_TRIALS), ("ccp_sweeps", as_int, 1, 
 class ScenarioConfig:
     """Everything one reproducible scenario run depends on.
 
-    It takes the JSON shapes as well as its own: a list of methods becomes a
-    tuple, a mapping of exactly ``gnb_position_m`` and ``ue_position_m``
-    becomes a ``Geometry``, and a mapping of profile overrides becomes a
-    tuple of (name, value) pairs sorted by name.  Construction (including
-    ``dataclasses.replace``) validates every field and raises
-    ``ConfigError`` on any other shape, a wrongly typed, non-finite or
+    It takes the JSON shapes as well as its own: a band string is upper-cased,
+    a list of methods becomes a tuple, a mapping of exactly ``gnb_position_m``
+    and ``ue_position_m`` becomes a ``Geometry``, and a mapping of profile
+    overrides becomes a tuple of (name, value) pairs sorted by name.
+    Construction (including ``dataclasses.replace``) validates every field and
+    raises ``ConfigError`` on any other shape, a wrongly typed, non-finite or
     too large value, a finite SNR beyond ``MAX_ABS_DB``, more than
     ``MAX_SYMBOLS`` symbols or ``MAX_TRIALS`` trials, an unknown name, a
     repeated method, a profile override named twice or not read by the
@@ -82,6 +82,8 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         # The JSON shapes become the hashable ones trials cache their assets by.
+        if isinstance(self.band, str):      # "fr2" runs the trials "FR2" does
+            object.__setattr__(self, "band", self.band.upper())
         if isinstance(self.methods, list):
             object.__setattr__(self, "methods", tuple(self.methods))
         if (isinstance(self.geometry, Mapping)

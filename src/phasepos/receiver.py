@@ -140,7 +140,7 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     before it (the additions of one ``np.cumsum``, in its order), and keeps
     only the C entries the windows read, two strided slices of a block's
     sums: memory grows with the block and ``n_sweeps``, not with the span.
-    ``rx`` is read flattened.
+    ``rx`` is read flattened, so a period view passed in is copied once.
 
     Raises:
         ValueError: the sweep ends past the stream.
@@ -148,7 +148,7 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
             number, ``subcarrier`` outside the allocation, or a bad sweep.
         NoSignalError: a window saw an empty subcarrier bin.
     """
-    rx = as_samples("rx", rx)
+    rx = as_samples("rx", rx).reshape(-1)
     as_int("n_sweeps", n_sweeps, 1)
     as_int("shift_samples", shift_samples, 1)
     as_int("window_start", window_start, 0)
@@ -162,7 +162,6 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     if window_start + span > rx.size:
         raise ValueError(f"sweep [{window_start}, {window_start + span}) out of range "
                          f"for stream of {rx.size} samples")
-    rows = rx.reshape(-1, rx.shape[-1])
     # The tone repeats every n_fft positions and each block starts on a
     # multiple of n_fft: one row of it multiplies a block's whole rows, then its tail.
     turns = (k * np.arange(window_start, window_start + n_fft, dtype=np.int64)) % n_fft
@@ -172,10 +171,7 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     picked = np.zeros((2, n_sweeps), dtype=np.complex128)   # C[j shift], C[j shift + n_fft]
     for lo in range(0, span, block):
         hi = min(lo + block, span)
-        # Flatten only the rows that hold this block, not a whole period view.
-        first, skip = divmod(window_start + lo, rows.shape[1])
-        last = (window_start + hi - 1) // rows.shape[1] + 1
-        covered = rows[first:last].reshape(-1)[skip:skip + hi - lo]
+        covered = rx[window_start + lo:window_start + hi]
         part, cut = sums[:hi - lo], (hi - lo) - (hi - lo) % n_fft
         np.multiply(covered[:cut].reshape(-1, n_fft), tone, out=part[:cut].reshape(-1, n_fft))
         np.multiply(covered[cut:], tone[:hi - lo - cut], out=part[cut:])

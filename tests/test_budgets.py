@@ -4,16 +4,17 @@ Both 128-symbol streams repeat exactly (conventional every symbol,
 continuous every n_fft samples), so the channel and the TOA correlator need
 transforms and tap responses of one period only, the noise's signal power
 needs the magnitudes of one period, and the modulator holds that one
-period.  The scenario keeps each period's spectrum, so after its first
-trial no trial transforms a transmit period again.  The receive path makes
-no stream-sized array but the received stream: ``add_awgn`` squares into
-its own output and draws the noise in blocks of ``STREAM_BLOCK`` samples,
-``ccp_measure`` prefix-sums in such blocks and keeps two sums per window,
-and ``run_trial`` frees the conventional received stream before it builds
-the continuous one.  These tests hold the simulator to that: a transform,
-a response or magnitudes over the whole 561,152-sample stream, a forward
-transform of a transmit period or a tiled or resized stream inside a
-trial, a transmit stream held whole, a stream-sized temporary in
+period.  The scenario keeps each period's spectrum, so after its first trial
+no trial transforms a transmit period again.  The receive path makes no
+stream-sized array but the received stream: ``add_awgn`` squares into its
+own output, copies the period view in and adds the noise over flat blocks
+of ``STREAM_BLOCK`` samples, ``ccp_measure`` prefix-sums the flat stream in
+such blocks and keeps two sums per window, and ``run_trial`` frees the
+conventional received stream before it builds the continuous one.  These
+tests hold the simulator to that: a transform, a response or magnitudes
+over the whole 561,152-sample stream, a forward transform of a transmit
+period or a tiled or resized stream inside a trial, a transmit stream held
+whole, a stream-sized temporary or a buffer for strided rows in
 ``add_awgn``, a ``ccp_measure`` whose memory grows with its span, or one
 more full-length array alive at once, fails them.  A stream with no period
 is filtered whole, but its tap response is two short exp tables per tap,
@@ -61,10 +62,10 @@ PEAK_MIB = {"FR1 toa+cp+ccp": (FR1_TOA, 9.4), "FR2 ccp 8192 sweeps": (FR2_CCP, 1
 CCP_BYTES_PER_WINDOW = 72
 CCP_BYTES_PER_TONE_SAMPLE = 64
 # add_awgn's allocations beside its complex output and its float64 noise
-# block: the generator, a few scalars and, on the 4,096-sample rows of the
-# continuous view, one 64 KiB buffer numpy's add takes (measured at 69 KB),
-# where one stream-sized temporary is 4.5 MB or more.
-AWGN_OVERHEAD_BYTES = 96 * 1024
+# block: the generator and a few scalars (measured 2,832 B on the conventional
+# view, 1,776 B on the continuous one), where one stream-sized temporary is
+# 4.5 MB or more and one 64 KiB ufunc buffer for strided rows is 65,536 B.
+AWGN_OVERHEAD_BYTES = 16 * 1024
 # One dense apply_channel beside its two period-sized arrays: the response's
 # ceil(sqrt(p))**2 - p spare bins (1,296 B at p = 70,144) and numpy's small
 # objects (measured 2,064 B in all), where one more period is 1.1 MB.

@@ -538,14 +538,23 @@ def _period_view(rows, width, seed=0):
 @pytest.mark.parametrize("x", [make_stream(2 * STREAM_BLOCK + 123), make_stream(STREAM_BLOCK),
                                _period_view(3, STREAM_BLOCK + 5), _period_view(40, 1000),
                                _period_view(1, 70_144), make_stream(5 * 7000).reshape(5, 7000),
-                               make_stream(6 * 4 * 1500)[::2].reshape(4, 3, 1500)],
+                               make_stream(6 * 4 * 1500)[::2].reshape(4, 3, 1500),
+                               make_stream(1).reshape(()),
+                               make_stream(3 * 7000).reshape(3, 7000).T,
+                               np.broadcast_to(make_stream(STREAM_BLOCK // 2 + 7)[:, None],
+                                               (STREAM_BLOCK // 2 + 7, 3)),
+                               make_stream(50_000).real.astype(np.longdouble) / 3],
                          ids=["long-1d", "one-block", "rows-past-a-block", "short-rows",
-                              "one-dense-row", "contiguous-2d", "strided-3d"])
+                              "one-dense-row", "contiguous-2d", "strided-3d", "0-d",
+                              "transposed-2d", "stride-0-columns", "long-double"])
 def test_awgn_in_blocks_is_the_whole_stream_draw(x):
+    # The noise is added to x rounded to complex128: a long double stream gets
+    # the bits its complex128 copy gets.
     before = x.copy()
     for snr_db in (-5.0, 10.0, 40.0):
         rx = add_awgn(x, snr_db, 5)
-        assert rx.tobytes() == tiled_awgn(x.reshape(-1), snr_db, 5).tobytes()
+        assert rx.tobytes() == tiled_awgn(x.reshape(-1).astype(np.complex128), snr_db, 5).tobytes()
+        assert rx.tobytes() == add_awgn(x.astype(np.complex128), snr_db, 5).tobytes()
     assert np.array_equal(x, before)
 
 

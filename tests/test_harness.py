@@ -656,6 +656,28 @@ def test_cli_overrides_and_json(tmp_path):
     assert set(payload["methods"]) == {"cp", "toa"}
 
 
+def test_band_is_stored_upper_cased(tmp_path):
+    # "fr2" runs the trials "FR2" does, so the two are one config and echo as one.
+    assert ScenarioConfig(band="fr2") == ScenarioConfig(band="FR2")
+    assert hash(ScenarioConfig(band="fr2")) == hash(ScenarioConfig(band="FR2"))
+    out = tmp_path / "res.json"
+    cfg = write_cfg(tmp_path, band="fr2")
+    assert cli.main(["run", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    assert json.loads(out.read_text())["config"]["band"] == "FR2"
+
+
+@pytest.mark.parametrize("band,status", [("FR2", 0), ("Fr1", 0), ("fr9", 2)])
+def test_cli_band_flag_is_passed_to_the_config(tmp_path, capsys, band, status):
+    out = tmp_path / "res.json"
+    rc = cli.main(["run", "--config", write_cfg(tmp_path), "--out", str(out), "--format", "json",
+                   "--band", band])
+    assert rc == status
+    if status:
+        assert capsys.readouterr().err.startswith("config error: unknown band 'FR9'")
+    else:
+        assert json.loads(out.read_text())["config"]["band"] == band.upper()
+
+
 def test_cli_bad_config_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"bogus_key": 1}))

@@ -242,8 +242,8 @@ def test_ccp_matches_per_window_fft(mode, k, n_sweeps, shift, noise_seed, data):
 @given(mode=st.sampled_from((CONVENTIONAL, CONTINUOUS)), n_sweeps=st.integers(1, 40),
        shift=st.integers(1, 9), data=st.data())
 def test_ccp_reads_a_period_view_as_its_samples(mode, n_sweeps, shift, data):
-    # Only the rows that hold the span are flattened, so a window may straddle
-    # rows (six of them in the conventional view) and read the same bits.
+    # A period view is read flattened, so a window may straddle rows (six of
+    # them in the conventional view) and read the same bits.
     num, view = PROPERTY_NUM, PROPERTY_STREAMS[mode]
     span = (n_sweeps - 1) * shift + num.n_fft
     start = data.draw(st.integers(0, view.size), label="window_start")
