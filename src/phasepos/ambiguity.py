@@ -45,7 +45,7 @@ def phase_to_fraction(phase_rad: float, frequency_hz: float) -> CarrierRange:
     phase_rad = as_finite("phase_rad", phase_rad)
     frequency_hz = as_positive("frequency_hz", frequency_hz)
     frac = float((-phase_rad) % (2.0 * np.pi)) / (2.0 * np.pi)
-    if frac >= 1.0:    # guard the -0.0 / 2 pi edge
+    if frac >= 1.0:    # a positive phase under half an ulp of 2 pi wraps to 2 pi
         frac -= 1.0
     return CarrierRange(SPEED_OF_LIGHT / frequency_hz, frac)
 

@@ -2,10 +2,11 @@
 
     phasepos run --config scenario.json --out results.csv --format csv
 
-Flags override values from the config file.  Exit codes: 0 on success
-(a method whose every trial fails IA resolution is reported with empty
-results), 2 for configuration problems, 3 when a trial finds no usable
-signal or writing the output fails.
+Each override flag sets the ScenarioConfig field that is its argparse dest:
+--trials n_trials, --seed master_seed, --band, --profile (by short name),
+--method methods, --ia ambiguity.  Exit codes: 0 on success (a method whose
+every trial fails IA resolution has empty results), 2 for configuration
+problems, 3 when a trial finds no usable signal or writing the output fails.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import dataclasses
 import sys
 
 from .errors import ConfigError, NoSignalError
-from .harness import IA_MODES, METHODS, compute_cdf, emit_results, load_config, run_scenario
+from .harness import (_CONFIG_KEYS, IA_MODES, METHODS, compute_cdf, emit_results, load_config,
+                      run_scenario)
 
 _PROFILES = {"los": "InF-LOS", "nlos-s": "InF-NLOS-S", "nlos-d": "InF-NLOS-D"}
 
@@ -31,37 +33,27 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="JSON scenario config file")
     run.add_argument("--out", required=True, help="output file path")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
-    run.add_argument("--trials", type=int, help="override n_trials")
-    run.add_argument("--seed", type=int, help="override master_seed")
+    run.add_argument("--trials", dest="n_trials", metavar="TRIALS", type=int,
+                     help="override n_trials")
+    run.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
+                     help="override master_seed")
     run.add_argument("--band", help="FR1 or FR2, in either letter case")
     run.add_argument("--profile", choices=sorted(_PROFILES))
-    run.add_argument("--method", help=f"comma-separated subset of {','.join(METHODS)}")
-    run.add_argument("--ia", choices=IA_MODES,
+    run.add_argument("--method", dest="methods", metavar="METHOD",
+                     type=lambda text: tuple(m.strip() for m in text.split(",") if m.strip()),
+                     help=f"comma-separated subset of {','.join(METHODS)}")
+    run.add_argument("--ia", dest="ambiguity", choices=IA_MODES,
                      help="integer-ambiguity resolution mode")
     run.add_argument("--workers", type=int, default=1,
                      help="parallel trial workers (results identical for any count)")
     return parser
 
 
-def _apply_overrides(cfg, args):
-    changes = {}
-    if args.trials is not None:
-        changes["n_trials"] = args.trials
-    if args.seed is not None:
-        changes["master_seed"] = args.seed
-    if args.band is not None:
-        changes["band"] = args.band
+def _cmd_run(args) -> int:
+    changes = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
     if args.profile is not None:
         changes["profile"] = _PROFILES[args.profile]
-    if args.method is not None:
-        changes["methods"] = tuple(m.strip() for m in args.method.split(",") if m.strip())
-    if args.ia is not None:
-        changes["ambiguity"] = args.ia
-    return dataclasses.replace(cfg, **changes)
-
-
-def _cmd_run(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = dataclasses.replace(load_config(args.config), **changes)
     results = run_scenario(cfg, workers=args.workers)
     cdfs = [compute_cdf(results, m) for m in cfg.methods]
     emit_results(cdfs, cfg, args.out, args.format)

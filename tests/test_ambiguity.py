@@ -37,6 +37,8 @@ def test_fraction_zero_phase():
     r = phase_to_fraction(0.0, F1)
     assert r.fractional_cycles == 0.0
     assert r.integer_cycles is None and r.distance_m is None
+    # -1e-16 mod 2 pi rounds to 2 pi, a whole cycle, which is the zero fraction.
+    assert phase_to_fraction(1e-16, 3.8e9).fractional_cycles == 0.0
 
 
 def test_fraction_matches_geometry():

@@ -61,6 +61,10 @@ PEAK_MIB = {"FR1 toa+cp+ccp": (FR1_TOA, 9.4), "FR2 ccp 8192 sweeps": (FR2_CCP, 1
 # per sweep is 64 KiB, and the n_fft-sample tone row.
 CCP_BYTES_PER_WINDOW = 72
 CCP_BYTES_PER_TONE_SAMPLE = 64
+# Two warm calls on different spans differ by Python objects alone (measured
+# peaks alternate between 1,345,278 and 1,345,310 B over strides 5 to 67),
+# where the longer span's 417,674 extra samples are 6.7 MB as one complex array.
+CCP_SPAN_SLACK_BYTES = 1024
 # add_awgn's allocations beside its complex output and its float64 noise
 # block: the generator and a few scalars (measured 2,832 B on the conventional
 # view, 1,776 B on the continuous one), where one stream-sized temporary is
@@ -195,6 +199,8 @@ def test_ccp_measure_memory_does_not_grow_with_the_span():
     start, sweeps, shift = assets.windows["ccp"]
     peaks = []
     for stride in (shift // 4, shift):      # spans of 135,152 and 552,826 samples
+        # An untraced warm-up per stride, so neither traced call is the first.
+        ccp_measure(rx, num, assets.subcarrier, sweeps, stride, assets.ref_symbol, start)
         tracemalloc.start()
         try:
             ccp_measure(rx, num, assets.subcarrier, sweeps, stride, assets.ref_symbol, start)
@@ -202,7 +208,7 @@ def test_ccp_measure_memory_does_not_grow_with_the_span():
         finally:
             tracemalloc.stop()
     assert sweeps == 8192
-    assert peaks[1] <= peaks[0], f"{peaks} bytes"
+    assert peaks[1] <= peaks[0] + CCP_SPAN_SLACK_BYTES, f"{peaks} bytes"
     assert peaks[1] <= (STREAM_BLOCK * 16 + CCP_BYTES_PER_WINDOW * sweeps
                         + CCP_BYTES_PER_TONE_SAMPLE * num.n_fft), f"{peaks[1]} bytes"
 

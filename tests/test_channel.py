@@ -87,6 +87,8 @@ def test_profile_presets_well_formed():
 def test_unknown_profile_rejected():
     with pytest.raises(ConfigError):
         profile_preset("InF-XXL")
+    with pytest.raises(ConfigError, match="^unknown profile kind 'InF-XXL'"):
+        ScenarioProfile(kind="InF-XXL")
 
 
 def test_los_requires_k_factor():

@@ -646,13 +646,14 @@ def test_cli_overrides_and_json(tmp_path):
     out = tmp_path / "res.json"
     rc = cli.main(["run", "--config", cfg, "--out", str(out), "--format", "json",
                    "--trials", "3", "--seed", "99", "--band", "fr2",
-                   "--profile", "nlos-s", "--method", "cp,toa"])
+                   "--profile", "nlos-s", "--method", "cp,toa", "--ia", "toa"])
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["config"]["n_trials"] == 3
     assert payload["config"]["master_seed"] == 99
     assert payload["config"]["band"] == "FR2"
     assert payload["config"]["profile"] == "InF-NLOS-S"
+    assert payload["config"]["ambiguity"] == "toa"
     assert set(payload["methods"]) == {"cp", "toa"}
 
 

@@ -69,6 +69,13 @@ def test_toa_zero_input_rejected():
         estimate_toa(np.zeros_like(stream), num, np.fft.fft(stream[0]))
 
 
+def test_ccp_zero_input_rejected():
+    num = small_num()
+    stream, k, ref = continuous_stream(num, 4)
+    with pytest.raises(NoSignalError):
+        ccp_measure(np.zeros_like(stream), num, k, n_sweeps=10, shift_samples=1, ref_symbol=ref)
+
+
 def test_toa_reads_a_sequence_as_its_array():
     num = small_num()
     stream, _, _ = continuous_stream(num, 4)

@@ -166,6 +166,7 @@ def test_bad_comb_rejected():
     {"n_fft": 8.0}, {"n_cp": 9.0}, {"n_active": 48.0},
     {"fc": 480e3}, {"fc": 1e3},    # at or below half the 960 kHz sample rate
     {"n_fft": 2 ** 1100},          # a power of two past float range
+    {"n_fft": 100},                # no power of two
 ])
 def test_bad_numerology_rejected(changes):
     with pytest.raises(ConfigError):
@@ -204,6 +205,8 @@ def test_stream_length():
         ofdm_modulate(column, num, 0, CONVENTIONAL)
     with pytest.raises(ValueError):
         ofdm_modulate(column[:-1], num, 5, CONVENTIONAL)
+    with pytest.raises(ConfigError):
+        ofdm_modulate(column, num, 5, "bogus")
 
 
 def test_continuous_single_tone_is_global_tone():
