@@ -4,8 +4,8 @@ Distance maps to phase through d = (N + fraction) * wavelength with
 fraction = ((-phase) mod 2 pi) / 2 pi, consistent with the delay =>
 negative-phase convention used by the channel and receiver.  ``ia_search``
 is the one integer search, over a window in metres that widelane takes too;
-``resolve`` alone decides IA failure, with one window rule for every mode:
-+- the searched wavelength around the mode's centre.
+``resolve`` alone decides IA failure and names its reason, with one window
+rule for every mode: +- the searched wavelength around the mode's centre.
 """
 
 from __future__ import annotations
@@ -113,13 +113,13 @@ def widelane_resolve(range1: CarrierRange, range2: CarrierRange, *, center_m: fl
 
 
 def resolve(mode: str, fractions: list[CarrierRange], truth_m: float,
-            toa_s: float | None) -> tuple[CarrierRange | None, bool]:
-    """(range, IA failure) of ``fractions`` (band carrier, then widelane's second) under ``mode``.
+            toa_s: float | None) -> tuple[CarrierRange | None, str | None]:
+    """(range, IA failure reason) of ``fractions`` (band carrier, then widelane's) under ``mode``.
 
-    Every mode searches +- the searched wavelength (widelane's beat one) around its
-    centre: the truth for the oracle, else the TOA range clamped at zero.  Only
-    widelane's fine search can find no candidate, giving (None, True); else the IA
-    fails unless the integer is the one nearest the truth.  ValueError for an unknown mode.
+    Every mode searches +- the searched wavelength (widelane's beat one) around its centre:
+    the truth for the oracle, else the TOA range clamped at zero.  Only widelane's fine
+    search can find no candidate, giving (None, "no_candidate"); else the reason is None
+    for the integer nearest the truth, else "wrong_integer".  ValueError for an unknown mode.
     """
     if mode not in IA_MODES:
         raise ValueError(f"ambiguity mode must be one of {IA_MODES}, got {mode!r}")
@@ -131,9 +131,9 @@ def resolve(mode: str, fractions: list[CarrierRange], truth_m: float,
     else:
         resolved = ia_search(fractions[0], center_m, fractions[0].wavelength_m)
     if resolved is None:
-        return None, True
+        return None, "no_candidate"
     nearest = ia_search(resolved, truth_m, resolved.wavelength_m)   # on widelane's finer carrier
-    return resolved, resolved.integer_cycles != nearest.integer_cycles
+    return resolved, None if resolved.integer_cycles == nearest.integer_cycles else "wrong_integer"
 
 
 def double_difference(phases_rad: np.ndarray) -> float:

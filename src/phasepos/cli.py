@@ -4,9 +4,9 @@
 
 Each override flag sets the ScenarioConfig field that is its argparse dest:
 --trials n_trials, --seed master_seed, --band, --profile (by short name),
---method methods, --ia ambiguity.  Exit codes: 0 on success (a method whose
-every trial fails IA resolution has empty results), 2 for configuration
-problems, 3 when a trial finds no usable signal or writing the output fails.
+--method methods, --ia ambiguity.  Exit codes: 0 on success (a failed trial
+is counted whatever its reason, and a method whose every trial fails has
+empty results), 2 for configuration problems, 3 when writing the output fails.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import argparse
 import dataclasses
 import sys
 
-from .errors import ConfigError, NoSignalError
+from .errors import ConfigError
 from .harness import (_CONFIG_KEYS, IA_MODES, METHODS, compute_cdf, emit_results, load_config,
                       run_scenario)
 
@@ -71,7 +71,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NoSignalError, OSError) as exc:
+    except OSError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 3
 

@@ -4,16 +4,17 @@ Per trial the harness draws one channel realization and measures every
 requested method against it: TOA on the conventional waveform, and carrier
 phase on the continuous waveform through ``ccp_measure``, whose window plan
 is one window for cp and a stream-spanning sweep for ccp.  Each phase is
-resolved to a range, and judged for IA failure, by ``ambiguity.resolve``.
-Per-trial seeds are split deterministically from the master seed, so results
-are independent of worker count and execution order.
+resolved to a range, with a failure reason or None, by ``ambiguity.resolve``;
+a method the trial cannot measure for want of signal fails as ``no_signal``,
+and the run goes on.  Per-trial seeds are split deterministically from the
+master seed, so results are independent of worker count and execution order.
 
 A ``ScenarioConfig`` validates itself when built, so a bad value raises
 ``ConfigError`` before any trial.  One derivation of a scenario, ``_Assets``,
 serves both that check and every trial; it keeps one period's spectrum of each
 transmit stream, built when first read, so a scenario transforms only the
-streams its methods use, and each once.  A method whose every trial fails IA
-resolution gets an empty CDF that still reports its failure count.
+streams its methods use, and each once.  A method whose every trial fails
+gets an empty CDF that still reports its failure count.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .ambiguity import IA_MODES, phase_to_fraction, resolve
 from .channel import Geometry, add_awgn, apply_channel, draw_channel, profile_preset
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigError, as_db, as_int, as_positive, set_checked
+from .errors import ConfigError, NoSignalError, as_db, as_int, as_positive, set_checked
 from .receiver import ccp_measure, estimate_toa
 from .waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column, make_numerology,
                        middle_subcarrier, ofdm_modulate)
@@ -116,12 +117,25 @@ class ScenarioConfig:
             (name, getattr(profile, name)) for name, _ in self.profile_overrides))
 
 
+@dataclass(frozen=True)
+class MethodOutcome:
+    """One method's verdict in one trial; a failed trial's error is NaN or off by a cycle."""
+
+    error_m: float
+    integer: int | None = None    # the resolved integer cycles; None for toa
+    failure: str | None = None    # None, "no_candidate", "wrong_integer" or "no_signal"
+
+
 @dataclass
 class TrialResult:
     trial_index: int
-    distance_error_m: dict[str, float]
-    resolved_integer: dict[str, int | None]
-    ia_failure: dict[str, bool]
+    outcomes: dict[str, MethodOutcome]    # in cfg.methods order
+
+    # Read-only views, one dict per field, for readers of the older three-dict shape.
+    distance_error_m = property(lambda self: {m: o.error_m for m, o in self.outcomes.items()})
+    resolved_integer = property(lambda self: {m: o.integer for m, o in self.outcomes.items()})
+    ia_failure = property(lambda self: {m: o.failure is not None
+                                        for m, o in self.outcomes.items()})
 
 
 @dataclass
@@ -194,6 +208,7 @@ class _Assets:
 
 
 _build_assets = lru_cache(maxsize=1)(_Assets)   # callers run one scenario at a time
+_NO_SIGNAL = MethodOutcome(np.nan, None, "no_signal")
 
 
 def _trial_seeds(master_seed: int, trial: int) -> np.ndarray:
@@ -208,37 +223,34 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
     channel = draw_channel(assets.profile, cfg.geometry, ch_seed)
     d_true = cfg.geometry.true_distance_m
 
-    errors: dict[str, float] = {}
-    integers: dict[str, int | None] = {}
-    failures: dict[str, bool] = {}
-
+    outcomes: dict[str, MethodOutcome] = {}
     toa_s = None
-    if "toa" in cfg.methods or cfg.ambiguity in ("toa", "widelane"):
-        spectrum, rows = assets.conv_period
-        # The received stream is freed with the call, before the phase streams exist.
-        toa_s = estimate_toa(add_awgn(apply_channel(spectrum, rows, assets.num, channel),
-                                      cfg.snr_db, toa_seed), assets.num, spectrum).toa_s
-        if "toa" in cfg.methods:
-            errors["toa"] = toa_s * SPEED_OF_LIGHT - d_true
-            integers["toa"] = None
-            failures["toa"] = False
-
-    phase_methods = [m for m in cfg.methods if m in ("cp", "ccp")]
-    if phase_methods:
-        received = [(add_awgn(apply_channel(*assets.cont_period, c, channel), cfg.snr_db, seed),
-                     c.carrier_frequency_hz + assets.subcarrier * c.scs_hz)
-                    for c, seed in zip(assets.carriers, (cp_seed, wl_seed))]
-        for method in phase_methods:
-            start, sweeps, shift = assets.windows[method]
-            fracs = [phase_to_fraction(ccp_measure(rx, assets.num, assets.subcarrier, sweeps,
-                                                   shift, assets.ref_symbol, start).phase_rad,
-                                       f_eff)
-                     for rx, f_eff in received]
-            resolved, failures[method] = resolve(cfg.ambiguity, fracs, d_true, toa_s)
-            errors[method] = np.nan if resolved is None else resolved.distance_m - d_true
-            integers[method] = None if resolved is None else resolved.integer_cycles
-
-    return TrialResult(trial, errors, integers, failures)
+    try:
+        if "toa" in cfg.methods or cfg.ambiguity in ("toa", "widelane"):
+            spectrum, rows = assets.conv_period
+            # The received stream is freed with the call, before the phase streams exist.
+            toa_s = estimate_toa(add_awgn(apply_channel(spectrum, rows, assets.num, channel),
+                                          cfg.snr_db, toa_seed), assets.num, spectrum).toa_s
+            if "toa" in cfg.methods:
+                outcomes["toa"] = MethodOutcome(toa_s * SPEED_OF_LIGHT - d_true)
+        phase_methods = [m for m in cfg.methods if m in ("cp", "ccp")]
+        if phase_methods:
+            received = [(add_awgn(apply_channel(*assets.cont_period, c, channel), cfg.snr_db,
+                                  seed), c.carrier_frequency_hz + assets.subcarrier * c.scs_hz)
+                        for c, seed in zip(assets.carriers, (cp_seed, wl_seed))]
+            for method in phase_methods:
+                start, sweeps, shift = assets.windows[method]
+                fracs = [phase_to_fraction(ccp_measure(rx, assets.num, assets.subcarrier, sweeps,
+                                                       shift, assets.ref_symbol, start).phase_rad,
+                                           f_eff)
+                         for rx, f_eff in received]
+                resolved, failure = resolve(cfg.ambiguity, fracs, d_true, toa_s)
+                outcomes[method] = (MethodOutcome(np.nan, None, failure) if resolved is None else
+                                    MethodOutcome(resolved.distance_m - d_true,
+                                                  resolved.integer_cycles, failure))
+    except NoSignalError:
+        pass    # every method not recorded yet fails below, and the run goes on
+    return TrialResult(trial, {m: outcomes.get(m, _NO_SIGNAL) for m in cfg.methods})
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list[TrialResult]:
@@ -256,15 +268,15 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list[TrialResult]:
 def compute_cdf(results: list[TrialResult], method: str) -> CdfResult:
     """Empirical CDF of |distance error| for one method.
 
-    A trial is kept unless ``resolve`` flagged an IA failure, and the rest
-    are reported in ``n_failures``; percentiles use the linear interpolation
-    convention.  A method none of whose trials survive gets empty arrays and
-    no percentiles, so the other methods' results are still written.
+    A trial is kept when its outcome has no failure reason, and the rest are
+    counted in ``n_failures`` whatever the reason; percentiles use the linear
+    interpolation convention.  A method none of whose trials survive gets
+    empty arrays and no percentiles, so the other methods' results are still written.
     ConfigError unless every trial measured ``method``.
     """
-    if method not in METHODS or any(method not in r.ia_failure for r in results):
+    if method not in METHODS or any(method not in r.outcomes for r in results):
         raise ConfigError(f"method {method!r} is not one of {METHODS} measured in every trial")
-    kept = [r.distance_error_m[method] for r in results if not r.ia_failure[method]]
+    kept = [r.outcomes[method].error_m for r in results if r.outcomes[method].failure is None]
     n_failures = len(results) - len(kept)
     abs_err = np.sort(np.abs(np.asarray(kept, dtype=np.float64)))
     cdf = np.arange(1, abs_err.size + 1) / max(abs_err.size, 1)

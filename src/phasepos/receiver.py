@@ -33,7 +33,7 @@ class ToaMeasurement:
 @dataclass(frozen=True)
 class PhaseMeasurement:
     phase_rad: float
-    circular_variance: float    # 1 - |mean unit phasor|, in [0, 1]
+    circular_variance: float    # 1 - |mean unit phasor|, clamped into [0, 1] against rounding
 
 
 def wrap_phase(phase: float | np.ndarray):
@@ -191,4 +191,4 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
         raise NoSignalError("swept window saw an empty subcarrier bin")
     mean_phasor = np.mean(z / mags)
     phase = float(wrap_phase(np.angle(mean_phasor)))
-    return PhaseMeasurement(phase, float(1.0 - np.abs(mean_phasor)))
+    return PhaseMeasurement(phase, max(0.0, float(1.0 - np.abs(mean_phasor))))

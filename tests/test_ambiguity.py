@@ -314,15 +314,15 @@ def test_resolve_is_the_mode_search(mode, distance_m, carriers, toa_offset_m, no
     expected = (widelane_resolve(*fracs, center_m=center_m, half_width_m=LAM_V)
                 if mode == "widelane" else
                 ia_search(fracs[0], center_m, fracs[0].wavelength_m))
-    resolved, failed = resolve(mode, fracs, distance_m, toa_s)
+    resolved, reason = resolve(mode, fracs, distance_m, toa_s)
     assert resolved == expected
     if expected is None:
-        assert failed
+        assert reason == "no_candidate"
         return
     # Phase noise stays under half a cycle, so rounding finds the truth's integer.
     nearest = round(distance_m / resolved.wavelength_m - resolved.fractional_cycles)
-    assert failed == (resolved.integer_cycles != nearest)
-    assert not (mode == "oracle" and failed)
+    assert reason == (None if resolved.integer_cycles == nearest else "wrong_integer")
+    assert not (mode == "oracle" and reason)
 
 
 @settings(max_examples=500, deadline=None)
@@ -332,9 +332,9 @@ def test_resolve_is_the_mode_search(mode, distance_m, carriers, toa_offset_m, no
 def test_oracle_and_toa_always_find_a_candidate(mode, distance_m, fraction, toa_s, fc):
     # A window of +-lambda, clamped at zero, holds at least one whole wavelength.
     fracs = [CarrierRange(SPEED_OF_LIGHT / fc, fraction)]
-    resolved, failed = resolve(mode, fracs, distance_m, toa_s)
+    resolved, reason = resolve(mode, fracs, distance_m, toa_s)
     assert resolved is not None and resolved.integer_cycles >= 0
-    assert not (mode == "oracle" and failed)
+    assert not (mode == "oracle" and reason)
 
 
 def test_resolve_clamps_a_toa_range_below_zero():
@@ -342,8 +342,8 @@ def test_resolve_clamps_a_toa_range_below_zero():
     lam = SPEED_OF_LIGHT / F1
     fracs = [CarrierRange(lam, 0.05 / lam)]
     for toa_m in (-0.3, -5.0, -1e6):
-        resolved, failed = resolve("toa", fracs, 0.05, toa_m / SPEED_OF_LIGHT)
-        assert (resolved.integer_cycles, failed) == (0, False)
+        resolved, reason = resolve("toa", fracs, 0.05, toa_m / SPEED_OF_LIGHT)
+        assert (resolved.integer_cycles, reason) == (0, None)
 
 
 def test_resolve_widelane_without_a_fine_candidate_is_a_failure():
@@ -353,7 +353,7 @@ def test_resolve_widelane_without_a_fine_candidate_is_a_failure():
     fine, coarse = CarrierRange(0.1, 0.0), CarrierRange(0.3, 0.0)
     assert virtual_wavelength(0.1, 0.3) == pytest.approx(0.15)
     assert widelane_resolve(fine, coarse, center_m=0.5, half_width_m=0.15) is None
-    assert resolve("widelane", [fine, coarse], 0.5, 0.5 / SPEED_OF_LIGHT) == (None, True)
+    assert resolve("widelane", [fine, coarse], 0.5, 0.5 / SPEED_OF_LIGHT) == (None, "no_candidate")
 
 
 @pytest.mark.parametrize("mode, fc", [("toa", F1), ("toa", 28e9), ("widelane", F1)])
@@ -367,11 +367,11 @@ def test_resolve_keeps_the_integer_within_half_the_searched_wavelength(mode, fc)
     fracs = [phase_to_fraction(exact_phase(d, f), f) for f in carriers]
     for sign in (-1.0, 1.0):
         toa_s = (d + sign * 0.45 * lam_searched) / SPEED_OF_LIGHT
-        resolved, failed = resolve(mode, fracs, d, toa_s)
-        assert resolved.distance_m == pytest.approx(d, abs=1e-9) and not failed
+        resolved, reason = resolve(mode, fracs, d, toa_s)
+        assert resolved.distance_m == pytest.approx(d, abs=1e-9) and reason is None
         toa_s = (d + sign * 0.55 * lam_searched) / SPEED_OF_LIGHT
-        resolved, failed = resolve(mode, fracs, d, toa_s)
-        assert failed
+        resolved, reason = resolve(mode, fracs, d, toa_s)
+        assert reason == "wrong_integer"
         if mode == "toa":
             assert resolved.distance_m == pytest.approx(d + sign * lam, abs=1e-9)
 

@@ -64,8 +64,7 @@ SIGNATURES = {
                         dict(rms_delay_spread_s=60e-9, n_clutter_taps=12,
                              nlos_excess_delay_mean_s=50e-9)),
     "ToaMeasurement": (pp.ToaMeasurement, dict(toa_s=1e-7, peak_metric=1.0)),
-    "TrialResult": (partial(pp.TrialResult, distance_error_m={}, resolved_integer={},
-                            ia_failure={}), dict(trial_index=0)),
+    "TrialResult": (partial(pp.TrialResult, outcomes={}), dict(trial_index=0)),
     "add_awgn": (pp.add_awgn, dict(x=STREAM, snr_db=10.0, seed=0)),
     "aoa_from_phase_diff": (partial(pp.aoa_from_phase_diff, config=IFC),
                             dict(phase_diff_rad=0.5)),

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 
 from phasepos import cli, harness
 from phasepos.channel import Geometry, profile_preset
-from phasepos.errors import MAX_ABS_DB, ConfigError
-from phasepos.harness import (METHODS, CdfResult, ScenarioConfig, TrialResult, compute_cdf,
-                              config_from_dict, config_to_dict, emit_results, load_config,
-                              run_scenario, run_trial)
+from phasepos.errors import MAX_ABS_DB, ConfigError, NoSignalError
+from phasepos.harness import (METHODS, CdfResult, MethodOutcome, ScenarioConfig, TrialResult,
+                              compute_cdf, config_from_dict, config_to_dict, emit_results,
+                              load_config, run_scenario, run_trial)
 
 # Small, fast scenario used by the mechanics tests: accuracy is irrelevant
 # here, only plumbing and determinism.
@@ -23,8 +24,8 @@ FAST = ScenarioConfig(n_trials=3, methods=("toa", "cp", "ccp"), n_symbols=8,
 
 
 def make_results(errors, failures=None):
-    failures = failures or [False] * len(errors)
-    return [TrialResult(i, {"cp": e}, {"cp": None}, {"cp": f})
+    failures = failures or [None] * len(errors)
+    return [TrialResult(i, {"cp": MethodOutcome(e, None, f)})
             for i, (e, f) in enumerate(zip(errors, failures))]
 
 
@@ -301,7 +302,7 @@ def test_cdf_half_normal_p90():
 
 
 def test_cdf_excludes_failures():
-    res = make_results([1.0, 2.0, np.nan, 4.0], [False, True, True, False])
+    res = make_results([1.0, 2.0, np.nan, 4.0], [None, "wrong_integer", "no_signal", None])
     c = compute_cdf(res, "cp")
     assert list(c.abs_errors_m) == [1.0, 4.0]
     assert c.n_failures == 2
@@ -309,7 +310,7 @@ def test_cdf_excludes_failures():
 
 
 def test_cdf_all_failed_is_empty():
-    res = make_results([1.0, np.nan], [True, True])
+    res = make_results([1.0, np.nan], ["wrong_integer", "no_candidate"])
     c = compute_cdf(res, "cp")
     assert c.abs_errors_m.size == 0 and c.cdf.size == 0
     assert c.percentiles == {}
@@ -326,11 +327,11 @@ def test_trial_reproducible_and_structured():
     a = run_trial(FAST, 0)
     b = run_trial(FAST, 0)
     assert a == b
-    assert set(a.distance_error_m) == {"toa", "cp", "ccp"}
-    assert a.resolved_integer["toa"] is None
-    assert a.resolved_integer["cp"] is not None     # oracle mode always resolves
-    assert not any(a.ia_failure.values())
-    assert all(np.isfinite(v) for v in a.distance_error_m.values())
+    assert list(a.outcomes) == ["toa", "cp", "ccp"]
+    assert a.outcomes["toa"].integer is None
+    assert a.outcomes["cp"].integer is not None     # oracle mode always resolves
+    assert all(o.failure is None and np.isfinite(o.error_m) for o in a.outcomes.values())
+    assert [f.name for f in dataclasses.fields(TrialResult)] == ["trial_index", "outcomes"]
 
 
 def test_trials_differ_across_indices():
@@ -505,6 +506,47 @@ def test_128_symbol_trials_match_golden():
             assert r.distance_error_m[method] == pytest.approx(float(error), abs=1e-9)
             assert r.resolved_integer[method] == integer
             assert r.ia_failure[method] is failed
+
+
+def test_one_pinned_trial_per_ia_failure_reason():
+    # lambda_v / 2 under the finer wavelength (1.5 and 3.8 GHz) leaves widelane's fine
+    # window empty on cp's trial 19, while ccp finds an integer one off the truth's.
+    cfg = ScenarioConfig(n_symbols=16, ccp_sweeps=200, methods=("cp", "ccp"),
+                         ambiguity="widelane", widelane_second_fc_hz=1.5e9, n_trials=20)
+    r = run_trial(cfg, 19)
+    cp, ccp = r.outcomes["cp"], r.outcomes["ccp"]
+    assert (cp.failure, cp.integer) == ("no_candidate", None) and math.isnan(cp.error_m)
+    assert (ccp.failure, ccp.integer) == ("wrong_integer", 303)
+    assert ccp.error_m == pytest.approx(-0.15715063530346995, abs=1e-9)
+    # The three read-only views give the dicts a TrialResult held before it had outcomes.
+    assert r.resolved_integer == {"cp": None, "ccp": 303}
+    assert r.ia_failure == {"cp": True, "ccp": True}
+    assert list(r.distance_error_m) == ["cp", "ccp"]
+    assert math.isnan(r.distance_error_m["cp"]) and r.distance_error_m["ccp"] == ccp.error_m
+
+
+def test_a_trial_with_no_signal_is_a_failure_and_the_run_goes_on(tmp_path, monkeypatch, capsys):
+    # No accepted config is known to starve a receiver, so the second TOA estimate of a
+    # run raises as a receiver does: trial 1 fails on every method, the others run on.
+    calls, estimate_toa = [], harness.estimate_toa
+
+    def second_call_finds_no_peak(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NoSignalError("no correlation peak above the early-arrival threshold")
+        return estimate_toa(*args)
+
+    monkeypatch.setattr(harness, "estimate_toa", second_call_finds_no_peak)
+    results = run_scenario(dataclasses.replace(FAST, ambiguity="toa"))
+    assert [o.failure for o in results[1].outcomes.values()] == ["no_signal"] * 3
+    assert all(math.isnan(o.error_m) and o.integer is None for o in results[1].outcomes.values())
+    assert [o.failure for o in results[0].outcomes.values()] == [None] * 3
+    assert results[2].outcomes["cp"].failure == "wrong_integer"    # GOLDEN["toa"][2]
+    calls.clear()
+    cfg = write_cfg(tmp_path, methods=list(METHODS), ambiguity="toa", n_trials=3,
+                    master_seed=FAST.master_seed)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "res.csv")]) == 0
+    assert "toa: trials=3 ia_failures=1" in capsys.readouterr().out
 
 
 def test_asset_cache_holds_one_scenario():

@@ -162,8 +162,11 @@ def test_ccp_noiseless_matches_single_shot():
     single = ccp_measure(stream, num, k, 1, 1, ref, 0)
     swept = ccp_measure(stream, num, k, n_sweeps=200, shift_samples=5,
                         ref_symbol=ref, window_start=0)
-    assert swept.circular_variance < 1e-12
+    assert 0.0 <= swept.circular_variance < 1e-12
     assert abs(wrap_phase(swept.phase_rad - single.phase_rad)) < 1e-12
+    # On the FR1 16-symbol stream 1 - |mean unit phasor| rounds to -2.2e-16; it is clamped.
+    fr1 = make_numerology("FR1")
+    assert ccp_measure(continuous_stream(fr1, 16)[0], fr1, 1, 10, 100).circular_variance == 0.0
 
 
 def test_ccp_averaging_reduces_variance():
@@ -274,7 +277,7 @@ def resized_tone_ccp(rx, num, k, n_sweeps, shift, ref, start):
     z = (prefix[offsets + num.n_fft] - prefix[offsets]) * (np.conj(ref) / np.sqrt(num.n_fft))
     mean_phasor = np.mean(z / np.abs(z))
     return PhaseMeasurement(float(wrap_phase(np.angle(mean_phasor))),
-                            float(1.0 - np.abs(mean_phasor)))
+                            max(0.0, float(1.0 - np.abs(mean_phasor))))   # clamped as ccp_measure
 
 
 BLOCK_NUM = small_num()     # its block is STREAM_BLOCK samples: 512 rows of n_fft
