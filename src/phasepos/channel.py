@@ -123,15 +123,13 @@ _PROFILE_PRESETS = {
 
 
 def profile_preset(kind: str, /, **overrides) -> ScenarioProfile:
-    """Profile for ``kind`` with optional overrides of its other fields."""
-    if not isinstance(kind, str) or kind not in _PROFILE_PRESETS:
-        raise ConfigError(f"unknown profile kind {kind!r}")
+    """Profile for ``kind`` with optional overrides of its other fields.  ``ScenarioProfile``
+    owns the kind rule: a kind with no preset gets none here, and its constructor rejects it."""
     unknown = set(overrides) - {f.name for f in fields(ScenarioProfile) if f.name != "kind"}
     if unknown:
         raise ConfigError(f"unknown profile overrides: {sorted(unknown)}")
-    params = dict(_PROFILE_PRESETS[kind])
-    params.update(overrides)
-    return ScenarioProfile(kind=kind, **params)
+    preset = _PROFILE_PRESETS.get(kind, {}) if isinstance(kind, str) else {}   # a list: unhashable
+    return ScenarioProfile(kind=kind, **{**preset, **overrides})
 
 
 @dataclass(frozen=True, eq=False)     # a generated == or hash over arrays is ambiguous

@@ -233,7 +233,7 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
                                           cfg.snr_db, toa_seed), assets.num, spectrum).toa_s
             if "toa" in cfg.methods:
                 outcomes["toa"] = MethodOutcome(toa_s * SPEED_OF_LIGHT - d_true)
-        phase_methods = [m for m in cfg.methods if m in ("cp", "ccp")]
+        phase_methods = [m for m in cfg.methods if m in assets.windows]
         if phase_methods:
             received = [(add_awgn(apply_channel(*assets.cont_period, c, channel), cfg.snr_db,
                                   seed), c.carrier_frequency_hz + assets.subcarrier * c.scs_hz)

@@ -162,10 +162,10 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     if window_start + span > rx.size:
         raise ValueError(f"sweep [{window_start}, {window_start + span}) out of range "
                          f"for stream of {rx.size} samples")
-    # The tone repeats every n_fft positions and each block starts on a
-    # multiple of n_fft: one row of it multiplies a block's whole rows, then its tail.
+    # The tone exp(-j 2 pi (k t mod n_fft) / n_fft) repeats every n_fft positions t, and each
+    # block starts on a multiple of n_fft: one row multiplies a block's whole rows, then its tail.
     turns = (k * np.arange(window_start, window_start + n_fft, dtype=np.int64)) % n_fft
-    tone = np.exp(-2j * np.pi * np.arange(n_fft) / n_fft)[turns]
+    tone = np.exp(-2j * np.pi * turns / n_fft)
     block = max(STREAM_BLOCK // n_fft, 1) * n_fft
     sums = np.empty(min(block, span), dtype=np.complex128)
     picked = np.zeros((2, n_sweeps), dtype=np.complex128)   # C[j shift], C[j shift + n_fft]

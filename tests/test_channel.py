@@ -91,6 +91,19 @@ def test_unknown_profile_rejected():
         ScenarioProfile(kind="InF-XXL")
 
 
+@pytest.mark.parametrize("kind", [None, ["InF-LOS"], 3])
+def test_profile_kind_not_a_known_str_rejected(kind):
+    # A list kind has no hash: a preset lookup without the str check would raise TypeError.
+    with pytest.raises(ConfigError, match="^unknown profile kind"):
+        profile_preset(kind)
+
+
+def test_unknown_override_named_before_unknown_kind():
+    # The overrides are checked first; the kind is left to the ScenarioProfile constructor.
+    with pytest.raises(ConfigError, match="^unknown profile overrides: \\['speed'\\]"):
+        profile_preset("InF-XXL", speed=1.0)
+
+
 def test_los_requires_k_factor():
     with pytest.raises(ConfigError):
         ScenarioProfile(kind="InF-LOS")
