@@ -58,11 +58,11 @@ class ScenarioConfig:
     raises ``ConfigError`` on any other shape, a wrongly typed, non-finite or
     too large value, a finite SNR beyond ``MAX_ABS_DB``, more than
     ``MAX_SYMBOLS`` symbols or ``MAX_TRIALS`` trials, an unknown name, a
-    repeated method, a profile override named twice or not read by the
-    profile kind, or parts that do not fit together (``_Assets`` checks
-    those).  A rejected number's message names the field, its allowed range
-    and the value; an accepted one is stored as the Python int or float its
-    check returns.
+    repeated method, a profile override named twice or not read by the profile
+    kind, a ``widelane_second_fc_hz`` set under any mode but widelane or missing
+    under it, or parts that do not fit together (``_Assets`` checks those).
+    A rejected number's message names the field, its allowed range and the
+    value; an accepted one is stored as the Python int or float its check returns.
     """
 
     band: str = "FR1"
@@ -110,8 +110,9 @@ class ScenarioConfig:
             raise ConfigError(f"methods must be a nonempty list of {METHODS} without repeats")
         if self.ambiguity not in IA_MODES:
             raise ConfigError(f"ambiguity mode must be one of {IA_MODES}")
-        if self.ambiguity == "widelane" and self.widelane_second_fc_hz is None:
-            raise ConfigError("widelane ambiguity mode needs widelane_second_fc_hz")
+        if (self.ambiguity == "widelane") != (self.widelane_second_fc_hz is not None):
+            raise ConfigError(f"widelane_second_fc_hz must be set if and only if ambiguity is "
+                              f"widelane, got {self.widelane_second_fc_hz} for {self.ambiguity}")
         profile = _Assets(self).profile   # the rules that join the parts
         object.__setattr__(self, "profile_overrides", tuple(
             (name, getattr(profile, name)) for name, _ in self.profile_overrides))
@@ -163,14 +164,14 @@ class _Assets:
 
     def __init__(self, cfg: ScenarioConfig) -> None:
         self.num = num = make_numerology(cfg.band)
+        self.n_symbols = cfg.n_symbols
         self.profile = profile = profile_preset(cfg.profile, **dict(cfg.profile_overrides))
         fc2 = cfg.widelane_second_fc_hz
         if fc2 == num.carrier_frequency_hz:
             raise ConfigError("widelane_second_fc_hz must differ from the band carrier")
-        # The modulated samples do not depend on the carrier, so the widelane
-        # carrier sends the same stream (one spectrum) on a numerology with another carrier.
+        # The samples do not depend on the carrier, so the widelane carrier sends the same stream.
         widelane = () if fc2 is None else (dataclasses.replace(num, carrier_frequency_hz=fc2),)
-        self.carriers = (num, *widelane)[:2 if cfg.ambiguity == "widelane" else 1]
+        self.carriers = (num, *widelane)
         # cp: one window on symbol 1's useful part, clear of the stream head
         # where the circular channel wraps.  ccp: a sweep from one symbol in
         # whose last window ends inside the stream; overlapping windows share
@@ -181,11 +182,10 @@ class _Assets:
             raise ConfigError(f"{cfg.ccp_sweeps} sweeps do not fit in {cfg.n_symbols} symbols")
         self.windows = {"cp": (num.symbol_samples + num.n_cp, 1, 1),   # (start, n_sweeps, shift)
                         "ccp": (num.symbol_samples, cfg.ccp_sweeps, stride)}
-        self.prs = PrsConfig(cfg.comb_size, cfg.comb_offset, cfg.n_symbols, cfg.prs_seed)
         # Block-type reference: one seeded column on every symbol, so the
         # continuous waveform is a genuine tone set over the whole stream.
-        self.column = generate_prs_column(self.prs, num)
-        self.subcarrier = middle_subcarrier(self.prs, num)
+        prs = PrsConfig(cfg.comb_size, cfg.comb_offset, sequence_seed=cfg.prs_seed)
+        self.column, self.subcarrier = generate_prs_column(prs, num), middle_subcarrier(prs, num)
         self.ref_symbol = complex(self.column[self.subcarrier % num.n_fft])
         # A comb-N pilot's correlation repeats every 1/(N scs) seconds, so a
         # path arriving later aliases onto a short TOA.
@@ -198,7 +198,7 @@ class _Assets:
                               f"comb-{cfg.comb_size} TOA range of {limit * 1e6:.3g} us")
 
     def _period(self, mode: str) -> tuple[np.ndarray, int]:
-        stream = ofdm_modulate(self.column, self.num, self.prs.n_symbols, mode)
+        stream = ofdm_modulate(self.column, self.num, self.n_symbols, mode)
         spectrum = np.fft.fft(stream[0])
         spectrum.flags.writeable = False
         return spectrum, stream.shape[0]

@@ -175,7 +175,7 @@ def test_05_bandwidth_scaling():
         stds = {}
         for band in ("FR1", "FR2"):
             res = run_scenario(dataclasses.replace(base, band=band))
-            stds[band] = float(np.std([r.distance_error_m["toa"] for r in res], ddof=1))
+            stds[band] = float(np.std([r.outcomes["toa"].error_m for r in res], ddof=1))
         ratio = stds["FR2"] / stds["FR1"]
     report("accept-05 TOA spread scales with bandwidth",
            0.125 <= ratio <= 0.5 and t.elapsed < 300.0,
@@ -191,8 +191,8 @@ def test_06_nlos_degradation_ordering():
         med, fail = {}, {}
         for prof in ("InF-LOS", "InF-NLOS-S", "InF-NLOS-D"):
             res = run_scenario(dataclasses.replace(base, profile=prof))
-            med[prof] = float(np.median([abs(r.distance_error_m["toa"]) for r in res]))
-            fail[prof] = float(np.mean([r.ia_failure["cp"] for r in res]))
+            med[prof] = float(np.median([abs(r.outcomes["toa"].error_m) for r in res]))
+            fail[prof] = float(np.mean([r.outcomes["cp"].failure is not None for r in res]))
     ordered = med["InF-NLOS-D"] > med["InF-NLOS-S"] > med["InF-LOS"]
     harder = (fail["InF-NLOS-S"] > fail["InF-LOS"]
               and fail["InF-NLOS-D"] > fail["InF-LOS"])

@@ -56,7 +56,7 @@ SIGNATURES = {
     "PhaseMeasurement": (pp.PhaseMeasurement, dict(phase_rad=0.5, circular_variance=0.1)),
     "PrsConfig": (pp.PrsConfig, dict(comb_size=6, comb_offset=0, n_symbols=4,
                                      sequence_seed=7)),
-    "ScenarioConfig": (pp.ScenarioConfig,
+    "ScenarioConfig": (partial(pp.ScenarioConfig, ambiguity="widelane"),   # reads the carrier
                        dict(snr_db=10.0, n_trials=1, ccp_sweeps=20, n_symbols=8, master_seed=1,
                             comb_size=6, comb_offset=0, prs_seed=7,
                             widelane_second_fc_hz=3.9e9)),

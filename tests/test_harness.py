@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasepos import cli, harness
+from phasepos.ambiguity import IA_MODES
 from phasepos.channel import Geometry, profile_preset
 from phasepos.errors import MAX_ABS_DB, ConfigError, NoSignalError
 from phasepos.harness import (METHODS, CdfResult, MethodOutcome, ScenarioConfig, TrialResult,
@@ -35,71 +37,93 @@ def test_default_config_validates():
     ScenarioConfig()
 
 
-@pytest.mark.parametrize("changes", [
-    {"band": "FR9"},
-    {"profile": "InH-Office"},
-    {"n_trials": 0},
-    {"methods": ()},
-    {"methods": ("toa", "doppler")},
-    {"methods": ("toa", "toa")},
-    {"ambiguity": "fuzzy"},
-    {"ambiguity": "widelane"},             # missing second carrier
-    {"ccp_sweeps": 0},
-    {"n_symbols": 1},
-    {"widelane_second_fc_hz": 0.0},
-    {"profile_overrides": (("k_factor", 3.0),)},
-    {"n_symbols": 2, "ccp_sweeps": 290},   # one sweep past the stream end
-    {"n_symbols": 8, "ccp_sweeps": 100000},
-    {"widelane_second_fc_hz": 3.8e9},       # equals the FR1 carrier: no beat
-    {"profile_overrides": (("rms_delay_spread_s", -1.0),)},
-    {"n_trials": "5"},
-    {"n_trials": 2.5},
-    {"n_trials": True},
-    {"master_seed": -1},
-    {"snr_db": float("nan")},
-    {"snr_db": float("-inf")},
-    {"snr_db": "10"},
-    {"widelane_second_fc_hz": float("inf")},
-    {"geometry": Geometry((0, 0, 0), (1700, 0, 0))},   # past FR1 comb-6 TOA range
-    {"band": "FR2", "geometry": Geometry((0, 0, 0), (430, 0, 0))},
-    {"profile_overrides": (("kind", "InF-NLOS-S"),)},
-    {"profile_overrides": (("nlos_excess_delay_mean_s", 50e-9),)},    # LOS reads no excess
-    {"profile": "InF-NLOS-S", "profile_overrides": (("rician_k_db", 10.0),)},
-    {"profile_overrides": (("rms_delay_spread_s", 1e300),)},          # spread past the comb range
-    {"profile": "InF-NLOS-D", "profile_overrides": (("nlos_excess_delay_mean_s", 1e-5),)},
-    {"profile_overrides": (("n_clutter_taps", 10_000_000),)},          # past TR 38.901's 500 rays
-    {"snr_db": 5000.0},
-    {"snr_db": -5000.0},
-    {"n_symbols": 1025},                   # past MAX_SYMBOLS
-    {"profile": ["InF-LOS"]},
-    {"methods": ["toa", "toa"]},
-    {"methods": "toa"},
-    {"methods": {"toa": 1}},
-    {"profile_overrides": {"rms_delay_spread_s": -1.0}},
-    {"profile_overrides": {1: 4e-8}},
-    {"profile_overrides": (1, 2)},
-    {"profile_overrides": [("rms_delay_spread_s", 4e-8)]},
-    {"geometry": {"gnb_position_m": (0, 0), "ue_position_m": (3, 4)}},        # 2-D
-    {"geometry": {"gnb_position_m": (0, 0, 0)}},
-    {"geometry": {"gnb_position_m": (0, 0, 0), "ue_position_m": (20, 0, 0), "x": 1}},
-    {"geometry": ((0, 0, 0), (20, 0, 0))},
-    {"snr_db": 10 ** 400},
-    {"widelane_second_fc_hz": 10 ** 400},
-    {"profile_overrides": {"rms_delay_spread_s": 10 ** 400}},
-    {"profile_overrides": {"rician_k_db": 10 ** 400}},
-    {"profile": "InF-NLOS-S", "profile_overrides": {"nlos_excess_delay_mean_s": 10 ** 400}},
-    {"band": " FR1"},
-    {"band": 3},
-    {"profile_overrides": (("rms_delay_spread_s", 1e-8), ("rms_delay_spread_s", 2e-8))},
-    {"profile_overrides": {"rician_k_db": float("-inf")}},   # no direct path is not pure LOS
-    {"profile_overrides": {"rician_k_db": 4000.0}},          # 10 ** (K / 10) overflows
-    {"profile_overrides": {"rician_k_db": -300.5}},
-    {"ambiguity": "widelane", "comb_offset": 5, "widelane_second_fc_hz": 1000.0},
-    {"widelane_second_fc_hz": 61.44e6},    # exactly half the FR1 sample rate
-    {"n_trials": 1_000_001},               # past MAX_TRIALS
-])
-def test_bad_config_rejected(changes):
-    with pytest.raises(ConfigError):
+# Each bad change to the default config, and how the message it raises begins.
+BAD_CHANGES = [
+    ({"band": "FR9"}, "unknown band 'FR9'"),
+    ({"profile": "InH-Office"}, "unknown profile kind 'InH-Office'"),
+    ({"n_trials": 0}, "n_trials must be an integer in [1, 1000000]"),
+    ({"methods": ()}, "methods must be a nonempty list"),
+    ({"methods": ("toa", "doppler")}, "methods must be a nonempty list"),
+    ({"methods": ("toa", "toa")}, "methods must be a nonempty list"),
+    ({"ambiguity": "fuzzy"}, "ambiguity mode must be one of"),
+    ({"ambiguity": "widelane"}, "widelane_second_fc_hz must be set if and only if"),   # no carrier
+    ({"ccp_sweeps": 0}, "ccp_sweeps must be an integer in [1, inf]"),
+    ({"n_symbols": 1}, "n_symbols must be an integer in [2, 1024]"),
+    ({"widelane_second_fc_hz": 0.0}, "widelane_second_fc_hz must be finite and positive"),
+    ({"profile_overrides": (("k_factor", 3.0),)}, "unknown profile overrides: ['k_factor']"),
+    ({"n_symbols": 2, "ccp_sweeps": 290}, "290 sweeps do not fit"),   # one past the stream end
+    ({"n_symbols": 8, "ccp_sweeps": 100000}, "100000 sweeps do not fit"),
+    ({"ambiguity": "widelane", "widelane_second_fc_hz": 3.8e9},   # the FR1 carrier: no beat
+     "widelane_second_fc_hz must differ from the band carrier"),
+    ({"profile_overrides": (("rms_delay_spread_s", -1.0),)}, "rms_delay_spread_s must be finite"),
+    ({"n_trials": "5"}, "n_trials must be an integer"),
+    ({"n_trials": 2.5}, "n_trials must be an integer"),
+    ({"n_trials": True}, "n_trials must be an integer"),
+    ({"master_seed": -1}, "master_seed must be an integer in [0, inf]"),
+    ({"snr_db": float("nan")}, "snr_db must lie within +-300 dB"),
+    ({"snr_db": float("-inf")}, "snr_db must lie within +-300 dB"),
+    ({"snr_db": "10"}, "snr_db must be a number"),
+    ({"widelane_second_fc_hz": float("inf")}, "widelane_second_fc_hz must be finite"),
+    ({"geometry": Geometry((0, 0, 0), (1700, 0, 0))},   # past FR1 comb-6 TOA range
+     "UE at 1700 m plus the channel's delay"),
+    ({"band": "FR2", "geometry": Geometry((0, 0, 0), (430, 0, 0))},
+     "UE at 430 m plus the channel's delay"),
+    ({"profile_overrides": (("kind", "InF-NLOS-S"),)}, "unknown profile overrides: ['kind']"),
+    ({"profile_overrides": (("nlos_excess_delay_mean_s", 50e-9),)},   # LOS reads no excess
+     "nlos_excess_delay_mean_s is required for NLOS kinds"),
+    ({"profile": "InF-NLOS-S", "profile_overrides": (("rician_k_db", 10.0),)},
+     "rician_k_db is required for InF-LOS"),
+    ({"profile_overrides": (("rms_delay_spread_s", 1e300),)},   # spread past the comb range
+     "UE at 24.1299 m plus the channel's delay"),
+    ({"profile": "InF-NLOS-D", "profile_overrides": (("nlos_excess_delay_mean_s", 1e-5),)},
+     "UE at 24.1299 m plus the channel's delay"),
+    ({"profile_overrides": (("n_clutter_taps", 10_000_000),)},   # past TR 38.901's 500 rays
+     "n_clutter_taps must be an integer in [1, 500]"),
+    ({"snr_db": 5000.0}, "snr_db must lie within +-300 dB"),
+    ({"snr_db": -5000.0}, "snr_db must lie within +-300 dB"),
+    ({"n_symbols": 1025}, "n_symbols must be an integer in [2, 1024]"),   # past MAX_SYMBOLS
+    ({"profile": ["InF-LOS"]}, "unknown profile kind ['InF-LOS']"),
+    ({"methods": ["toa", "toa"]}, "methods must be a nonempty list"),
+    ({"methods": "toa"}, "methods must be a nonempty list"),
+    ({"methods": {"toa": 1}}, "methods must be a nonempty list"),
+    ({"profile_overrides": {"rms_delay_spread_s": -1.0}}, "rms_delay_spread_s must be finite"),
+    ({"profile_overrides": {1: 4e-8}}, "profile_overrides must map each"),
+    ({"profile_overrides": (1, 2)}, "profile_overrides must map each"),
+    ({"profile_overrides": [("rms_delay_spread_s", 4e-8)]}, "profile_overrides must map each"),
+    ({"geometry": {"gnb_position_m": (0, 0), "ue_position_m": (3, 4)}},   # 2-D
+     "gnb_position_m must be three coordinates"),
+    ({"geometry": {"gnb_position_m": (0, 0, 0)}}, "geometry must be a Geometry or a mapping"),
+    ({"geometry": {"gnb_position_m": (0, 0, 0), "ue_position_m": (20, 0, 0), "x": 1}},
+     "geometry must be a Geometry or a mapping"),
+    ({"geometry": ((0, 0, 0), (20, 0, 0))}, "geometry must be a Geometry or a mapping"),
+    ({"snr_db": 10 ** 400}, "snr_db must fit in a float"),
+    ({"widelane_second_fc_hz": 10 ** 400}, "widelane_second_fc_hz must fit in a float"),
+    ({"profile_overrides": {"rms_delay_spread_s": 10 ** 400}},
+     "rms_delay_spread_s must fit in a float"),
+    ({"profile_overrides": {"rician_k_db": 10 ** 400}}, "rician_k_db must fit in a float"),
+    ({"profile": "InF-NLOS-S", "profile_overrides": {"nlos_excess_delay_mean_s": 10 ** 400}},
+     "nlos_excess_delay_mean_s must fit in a float"),
+    ({"band": " FR1"}, "unknown band ' FR1'"),
+    ({"band": 3}, "unknown band 3"),
+    ({"profile_overrides": (("rms_delay_spread_s", 1e-8), ("rms_delay_spread_s", 2e-8))},
+     "profile_overrides must map each"),
+    ({"profile_overrides": {"rician_k_db": float("-inf")}},   # no direct path is not pure LOS
+     "rician_k_db must lie within +-300 dB"),
+    ({"profile_overrides": {"rician_k_db": 4000.0}},          # 10 ** (K / 10) overflows
+     "rician_k_db must lie within +-300 dB"),
+    ({"profile_overrides": {"rician_k_db": -300.5}}, "rician_k_db must lie within +-300 dB"),
+    ({"ambiguity": "widelane", "comb_offset": 5, "widelane_second_fc_hz": 1000.0},
+     "carrier 1000 Hz must exceed half the sample rate"),
+    ({"ambiguity": "widelane", "widelane_second_fc_hz": 61.44e6},   # exactly half of FR1's
+     "carrier 6.144e+07 Hz must exceed half the sample rate"),
+    ({"n_trials": 1_000_001}, "n_trials must be an integer in [1, 1000000]"),   # past MAX_TRIALS
+]
+
+
+@pytest.mark.parametrize("changes,message", BAD_CHANGES,
+                         ids=[f"changes{i}" for i in range(len(BAD_CHANGES))])
+def test_bad_config_rejected(changes, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
         dataclasses.replace(ScenarioConfig(), **changes)
 
 
@@ -128,14 +152,14 @@ def test_profile_override_of_wrong_type_rejected(kind, overrides):
 def test_ue_inside_comb_range_accepted(band, distance_m):
     cfg = ScenarioConfig(band=band, methods=("toa",), n_symbols=8, snr_db=float("inf"),
                          geometry=Geometry((0, 0, 0), (distance_m, 0, 0)))
-    assert abs(run_trial(cfg, 0).distance_error_m["toa"]) < 1.0
+    assert abs(run_trial(cfg, 0).outcomes["toa"].error_m) < 1.0
 
 
 def test_sweep_filling_the_stream_runs():
     # 288 one-sample shifts end the last window exactly on the stream end.
     cfg = ScenarioConfig(n_trials=1, methods=("cp", "ccp"), n_symbols=2, ccp_sweeps=289)
     r = run_trial(cfg, 0)
-    assert all(np.isfinite(v) for v in r.distance_error_m.values())
+    assert all(np.isfinite(o.error_m) for o in r.outcomes.values())
 
 
 def test_config_dict_round_trip():
@@ -178,7 +202,7 @@ def test_library_constructor_takes_the_json_shapes():
     assert cfg.methods == ("toa", "cp")
     assert cfg.geometry == Geometry((0.0, 0.0, 0.0), (3.0, 4.0, 0.0))
     assert cfg.profile_overrides == (("n_clutter_taps", 9), ("rms_delay_spread_s", 4e-8))
-    assert set(run_trial(cfg, 0).distance_error_m) == {"toa", "cp"}
+    assert set(run_trial(cfg, 0).outcomes) == {"toa", "cp"}
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -337,7 +361,7 @@ def test_trial_reproducible_and_structured():
 def test_trials_differ_across_indices():
     a = run_trial(FAST, 0)
     b = run_trial(FAST, 1)
-    assert a.distance_error_m["cp"] != b.distance_error_m["cp"]
+    assert a.outcomes["cp"].error_m != b.outcomes["cp"].error_m
 
 
 def test_scenario_matches_individual_trials():
@@ -358,13 +382,13 @@ def test_worker_count_does_not_change_output(tmp_path):
 
 
 def _run_outcome(cfg, workers):
-    """Per-trial (index, IA flags, integers, error reprs), or the type raised."""
+    """Per-trial (index, each method's failure, integer and error repr), or the type raised."""
     try:
         results = run_scenario(cfg, workers=workers)
     except Exception as exc:   # the other worker count must raise the same type
         return type(exc)
-    return [(r.trial_index, r.ia_failure, r.resolved_integer,
-             {m: repr(e) for m, e in r.distance_error_m.items()}) for r in results]
+    return [(r.trial_index, {m: (o.failure, o.integer, repr(o.error_m))
+                             for m, o in r.outcomes.items()}) for r in results]
 
 
 # 9-12 trials with chunksize 8 give both workers of a pool a chunk.
@@ -393,7 +417,7 @@ def test_sweep_fit_checked_only_when_ccp_is_measured():
     # Two symbols hold cp's window [4672, 8768) exactly but not 1000 ccp sweeps.
     for methods in (("toa",), ("toa", "cp")):
         cfg = dataclasses.replace(FAST, methods=methods, n_symbols=2, ccp_sweeps=1000)
-        assert set(run_trial(cfg, 0).distance_error_m) == set(methods)
+        assert set(run_trial(cfg, 0).outcomes) == set(methods)
     with pytest.raises(ConfigError, match="sweeps do not fit"):
         dataclasses.replace(FAST, methods=("ccp",), n_symbols=2, ccp_sweeps=1000)
 
@@ -477,9 +501,10 @@ def test_trials_match_golden(mode):
     for trial, expected in enumerate(GOLDEN[mode]):
         r = run_trial(cfg, trial)
         for method, (error, integer, failed) in expected.items():
-            assert r.distance_error_m[method] == pytest.approx(float(error), abs=1e-9)
-            assert r.resolved_integer[method] == integer
-            assert r.ia_failure[method] is failed
+            got = r.outcomes[method]
+            assert got.error_m == pytest.approx(float(error), abs=1e-9)
+            assert got.integer == integer
+            assert (got.failure is not None) is failed
 
 
 # Per-trial (distance error repr, integer, IA failure) of FAST at 128
@@ -503,9 +528,10 @@ def test_128_symbol_trials_match_golden():
     for trial, expected in enumerate(GOLDEN_128_SYMBOLS):
         r = run_trial(cfg, trial)
         for method, (error, integer, failed) in expected.items():
-            assert r.distance_error_m[method] == pytest.approx(float(error), abs=1e-9)
-            assert r.resolved_integer[method] == integer
-            assert r.ia_failure[method] is failed
+            got = r.outcomes[method]
+            assert got.error_m == pytest.approx(float(error), abs=1e-9)
+            assert got.integer == integer
+            assert (got.failure is not None) is failed
 
 
 def test_one_pinned_trial_per_ia_failure_reason():
@@ -518,7 +544,8 @@ def test_one_pinned_trial_per_ia_failure_reason():
     assert (cp.failure, cp.integer) == ("no_candidate", None) and math.isnan(cp.error_m)
     assert (ccp.failure, ccp.integer) == ("wrong_integer", 303)
     assert ccp.error_m == pytest.approx(-0.15715063530346995, abs=1e-9)
-    # The three read-only views give the dicts a TrialResult held before it had outcomes.
+    # The three read-only views give the dicts a TrialResult held before it had outcomes;
+    # the benchmark's run.py and make_reference.py still read them.
     assert r.resolved_integer == {"cp": None, "ccp": 303}
     assert r.ia_failure == {"cp": True, "ccp": True}
     assert list(r.distance_error_m) == ["cp", "ccp"]
@@ -584,8 +611,8 @@ def test_widelane_trial_full_waveform():
                          snr_db=float("inf"), n_symbols=128,
                          profile_overrides=(("rician_k_db", float("inf")),))
     r = run_trial(cfg, 0)
-    assert not r.ia_failure["cp"]
-    assert abs(r.distance_error_m["cp"]) < 1e-6
+    assert r.outcomes["cp"].failure is None
+    assert abs(r.outcomes["cp"].error_m) < 1e-6
 
 
 # ------------------------------------------------------------------- emitters
@@ -743,41 +770,79 @@ def test_cli_sweep_past_stream_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", [
-    {"n_trials": "5"},
-    {"n_trials": 2.5},
-    {"snr_db": float("nan")},
-    {"snr_db": float("-inf")},
-    {"geometry": {"gnb_position_m": [0, 0, 1], "ue_position_m": [float("nan"), 0, 1]}},
-    {"geometry": {"gnb_position_m": [0, 0, 0], "ue_position_m": [2000, 0, 0]}},
-    {"profile_overrides": {"rms_delay_spread_s": -1}},
-    {"methods": ["toa", "toa"]},
-    {"profile_overrides": {"kind": "InF-NLOS-S"}},
-    {"profile_overrides": {"nlos_excess_delay_mean_s": 5e-8}},
-    {"profile": "InF-NLOS-S", "profile_overrides": {"rician_k_db": 10.0}},
-    {"profile_overrides": {"rms_delay_spread_s": 1e300}},
-    {"profile": "InF-NLOS-D", "profile_overrides": {"nlos_excess_delay_mean_s": 1e-5}},
-    {"profile_overrides": {"n_clutter_taps": 10000000}},
-    {"snr_db": 5000},
-    {"snr_db": -5000},
-    {"n_symbols": 1025},
-    {"snr_db": 10 ** 400},
-    {"profile_overrides": {"rms_delay_spread_s": 10 ** 400}},
-    {"geometry": {"gnb_position_m": [0, 0], "ue_position_m": [3, 4]}},
-    {"geometry": [[0, 0, 0], [20, 0, 0]]},
-    {"profile_overrides": [1, 2]},
-    {"profile_overrides": {"rician_k_db": float("-inf")}},
-    {"profile_overrides": {"rician_k_db": 4000}},
-    {"ambiguity": "widelane", "comb_offset": 5, "widelane_second_fc_hz": 1000.0},
-    {"widelane_second_fc_hz": 1000.0},
-    {"n_trials": 100000000000000000000},
-])
-def test_cli_bad_value_exits_2(tmp_path, capsys, extra):
+# Each bad value a config file may hold, and how the message the CLI prints begins.
+BAD_FILE_VALUES = [
+    ({"n_trials": "5"}, "n_trials must be an integer"),
+    ({"n_trials": 2.5}, "n_trials must be an integer"),
+    ({"snr_db": float("nan")}, "snr_db must lie within +-300 dB"),
+    ({"snr_db": float("-inf")}, "snr_db must lie within +-300 dB"),
+    ({"geometry": {"gnb_position_m": [0, 0, 1], "ue_position_m": [float("nan"), 0, 1]}},
+     "positions must be finite and distinct"),
+    ({"geometry": {"gnb_position_m": [0, 0, 0], "ue_position_m": [2000, 0, 0]}},
+     "UE at 2000 m plus the channel's delay"),
+    ({"profile_overrides": {"rms_delay_spread_s": -1}}, "rms_delay_spread_s must be finite"),
+    ({"methods": ["toa", "toa"]}, "methods must be a nonempty list"),
+    ({"profile_overrides": {"kind": "InF-NLOS-S"}}, "unknown profile overrides: ['kind']"),
+    ({"profile_overrides": {"nlos_excess_delay_mean_s": 5e-8}},
+     "nlos_excess_delay_mean_s is required for NLOS kinds"),
+    ({"profile": "InF-NLOS-S", "profile_overrides": {"rician_k_db": 10.0}},
+     "rician_k_db is required for InF-LOS"),
+    ({"profile_overrides": {"rms_delay_spread_s": 1e300}},
+     "UE at 24.1299 m plus the channel's delay"),
+    ({"profile": "InF-NLOS-D", "profile_overrides": {"nlos_excess_delay_mean_s": 1e-5}},
+     "UE at 24.1299 m plus the channel's delay"),
+    ({"profile_overrides": {"n_clutter_taps": 10000000}}, "n_clutter_taps must be an integer"),
+    ({"snr_db": 5000}, "snr_db must lie within +-300 dB"),
+    ({"snr_db": -5000}, "snr_db must lie within +-300 dB"),
+    ({"n_symbols": 1025}, "n_symbols must be an integer in [2, 1024]"),
+    ({"snr_db": 10 ** 400}, "snr_db must fit in a float"),
+    ({"profile_overrides": {"rms_delay_spread_s": 10 ** 400}},
+     "rms_delay_spread_s must fit in a float"),
+    ({"geometry": {"gnb_position_m": [0, 0], "ue_position_m": [3, 4]}},
+     "gnb_position_m must be three coordinates"),
+    ({"geometry": [[0, 0, 0], [20, 0, 0]]}, "geometry must be a Geometry or a mapping"),
+    ({"profile_overrides": [1, 2]}, "profile_overrides must map each"),
+    ({"profile_overrides": {"rician_k_db": float("-inf")}}, "rician_k_db must lie within"),
+    ({"profile_overrides": {"rician_k_db": 4000}}, "rician_k_db must lie within"),
+    ({"ambiguity": "widelane", "comb_offset": 5, "widelane_second_fc_hz": 1000.0},
+     "carrier 1000 Hz must exceed half the sample rate"),
+    ({"ambiguity": "widelane", "widelane_second_fc_hz": 1000.0},
+     "carrier 1000 Hz must exceed half the sample rate"),
+    ({"n_trials": 100000000000000000000}, "n_trials must be an integer in [1, 1000000]"),
+]
+
+
+@pytest.mark.parametrize("extra,message", BAD_FILE_VALUES,
+                         ids=[f"extra{i}" for i in range(len(BAD_FILE_VALUES))])
+def test_cli_bad_value_exits_2(tmp_path, capsys, extra, message):
     cfg = write_cfg(tmp_path, **extra)
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error") and "Traceback" not in err
+    assert err.startswith(f"config error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("carrier", [None, 3.9e9], ids=["no-carrier", "carrier"])
+@pytest.mark.parametrize("mode", IA_MODES)
+def test_a_widelane_carrier_is_set_exactly_when_widelane_reads_it(tmp_path, capsys, mode,
+                                                                  carrier):
+    # Any mode but widelane would run without the carrier it was given.
+    pair = dict(ambiguity=mode, widelane_second_fc_hz=carrier)
+    out = tmp_path / "o.csv"
+    rc = cli.main(["run", "--config", write_cfg(tmp_path, **pair), "--out", str(out)])
+    builds = (lambda: ScenarioConfig(**pair), lambda: dataclasses.replace(FAST, **pair))
+    if (mode == "widelane") == (carrier is not None):
+        assert all(build().widelane_second_fc_hz == carrier for build in builds)
+        assert rc == 0 and out.exists()
+        return
+    message = (f"widelane_second_fc_hz must be set if and only if ambiguity is widelane, "
+               f"got {carrier} for {mode}")
+    for build in builds:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build()
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("k_sigma", [3.0, 40.0, 0, "x"])

@@ -62,13 +62,13 @@ def test_first_trials_match_benchmark_reference(name):
     assert len(expected) == FIRST_TRIALS
     for trial, ref in enumerate(expected):
         result = run_trial(cfg, trial)
-        assert set(result.distance_error_m) == set(cfg.methods) == set(ref["errors"])
+        assert set(result.outcomes) == set(cfg.methods) == set(ref["errors"])
         for method, want in ref["errors"].items():
-            got = result.distance_error_m[method]
+            got, failed = result.outcomes[method].error_m, result.outcomes[method].failure
             if want is None:
                 assert math.isnan(got), f"trial {trial} {method}: {got!r} m, reference NaN"
             else:
                 assert abs(got - want) <= TOLERANCE_M, \
                     f"trial {trial} {method}: {got!r} m, reference {want!r} m"
-            assert result.ia_failure[method] is ref["ia_failure"][method], \
-                f"trial {trial} {method}: IA failure {result.ia_failure[method]}"
+            assert (failed is not None) is ref["ia_failure"][method], \
+                f"trial {trial} {method}: IA failure {failed}"
