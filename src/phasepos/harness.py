@@ -1,13 +1,14 @@
 """Monte-Carlo scenario runner, CDF statistics, and result emitters.
 
 Per trial the harness draws one channel realization and measures every
-requested method against it: TOA on the conventional waveform, and carrier
-phase on the continuous waveform through ``ccp_measure``, whose window plan
-is one window for cp and a stream-spanning sweep for ccp.  Each phase is
-resolved to a range, with a failure reason or None, by ``ambiguity.resolve``;
-a method the trial cannot measure for want of signal fails as ``no_signal``,
-and the run goes on.  Per-trial seeds are split deterministically from the
-master seed, so results are independent of worker count and execution order.
+requested method against it: TOA on the conventional waveform, then cp (one
+window) and ccp (a stream-spanning sweep) through ``ccp_measure`` on each
+carrier's continuous waveform.  One received stream is alive at a time, in
+every IA mode; after the last, ``ambiguity.resolve`` gives each phase method a
+range and a failure reason or None.  A method the trial cannot measure for
+want of signal (every phase method, if a phase stream has none) fails as
+``no_signal``, and the run goes on.  Seeds split per trial from the master
+seed make results independent of worker count and order.
 
 A ``ScenarioConfig`` validates itself when built, so a bad value raises
 ``ConfigError`` before any trial.  One derivation of a scenario, ``_Assets``,
@@ -38,7 +39,7 @@ from .waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column,
                        middle_subcarrier, ofdm_modulate)
 
 METHODS = ("toa", "cp", "ccp")
-MAX_SYMBOLS = 1024       # 8x the default; an FR1 received stream and its noise draw are 72 MB each
+MAX_SYMBOLS = 1024       # 8x the default; a trial then holds one 72 MB FR1 received stream
 MAX_TRIALS = 1_000_000   # each kept TrialResult is about 0.8 KB
 _NUMBER_RULES = (("n_trials", as_int, 1, MAX_TRIALS), ("ccp_sweeps", as_int, 1, math.inf),
                  ("n_symbols", as_int, 2, MAX_SYMBOLS), ("master_seed", as_int, 0, math.inf),
@@ -169,8 +170,10 @@ class _Assets:
         fc2 = cfg.widelane_second_fc_hz
         if fc2 == num.carrier_frequency_hz:
             raise ConfigError("widelane_second_fc_hz must differ from the band carrier")
-        # The samples do not depend on the carrier, so the widelane carrier sends the same stream.
-        widelane = () if fc2 is None else (dataclasses.replace(num, carrier_frequency_hz=fc2),)
+        try:    # the samples do not depend on the carrier, so the widelane one sends them too
+            widelane = () if fc2 is None else (dataclasses.replace(num, carrier_frequency_hz=fc2),)
+        except ConfigError as exc:      # NumerologyConfig's half-sample-rate rule
+            raise ConfigError(f"widelane_second_fc_hz: {exc}") from exc
         self.carriers = (num, *widelane)
         # cp: one window on symbol 1's useful part, clear of the stream head
         # where the circular channel wraps.  ccp: a sweep from one symbol in
@@ -211,15 +214,11 @@ _build_assets = lru_cache(maxsize=1)(_Assets)   # callers run one scenario at a 
 _NO_SIGNAL = MethodOutcome(np.nan, None, "no_signal")
 
 
-def _trial_seeds(master_seed: int, trial: int) -> np.ndarray:
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(as_int("trial", trial, 0),))
-    return ss.generate_state(4, dtype=np.uint64)
-
-
 def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
     """One full measurement round on one channel; ConfigError unless ``trial`` is an int >= 0."""
     assets = _build_assets(cfg)
-    ch_seed, toa_seed, cp_seed, wl_seed = (int(s) for s in _trial_seeds(cfg.master_seed, trial))
+    seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(as_int("trial", trial, 0),))
+    ch_seed, toa_seed, cp_seed, wl_seed = (int(s) for s in seq.generate_state(4, dtype=np.uint64))
     channel = draw_channel(assets.profile, cfg.geometry, ch_seed)
     d_true = cfg.geometry.true_distance_m
 
@@ -228,26 +227,27 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
     try:
         if "toa" in cfg.methods or cfg.ambiguity in ("toa", "widelane"):
             spectrum, rows = assets.conv_period
-            # The received stream is freed with the call, before the phase streams exist.
+            # One received stream at a time: this one is freed with the call, each phase
+            # stream below once every phase method has measured it.
             toa_s = estimate_toa(add_awgn(apply_channel(spectrum, rows, assets.num, channel),
                                           cfg.snr_db, toa_seed), assets.num, spectrum).toa_s
             if "toa" in cfg.methods:
                 outcomes["toa"] = MethodOutcome(toa_s * SPEED_OF_LIGHT - d_true)
-        phase_methods = [m for m in cfg.methods if m in assets.windows]
-        if phase_methods:
-            received = [(add_awgn(apply_channel(*assets.cont_period, c, channel), cfg.snr_db,
-                                  seed), c.carrier_frequency_hz + assets.subcarrier * c.scs_hz)
-                        for c, seed in zip(assets.carriers, (cp_seed, wl_seed))]
-            for method in phase_methods:
+        fracs = {m: [] for m in cfg.methods if m in assets.windows}   # one per carrier
+        for c, seed in zip(assets.carriers, (cp_seed, wl_seed)) if fracs else ():
+            rx = add_awgn(apply_channel(*assets.cont_period, c, channel), cfg.snr_db, seed)
+            for method in fracs:
                 start, sweeps, shift = assets.windows[method]
-                fracs = [phase_to_fraction(ccp_measure(rx, assets.num, assets.subcarrier, sweeps,
-                                                       shift, assets.ref_symbol, start).phase_rad,
-                                           f_eff)
-                         for rx, f_eff in received]
-                resolved, failure = resolve(cfg.ambiguity, fracs, d_true, toa_s)
-                outcomes[method] = (MethodOutcome(np.nan, None, failure) if resolved is None else
-                                    MethodOutcome(resolved.distance_m - d_true,
-                                                  resolved.integer_cycles, failure))
+                phase = ccp_measure(rx, assets.num, assets.subcarrier, sweeps, shift,
+                                    assets.ref_symbol, start).phase_rad
+                fracs[method].append(phase_to_fraction(
+                    phase, c.carrier_frequency_hz + assets.subcarrier * c.scs_hz))
+            del rx
+        for method, method_fracs in fracs.items():
+            resolved, failure = resolve(cfg.ambiguity, method_fracs, d_true, toa_s)
+            outcomes[method] = (MethodOutcome(np.nan, None, failure) if resolved is None else
+                                MethodOutcome(resolved.distance_m - d_true,
+                                              resolved.integer_cycles, failure))
     except NoSignalError:
         pass    # every method not recorded yet fails below, and the run goes on
     return TrialResult(trial, {m: outcomes.get(m, _NO_SIGNAL) for m in cfg.methods})

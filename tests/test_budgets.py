@@ -3,27 +3,28 @@
 Both 128-symbol streams repeat exactly (conventional every symbol,
 continuous every n_fft samples), so the channel and the TOA correlator need
 transforms and tap responses of one period only, the noise's signal power
-needs the magnitudes of one period, and the modulator holds that one
-period.  The scenario keeps each period's spectrum, so after its first trial
-no trial transforms a transmit period again.  The receive path makes no
-stream-sized array but the received stream: ``add_awgn`` squares into its
-own output, copies the period view in and adds the noise over flat blocks
-of ``STREAM_BLOCK`` samples, ``ccp_measure`` prefix-sums the flat stream in
-such blocks and keeps two sums per window, and ``run_trial`` frees the
-conventional received stream before it builds the continuous one.  These
-tests hold the simulator to that: a transform, a response or magnitudes
-over the whole 561,152-sample stream, a forward transform of a transmit
-period or a tiled or resized stream inside a trial, a transmit stream held
-whole, a stream-sized temporary or a buffer for strided rows in
-``add_awgn``, a ``ccp_measure`` whose memory grows with its span, or one
-more full-length array alive at once, fails them.  A stream with no period
-is filtered whole, but its tap response is two short exp tables per tap,
-not one exp per tap per bin, and the filter holds two period-sized arrays
-at once: the response and the product, written in FFT order, then the
-product and its inverse transform.  A shifted copy of the response, or a
-response kept alive through the transform, fails them.
+needs the magnitudes of one period, and the modulator holds that one period.
+The scenario keeps each period's spectrum, so after its first trial no trial
+transforms a transmit period again.  The receive path makes no stream-sized
+array but the received stream: ``add_awgn`` squares into its own output,
+copies the period view in and adds the noise over flat blocks of
+``STREAM_BLOCK`` samples, ``ccp_measure`` prefix-sums the flat stream in
+such blocks and keeps two sums per window, and ``run_trial`` holds one
+received stream at a time, in every IA mode.  These tests hold the simulator
+to that: a transform, a response or magnitudes over the whole 561,152-sample
+stream, a forward transform of a transmit period or a tiled or resized
+stream inside a trial, a transmit stream held whole, a stream-sized
+temporary or a buffer for strided rows in ``add_awgn``, a ``ccp_measure``
+whose memory grows with its span, or one more full-length array alive at
+once, fails them.  A stream with no period is filtered whole, but its tap
+response is two short exp tables per tap, not one exp per tap per bin, and
+the filter holds two period-sized arrays at once: the response and the
+product, written in FFT order, then the product and its inverse transform.
+A shifted copy of the response, or a response kept alive through the
+transform, fails them.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -43,6 +44,8 @@ FR2_CCP = ScenarioConfig(band="FR2", methods=("ccp",), ambiguity="oracle",
 # number of n_fft periods, so its continuous streams are filtered whole.
 FR1_WIDELANE = ScenarioConfig(band="FR1", methods=("toa", "cp", "ccp"), ambiguity="widelane",
                               widelane_second_fc_hz=3.9e9, n_symbols=16, ccp_sweeps=1000)
+# Two periodic continuous streams, one per carrier, each 8.56 MiB.
+FR1_WIDELANE_128 = dataclasses.replace(FR1_WIDELANE, n_symbols=128)
 ONE_SYMBOL = make_numerology("FR1").symbol_samples      # 4,384 samples, FR1 and FR2 alike
 # Elements through np.exp in one widelane trial: measured at 40.7k, while one
 # exp per tap per bin of the two dense 70,144-sample streams is 1.9M.
@@ -50,11 +53,13 @@ WIDELANE_EXP_ELEMENTS = 64_000
 
 MIB = 2 ** 20
 # tracemalloc peak of one trial after a warm-up trial, measured with
-# numpy 2.4 (FR1: 9.34 MiB, FR2: 10.04 MiB; one received stream is 8.56 MiB),
-# plus a headroom of under half of one stream, so one more full-length array
-# alive at the peak fails.
+# numpy 2.4 (FR1: 9.34 MiB, FR2: 10.04 MiB, FR1 128-symbol widelane: 9.32 MiB;
+# one received stream is 8.56 MiB), plus a headroom of under half of one
+# stream, so one more full-length array alive at the peak fails: the two
+# widelane streams alive at once read 17.88 MiB.
 PEAK_HEADROOM_MIB = 4.0
-PEAK_MIB = {"FR1 toa+cp+ccp": (FR1_TOA, 9.4), "FR2 ccp 8192 sweeps": (FR2_CCP, 10.1)}
+PEAK_MIB = {"FR1 toa+cp+ccp": (FR1_TOA, 9.4), "FR2 ccp 8192 sweeps": (FR2_CCP, 10.1),
+            "FR1 widelane 128 symbols": (FR1_WIDELANE_128, 9.4)}
 # ccp_measure's allocations beside its STREAM_BLOCK-sample block of sums: the
 # two prefix sums each window reads, then its bin, magnitude and unit phasor
 # (measured 68.3 B per window on FR2's 8,192 sweeps), where one n_fft window

@@ -113,9 +113,9 @@ BAD_CHANGES = [
      "rician_k_db must lie within +-300 dB"),
     ({"profile_overrides": {"rician_k_db": -300.5}}, "rician_k_db must lie within +-300 dB"),
     ({"ambiguity": "widelane", "comb_offset": 5, "widelane_second_fc_hz": 1000.0},
-     "carrier 1000 Hz must exceed half the sample rate"),
+     "widelane_second_fc_hz: carrier 1000 Hz must exceed half the sample rate"),
     ({"ambiguity": "widelane", "widelane_second_fc_hz": 61.44e6},   # exactly half of FR1's
-     "carrier 6.144e+07 Hz must exceed half the sample rate"),
+     "widelane_second_fc_hz: carrier 6.144e+07 Hz must exceed half the sample rate"),
     ({"n_trials": 1_000_001}, "n_trials must be an integer in [1, 1000000]"),   # past MAX_TRIALS
 ]
 
@@ -576,6 +576,30 @@ def test_a_trial_with_no_signal_is_a_failure_and_the_run_goes_on(tmp_path, monke
     assert "toa: trials=3 ia_failures=1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("methods", [("toa", "cp", "ccp"), ("toa", "ccp", "cp")])
+def test_a_phase_stream_with_no_signal_fails_every_phase_method(monkeypatch, methods):
+    # Every phase method reads every phase stream, so a stream that starves one window
+    # fails them all, whatever their order; the TOA stream's outcome stands.
+    cfg = ScenarioConfig(n_symbols=16, ccp_sweeps=200, methods=methods, ambiguity="widelane",
+                         widelane_second_fc_hz=3.9e9, master_seed=123)
+    toa = run_trial(cfg, 0).outcomes["toa"]
+    sweeps, ccp_measure = [], harness.ccp_measure
+
+    def second_carrier_ccp_finds_no_signal(rx, num, subcarrier, n_sweeps, *args):
+        sweeps.append(n_sweeps)
+        if sweeps.count(cfg.ccp_sweeps) == 2:    # the ccp window on the widelane carrier
+            raise NoSignalError("no signal in the ccp windows")
+        return ccp_measure(rx, num, subcarrier, n_sweeps, *args)
+
+    monkeypatch.setattr(harness, "ccp_measure", second_carrier_ccp_finds_no_signal)
+    outcomes = run_trial(cfg, 0).outcomes
+    assert sweeps.count(cfg.ccp_sweeps) == 2
+    assert list(outcomes) == list(methods) and outcomes["toa"] == toa
+    for method in ("cp", "ccp"):
+        got = outcomes[method]
+        assert (got.failure, got.integer) == ("no_signal", None) and math.isnan(got.error_m)
+
+
 def test_asset_cache_holds_one_scenario():
     # Each entry holds two period spectra; callers run one scenario at a time.
     harness._build_assets.cache_clear()
@@ -805,10 +829,13 @@ BAD_FILE_VALUES = [
     ({"profile_overrides": {"rician_k_db": float("-inf")}}, "rician_k_db must lie within"),
     ({"profile_overrides": {"rician_k_db": 4000}}, "rician_k_db must lie within"),
     ({"ambiguity": "widelane", "comb_offset": 5, "widelane_second_fc_hz": 1000.0},
-     "carrier 1000 Hz must exceed half the sample rate"),
+     "widelane_second_fc_hz: carrier 1000 Hz must exceed half the sample rate"),
     ({"ambiguity": "widelane", "widelane_second_fc_hz": 1000.0},
-     "carrier 1000 Hz must exceed half the sample rate"),
+     "widelane_second_fc_hz: carrier 1000 Hz must exceed half the sample rate"),
     ({"n_trials": 100000000000000000000}, "n_trials must be an integer in [1, 1000000]"),
+    # The widelane carrier's numerology rejects it; the message still names the field.
+    ({"band": "FR2", "ambiguity": "widelane", "widelane_second_fc_hz": 245.76e6},
+     "widelane_second_fc_hz: carrier 2.4576e+08 Hz must exceed half the sample rate"),
 ]
 
 
