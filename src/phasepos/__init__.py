@@ -13,8 +13,8 @@ from .channel import (ChannelRealization, Geometry, ScenarioProfile, add_awgn, a
                       doppler_ppm, draw_channel, profile_preset)
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, NoSignalError
-from .harness import (CdfResult, ScenarioConfig, TrialResult, compute_cdf, config_from_dict,
-                      emit_results, load_config, run_scenario, run_trial)
+from .harness import (CdfResult, ScenarioConfig, TrialResult, compute_cdf, emit_results,
+                      load_config, run_scenario, run_trial)
 from .receiver import PhaseMeasurement, ToaMeasurement, ccp_measure, estimate_toa, wrap_phase
 from .waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig, generate_prs_column,
                        make_numerology, middle_subcarrier, ofdm_modulate)
@@ -28,7 +28,7 @@ __all__ = [
     "PhaseMeasurement", "PrsConfig", "ScenarioConfig", "ScenarioProfile",
     "SPEED_OF_LIGHT", "ToaMeasurement", "TrialResult",
     "add_awgn", "aoa_from_phase_diff", "apply_channel", "ccp_measure", "compute_cdf",
-    "config_from_dict", "doppler_ppm", "double_difference", "draw_channel", "emit_results",
+    "doppler_ppm", "double_difference", "draw_channel", "emit_results",
     "estimate_toa", "generate_prs_column", "ia_search", "load_config", "make_numerology",
     "middle_subcarrier", "ofdm_modulate", "phase_diff_for_angle",
     "phase_to_fraction", "profile_preset", "run_scenario", "run_trial",

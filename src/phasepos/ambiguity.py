@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import as_finite, as_positive, as_samples
+from .errors import as_finite, as_int, as_positive, as_samples, set_checked
 from .receiver import wrap_phase
 
 IA_MODES = ("oracle", "toa", "widelane")
@@ -23,16 +23,27 @@ IA_MODES = ("oracle", "toa", "widelane")
 
 @dataclass(frozen=True)
 class CarrierRange:
-    """A (possibly unresolved) phase-derived range on one wavelength."""
+    """A (possibly unresolved) phase-derived range on one wavelength.
+
+    ConfigError unless the wavelength is finite and positive, the fraction finite
+    in [0, 1] (closed: widelane's beat fraction ``x % 1.0`` can round to 1.0) and
+    the integer None or an int >= 0.  ``distance_m`` is (N + fraction) * wavelength
+    once resolved, else None.
+    """
 
     wavelength_m: float
-    fractional_cycles: float            # in [0, 1)
+    fractional_cycles: float
     integer_cycles: int | None = None
-    distance_m: float | None = None     # (N + fraction) * wavelength once resolved
+    distance_m = property(lambda self: None if self.integer_cycles is None else
+                          (self.integer_cycles + self.fractional_cycles) * self.wavelength_m)
+
+    def __post_init__(self) -> None:
+        set_checked(self, (("wavelength_m", as_positive), ("fractional_cycles", as_finite, 0, 1),
+                           *(() if self.integer_cycles is None
+                             else (("integer_cycles", as_int, 0),))))
 
     def resolved(self, integer_cycles: int) -> "CarrierRange":
-        d = (integer_cycles + self.fractional_cycles) * self.wavelength_m
-        return CarrierRange(self.wavelength_m, self.fractional_cycles, integer_cycles, d)
+        return CarrierRange(self.wavelength_m, self.fractional_cycles, integer_cycles)
 
 
 def phase_to_fraction(phase_rad: float, frequency_hz: float) -> CarrierRange:
@@ -89,18 +100,18 @@ def virtual_wavelength(lambda1_m: float, lambda2_m: float) -> float:
     return lambda1_m * lambda2_m / abs(lambda2_m - lambda1_m)
 
 
-def widelane_resolve(range1: CarrierRange, range2: CarrierRange, *, center_m: float,
-                     half_width_m: float) -> CarrierRange | None:
+def widelane_resolve(range1: CarrierRange, range2: CarrierRange, *,
+                     center_m: float) -> CarrierRange | None:
     """Two-carrier widelane resolution refined back to the finer carrier.
 
     The difference of the two fractional phases lives on the much longer
-    beat wavelength, where ``ia_search`` fixes the integer inside the
-    caller's window.  The widelane distance then bounds a second
-    integer search on the shorter carrier wavelength within +- lambda_virtual/4.
+    beat wavelength lambda_v, where ``ia_search`` fixes the integer within
+    +- lambda_v of ``center_m``.  The widelane distance then bounds a second
+    integer search on the shorter carrier wavelength within +- lambda_v/4.
 
     Returns the refined CarrierRange on the shorter wavelength, or None when
     either search finds no candidate.  ConfigError as ``ia_search`` for a bad
-    window, one whose edges overflow included.
+    ``center_m``, one whose window edges overflow included.
     """
     lam_v = virtual_wavelength(range1.wavelength_m, range2.wavelength_m)
     fine, coarse = ((range1, range2) if range1.wavelength_m <= range2.wavelength_m
@@ -108,7 +119,7 @@ def widelane_resolve(range1: CarrierRange, range2: CarrierRange, *, center_m: fl
     # Higher-frequency fraction minus lower-frequency fraction advances with
     # distance at the beat rate d / lambda_v.
     frac_v = (fine.fractional_cycles - coarse.fractional_cycles) % 1.0
-    wide = ia_search(CarrierRange(lam_v, frac_v), center_m, half_width_m)
+    wide = ia_search(CarrierRange(lam_v, frac_v), center_m, lam_v)
     return None if wide is None else ia_search(fine, wide.distance_m, lam_v / 4.0)
 
 
@@ -125,11 +136,8 @@ def resolve(mode: str, fractions: list[CarrierRange], truth_m: float,
         raise ValueError(f"ambiguity mode must be one of {IA_MODES}, got {mode!r}")
     # A TOA range below zero (a UE next to the gNB) could leave no N >= 0 within +-lambda.
     center_m = truth_m if mode == "oracle" else max(toa_s * SPEED_OF_LIGHT, 0.0)
-    if mode == "widelane":
-        lam_v = virtual_wavelength(fractions[0].wavelength_m, fractions[1].wavelength_m)
-        resolved = widelane_resolve(*fractions, center_m=center_m, half_width_m=lam_v)
-    else:
-        resolved = ia_search(fractions[0], center_m, fractions[0].wavelength_m)
+    resolved = (widelane_resolve(*fractions, center_m=center_m) if mode == "widelane"
+                else ia_search(fractions[0], center_m, fractions[0].wavelength_m))
     if resolved is None:
         return None, "no_candidate"
     nearest = ia_search(resolved, truth_m, resolved.wavelength_m)   # on widelane's finer carrier

@@ -32,7 +32,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT, STREAM_BLOCK
 from .errors import (ConfigError, NoSignalError, as_db, as_finite, as_int, as_positive, as_real,
-                     as_samples, set_checked)
+                     as_samples, as_vector, set_checked)
 from .waveform import NumerologyConfig
 
 # 25 clusters x 20 rays, the largest ray count of TR 38.901's InF model;
@@ -134,10 +134,23 @@ def profile_preset(kind: str, /, **overrides) -> ScenarioProfile:
 
 @dataclass(frozen=True, eq=False)     # a generated == or hash over arrays is ambiguous
 class ChannelRealization:
-    """One drawn tapped-delay-line: tap i delays by ``delays_s[i]`` and scales by ``gains[i]``."""
+    """One drawn tapped-delay-line: tap i delays by ``delays_s[i]`` and scales by ``gains[i]``.
+
+    ConfigError unless ``delays_s`` is a 1-D array of finite real numbers and ``gains``
+    a 1-D array of finite real or complex ones, the two of one length from 1 to
+    ``MAX_CLUTTER_TAPS`` + 1 (a direct tap and the clutter).  Each is stored as
+    ``np.asarray`` gives it: float64 delays and complex128 gains are neither copied nor cast.
+    """
 
     delays_s: np.ndarray      # float64
     gains: np.ndarray         # complex128
+
+    def __post_init__(self) -> None:
+        set_checked(self, (("delays_s", as_vector, "iuf", MAX_CLUTTER_TAPS + 1),
+                           ("gains", as_vector, "iufc", MAX_CLUTTER_TAPS + 1)))
+        if self.delays_s.size != self.gains.size:
+            raise ConfigError(f"delays_s and gains must have one entry per tap, got "
+                              f"{self.delays_s.size} delays and {self.gains.size} gains")
 
     def response(self, num: NumerologyConfig, first_bin: int, n_bins: int,
                  spacing_hz: float) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Error types, and the one owner of the rules of a number or a sample-array argument.
 
 Every config number and every number or sample array an exported function takes
-is read through ``as_real``, ``as_finite``, ``as_positive``, ``as_int``, ``as_db``
-or ``as_samples``; the ``ConfigError`` they raise names the argument, its rule and the value.
+is read through ``as_real``, ``as_finite``, ``as_positive``, ``as_int``, ``as_db``,
+``as_samples`` or ``as_vector``; the ``ConfigError`` they raise names the argument,
+its rule and the value.
 A config object's number fields are checked, and stored as what their rules return, by
 ``set_checked``: a numpy scalar or a ``Fraction`` becomes a Python int or float.
 """
@@ -87,3 +88,15 @@ def as_samples(name: str, value, kinds: str = "iufc") -> np.ndarray:
         raise ConfigError(f"{name} must be a non-empty array of dtype kind in {kinds!r}, "
                           f"got {samples.size} {samples.dtype} values")
     return samples
+
+
+def as_vector(name: str, value, kinds: str, max_size: float) -> np.ndarray:
+    """``as_samples(name, value, kinds)``, uncopied and uncast; ConfigError unless
+    it is 1-D, of at most ``max_size`` entries, all of them finite."""
+    vector = as_samples(name, value, kinds)
+    if vector.ndim != 1 or vector.size > max_size:
+        raise ConfigError(f"{name} must be 1-D with at most {max_size} entries, "
+                          f"got shape {vector.shape}")
+    if not np.isfinite(vector).all():
+        raise ConfigError(f"{name} must be finite, got {vector[~np.isfinite(vector)][0].item()!r}")
+    return vector

@@ -55,9 +55,10 @@ class ScenarioConfig:
     a list of methods becomes a tuple, a mapping of exactly ``gnb_position_m``
     and ``ue_position_m`` becomes a ``Geometry``, and a mapping of profile
     overrides becomes a tuple of (name, value) pairs sorted by name.
-    Construction (including ``dataclasses.replace``) validates every field and
-    raises ``ConfigError`` on any other shape, a wrongly typed, non-finite or
-    too large value, a finite SNR beyond ``MAX_ABS_DB``, more than
+    Construction (``ScenarioConfig(**raw)`` and ``dataclasses.replace`` too)
+    validates every field and raises ``ConfigError`` on a keyword that is not a
+    field (``unknown config keys: [...]``), any other shape, a wrongly typed,
+    non-finite or too large value, a finite SNR beyond ``MAX_ABS_DB``, more than
     ``MAX_SYMBOLS`` symbols or ``MAX_TRIALS`` trials, an unknown name, a
     repeated method, a profile override named twice or not read by the profile
     kind, a ``widelane_second_fc_hz`` set under any mode but widelane or missing
@@ -81,6 +82,14 @@ class ScenarioConfig:
     prs_seed: int = 7
     widelane_second_fc_hz: float | None = None
     profile_overrides: tuple[tuple[str, float], ...] = ()
+
+    def __new__(cls, *args, **kwargs):
+        # Ahead of the generated __init__, whose TypeError would escape ScenarioConfig(**raw)
+        # and dataclasses.replace; pickle and copy call it with no arguments.
+        unknown = set(kwargs) - _CONFIG_KEYS
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        return super().__new__(cls)
 
     def __post_init__(self) -> None:
         # The JSON shapes become the hashable ones trials cache their assets by.
@@ -117,6 +126,9 @@ class ScenarioConfig:
         profile = _Assets(self).profile   # the rules that join the parts
         object.__setattr__(self, "profile_overrides", tuple(
             (name, getattr(profile, name)) for name, _ in self.profile_overrides))
+
+
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
 @dataclass(frozen=True)
@@ -322,17 +334,6 @@ def emit_results(cdfs: list[CdfResult], cfg: ScenarioConfig, path: str,
     return path
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
-
-
-def config_from_dict(raw: dict) -> ScenarioConfig:
-    """Build a validated ScenarioConfig from parsed key/value text."""
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return ScenarioConfig(**raw)
-
-
 def load_config(path: str) -> ScenarioConfig:
     """Parse a JSON config file, a str or os.PathLike, whose keys mirror ScenarioConfig fields."""
     if not isinstance(path, (str, os.PathLike)):   # open() takes an int as a file descriptor
@@ -344,4 +345,4 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    return config_from_dict(raw)
+    return ScenarioConfig(**raw)

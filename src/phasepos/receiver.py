@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import STREAM_BLOCK
-from .errors import NoSignalError, as_finite, as_int, as_samples
+from .errors import NoSignalError, as_int, as_positive, as_samples
 from .waveform import NumerologyConfig
 
 
@@ -145,7 +145,7 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     Raises:
         ValueError: the sweep ends past the stream.
         ConfigError: an empty or non-numeric ``rx``, ``ref_symbol`` not one finite
-            number, ``subcarrier`` outside the allocation, or a bad sweep.
+            non-zero number, ``subcarrier`` outside the allocation, or a bad sweep.
         NoSignalError: a window saw an empty subcarrier bin.
     """
     rx = as_samples("rx", rx).reshape(-1)
@@ -155,7 +155,7 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     half = num.n_active_subcarriers // 2
     k = as_int("subcarrier", subcarrier, -half, half)    # inside the allocation: no alias
     ref = as_samples("ref_symbol", ref_symbol if np.ndim(ref_symbol) == 0 else None)  # not a list
-    as_finite("|ref_symbol|", abs(ref))
+    as_positive("|ref_symbol|", abs(ref))
 
     n_fft = num.n_fft
     span = (n_sweeps - 1) * shift_samples + n_fft

@@ -213,7 +213,7 @@ def test_07_widelane_exactness():
         d = GEO.true_distance_m
         r1 = phase_to_fraction(wrap_phase(-2 * np.pi * 3.8e9 * d / SPEED_OF_LIGHT), 3.8e9)
         r2 = phase_to_fraction(wrap_phase(-2 * np.pi * 3.9e9 * d / SPEED_OF_LIGHT), 3.9e9)
-        err = abs(widelane_resolve(r1, r2, center_m=d, half_width_m=3.0 * 0.3).distance_m - d)
+        err = abs(widelane_resolve(r1, r2, center_m=d).distance_m - d)
     report("accept-07 widelane beat and end-to-end resolution",
            beat_exact < 1e-9 and abs(lam_v - 2.99792) < 1e-5
            and abs(d - 24.1299) < 1e-4 and err < 1e-6 and t.elapsed < 1.0,

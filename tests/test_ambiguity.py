@@ -63,6 +63,28 @@ def test_resolved_distance_formula():
     assert r.distance_m == pytest.approx(300.25 * 0.08, rel=1e-15)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((-1.0, 0.5), "^wavelength_m must be finite and positive"),   # no N would be found
+    ((0.08, 7.3), r"^fractional_cycles must be finite and in \[0, 1\]"),   # N would be off by 7
+    (("a", 0.1), "^wavelength_m must be a number"),
+    ((0.08, math.nan), "^fractional_cycles must be finite"),
+    ((0.08, 0.25, -1), r"^integer_cycles must be an integer in \[0, inf\]"),
+    ((0.08, 0.25, 3.0), "^integer_cycles must be an integer"),
+], ids=["negative-wavelength", "fraction-past-1", "text", "nan-fraction", "negative-N",
+        "float-N"])
+def test_carrier_range_checks_its_fields(args, message):
+    with pytest.raises(ConfigError, match=message):
+        CarrierRange(*args)
+
+
+def test_a_beat_fraction_that_rounds_to_one_is_a_carrier_range():
+    # -1e-17 % 1.0 is 1.0, so widelane's beat fraction can be 1.0: the bound is closed.
+    assert (0.0 - 1e-17) % 1.0 == 1.0
+    assert CarrierRange(0.08, 1.0).resolved(3).distance_m == pytest.approx(4 * 0.08)
+    fine, coarse = CarrierRange(SPEED_OF_LIGHT / F2, 0.0), CarrierRange(SPEED_OF_LIGHT / F1, 1e-17)
+    assert widelane_resolve(fine, coarse, center_m=24.0) is not None
+
+
 # ------------------------------------------------------------- integer search
 
 def test_ia_search_recovers_geometry_integer():
@@ -205,7 +227,9 @@ def test_widelane_noiseless_chain():
     d = GEO.true_distance_m
     r1 = phase_to_fraction(exact_phase(d, F1), F1)
     r2 = phase_to_fraction(exact_phase(d, F2), F2)
-    refined = widelane_resolve(r1, r2, center_m=d, half_width_m=3.0 * 0.3)
+    refined = widelane_resolve(r1, r2, center_m=d)
+    with pytest.raises(TypeError):      # the centre is keyword-only
+        widelane_resolve(r1, r2, d)
     lam_fine = SPEED_OF_LIGHT / F2
     assert refined.wavelength_m == pytest.approx(lam_fine, rel=1e-12)
     assert refined.integer_cycles == int(np.floor(d / lam_fine))
@@ -220,7 +244,7 @@ def test_widelane_short_range_integer_zero():
     frac_v = CarrierRange(lam_v, (r2.fractional_cycles - r1.fractional_cycles) % 1.0)
     wide = ia_search(frac_v, d, 3.0 * 0.3)
     assert wide.integer_cycles == 0
-    refined = widelane_resolve(r1, r2, center_m=d, half_width_m=3.0 * 0.3)
+    refined = widelane_resolve(r1, r2, center_m=d)
     assert abs(refined.distance_m - d) < 1e-6
 
 
@@ -240,7 +264,7 @@ def test_widelane_noisy_conditional_p90():
         p2 = wrap_phase(exact_phase(d, F2) + 2 * np.pi * rng.normal(0.0, 0.05))
         coarse = d + rng.normal(0.0, 0.3)
         refined = widelane_resolve(phase_to_fraction(p1, F1), phase_to_fraction(p2, F2),
-                                   center_m=coarse, half_width_m=3.0 * 0.3)
+                                   center_m=coarse)
         if refined is not None and refined.integer_cycles == n_true:
             kept.append(abs(refined.distance_m - d))
     assert len(kept) > 0.05 * n_trials
@@ -255,15 +279,14 @@ def test_widelane_memory_does_not_grow_with_beat_wavelength():
     r2 = phase_to_fraction(exact_phase(d, 3.800001e9), 3.800001e9)
     tracemalloc.start()
     try:
-        refined = widelane_resolve(r1, r2, center_m=d, half_width_m=3.0 * 0.3)
+        refined = widelane_resolve(r1, r2, center_m=d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1e6
     assert abs(refined.distance_m - d) < 1e-6
     f2 = 3.800000001e9
-    refined = widelane_resolve(r1, phase_to_fraction(exact_phase(d, f2), f2),
-                               center_m=d, half_width_m=3.0 * 0.3)
+    refined = widelane_resolve(r1, phase_to_fraction(exact_phase(d, f2), f2), center_m=d)
     assert abs(refined.distance_m - d) < 1e-6
 
 
@@ -275,24 +298,20 @@ def test_a_window_whose_edge_overflows_is_a_config_error(center_m, half_width_m)
     r2 = CarrierRange(SPEED_OF_LIGHT / F2, 0.2)
     with pytest.raises(ConfigError, match="^center_m [+]- half_width_m in wavelengths must be "):
         ia_search(r1, center_m, half_width_m)
-    with pytest.raises(ConfigError, match="^center_m [+]- half_width_m in wavelengths must be "):
-        widelane_resolve(r1, r2, center_m=center_m, half_width_m=half_width_m)
+    # Widelane's +- 3 m beat window stays finite; from 1e308 m the fine search's does not,
+    # and below -1e308 m the beat window holds no N >= 0.
+    if center_m > 0:
+        with pytest.raises(ConfigError,
+                           match="^center_m [+]- half_width_m in wavelengths must be "):
+            widelane_resolve(r1, r2, center_m=center_m)
+    else:
+        assert widelane_resolve(r1, r2, center_m=center_m) is None
 
 
 def test_a_window_finite_in_metres_but_not_in_wavelengths_is_a_config_error():
     tiny = CarrierRange(1e-300, 0.5)
     with pytest.raises(ConfigError, match="^center_m [+]- half_width_m in wavelengths must be "):
         ia_search(tiny, 1e10, 1.0)
-
-
-def test_widelane_validates_sigma():
-    r1 = CarrierRange(SPEED_OF_LIGHT / F1, 0.1)
-    r2 = CarrierRange(SPEED_OF_LIGHT / F2, 0.2)
-    for half_width_m in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            widelane_resolve(r1, r2, center_m=24.0, half_width_m=half_width_m)
-    with pytest.raises(TypeError):      # the window is keyword-only
-        widelane_resolve(r1, r2, 24.0, 0.9)
 
 
 # ---------------------------------------------------------------- resolve
@@ -311,7 +330,7 @@ def test_resolve_is_the_mode_search(mode, distance_m, carriers, toa_offset_m, no
     toa_s = (distance_m + toa_offset_m) / SPEED_OF_LIGHT
     # +- the searched wavelength around the truth, or around the TOA range clamped at zero.
     center_m = distance_m if mode == "oracle" else max(toa_s * SPEED_OF_LIGHT, 0.0)
-    expected = (widelane_resolve(*fracs, center_m=center_m, half_width_m=LAM_V)
+    expected = (widelane_resolve(*fracs, center_m=center_m)
                 if mode == "widelane" else
                 ia_search(fracs[0], center_m, fracs[0].wavelength_m))
     resolved, reason = resolve(mode, fracs, distance_m, toa_s)
@@ -347,12 +366,12 @@ def test_resolve_clamps_a_toa_range_below_zero():
 
 
 def test_resolve_widelane_without_a_fine_candidate_is_a_failure():
-    # lambda_v / 2 = 7.5 cm is under the fine 10 cm wavelength, so the fine window can be
-    # empty: the beat integer nearest 0.5 m puts the range at 0.45 m, and 0.45 +- 0.0375 m
+    # lambda_v / 4 = 3.75 cm is under half the fine 10 cm wavelength, so the fine window can
+    # be empty: the beat integer nearest 0.5 m puts the range at 0.45 m, and 0.45 +- 0.0375 m
     # holds neither 0.4 m nor 0.5 m.
     fine, coarse = CarrierRange(0.1, 0.0), CarrierRange(0.3, 0.0)
     assert virtual_wavelength(0.1, 0.3) == pytest.approx(0.15)
-    assert widelane_resolve(fine, coarse, center_m=0.5, half_width_m=0.15) is None
+    assert widelane_resolve(fine, coarse, center_m=0.5) is None
     assert resolve("widelane", [fine, coarse], 0.5, 0.5 / SPEED_OF_LIGHT) == (None, "no_candidate")
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasepos.channel import (ChannelRealization, Geometry, ScenarioProfile, add_awgn,
-                              apply_channel, doppler_ppm, draw_channel, profile_preset)
+from phasepos.channel import (MAX_CLUTTER_TAPS, ChannelRealization, Geometry, ScenarioProfile,
+                              add_awgn, apply_channel, doppler_ppm, draw_channel, profile_preset)
 from phasepos.constants import SPEED_OF_LIGHT, STREAM_BLOCK
 from phasepos.errors import ConfigError, NoSignalError
 from phasepos.harness import ScenarioConfig, _Assets
@@ -174,6 +174,27 @@ def test_channel_deterministic_per_seed():
     b = draw_channel(profile_preset("InF-LOS"), geo, 77)
     assert np.array_equal(a.delays_s, b.delays_s)
     assert np.array_equal(a.gains, b.gains)
+
+
+@pytest.mark.parametrize("delays_s, gains, message", [
+    (np.array([1e-7, 2e-7]), np.array([1 + 0j]), "^delays_s and gains must have one entry "),
+    (("a", "b"), np.array([1 + 0j, 1 + 0j]), "^delays_s must be a non-empty array of dtype "),
+    (np.full((2, 2), 1e-7), np.ones((2, 2), complex), "^delays_s must be 1-D "),
+    (np.array([np.nan]), np.array([1 + 0j]), "^delays_s must be finite, got nan$"),
+    (np.array([1e-7]), np.array([np.inf + 0j]), "^gains must be finite"),
+    (np.zeros(MAX_CLUTTER_TAPS + 2), np.ones(MAX_CLUTTER_TAPS + 2, complex), "^delays_s must "),
+], ids=["lengths", "text", "2-D", "nan-delay", "inf-gain", "too-many-taps"])
+def test_channel_realization_checks_its_arrays(delays_s, gains, message):
+    # Unchecked, each fails later in response or add_awgn, or gives wrong numbers.
+    with pytest.raises(ConfigError, match=message):
+        ChannelRealization(delays_s, gains)
+
+
+def test_channel_realization_keeps_its_arrays():
+    # A direct tap plus MAX_CLUTTER_TAPS clutter taps; float64 and complex128 kept, not copied.
+    delays, gains = np.zeros(MAX_CLUTTER_TAPS + 1), np.ones(MAX_CLUTTER_TAPS + 1, complex)
+    ch = ChannelRealization(delays, gains)
+    assert ch.delays_s is delays and ch.gains is gains
 
 
 # ------------------------------------------------------------- apply_channel

@@ -36,7 +36,7 @@ CFG = pp.ScenarioConfig(n_trials=1, n_symbols=8, ccp_sweeps=20)
 # its number and sample-array parameters; None marks one that has none.
 SIGNATURES = {
     "CarrierRange": (pp.CarrierRange, dict(wavelength_m=0.08, fractional_cycles=0.25,
-                                           integer_cycles=3, distance_m=0.26)),
+                                           integer_cycles=3)),
     "CdfResult": (partial(pp.CdfResult, method="cp", percentiles={}),
                   dict(abs_errors_m=np.array([0.1]), cdf=np.array([1.0]), n_failures=0,
                        n_trials=1)),
@@ -74,7 +74,6 @@ SIGNATURES = {
                     dict(rx=STREAM, subcarrier=K, n_sweeps=2, shift_samples=8,
                          ref_symbol=COLUMN[K % NUM.n_fft], window_start=0)),
     "compute_cdf": None,          # a list of TrialResults and a method name
-    "config_from_dict": None,     # a mapping of ScenarioConfig's fields
     "doppler_ppm": (pp.doppler_ppm, dict(speed_m_s=1.0)),
     "double_difference": (pp.double_difference, dict(phases_rad=np.zeros((2, 2)))),
     "draw_channel": (partial(pp.draw_channel, pp.profile_preset("InF-LOS"), CFG.geometry),
@@ -96,8 +95,7 @@ SIGNATURES = {
     "run_scenario": (partial(pp.run_scenario, CFG), dict(workers=1)),
     "run_trial": (partial(pp.run_trial, CFG), dict(trial=0)),
     "virtual_wavelength": (pp.virtual_wavelength, dict(lambda1_m=0.079, lambda2_m=0.077)),
-    "widelane_resolve": (partial(pp.widelane_resolve, FINE, COARSE),
-                         dict(center_m=10.0, half_width_m=1.0)),
+    "widelane_resolve": (partial(pp.widelane_resolve, FINE, COARSE), dict(center_m=10.0)),
     "wrap_phase": (pp.wrap_phase, dict(phase=0.5)),
 }
 CASES = [(name, param) for name, sig in SIGNATURES.items() if sig for param in sig[1]]
@@ -158,7 +156,7 @@ FINITE_EXTREMES = [
     ("ChannelRealization.response", dict(first_bin=1e303, spacing_hz=1e5)),
     ("ia_search", dict(center_m=1e308, half_width_m=1e308)),
     ("ia_search", dict(center_m=-1e308, half_width_m=1e308)),
-    ("widelane_resolve", dict(center_m=1e308, half_width_m=1e308)),
+    ("widelane_resolve", dict(center_m=1e308)),
 ]
 
 

@@ -16,8 +16,8 @@ from phasepos.ambiguity import IA_MODES
 from phasepos.channel import Geometry, profile_preset
 from phasepos.errors import MAX_ABS_DB, ConfigError, NoSignalError
 from phasepos.harness import (METHODS, CdfResult, MethodOutcome, ScenarioConfig, TrialResult,
-                              compute_cdf, config_from_dict, config_to_dict, emit_results,
-                              load_config, run_scenario, run_trial)
+                              compute_cdf, config_to_dict, emit_results, load_config,
+                              run_scenario, run_trial)
 
 # Small, fast scenario used by the mechanics tests: accuracy is irrelevant
 # here, only plumbing and determinism.
@@ -141,7 +141,7 @@ def test_bad_config_rejected(changes, message):
     ("InF-NLOS-S", {"nlos_excess_delay_mean_s": 10 ** 400}),
 ])
 def test_profile_override_of_wrong_type_rejected(kind, overrides):
-    # Library callers get ConfigError too, not only config_from_dict.
+    # Library callers get ConfigError too, not only load_config.
     with pytest.raises(ConfigError):
         profile_preset(kind, **overrides)
     with pytest.raises(ConfigError):
@@ -165,7 +165,7 @@ def test_sweep_filling_the_stream_runs():
 def test_config_dict_round_trip():
     cfg = dataclasses.replace(ScenarioConfig(), n_trials=7, snr_db=3.0,
                               profile_overrides=(("rician_k_db", 20.0),))
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert ScenarioConfig(**config_to_dict(cfg)) == cfg
 
 
 def test_numbers_of_other_types_are_stored_as_python_numbers(tmp_path):
@@ -198,7 +198,7 @@ def test_library_constructor_takes_the_json_shapes():
            "geometry": {"gnb_position_m": [0, 0, 0], "ue_position_m": [3, 4, 0]},
            "profile_overrides": {"rms_delay_spread_s": 4e-8, "n_clutter_taps": 9}}
     cfg = ScenarioConfig(**raw)
-    assert cfg == config_from_dict(raw)
+    assert cfg == dataclasses.replace(ScenarioConfig(), **raw)
     assert cfg.methods == ("toa", "cp")
     assert cfg.geometry == Geometry((0.0, 0.0, 0.0), (3.0, 4.0, 0.0))
     assert cfg.profile_overrides == (("n_clutter_taps", 9), ("rms_delay_spread_s", 4e-8))
@@ -206,45 +206,47 @@ def test_library_constructor_takes_the_json_shapes():
 
 
 def test_config_from_dict_rejects_unknown_keys():
+    # A mapping with an unknown key is a ConfigError from the constructor itself.
     with pytest.raises(ConfigError):
-        config_from_dict({"n_trials": 5, "bogus": 1})
+        ScenarioConfig(**{"n_trials": 5, "bogus": 1})
     with pytest.raises(ConfigError):
-        config_from_dict({"ccp_shift": 1})    # the sweep spacing follows from the stream
+        ScenarioConfig(**{"ccp_shift": 1})    # the sweep spacing follows from the stream
     with pytest.raises(ConfigError, match="unknown config keys"):
-        config_from_dict({"toa_sigma_s": 1e-9})   # the IA windows follow from the wavelengths
+        ScenarioConfig(**{"toa_sigma_s": 1e-9})   # the IA windows follow from the wavelengths
     with pytest.raises(ConfigError, match="unknown config keys"):
-        config_from_dict({"k_sigma": 3.0})        # an old config fails loudly, not silently
+        ScenarioConfig(**{"k_sigma": 3.0})        # an old config fails loudly, not silently
     with pytest.raises(ConfigError):
-        config_from_dict({"geometry": {"gnb_position_m": [0, 0, 1],
-                                       "ue_position_m": [1, 0, 1],
-                                       "extra": 2}})
+        ScenarioConfig(**{"geometry": {"gnb_position_m": [0, 0, 1],
+                                        "ue_position_m": [1, 0, 1],
+                                        "extra": 2}})
 
 
 def test_scenario_config_has_no_k_sigma():
     # The IA windows follow from the wavelengths alone; no field is left to tune them.
     assert "k_sigma" not in {f.name for f in dataclasses.fields(ScenarioConfig)}
-    with pytest.raises(TypeError):
+    message = re.escape("unknown config keys: ['k_sigma']")
+    with pytest.raises(ConfigError, match=message):
         ScenarioConfig(k_sigma=3.0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ConfigError, match=message):
         dataclasses.replace(ScenarioConfig(), k_sigma=3.0)
 
 
 def test_config_from_dict_rejects_malformed_values():
     with pytest.raises(ConfigError):
-        config_from_dict({"methods": 5})
+        ScenarioConfig(**{"methods": 5})
     with pytest.raises(ConfigError):
-        config_from_dict({"profile_overrides": [["rician_k_db", 3.0]]})
+        ScenarioConfig(**{"profile_overrides": [["rician_k_db", 3.0]]})
     with pytest.raises(ConfigError):
-        config_from_dict({"geometry": {"gnb_position_m": [0, 0, 1],
-                                       "ue_position_m": [0, 0, 1]}})
+        ScenarioConfig(**{"geometry": {"gnb_position_m": [0, 0, 1],
+                                        "ue_position_m": [0, 0, 1]}})
     with pytest.raises(ConfigError):
-        config_from_dict({"geometry": {"gnb_position_m": [0, 0, 1],
-                                       "ue_position_m": [float("nan"), 0, 1]}})
+        ScenarioConfig(**{"geometry": {"gnb_position_m": [0, 0, 1],
+                                        "ue_position_m": [float("nan"), 0, 1]}})
     with pytest.raises(ConfigError):
-        config_from_dict({"snr_db": 10 ** 400})
+        ScenarioConfig(**{"snr_db": 10 ** 400})
     with pytest.raises(ConfigError,
                        match=r"^n_trials must be an integer in \[1, 1000000\], got 0$"):
-        config_from_dict({"n_trials": 0})   # raised by the config itself, not re-wrapped
+        ScenarioConfig(**{"n_trials": 0})   # raised by the config itself, not re-wrapped
 
 
 def test_a_negative_prs_seed_is_named_as_the_config_field():
@@ -268,8 +270,9 @@ _PLAUSIBLE = {
 }
 
 
-@pytest.mark.parametrize("build", [config_from_dict, lambda raw: ScenarioConfig(**raw)],
-                         ids=["config_from_dict", "ScenarioConfig"])
+@pytest.mark.parametrize("build", [lambda raw: ScenarioConfig(**raw),
+                                   lambda raw: dataclasses.replace(ScenarioConfig(), **raw)],
+                         ids=["ScenarioConfig", "replace"])
 @settings(max_examples=400, deadline=None)
 @given(raw=st.fixed_dictionaries({}, optional={
     f.name: st.one_of(_JUNK, _PLAUSIBLE.get(f.name, _JUNK))

@@ -201,6 +201,15 @@ def test_ccp_reference_symbol_that_is_not_a_number_is_a_config_error(ref_symbol)
         ccp_measure(stream, num, k, n_sweeps=1, shift_samples=1, ref_symbol=ref_symbol)
 
 
+@pytest.mark.parametrize("ref_symbol", [0, 0j, np.complex128(0)], ids=repr)
+def test_ccp_zero_reference_symbol_is_a_config_error(ref_symbol):
+    # A bad argument, not a signal with no energy, so not NoSignalError.
+    num = small_num()
+    stream, k, _ = continuous_stream(num, 4)
+    with pytest.raises(ConfigError, match=r"^\|ref_symbol\| must be finite and positive"):
+        ccp_measure(stream, num, k, n_sweeps=1, shift_samples=1, ref_symbol=ref_symbol)
+
+
 def test_ccp_negative_window_start_rejected():
     num = small_num()
     stream, k, ref = continuous_stream(num, 4)
