@@ -189,6 +189,9 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     mags = np.abs(z)
     if np.any(mags == 0.0):
         raise NoSignalError("swept window saw an empty subcarrier bin")
-    mean_phasor = np.mean(z / mags)
+    # z / |z| multiplies by 1 / |z|, which overflows for a subnormal |z| (a tiny
+    # rx or ref_symbol); such windows take their unit phasors from their angles.
+    unit = z / mags if mags.min() >= np.finfo(np.float64).tiny else np.exp(1j * np.angle(z))
+    mean_phasor = np.mean(unit)
     phase = float(wrap_phase(np.angle(mean_phasor)))
     return PhaseMeasurement(phase, max(0.0, float(1.0 - np.abs(mean_phasor))))

@@ -2,7 +2,7 @@
 
 Each number and sample-array parameter of each callable in ``__all__``, and
 of ``ChannelRealization.response``, is fed None, text, bools, NaN, the
-infinities, ints past float range, and empty, 0-d, object and wrongly shaped
+infinities, ints past float range, a subnormal, and empty, 0-d, object and wrongly shaped
 arrays, while its other arguments stay valid.  Whatever the callable makes of
 the value, only ``ConfigError``, ``NoSignalError`` or ``ValueError`` may
 escape; the tests turn a warning into an error too (pyproject's
@@ -102,7 +102,7 @@ CASES = [(name, param) for name, sig in SIGNATURES.items() if sig for param in s
 
 # The values every case is fed, then hypothesis draws more of each sort.
 LISTED = [None, "1", True, False, math.nan, math.inf, -math.inf, 10 ** 400, -(10 ** 400),
-          np.array([]), np.array(1.0), np.array([None, 1.0], dtype=object), np.ones((2, 3, 2))]
+          1e-310, np.array([]), np.array(1.0), np.array([None, 1.0], dtype=object), np.ones((2, 3, 2))]
 _SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
 BAD = st.one_of(
     st.sampled_from(LISTED), st.none(), st.booleans(), st.text(max_size=3),

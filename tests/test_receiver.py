@@ -210,6 +210,19 @@ def test_ccp_zero_reference_symbol_is_a_config_error(ref_symbol):
         ccp_measure(stream, num, k, n_sweeps=1, shift_samples=1, ref_symbol=ref_symbol)
 
 
+@pytest.mark.parametrize("rx_scale, ref_scale", [(1.0, 2.22507386e-311), (1e-310, 1.0)],
+                         ids=["subnormal-ref", "subnormal-rx"])
+def test_ccp_subnormal_bins_measure_their_phase(rx_scale, ref_scale):
+    # 1 / |z| of a subnormal bin overflows (a RuntimeWarning before it was handled).
+    num = small_num()
+    stream, k, ref = continuous_stream(num, 4)
+    normal = ccp_measure(stream, num, k, n_sweeps=20, shift_samples=3, ref_symbol=ref)
+    tiny = ccp_measure(stream * rx_scale, num, k, n_sweeps=20, shift_samples=3,
+                       ref_symbol=ref * ref_scale)
+    assert abs(wrap_phase(tiny.phase_rad - normal.phase_rad)) < 1e-9
+    assert tiny.circular_variance == pytest.approx(normal.circular_variance, abs=1e-9)
+
+
 def test_ccp_negative_window_start_rejected():
     num = small_num()
     stream, k, ref = continuous_stream(num, 4)
