@@ -84,11 +84,15 @@ class ScenarioConfig:
     profile_overrides: tuple[tuple[str, float], ...] = ()
 
     def __new__(cls, *args, **kwargs):
-        # Ahead of the generated __init__, whose TypeError would escape ScenarioConfig(**raw)
-        # and dataclasses.replace; pickle and copy call it with no arguments.
-        unknown = set(kwargs) - _CONFIG_KEYS
+        # Ahead of the generated __init__, whose TypeError would escape ScenarioConfig(**raw),
+        # dataclasses.replace and a positional call; pickle and copy call it with no arguments.
+        unknown = set(kwargs).difference(_CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if len(args) > len(_CONFIG_KEYS):
+            raise ConfigError(f"{len(args)} positional values for {len(_CONFIG_KEYS)} fields")
+        if twice := sorted(set(kwargs).intersection(_CONFIG_KEYS[:len(args)])):
+            raise ConfigError(f"config keys given by position and by keyword: {twice}")
         return super().__new__(cls)
 
     def __post_init__(self) -> None:
@@ -128,7 +132,7 @@ class ScenarioConfig:
             (name, getattr(profile, name)) for name, _ in self.profile_overrides))
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import concurrent.futures
+import copy
 import dataclasses
 import json
 import math
 import os
+import pickle
 import re
 from fractions import Fraction
 
@@ -231,6 +233,18 @@ def test_scenario_config_has_no_k_sigma():
         dataclasses.replace(ScenarioConfig(), k_sigma=3.0)
 
 
+def test_positional_misuse_is_a_config_error():
+    # The fields in order take positional values; a repeat or a surplus is named, not a
+    # TypeError.  Pickle and copy build a config with no arguments.
+    assert ScenarioConfig("fr2", "InF-NLOS-S", 5.0) == ScenarioConfig(
+        band="FR2", profile="InF-NLOS-S", snr_db=5.0)
+    with pytest.raises(ConfigError, match=re.escape("by position and by keyword: ['band']")):
+        ScenarioConfig("FR1", band="FR2")
+    with pytest.raises(ConfigError, match="^16 positional values for 15 fields$"):
+        ScenarioConfig(*(getattr(FAST, f.name) for f in dataclasses.fields(FAST)), None)
+    assert pickle.loads(pickle.dumps(FAST)) == copy.copy(FAST) == copy.deepcopy(FAST) == FAST
+
+
 def test_config_from_dict_rejects_malformed_values():
     with pytest.raises(ConfigError):
         ScenarioConfig(**{"methods": 5})
@@ -371,17 +385,6 @@ def test_scenario_matches_individual_trials():
     results = run_scenario(FAST)
     assert [r.trial_index for r in results] == [0, 1, 2]
     assert results[2] == run_trial(FAST, 2)
-
-
-def test_worker_count_does_not_change_output(tmp_path):
-    cfg = dataclasses.replace(FAST, methods=("cp",), n_trials=4)
-    paths = []
-    for workers in (1, 2):
-        res = run_scenario(cfg, workers=workers)
-        out = tmp_path / f"w{workers}.csv"
-        emit_results([compute_cdf(res, "cp")], cfg, str(out))
-        paths.append(out)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def _run_outcome(cfg, workers):
@@ -721,6 +724,83 @@ def test_cli_run_csv(tmp_path, capsys):
     assert out.read_text().startswith("method,abs_error_m,cdf\n")
 
 
+# Whole runs through the CLI, by name; Python's json writes and reads Infinity.
+CLI_CONFIGS = {
+    "exact": {"n_trials": 3, "n_symbols": 16, "ccp_sweeps": 200, "snr_db": math.inf,
+              "profile_overrides": {"rician_k_db": math.inf}},
+    "flags": {"n_trials": 4, "n_symbols": 8, "ccp_sweeps": 20},
+    "nlos": {"n_trials": 2, "n_symbols": 8, "ccp_sweeps": 20, "band": "FR2",
+             "profile": "InF-NLOS-D", "methods": ["toa"]},
+    "ia": {"n_trials": 20, "n_symbols": 16, "ccp_sweeps": 200, "methods": ["cp", "ccp"],
+           "ambiguity": "widelane", "widelane_second_fc_hz": 1.5e9},
+    # 16 symbols: the continuous streams have no n_fft period and are filtered whole.
+    "dense": {"n_trials": 2, "n_symbols": 16, "ambiguity": "widelane",
+              "widelane_second_fc_hz": 3.9e9, "ccp_sweeps": 1000},
+    # 128 symbols: the continuous stream is a 137-row view of one n_fft period, which
+    # add_awgn turns into the flat stream ccp_measure sweeps.
+    "periodic": {"n_trials": 2, "n_symbols": 128},
+    # Each carrier's continuous stream is such a view, and a trial holds one of the two
+    # received streams at a time.
+    "periodic-widelane": {"n_trials": 2, "n_symbols": 128, "ambiguity": "widelane",
+                          "widelane_second_fc_hz": 3.9e9,
+                          "profile_overrides": {"rician_k_db": 30}},
+}
+
+
+def cli_run(tmp_path, name, out, *flags):
+    """Runs CLI_CONFIGS[name] with ``flags`` into tmp_path / out and returns the written bytes."""
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(CLI_CONFIGS[name]))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / out), *flags]) == 0
+    return (tmp_path / out).read_bytes()
+
+
+# Each run's flags and, per method, its (trials, IA failures, kept errors, bound on every
+# kept |error| in metres).
+CLI_RUNS = [
+    # One direct path and no noise: cp and ccp keep only rounding (2.7e-10 m at most),
+    # toa only its fine-search bias (3.5e-5 m).
+    ("exact", (), {"toa": (3, 0, 3, 1e-4), "cp": (3, 0, 3, 1e-9), "ccp": (3, 0, 3, 1e-9)}),
+    # --trials and --method replace the file's 4 trials and 3 methods, and --ia toa
+    # searches around the TOA range on the FR2 NLOS channel.
+    ("flags", ("--trials", "2", "--seed", "9", "--band", "fr2", "--profile", "nlos-s",
+               "--method", "toa", "--ia", "toa"), {"toa": (2, 0, 2, math.inf)}),
+    # The densest NLOS profile on the FR2 numerology.
+    ("nlos", (), {"toa": (2, 0, 2, math.inf)}),
+    # 1.5 and 3.8 GHz put lambda_v / 2 under the finer wavelength: each of cp and ccp fails
+    # 11 of 20 trials (wrong integers; one cp trial has no widelane candidate).
+    ("ia", (), {"cp": (20, 11, 9, math.inf), "ccp": (20, 11, 9, math.inf)}),
+    ("periodic", (), dict.fromkeys(METHODS, (2, 0, 2, math.inf))),
+    # A strong direct path (K = 30 dB) resolves cp once and ccp twice.
+    ("periodic-widelane", (), {"toa": (2, 0, 2, math.inf), "cp": (2, 1, 1, math.inf),
+                               "ccp": (2, 0, 2, math.inf)}),
+]
+
+
+@pytest.mark.parametrize("name,flags,expected", CLI_RUNS, ids=[run[0] for run in CLI_RUNS])
+def test_cli_run_counts_every_trial(tmp_path, name, flags, expected):
+    methods = json.loads(cli_run(tmp_path, name, "res.json", "--format", "json", *flags))["methods"]
+    assert set(methods) == set(expected)
+    for m, (n_trials, failures, kept, bound) in expected.items():
+        errors = methods[m]["abs_errors_m"]
+        assert (methods[m]["n_trials"], methods[m]["ia_failures"], len(errors)) == (
+            n_trials, failures, kept), m
+        assert max(errors, default=0.0) <= bound, m
+
+
+# 9 trials with chunksize 8 give each of two workers a chunk; the CSV lines at 9 trials.
+@pytest.mark.parametrize("name,lines", [("dense", 16), ("periodic", 28),
+                                        ("periodic-widelane", 24)])
+def test_worker_count_does_not_change_output(tmp_path, name, lines):
+    outs = []
+    for workers in ("1", "2"):
+        harness._build_assets.cache_clear()     # no pool child inherits this process's assets
+        outs.append(cli_run(tmp_path, name, f"w{workers}.csv", "--trials", "9",
+                            "--workers", workers))
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n") == lines
+
+
 def test_cli_method_with_every_trial_failed_keeps_the_others(tmp_path, capsys):
     # Under NLOS bias every cp trial takes a wrong integer; the toa results remain.
     cfg = write_cfg(tmp_path, band="FR1", profile="InF-NLOS-S", methods=["toa", "cp"],
@@ -775,26 +855,11 @@ def test_cli_band_flag_is_passed_to_the_config(tmp_path, capsys, band, status):
         assert json.loads(out.read_text())["config"]["band"] == band.upper()
 
 
-def test_cli_bad_config_exits_2(tmp_path, capsys):
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps({"bogus_key": 1}))
-    rc = cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o.csv")])
-    assert rc == 2
-    assert "config error" in capsys.readouterr().err
-
-
 def test_cli_bad_override_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv"),
                    "--method", "sonar"])
     assert rc == 2
-
-
-def test_cli_sweep_past_stream_exits_2(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, ccp_sweeps=100000, methods=["ccp"])
-    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
-    assert rc == 2
-    assert "config error" in capsys.readouterr().err
 
 
 # Each bad value a config file may hold, and how the message the CLI prints begins.
@@ -839,6 +904,9 @@ BAD_FILE_VALUES = [
     # The widelane carrier's numerology rejects it; the message still names the field.
     ({"band": "FR2", "ambiguity": "widelane", "widelane_second_fc_hz": 245.76e6},
      "widelane_second_fc_hz: carrier 2.4576e+08 Hz must exceed half the sample rate"),
+    ({"bogus_key": 1}, "unknown config keys: ['bogus_key']"),
+    ({"ccp_sweeps": 100000, "methods": ["ccp"]}, "100000 sweeps do not fit in 8 symbols"),
+    ({"n_trials": 0}, "n_trials must be an integer in [1, 1000000]"),
 ]
 
 
