@@ -160,10 +160,14 @@ class TrialResult:
 class CdfResult:
     method: str
     abs_errors_m: np.ndarray      # sorted ascending
-    cdf: np.ndarray               # i/n for the i-th sorted error
-    percentiles: dict[int, float]
     n_failures: int
-    n_trials: int
+
+    # Derived, read-only: i/n for the i-th error; kept plus failed trials; linear p50-p95.
+    cdf = property(lambda self: np.arange(1, len(self.abs_errors_m) + 1)
+                   / max(len(self.abs_errors_m), 1))
+    n_trials = property(lambda self: len(self.abs_errors_m) + self.n_failures)
+    percentiles = property(lambda self: {p: float(np.percentile(self.abs_errors_m, p))
+                                         for p in (50, 67, 90, 95) if len(self.abs_errors_m)})
 
 
 class _Assets:
@@ -277,27 +281,23 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list[TrialResult]:
     if workers == 1:
         return [run_trial(cfg, t) for t in trials]
     from concurrent.futures import ProcessPoolExecutor   # 13-15 ms at import, for pools only
-    with ProcessPoolExecutor(workers) as pool:
-        return list(pool.map(run_trial, [cfg] * cfg.n_trials, trials, chunksize=8))
+    with ProcessPoolExecutor(workers) as pool:   # about four chunks a worker
+        return list(pool.map(run_trial, [cfg] * cfg.n_trials, trials,
+                             chunksize=max(1, cfg.n_trials // (4 * workers))))
 
 
 def compute_cdf(results: list[TrialResult], method: str) -> CdfResult:
     """Empirical CDF of |distance error| for one method.
 
     A trial is kept when its outcome has no failure reason, and the rest are
-    counted in ``n_failures`` whatever the reason; percentiles use the linear
-    interpolation convention.  A method none of whose trials survive gets
-    empty arrays and no percentiles, so the other methods' results are still written.
-    ConfigError unless every trial measured ``method``.
+    counted in ``n_failures`` whatever the reason.  A method none of whose trials
+    survive gets empty arrays and no percentiles, so the other methods' results are
+    still written.  ConfigError unless every trial measured ``method``.
     """
     if method not in METHODS or any(method not in r.outcomes for r in results):
         raise ConfigError(f"method {method!r} is not one of {METHODS} measured in every trial")
     kept = [r.outcomes[method].error_m for r in results if r.outcomes[method].failure is None]
-    n_failures = len(results) - len(kept)
-    abs_err = np.sort(np.abs(np.asarray(kept, dtype=np.float64)))
-    cdf = np.arange(1, abs_err.size + 1) / max(abs_err.size, 1)
-    pct = {p: float(np.percentile(abs_err, p)) for p in (50, 67, 90, 95)} if kept else {}
-    return CdfResult(method, abs_err, cdf, pct, n_failures, len(results))
+    return CdfResult(method, np.sort(np.abs(np.array(kept, float))), len(results) - len(kept))
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:

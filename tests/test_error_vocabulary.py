@@ -37,9 +37,8 @@ CFG = pp.ScenarioConfig(n_trials=1, n_symbols=8, ccp_sweeps=20)
 SIGNATURES = {
     "CarrierRange": (pp.CarrierRange, dict(wavelength_m=0.08, fractional_cycles=0.25,
                                            integer_cycles=3)),
-    "CdfResult": (partial(pp.CdfResult, method="cp", percentiles={}),
-                  dict(abs_errors_m=np.array([0.1]), cdf=np.array([1.0]), n_failures=0,
-                       n_trials=1)),
+    "CdfResult": (partial(pp.CdfResult, method="cp"),
+                  dict(abs_errors_m=np.array([0.1]), n_failures=0)),
     "ChannelRealization": (pp.ChannelRealization,
                            dict(delays_s=np.array([1e-7]), gains=np.array([1.0 + 0.0j]))),
     "ChannelRealization.response": (partial(CHANNEL.response, NUM),

@@ -1,8 +1,10 @@
 import concurrent.futures
 import copy
 import dataclasses
+import functools
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import re
@@ -397,14 +399,14 @@ def _run_outcome(cfg, workers):
                              for m, o in r.outcomes.items()}) for r in results]
 
 
-# 9-12 trials with chunksize 8 give both workers of a pool a chunk.
+# Any config gives the same trials in this process as split between two workers.
 @settings(max_examples=5, deadline=None)
 @given(n_symbols=st.integers(2, 4), ccp_sweeps=st.integers(1, 50),
        methods=st.lists(st.sampled_from(METHODS), min_size=1, unique=True),
        ambiguity=st.sampled_from(("oracle", "toa")),
        profile=st.sampled_from(("InF-LOS", "InF-NLOS-S", "InF-NLOS-D")),
        snr_db=st.floats(-10.0, 40.0) | st.just(float("inf")),
-       n_trials=st.integers(9, 12), master_seed=st.integers(0, 2**32 - 1))
+       n_trials=st.integers(2, 12), master_seed=st.integers(0, 2**32 - 1))
 def test_any_config_same_trials_for_one_and_two_workers(n_symbols, ccp_sweeps, methods,
                                                        ambiguity, profile, snr_db, n_trials,
                                                        master_seed):
@@ -459,6 +461,53 @@ def test_pool_capped_at_trials_and_cpus(monkeypatch):
         capped = min(workers, n_trials, os.cpu_count() or 1)
         assert sizes == ([capped] if capped > 1 else [])   # one worker runs in this process
         assert results == run_scenario(cfg)
+
+
+def test_pool_chunks_give_every_worker_trials(monkeypatch):
+    chunks = []     # (pool size, chunk count) of each run
+
+    class RecordingPool:
+        """Records its size and the chunk count of its one map, and runs nothing."""
+
+        def __init__(self, max_workers):
+            self.workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            chunks.append((self.workers, -(-len(iterables[0]) // chunksize)))
+            return []
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)     # no cap to one in-process worker
+    for workers in (2, 3, 7, 64):
+        for n_trials in sorted({2, workers, 4 * workers - 1, 4 * workers, 8 * workers - 1,
+                                8 * workers, 8 * workers + 1, 12_345, harness.MAX_TRIALS}):
+            chunks.clear()
+            assert run_scenario(dataclasses.replace(FAST, n_trials=n_trials), workers) == []
+            [(size, n_chunks)] = chunks
+            assert size == min(workers, n_trials)
+            assert size <= n_chunks < 8 * size, (workers, n_trials)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork" or (os.cpu_count() or 1) < 2,
+                    reason="needs two CPUs and pool children forked with the patched run_trial")
+def test_two_workers_use_two_processes(monkeypatch):
+    @functools.wraps(run_trial)     # keeps the name pickle resolves in a forked worker
+    def tagged(cfg, trial):
+        result = run_trial(cfg, trial)
+        result.pid = os.getpid()
+        return result
+
+    monkeypatch.setattr(harness, "run_trial", tagged)
+    for n_trials in (2, 8, 9):
+        harness._build_assets.cache_clear()
+        results = run_scenario(dataclasses.replace(FAST, n_trials=n_trials), workers=2)
+        assert len({r.pid for r in results}) == 2, n_trials
 
 
 # Per-trial (distance error repr, integer, IA failure) of FAST under each
@@ -677,7 +726,7 @@ def test_json_payload(tmp_path):
 
 
 def test_unknown_format_rejected(tmp_path):
-    c = CdfResult("cp", np.array([1.0]), np.array([1.0]), {50: 1.0}, 0, 1)
+    c = CdfResult("cp", np.array([1.0]), 0)
     with pytest.raises(ConfigError):
         emit_results([c], FAST, str(tmp_path / "x.yaml"), "yaml")
 
@@ -685,7 +734,7 @@ def test_unknown_format_rejected(tmp_path):
 def test_a_path_that_is_no_str_or_path_like_is_a_config_error(tmp_path):
     # open() takes an int, a bool included, as a file descriptor, writes to it
     # and closes it; the path rule refuses it before anything is opened.
-    c = CdfResult("cp", np.array([1.0]), np.array([1.0]), {50: 1.0}, 0, 1)
+    c = CdfResult("cp", np.array([1.0]), 0)
     fd = os.open(tmp_path / "descriptor.csv", os.O_RDWR | os.O_CREAT)
     try:
         for call, path in [(lambda p: emit_results([c], FAST, p), fd),
@@ -699,6 +748,25 @@ def test_a_path_that_is_no_str_or_path_like_is_a_config_error(tmp_path):
         os.close(fd)
     emit_results([c], FAST, tmp_path / "results.csv")   # a pathlib.Path is a path
     assert (tmp_path / "results.csv").read_text().startswith("method,abs_error_m,cdf\n")
+
+
+def test_a_hand_built_cdf_result_writes_what_compute_cdf_writes(tmp_path):
+    # A CdfResult stores the sorted |errors| and failure count and derives the rest, so
+    # one built by hand cannot contradict itself; every ccp trial here fails.
+    results = [TrialResult(i, {"cp": MethodOutcome(e, None, f),
+                               "ccp": MethodOutcome(np.nan, None, "no_candidate")})
+               for i, (e, f) in enumerate([(0.3, None), (-0.1, None), (9.0, "wrong_integer"),
+                                           (-0.2, None)])]
+    computed = [compute_cdf(results, m) for m in ("cp", "ccp")]
+    built = [CdfResult("cp", np.array([0.1, 0.2, 0.3]), 1), CdfResult("ccp", np.array([]), 4)]
+    for fmt in ("csv", "json"):
+        emit_results(computed, FAST, tmp_path / f"computed.{fmt}", fmt)
+        emit_results(built, FAST, tmp_path / f"built.{fmt}", fmt)
+        assert (tmp_path / f"built.{fmt}").read_bytes() == (
+            tmp_path / f"computed.{fmt}").read_bytes()
+    for name in ("cdf", "n_trials", "percentiles"):
+        with pytest.raises(AttributeError):
+            setattr(built[0], name, getattr(built[0], name))
 
 
 # ------------------------------------------------------------------------ cli
@@ -788,7 +856,8 @@ def test_cli_run_counts_every_trial(tmp_path, name, flags, expected):
         assert max(errors, default=0.0) <= bound, m
 
 
-# 9 trials with chunksize 8 give each of two workers a chunk; the CSV lines at 9 trials.
+# One and two workers write the same CSV on the dense, periodic and two-carrier paths;
+# the CSV lines at 9 trials.
 @pytest.mark.parametrize("name,lines", [("dense", 16), ("periodic", 28),
                                         ("periodic-widelane", 24)])
 def test_worker_count_does_not_change_output(tmp_path, name, lines):
