@@ -338,14 +338,24 @@ def emit_results(cdfs: list[CdfResult], cfg: ScenarioConfig, path: str,
     return path
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object as a dict; a key it holds twice is a ConfigError, not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str) -> ScenarioConfig:
     """Parse a JSON config file, a str or os.PathLike, whose keys mirror ScenarioConfig fields."""
     if not isinstance(path, (str, os.PathLike)):   # open() takes an int as a file descriptor
         raise ConfigError(f"path must be a str or os.PathLike, got {path!r}")
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:   # bad JSON, bad UTF-8, an int past 4300 digits
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:   # bad JSON or UTF-8, a repeated key, a huge int
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")

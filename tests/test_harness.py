@@ -9,6 +9,7 @@ import os
 import pickle
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -796,7 +797,10 @@ def test_cli_run_csv(tmp_path, capsys):
 CLI_CONFIGS = {
     "exact": {"n_trials": 3, "n_symbols": 16, "ccp_sweeps": 200, "snr_db": math.inf,
               "profile_overrides": {"rician_k_db": math.inf}},
-    "flags": {"n_trials": 4, "n_symbols": 8, "ccp_sweeps": 20},
+    # Sets trials, seed, band, profile, methods and IA mode: toa searches around the TOA
+    # range on the FR2 NLOS-S channel.
+    "flags": {"n_trials": 2, "master_seed": 9, "band": "fr2", "profile": "InF-NLOS-S",
+              "methods": ["toa"], "ambiguity": "toa", "n_symbols": 8, "ccp_sweeps": 20},
     "nlos": {"n_trials": 2, "n_symbols": 8, "ccp_sweeps": 20, "band": "FR2",
              "profile": "InF-NLOS-D", "methods": ["toa"]},
     "ia": {"n_trials": 20, "n_symbols": 16, "ccp_sweeps": 200, "methods": ["cp", "ccp"],
@@ -815,39 +819,37 @@ CLI_CONFIGS = {
 }
 
 
-def cli_run(tmp_path, name, out, *flags):
-    """Runs CLI_CONFIGS[name] with ``flags`` into tmp_path / out and returns the written bytes."""
+def cli_run(tmp_path, name, out, *options, **fields):
+    """Runs CLI_CONFIGS[name], with ``fields`` over its own, into tmp_path / out with
+    ``options`` and returns the written bytes."""
     cfg = tmp_path / f"{name}.json"
-    cfg.write_text(json.dumps(CLI_CONFIGS[name]))
-    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / out), *flags]) == 0
+    cfg.write_text(json.dumps({**CLI_CONFIGS[name], **fields}))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / out), *options]) == 0
     return (tmp_path / out).read_bytes()
 
 
-# Each run's flags and, per method, its (trials, IA failures, kept errors, bound on every
-# kept |error| in metres).
+# Each run's (trials, IA failures, kept errors, bound on every kept |error| in metres) per
+# method.
 CLI_RUNS = [
     # One direct path and no noise: cp and ccp keep only rounding (2.7e-10 m at most),
     # toa only its fine-search bias (3.5e-5 m).
-    ("exact", (), {"toa": (3, 0, 3, 1e-4), "cp": (3, 0, 3, 1e-9), "ccp": (3, 0, 3, 1e-9)}),
-    # --trials and --method replace the file's 4 trials and 3 methods, and --ia toa
-    # searches around the TOA range on the FR2 NLOS channel.
-    ("flags", ("--trials", "2", "--seed", "9", "--band", "fr2", "--profile", "nlos-s",
-               "--method", "toa", "--ia", "toa"), {"toa": (2, 0, 2, math.inf)}),
+    ("exact", {"toa": (3, 0, 3, 1e-4), "cp": (3, 0, 3, 1e-9), "ccp": (3, 0, 3, 1e-9)}),
+    ("flags", {"toa": (2, 0, 2, math.inf)}),
     # The densest NLOS profile on the FR2 numerology.
-    ("nlos", (), {"toa": (2, 0, 2, math.inf)}),
+    ("nlos", {"toa": (2, 0, 2, math.inf)}),
     # 1.5 and 3.8 GHz put lambda_v / 2 under the finer wavelength: each of cp and ccp fails
     # 11 of 20 trials (wrong integers; one cp trial has no widelane candidate).
-    ("ia", (), {"cp": (20, 11, 9, math.inf), "ccp": (20, 11, 9, math.inf)}),
-    ("periodic", (), dict.fromkeys(METHODS, (2, 0, 2, math.inf))),
+    ("ia", {"cp": (20, 11, 9, math.inf), "ccp": (20, 11, 9, math.inf)}),
+    ("periodic", dict.fromkeys(METHODS, (2, 0, 2, math.inf))),
     # A strong direct path (K = 30 dB) resolves cp once and ccp twice.
-    ("periodic-widelane", (), {"toa": (2, 0, 2, math.inf), "cp": (2, 1, 1, math.inf),
-                               "ccp": (2, 0, 2, math.inf)}),
+    ("periodic-widelane", {"toa": (2, 0, 2, math.inf), "cp": (2, 1, 1, math.inf),
+                           "ccp": (2, 0, 2, math.inf)}),
 ]
 
 
-@pytest.mark.parametrize("name,flags,expected", CLI_RUNS, ids=[run[0] for run in CLI_RUNS])
-def test_cli_run_counts_every_trial(tmp_path, name, flags, expected):
-    methods = json.loads(cli_run(tmp_path, name, "res.json", "--format", "json", *flags))["methods"]
+@pytest.mark.parametrize("name,expected", CLI_RUNS, ids=[run[0] for run in CLI_RUNS])
+def test_cli_run_counts_every_trial(tmp_path, name, expected):
+    methods = json.loads(cli_run(tmp_path, name, "res.json", "--format", "json"))["methods"]
     assert set(methods) == set(expected)
     for m, (n_trials, failures, kept, bound) in expected.items():
         errors = methods[m]["abs_errors_m"]
@@ -864,8 +866,8 @@ def test_worker_count_does_not_change_output(tmp_path, name, lines):
     outs = []
     for workers in ("1", "2"):
         harness._build_assets.cache_clear()     # no pool child inherits this process's assets
-        outs.append(cli_run(tmp_path, name, f"w{workers}.csv", "--trials", "9",
-                            "--workers", workers))
+        outs.append(cli_run(tmp_path, name, f"w{workers}.csv", "--workers", workers,
+                            n_trials=9))
     assert outs[0] == outs[1]
     assert outs[0].count(b"\n") == lines
 
@@ -886,49 +888,26 @@ def test_cli_method_with_every_trial_failed_keeps_the_others(tmp_path, capsys):
     assert set(methods["toa"]["percentiles"]) == {"p50", "p67", "p90", "p95"}
 
 
-def test_cli_overrides_and_json(tmp_path):
-    cfg = write_cfg(tmp_path)
-    out = tmp_path / "res.json"
-    rc = cli.main(["run", "--config", cfg, "--out", str(out), "--format", "json",
-                   "--trials", "3", "--seed", "99", "--band", "fr2",
-                   "--profile", "nlos-s", "--method", "cp,toa", "--ia", "toa"])
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    assert payload["config"]["n_trials"] == 3
-    assert payload["config"]["master_seed"] == 99
-    assert payload["config"]["band"] == "FR2"
-    assert payload["config"]["profile"] == "InF-NLOS-S"
-    assert payload["config"]["ambiguity"] == "toa"
-    assert set(payload["methods"]) == {"cp", "toa"}
-
-
 def test_band_is_stored_upper_cased(tmp_path):
     # "fr2" runs the trials "FR2" does, so the two are one config and echo as one.
     assert ScenarioConfig(band="fr2") == ScenarioConfig(band="FR2")
     assert hash(ScenarioConfig(band="fr2")) == hash(ScenarioConfig(band="FR2"))
     out = tmp_path / "res.json"
-    cfg = write_cfg(tmp_path, band="fr2")
-    assert cli.main(["run", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
-    assert json.loads(out.read_text())["config"]["band"] == "FR2"
-
-
-@pytest.mark.parametrize("band,status", [("FR2", 0), ("Fr1", 0), ("fr9", 2)])
-def test_cli_band_flag_is_passed_to_the_config(tmp_path, capsys, band, status):
-    out = tmp_path / "res.json"
-    rc = cli.main(["run", "--config", write_cfg(tmp_path), "--out", str(out), "--format", "json",
-                   "--band", band])
-    assert rc == status
-    if status:
-        assert capsys.readouterr().err.startswith("config error: unknown band 'FR9'")
-    else:
+    for band in ("fr2", "Fr1"):
+        cfg = write_cfg(tmp_path, band=band)
+        assert cli.main(["run", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
         assert json.loads(out.read_text())["config"]["band"] == band.upper()
 
 
-def test_cli_bad_override_exits_2(tmp_path, capsys):
-    cfg = write_cfg(tmp_path)
-    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv"),
-                   "--method", "sonar"])
-    assert rc == 2
+# The band now comes only from the config file, in any letter case; an unknown band is a
+# BAD_FILE_VALUES row, so every status here is 0.
+@pytest.mark.parametrize("band,status", [("FR2", 0), ("Fr1", 0)])
+def test_cli_band_flag_is_passed_to_the_config(tmp_path, band, status):
+    out = tmp_path / "res.json"
+    rc = cli.main(["run", "--config", write_cfg(tmp_path, band=band), "--out", str(out),
+                   "--format", "json"])
+    assert rc == status
+    assert json.loads(out.read_text())["config"]["band"] == band.upper()
 
 
 # Each bad value a config file may hold, and how the message the CLI prints begins.
@@ -976,6 +955,8 @@ BAD_FILE_VALUES = [
     ({"bogus_key": 1}, "unknown config keys: ['bogus_key']"),
     ({"ccp_sweeps": 100000, "methods": ["ccp"]}, "100000 sweeps do not fit in 8 symbols"),
     ({"n_trials": 0}, "n_trials must be an integer in [1, 1000000]"),
+    ({"band": "fr9"}, "unknown band 'FR9'"),
+    ({"methods": ["sonar"]}, "methods must be a nonempty list"),
 ]
 
 
@@ -1020,6 +1001,55 @@ def test_cli_old_k_sigma_config_exits_2_as_an_unknown_key(tmp_path, capsys, k_si
     err = capsys.readouterr().err
     assert err.startswith("config error: unknown config keys") and "k_sigma" in err
     assert not (tmp_path / "o.csv").exists()
+
+
+# Only the config file sets scenario fields, so each of these is argparse's usage error.
+REMOVED_OPTIONS = [("--trials", "2"), ("--seed", "9"), ("--band", "fr2"),
+                   ("--profile", "nlos-s"), ("--method", "toa"), ("--ia", "toa")]
+
+
+@pytest.mark.parametrize("option", REMOVED_OPTIONS, ids=[o[0] for o in REMOVED_OPTIONS])
+def test_cli_scenario_option_is_a_usage_error(tmp_path, capsys, option):
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", write_cfg(tmp_path), "--out", str(out), *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# A key given twice in a config file, at the top level and inside a nested object.
+REPEATED_KEYS = [
+    ('{"n_trials": 2, "n_trials": 3, "methods": ["cp"], "n_symbols": 8}', "n_trials"),
+    ('{"n_trials": 2, "methods": ["cp"], "n_symbols": 8, "geometry": {'
+     '"gnb_position_m": [0, 0, 10], "ue_position_m": [20, 0, 1.5], "ue_position_m": [9, 0, 1]}}',
+     "ue_position_m"),
+    ('{"n_trials": 2, "methods": ["cp"], "n_symbols": 8,'
+     ' "profile_overrides": {"rician_k_db": 10, "rician_k_db": 20}}', "rician_k_db"),
+]
+
+
+@pytest.mark.parametrize("text,key", REPEATED_KEYS, ids=[k for _, k in REPEATED_KEYS])
+def test_cli_repeated_config_key_exits_2(tmp_path, capsys, text, key):
+    cfg, out = tmp_path / "scenario.json", tmp_path / "o.csv"
+    cfg.write_text(text)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot read config {cfg}: key {key!r} is given twice\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+def test_cli_out_that_is_the_config_exits_2(tmp_path, capsys, link):
+    cfg = write_cfg(tmp_path)
+    before = Path(cfg).read_bytes()
+    out = tmp_path / "link.json" if link else Path(cfg)
+    if link:
+        out.symlink_to(cfg)
+    for fmt in ("csv", "json"):
+        assert cli.main(["run", "--config", cfg, "--out", str(out), "--format", fmt]) == 2
+        assert capsys.readouterr().err == f"config error: --out {out} is the config file\n"
+    assert Path(cfg).read_bytes() == before
 
 
 def test_cli_unwritable_output_exits_3(tmp_path, capsys):
