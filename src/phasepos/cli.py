@@ -5,8 +5,10 @@
 The config file sets every scenario field; the options set only the output
 and the worker count.  Exit codes: 0 on success (a failed trial is counted
 whatever its reason, and a method whose every trial fails has empty
-results), 2 for configuration problems or an unknown option, 3 when writing
-the output fails.
+results), 2 for configuration problems, an unknown option or an ``--out``
+that names no file (a directory), is the config file or is not in an
+existing directory (all found before the first trial), 3 when writing the
+output fails.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
+    parent, name = os.path.split(args.out)
+    if not name or os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} names no file")
+    if not os.path.isdir(parent or os.curdir):
+        raise ConfigError(f"--out {args.out} is not in an existing directory")
     if os.path.exists(args.out) and os.path.samefile(args.out, args.config):
         raise ConfigError(f"--out {args.out} is the config file")
     results = run_scenario(cfg, workers=args.workers)

@@ -1052,12 +1052,36 @@ def test_cli_out_that_is_the_config_exits_2(tmp_path, capsys, link):
     assert Path(cfg).read_bytes() == before
 
 
-def test_cli_unwritable_output_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("out, problem", [
+    ("no_such_dir/o.csv", "is not in an existing directory"),
+    ("scenario.json/o.csv", "is not in an existing directory"),
+    (".", "names no file"),
+    ("no_such_dir/", "names no file"),
+], ids=["missing-dir", "file-as-dir", "directory", "trailing-separator"])
+def test_cli_out_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, out, problem):
+    # Found before the first trial, not after the last one.
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
     cfg = write_cfg(tmp_path)
-    rc = cli.main(["run", "--config", cfg,
-                   "--out", str(tmp_path / "no_such_dir" / "o.csv")])
+    out = os.path.join(tmp_path, out)
+    assert cli.main(["run", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: --out {out} {problem}\n"
+
+
+def test_cli_unwritable_output_exits_3(tmp_path, capsys, monkeypatch):
+    # A write that fails only when the results are written, after every trial ran.
+    def unwritable(path, mode="r", **kwargs):
+        if "w" in mode:
+            raise PermissionError(13, "Permission denied", str(path))
+        return open(path, mode, **kwargs)
+
+    monkeypatch.setattr(harness, "open", unwritable, raising=False)
+    cfg = write_cfg(tmp_path)
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
     assert rc == 3
-    assert "run failed" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("run failed: [Errno 13] Permission denied")
 
 
 def test_cli_requires_subcommand():
