@@ -10,18 +10,16 @@ rule for every mode: +- the searched wavelength around the mode's centre.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import as_finite, as_int, as_positive, as_samples, set_checked
+from .errors import as_finite, as_int, as_positive, as_samples, record, set_checked
 from .receiver import wrap_phase
 
 IA_MODES = ("oracle", "toa", "widelane")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CarrierRange:
     """A (possibly unresolved) phase-derived range on one wavelength.
 

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import as_finite, as_positive, set_checked
+from .errors import as_finite, as_positive, record, set_checked
 from .receiver import wrap_phase
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InterferometerConfig:
     """Antenna pair: spacing and the carrier wavelength it measures at."""
 

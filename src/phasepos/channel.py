@@ -26,13 +26,13 @@ spaces the frequencies f are read from the numerology passed with them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT, STREAM_BLOCK
 from .errors import (ConfigError, NoSignalError, as_db, as_finite, as_int, as_positive, as_real,
-                     as_samples, as_vector, set_checked)
+                     as_samples, as_vector, record, set_checked)
 from .waveform import NumerologyConfig
 
 # 25 clusters x 20 rays, the largest ray count of TR 38.901's InF model;
@@ -41,7 +41,7 @@ from .waveform import NumerologyConfig
 MAX_CLUTTER_TAPS = 500
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Geometry:
     """Static transmitter/receiver placement, coordinates in metres.
 
@@ -75,7 +75,7 @@ class Geometry:
         return self.true_distance_m / SPEED_OF_LIGHT
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScenarioProfile:
     """Statistical description of one propagation scenario.
 
@@ -132,7 +132,7 @@ def profile_preset(kind: str, /, **overrides) -> ScenarioProfile:
     return ScenarioProfile(kind=kind, **{**preset, **overrides})
 
 
-@dataclass(frozen=True, eq=False)     # a generated == or hash over arrays is ambiguous
+@record(frozen=True, eq=False)     # a generated == or hash over arrays is ambiguous
 class ChannelRealization:
     """One drawn tapped-delay-line: tap i delays by ``delays_s[i]`` and scales by ``gains[i]``.
 

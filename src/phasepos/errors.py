@@ -1,15 +1,18 @@
-"""Error types, and the one owner of the rules of a number or a sample-array argument.
+"""Error types, and the one owner of the rules of an argument and of a record's construction.
 
-Every config number and every number or sample array an exported function takes
-is read through ``as_real``, ``as_finite``, ``as_positive``, ``as_int``, ``as_db``,
-``as_samples`` or ``as_vector``; the ``ConfigError`` they raise names the argument,
-its rule and the value.
+Every config number and every number, sample array or path an exported function takes is
+read through ``as_real``, ``as_finite``, ``as_positive``, ``as_int``, ``as_db``, ``as_samples``,
+``as_vector`` or ``as_path``; the ``ConfigError`` they raise names the argument, its rule and
+the value.  Every record is a ``record``, whose constructor binds its arguments to its fields.
 A config object's number fields are checked, and stored as what their rules return, by
 ``set_checked``: a numpy scalar or a ``Fraction`` becomes a Python int or float.
 """
 
+import dataclasses
+import functools
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -80,6 +83,13 @@ def set_checked(config, rules) -> None:
         object.__setattr__(config, name, rule(name, getattr(config, name), *bounds))
 
 
+def as_path(name: str, value):
+    """``value`` unchanged; ConfigError unless a str or os.PathLike, not an int (a descriptor)."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ConfigError(f"{name} must be a str or os.PathLike, got {_shown(value)}")
+    return value
+
+
 def as_samples(name: str, value, kinds: str = "iufc") -> np.ndarray:
     """``np.asarray(value)``: no copy, cast or pass over the data.  ConfigError unless
     it is non-empty and its dtype kind is in ``kinds`` ("iufc": numeric)."""
@@ -100,3 +110,28 @@ def as_vector(name: str, value, kinds: str, max_size: float) -> np.ndarray:
     if not np.isfinite(vector).all():
         raise ConfigError(f"{name} must be finite, got {vector[~np.isfinite(vector)][0].item()!r}")
     return vector
+
+
+def record(**options):
+    """``dataclasses.dataclass(**options)``, its ``__init__`` binding the arguments to the init
+    fields first (pickle and copy never call it): ConfigError for a keyword that is no field, a
+    surplus positional value, a field given both ways, or one with no default given neither way."""
+    def build(cls):
+        cls = dataclasses.dataclass(**options)(cls)
+        fields, init = [f for f in dataclasses.fields(cls) if f.init], cls.__init__
+        names, keys = tuple(f.name for f in fields), {f.name for f in fields}   # once per class
+        needed = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
+        @functools.wraps(init)
+        def __init__(self, *args, **kwargs):
+            if unknown := kwargs.keys() - keys:
+                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            if len(args) > len(names):
+                raise ConfigError(f"{len(args)} positional values for {len(names)} fields")
+            if twice := kwargs.keys() & names[:len(args)]:
+                raise ConfigError(f"config keys given by position and by keyword: {sorted(twice)}")
+            if missing := needed.difference(kwargs, names[:len(args)]):
+                raise ConfigError(f"missing config keys: {sorted(missing)}")
+            init(self, *args, **kwargs)
+        cls.__init__ = __init__
+        return cls
+    return build

@@ -25,7 +25,6 @@ import json
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -33,7 +32,8 @@ import numpy as np
 from .ambiguity import IA_MODES, phase_to_fraction, resolve
 from .channel import Geometry, add_awgn, apply_channel, draw_channel, profile_preset
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigError, NoSignalError, as_db, as_int, as_positive, set_checked
+from .errors import (ConfigError, NoSignalError, as_db, as_int, as_path, as_positive, record,
+                     set_checked)
 from .receiver import ccp_measure, estimate_toa
 from .waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column, make_numerology,
                        middle_subcarrier, ofdm_modulate)
@@ -47,7 +47,7 @@ _NUMBER_RULES = (("n_trials", as_int, 1, MAX_TRIALS), ("ccp_sweeps", as_int, 1, 
                  ("prs_seed", as_int, 0, math.inf))    # PrsConfig holds the comb's ranges
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScenarioConfig:
     """Everything one reproducible scenario run depends on.
 
@@ -55,14 +55,13 @@ class ScenarioConfig:
     a list of methods becomes a tuple, a mapping of exactly ``gnb_position_m``
     and ``ue_position_m`` becomes a ``Geometry``, and a mapping of profile
     overrides becomes a tuple of (name, value) pairs sorted by name.
-    Construction (``ScenarioConfig(**raw)`` and ``dataclasses.replace`` too)
-    validates every field and raises ``ConfigError`` on a keyword that is not a
-    field (``unknown config keys: [...]``), any other shape, a wrongly typed,
-    non-finite or too large value, a finite SNR beyond ``MAX_ABS_DB``, more than
-    ``MAX_SYMBOLS`` symbols or ``MAX_TRIALS`` trials, an unknown name, a
-    repeated method, a profile override named twice or not read by the profile
-    kind, a ``widelane_second_fc_hz`` set under any mode but widelane or missing
-    under it, or parts that do not fit together (``_Assets`` checks those).
+    Construction (``ScenarioConfig(**raw)`` and ``dataclasses.replace`` too) binds its
+    arguments by ``record``'s rule, validates every field and raises ``ConfigError`` on
+    any other shape, a wrongly typed, non-finite or too large value, a finite SNR beyond
+    ``MAX_ABS_DB``, more than ``MAX_SYMBOLS`` symbols or ``MAX_TRIALS`` trials, an unknown
+    name, a repeated method, a profile override named twice or not read by the profile
+    kind, a ``widelane_second_fc_hz`` set under any mode but widelane or missing under it,
+    or parts that do not fit together (``_Assets`` checks those).
     A rejected number's message names the field, its allowed range and the
     value; an accepted one is stored as the Python int or float its check returns.
     """
@@ -82,18 +81,6 @@ class ScenarioConfig:
     prs_seed: int = 7
     widelane_second_fc_hz: float | None = None
     profile_overrides: tuple[tuple[str, float], ...] = ()
-
-    def __new__(cls, *args, **kwargs):
-        # Ahead of the generated __init__, whose TypeError would escape ScenarioConfig(**raw),
-        # dataclasses.replace and a positional call; pickle and copy call it with no arguments.
-        unknown = set(kwargs).difference(_CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if len(args) > len(_CONFIG_KEYS):
-            raise ConfigError(f"{len(args)} positional values for {len(_CONFIG_KEYS)} fields")
-        if twice := sorted(set(kwargs).intersection(_CONFIG_KEYS[:len(args)])):
-            raise ConfigError(f"config keys given by position and by keyword: {twice}")
-        return super().__new__(cls)
 
     def __post_init__(self) -> None:
         # The JSON shapes become the hashable ones trials cache their assets by.
@@ -132,10 +119,7 @@ class ScenarioConfig:
             (name, getattr(profile, name)) for name, _ in self.profile_overrides))
 
 
-_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
-
-
-@dataclass(frozen=True)
+@record(frozen=True)
 class MethodOutcome:
     """One method's verdict in one trial; a failed trial's error is NaN or off by a cycle."""
 
@@ -144,7 +128,7 @@ class MethodOutcome:
     failure: str | None = None    # None, "no_candidate", "wrong_integer" or "no_signal"
 
 
-@dataclass
+@record()
 class TrialResult:
     trial_index: int
     outcomes: dict[str, MethodOutcome]    # in cfg.methods order
@@ -156,7 +140,7 @@ class TrialResult:
                                         for m, o in self.outcomes.items()})
 
 
-@dataclass
+@record()
 class CdfResult:
     method: str
     abs_errors_m: np.ndarray      # sorted ascending
@@ -308,8 +292,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 def emit_results(cdfs: list[CdfResult], cfg: ScenarioConfig, path: str,
                  fmt: str = "csv") -> str:
     """Write CDFs to ``path``, a str or os.PathLike, as csv or json; byte-deterministic."""
-    if not isinstance(path, (str, os.PathLike)):   # open() takes an int as a file descriptor
-        raise ConfigError(f"path must be a str or os.PathLike, got {path!r}")
+    as_path("path", path)
     if fmt == "csv":
         lines = ["method,abs_error_m,cdf"]
         for c in cdfs:
@@ -350,8 +333,7 @@ def _unique_keys(pairs: list) -> dict:
 
 def load_config(path: str) -> ScenarioConfig:
     """Parse a JSON config file, a str or os.PathLike, whose keys mirror ScenarioConfig fields."""
-    if not isinstance(path, (str, os.PathLike)):   # open() takes an int as a file descriptor
-        raise ConfigError(f"path must be a str or os.PathLike, got {path!r}")
+    as_path("path", path)
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_unique_keys)

@@ -12,25 +12,23 @@ decreases.  All reported phases are wrapped to [-pi, pi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import STREAM_BLOCK
-from .errors import NoSignalError, as_int, as_positive, as_samples
+from .errors import NoSignalError, as_int, as_positive, as_samples, record
 from .waveform import NumerologyConfig
 
 
 EARLY_PEAK_RATIO = 0.6     # first-arrival peak height / global correlation maximum
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ToaMeasurement:
     toa_s: float
     peak_metric: float      # chosen peak height / global correlation maximum
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PhaseMeasurement:
     phase_rad: float
     circular_variance: float    # 1 - |mean unit phasor|, clamped into [0, 1] against rounding

@@ -28,11 +28,10 @@ Conventions used throughout:
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, as_int, as_positive, as_samples, set_checked
+from .errors import ConfigError, as_int, as_positive, as_samples, record, set_checked
 
 CONVENTIONAL = "conventional"
 CONTINUOUS = "continuous"
@@ -40,7 +39,7 @@ CONTINUOUS = "continuous"
 _COMB_SIZES = (2, 4, 6, 12)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NumerologyConfig:
     """Static OFDM dimensioning for one carrier; the sample rate is scs_hz * n_fft.
 
@@ -76,7 +75,7 @@ class NumerologyConfig:
         return self.n_fft + self.n_cp
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PrsConfig:
     """Comb occupancy and seeding for a positioning reference signal, as checked Python ints."""
 

@@ -8,9 +8,20 @@ the value, only ``ConfigError``, ``NoSignalError`` or ``ValueError`` may
 escape; the tests turn a warning into an error too (pyproject's
 ``filterwarnings``).  Config objects (a numerology, a channel, a scenario)
 are held valid: their own fields are parameters of their own constructors.
+
+Every record (dataclass) of the package binds its constructor's arguments by one
+rule: an unknown keyword, a surplus positional value, a field given both ways
+and a missing field are each a ``ConfigError``, while pickle, copy and
+``dataclasses.replace`` rebuild the record as it was.
 """
 
+import copy
+import dataclasses
+import importlib
 import math
+import pickle
+import pkgutil
+import re
 from functools import partial
 
 import numpy as np
@@ -48,6 +59,7 @@ SIGNATURES = {
                                    ue_position_m=(20.0, 0.0, 1.5))),
     "InterferometerConfig": (pp.InterferometerConfig,
                              dict(antenna_spacing_m=0.5, wavelength_m=1.0)),
+    "MethodOutcome": (pp.harness.MethodOutcome, dict(error_m=0.1, integer=3)),   # not exported
     "NoSignalError": None,
     "NumerologyConfig": (pp.NumerologyConfig,
                          dict(carrier_frequency_hz=3.8e9, scs_hz=30e3, n_fft=64, n_cp=8,
@@ -117,7 +129,7 @@ BAD = st.one_of(
 
 def test_every_exported_callable_is_listed():
     exported = {name for name in pp.__all__ if callable(getattr(pp, name))}
-    assert set(SIGNATURES) == exported | {"ChannelRealization.response"}
+    assert set(SIGNATURES) == exported | {"ChannelRealization.response", "MethodOutcome"}
 
 
 @pytest.mark.parametrize("name", [name for name, sig in SIGNATURES.items() if sig])
@@ -165,3 +177,65 @@ def test_finite_arguments_that_overflow_together_are_a_config_error(name, values
     call, valid = SIGNATURES[name]
     with pytest.raises(pp.ConfigError):
         call(**{**valid, **values})
+
+
+# The records' classes, by name; each is built from its valid arguments.
+_CALLED = {name: getattr(sig[0], "func", sig[0]) for name, sig in SIGNATURES.items() if sig}
+RECORDS = {name: cls for name, cls in _CALLED.items() if dataclasses.is_dataclass(cls)}
+
+
+def test_every_record_is_listed():
+    modules = [importlib.import_module(f"phasepos.{m.name}")
+               for m in pkgutil.iter_modules(pp.__path__)]
+    assert set(RECORDS) == {obj.__name__ for module in modules for obj in vars(module).values()
+                            if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                            and obj.__module__ == module.__name__}
+
+
+def _built(name):
+    """Record ``name`` built from its valid arguments, and its init fields by name in order."""
+    call, valid = SIGNATURES[name]
+    record = call(**valid)
+    return record, {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.init}
+
+
+# Each misuse of a record's constructor, given a built record and its fields.
+MISUSES = {
+    "unknown": lambda record, kw: type(record)(**kw, bogus_key=1),
+    "unknown-replace": lambda record, kw: dataclasses.replace(record, bogus_key=1),
+    "surplus": lambda record, kw: type(record)(*kw.values(), None),
+    "repeated": lambda record, kw: type(record)(next(iter(kw.values())), **kw),
+    "missing": lambda record, kw: type(record)(**dict(list(kw.items())[1:])),   # the first
+}
+# A record that defaults every field (ScenarioConfig, PrsConfig) has none to miss.
+MISUSE_CASES = [(name, form) for name, cls in RECORDS.items() for form in MISUSES
+                if form != "missing" or any(f.default is f.default_factory is dataclasses.MISSING
+                                            for f in dataclasses.fields(cls))]
+
+
+@pytest.mark.parametrize("name,form", MISUSE_CASES, ids=[f"{n}-{f}" for n, f in MISUSE_CASES])
+def test_a_misused_record_constructor_is_a_config_error(name, form):
+    record, kw = _built(name)
+    with pytest.raises(pp.ConfigError):
+        MISUSES[form](record, kw)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_record_survives_pickle_copy_replace_and_positional_fields(name):
+    record, kw = _built(name)
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record),
+                  dataclasses.replace(record), type(record)(*kw.values())):
+        assert type(clone) is type(record) and repr(clone) == repr(record)
+
+
+def test_the_binding_rule_names_the_fields():
+    with pytest.raises(pp.ConfigError, match=re.escape(
+            "config keys given by position and by keyword: ['wavelength_m']")):
+        pp.CarrierRange(0.08, 0.25, wavelength_m=1.0)
+    with pytest.raises(pp.ConfigError, match=re.escape(
+            "missing config keys: ['fractional_cycles', 'wavelength_m']")):
+        pp.CarrierRange()
+    with pytest.raises(pp.ConfigError, match=re.escape("unknown config keys: ['fc']")):
+        dataclasses.replace(pp.make_numerology("FR1"), fc=1)
+    with pytest.raises(pp.ConfigError, match="^4 positional values for 3 fields$"):
+        pp.CarrierRange(0.08, 0.25, 3, 4)

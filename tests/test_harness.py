@@ -1,12 +1,10 @@
 import concurrent.futures
-import copy
 import dataclasses
 import functools
 import json
 import math
 import multiprocessing
 import os
-import pickle
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -210,25 +208,11 @@ def test_library_constructor_takes_the_json_shapes():
     assert set(run_trial(cfg, 0).outcomes) == {"toa", "cp"}
 
 
-def test_config_from_dict_rejects_unknown_keys():
-    # A mapping with an unknown key is a ConfigError from the constructor itself.
-    with pytest.raises(ConfigError):
-        ScenarioConfig(**{"n_trials": 5, "bogus": 1})
-    with pytest.raises(ConfigError):
-        ScenarioConfig(**{"ccp_shift": 1})    # the sweep spacing follows from the stream
-    with pytest.raises(ConfigError, match="unknown config keys"):
-        ScenarioConfig(**{"toa_sigma_s": 1e-9})   # the IA windows follow from the wavelengths
-    with pytest.raises(ConfigError, match="unknown config keys"):
-        ScenarioConfig(**{"k_sigma": 3.0})        # an old config fails loudly, not silently
-    with pytest.raises(ConfigError):
-        ScenarioConfig(**{"geometry": {"gnb_position_m": [0, 0, 1],
-                                        "ue_position_m": [1, 0, 1],
-                                        "extra": 2}})
-
-
 def test_scenario_config_has_no_k_sigma():
-    # The IA windows follow from the wavelengths alone; no field is left to tune them.
-    assert "k_sigma" not in {f.name for f in dataclasses.fields(ScenarioConfig)}
+    # The IA windows follow from the wavelengths alone, and the sweep spacing from the
+    # stream; no field is left to tune them.
+    assert not {"k_sigma", "toa_sigma_s", "ccp_shift"} & {
+        f.name for f in dataclasses.fields(ScenarioConfig)}
     message = re.escape("unknown config keys: ['k_sigma']")
     with pytest.raises(ConfigError, match=message):
         ScenarioConfig(k_sigma=3.0)
@@ -238,19 +222,22 @@ def test_scenario_config_has_no_k_sigma():
 
 def test_positional_misuse_is_a_config_error():
     # The fields in order take positional values; a repeat or a surplus is named, not a
-    # TypeError.  Pickle and copy build a config with no arguments.
+    # TypeError.  tests/test_error_vocabulary.py holds every record to the same rule.
     assert ScenarioConfig("fr2", "InF-NLOS-S", 5.0) == ScenarioConfig(
         band="FR2", profile="InF-NLOS-S", snr_db=5.0)
     with pytest.raises(ConfigError, match=re.escape("by position and by keyword: ['band']")):
         ScenarioConfig("FR1", band="FR2")
     with pytest.raises(ConfigError, match="^16 positional values for 15 fields$"):
         ScenarioConfig(*(getattr(FAST, f.name) for f in dataclasses.fields(FAST)), None)
-    assert pickle.loads(pickle.dumps(FAST)) == copy.copy(FAST) == copy.deepcopy(FAST) == FAST
 
 
-def test_config_from_dict_rejects_malformed_values():
+def test_scenario_config_rejects_malformed_values():
     with pytest.raises(ConfigError):
         ScenarioConfig(**{"methods": 5})
+    with pytest.raises(ConfigError, match="^geometry must be a Geometry or a mapping"):
+        ScenarioConfig(**{"geometry": {"gnb_position_m": [0, 0, 1],
+                                        "ue_position_m": [1, 0, 1],
+                                        "extra": 2}})
     with pytest.raises(ConfigError):
         ScenarioConfig(**{"profile_overrides": [["rician_k_db", 3.0]]})
     with pytest.raises(ConfigError):
@@ -296,7 +283,7 @@ _PLAUSIBLE = {
     for f in dataclasses.fields(ScenarioConfig)}))
 @example(raw={"geometry": {"gnb_position_m": [0, 0, 0],        # squared length overflows
                            "ue_position_m": [0, 0, 1.3407807929942597e154]}})
-def test_config_from_dict_raises_only_config_error(build, raw):
+def test_scenario_config_raises_only_config_error(build, raw):
     try:
         cfg = build(raw)
     except ConfigError:
@@ -897,17 +884,6 @@ def test_band_is_stored_upper_cased(tmp_path):
         cfg = write_cfg(tmp_path, band=band)
         assert cli.main(["run", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
         assert json.loads(out.read_text())["config"]["band"] == band.upper()
-
-
-# The band now comes only from the config file, in any letter case; an unknown band is a
-# BAD_FILE_VALUES row, so every status here is 0.
-@pytest.mark.parametrize("band,status", [("FR2", 0), ("Fr1", 0)])
-def test_cli_band_flag_is_passed_to_the_config(tmp_path, band, status):
-    out = tmp_path / "res.json"
-    rc = cli.main(["run", "--config", write_cfg(tmp_path, band=band), "--out", str(out),
-                   "--format", "json"])
-    assert rc == status
-    assert json.loads(out.read_text())["config"]["band"] == band.upper()
 
 
 # Each bad value a config file may hold, and how the message the CLI prints begins.

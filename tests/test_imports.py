@@ -2,8 +2,8 @@
 raises only ``ConfigError``, ``NoSignalError`` or ``ValueError``, it leaves
 the type, finiteness and range of a number argument and the kind and
 emptiness of a sample-array argument to ``errors.py``, every config object
-stores what its checks return, and the harness derives a scenario's parts in
-one place, ``_Assets``.
+stores what its checks return, every record is declared with ``errors.record``,
+and the harness derives a scenario's parts in one place, ``_Assets``.
 
 ``__init__.py`` is skipped by the unused-import scan: its imports are the
 package's re-exports, which ``test_exports.py`` checks.
@@ -363,3 +363,27 @@ def test_scan_finds_a_discarded_check():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_config_objects_store_what_their_checks_return(path):
     assert discarded_checks(path.read_text(encoding="utf-8")) == []
+
+
+def bare_dataclasses(source: str) -> list[str]:
+    """Classes decorated with ``dataclass`` itself, not ``errors.record``: their generated
+    ``__init__`` lets a misused argument escape as a raw TypeError."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name} (line {node.lineno})" for d in node.decorator_list
+                      if ast.unparse(getattr(d, "func", d)).split(".")[-1] == "dataclass"]
+    return found
+
+
+def test_scan_finds_a_bare_dataclass():
+    assert bare_dataclasses("@dataclass\nclass A: pass\n"
+                            "@dataclasses.dataclass(frozen=True)\nclass B: pass\n"
+                            "@record(frozen=True)\nclass C: pass\n"
+                            "cls = dataclass(frozen=True)(cls)\n") == [
+        "A (line 2)", "B (line 4)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_records_take_the_construction_rule(path):
+    assert bare_dataclasses(path.read_text(encoding="utf-8")) == []
