@@ -3,12 +3,10 @@
     phasepos run --config scenario.json --out results.csv --format csv
 
 The config file sets every scenario field; the options set only the output
-and the worker count.  Exit codes: 0 on success (a failed trial is counted
-whatever its reason, and a method whose every trial fails has empty
-results), 2 for configuration problems, an unknown option or an ``--out``
-that names no file (a directory), is the config file or is not in an
-existing directory (all found before the first trial), 3 when writing the
-output fails.
+and the worker count.  Exit codes: 0 on success, also when trials fail (each
+method's line counts them by reason); 2 for a bad config, an unknown option
+or an ``--out`` that names no file (a directory), is the config file or is
+not in an existing directory (all found before any trial); 3 if writing fails.
 """
 
 from __future__ import annotations
@@ -49,10 +47,7 @@ def _cmd_run(args) -> int:
     results = run_scenario(cfg, workers=args.workers)
     cdfs = [compute_cdf(results, m) for m in cfg.methods]
     emit_results(cdfs, cfg, args.out, args.format)
-    for c in cdfs:
-        pct = "".join(f" p{p}={v:.6g}m" for p, v in sorted(c.percentiles.items()))
-        print(f"{c.method}: trials={c.n_trials} ia_failures={c.n_failures}{pct}")
-    print(f"wrote {args.out}")
+    print(*(c.line for c in cdfs), f"wrote {args.out}", sep="\n")
     return 0
 
 

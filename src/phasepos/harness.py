@@ -14,8 +14,8 @@ A ``ScenarioConfig`` validates itself when built, so a bad value raises
 ``ConfigError`` before any trial.  One derivation of a scenario, ``_Assets``,
 serves both that check and every trial; it keeps one period's spectrum of each
 transmit stream, built when first read, so a scenario transforms only the
-streams its methods use, and each once.  A method whose every trial fails
-gets an empty CDF that still reports its failure count.
+streams its methods use, and each once.  A method's ``CdfResult`` counts failed
+trials by reason, for the JSON and the CLI line alike, even when all fail.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import dataclasses
 import json
 import math
 import os
+from collections import Counter
 from collections.abc import Mapping
 from functools import cached_property, lru_cache
 
@@ -140,18 +141,31 @@ class TrialResult:
                                         for m, o in self.outcomes.items()})
 
 
-@record()
+@record(eq=False)     # a generated == over arrays is ambiguous
 class CdfResult:
     method: str
-    abs_errors_m: np.ndarray      # sorted ascending
-    n_failures: int
+    abs_errors_m: np.ndarray                 # sorted ascending
+    failures: tuple[tuple[str, int], ...]    # (reason, count), sorted by reason, no zero count
 
-    # Derived, read-only: i/n for the i-th error; kept plus failed trials; linear p50-p95.
+    # Derived, read-only: i/n for the i-th error; failed and all trials; linear p50-p95.
     cdf = property(lambda self: np.arange(1, len(self.abs_errors_m) + 1)
                    / max(len(self.abs_errors_m), 1))
+    n_failures = property(lambda self: sum(n for _, n in self.failures))
     n_trials = property(lambda self: len(self.abs_errors_m) + self.n_failures)
     percentiles = property(lambda self: {p: float(np.percentile(self.abs_errors_m, p))
                                          for p in (50, 67, 90, 95) if len(self.abs_errors_m)})
+    summary = property(lambda self: {   # the JSON block bar its two arrays
+        "n_trials": self.n_trials, "failures": dict(self.failures),
+        "percentiles": {f"p{p}": v for p, v in self.percentiles.items()}})
+
+    @property
+    def line(self) -> str:
+        """The summary as one line: ``cp: trials=20 failures=11 (wrong_integer 11) p50=..m``."""
+        s = self.summary
+        reasons = ", ".join(f"{r} {n}" for r, n in s["failures"].items())
+        return (f"{self.method}: trials={s['n_trials']} failures={self.n_failures}"
+                + f" ({reasons})" * bool(reasons)
+                + "".join(f" {p}={v:.6g}m" for p, v in s["percentiles"].items()))
 
 
 class _Assets:
@@ -274,14 +288,15 @@ def compute_cdf(results: list[TrialResult], method: str) -> CdfResult:
     """Empirical CDF of |distance error| for one method.
 
     A trial is kept when its outcome has no failure reason, and the rest are
-    counted in ``n_failures`` whatever the reason.  A method none of whose trials
-    survive gets empty arrays and no percentiles, so the other methods' results are
-    still written.  ConfigError unless every trial measured ``method``.
+    counted in ``failures`` by reason.  A method none of whose trials survive gets
+    empty arrays and no percentiles, so the other methods' results are still
+    written.  ConfigError unless every trial measured ``method``.
     """
     if method not in METHODS or any(method not in r.outcomes for r in results):
         raise ConfigError(f"method {method!r} is not one of {METHODS} measured in every trial")
     kept = [r.outcomes[method].error_m for r in results if r.outcomes[method].failure is None]
-    return CdfResult(method, np.sort(np.abs(np.array(kept, float))), len(results) - len(kept))
+    counts = Counter(r.outcomes[method].failure for r in results if r.outcomes[method].failure)
+    return CdfResult(method, np.sort(np.abs(np.array(kept, float))), tuple(sorted(counts.items())))
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
@@ -300,19 +315,9 @@ def emit_results(cdfs: list[CdfResult], cfg: ScenarioConfig, path: str,
                          for e, p in zip(c.abs_errors_m, c.cdf))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        payload = {
-            "config": config_to_dict(cfg),
-            "master_seed": cfg.master_seed,
-            "methods": {
-                c.method: {
-                    "n_trials": c.n_trials,
-                    "ia_failures": c.n_failures,
-                    "percentiles": {f"p{p}": v for p, v in c.percentiles.items()},
-                    "abs_errors_m": [float(e) for e in c.abs_errors_m],
-                    "cdf": [float(v) for v in c.cdf],
-                } for c in cdfs
-            },
-        }
+        payload = {"schema": 1, "config": config_to_dict(cfg), "methods": {
+            c.method: {**c.summary, "abs_errors_m": [float(e) for e in c.abs_errors_m],
+                       "cdf": [float(v) for v in c.cdf]} for c in cdfs}}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")

@@ -49,7 +49,7 @@ SIGNATURES = {
     "CarrierRange": (pp.CarrierRange, dict(wavelength_m=0.08, fractional_cycles=0.25,
                                            integer_cycles=3)),
     "CdfResult": (partial(pp.CdfResult, method="cp"),
-                  dict(abs_errors_m=np.array([0.1]), n_failures=0)),
+                  dict(abs_errors_m=np.array([0.1]), failures=())),
     "ChannelRealization": (pp.ChannelRealization,
                            dict(delays_s=np.array([1e-7]), gains=np.array([1.0 + 0.0j]))),
     "ChannelRealization.response": (partial(CHANNEL.response, NUM),

@@ -340,6 +340,32 @@ def test_cdf_excludes_failures():
     assert c.n_trials == 4
 
 
+def test_cdf_counts_failures_by_reason(tmp_path, monkeypatch, capsys):
+    # One kept trial and four failed ones, three reasons; the JSON block and the CLI
+    # line carry the same counts.
+    res = make_results([-0.5, np.nan, np.nan, 9.0, -9.0],
+                       [None, "no_candidate", "no_signal", "wrong_integer", "wrong_integer"])
+    c = compute_cdf(res, "cp")
+    assert c.failures == (("no_candidate", 1), ("no_signal", 1), ("wrong_integer", 2))
+    assert c.n_failures == 4 and c.n_trials == 5
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg, workers: res)
+    out = tmp_path / "res.json"
+    assert cli.main(["run", "--config", write_cfg(tmp_path), "--out", str(out),
+                     "--format", "json"]) == 0
+    block = json.loads(out.read_text())["methods"]["cp"]
+    assert block["n_trials"] == 5
+    assert block["failures"] == {"no_candidate": 1, "no_signal": 1, "wrong_integer": 2}
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "cp: trials=5 failures=4 (no_candidate 1, no_signal 1, wrong_integer 2)"
+        " p50=0.5m p67=0.5m p90=0.5m p95=0.5m")
+
+
+def test_cdf_results_compare_without_raising():
+    # A generated == over the error arrays raised for two or more errors.
+    a, b = (CdfResult("cp", np.array([0.1, 0.2]), ()) for _ in range(2))
+    assert a == a and a != b
+
+
 def test_cdf_all_failed_is_empty():
     res = make_results([1.0, np.nan], ["wrong_integer", "no_candidate"])
     c = compute_cdf(res, "cp")
@@ -616,7 +642,7 @@ def test_a_trial_with_no_signal_is_a_failure_and_the_run_goes_on(tmp_path, monke
     cfg = write_cfg(tmp_path, methods=list(METHODS), ambiguity="toa", n_trials=3,
                     master_seed=FAST.master_seed)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "res.csv")]) == 0
-    assert "toa: trials=3 ia_failures=1" in capsys.readouterr().out
+    assert "toa: trials=3 failures=1 (no_signal 1)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("methods", [("toa", "cp", "ccp"), ("toa", "ccp", "cp")])
@@ -704,9 +730,13 @@ def test_json_payload(tmp_path):
     out = tmp_path / "out.json"
     emit_results(cdfs, FAST, str(out), "json")
     payload = json.loads(out.read_text())
-    assert payload["master_seed"] == FAST.master_seed
+    assert set(payload) == {"schema", "config", "methods"} and payload["schema"] == 1
+    assert payload["config"]["master_seed"] == FAST.master_seed
     assert payload["config"] == json.loads(json.dumps(config_to_dict(FAST)))
     assert set(payload["methods"]) == {"toa", "cp", "ccp"}
+    for block in payload["methods"].values():
+        assert set(block) == {"n_trials", "failures", "percentiles", "abs_errors_m", "cdf"}
+        assert sum(block["failures"].values()) == block["n_trials"] - len(block["abs_errors_m"])
     cp = payload["methods"]["cp"]
     assert cp["n_trials"] == FAST.n_trials
     assert len(cp["abs_errors_m"]) == len(cp["cdf"])
@@ -714,7 +744,7 @@ def test_json_payload(tmp_path):
 
 
 def test_unknown_format_rejected(tmp_path):
-    c = CdfResult("cp", np.array([1.0]), 0)
+    c = CdfResult("cp", np.array([1.0]), ())
     with pytest.raises(ConfigError):
         emit_results([c], FAST, str(tmp_path / "x.yaml"), "yaml")
 
@@ -722,7 +752,7 @@ def test_unknown_format_rejected(tmp_path):
 def test_a_path_that_is_no_str_or_path_like_is_a_config_error(tmp_path):
     # open() takes an int, a bool included, as a file descriptor, writes to it
     # and closes it; the path rule refuses it before anything is opened.
-    c = CdfResult("cp", np.array([1.0]), 0)
+    c = CdfResult("cp", np.array([1.0]), ())
     fd = os.open(tmp_path / "descriptor.csv", os.O_RDWR | os.O_CREAT)
     try:
         for call, path in [(lambda p: emit_results([c], FAST, p), fd),
@@ -739,20 +769,21 @@ def test_a_path_that_is_no_str_or_path_like_is_a_config_error(tmp_path):
 
 
 def test_a_hand_built_cdf_result_writes_what_compute_cdf_writes(tmp_path):
-    # A CdfResult stores the sorted |errors| and failure count and derives the rest, so
+    # A CdfResult stores the sorted |errors| and failure counts and derives the rest, so
     # one built by hand cannot contradict itself; every ccp trial here fails.
     results = [TrialResult(i, {"cp": MethodOutcome(e, None, f),
                                "ccp": MethodOutcome(np.nan, None, "no_candidate")})
                for i, (e, f) in enumerate([(0.3, None), (-0.1, None), (9.0, "wrong_integer"),
                                            (-0.2, None)])]
     computed = [compute_cdf(results, m) for m in ("cp", "ccp")]
-    built = [CdfResult("cp", np.array([0.1, 0.2, 0.3]), 1), CdfResult("ccp", np.array([]), 4)]
+    built = [CdfResult("cp", np.array([0.1, 0.2, 0.3]), (("wrong_integer", 1),)),
+             CdfResult("ccp", np.array([]), (("no_candidate", 4),))]
     for fmt in ("csv", "json"):
         emit_results(computed, FAST, tmp_path / f"computed.{fmt}", fmt)
         emit_results(built, FAST, tmp_path / f"built.{fmt}", fmt)
         assert (tmp_path / f"built.{fmt}").read_bytes() == (
             tmp_path / f"computed.{fmt}").read_bytes()
-    for name in ("cdf", "n_trials", "percentiles"):
+    for name in ("cdf", "n_failures", "n_trials", "percentiles", "summary", "line"):
         with pytest.raises(AttributeError):
             setattr(built[0], name, getattr(built[0], name))
 
@@ -775,7 +806,7 @@ def test_cli_run_csv(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert rc == 0
     assert out.exists()
-    assert "cp: trials=2 ia_failures=0" in captured
+    assert "cp: trials=2 failures=0 p50=" in captured
     assert f"wrote {out}" in captured
     assert out.read_text().startswith("method,abs_error_m,cdf\n")
 
@@ -815,22 +846,24 @@ def cli_run(tmp_path, name, out, *options, **fields):
     return (tmp_path / out).read_bytes()
 
 
-# Each run's (trials, IA failures, kept errors, bound on every kept |error| in metres) per
-# method.
+# Each run's (trials, failures by reason, kept errors, bound on every kept |error| in
+# metres) per method.
 CLI_RUNS = [
     # One direct path and no noise: cp and ccp keep only rounding (2.7e-10 m at most),
     # toa only its fine-search bias (3.5e-5 m).
-    ("exact", {"toa": (3, 0, 3, 1e-4), "cp": (3, 0, 3, 1e-9), "ccp": (3, 0, 3, 1e-9)}),
-    ("flags", {"toa": (2, 0, 2, math.inf)}),
+    ("exact", {"toa": (3, {}, 3, 1e-4), "cp": (3, {}, 3, 1e-9), "ccp": (3, {}, 3, 1e-9)}),
+    ("flags", {"toa": (2, {}, 2, math.inf)}),
     # The densest NLOS profile on the FR2 numerology.
-    ("nlos", {"toa": (2, 0, 2, math.inf)}),
+    ("nlos", {"toa": (2, {}, 2, math.inf)}),
     # 1.5 and 3.8 GHz put lambda_v / 2 under the finer wavelength: each of cp and ccp fails
     # 11 of 20 trials (wrong integers; one cp trial has no widelane candidate).
-    ("ia", {"cp": (20, 11, 9, math.inf), "ccp": (20, 11, 9, math.inf)}),
-    ("periodic", dict.fromkeys(METHODS, (2, 0, 2, math.inf))),
+    ("ia", {"cp": (20, {"no_candidate": 1, "wrong_integer": 10}, 9, math.inf),
+            "ccp": (20, {"wrong_integer": 11}, 9, math.inf)}),
+    ("periodic", dict.fromkeys(METHODS, (2, {}, 2, math.inf))),
     # A strong direct path (K = 30 dB) resolves cp once and ccp twice.
-    ("periodic-widelane", {"toa": (2, 0, 2, math.inf), "cp": (2, 1, 1, math.inf),
-                           "ccp": (2, 0, 2, math.inf)}),
+    ("periodic-widelane", {"toa": (2, {}, 2, math.inf),
+                           "cp": (2, {"wrong_integer": 1}, 1, math.inf),
+                           "ccp": (2, {}, 2, math.inf)}),
 ]
 
 
@@ -840,7 +873,7 @@ def test_cli_run_counts_every_trial(tmp_path, name, expected):
     assert set(methods) == set(expected)
     for m, (n_trials, failures, kept, bound) in expected.items():
         errors = methods[m]["abs_errors_m"]
-        assert (methods[m]["n_trials"], methods[m]["ia_failures"], len(errors)) == (
+        assert (methods[m]["n_trials"], methods[m]["failures"], len(errors)) == (
             n_trials, failures, kept), m
         assert max(errors, default=0.0) <= bound, m
 
@@ -865,12 +898,12 @@ def test_cli_method_with_every_trial_failed_keeps_the_others(tmp_path, capsys):
                     ambiguity="toa", n_trials=8, n_symbols=16)
     csv_out, json_out = tmp_path / "res.csv", tmp_path / "res.json"
     assert cli.main(["run", "--config", cfg, "--out", str(csv_out)]) == 0
-    assert "\ncp: trials=8 ia_failures=8\n" in capsys.readouterr().out
+    assert "\ncp: trials=8 failures=8 (wrong_integer 8)\n" in capsys.readouterr().out
     rows = csv_out.read_text().splitlines()[1:]
     assert len(rows) == 8 and all(r.startswith("toa,") for r in rows)
     assert cli.main(["run", "--config", cfg, "--out", str(json_out), "--format", "json"]) == 0
     methods = json.loads(json_out.read_text())["methods"]
-    assert methods["cp"]["percentiles"] == {} and methods["cp"]["ia_failures"] == 8
+    assert methods["cp"]["percentiles"] == {} and methods["cp"]["failures"] == {"wrong_integer": 8}
     assert methods["cp"]["abs_errors_m"] == []
     assert set(methods["toa"]["percentiles"]) == {"p50", "p67", "p90", "p95"}
 

@@ -24,3 +24,17 @@ def test_readme_cli_lines_parse():
     for line in lines:
         args = cli.build_parser().parse_args(shlex.split(line)[1:])
         assert args.command == "run", line
+
+
+# The CLI's summary line: trials, failures in total and by reason, then the percentiles.
+SUMMARY_LINE = re.compile(
+    r"(toa|cp|ccp): trials=\d+ failures=\d+( \(\w+ \d+(, \w+ \d+)*\))?( p(50|67|90|95)=\S+m)*")
+
+
+def test_readme_summary_lines_match_the_cli_grammar():
+    # Every summary line README quotes, in a code span or a block, is one the CLI can print.
+    quoted = re.findall(r"(?:^|`)((?:toa|cp|ccp): trials=[^`\n]*)",
+                        README.read_text(encoding="utf-8"), re.M)
+    assert any("(" in line for line in quoted)     # one quotes its failures by reason
+    for line in quoted:
+        assert SUMMARY_LINE.fullmatch(line), line
