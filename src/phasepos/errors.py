@@ -2,8 +2,9 @@
 
 Every config number and every number, sample array or path an exported function takes is
 read through ``as_real``, ``as_finite``, ``as_positive``, ``as_int``, ``as_db``, ``as_samples``,
-``as_vector`` or ``as_path``; the ``ConfigError`` they raise names the argument, its rule and
-the value.  Every record is a ``record``, whose constructor binds its arguments to its fields.
+``as_vector`` or ``as_path``, and each config object or result list the harness takes through
+``as_instance``; the ``ConfigError`` they raise names the argument, its rule and the value.
+Every record is a ``record``, whose constructor binds its arguments to its fields.
 A config object's number fields are checked, and stored as what their rules return, by
 ``set_checked``: a numpy scalar or a ``Fraction`` becomes a Python int or float.
 """
@@ -87,6 +88,14 @@ def as_path(name: str, value):
     """``value`` unchanged; ConfigError unless a str or os.PathLike, not an int (a descriptor)."""
     if not isinstance(value, (str, os.PathLike)):
         raise ConfigError(f"{name} must be a str or os.PathLike, got {_shown(value)}")
+    return value
+
+
+def as_instance(name: str, value, cls):
+    """``value`` unchanged; ConfigError unless an instance of ``cls``, a class or a tuple of them."""
+    if not isinstance(value, cls):
+        kinds = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise ConfigError(f"{name} must be a {kinds}, got {_shown(value)}")
     return value
 
 

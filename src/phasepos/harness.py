@@ -33,8 +33,8 @@ import numpy as np
 from .ambiguity import IA_MODES, phase_to_fraction, resolve
 from .channel import Geometry, add_awgn, apply_channel, draw_channel, profile_preset
 from .constants import SPEED_OF_LIGHT
-from .errors import (ConfigError, NoSignalError, as_db, as_int, as_path, as_positive, record,
-                     set_checked)
+from .errors import (ConfigError, NoSignalError, as_db, as_instance, as_int, as_path, as_positive,
+                     record, set_checked)
 from .receiver import ccp_measure, estimate_toa
 from .waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column, make_numerology,
                        middle_subcarrier, ofdm_modulate)
@@ -143,9 +143,29 @@ class TrialResult:
 
 @record(eq=False)     # a generated == over arrays is ambiguous
 class CdfResult:
+    """One method's run summary; ConfigError unless its fields have the shapes below."""
+
     method: str
     abs_errors_m: np.ndarray                 # sorted ascending
     failures: tuple[tuple[str, int], ...]    # (reason, count), sorted by reason, no zero count
+
+    def __post_init__(self) -> None:
+        if self.method not in METHODS:
+            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        e = self.abs_errors_m
+        if not (isinstance(e, np.ndarray) and e.ndim == 1 and e.dtype.kind == "f"
+                and np.isfinite(e).all() and (e >= 0).all() and (e[1:] >= e[:-1]).all()):
+            raise ConfigError("abs_errors_m must be a 1-D float array, finite, non-negative "
+                              "and sorted ascending")
+        pairs = self.failures
+        if not (isinstance(pairs, tuple)
+                and all(isinstance(p, tuple) and len(p) == 2 and p[0] in FAILURE_REASONS
+                        for p in pairs)
+                and [r for r, _ in pairs] == sorted({r for r, _ in pairs})):
+            raise ConfigError(f"failures must be a tuple of (reason, count) pairs, sorted and "
+                              f"unique by reason, each reason one of {FAILURE_REASONS}")
+        for reason, n in pairs:
+            as_int(f"{reason} count", n, 1)
 
     # Derived, read-only: i/n for the i-th error; failed and all trials; linear p50-p95.
     cdf = property(lambda self: np.arange(1, len(self.abs_errors_m) + 1)
@@ -230,11 +250,12 @@ class _Assets:
 
 _build_assets = lru_cache(maxsize=1)(_Assets)   # callers run one scenario at a time
 _NO_SIGNAL = MethodOutcome(np.nan, None, "no_signal")
+FAILURE_REASONS = ("no_candidate", "no_signal", "wrong_integer")   # resolve's two and _NO_SIGNAL's
 
 
 def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
     """One full measurement round on one channel; ConfigError unless ``trial`` is an int >= 0."""
-    assets = _build_assets(cfg)
+    assets = _build_assets(as_instance("cfg", cfg, ScenarioConfig))
     seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(as_int("trial", trial, 0),))
     ch_seed, toa_seed, cp_seed, wl_seed = (int(s) for s in seq.generate_state(4, dtype=np.uint64))
     channel = draw_channel(assets.profile, cfg.geometry, ch_seed)
@@ -273,6 +294,7 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list[TrialResult]:
     """Run all trials; identical results for any worker count, capped at trials and CPUs."""
+    as_instance("cfg", cfg, ScenarioConfig)
     as_int("workers", workers, 1)
     trials = range(cfg.n_trials)
     workers = min(workers, cfg.n_trials, os.cpu_count() or 1)
@@ -290,8 +312,11 @@ def compute_cdf(results: list[TrialResult], method: str) -> CdfResult:
     A trial is kept when its outcome has no failure reason, and the rest are
     counted in ``failures`` by reason.  A method none of whose trials survive gets
     empty arrays and no percentiles, so the other methods' results are still
-    written.  ConfigError unless every trial measured ``method``.
+    written.  ConfigError unless ``results`` is a list or tuple of ``TrialResult`` and every
+    trial measured ``method``.
     """
+    for r in as_instance("results", results, (list, tuple)):
+        as_instance("each result", r, TrialResult)
     if method not in METHODS or any(method not in r.outcomes for r in results):
         raise ConfigError(f"method {method!r} is not one of {METHODS} measured in every trial")
     kept = [r.outcomes[method].error_m for r in results if r.outcomes[method].failure is None]
@@ -306,7 +331,13 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 def emit_results(cdfs: list[CdfResult], cfg: ScenarioConfig, path: str,
                  fmt: str = "csv") -> str:
-    """Write CDFs to ``path``, a str or os.PathLike, as csv or json; byte-deterministic."""
+    """Write CDFs to ``path``, a str or os.PathLike, as csv or json; byte-deterministic.
+
+    ConfigError unless ``cdfs`` is a list or tuple of ``CdfResult`` and ``cfg`` a
+    ``ScenarioConfig``."""
+    for c in as_instance("cdfs", cdfs, (list, tuple)):
+        as_instance("each cdf", c, CdfResult)
+    as_instance("cfg", cfg, ScenarioConfig)
     as_path("path", path)
     if fmt == "csv":
         lines = ["method,abs_error_m,cdf"]

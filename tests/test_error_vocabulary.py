@@ -8,6 +8,8 @@ the value, only ``ConfigError``, ``NoSignalError`` or ``ValueError`` may
 escape; the tests turn a warning into an error too (pyproject's
 ``filterwarnings``).  Config objects (a numerology, a channel, a scenario)
 are held valid: their own fields are parameters of their own constructors.
+The harness's scenario, trial-result and CDF parameters are fed the same
+values, and a value of the wrong kind there is a ``ConfigError``.
 
 Every record (dataclass) of the package binds its constructor's arguments by one
 rule: an unknown keyword, a surplus positional value, a field given both ways
@@ -19,6 +21,7 @@ import copy
 import dataclasses
 import importlib
 import math
+import os
 import pickle
 import pkgutil
 import re
@@ -42,6 +45,8 @@ CHANNEL = pp.ChannelRealization(np.array([1.234e-7]), np.array([0.6 + 0.8j]))
 IFC = pp.InterferometerConfig(0.5, 1.0)
 FINE, COARSE = pp.phase_to_fraction(0.5, 3.9e9), pp.phase_to_fraction(-1.0, 3.8e9)
 CFG = pp.ScenarioConfig(n_trials=1, n_symbols=8, ccp_sweeps=20)
+RESULTS = [pp.TrialResult(0, {"cp": pp.harness.MethodOutcome(0.1, 3)})]
+CDFS = [pp.CdfResult("cp", np.array([0.1]), ())]
 
 # Each callable, with its config objects bound, and a valid value of each of
 # its number and sample-array parameters; None marks one that has none.
@@ -84,12 +89,13 @@ SIGNATURES = {
     "ccp_measure": (partial(pp.ccp_measure, num=NUM),
                     dict(rx=STREAM, subcarrier=K, n_sweeps=2, shift_samples=8,
                          ref_symbol=COLUMN[K % NUM.n_fft], window_start=0)),
-    "compute_cdf": None,          # a list of TrialResults and a method name
+    "compute_cdf": (partial(pp.compute_cdf, method="cp"), dict(results=RESULTS)),
     "doppler_ppm": (pp.doppler_ppm, dict(speed_m_s=1.0)),
     "double_difference": (pp.double_difference, dict(phases_rad=np.zeros((2, 2)))),
     "draw_channel": (partial(pp.draw_channel, pp.profile_preset("InF-LOS"), CFG.geometry),
                      dict(seed=0)),
-    "emit_results": None,         # its path: tests/test_harness.py
+    "emit_results": (partial(pp.emit_results, path=os.devnull, fmt="json"),
+                     dict(cdfs=CDFS, cfg=CFG)),    # its path: tests/test_harness.py
     "estimate_toa": (partial(pp.estimate_toa, num=NUM),
                      dict(rx=STREAM, reference_spectrum=SPECTRUM)),
     "generate_prs_column": None,
@@ -103,8 +109,8 @@ SIGNATURES = {
     "phase_to_fraction": (pp.phase_to_fraction, dict(phase_rad=0.5, frequency_hz=3.8e9)),
     "profile_preset": (partial(pp.profile_preset, "InF-LOS"),
                        dict(rician_k_db=16.0, rms_delay_spread_s=30e-9, n_clutter_taps=12)),
-    "run_scenario": (partial(pp.run_scenario, CFG), dict(workers=1)),
-    "run_trial": (partial(pp.run_trial, CFG), dict(trial=0)),
+    "run_scenario": (pp.run_scenario, dict(cfg=CFG, workers=1)),
+    "run_trial": (pp.run_trial, dict(cfg=CFG, trial=0)),
     "virtual_wavelength": (pp.virtual_wavelength, dict(lambda1_m=0.079, lambda2_m=0.077)),
     "widelane_resolve": (partial(pp.widelane_resolve, FINE, COARSE), dict(center_m=10.0)),
     "wrap_phase": (pp.wrap_phase, dict(phase=0.5)),
@@ -154,6 +160,26 @@ def test_a_bad_argument_raises_only_the_package_errors(name, param, value):
         call(**{**valid, param: value})
     except (pp.ConfigError, pp.NoSignalError, ValueError):
         pass
+
+
+# Harness arguments of the wrong kind that raised TypeError or AttributeError before
+# they were checked, and the argument each message names.
+WRONG_KINDS = [
+    (lambda: pp.compute_cdf(None, "cp"), "results"),
+    (lambda: pp.compute_cdf([1, 2], "cp"), "each result"),
+    (lambda: pp.emit_results([None], CFG, os.devnull), "each cdf"),
+    (lambda: pp.emit_results([], None, os.devnull, "json"), "cfg"),
+    (lambda: pp.run_trial(None, 0), "cfg"),
+    (lambda: pp.run_scenario({"n_trials": 2}, 1), "cfg"),
+]
+
+
+@pytest.mark.parametrize("call,name", WRONG_KINDS,
+                         ids=["compute_cdf-None", "compute_cdf-ints", "emit_results-cdfs",
+                              "emit_results-cfg", "run_trial", "run_scenario"])
+def test_a_harness_argument_of_the_wrong_kind_is_a_config_error(call, name):
+    with pytest.raises(pp.ConfigError, match=f"^{name} must be a "):
+        call()
 
 
 # Finite arguments whose combination overflows: the grid's carrier-plus-bin

@@ -524,101 +524,76 @@ def test_two_workers_use_two_processes(monkeypatch):
         assert len({r.pid for r in results}) == 2, n_trials
 
 
-# Per-trial (distance error repr, integer, IA failure) of FAST under each
-# ambiguity mode, recorded before cp and ccp shared one phase primitive.
-GOLDEN = {
-    "oracle": [
-        {"toa": ("0.02205540409442719", None, False),
-         "cp": ("-0.00011083643250131558", 305, False),
-         "ccp": ("-0.0016151734021008224", 305, False)},
-        {"toa": ("-0.012577912033645333", None, False),
-         "cp": ("0.0023551771365042384", 305, False),
-         "ccp": ("0.0010945361396927922", 305, False)},
-        {"toa": ("-0.08250211717226463", None, False),
-         "cp": ("-0.00018814136261013914", 305, False),
-         "ccp": ("-0.0005083524577358389", 305, False)},
-    ],
-    "toa": [
-        {"toa": ("0.02205540409442719", None, False),
-         "cp": ("-0.00011083643250131558", 305, False),
-         "ccp": ("-0.0016151734021008224", 305, False)},
-        {"toa": ("-0.012577912033645333", None, False),
-         "cp": ("0.0023551771365042384", 305, False),
-         "ccp": ("0.0010945361396927922", 305, False)},
-        {"toa": ("-0.08250211717226463", None, False),
-         "cp": ("-0.07908027063527712", 304, True),
-         "ccp": ("-0.07940048173039926", 304, True)},
-    ],
-    "widelane": [
-        {"toa": ("0.02205540409442719", None, False),
-         "cp": ("-0.15689677183173956", 311, True),
-         "ccp": ("-0.0010809060360159606", 313, False)},
-        {"toa": ("-0.012577912033645333", None, False),
-         "cp": ("-0.07624566933030508", 312, True),
-         "ccp": ("0.0006324174407232874", 313, False)},
-        {"toa": ("-0.08250211717226463", None, False),
-         "cp": ("0.07937398450163613", 314, True),
-         "ccp": ("0.15652041029494157", 315, True)},
-    ],
+# The pinned scenarios by name.  tests/golden_trials.jsonl holds one record per pinned
+# trial and method of each; the FAST records' errors were written before cp and ccp
+# shared one phase primitive, so some differ from today's in the last digits.
+GOLDEN_CONFIGS = {
+    "fast-oracle": FAST,
+    "fast-toa": dataclasses.replace(FAST, ambiguity="toa"),
+    "fast-widelane": dataclasses.replace(FAST, ambiguity="widelane", widelane_second_fc_hz=3.9e9),
+    # The default stream length, which the 8-symbol streams do not reach.
+    "fast-toa-128-symbols": dataclasses.replace(FAST, ambiguity="toa", n_symbols=128),
+    # lambda_v / 2 under the finer wavelength (1.5 and 3.8 GHz) leaves widelane's fine window
+    # empty on cp's trial 19, while ccp finds an integer one off the truth's.
+    "widelane-1.5ghz": ScenarioConfig(n_symbols=16, ccp_sweeps=200, methods=("cp", "ccp"),
+                                      ambiguity="widelane", widelane_second_fc_hz=1.5e9,
+                                      n_trials=20),
 }
+GOLDEN_PATH = Path(__file__).with_name("golden_trials.jsonl")
+GOLDEN_LINES = GOLDEN_PATH.read_text(encoding="utf-8").splitlines()
+GOLDEN_RECORDS = [json.loads(line) for line in GOLDEN_LINES]
+# Each config's pinned trials: those the store holds, or every trial of a config it lacks.
+PINNED = {name: sorted({r["trial"] for r in GOLDEN_RECORDS if r["config"] == name})
+          or list(range(cfg.n_trials)) for name, cfg in GOLDEN_CONFIGS.items()}
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN))
-def test_trials_match_golden(mode):
-    extra = {"widelane_second_fc_hz": 3.9e9} if mode == "widelane" else {}
-    cfg = dataclasses.replace(FAST, ambiguity=mode, **extra)
-    for trial, expected in enumerate(GOLDEN[mode]):
-        r = run_trial(cfg, trial)
-        for method, (error, integer, failed) in expected.items():
-            got = r.outcomes[method]
-            assert got.error_m == pytest.approx(float(error), abs=1e-9)
-            assert got.integer == integer
-            assert (got.failure is not None) is failed
+def trial_records(name, cfg, trials):
+    """The golden record of each of ``trials`` and each method of ``cfg``; NaN is None."""
+    return [{"config": name, "trial": t, "method": m,
+             "error_m": None if math.isnan(o.error_m) else o.error_m,
+             "integer": o.integer, "failure": o.failure}
+            for t in trials for m, o in run_trial(cfg, t).outcomes.items()]
 
 
-# Per-trial (distance error repr, integer, IA failure) of FAST at 128
-# symbols under TOA-bounded resolution: the default stream length, which
-# GOLDEN's 8-symbol streams do not reach.  Trial 2 pins cp and ccp IA failures.
-GOLDEN_128_SYMBOLS = [
-    {"toa": ("0.02116457952612194", None, False),
-     "cp": ("-0.0003784030565334717", 305, False),
-     "ccp": ("-0.0015934136520918685", 305, False)},
-    {"toa": ("-0.012025917580178458", None, False),
-     "cp": ("0.001926188455801281", 305, False),
-     "ccp": ("0.0014976243765829622", 305, False)},
-    {"toa": ("-0.08531756667933621", None, False),
-     "cp": ("-0.08034414777056753", 304, True),
-     "ccp": ("-0.07919230506272612", 304, True)},
-]
+@functools.lru_cache(maxsize=None)     # one run of a trial serves each of its methods
+def _recomputed(name, trial):
+    return {r["method"]: r for r in trial_records(name, GOLDEN_CONFIGS[name], [trial])}
 
 
-def test_128_symbol_trials_match_golden():
-    cfg = dataclasses.replace(FAST, ambiguity="toa", n_symbols=128)
-    for trial, expected in enumerate(GOLDEN_128_SYMBOLS):
-        r = run_trial(cfg, trial)
-        for method, (error, integer, failed) in expected.items():
-            got = r.outcomes[method]
-            assert got.error_m == pytest.approx(float(error), abs=1e-9)
-            assert got.integer == integer
-            assert (got.failure is not None) is failed
+@pytest.mark.parametrize("want", GOLDEN_RECORDS,
+                         ids=[f"{r['config']}-{r['trial']}-{r['method']}" for r in GOLDEN_RECORDS])
+def test_trial_matches_golden_record(want):
+    # approx takes the error to 1e-9 m and every other field, None included, exactly.
+    got = _recomputed(want["config"], want["trial"])[want["method"]]
+    assert got == pytest.approx(want, abs=1e-9)
 
 
-def test_one_pinned_trial_per_ia_failure_reason():
-    # lambda_v / 2 under the finer wavelength (1.5 and 3.8 GHz) leaves widelane's fine
-    # window empty on cp's trial 19, while ccp finds an integer one off the truth's.
-    cfg = ScenarioConfig(n_symbols=16, ccp_sweeps=200, methods=("cp", "ccp"),
-                         ambiguity="widelane", widelane_second_fc_hz=1.5e9, n_trials=20)
-    r = run_trial(cfg, 19)
-    cp, ccp = r.outcomes["cp"], r.outcomes["ccp"]
-    assert (cp.failure, cp.integer) == ("no_candidate", None) and math.isnan(cp.error_m)
-    assert (ccp.failure, ccp.integer) == ("wrong_integer", 303)
-    assert ccp.error_m == pytest.approx(-0.15715063530346995, abs=1e-9)
-    # The three read-only views give the dicts a TrialResult held before it had outcomes;
-    # the benchmark's run.py and make_reference.py still read them.
-    assert r.resolved_integer == {"cp": None, "ccp": 303}
-    assert r.ia_failure == {"cp": True, "ccp": True}
-    assert list(r.distance_error_m) == ["cp", "ccp"]
-    assert math.isnan(r.distance_error_m["cp"]) and r.distance_error_m["ccp"] == ccp.error_m
+def test_golden_store_is_in_canonical_form():
+    # What this module's main writes: one line of the six keys per pinned (config, trial,
+    # method), configs in GOLDEN_CONFIGS order, trials ascending, methods in config order.
+    assert GOLDEN_LINES == [json.dumps(r) for r in GOLDEN_RECORDS]
+    assert all(list(r) == ["config", "trial", "method", "error_m", "integer", "failure"]
+               for r in GOLDEN_RECORDS)
+    assert [(r["config"], r["trial"], r["method"]) for r in GOLDEN_RECORDS] == [
+        (name, t, m) for name, cfg in GOLDEN_CONFIGS.items() for t in PINNED[name]
+        for m in cfg.methods]
+    for r in GOLDEN_RECORDS:
+        assert r["failure"] in (None, *harness.FAILURE_REASONS)
+        # A phase method has an error exactly when it has an integer; TOA has no integer.
+        assert r["integer"] is None if r["method"] == "toa" else (
+            (r["error_m"] is None) is (r["integer"] is None))
+
+
+def test_trial_result_views_are_the_three_dicts_perfbench_reads():
+    # The dicts a TrialResult held before it had outcomes; perfbench still reads them.
+    no_candidate = MethodOutcome(math.nan, None, "no_candidate")
+    r = TrialResult(0, {"toa": MethodOutcome(0.02), "cp": no_candidate,
+                        "ccp": MethodOutcome(-0.16, 303, "wrong_integer")})
+    assert r.resolved_integer == {"toa": None, "cp": None, "ccp": 303}
+    assert r.ia_failure == {"toa": False, "cp": True, "ccp": True}
+    errors = r.distance_error_m
+    assert list(errors) == ["toa", "cp", "ccp"] and math.isnan(errors["cp"])
+    assert (errors["toa"], errors["ccp"]) == (0.02, -0.16)
 
 
 def test_a_trial_with_no_signal_is_a_failure_and_the_run_goes_on(tmp_path, monkeypatch, capsys):
@@ -637,7 +612,7 @@ def test_a_trial_with_no_signal_is_a_failure_and_the_run_goes_on(tmp_path, monke
     assert [o.failure for o in results[1].outcomes.values()] == ["no_signal"] * 3
     assert all(math.isnan(o.error_m) and o.integer is None for o in results[1].outcomes.values())
     assert [o.failure for o in results[0].outcomes.values()] == [None] * 3
-    assert results[2].outcomes["cp"].failure == "wrong_integer"    # GOLDEN["toa"][2]
+    assert results[2].outcomes["cp"].failure == "wrong_integer"    # golden record fast-toa-2-cp
     calls.clear()
     cfg = write_cfg(tmp_path, methods=list(METHODS), ambiguity="toa", n_trials=3,
                     master_seed=FAST.master_seed)
@@ -786,6 +761,24 @@ def test_a_hand_built_cdf_result_writes_what_compute_cdf_writes(tmp_path):
     for name in ("cdf", "n_failures", "n_trials", "percentiles", "summary", "line"):
         with pytest.raises(AttributeError):
             setattr(built[0], name, getattr(built[0], name))
+
+
+def test_a_malformed_cdf_result_is_a_config_error():
+    # The old int failure count, a negative count, and each field's shape broken.
+    one, bad_errors = np.array([0.1]), ([[0.1]], [1], [-0.1], [np.inf], [0.3, 0.1])
+    for args, message in [
+            (("cp", one, 0), "failures must be a tuple of (reason, count) pairs"),
+            (("cp", one, (("wrong_integer", -3),)), "wrong_integer count must be an integer"),
+            (("xx", [0.3, 0.1], (("bogus", 2),)), "method must be one of"),
+            *((("cp", np.array(e), ()), "abs_errors_m must be a 1-D float array")
+              for e in bad_errors),
+            (("cp", [0.1], ()), "abs_errors_m must be a 1-D float array"),
+            *((("cp", one, f), "failures must be a tuple") for f in (
+                (("bogus", 2),), (("wrong_integer", 1), ("no_candidate", 1)),
+                (("no_signal", 1), ("no_signal", 1)), [("no_signal", 1)])),
+            (("cp", one, (("no_signal", True),)), "no_signal count must be an integer")]:
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            CdfResult(*args)
 
 
 # ------------------------------------------------------------------------ cli
@@ -1096,3 +1089,9 @@ def test_cli_unwritable_output_exits_3(tmp_path, capsys, monkeypatch):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+if __name__ == "__main__":     # PYTHONPATH=src python tests/test_harness.py rewrites the store
+    GOLDEN_PATH.write_text("".join(json.dumps(r) + "\n" for name, cfg in GOLDEN_CONFIGS.items()
+                                   for r in trial_records(name, cfg, PINNED[name])),
+                           encoding="utf-8")

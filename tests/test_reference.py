@@ -2,10 +2,10 @@
 
 ``perfbench/reference.json`` holds the errors and IA flags of every default-
 seed trial the benchmark runs, and ``perfbench/run.py`` fails a run whose
-trial leaves them by more than its ``TOLERANCE_M``.  The golden tests in
-``test_harness.py`` pin FR1 trials with 50 sweeps only; this runs the first
-trials of each workload, the FR2 8192-sweep and the FR1 widelane ones
-included, against the same records.  The workloads come from
+trial leaves them by more than its ``TOLERANCE_M``.  The golden store,
+``golden_trials.jsonl``, pins FR1 trials with 50 or 200 sweeps only; this runs
+the first trials of each workload, the FR2 8192-sweep and the FR1 widelane ones
+included, against the benchmark's records.  The workloads come from
 ``perfbench/workloads.py``, which imports neither numpy nor phasepos; nothing
 under ``perfbench/`` is written.
 """
