@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import as_finite, as_int, as_positive, as_samples, record, set_checked
+from .errors import as_finite, as_instance, as_int, as_positive, as_samples, record, set_checked
 from .receiver import wrap_phase
 
 IA_MODES = ("oracle", "toa", "widelane")
@@ -70,9 +70,10 @@ def ia_search(fraction: CarrierRange, center_m: float,
     x = center / wavelength - fraction, clipped into the window, are compared:
     time and memory do not grow with the window.  A window with no candidate
     (narrower than a wavelength and between two, e.g. under NLOS bias) gives
-    None.  ConfigError unless ``center_m`` is finite, ``half_width_m`` finite
-    and positive, and both window edges finite in wavelengths.
+    None.  ConfigError unless ``fraction`` is a CarrierRange, ``center_m`` finite,
+    ``half_width_m`` finite and positive, and both window edges finite in wavelengths.
     """
+    as_instance("fraction", fraction, CarrierRange)
     center_m = as_finite("center_m", center_m)
     half_width_m = as_positive("half_width_m", half_width_m)
     lam = fraction.wavelength_m
@@ -108,9 +109,11 @@ def widelane_resolve(range1: CarrierRange, range2: CarrierRange, *,
     integer search on the shorter carrier wavelength within +- lambda_v/4.
 
     Returns the refined CarrierRange on the shorter wavelength, or None when
-    either search finds no candidate.  ConfigError as ``ia_search`` for a bad
-    ``center_m``, one whose window edges overflow included.
+    either search finds no candidate.  ConfigError unless both ranges are CarrierRanges,
+    and as ``ia_search`` for a bad ``center_m``, one whose window edges overflow included.
     """
+    as_instance("range1", range1, CarrierRange)
+    as_instance("range2", range2, CarrierRange)
     lam_v = virtual_wavelength(range1.wavelength_m, range2.wavelength_m)
     fine, coarse = ((range1, range2) if range1.wavelength_m <= range2.wavelength_m
                     else (range2, range1))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import as_finite, as_positive, record, set_checked
+from .errors import as_finite, as_instance, as_positive, record, set_checked
 from .receiver import wrap_phase
 
 
@@ -28,8 +28,10 @@ def aoa_from_phase_diff(phase_diff_rad: float, config: InterferometerConfig) -> 
     |(Delta + 2 pi m) lambda / (2 pi d)| <= 1 contributes a candidate.
     Candidates are returned ascending in angle, in [0, pi]; a phase no angle
     fits (|Delta| > 2 pi d / lambda at sub-half-wave spacing) gives [], and a
-    phase ``as_finite`` rejects (a NaN or infinite one) is a ConfigError.
+    phase ``as_finite`` rejects (a NaN or infinite one) or a ``config`` of another kind is a
+    ConfigError.
     """
+    as_instance("config", config, InterferometerConfig)
     phase_diff_rad = as_finite("phase_diff_rad", phase_diff_rad)
     d, lam = config.antenna_spacing_m, config.wavelength_m
     scale = lam / (2.0 * np.pi * d)
@@ -45,7 +47,9 @@ def aoa_from_phase_diff(phase_diff_rad: float, config: InterferometerConfig) -> 
 
 
 def phase_diff_for_angle(angle_rad: float, config: InterferometerConfig) -> float:
-    """Wrapped phase difference of a plane wave at a finite angle (ConfigError otherwise)."""
+    """Wrapped phase difference of a plane wave at a finite angle (ConfigError otherwise,
+    or for a ``config`` of another kind)."""
+    as_instance("config", config, InterferometerConfig)
     angle_rad = as_finite("angle_rad", angle_rad)
     delta = 2.0 * np.pi * config.antenna_spacing_m * np.cos(angle_rad) / config.wavelength_m
     return float(wrap_phase(delta))

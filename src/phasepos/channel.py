@@ -31,8 +31,8 @@ from dataclasses import fields
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT, STREAM_BLOCK
-from .errors import (ConfigError, NoSignalError, as_db, as_finite, as_int, as_positive, as_real,
-                     as_samples, as_vector, record, set_checked)
+from .errors import (ConfigError, NoSignalError, as_db, as_finite, as_instance, as_int,
+                     as_positive, as_real, as_samples, as_vector, record, set_checked)
 from .waveform import NumerologyConfig
 
 # 25 clusters x 20 rays, the largest ray count of TR 38.901's InF model;
@@ -161,8 +161,9 @@ class ChannelRealization:
         (ceil(n_bins / B), B) sum of outer products, reshaped and cut to ``n_bins``.
         ConfigError unless ``first_bin`` is finite, ``spacing_hz`` finite > 0, n_bins an int
         >= 1 that indexes an array, and 2 pi times f_c plus the first and the last bin's
-        frequency finite.
+        frequency finite, and ``num`` a NumerologyConfig.
         """
+        as_instance("num", num, NumerologyConfig)
         first_bin = as_finite("first_bin", first_bin)
         block = math.isqrt(as_int("n_bins", n_bins, 1, np.iinfo(np.intp).max) - 1) + 1
         spacing_hz = as_positive("spacing_hz", spacing_hz)
@@ -191,8 +192,10 @@ def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> Cha
     exactly by rescaling the clutter block.  NLOS: no direct tap; the first
     tap is pushed past the geometric delay by an exponential excess.
     Total tap power is normalized to exactly 1.  ConfigError unless ``seed``
-    is an integer >= 0.
+    is an integer >= 0, ``profile`` a ScenarioProfile and ``geometry`` a Geometry.
     """
+    as_instance("profile", profile, ScenarioProfile)
+    as_instance("geometry", geometry, Geometry)
     rng = np.random.default_rng(as_int("seed", seed, 0))
     tau0 = geometry.true_delay_s
 
@@ -238,8 +241,11 @@ def apply_channel(spectrum: np.ndarray, rows: int, num: NumerologyConfig,
     ``spectrum * np.fft.ifftshift(response)``, without the shifted copy, and
     the response is freed before the inverse transform.  Returns the filtered
     period broadcast to ``(rows, p)``: a read-only view a caller copies to write.
-    ConfigError unless ``rows`` is an integer >= 1 and ``spectrum`` non-empty and numeric.
+    ConfigError unless ``rows`` is an integer >= 1, ``spectrum`` non-empty and numeric,
+    ``num`` a NumerologyConfig and ``channel`` a ChannelRealization.
     """
+    as_instance("num", num, NumerologyConfig)
+    as_instance("channel", channel, ChannelRealization)
     rows, spectrum = as_int("rows", rows, 1), as_samples("spectrum", spectrum).reshape(-1)
     p, half = spectrum.size, spectrum.size // 2
     h = channel.response(num, -half, p, num.sample_rate_hz / p)

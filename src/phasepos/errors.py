@@ -2,7 +2,7 @@
 
 Every config number and every number, sample array or path an exported function takes is
 read through ``as_real``, ``as_finite``, ``as_positive``, ``as_int``, ``as_db``, ``as_samples``,
-``as_vector`` or ``as_path``, and each config object or result list the harness takes through
+``as_vector`` or ``as_path``, and each config object or result list one takes through
 ``as_instance``; the ``ConfigError`` they raise names the argument, its rule and the value.
 Every record is a ``record``, whose constructor binds its arguments to its fields.
 A config object's number fields are checked, and stored as what their rules return, by

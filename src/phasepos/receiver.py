@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constants import STREAM_BLOCK
-from .errors import NoSignalError, as_int, as_positive, as_samples, record
+from .errors import NoSignalError, as_instance, as_int, as_positive, as_samples, record
 from .waveform import NumerologyConfig
 
 
@@ -67,10 +67,12 @@ def estimate_toa(rx: np.ndarray, num: NumerologyConfig,
         and the chosen peak's height relative to the global maximum.
 
     Raises:
-        ConfigError: ``rx`` or ``reference_spectrum`` is not a non-empty numeric array.
+        ConfigError: ``rx`` or ``reference_spectrum`` is not a non-empty numeric array,
+            or ``num`` no NumerologyConfig.
         ValueError: ``rx`` is not a whole number of periods.
         NoSignalError: no correlation peak.
     """
+    as_instance("num", num, NumerologyConfig)
     rx, ref = as_samples("rx", rx), as_samples("reference_spectrum", reference_spectrum)
     n, p = rx.size, ref.size
     if n % p:
@@ -143,9 +145,11 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     Raises:
         ValueError: the sweep ends past the stream.
         ConfigError: an empty or non-numeric ``rx``, ``ref_symbol`` not one finite
-            non-zero number, ``subcarrier`` outside the allocation, or a bad sweep.
+            non-zero number, ``num`` no NumerologyConfig, ``subcarrier`` outside the
+            allocation, or a bad sweep.
         NoSignalError: a window saw an empty subcarrier bin.
     """
+    as_instance("num", num, NumerologyConfig)
     rx = as_samples("rx", rx).reshape(-1)
     as_int("n_sweeps", n_sweeps, 1)
     as_int("shift_samples", shift_samples, 1)

@@ -31,7 +31,8 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, as_int, as_positive, as_samples, record, set_checked
+from .errors import (ConfigError, as_instance, as_int, as_positive, as_samples, record,
+                     set_checked)
 
 CONVENTIONAL = "conventional"
 CONTINUOUS = "continuous"
@@ -107,8 +108,11 @@ def comb_subcarriers(prs: PrsConfig, num: NumerologyConfig) -> np.ndarray:
 
     The comb takes every ``comb_size``-th of the active subcarriers, counted
     from the lowest one at ``comb_offset``; the allocation's upper half
-    starts at +1, so it skips DC.
+    starts at +1, so it skips DC.  ConfigError unless ``prs`` is a PrsConfig and ``num`` a
+    NumerologyConfig.
     """
+    as_instance("prs", prs, PrsConfig)
+    as_instance("num", num, NumerologyConfig)
     half = num.n_active_subcarriers // 2
     rows = np.arange(prs.comb_offset, num.n_active_subcarriers, prs.comb_size)
     return rows - half + (rows >= half)
@@ -152,6 +156,7 @@ def ofdm_modulate(column: np.ndarray, num: NumerologyConfig, n_symbols: int,
     """
     if mode not in (CONVENTIONAL, CONTINUOUS):
         raise ConfigError(f"unknown modulation mode {mode!r}")
+    as_instance("num", num, NumerologyConfig)
     as_int("n_symbols", n_symbols, 1)
     column = as_samples("column", column).astype(np.complex128, copy=False)
     if column.shape != (num.n_fft,):

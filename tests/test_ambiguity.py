@@ -1,10 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from work_counter import traced_peak
 
 from phasepos import harness
 from phasepos.ambiguity import (IA_MODES, CarrierRange, double_difference, ia_search,
@@ -277,12 +277,7 @@ def test_widelane_memory_does_not_grow_with_beat_wavelength():
     d = GEO.true_distance_m
     r1 = phase_to_fraction(exact_phase(d, F1), F1)
     r2 = phase_to_fraction(exact_phase(d, 3.800001e9), 3.800001e9)
-    tracemalloc.start()
-    try:
-        refined = widelane_resolve(r1, r2, center_m=d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    refined, peak = traced_peak(widelane_resolve, r1, r2, center_m=d)
     assert peak < 1e6
     assert abs(refined.distance_m - d) < 1e-6
     f2 = 3.800000001e9

@@ -1,36 +1,37 @@
 """Work and memory budgets of one trial.
 
-Both 128-symbol streams repeat exactly (conventional every symbol,
-continuous every n_fft samples), so the channel and the TOA correlator need
-transforms and tap responses of one period only, the noise's signal power
-needs the magnitudes of one period, and the modulator holds that one period.
-The scenario keeps each period's spectrum, so after its first trial no trial
-transforms a transmit period again.  The receive path makes no stream-sized
-array but the received stream: ``add_awgn`` squares into its own output,
-copies the period view in and adds the noise over flat blocks of
-``STREAM_BLOCK`` samples, ``ccp_measure`` prefix-sums the flat stream in
-such blocks and keeps two sums per window, and ``run_trial`` holds one
-received stream at a time, in every IA mode.  These tests hold the simulator
-to that: a transform, a response or magnitudes over the whole 561,152-sample
-stream, a forward transform of a transmit period or a tiled or resized
-stream inside a trial, a transmit stream held whole, a stream-sized
-temporary or a buffer for strided rows in ``add_awgn``, a ``ccp_measure``
-whose memory grows with its span, or one more full-length array alive at
-once, fails them.  A stream with no period is filtered whole, but its tap
-response is two short exp tables per tap, not one exp per tap per bin, and
-the filter holds two period-sized arrays at once: the response and the
-product, written in FFT order, then the product and its inverse transform.
-A shifted copy of the response, or a response kept alive through the
-transform, fails them.
+Both 128-symbol streams repeat exactly (conventional every symbol, continuous every n_fft
+samples), so the channel, the noise's signal power and the TOA correlator need the
+transforms, tap responses and magnitudes of one period only, and the modulator holds that
+one period.  The scenario keeps each period's spectrum, so no trial after its first
+transforms a transmit period.  The receive path makes no stream-sized array but the
+received stream: ``add_awgn`` squares into its own output, copies the period view in and
+adds the noise over flat blocks of ``STREAM_BLOCK`` samples, ``ccp_measure`` prefix-sums the
+flat stream in such blocks and keeps two sums per window, and ``run_trial`` holds one
+received stream at a time, in every IA mode.  A stream with no period is filtered whole,
+but its tap response is two short exp tables per tap, not one exp per tap per bin, and the
+filter holds two period-sized arrays at once: the response and the product, written in FFT
+order, then the product and its inverse transform.
+
+Each benchmark workload's trial 1 has a work vector (``work_counter``'s), held to those
+bounds and exactly to ``trial_work.json``: one more noise draw, transform, exp or magnitude,
+or one of another length, fails with the counter named, as does a tiled or resized stream.
+``PYTHONPATH=src python tests/test_budgets.py`` rewrites the file, printing each changed
+counter as ``config counter old → new``.  The traced peaks fail on a transmit stream held
+whole, a stream-sized temporary or strided-row buffer in ``add_awgn``, a ``ccp_measure``
+whose memory grows with its span, a shifted or kept-alive response, or one more full-length
+array alive.
 """
 
 import dataclasses
-import tracemalloc
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from work_counter import calls, count_work, traced_peak, work_delta
 
-from phasepos.channel import ChannelRealization, add_awgn, apply_channel, draw_channel
+from phasepos.channel import add_awgn, apply_channel, draw_channel
 from phasepos.constants import STREAM_BLOCK
 from phasepos.harness import ScenarioConfig, _Assets, _build_assets, run_trial
 from phasepos.receiver import ccp_measure
@@ -85,71 +86,50 @@ DENSE_FILTER_OVERHEAD_BYTES = 16 * 1024
 STREAM_BUILD_BYTES = 2 ** 20
 
 
-def test_no_transform_is_longer_than_one_symbol(monkeypatch):
-    run_trial(FR1_TOA, 0)       # builds the cached streams outside the count
-    lengths = []
-
-    def counted(transform):
-        def wrapper(a, *args, **kwargs):
-            lengths.append(np.shape(a)[-1])
-            return transform(a, *args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
-    monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
-    run_trial(FR1_TOA, 1)
-    assert lengths, "the trial ran no transform through numpy.fft"
-    assert max(lengths) <= ONE_SYMBOL, f"transform lengths {lengths}"
+# The benchmark workload shapes by name, each with its streams' longest period and a trial's
+# forward transforms: estimate_toa's fold where the trial estimates TOA, no transmit period.
+WORK_CONFIGS = {"FR1_TOA": (FR1_TOA, ONE_SYMBOL, 1), "FR2_CCP": (FR2_CCP, ONE_SYMBOL, 0),
+                "FR1_WIDELANE": (FR1_WIDELANE, 16 * ONE_SYMBOL, 1)}
+WORK_PATH = Path(__file__).with_name("trial_work.json")
 
 
-def test_awgn_takes_the_magnitudes_of_one_period_row(monkeypatch):
-    assets = _Assets(FR1_TOA)
-    spectrum, rows = assets.conv_period
-    view = apply_channel(spectrum, rows, assets.num,
-                         draw_channel(assets.profile, FR1_TOA.geometry, 0))
-    sizes = []
-    absolute = np.abs
-
-    def counted(x, *args, **kwargs):
-        sizes.append(np.size(x))
-        return absolute(x, *args, **kwargs)
-
-    monkeypatch.setattr(np, "abs", counted)
-    add_awgn(view, FR1_TOA.snr_db, 0)
-    assert view.shape == (128, ONE_SYMBOL)
-    assert sizes, "add_awgn took no magnitude through np.abs"
-    assert sum(sizes) <= ONE_SYMBOL, f"np.abs sizes {sizes}"
-
-
-@pytest.mark.parametrize("cfg", [FR1_TOA, FR2_CCP], ids=["FR1-toa", "FR2-ccp"])
-def test_tap_response_is_evaluated_on_one_period(monkeypatch, cfg):
-    sizes = []
-    response = ChannelRealization.response
-
-    def counted(self, num, first_bin, n_bins, spacing_hz):
-        sizes.append(n_bins)
-        return response(self, num, first_bin, n_bins, spacing_hz)
-
-    monkeypatch.setattr(ChannelRealization, "response", counted)
+def trial_work(cfg):
+    """Trial 1's work vector, after a warm-up trial 0 builds the cached streams outside it."""
     run_trial(cfg, 0)
-    assert sizes, "the trial evaluated no tap response"
-    assert max(sizes) <= ONE_SYMBOL, f"response sizes {sizes}"
+    with count_work() as work:
+        run_trial(cfg, 1)
+    return dict(work)
 
 
-def test_dense_trial_exp_work(monkeypatch):
-    run_trial(FR1_WIDELANE, 0)      # builds the cached streams outside the count
-    sizes = []
-    exp = np.exp
+def work_text(vectors):
+    """The committed file's text: one vector per config, in WORK_CONFIGS order, keys sorted."""
+    return json.dumps({name: dict(sorted(vectors[name].items())) for name in WORK_CONFIGS},
+                      indent=2) + "\n"
 
-    def counted(x, *args, **kwargs):
-        sizes.append(np.size(x))
-        return exp(x, *args, **kwargs)
 
-    monkeypatch.setattr(np, "exp", counted)
-    run_trial(FR1_WIDELANE, 1)
-    assert sizes, "the trial made no np.exp call"
-    assert max(sizes) <= ONE_SYMBOL, f"np.exp sizes {sorted(sizes)[-5:]}"
-    assert sum(sizes) <= WIDELANE_EXP_ELEMENTS, f"{sum(sizes)} np.exp elements"
+@pytest.mark.parametrize("name", WORK_CONFIGS)
+def test_trial_work(name):
+    cfg, period, folds = WORK_CONFIGS[name]
+    work = trial_work(cfg)
+    # No transform or tap response spans more than one period, no magnitude more than one
+    # period (add_awgn squares one row) or one value per ccp window, no exp more than one symbol.
+    for op, longest in (("fft", period), ("ifft", period), ("response", period),
+                        ("abs", max(period, cfg.ccp_sweeps)), ("exp", ONE_SYMBOL)):
+        assert max(calls(work, op), default=0) <= longest, \
+            f"{op} calls by length {calls(work, op)}"
+    exp_elements = sum(n * c for n, c in calls(work, "exp").items())
+    assert exp_elements <= WIDELANE_EXP_ELEMENTS, f"{exp_elements} exp elements"
+    assert not work.keys() & {"tile", "resize"}, work
+    assert sum(calls(work, "fft").values()) == folds, f"fft calls by length {calls(work, 'fft')}"
+    stored = json.loads(WORK_PATH.read_text(encoding="utf-8"))[name]
+    assert not (delta := work_delta(stored, work)), f"{name}: " + "; ".join(delta)
+
+
+def test_trial_work_file_is_in_canonical_form():
+    text = WORK_PATH.read_text(encoding="utf-8")
+    stored = json.loads(text)
+    assert list(stored) == list(WORK_CONFIGS) and text == work_text(stored)
+    assert all(type(n) is int and n >= 1 for vector in stored.values() for n in vector.values())
 
 
 def test_dense_filter_holds_two_periods():
@@ -157,12 +137,7 @@ def test_dense_filter_holds_two_periods():
     spectrum, rows = assets.cont_period
     channel = draw_channel(assets.profile, FR1_WIDELANE.geometry, 0)
     apply_channel(spectrum, rows, assets.num, channel)     # a warm-up outside the count
-    tracemalloc.start()
-    try:
-        apply_channel(spectrum, rows, assets.num, channel)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(apply_channel, spectrum, rows, assets.num, channel)[1]
     assert (spectrum.size, rows) == (16 * ONE_SYMBOL, 1)
     assert peak <= 2 * spectrum.nbytes + DENSE_FILTER_OVERHEAD_BYTES, f"{peak} bytes"
 
@@ -171,30 +146,8 @@ def test_dense_filter_holds_two_periods():
 def test_trial_peak_memory(name):
     cfg, measured_mib = PEAK_MIB[name]
     run_trial(cfg, 0)
-    tracemalloc.start()
-    try:
-        run_trial(cfg, 1)
-        peak_mib = tracemalloc.get_traced_memory()[1] / MIB
-    finally:
-        tracemalloc.stop()
+    peak_mib = traced_peak(run_trial, cfg, 1)[1] / MIB
     assert peak_mib <= measured_mib + PEAK_HEADROOM_MIB
-
-
-@pytest.mark.parametrize("cfg", [FR1_TOA, FR2_CCP], ids=["FR1-toa", "FR2-ccp"])
-def test_trial_tiles_and_resizes_nothing(monkeypatch, cfg):
-    run_trial(cfg, 0)       # builds the cached streams outside the count
-    calls = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("tile", "resize"):
-        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
-    run_trial(cfg, 1)
-    assert calls == []
 
 
 def test_ccp_measure_memory_does_not_grow_with_the_span():
@@ -206,12 +159,8 @@ def test_ccp_measure_memory_does_not_grow_with_the_span():
     for stride in (shift // 4, shift):      # spans of 135,152 and 552,826 samples
         # An untraced warm-up per stride, so neither traced call is the first.
         ccp_measure(rx, num, assets.subcarrier, sweeps, stride, assets.ref_symbol, start)
-        tracemalloc.start()
-        try:
-            ccp_measure(rx, num, assets.subcarrier, sweeps, stride, assets.ref_symbol, start)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(ccp_measure, rx, num, assets.subcarrier, sweeps, stride,
+                                 assets.ref_symbol, start)[1])
     assert sweeps == 8192
     assert peaks[1] <= peaks[0] + CCP_SPAN_SLACK_BYTES, f"{peaks} bytes"
     assert peaks[1] <= (STREAM_BLOCK * 16 + CCP_BYTES_PER_WINDOW * sweeps
@@ -224,43 +173,16 @@ def test_awgn_allocates_its_output_and_one_noise_block(mode):
     spectrum, rows = assets.conv_period if mode == CONVENTIONAL else assets.cont_period
     view = apply_channel(spectrum, rows, assets.num,
                          draw_channel(assets.profile, FR1_TOA.geometry, 0))
-    tracemalloc.start()
-    try:
-        rx = add_awgn(view, FR1_TOA.snr_db, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rx, peak = traced_peak(add_awgn, view, FR1_TOA.snr_db, 0)
     assert rx.nbytes == 128 * ONE_SYMBOL * 16
     assert peak <= rx.nbytes + STREAM_BLOCK * 8 + AWGN_OVERHEAD_BYTES, f"{peak} bytes"
 
 
 def test_transmit_streams_hold_one_period():
     assets = _Assets(FR1_TOA)
-    tracemalloc.start()
-    try:
-        periods = (assets.conv_period, assets.cont_period)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    periods, peak = traced_peak(lambda: (assets.conv_period, assets.cont_period))
     assert [spectrum.size * rows for spectrum, rows in periods] == [128 * ONE_SYMBOL] * 2
     assert peak < STREAM_BUILD_BYTES, f"{peak} bytes"
-
-
-@pytest.mark.parametrize("cfg, folds", [(FR1_WIDELANE, 1), (FR1_TOA, 1), (FR2_CCP, 0)],
-                         ids=["FR1-widelane", "FR1-toa", "FR2-ccp"])
-def test_trial_transforms_no_transmit_period(monkeypatch, cfg, folds):
-    run_trial(cfg, 0)       # builds the cached period spectra outside the count
-    lengths = []
-    fft = np.fft.fft
-
-    def counted(a, *args, **kwargs):
-        lengths.append(np.shape(a)[-1])
-        return fft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fft", counted)
-    run_trial(cfg, 1)
-    # The only forward transform left is estimate_toa's fold of the received stream.
-    assert len(lengths) == folds, f"forward transform lengths {lengths}"
 
 
 @pytest.mark.parametrize("cfg", [FR1_WIDELANE, FR1_TOA, FR2_CCP],
@@ -273,3 +195,12 @@ def test_cached_spectra_are_the_transmit_periods(cfg):
         assert not spectrum.flags.writeable
         assert rows == stream.shape[0]
         assert np.array_equal(spectrum, np.fft.fft(stream[0]))
+
+
+if __name__ == "__main__":     # PYTHONPATH=src python tests/test_budgets.py rewrites the file
+    old = json.loads(WORK_PATH.read_text(encoding="utf-8")) if WORK_PATH.exists() else {}
+    new = {name: trial_work(cfg) for name, (cfg, _, _) in WORK_CONFIGS.items()}
+    for name in WORK_CONFIGS:
+        for line in work_delta(old.get(name, {}), new[name]):
+            print(name, line)
+    WORK_PATH.write_text(work_text(new), encoding="utf-8")

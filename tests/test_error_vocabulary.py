@@ -1,15 +1,14 @@
 """Every exported callable lets only the package's three errors escape.
 
-Each number and sample-array parameter of each callable in ``__all__``, and
-of ``ChannelRealization.response``, is fed None, text, bools, NaN, the
-infinities, ints past float range, a subnormal, and empty, 0-d, object and wrongly shaped
-arrays, while its other arguments stay valid.  Whatever the callable makes of
-the value, only ``ConfigError``, ``NoSignalError`` or ``ValueError`` may
-escape; the tests turn a warning into an error too (pyproject's
-``filterwarnings``).  Config objects (a numerology, a channel, a scenario)
-are held valid: their own fields are parameters of their own constructors.
-The harness's scenario, trial-result and CDF parameters are fed the same
-values, and a value of the wrong kind there is a ``ConfigError``.
+Each number, sample-array and config-object parameter of each callable in
+``__all__``, and of ``ChannelRealization.response``, is fed None, text, bools,
+NaN, the infinities, ints past float range, a subnormal, and empty, 0-d, object
+and wrongly shaped arrays, while its other arguments stay valid.  Whatever the
+callable makes of the value, only ``ConfigError``, ``NoSignalError`` or
+``ValueError`` may escape; the tests turn a warning into an error too
+(pyproject's ``filterwarnings``).  A config object (a numerology, a channel, a
+scenario) of the wrong kind is a ``ConfigError`` that names its parameter, and
+so are the harness's trial-result and CDF lists.
 
 Every record (dataclass) of the package binds its constructor's arguments by one
 rule: an unknown keyword, a surplus positional value, a field given both ways
@@ -48,8 +47,8 @@ CFG = pp.ScenarioConfig(n_trials=1, n_symbols=8, ccp_sweeps=20)
 RESULTS = [pp.TrialResult(0, {"cp": pp.harness.MethodOutcome(0.1, 3)})]
 CDFS = [pp.CdfResult("cp", np.array([0.1]), ())]
 
-# Each callable, with its config objects bound, and a valid value of each of
-# its number and sample-array parameters; None marks one that has none.
+# Each callable, with its other arguments bound, and a valid value of each of its
+# number, sample-array and config-object parameters; None marks one that has none.
 SIGNATURES = {
     "CarrierRange": (pp.CarrierRange, dict(wavelength_m=0.08, fractional_cycles=0.25,
                                            integer_cycles=3)),
@@ -57,8 +56,8 @@ SIGNATURES = {
                   dict(abs_errors_m=np.array([0.1]), failures=())),
     "ChannelRealization": (pp.ChannelRealization,
                            dict(delays_s=np.array([1e-7]), gains=np.array([1.0 + 0.0j]))),
-    "ChannelRealization.response": (partial(CHANNEL.response, NUM),
-                                    dict(first_bin=-32, n_bins=64, spacing_hz=30e3)),
+    "ChannelRealization.response": (CHANNEL.response,
+                                    dict(num=NUM, first_bin=-32, n_bins=64, spacing_hz=30e3)),
     "ConfigError": None,
     "Geometry": (pp.Geometry, dict(gnb_position_m=(0.0, 0.0, 10.0),
                                    ue_position_m=(20.0, 0.0, 1.5))),
@@ -82,37 +81,33 @@ SIGNATURES = {
     "ToaMeasurement": (pp.ToaMeasurement, dict(toa_s=1e-7, peak_metric=1.0)),
     "TrialResult": (partial(pp.TrialResult, outcomes={}), dict(trial_index=0)),
     "add_awgn": (pp.add_awgn, dict(x=STREAM, snr_db=10.0, seed=0)),
-    "aoa_from_phase_diff": (partial(pp.aoa_from_phase_diff, config=IFC),
-                            dict(phase_diff_rad=0.5)),
-    "apply_channel": (partial(pp.apply_channel, num=NUM, channel=CHANNEL),
-                      dict(spectrum=SPECTRUM, rows=1)),
-    "ccp_measure": (partial(pp.ccp_measure, num=NUM),
-                    dict(rx=STREAM, subcarrier=K, n_sweeps=2, shift_samples=8,
-                         ref_symbol=COLUMN[K % NUM.n_fft], window_start=0)),
+    "aoa_from_phase_diff": (pp.aoa_from_phase_diff, dict(phase_diff_rad=0.5, config=IFC)),
+    "apply_channel": (pp.apply_channel, dict(spectrum=SPECTRUM, rows=1, num=NUM, channel=CHANNEL)),
+    "ccp_measure": (pp.ccp_measure, dict(rx=STREAM, num=NUM, subcarrier=K, n_sweeps=2,
+                                         shift_samples=8, ref_symbol=COLUMN[K % NUM.n_fft],
+                                         window_start=0)),
     "compute_cdf": (partial(pp.compute_cdf, method="cp"), dict(results=RESULTS)),
     "doppler_ppm": (pp.doppler_ppm, dict(speed_m_s=1.0)),
     "double_difference": (pp.double_difference, dict(phases_rad=np.zeros((2, 2)))),
-    "draw_channel": (partial(pp.draw_channel, pp.profile_preset("InF-LOS"), CFG.geometry),
-                     dict(seed=0)),
+    "draw_channel": (pp.draw_channel, dict(profile=pp.profile_preset("InF-LOS"),
+                                           geometry=CFG.geometry, seed=0)),
     "emit_results": (partial(pp.emit_results, path=os.devnull, fmt="json"),
                      dict(cdfs=CDFS, cfg=CFG)),    # its path: tests/test_harness.py
-    "estimate_toa": (partial(pp.estimate_toa, num=NUM),
-                     dict(rx=STREAM, reference_spectrum=SPECTRUM)),
-    "generate_prs_column": None,
-    "ia_search": (partial(pp.ia_search, FINE), dict(center_m=10.0, half_width_m=1.0)),
+    "estimate_toa": (pp.estimate_toa, dict(rx=STREAM, num=NUM, reference_spectrum=SPECTRUM)),
+    "generate_prs_column": (pp.generate_prs_column, dict(prs=PRS, num=NUM)),
+    "ia_search": (pp.ia_search, dict(fraction=FINE, center_m=10.0, half_width_m=1.0)),
     "load_config": None,          # its path: tests/test_harness.py
     "make_numerology": None,
-    "middle_subcarrier": None,
-    "ofdm_modulate": (partial(pp.ofdm_modulate, num=NUM), dict(column=COLUMN, n_symbols=4)),
-    "phase_diff_for_angle": (partial(pp.phase_diff_for_angle, config=IFC),
-                             dict(angle_rad=0.5)),
+    "middle_subcarrier": (pp.middle_subcarrier, dict(prs=PRS, num=NUM)),
+    "ofdm_modulate": (pp.ofdm_modulate, dict(column=COLUMN, num=NUM, n_symbols=4)),
+    "phase_diff_for_angle": (pp.phase_diff_for_angle, dict(angle_rad=0.5, config=IFC)),
     "phase_to_fraction": (pp.phase_to_fraction, dict(phase_rad=0.5, frequency_hz=3.8e9)),
     "profile_preset": (partial(pp.profile_preset, "InF-LOS"),
                        dict(rician_k_db=16.0, rms_delay_spread_s=30e-9, n_clutter_taps=12)),
     "run_scenario": (pp.run_scenario, dict(cfg=CFG, workers=1)),
     "run_trial": (pp.run_trial, dict(cfg=CFG, trial=0)),
     "virtual_wavelength": (pp.virtual_wavelength, dict(lambda1_m=0.079, lambda2_m=0.077)),
-    "widelane_resolve": (partial(pp.widelane_resolve, FINE, COARSE), dict(center_m=10.0)),
+    "widelane_resolve": (pp.widelane_resolve, dict(range1=FINE, range2=COARSE, center_m=10.0)),
     "wrap_phase": (pp.wrap_phase, dict(phase=0.5)),
 }
 CASES = [(name, param) for name, sig in SIGNATURES.items() if sig for param in sig[1]]
@@ -162,24 +157,23 @@ def test_a_bad_argument_raises_only_the_package_errors(name, param, value):
         pass
 
 
-# Harness arguments of the wrong kind that raised TypeError or AttributeError before
-# they were checked, and the argument each message names.
-WRONG_KINDS = [
-    (lambda: pp.compute_cdf(None, "cp"), "results"),
-    (lambda: pp.compute_cdf([1, 2], "cp"), "each result"),
-    (lambda: pp.emit_results([None], CFG, os.devnull), "each cdf"),
-    (lambda: pp.emit_results([], None, os.devnull, "json"), "cfg"),
-    (lambda: pp.run_trial(None, 0), "cfg"),
-    (lambda: pp.run_scenario({"n_trials": 2}, 1), "cfg"),
-]
+# Arguments of the wrong kind, which raised AttributeError or TypeError before they were
+# checked, and the argument each message names: every config-object parameter fed None, an
+# int, a mapping and a record no callable takes, and the harness's result lists.
+WRONG_KINDS = [*((name, param, value, param) for name, param in CASES
+                 if dataclasses.is_dataclass(SIGNATURES[name][1][param])
+                 for value in (None, 0, {"n_trials": 2}, pp.ToaMeasurement(1e-7, 1.0))),
+               ("compute_cdf", "results", None, "results"),
+               ("compute_cdf", "results", [1, 2], "each result"),
+               ("emit_results", "cdfs", [None], "each cdf")]
 
 
-@pytest.mark.parametrize("call,name", WRONG_KINDS,
-                         ids=["compute_cdf-None", "compute_cdf-ints", "emit_results-cdfs",
-                              "emit_results-cfg", "run_trial", "run_scenario"])
-def test_a_harness_argument_of_the_wrong_kind_is_a_config_error(call, name):
-    with pytest.raises(pp.ConfigError, match=f"^{name} must be a "):
-        call()
+@pytest.mark.parametrize("name,param,value,named", WRONG_KINDS,
+                         ids=[f"{n}-{p}-{type(v).__name__}" for n, p, v, _ in WRONG_KINDS])
+def test_an_argument_of_the_wrong_kind_is_a_config_error(name, param, value, named):
+    call, valid = SIGNATURES[name]
+    with pytest.raises(pp.ConfigError, match=f"^{named} must be a "):
+        call(**{**valid, param: value})
 
 
 # Finite arguments whose combination overflows: the grid's carrier-plus-bin

@@ -68,9 +68,9 @@ def test_scan_finds_a_foreign_import():
                            "from scipy import signal\nimport yaml\n") == ["scipy", "yaml"]
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*PACKAGE, ROOT / "tests/work_counter.py"], ids=lambda p: p.name)
 def test_package_imports_only_stdlib_and_numpy(path):
-    # numpy is the one runtime dependency pyproject.toml declares.
+    # numpy is the one runtime dependency pyproject.toml declares, and all the work counter needs.
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
