@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,6 @@ from phasepos.ambiguity import (IA_MODES, CarrierRange, double_difference, ia_se
                                 phase_to_fraction, resolve, virtual_wavelength, widelane_resolve)
 from phasepos.channel import Geometry
 from phasepos.constants import SPEED_OF_LIGHT
-from phasepos.errors import ConfigError
 from phasepos.receiver import wrap_phase
 
 F1 = 3.8e9
@@ -48,33 +45,10 @@ def test_fraction_matches_geometry():
     assert r.fractional_cycles == pytest.approx(q - np.floor(q), abs=1e-8)
 
 
-def test_fraction_rejects_bad_frequency():
-    for frequency_hz in (0.0, -1e9, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            phase_to_fraction(0.1, frequency_hz)
-    for phase_rad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            phase_to_fraction(phase_rad, F1)
-
-
 def test_resolved_distance_formula():
     r = CarrierRange(0.08, 0.25).resolved(300)
     assert r.integer_cycles == 300
     assert r.distance_m == pytest.approx(300.25 * 0.08, rel=1e-15)
-
-
-@pytest.mark.parametrize("args, message", [
-    ((-1.0, 0.5), "^wavelength_m must be finite and positive"),   # no N would be found
-    ((0.08, 7.3), r"^fractional_cycles must be finite and in \[0, 1\]"),   # N would be off by 7
-    (("a", 0.1), "^wavelength_m must be a number"),
-    ((0.08, math.nan), "^fractional_cycles must be finite"),
-    ((0.08, 0.25, -1), r"^integer_cycles must be an integer in \[0, inf\]"),
-    ((0.08, 0.25, 3.0), "^integer_cycles must be an integer"),
-], ids=["negative-wavelength", "fraction-past-1", "text", "nan-fraction", "negative-N",
-        "float-N"])
-def test_carrier_range_checks_its_fields(args, message):
-    with pytest.raises(ConfigError, match=message):
-        CarrierRange(*args)
 
 
 def test_a_beat_fraction_that_rounds_to_one_is_a_carrier_range():
@@ -109,6 +83,10 @@ def test_ia_search_empty_window_is_none():
     # candidates at 0.5, 1.5, ... but the window is [0.1, 0.3]
     frac = CarrierRange(1.0, 0.5)
     assert ia_search(frac, 0.2, 1.0 * 0.1) is None
+    # Below -1e308 m widelane's +- 3 m beat window holds no N >= 0 (from +1e308 m the fine
+    # search's window overflows: tests/test_error_vocabulary.py's widelane_resolve rows).
+    r1, r2 = CarrierRange(SPEED_OF_LIGHT / F1, 0.1), CarrierRange(SPEED_OF_LIGHT / F2, 0.2)
+    assert widelane_resolve(r1, r2, center_m=-1e308) is None
 
 
 def test_ia_search_nlos_bias_breaks_resolution():
@@ -123,16 +101,6 @@ def test_ia_search_nlos_bias_breaks_resolution():
         return
     assert r.integer_cycles != 305
     assert abs(r.distance_m - GEO.true_distance_m) > lam / 2
-
-
-def test_ia_search_validates_sigma():
-    frac = CarrierRange(1.0, 0.5)
-    for half_width_m in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            ia_search(frac, 3.0, half_width_m)
-    for center_m in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            ia_search(frac, center_m, 1.0)
 
 
 def test_ia_search_random_property():
@@ -207,12 +175,6 @@ def test_virtual_wavelength_identity():
     assert virtual_wavelength(2 * lam, lam) == virtual_wavelength(lam, 2 * lam)
 
 
-def test_virtual_wavelength_rejects_degenerate():
-    for lambda1_m, lambda2_m in ((0.1, 0.1), (0.0, 0.1), (math.nan, 0.1), (0.1, math.inf)):
-        with pytest.raises(ValueError):
-            virtual_wavelength(lambda1_m, lambda2_m)
-
-
 def test_widelane_integer_on_beat():
     # At ~24.13 m the beat wavelength (~3 m) has gone around 8 whole times.
     lam_v = virtual_wavelength(SPEED_OF_LIGHT / F1, SPEED_OF_LIGHT / F2)
@@ -283,30 +245,6 @@ def test_widelane_memory_does_not_grow_with_beat_wavelength():
     f2 = 3.800000001e9
     refined = widelane_resolve(r1, phase_to_fraction(exact_phase(d, f2), f2), center_m=d)
     assert abs(refined.distance_m - d) < 1e-6
-
-
-@pytest.mark.parametrize("center_m, half_width_m", [(1e308, 1e308), (-1e308, 1e308)])
-def test_a_window_whose_edge_overflows_is_a_config_error(center_m, half_width_m):
-    # Each argument is finite, but center +- half_width is not: the integer
-    # bounds floor(edge / lambda) would be an infinity.
-    r1 = CarrierRange(SPEED_OF_LIGHT / F1, 0.1)
-    r2 = CarrierRange(SPEED_OF_LIGHT / F2, 0.2)
-    with pytest.raises(ConfigError, match="^center_m [+]- half_width_m in wavelengths must be "):
-        ia_search(r1, center_m, half_width_m)
-    # Widelane's +- 3 m beat window stays finite; from 1e308 m the fine search's does not,
-    # and below -1e308 m the beat window holds no N >= 0.
-    if center_m > 0:
-        with pytest.raises(ConfigError,
-                           match="^center_m [+]- half_width_m in wavelengths must be "):
-            widelane_resolve(r1, r2, center_m=center_m)
-    else:
-        assert widelane_resolve(r1, r2, center_m=center_m) is None
-
-
-def test_a_window_finite_in_metres_but_not_in_wavelengths_is_a_config_error():
-    tiny = CarrierRange(1e-300, 0.5)
-    with pytest.raises(ConfigError, match="^center_m [+]- half_width_m in wavelengths must be "):
-        ia_search(tiny, 1e10, 1.0)
 
 
 # ---------------------------------------------------------------- resolve
@@ -435,10 +373,3 @@ def test_double_difference_wraps_to_principal_interval():
     m = double_difference(mat)
     assert -np.pi <= m < np.pi
     assert m == pytest.approx(float(wrap_phase(12.0)), abs=1e-12)
-
-
-def test_double_difference_rejects_bad_input():
-    with pytest.raises(ValueError):
-        double_difference(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        double_difference(np.array([[0.0, np.nan], [0.0, 0.0]]))

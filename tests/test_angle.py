@@ -1,19 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from phasepos.angle import InterferometerConfig, aoa_from_phase_diff, phase_diff_for_angle
-from phasepos.errors import ConfigError
 
 HALF_WAVE = InterferometerConfig(antenna_spacing_m=0.5, wavelength_m=1.0)
-
-
-def test_config_rejects_nonpositive():
-    for spacing_m, wavelength_m in ((0.0, 1.0), (0.5, -1.0), (math.nan, 1.0), (math.inf, 1.0),
-                                    (0.5, math.nan), (0.5, math.inf)):
-        with pytest.raises(ConfigError):
-            InterferometerConfig(spacing_m, wavelength_m)
 
 
 def test_broadside_is_unique_at_half_wavelength():
@@ -42,12 +32,6 @@ def test_impossible_phase_has_no_angle():
     # Quarter-wave spacing can only produce |Delta| <= pi/2.
     cfg = InterferometerConfig(0.25, 1.0)
     assert aoa_from_phase_diff(np.pi, cfg) == []
-
-
-@pytest.mark.parametrize("phase_diff_rad", [math.nan, math.inf, -math.inf])
-def test_non_finite_phase_rejected(phase_diff_rad):
-    with pytest.raises(ValueError):
-        aoa_from_phase_diff(phase_diff_rad, HALF_WAVE)
 
 
 def test_sixty_degree_oracle():

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from phasepos.channel import (MAX_CLUTTER_TAPS, ChannelRealization, Geometry, ScenarioProfile,
                               add_awgn, apply_channel, doppler_ppm, draw_channel, profile_preset)
 from phasepos.constants import SPEED_OF_LIGHT, STREAM_BLOCK
-from phasepos.errors import ConfigError, NoSignalError
+from phasepos.errors import ConfigError
 from phasepos.harness import ScenarioConfig, _Assets
 from phasepos.receiver import ccp_measure
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column,
@@ -37,36 +36,11 @@ def test_unit_displacement():
     assert Geometry((0, 0, 0), (1, 0, 0)).true_distance_m == 1.0
 
 
-def test_coincident_positions_rejected():
-    with pytest.raises(ValueError):
-        Geometry((0, 0, 0), (0, 0, 0))
-
-
 def test_positions_stored_as_tuples_of_floats():
     geo = Geometry(np.zeros(3), [3, 4, 0])
     assert geo == Geometry((0.0, 0.0, 0.0), (3.0, 4.0, 0.0))
     assert all(type(v) is float for v in geo.gnb_position_m + geo.ue_position_m)
     assert geo.true_distance_m == 5.0
-
-
-@pytest.mark.parametrize("gnb,ue", [
-    ((0, 0), (3, 4)),                          # 2-D
-    ((0, 0, 0), (3, 4, 0, 1)),
-    (("a", 0, 0), (1, 1, 1)),
-    ((0, 0, 0), (True, 0, 0)),
-    ((0, 0, 0), (float("nan"), 0, 0)),
-    ((0, 0, 0), (float("inf"), 0, 0)),
-    ((float("inf"), 0, 0), (float("inf"), 0, 0)),
-    ((0, 0, 0), (10 ** 400, 0, 0)),
-    ((0, 0, -1.7e308), (0, 0, 1.7e308)),      # finite positions, distance overflows
-    ((0, 0, 0), np.array(5.0)),
-    ((0, 0, 0), np.ones((3, 1))),
-    ((0, 0, 0), "abc"),
-    ((0, 0, 0), None),
-])
-def test_malformed_positions_rejected(gnb, ue):
-    with pytest.raises(ConfigError):
-        Geometry(gnb, ue)
 
 
 def test_true_delay():
@@ -102,16 +76,6 @@ def test_unknown_override_named_before_unknown_kind():
     # The overrides are checked first; the kind is left to the ScenarioProfile constructor.
     with pytest.raises(ConfigError, match="^unknown profile overrides: \\['speed'\\]"):
         profile_preset("InF-XXL", speed=1.0)
-
-
-def test_los_requires_k_factor():
-    with pytest.raises(ConfigError):
-        ScenarioProfile(kind="InF-LOS")
-
-
-def test_nlos_requires_excess_delay():
-    with pytest.raises(ConfigError):
-        ScenarioProfile(kind="InF-NLOS-S")
 
 
 # -------------------------------------------------------------- draw_channel
@@ -176,20 +140,6 @@ def test_channel_deterministic_per_seed():
     assert np.array_equal(a.gains, b.gains)
 
 
-@pytest.mark.parametrize("delays_s, gains, message", [
-    (np.array([1e-7, 2e-7]), np.array([1 + 0j]), "^delays_s and gains must have one entry "),
-    (("a", "b"), np.array([1 + 0j, 1 + 0j]), "^delays_s must be a non-empty array of dtype "),
-    (np.full((2, 2), 1e-7), np.ones((2, 2), complex), "^delays_s must be 1-D "),
-    (np.array([np.nan]), np.array([1 + 0j]), "^delays_s must be finite, got nan$"),
-    (np.array([1e-7]), np.array([np.inf + 0j]), "^gains must be finite"),
-    (np.zeros(MAX_CLUTTER_TAPS + 2), np.ones(MAX_CLUTTER_TAPS + 2, complex), "^delays_s must "),
-], ids=["lengths", "text", "2-D", "nan-delay", "inf-gain", "too-many-taps"])
-def test_channel_realization_checks_its_arrays(delays_s, gains, message):
-    # Unchecked, each fails later in response or add_awgn, or gives wrong numbers.
-    with pytest.raises(ConfigError, match=message):
-        ChannelRealization(delays_s, gains)
-
-
 def test_channel_realization_keeps_its_arrays():
     # A direct tap plus MAX_CLUTTER_TAPS clutter taps; float64 and complex128 kept, not copied.
     delays, gains = np.zeros(MAX_CLUTTER_TAPS + 1), np.ones(MAX_CLUTTER_TAPS + 1, complex)
@@ -252,38 +202,18 @@ def test_apply_channel_matches_dense_transform(n_symbols, mode, periodic):
         assert np.array_equal(rx, dense)
 
 
-def test_apply_channel_on_an_aperiodic_stream_is_the_dense_transform():
-    ch = draw_channel(profile_preset("InF-LOS"), Geometry(GNB, UE), 2)
-    tx = np.tile(make_stream(NUM.symbol_samples), 4)
-    tx[5000] += 1.0     # one changed sample breaks the one-symbol period
-    for x in (make_stream(), tx):
-        rx = apply_channel(np.fft.fft(x), 1, NUM, ch)[0]
-        assert np.array_equal(rx, dense_channel(x, NUM, ch))
-
-
 def test_apply_channel_broadcasts_a_period_view_and_filters_a_1d_stream_whole():
     ch = draw_channel(profile_preset("InF-LOS"), Geometry(GNB, UE), 2)
     tx = np.tile(make_stream(NUM.symbol_samples), 4)
     view = apply_channel(np.fft.fft(tx[:NUM.symbol_samples]), 4, NUM, ch)
     assert view.shape == (4, NUM.symbol_samples) and view.strides[0] == 0
     assert not view.flags.writeable
-    for x in (tx, make_stream()):       # periodic and aperiodic whole streams: one period each
+    changed = tx.copy()
+    changed[5000] += 1.0     # one changed sample breaks the one-symbol period
+    for x in (tx, changed, make_stream()):     # periodic and aperiodic: each one period
         rx = apply_channel(np.fft.fft(x), 1, NUM, ch)
         assert rx.shape == (1, x.size) and not rx.flags.writeable
         assert np.array_equal(rx[0], dense_channel(x, NUM, ch))
-
-
-@pytest.mark.parametrize("rows", [0, -1, 2.5, True, None, "2"])
-def test_apply_channel_rejects_a_row_count_that_is_not_a_positive_integer(rows):
-    ch = ChannelRealization(np.array([0.0]), np.array([1.0 + 0.0j]))
-    with pytest.raises(ConfigError, match=r"^rows must be an integer in \[1, inf\], got "):
-        apply_channel(np.fft.fft(make_stream()), rows, NUM, ch)
-
-
-def test_apply_channel_rejects_an_empty_spectrum():
-    ch = ChannelRealization(np.array([0.0]), np.array([1.0 + 0.0j]))
-    with pytest.raises(ValueError, match="empty"):
-        apply_channel(np.array([], dtype=complex), 1, NUM, ch)
 
 
 def test_apply_channel_reads_the_spectrum_flattened():
@@ -420,15 +350,6 @@ def test_response_reads_an_int_spacing_past_int64_as_a_float():
     assert np.all(np.isfinite(ch.response(NUM, 0, 4, spacing_hz=10 ** 30)))
 
 
-@pytest.mark.parametrize(
-    "spacing_hz", [0.0, -1.0, math.nan, math.inf, 10 ** 400, "1", None, True],
-    ids=["zero", "negative", "nan", "inf", "past-float", "str", "None", "bool"])
-def test_response_spacing_that_is_not_finite_and_positive_is_a_config_error(spacing_hz):
-    ch = draw_channel(profile_preset("InF-LOS"), Geometry(GNB, UE), 0)
-    with pytest.raises(ConfigError, match="^spacing_hz must "):
-        ch.response(NUM, 0, 4, spacing_hz)
-
-
 # ---------------------------------------------------------------------- awgn
 
 def test_awgn_snr_calibrated():
@@ -451,55 +372,6 @@ def test_awgn_deterministic():
     a = add_awgn(tx, 10.0, seed=8)
     b = add_awgn(tx, 10.0, seed=8)
     assert np.array_equal(a, b)
-
-
-def test_awgn_zero_power_rejected():
-    tx = np.zeros(64, dtype=complex)
-    with pytest.raises(NoSignalError):
-        add_awgn(tx, 10.0, seed=0)
-
-
-@pytest.mark.parametrize("snr_db", [float("nan"), -math.inf, 4000.0, -4000.0, "10"])
-def test_awgn_non_finite_snr_rejected(snr_db):
-    with pytest.raises(ConfigError):
-        add_awgn(np.ones(64, dtype=complex), snr_db, seed=0)
-
-
-@pytest.mark.parametrize("sample, fill", [(np.nan, 1.0), (np.inf, 1.0), (1e200, 1e200)],
-                         ids=["nan-sample", "inf-sample", "overflowing-stream"])
-def test_awgn_non_finite_power_rejected(sample, fill):
-    tx = np.full(64, fill, dtype=complex)
-    tx[17] = sample
-    with pytest.raises(ValueError, match="not finite"):
-        add_awgn(tx, 10.0, seed=0)
-
-
-@pytest.mark.parametrize("seed", ["x", -1, 2.5, None, True], ids=repr)
-@pytest.mark.parametrize("call", [
-    lambda seed: add_awgn(np.ones(64, dtype=complex), 10.0, seed),
-    lambda seed: add_awgn(np.ones(64, dtype=complex), math.inf, seed),
-    lambda seed: draw_channel(profile_preset("InF-LOS"), Geometry(GNB, UE), seed),
-], ids=["add_awgn", "add_awgn-noiseless", "draw_channel"])
-def test_seed_that_is_not_a_non_negative_integer_is_a_config_error(call, seed):
-    with pytest.raises(ConfigError, match=r"^seed must be an integer in \[0, inf\], got "):
-        call(seed)
-
-
-@pytest.mark.parametrize("snr_db", [10.0, math.inf])
-@pytest.mark.parametrize("shape", [(0,), (3, 0)])
-def test_awgn_empty_stream_rejected(shape, snr_db):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")      # no "Mean of empty slice" on the way
-        with pytest.raises(ValueError, match="^x must be a non-empty array of dtype kind "):
-            add_awgn(np.zeros(shape, dtype=complex), snr_db, seed=0)
-
-
-@pytest.mark.parametrize(
-    "x", [None, "abc", [None, 1.0], [True, False], np.array([1, 2], dtype=object)],
-    ids=["None", "str", "object-list", "bool-list", "object-array"])
-def test_awgn_non_numeric_stream_rejected(x):
-    with pytest.raises(ValueError, match="^x must be a non-empty array of dtype kind in 'iufc'"):
-        add_awgn(x, 10.0, seed=0)
 
 
 def test_awgn_reads_a_sequence_as_its_array():
@@ -601,16 +473,3 @@ def test_doppler_ppm_values():
     assert doppler_ppm(0.83) == pytest.approx(0.00277, abs=5e-6)
     assert doppler_ppm(2.5) == pytest.approx(0.00834, abs=5e-6)
     assert doppler_ppm(0.0) == 0.0
-
-
-def test_doppler_negative_speed_rejected():
-    for speed_m_s in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            doppler_ppm(speed_m_s)
-
-
-@pytest.mark.parametrize("speed_m_s", [None, "1", True, 10 ** 400],
-                         ids=["None", "str", "bool", "past-float"])
-def test_doppler_speed_that_is_not_a_real_number_is_a_config_error(speed_m_s):
-    with pytest.raises(ConfigError, match="^speed_m_s must "):
-        doppler_ppm(speed_m_s)

@@ -6,9 +6,13 @@ NaN, the infinities, ints past float range, a subnormal, and empty, 0-d, object
 and wrongly shaped arrays, while its other arguments stay valid.  Whatever the
 callable makes of the value, only ``ConfigError``, ``NoSignalError`` or
 ``ValueError`` may escape; the tests turn a warning into an error too
-(pyproject's ``filterwarnings``).  A config object (a numerology, a channel, a
+(pyproject's ``filterwarnings``).
+
+Every refused argument is a row of ``REJECTED``: the callable, the arguments it
+changes, the exact class raised and the start of its message.  Each rule has a
+row just past each of its bounds, a config object (a numerology, a channel, a
 scenario) of the wrong kind is a ``ConfigError`` that names its parameter, and
-so are the harness's trial-result and CDF lists.
+every checked parameter has a row.
 
 Every record (dataclass) of the package binds its constructor's arguments by one
 rule: an unknown keyword, a surplus positional value, a field given both ways
@@ -18,6 +22,7 @@ and a missing field are each a ``ConfigError``, while pickle, copy and
 
 import copy
 import dataclasses
+import decimal
 import importlib
 import math
 import os
@@ -33,6 +38,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import phasepos as pp
+from phasepos import ConfigError, NoSignalError
 
 NUM = pp.NumerologyConfig(3.8e9, 30e3, 64, 8, 48)
 PRS = pp.PrsConfig(6, 0, 4, 7)
@@ -157,46 +163,309 @@ def test_a_bad_argument_raises_only_the_package_errors(name, param, value):
         pass
 
 
-# Arguments of the wrong kind, which raised AttributeError or TypeError before they were
-# checked, and the argument each message names: every config-object parameter fed None, an
-# int, a mapping and a record no callable takes, and the harness's result lists.
-WRONG_KINDS = [*((name, param, value, param) for name, param in CASES
-                 if dataclasses.is_dataclass(SIGNATURES[name][1][param])
-                 for value in (None, 0, {"n_trials": 2}, pp.ToaMeasurement(1e-7, 1.0))),
-               ("compute_cdf", "results", None, "results"),
-               ("compute_cdf", "results", [1, 2], "each result"),
-               ("emit_results", "cdfs", [None], "each cdf")]
+# Each refused argument: (SIGNATURES name, the arguments it changes, the exact class raised,
+# how its message begins).  A rule gets a row just past each of its bounds; ``_rows`` gives
+# one row to each of several values that break one rule, and puts each in its prefix's {!r}.
+NAN, INF, SEEDS = math.nan, math.inf, ("x", -1, 2.5, None, True)
+above, below = (lambda x: math.nextafter(x, INF)), (lambda x: math.nextafter(x, -INF))
 
 
-@pytest.mark.parametrize("name,param,value,named", WRONG_KINDS,
-                         ids=[f"{n}-{p}-{type(v).__name__}" for n, p, v, _ in WRONG_KINDS])
-def test_an_argument_of_the_wrong_kind_is_a_config_error(name, param, value, named):
-    call, valid = SIGNATURES[name]
-    with pytest.raises(pp.ConfigError, match=f"^{named} must be a "):
-        call(**{**valid, param: value})
+def _rows(name, param, values, prefix, cls=ConfigError):
+    return [(name, {param: value}, cls, prefix.format(value)) for value in values]
 
 
-# Finite arguments whose combination overflows: the grid's carrier-plus-bin
-# frequency (a NaN response and a RuntimeWarning before it was checked) and
-# an IA window's edge (an OverflowError before).
-FINITE_EXTREMES = [
-    ("ChannelRealization.response", dict(first_bin=1e308)),
-    ("ChannelRealization.response", dict(first_bin=-1e308)),
-    ("ChannelRealization.response", dict(spacing_hz=1e308)),
-    ("ChannelRealization.response", dict(first_bin=-1, n_bins=2, spacing_hz=1e308)),
-    ("ChannelRealization.response", dict(first_bin=1e303, spacing_hz=1e5)),
-    ("ia_search", dict(center_m=1e308, half_width_m=1e308)),
-    ("ia_search", dict(center_m=-1e308, half_width_m=1e308)),
-    ("widelane_resolve", dict(center_m=1e308)),
+# Finite arguments can overflow together: at the frequency grid's edges (a NaN response and
+# a RuntimeWarning before they were checked) and at an IA window's (an OverflowError).
+_EDGES = "2 pi (f_c + f) at the grid's edges must be finite"
+_WINDOW = "center_m +- half_width_m in wavelengths must be finite"
+_EMPTY = "must be a non-empty array of dtype kind in 'iufc', got 0 complex128 values"
+_BEATLESS = "equal wavelengths have no beat (virtual wavelength diverges)"
+REJECTED = [
+    *_rows("CarrierRange", "wavelength_m", (0.0, -1.0, INF),
+           "wavelength_m must be finite and positive, got {!r}"),
+    ("CarrierRange", {"wavelength_m": "a"}, ConfigError, "wavelength_m must be a number, got 'a'"),
+    *_rows("CarrierRange", "fractional_cycles", (below(0), above(1), 7.3, NAN),
+           "fractional_cycles must be finite and in [0, 1], got {!r}"),
+    *_rows("CarrierRange", "integer_cycles", (-1, 3.0),
+           "integer_cycles must be an integer in [0, inf], got {!r}"),
+    *_rows("CdfResult", "abs_errors_m", [np.array(e) for e in ([[0.1]], [1], [-0.1], [below(0)],
+                                                               [INF], [0.3, 0.1])] + [[0.1]],
+           "abs_errors_m must be a 1-D float array, finite, non-negative and sorted ascending"),
+    *_rows("CdfResult", "failures", (0, (("bogus", 2),), [("no_signal", 1)],
+                                     (("wrong_integer", 1), ("no_candidate", 1)),
+                                     (("no_signal", 1), ("no_signal", 1))),
+           "failures must be a tuple of (reason, count) pairs, sorted and unique by reason"),
+    *_rows("CdfResult", "failures", ((("no_signal", 0),), (("no_signal", True),)),
+           "no_signal count must be an integer in [1, inf], got "),
+    ("CdfResult", {"failures": (("wrong_integer", -3),)}, ConfigError,
+     "wrong_integer count must be an integer in [1, inf], got -3"),
+    ("ChannelRealization", {"delays_s": np.array([1e-7, 2e-7])}, ConfigError,
+     "delays_s and gains must have one entry per tap, got 2 delays and 1 gains"),
+    ("ChannelRealization", {"delays_s": ("a", "b"), "gains": np.ones(2, complex)}, ConfigError,
+     "delays_s must be a non-empty array of dtype kind in 'iuf', got 2 <U1 values"),
+    ("ChannelRealization", {"delays_s": np.full((2, 2), 1e-7), "gains": np.ones((2, 2), complex)},
+     ConfigError, "delays_s must be 1-D with at most 501 entries, got shape (2, 2)"),
+    ("ChannelRealization", {"delays_s": np.zeros(502), "gains": np.ones(502, complex)},
+     ConfigError, "delays_s must be 1-D with at most 501 entries, got shape (502,)"),
+    ("ChannelRealization", {"delays_s": np.array([NAN])}, ConfigError,
+     "delays_s must be finite, got nan"),
+    ("ChannelRealization", {"gains": np.array([INF + 0j])}, ConfigError,
+     "gains must be finite, got (inf+0j)"),
+    ("ChannelRealization", {"gains": np.ones(502, complex)}, ConfigError,
+     "gains must be 1-D with at most 501 entries, got shape (502,)"),
+    *_rows("ChannelRealization.response", "first_bin", (NAN, INF),
+           "first_bin must be finite and in [-inf, inf], got {!r}"),
+    *_rows("ChannelRealization.response", "n_bins", (0, 2 ** 63),
+           "n_bins must be an integer in [1, 9223372036854775807], got {!r}"),
+    *_rows("ChannelRealization.response", "spacing_hz", (0.0, -1.0, NAN, INF),
+           "spacing_hz must be finite and positive, got {!r}"),
+    *_rows("ChannelRealization.response", "spacing_hz", ("1", None, True),
+           "spacing_hz must be a number, got {!r}"),
+    ("ChannelRealization.response", {"spacing_hz": 10 ** 400}, ConfigError,
+     "spacing_hz must fit in a float, got "),
+    *((("ChannelRealization.response", values, ConfigError, _EDGES) for values in (
+        {"first_bin": 1e308}, {"first_bin": -1e308}, {"spacing_hz": 1e308},
+        {"first_bin": -1, "n_bins": 2, "spacing_hz": 1e308},
+        {"first_bin": 1e303, "spacing_hz": 1e5}))),
+    ("Geometry", {"gnb_position_m": (0, 0, 0), "ue_position_m": (0, 0, 0)}, ConfigError,
+     "positions must be finite and distinct, got (0.0, 0.0, 0.0) and (0.0, 0.0, 0.0)"),
+    ("Geometry", {"gnb_position_m": (0, 0, -1.7e308), "ue_position_m": (0, 0, 1.7e308)},
+     ConfigError, "positions must be finite and distinct, got "),   # the distance overflows
+    ("Geometry", {"gnb_position_m": (INF, 0, 0), "ue_position_m": (INF, 0, 0)}, ConfigError,
+     "positions must be finite and distinct, got "),
+    *_rows("Geometry", "ue_position_m", ((NAN, 0, 0), (INF, 0, 0)),
+           "positions must be finite and distinct, got "),
+    ("Geometry", {"gnb_position_m": (0, 0), "ue_position_m": (3, 4)}, ConfigError,
+     "gnb_position_m must be three coordinates, got (0, 0)"),
+    *_rows("Geometry", "ue_position_m", ((3, 4, 0, 1), np.array(5.0), "abc", None),
+           "ue_position_m must be three coordinates, got "),
+    ("Geometry", {"gnb_position_m": ("a", 0, 0)}, ConfigError,
+     "gnb_position_m must be a number, got 'a'"),
+    *_rows("Geometry", "ue_position_m", ((True, 0, 0), np.ones((3, 1))),
+           "ue_position_m must be a number, got "),
+    ("Geometry", {"ue_position_m": (10 ** 400, 0, 0)}, ConfigError,
+     "ue_position_m must fit in a float, got "),
+    *_rows("InterferometerConfig", "antenna_spacing_m", (0.0, NAN, INF),
+           "antenna_spacing_m must be finite and positive, got {!r}"),
+    *_rows("InterferometerConfig", "wavelength_m", (-1.0, NAN, INF),
+           "wavelength_m must be finite and positive, got {!r}"),
+    *_rows("NumerologyConfig", "carrier_frequency_hz", ("3.8e9", True),
+           "carrier_frequency_hz must be a number, got {!r}"),
+    *_rows("NumerologyConfig", "carrier_frequency_hz", (NAN, INF),
+           "carrier_frequency_hz must be finite and positive, got {!r}"),
+    ("NumerologyConfig", {"carrier_frequency_hz": 960e3}, ConfigError,   # half the sample rate
+     "carrier 960000 Hz must exceed half the sample rate, 960000 Hz"),
+    ("NumerologyConfig", {"carrier_frequency_hz": 1e3}, ConfigError,
+     "carrier 1000 Hz must exceed half the sample rate, 960000 Hz"),
+    *_rows("NumerologyConfig", "scs_hz", (0.0, NAN, INF),
+           "scs_hz must be finite and positive, got {!r}"),
+    *_rows("NumerologyConfig", "n_fft", (0, 8.0, 2 ** 1024, 2 ** 1100),   # past float range
+           "n_fft must be an integer in [1, 1.7976931348623157e+308], got {!r}"),
+    ("NumerologyConfig", {"n_fft": 100}, ConfigError, "n_fft must be a power of two, got 100"),
+    *_rows("NumerologyConfig", "n_cp", (-1, 64, 9.0),
+           "n_cp must be an integer in [0, 63], got {!r}"),
+    *_rows("NumerologyConfig", "n_active_subcarriers", (0, 64, 48.0),
+           "n_active_subcarriers must be an integer in [1, 63], got {!r}"),
+    ("PrsConfig", {"comb_size": 5}, ConfigError, "comb_size must be one of (2, 4, 6, 12), got 5"),
+    ("PrsConfig", {"comb_size": 6.0}, ConfigError,
+     "comb_size must be an integer in [-inf, inf], got 6.0"),
+    *_rows("PrsConfig", "comb_offset", (-1, 6, 0.0),
+           "comb_offset must be an integer in [0, 5], got {!r}"),
+    *_rows("PrsConfig", "n_symbols", (0, 1.5),
+           "n_symbols must be an integer in [1, inf], got {!r}"),
+    *_rows("PrsConfig", "sequence_seed", (-1, "x"),
+           "sequence_seed must be an integer in [0, inf], got {!r}"),
+    # A row a field, a numpy scalar (which JSON cannot hold) past a bound; the config rules in
+    # full are tests/test_harness.py's BAD_CONFIGS.
+    *(("ScenarioConfig", {field: value}, ConfigError, prefix) for field, value, prefix in (
+        ("snr_db", np.float64(above(300)), "snr_db must lie within +-300 dB or be +inf, got "),
+        ("n_trials", np.int64(1_000_001), "n_trials must be an integer in [1, 1000000], got "),
+        ("ccp_sweeps", np.int64(0), "ccp_sweeps must be an integer in [1, inf], got "),
+        ("n_symbols", np.int64(1), "n_symbols must be an integer in [2, 1024], got "),
+        ("master_seed", np.int64(-1), "master_seed must be an integer in [0, inf], got "),
+        ("comb_size", np.int64(5), "comb_size must be one of (2, 4, 6, 12), got 5"),
+        ("comb_offset", np.int64(6), "comb_offset must be an integer in [0, 5], got 6"),
+        ("prs_seed", np.int64(-1), "prs_seed must be an integer in [0, inf], got "),
+        ("widelane_second_fc_hz", np.float64(3.8e9),
+         "widelane_second_fc_hz must differ from the band carrier"))),
+    *_rows("ScenarioProfile", "rms_delay_spread_s", (0.0, INF),
+           "rms_delay_spread_s must be finite and positive, got {!r}"),
+    *_rows("ScenarioProfile", "n_clutter_taps", (0, 501),
+           "n_clutter_taps must be an integer in [1, 500], got {!r}"),
+    ("ScenarioProfile", {"nlos_excess_delay_mean_s": None}, ConfigError,
+     "nlos_excess_delay_mean_s is required for NLOS kinds and does not apply to InF-LOS"),
+    ("ScenarioProfile", {"rician_k_db": 10.0}, ConfigError,
+     "rician_k_db is required for InF-LOS and applies to no NLOS kind"),
+    *_rows("ScenarioProfile", "nlos_excess_delay_mean_s", ("x", False),
+           "nlos_excess_delay_mean_s must be a number, got {!r}"),
+    ("ScenarioProfile", {"nlos_excess_delay_mean_s": 0.0}, ConfigError,
+     "nlos_excess_delay_mean_s must be finite and positive, got 0.0"),
+    ("ScenarioProfile", {"nlos_excess_delay_mean_s": 10 ** 400}, ConfigError,
+     "nlos_excess_delay_mean_s must fit in a float, got "),
+    ("add_awgn", {"x": np.zeros(64, complex)}, NoSignalError,
+     "cannot scale noise against a zero-power signal"),
+    *(("add_awgn", {"x": x, "snr_db": snr_db}, ConfigError, "x " + _EMPTY)
+      for x in (np.zeros(0, complex), np.zeros((3, 0), complex)) for snr_db in (10.0, INF)),
+    *_rows("add_awgn", "x", (None, "abc", [None, 1.0], [True, False], np.array([1, 2], object)),
+           "x must be a non-empty array of dtype kind in 'iufc', got "),
+    ("add_awgn", {"x": np.array([1, NAN], complex)}, ValueError,
+     "signal power is nan, not finite"),
+    *_rows("add_awgn", "x", (np.array([1, INF], complex), np.full(2, 1e200, complex)),
+           "signal power is inf, not finite", ValueError),   # the second overflows
+    *_rows("add_awgn", "snr_db", (above(300), below(-300), 4000.0, -4000.0, NAN, -INF),
+           "snr_db must lie within +-300 dB or be +inf, got {!r}"),
+    ("add_awgn", {"snr_db": "10"}, ConfigError, "snr_db must be a number, got '10'"),
+    *(("add_awgn", {"seed": seed, "snr_db": snr_db}, ConfigError,
+       f"seed must be an integer in [0, inf], got {seed!r}") for seed in SEEDS
+      for snr_db in (10.0, INF)),
+    *_rows("aoa_from_phase_diff", "phase_diff_rad", (NAN, INF, -INF),
+           "phase_diff_rad must be finite and in [-inf, inf], got {!r}"),
+    *_rows("apply_channel", "rows", (0, -1, 2.5, True, None, "2"),
+           "rows must be an integer in [1, inf], got {!r}"),
+    ("apply_channel", {"spectrum": np.zeros(0, complex)}, ConfigError, "spectrum " + _EMPTY),
+    ("ccp_measure", {"rx": np.zeros(288, complex)}, NoSignalError,
+     "swept window saw an empty subcarrier bin"),
+    *_rows("ccp_measure", "rx", (np.zeros(0, complex), np.zeros((3, 0), complex)), "rx " + _EMPTY),
+    *_rows("ccp_measure", "subcarrier", (25, -25, 1639, -1639, 3000, 10 ** 30, -10 ** 30, 2.9,
+                                         True, "3"),   # 3000 would alias, 10 ** 30 overflow
+           "subcarrier must be an integer in [-24, 24], got {!r}"),
+    *_rows("ccp_measure", "n_sweeps", (0, 5.0),
+           "n_sweeps must be an integer in [1, inf], got {!r}"),
+    ("ccp_measure", {"n_sweeps": 30}, ValueError,   # one past the stream's end
+     "sweep [0, 296) out of range for stream of 288 samples"),
+    ("ccp_measure", {"n_sweeps": 300}, ValueError,
+     "sweep [0, 2456) out of range for stream of 288 samples"),
+    *_rows("ccp_measure", "shift_samples", (0, 10.0),
+           "shift_samples must be an integer in [1, inf], got {!r}"),
+    *_rows("ccp_measure", "ref_symbol", (None, "1", True, [1.0]),
+           "ref_symbol must be a non-empty array of dtype kind in 'iufc', got "),
+    *_rows("ccp_measure", "ref_symbol", (0, 0j, np.complex128(0)),   # not a NoSignalError
+           "|ref_symbol| must be finite and positive, got "),
+    *_rows("ccp_measure", "window_start", (-1, 72.0),
+           "window_start must be an integer in [0, inf], got {!r}"),
+    ("ccp_measure", {"window_start": 217}, ValueError,
+     "sweep [217, 289) out of range for stream of 288 samples"),
+    *_rows("doppler_ppm", "speed_m_s", (below(0), -1.0, NAN, INF),
+           "speed_m_s must be finite and in [0, inf], got {!r}"),
+    *_rows("doppler_ppm", "speed_m_s", (None, "1", True), "speed_m_s must be a number, got {!r}"),
+    ("doppler_ppm", {"speed_m_s": 10 ** 400}, ConfigError, "speed_m_s must fit in a float, got "),
+    ("double_difference", {"phases_rad": np.zeros((2, 3))}, ValueError,
+     "phase matrix must be 2x2 [receivers x anchors], got (2, 3)"),
+    ("double_difference", {"phases_rad": np.array([[0.0, NAN], [0.0, 0.0]])}, ValueError,
+     "phase matrix contains a missing or non-finite entry"),
+    ("double_difference", {"phases_rad": np.zeros((2, 2), complex)}, ConfigError,
+     "phases_rad must be a non-empty array of dtype kind in 'iuf', got 4 complex128 values"),
+    *_rows("draw_channel", "seed", SEEDS, "seed must be an integer in [0, inf], got {!r}"),
+    ("estimate_toa", {"rx": np.zeros(288, complex)}, NoSignalError,
+     "correlation floor is zero over the search window"),
+    ("estimate_toa", {"rx": None}, ConfigError,
+     "rx must be a non-empty array of dtype kind in 'iufc', got 1 object values"),
+    ("estimate_toa", {"rx": STREAM.reshape(-1)[:-1]}, ValueError,
+     "287 received samples are no whole number of 288-sample periods"),
+    ("estimate_toa", {"reference_spectrum": np.zeros(0, complex)}, ConfigError,
+     "reference_spectrum " + _EMPTY),
+    *_rows("ia_search", "half_width_m", (0.0, -1.0, NAN, INF),
+           "half_width_m must be finite and positive, got {!r}"),
+    *_rows("ia_search", "center_m", (NAN, INF, -INF),
+           "center_m must be finite and in [-inf, inf], got {!r}"),
+    ("ia_search", {"center_m": 1e308, "half_width_m": 1e308}, ConfigError, _WINDOW),
+    ("ia_search", {"center_m": -1e308, "half_width_m": 1e308}, ConfigError, _WINDOW),
+    ("ia_search", {"fraction": pp.CarrierRange(1e-300, 0.5), "center_m": 1e10}, ConfigError,
+     _WINDOW),   # finite in metres, not in wavelengths
+    *_rows("ofdm_modulate", "n_symbols", (0, 2.0),
+           "n_symbols must be an integer in [1, inf], got {!r}"),
+    ("ofdm_modulate", {"column": np.zeros(0, complex)}, ConfigError, "column " + _EMPTY),
+    *_rows("ofdm_modulate", "column", (np.ones(63), np.ones(65)),
+           "column must hold n_fft = 64 bins, got ", ValueError),
+    *_rows("phase_diff_for_angle", "angle_rad", (NAN, INF),
+           "angle_rad must be finite and in [-inf, inf], got {!r}"),
+    *_rows("phase_to_fraction", "frequency_hz", (0.0, -1e9, NAN, INF),
+           "frequency_hz must be finite and positive, got {!r}"),
+    *_rows("phase_to_fraction", "phase_rad", (NAN, INF, -INF),
+           "phase_rad must be finite and in [-inf, inf], got {!r}"),
+    ("profile_preset", {"rician_k_db": None}, ConfigError,
+     "rician_k_db is required for InF-LOS and applies to no NLOS kind"),
+    *_rows("profile_preset", "rician_k_db", ("x", True), "rician_k_db must be a number, got {!r}"),
+    ("profile_preset", {"rician_k_db": 10 ** 400}, ConfigError,
+     "rician_k_db must fit in a float, got "),
+    *_rows("profile_preset", "rician_k_db", (above(300), below(-300), 4000.0, -INF),
+           "rician_k_db must lie within +-300 dB or be +inf, got {!r}"),
+    *_rows("profile_preset", "rms_delay_spread_s", ("x", None),
+           "rms_delay_spread_s must be a number, got {!r}"),
+    ("profile_preset", {"rms_delay_spread_s": 10 ** 400}, ConfigError,
+     "rms_delay_spread_s must fit in a float, got "),
+    ("profile_preset", {"rms_delay_spread_s": 0.0}, ConfigError,
+     "rms_delay_spread_s must be finite and positive, got 0.0"),
+    *_rows("profile_preset", "n_clutter_taps", (0, 501, True),
+           "n_clutter_taps must be an integer in [1, 500], got {!r}"),
+    ("profile_preset", {"nlos_excess_delay_mean_s": 5e-8}, ConfigError,
+     "nlos_excess_delay_mean_s is required for NLOS kinds and does not apply to InF-LOS"),
+    *_rows("run_scenario", "workers", (0, 2.0),
+           "workers must be an integer in [1, inf], got {!r}"),
+    *_rows("run_trial", "trial", (-1, 0.5), "trial must be an integer in [0, inf], got {!r}"),
+    *_rows("virtual_wavelength", "lambda1_m", (0.0, NAN),
+           "lambda1_m must be finite and positive, got {!r}"),
+    ("virtual_wavelength", {"lambda2_m": INF}, ConfigError,
+     "lambda2_m must be finite and positive, got inf"),
+    ("virtual_wavelength", {"lambda1_m": 0.1, "lambda2_m": 0.1}, ValueError, _BEATLESS),
+    ("widelane_resolve", {"range2": FINE}, ValueError, _BEATLESS),
+    ("widelane_resolve", {"center_m": NAN}, ConfigError,
+     "center_m must be finite and in [-inf, inf], got nan"),
+    ("widelane_resolve", {"center_m": 1e308}, ConfigError, _WINDOW),   # the fine search's window
+    *_rows("wrap_phase", "phase", (None, "1", 1j, [True]),
+           "phase must be a non-empty array of dtype kind in 'iuf', got "),
+    # Arguments of the wrong kind, which raised AttributeError or TypeError before they were
+    # checked: every config-object parameter fed None, an int, a mapping and a record no
+    # callable takes, and the harness's result lists.
+    *((name, {param: value}, ConfigError,
+       f"{param} must be a {type(SIGNATURES[name][1][param]).__name__}, got {value!r}")
+      for name, param in CASES if dataclasses.is_dataclass(SIGNATURES[name][1][param])
+      for value in (None, 0, {"n_trials": 2}, pp.ToaMeasurement(1e-7, 1.0))),
+    ("compute_cdf", {"results": None}, ConfigError, "results must be a list or tuple, got None"),
+    ("compute_cdf", {"results": [1, 2]}, ConfigError, "each result must be a TrialResult, got 1"),
+    ("emit_results", {"cdfs": [None]}, ConfigError, "each cdf must be a CdfResult, got None"),
 ]
 
 
-@pytest.mark.parametrize("name,values", FINITE_EXTREMES,
-                         ids=[f"{n}-{v}" for n, v in FINITE_EXTREMES])
-def test_finite_arguments_that_overflow_together_are_a_config_error(name, values):
+def label(value) -> str:
+    """``value`` as a short test id: an int past 20 digits by its leading digits, an array
+    by its dtype and its values or, past four of them, its shape, a record by its class."""
+    if isinstance(value, int) and not isinstance(value, bool) and abs(value) >= 10 ** 20:
+        return format(decimal.Decimal(value), ".3g")    # repr refuses 4,300 digits and more
+    if isinstance(value, np.ndarray):
+        shape = "x".join(map(str, value.shape))
+        return f"{value.dtype}:{label(value.tolist()) if value.size <= 4 else shape}"
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{k}:{label(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        inner = ",".join(map(label, value))
+        return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
+    return type(value).__name__ if dataclasses.is_dataclass(value) else repr(value)
+
+
+def row_id(door: str, values: dict) -> str:
+    """``<door>-<param>-<value>``, a part for each changed argument: ``-k window_start``
+    selects every row of one parameter."""
+    return "-".join([door, *(f"{param}-{label(value)}" for param, value in values.items())])
+
+
+@pytest.mark.parametrize("name,values,cls,prefix", REJECTED,
+                         ids=[row_id(name, values) for name, values, _, _ in REJECTED])
+def test_a_rejected_argument_raises_its_exact_error(name, values, cls, prefix):
     call, valid = SIGNATURES[name]
-    with pytest.raises(pp.ConfigError):
+    with pytest.raises(cls, match="^" + re.escape(prefix)) as raised:
         call(**{**valid, **values})
+    assert type(raised.value) is cls     # a ValueError row fails on a ConfigError
+
+
+def test_every_checked_parameter_has_a_row():
+    # The result records' fields that check nothing are the only parameters without one.
+    pinned = {(name, param) for name, values, _, _ in REJECTED for param in values}
+    assert set(CASES) - pinned == {
+        ("MethodOutcome", "error_m"), ("MethodOutcome", "integer"),
+        ("PhaseMeasurement", "phase_rad"), ("PhaseMeasurement", "circular_variance"),
+        ("ToaMeasurement", "toa_s"), ("ToaMeasurement", "peak_metric"),
+        ("TrialResult", "trial_index")}
 
 
 # The records' classes, by name; each is built from its valid arguments.

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from phasepos.angle import InterferometerConfig
 from phasepos.channel import ChannelRealization, ScenarioProfile
 from phasepos.errors import ConfigError, as_finite, as_int, as_positive, as_samples
-from phasepos.harness import ScenarioConfig, run_scenario
 from phasepos.receiver import ccp_measure
 from phasepos.waveform import NumerologyConfig, PrsConfig, make_numerology, ofdm_modulate
 
@@ -150,42 +149,6 @@ def test_float32_numerology_gives_the_python_float_response():
     assert built == _FR1
     assert np.array_equal(channel.response(built, -1638, 3277, 30e3),
                           channel.response(_FR1, -1638, 3277, 30e3))
-
-
-def test_int_past_the_string_digit_limit_is_still_a_config_error():
-    # repr() refuses an int of more than 4300 digits, so the message gives its size.
-    with pytest.raises(ConfigError, match=r"^n_trials must be an integer in .*got an int of "):
-        ScenarioConfig(n_trials=10 ** 5000)
-    with pytest.raises(ConfigError, match=r"^snr_db must fit in a float, got an int of "):
-        ScenarioConfig(snr_db=10 ** 5000)
-
-
-@pytest.mark.parametrize("call,name", [
-    (lambda: run_scenario(ScenarioConfig(n_trials=2, n_symbols=8, ccp_sweeps=50), workers=2.0),
-     "workers"),
-    (lambda: ofdm_modulate(np.ones(_FR1.n_fft), _FR1, 2.0), "n_symbols"),
-    (lambda: ccp_measure(_STREAM, _FR1, 1, 5.0, 10), "n_sweeps"),
-    (lambda: ccp_measure(_STREAM, _FR1, 1, 5, 10.0), "shift_samples"),
-], ids=["run_scenario", "ofdm_modulate", "ccp_measure-n_sweeps", "ccp_measure-shift_samples"])
-def test_float_count_is_a_config_error(call, name):
-    with pytest.raises(ConfigError, match=rf"^{name} must be an integer in \[1, inf\], got "):
-        call()
-
-
-# A subcarrier is a signed integer inside the 3,276-subcarrier allocation;
-# int() would read 2.9 as subcarrier 2.
-@pytest.mark.parametrize("subcarrier", [2.9, True, "3"], ids=["float", "bool", "str"])
-def test_non_integer_subcarrier_is_a_config_error(subcarrier):
-    with pytest.raises(ConfigError,
-                       match=r"^subcarrier must be an integer in \[-1638, 1638\], got "):
-        ccp_measure(_STREAM, _FR1, subcarrier, 1, 1)
-
-
-# Past the allocation a bin aliases (3000 reads bin -1096) or overflows int64.
-@pytest.mark.parametrize("subcarrier", [1639, -1639, 3000, 10 ** 30, -10 ** 30])
-def test_subcarrier_outside_the_allocation_is_a_config_error(subcarrier):
-    with pytest.raises(ConfigError, match=rf"^subcarrier must be .* got {subcarrier}$"):
-        ccp_measure(_STREAM, _FR1, subcarrier, 1, 1)
 
 
 @pytest.mark.parametrize("subcarrier", [-1638, 1638])

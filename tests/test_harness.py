@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_error_vocabulary import above, below, row_id
 
 from phasepos import cli, harness
 from phasepos.ambiguity import IA_MODES
-from phasepos.channel import Geometry, profile_preset
+from phasepos.channel import Geometry
 from phasepos.errors import MAX_ABS_DB, ConfigError, NoSignalError
 from phasepos.harness import (METHODS, CdfResult, MethodOutcome, ScenarioConfig, TrialResult,
                               compute_cdf, config_to_dict, emit_results, load_config,
@@ -40,115 +41,151 @@ def test_default_config_validates():
     ScenarioConfig()
 
 
-# Each bad change to the default config, and how the message it raises begins.
-BAD_CHANGES = [
+# A valid config file: write_cfg's fields, and BASE, the same with every method measured so
+# that the sweep rules apply.
+CFG_FILE = {"n_trials": 2, "methods": ["cp"], "n_symbols": 8, "ccp_sweeps": 50, "master_seed": 5}
+BASE = {**CFG_FILE, "methods": list(METHODS)}
+
+
+def _rows(field, values, prefix):
+    return [({field: value}, prefix.format(value)) for value in values]
+
+
+def _ue_at(x_m):
+    return {"gnb_position_m": [0, 0, 0], "ue_position_m": [x_m, 0, 0]}
+
+
+# Each bad change to BASE, in the JSON shapes a config file holds, and how the message it
+# raises begins (``_rows`` puts each value in its prefix's {!r}).  A rule gets a row just
+# past each of its bounds.
+_MAP_EACH = "profile_overrides must map each profile field name to one value"
+_METHODS = "methods must be a nonempty list of ('toa', 'cp', 'ccp') without repeats"
+_SNR = "snr_db must lie within +-300 dB or be +inf, got {!r}"
+_K = "rician_k_db must lie within +-300 dB or be +inf, got "
+_GEOMETRY = "geometry must be a Geometry or a mapping of its two positions, got "
+_HALF_RATE = "widelane_second_fc_hz: carrier {} Hz must exceed half the sample rate"
+BAD_CONFIGS = [
     ({"band": "FR9"}, "unknown band 'FR9'"),
-    ({"profile": "InH-Office"}, "unknown profile kind 'InH-Office'"),
-    ({"n_trials": 0}, "n_trials must be an integer in [1, 1000000]"),
-    ({"methods": ()}, "methods must be a nonempty list"),
-    ({"methods": ("toa", "doppler")}, "methods must be a nonempty list"),
-    ({"methods": ("toa", "toa")}, "methods must be a nonempty list"),
-    ({"ambiguity": "fuzzy"}, "ambiguity mode must be one of"),
-    ({"ambiguity": "widelane"}, "widelane_second_fc_hz must be set if and only if"),   # no carrier
-    ({"ccp_sweeps": 0}, "ccp_sweeps must be an integer in [1, inf]"),
-    ({"n_symbols": 1}, "n_symbols must be an integer in [2, 1024]"),
-    ({"widelane_second_fc_hz": 0.0}, "widelane_second_fc_hz must be finite and positive"),
-    ({"profile_overrides": (("k_factor", 3.0),)}, "unknown profile overrides: ['k_factor']"),
-    ({"n_symbols": 2, "ccp_sweeps": 290}, "290 sweeps do not fit"),   # one past the stream end
-    ({"n_symbols": 8, "ccp_sweeps": 100000}, "100000 sweeps do not fit"),
-    ({"ambiguity": "widelane", "widelane_second_fc_hz": 3.8e9},   # the FR1 carrier: no beat
-     "widelane_second_fc_hz must differ from the band carrier"),
-    ({"profile_overrides": (("rms_delay_spread_s", -1.0),)}, "rms_delay_spread_s must be finite"),
-    ({"n_trials": "5"}, "n_trials must be an integer"),
-    ({"n_trials": 2.5}, "n_trials must be an integer"),
-    ({"n_trials": True}, "n_trials must be an integer"),
-    ({"master_seed": -1}, "master_seed must be an integer in [0, inf]"),
-    ({"snr_db": float("nan")}, "snr_db must lie within +-300 dB"),
-    ({"snr_db": float("-inf")}, "snr_db must lie within +-300 dB"),
-    ({"snr_db": "10"}, "snr_db must be a number"),
-    ({"widelane_second_fc_hz": float("inf")}, "widelane_second_fc_hz must be finite"),
-    ({"geometry": Geometry((0, 0, 0), (1700, 0, 0))},   # past FR1 comb-6 TOA range
-     "UE at 1700 m plus the channel's delay"),
-    ({"band": "FR2", "geometry": Geometry((0, 0, 0), (430, 0, 0))},
-     "UE at 430 m plus the channel's delay"),
-    ({"profile_overrides": (("kind", "InF-NLOS-S"),)}, "unknown profile overrides: ['kind']"),
-    ({"profile_overrides": (("nlos_excess_delay_mean_s", 50e-9),)},   # LOS reads no excess
-     "nlos_excess_delay_mean_s is required for NLOS kinds"),
-    ({"profile": "InF-NLOS-S", "profile_overrides": (("rician_k_db", 10.0),)},
-     "rician_k_db is required for InF-LOS"),
-    ({"profile_overrides": (("rms_delay_spread_s", 1e300),)},   # spread past the comb range
-     "UE at 24.1299 m plus the channel's delay"),
-    ({"profile": "InF-NLOS-D", "profile_overrides": (("nlos_excess_delay_mean_s", 1e-5),)},
-     "UE at 24.1299 m plus the channel's delay"),
-    ({"profile_overrides": (("n_clutter_taps", 10_000_000),)},   # past TR 38.901's 500 rays
-     "n_clutter_taps must be an integer in [1, 500]"),
-    ({"snr_db": 5000.0}, "snr_db must lie within +-300 dB"),
-    ({"snr_db": -5000.0}, "snr_db must lie within +-300 dB"),
-    ({"n_symbols": 1025}, "n_symbols must be an integer in [2, 1024]"),   # past MAX_SYMBOLS
-    ({"profile": ["InF-LOS"]}, "unknown profile kind ['InF-LOS']"),
-    ({"methods": ["toa", "toa"]}, "methods must be a nonempty list"),
-    ({"methods": "toa"}, "methods must be a nonempty list"),
-    ({"methods": {"toa": 1}}, "methods must be a nonempty list"),
-    ({"profile_overrides": {"rms_delay_spread_s": -1.0}}, "rms_delay_spread_s must be finite"),
-    ({"profile_overrides": {1: 4e-8}}, "profile_overrides must map each"),
-    ({"profile_overrides": (1, 2)}, "profile_overrides must map each"),
-    ({"profile_overrides": [("rms_delay_spread_s", 4e-8)]}, "profile_overrides must map each"),
-    ({"geometry": {"gnb_position_m": (0, 0), "ue_position_m": (3, 4)}},   # 2-D
-     "gnb_position_m must be three coordinates"),
-    ({"geometry": {"gnb_position_m": (0, 0, 0)}}, "geometry must be a Geometry or a mapping"),
-    ({"geometry": {"gnb_position_m": (0, 0, 0), "ue_position_m": (20, 0, 0), "x": 1}},
-     "geometry must be a Geometry or a mapping"),
-    ({"geometry": ((0, 0, 0), (20, 0, 0))}, "geometry must be a Geometry or a mapping"),
-    ({"snr_db": 10 ** 400}, "snr_db must fit in a float"),
-    ({"widelane_second_fc_hz": 10 ** 400}, "widelane_second_fc_hz must fit in a float"),
-    ({"profile_overrides": {"rms_delay_spread_s": 10 ** 400}},
-     "rms_delay_spread_s must fit in a float"),
-    ({"profile_overrides": {"rician_k_db": 10 ** 400}}, "rician_k_db must fit in a float"),
-    ({"profile": "InF-NLOS-S", "profile_overrides": {"nlos_excess_delay_mean_s": 10 ** 400}},
-     "nlos_excess_delay_mean_s must fit in a float"),
+    ({"band": "fr9"}, "unknown band 'FR9'"),      # upper-cased first
     ({"band": " FR1"}, "unknown band ' FR1'"),
     ({"band": 3}, "unknown band 3"),
-    ({"profile_overrides": (("rms_delay_spread_s", 1e-8), ("rms_delay_spread_s", 2e-8))},
-     "profile_overrides must map each"),
-    ({"profile_overrides": {"rician_k_db": float("-inf")}},   # no direct path is not pure LOS
-     "rician_k_db must lie within +-300 dB"),
-    ({"profile_overrides": {"rician_k_db": 4000.0}},          # 10 ** (K / 10) overflows
-     "rician_k_db must lie within +-300 dB"),
-    ({"profile_overrides": {"rician_k_db": -300.5}}, "rician_k_db must lie within +-300 dB"),
+    ({"profile": "InH-Office"}, "unknown profile kind 'InH-Office'"),
+    ({"profile": ["InF-LOS"]}, "unknown profile kind ['InF-LOS']"),
+    ({"n_trials": 0}, "n_trials must be an integer in [1, 1000000], got 0"),
+    *_rows("n_trials", (1_000_001, 10 ** 20, "5", 2.5, True),   # past MAX_TRIALS
+           "n_trials must be an integer in [1, 1000000], got {!r}"),
+    *_rows("methods", ([], ["toa", "doppler"], ["toa", "toa"], ["sonar"], "toa", {"toa": 1}, 5),
+           _METHODS),
+    ({"ambiguity": "fuzzy"}, "ambiguity mode must be one of ('oracle', 'toa', 'widelane')"),
+    ({"ambiguity": "widelane"},     # no carrier
+     "widelane_second_fc_hz must be set if and only if ambiguity is widelane, got None"),
+    ({"ccp_sweeps": 0}, "ccp_sweeps must be an integer in [1, inf], got 0"),
+    ({"ccp_sweeps": 26594}, "26594 sweeps do not fit in 8 symbols"),   # one past the stream end
+    ({"ccp_sweeps": 100000}, "100000 sweeps do not fit in 8 symbols"),
+    ({"n_symbols": 2, "ccp_sweeps": 290}, "290 sweeps do not fit in 2 symbols"),
+    *_rows("n_symbols", (1, 1025), "n_symbols must be an integer in [2, 1024], got {!r}"),
+    ({"master_seed": -1}, "master_seed must be an integer in [0, inf], got -1"),
+    ({"prs_seed": -1}, "prs_seed must be an integer in [0, inf], got -1"),   # not sequence_seed
+    ({"comb_size": 5}, "comb_size must be one of (2, 4, 6, 12), got 5"),
+    ({"comb_offset": 6}, "comb_offset must be an integer in [0, 5], got 6"),
+    *_rows("snr_db", (5000, -5000, 5000.0, -5000.0, above(300), below(-300), math.nan, -math.inf),
+           _SNR),
+    ({"snr_db": "10"}, "snr_db must be a number, got '10'"),
+    ({"snr_db": 10 ** 400}, "snr_db must fit in a float, got "),
+    *_rows("widelane_second_fc_hz", (0.0, math.inf),
+           "widelane_second_fc_hz must be finite and positive, got {!r}"),
+    ({"widelane_second_fc_hz": 10 ** 400}, "widelane_second_fc_hz must fit in a float, got "),
+    ({"ambiguity": "widelane", "widelane_second_fc_hz": 3.8e9},   # the FR1 carrier: no beat
+     "widelane_second_fc_hz must differ from the band carrier"),
+    ({"ambiguity": "widelane", "widelane_second_fc_hz": 1000.0}, _HALF_RATE.format(1000)),
     ({"ambiguity": "widelane", "comb_offset": 5, "widelane_second_fc_hz": 1000.0},
-     "widelane_second_fc_hz: carrier 1000 Hz must exceed half the sample rate"),
+     _HALF_RATE.format(1000)),
     ({"ambiguity": "widelane", "widelane_second_fc_hz": 61.44e6},   # exactly half of FR1's
-     "widelane_second_fc_hz: carrier 6.144e+07 Hz must exceed half the sample rate"),
-    ({"n_trials": 1_000_001}, "n_trials must be an integer in [1, 1000000]"),   # past MAX_TRIALS
+     _HALF_RATE.format("6.144e+07")),
+    ({"band": "FR2", "ambiguity": "widelane", "widelane_second_fc_hz": 245.76e6},
+     _HALF_RATE.format("2.4576e+08")),     # the carrier's numerology names the field
+    ({"geometry": _ue_at(1657)}, "UE at 1657 m plus the channel's delay"),   # FR1 comb-6 range
+    ({"geometry": _ue_at(1700)}, "UE at 1700 m plus the channel's delay"),
+    ({"geometry": _ue_at(2000)}, "UE at 2000 m plus the channel's delay"),
+    ({"band": "FR2", "geometry": _ue_at(408)}, "UE at 408 m plus the channel's delay"),
+    ({"band": "FR2", "geometry": _ue_at(430)}, "UE at 430 m plus the channel's delay"),
+    *_rows("geometry", ({"gnb_position_m": [0, 0, 1], "ue_position_m": [math.nan, 0, 1]},
+                        {"gnb_position_m": [0, 0, 1], "ue_position_m": [0, 0, 1]}),
+           "positions must be finite and distinct, got "),
+    ({"geometry": {"gnb_position_m": [0, 0], "ue_position_m": [3, 4]}},   # 2-D
+     "gnb_position_m must be three coordinates, got [0, 0]"),
+    *_rows("geometry", ({"gnb_position_m": [0, 0, 0]},
+                        {"gnb_position_m": [0, 0, 0], "ue_position_m": [20, 0, 0], "x": 1},
+                        [[0, 0, 0], [20, 0, 0]]), _GEOMETRY),
+    ({"profile_overrides": {"k_factor": 3.0}}, "unknown profile overrides: ['k_factor']"),
+    ({"profile_overrides": {"kind": "InF-NLOS-S"}}, "unknown profile overrides: ['kind']"),
+    *_rows("profile_overrides", ({"rms_delay_spread_s": -1.0}, {"rms_delay_spread_s": -1}),
+           "rms_delay_spread_s must be finite and positive, got "),
+    *_rows("profile_overrides", ({"rms_delay_spread_s": "x"}, {"rms_delay_spread_s": None}),
+           "rms_delay_spread_s must be a number, got "),
+    ({"profile_overrides": {"rms_delay_spread_s": 10 ** 400}},
+     "rms_delay_spread_s must fit in a float, got "),
+    ({"profile_overrides": {"rms_delay_spread_s": 1e300}},   # spread past the comb range
+     "UE at 24.1299 m plus the channel's delay"),
+    ({"profile": "InF-NLOS-D", "profile_overrides": {"nlos_excess_delay_mean_s": 1e-5}},
+     "UE at 24.1299 m plus the channel's delay"),
+    *_rows("profile_overrides", ({"n_clutter_taps": n} for n in (0, 501, 10_000_000, True)),
+           "n_clutter_taps must be an integer in [1, 500], got "),   # TR 38.901: 500 rays
+    ({"profile_overrides": {"nlos_excess_delay_mean_s": 5e-8}},   # LOS reads no excess
+     "nlos_excess_delay_mean_s is required for NLOS kinds and does not apply to InF-LOS"),
+    ({"profile": "InF-NLOS-S", "profile_overrides": {"rician_k_db": 10.0}},
+     "rician_k_db is required for InF-LOS and applies to no NLOS kind"),
+    ({"profile": "InF-NLOS-S", "profile_overrides": {"nlos_excess_delay_mean_s": "x"}},
+     "nlos_excess_delay_mean_s must be a number, got 'x'"),
+    ({"profile": "InF-NLOS-D", "profile_overrides": {"nlos_excess_delay_mean_s": False}},
+     "nlos_excess_delay_mean_s must be a number, got False"),
+    ({"profile": "InF-NLOS-S", "profile_overrides": {"nlos_excess_delay_mean_s": 10 ** 400}},
+     "nlos_excess_delay_mean_s must fit in a float, got "),
+    *_rows("profile_overrides", ({"rician_k_db": k} for k in (
+        above(300), below(-300), -300.5, 4000.0, 4000, -math.inf)), _K),
+    *_rows("profile_overrides", ({"rician_k_db": "x"}, {"rician_k_db": True}),
+           "rician_k_db must be a number, got "),
+    ({"profile_overrides": {"rician_k_db": 10 ** 400}}, "rician_k_db must fit in a float, got "),
+    *_rows("profile_overrides", ([1, 2], [["rms_delay_spread_s", 4e-8]],
+                                 [["rician_k_db", 3.0]]), _MAP_EACH),   # JSON holds no pair
+    ({"bogus_key": 1}, "unknown config keys: ['bogus_key']"),
+    *_rows("k_sigma", (3.0, 40.0, 0, "x"), "unknown config keys: ['k_sigma']"),   # deleted key
 ]
+# The shapes JSON cannot carry, refused by the two library doors alone: profile overrides
+# as (name, value) pairs, which JSON makes lists, an int key, and ints past Python's
+# 4,300-digit int-to-str limit.
+LIBRARY_ONLY = [
+    *(({**raw, "profile_overrides": tuple(raw["profile_overrides"].items())}, prefix)
+      for raw, prefix in BAD_CONFIGS if isinstance(raw.get("profile_overrides"), dict)),
+    ({"profile_overrides": (("rms_delay_spread_s", 1e-8), ("rms_delay_spread_s", 2e-8))},
+     _MAP_EACH),
+    ({"profile_overrides": {1: 4e-8}}, _MAP_EACH),
+    ({"n_trials": 10 ** 5000}, "n_trials must be an integer in [1, 1000000], got an int of "),
+    ({"snr_db": 10 ** 5000}, "snr_db must fit in a float, got an int of "),
+]
+LIBRARY_DOORS = {"ScenarioConfig": lambda raw: ScenarioConfig(**{**BASE, **raw}),
+                 "replace": lambda raw: dataclasses.replace(ScenarioConfig(**BASE), **raw)}
+CONFIG_ROWS = [*((door, raw, prefix) for raw, prefix in BAD_CONFIGS
+                 for door in (*LIBRARY_DOORS, "cli")),
+               *((door, raw, prefix) for raw, prefix in LIBRARY_ONLY for door in LIBRARY_DOORS)]
 
 
-@pytest.mark.parametrize("changes,message", BAD_CHANGES,
-                         ids=[f"changes{i}" for i in range(len(BAD_CHANGES))])
-def test_bad_config_rejected(changes, message):
-    with pytest.raises(ConfigError, match="^" + re.escape(message)):
-        dataclasses.replace(ScenarioConfig(), **changes)
-
-
-@pytest.mark.parametrize("kind,overrides", [
-    ("InF-LOS", {"rician_k_db": "x"}),
-    ("InF-LOS", {"rician_k_db": True}),
-    ("InF-LOS", {"rms_delay_spread_s": "x"}),
-    ("InF-LOS", {"rms_delay_spread_s": None}),
-    ("InF-LOS", {"n_clutter_taps": True}),
-    ("InF-LOS", {"n_clutter_taps": 501}),
-    ("InF-NLOS-S", {"nlos_excess_delay_mean_s": "x"}),
-    ("InF-NLOS-D", {"nlos_excess_delay_mean_s": False}),
-    ("InF-LOS", {"rms_delay_spread_s": 10 ** 400}),
-    ("InF-LOS", {"rician_k_db": 10 ** 400}),
-    ("InF-NLOS-S", {"nlos_excess_delay_mean_s": 10 ** 400}),
-])
-def test_profile_override_of_wrong_type_rejected(kind, overrides):
-    # Library callers get ConfigError too, not only load_config.
-    with pytest.raises(ConfigError):
-        profile_preset(kind, **overrides)
-    with pytest.raises(ConfigError):
-        ScenarioConfig(profile=kind, profile_overrides=tuple(overrides.items()))
+@pytest.mark.parametrize("door,raw,prefix", CONFIG_ROWS,
+                         ids=[row_id(door, raw) for door, raw, _ in CONFIG_ROWS])
+def test_a_bad_config_is_refused_at_every_door(tmp_path, capsys, monkeypatch, door, raw, prefix):
+    if door in LIBRARY_DOORS:
+        with pytest.raises(ConfigError, match="^" + re.escape(prefix)) as raised:
+            LIBRARY_DOORS[door](raw)
+        assert type(raised.value) is ConfigError
+        return
+    # The CLI: exit 2 and a one-line message before any trial, and no output file.
+    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: pytest.fail("a trial ran"))
+    config, out = tmp_path / "scenario.json", tmp_path / "o.csv"
+    config.write_text(json.dumps({**BASE, **raw}))
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {prefix}") and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("band,distance_m", [("FR1", 1600.0), ("FR2", 400.0)])
@@ -210,14 +247,9 @@ def test_library_constructor_takes_the_json_shapes():
 
 def test_scenario_config_has_no_k_sigma():
     # The IA windows follow from the wavelengths alone, and the sweep spacing from the
-    # stream; no field is left to tune them.
+    # stream; no field is left to tune them.  An old config's k_sigma: the BAD_CONFIGS rows.
     assert not {"k_sigma", "toa_sigma_s", "ccp_shift"} & {
         f.name for f in dataclasses.fields(ScenarioConfig)}
-    message = re.escape("unknown config keys: ['k_sigma']")
-    with pytest.raises(ConfigError, match=message):
-        ScenarioConfig(k_sigma=3.0)
-    with pytest.raises(ConfigError, match=message):
-        dataclasses.replace(ScenarioConfig(), k_sigma=3.0)
 
 
 def test_positional_misuse_is_a_config_error():
@@ -229,34 +261,6 @@ def test_positional_misuse_is_a_config_error():
         ScenarioConfig("FR1", band="FR2")
     with pytest.raises(ConfigError, match="^16 positional values for 15 fields$"):
         ScenarioConfig(*(getattr(FAST, f.name) for f in dataclasses.fields(FAST)), None)
-
-
-def test_scenario_config_rejects_malformed_values():
-    with pytest.raises(ConfigError):
-        ScenarioConfig(**{"methods": 5})
-    with pytest.raises(ConfigError, match="^geometry must be a Geometry or a mapping"):
-        ScenarioConfig(**{"geometry": {"gnb_position_m": [0, 0, 1],
-                                        "ue_position_m": [1, 0, 1],
-                                        "extra": 2}})
-    with pytest.raises(ConfigError):
-        ScenarioConfig(**{"profile_overrides": [["rician_k_db", 3.0]]})
-    with pytest.raises(ConfigError):
-        ScenarioConfig(**{"geometry": {"gnb_position_m": [0, 0, 1],
-                                        "ue_position_m": [0, 0, 1]}})
-    with pytest.raises(ConfigError):
-        ScenarioConfig(**{"geometry": {"gnb_position_m": [0, 0, 1],
-                                        "ue_position_m": [float("nan"), 0, 1]}})
-    with pytest.raises(ConfigError):
-        ScenarioConfig(**{"snr_db": 10 ** 400})
-    with pytest.raises(ConfigError,
-                       match=r"^n_trials must be an integer in \[1, 1000000\], got 0$"):
-        ScenarioConfig(**{"n_trials": 0})   # raised by the config itself, not re-wrapped
-
-
-def test_a_negative_prs_seed_is_named_as_the_config_field():
-    # PrsConfig, which the harness builds from it, calls the seed sequence_seed.
-    with pytest.raises(ConfigError, match=r"^prs_seed must be an integer in \[0, inf\], got -1$"):
-        ScenarioConfig(prs_seed=-1)
 
 
 _JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
@@ -428,11 +432,6 @@ def test_any_config_same_trials_for_one_and_two_workers(n_symbols, ccp_sweeps, m
                          ambiguity=ambiguity, profile=profile, snr_db=snr_db,
                          n_trials=n_trials, master_seed=master_seed)
     assert _run_outcome(cfg, 1) == _run_outcome(cfg, 2)
-
-
-def test_workers_validated():
-    with pytest.raises(ConfigError):
-        run_scenario(FAST, workers=0)
 
 
 def test_sweep_fit_checked_only_when_ccp_is_measured():
@@ -763,32 +762,18 @@ def test_a_hand_built_cdf_result_writes_what_compute_cdf_writes(tmp_path):
             setattr(built[0], name, getattr(built[0], name))
 
 
-def test_a_malformed_cdf_result_is_a_config_error():
-    # The old int failure count, a negative count, and each field's shape broken.
-    one, bad_errors = np.array([0.1]), ([[0.1]], [1], [-0.1], [np.inf], [0.3, 0.1])
-    for args, message in [
-            (("cp", one, 0), "failures must be a tuple of (reason, count) pairs"),
-            (("cp", one, (("wrong_integer", -3),)), "wrong_integer count must be an integer"),
-            (("xx", [0.3, 0.1], (("bogus", 2),)), "method must be one of"),
-            *((("cp", np.array(e), ()), "abs_errors_m must be a 1-D float array")
-              for e in bad_errors),
-            (("cp", [0.1], ()), "abs_errors_m must be a 1-D float array"),
-            *((("cp", one, f), "failures must be a tuple") for f in (
-                (("bogus", 2),), (("wrong_integer", 1), ("no_candidate", 1)),
-                (("no_signal", 1), ("no_signal", 1)), [("no_signal", 1)])),
-            (("cp", one, (("no_signal", True),)), "no_signal count must be an integer")]:
-        with pytest.raises(ConfigError, match="^" + re.escape(message)):
-            CdfResult(*args)
+def test_a_cdf_result_of_an_unknown_method_is_a_config_error():
+    # Its other fields' rules: the CdfResult rows of tests/test_error_vocabulary.py.
+    message = f"method must be one of {METHODS}, got 'xx'"
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        CdfResult("xx", [0.3, 0.1], (("bogus", 2),))
 
 
 # ------------------------------------------------------------------------ cli
 
 def write_cfg(tmp_path, **extra):
-    raw = {"n_trials": 2, "methods": ["cp"], "n_symbols": 8, "ccp_sweeps": 50,
-           "master_seed": 5}
-    raw.update(extra)
     p = tmp_path / "scenario.json"
-    p.write_text(json.dumps(raw))
+    p.write_text(json.dumps({**CFG_FILE, **extra}))
     return str(p)
 
 
@@ -912,67 +897,6 @@ def test_band_is_stored_upper_cased(tmp_path):
         assert json.loads(out.read_text())["config"]["band"] == band.upper()
 
 
-# Each bad value a config file may hold, and how the message the CLI prints begins.
-BAD_FILE_VALUES = [
-    ({"n_trials": "5"}, "n_trials must be an integer"),
-    ({"n_trials": 2.5}, "n_trials must be an integer"),
-    ({"snr_db": float("nan")}, "snr_db must lie within +-300 dB"),
-    ({"snr_db": float("-inf")}, "snr_db must lie within +-300 dB"),
-    ({"geometry": {"gnb_position_m": [0, 0, 1], "ue_position_m": [float("nan"), 0, 1]}},
-     "positions must be finite and distinct"),
-    ({"geometry": {"gnb_position_m": [0, 0, 0], "ue_position_m": [2000, 0, 0]}},
-     "UE at 2000 m plus the channel's delay"),
-    ({"profile_overrides": {"rms_delay_spread_s": -1}}, "rms_delay_spread_s must be finite"),
-    ({"methods": ["toa", "toa"]}, "methods must be a nonempty list"),
-    ({"profile_overrides": {"kind": "InF-NLOS-S"}}, "unknown profile overrides: ['kind']"),
-    ({"profile_overrides": {"nlos_excess_delay_mean_s": 5e-8}},
-     "nlos_excess_delay_mean_s is required for NLOS kinds"),
-    ({"profile": "InF-NLOS-S", "profile_overrides": {"rician_k_db": 10.0}},
-     "rician_k_db is required for InF-LOS"),
-    ({"profile_overrides": {"rms_delay_spread_s": 1e300}},
-     "UE at 24.1299 m plus the channel's delay"),
-    ({"profile": "InF-NLOS-D", "profile_overrides": {"nlos_excess_delay_mean_s": 1e-5}},
-     "UE at 24.1299 m plus the channel's delay"),
-    ({"profile_overrides": {"n_clutter_taps": 10000000}}, "n_clutter_taps must be an integer"),
-    ({"snr_db": 5000}, "snr_db must lie within +-300 dB"),
-    ({"snr_db": -5000}, "snr_db must lie within +-300 dB"),
-    ({"n_symbols": 1025}, "n_symbols must be an integer in [2, 1024]"),
-    ({"snr_db": 10 ** 400}, "snr_db must fit in a float"),
-    ({"profile_overrides": {"rms_delay_spread_s": 10 ** 400}},
-     "rms_delay_spread_s must fit in a float"),
-    ({"geometry": {"gnb_position_m": [0, 0], "ue_position_m": [3, 4]}},
-     "gnb_position_m must be three coordinates"),
-    ({"geometry": [[0, 0, 0], [20, 0, 0]]}, "geometry must be a Geometry or a mapping"),
-    ({"profile_overrides": [1, 2]}, "profile_overrides must map each"),
-    ({"profile_overrides": {"rician_k_db": float("-inf")}}, "rician_k_db must lie within"),
-    ({"profile_overrides": {"rician_k_db": 4000}}, "rician_k_db must lie within"),
-    ({"ambiguity": "widelane", "comb_offset": 5, "widelane_second_fc_hz": 1000.0},
-     "widelane_second_fc_hz: carrier 1000 Hz must exceed half the sample rate"),
-    ({"ambiguity": "widelane", "widelane_second_fc_hz": 1000.0},
-     "widelane_second_fc_hz: carrier 1000 Hz must exceed half the sample rate"),
-    ({"n_trials": 100000000000000000000}, "n_trials must be an integer in [1, 1000000]"),
-    # The widelane carrier's numerology rejects it; the message still names the field.
-    ({"band": "FR2", "ambiguity": "widelane", "widelane_second_fc_hz": 245.76e6},
-     "widelane_second_fc_hz: carrier 2.4576e+08 Hz must exceed half the sample rate"),
-    ({"bogus_key": 1}, "unknown config keys: ['bogus_key']"),
-    ({"ccp_sweeps": 100000, "methods": ["ccp"]}, "100000 sweeps do not fit in 8 symbols"),
-    ({"n_trials": 0}, "n_trials must be an integer in [1, 1000000]"),
-    ({"band": "fr9"}, "unknown band 'FR9'"),
-    ({"methods": ["sonar"]}, "methods must be a nonempty list"),
-]
-
-
-@pytest.mark.parametrize("extra,message", BAD_FILE_VALUES,
-                         ids=[f"extra{i}" for i in range(len(BAD_FILE_VALUES))])
-def test_cli_bad_value_exits_2(tmp_path, capsys, extra, message):
-    cfg = write_cfg(tmp_path, **extra)
-    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {message}") and "Traceback" not in err
-    assert not (tmp_path / "o.csv").exists()
-
-
 @pytest.mark.parametrize("carrier", [None, 3.9e9], ids=["no-carrier", "carrier"])
 @pytest.mark.parametrize("mode", IA_MODES)
 def test_a_widelane_carrier_is_set_exactly_when_widelane_reads_it(tmp_path, capsys, mode,
@@ -993,16 +917,6 @@ def test_a_widelane_carrier_is_set_exactly_when_widelane_reads_it(tmp_path, caps
             build()
     assert rc == 2 and not out.exists()
     assert capsys.readouterr().err == f"config error: {message}\n"
-
-
-@pytest.mark.parametrize("k_sigma", [3.0, 40.0, 0, "x"])
-def test_cli_old_k_sigma_config_exits_2_as_an_unknown_key(tmp_path, capsys, k_sigma):
-    # Whatever value an old config gave the deleted key, the key itself is the error.
-    cfg = write_cfg(tmp_path, k_sigma=k_sigma)
-    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: unknown config keys") and "k_sigma" in err
-    assert not (tmp_path / "o.csv").exists()
 
 
 # Only the config file sets scenario fields, so each of these is argparse's usage error.

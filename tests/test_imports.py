@@ -97,34 +97,9 @@ def test_package_raises_only_its_vocabulary(path):
     assert foreign_raises(path.read_text(encoding="utf-8")) == []
 
 
-def hand_written_ranges(source: str) -> list[str]:
-    """``as_real``/``as_int`` calls compared with <, <=, > or >=: a range check by hand."""
-    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Compare) and any(isinstance(op, ordering) for op in node.ops):
-            found += [(operand.lineno, ast.unparse(operand.func))
-                      for operand in (node.left, *node.comparators)
-                      if isinstance(operand, ast.Call)
-                      and ast.unparse(operand.func) in ("as_real", "as_int")]
-    return [f"{name} (line {line})" for line, name in sorted(found)]
-
-
-def test_scan_finds_a_hand_written_range():
-    assert hand_written_ranges("if not 0 < as_real('x', x) < inf: pass\n"
-                               "ok = as_int('n', n, 1) in (2, 4) or as_real('y', y) == 1\n"
-                               "if as_int('n', n) >= 2: pass\n") == [
-        "as_real (line 1)", "as_int (line 3)"]
-
-
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
-def test_package_leaves_number_ranges_to_errors(path):
-    # as_int takes the range and as_positive the finite-positive rule.
-    assert hand_written_ranges(path.read_text(encoding="utf-8")) == []
-
-
 _FINITE = {"math.isfinite", "np.isfinite"}
 _ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+_RANGED = ("as_real", "as_int")     # a range on their result belongs to as_finite or as_int
 
 
 def _bindings(node: ast.Assign) -> list[tuple[str, ast.expr]]:
@@ -144,7 +119,9 @@ def _applies_rule(node: ast.AST, is_arg, is_size) -> bool:
     if isinstance(node, ast.Compare):
         operands = (node.left, *node.comparators)
         if any(isinstance(op, _ORDERING) for op in node.ops):
-            return ("math.inf" in map(ast.unparse, operands)) and any(map(is_arg, operands))
+            return (("math.inf" in map(ast.unparse, operands)) and any(map(is_arg, operands))
+                    or any(isinstance(o, ast.Call) and ast.unparse(o.func) in _RANGED
+                           for o in operands))
         return (isinstance(node.ops[0], ast.Eq) and "0" in map(ast.unparse, operands)
                 and any(map(is_size, operands)))
     return (isinstance(node, ast.Attribute) and node.attr == "kind"
@@ -153,21 +130,23 @@ def _applies_rule(node: ast.AST, is_arg, is_size) -> bool:
 
 
 def hand_written_rules(source: str) -> list[str]:
-    """Rules of ``errors.py`` applied by hand to an argument of the enclosing function.
+    """Rules of ``errors.py`` applied by hand, at any level or to an argument of the
+    enclosing function.
 
-    Flags ``math.isfinite`` / ``np.isfinite``, an ordering comparison with
-    ``math.inf``, a ``.dtype.kind`` read, an ``isinstance(..., numbers.*)``
-    test and an emptiness test (``== 0`` on a ``.size``).  An argument is a
-    parameter, or a name bound to a call on one (``x = np.asarray(x)``,
+    Flags an ``as_real`` or ``as_int`` call compared with <, <=, > or >= (a range
+    by hand), and on an argument ``math.isfinite`` / ``np.isfinite``, an ordering
+    comparison with ``math.inf``, a ``.dtype.kind`` read, an ``isinstance(...,
+    numbers.*)`` test and an emptiness test (``== 0`` on a ``.size``).  An argument
+    is a parameter, or a name bound to a call on one (``x = np.asarray(x)``,
     ``speed = as_real("speed_m_s", speed_m_s)``); a value computed from one
     (a power, a distance, a cast matrix) is not.
     """
     found = set()
     for func in ast.walk(ast.parse(source)):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if not isinstance(func, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        a = func.args
-        args = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
+        a = getattr(func, "args", None)     # a module has no arguments
+        args = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)} if a else set()
         sizes = set()                       # names bound to an argument's .size
 
         def is_arg(node):
@@ -250,12 +229,16 @@ def test_scan_finds_a_hand_written_rule():
         "phase.dtype.kind (line 31)",
         "p == 0 (line 35)",
         "isinstance(ref_symbol, numbers.Complex) (line 38)"]
+    assert hand_written_rules("if not 0 < as_real('x', x) < inf: pass\n"
+                              "ok = as_int('n', n, 1) in (2, 4) or as_real('y', y) == 1\n"
+                              "if as_int('n', n) >= 2: pass\n") == [
+        "0 < as_real('x', x) < inf (line 1)", "as_int('n', n) >= 2 (line 3)"]
 
 
 @pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "errors.py"],
                          ids=lambda p: p.name)
 def test_package_leaves_argument_rules_to_errors(path):
-    # errors.py owns the rules: as_finite, as_positive, as_samples and the rest.
+    # errors.py owns the rules: as_finite, as_positive, as_int's range, as_samples and the rest.
     assert hand_written_rules(path.read_text(encoding="utf-8")) == []
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from phasepos.channel import Geometry, add_awgn, apply_channel, draw_channel, profile_preset
 from phasepos.constants import STREAM_BLOCK
-from phasepos.errors import ConfigError, NoSignalError
 from phasepos.harness import ScenarioConfig, _Assets
 from phasepos.receiver import PhaseMeasurement, ccp_measure, estimate_toa, wrap_phase
 from phasepos.waveform import (CONTINUOUS, CONVENTIONAL, NumerologyConfig, PrsConfig,
@@ -62,37 +61,12 @@ def test_toa_prefers_earliest_strong_peak():
     assert m.peak_metric < 1.0
 
 
-def test_toa_zero_input_rejected():
-    num = small_num()
-    stream, _, _ = continuous_stream(num, 4)
-    with pytest.raises(NoSignalError):
-        estimate_toa(np.zeros_like(stream), num, np.fft.fft(stream[0]))
-
-
-def test_ccp_zero_input_rejected():
-    num = small_num()
-    stream, k, ref = continuous_stream(num, 4)
-    with pytest.raises(NoSignalError):
-        ccp_measure(np.zeros_like(stream), num, k, n_sweeps=10, shift_samples=1, ref_symbol=ref)
-
-
 def test_toa_reads_a_sequence_as_its_array():
     num = small_num()
     stream, _, _ = continuous_stream(num, 4)
     spectrum = np.fft.fft(stream[0])
     assert estimate_toa(stream.reshape(-1).tolist(), num, spectrum) == estimate_toa(stream, num,
                                                                                     spectrum)
-    with pytest.raises(ValueError, match="^rx must be a non-empty array of dtype kind in "):
-        estimate_toa(None, num, spectrum)
-
-
-def test_toa_unequal_lengths_rejected():
-    num = small_num()
-    stream, _, _ = continuous_stream(num, 4)
-    with pytest.raises(ValueError, match="no whole number"):
-        estimate_toa(stream.reshape(-1)[:-1], num, np.fft.fft(stream[0]))
-    with pytest.raises(ValueError, match="^reference_spectrum must be a non-empty array of "):
-        estimate_toa(stream, num, np.zeros(0, dtype=complex))
 
 
 # (band, n_symbols, mode) -> (toa_s, peak_metric) of one noisy InF-NLOS-D
@@ -182,34 +156,6 @@ def test_ccp_averaging_reduces_variance():
     assert np.var(ccp, ddof=1) < np.var(cp, ddof=1)
 
 
-def test_ccp_sweep_too_long_rejected():
-    num = small_num()
-    stream, k, ref = continuous_stream(num, 2)
-    with pytest.raises(ValueError):
-        ccp_measure(stream, num, k, n_sweeps=300, shift_samples=1,
-                    ref_symbol=ref, window_start=0)
-    for empty in (np.zeros(0, dtype=complex), np.zeros((3, 0), dtype=complex)):
-        with pytest.raises(ValueError, match="^rx must be a non-empty array of "):
-            ccp_measure(empty, num, k, n_sweeps=1, shift_samples=1, ref_symbol=ref)
-
-
-@pytest.mark.parametrize("ref_symbol", [None, "1", True, [1.0]], ids=repr)
-def test_ccp_reference_symbol_that_is_not_a_number_is_a_config_error(ref_symbol):
-    num = small_num()
-    stream, k, _ = continuous_stream(num, 4)
-    with pytest.raises(ConfigError, match="^ref_symbol must be a non-empty array of dtype "):
-        ccp_measure(stream, num, k, n_sweeps=1, shift_samples=1, ref_symbol=ref_symbol)
-
-
-@pytest.mark.parametrize("ref_symbol", [0, 0j, np.complex128(0)], ids=repr)
-def test_ccp_zero_reference_symbol_is_a_config_error(ref_symbol):
-    # A bad argument, not a signal with no energy, so not NoSignalError.
-    num = small_num()
-    stream, k, _ = continuous_stream(num, 4)
-    with pytest.raises(ConfigError, match=r"^\|ref_symbol\| must be finite and positive"):
-        ccp_measure(stream, num, k, n_sweeps=1, shift_samples=1, ref_symbol=ref_symbol)
-
-
 @pytest.mark.parametrize("rx_scale, ref_scale", [(1.0, 2.22507386e-311), (1e-310, 1.0)],
                          ids=["subnormal-ref", "subnormal-rx"])
 def test_ccp_subnormal_bins_measure_their_phase(rx_scale, ref_scale):
@@ -221,14 +167,6 @@ def test_ccp_subnormal_bins_measure_their_phase(rx_scale, ref_scale):
                        ref_symbol=ref * ref_scale)
     assert abs(wrap_phase(tiny.phase_rad - normal.phase_rad)) < 1e-9
     assert tiny.circular_variance == pytest.approx(normal.circular_variance, abs=1e-9)
-
-
-def test_ccp_negative_window_start_rejected():
-    num = small_num()
-    stream, k, ref = continuous_stream(num, 4)
-    with pytest.raises(ValueError):
-        ccp_measure(stream, num, k, n_sweeps=1, shift_samples=1,
-                    ref_symbol=ref, window_start=-1)
 
 
 def fft_window_phase(samples, num, k, n_sweeps, shift, ref, window_start):
@@ -361,18 +299,6 @@ def test_ccp_matches_resized_tone_formulation(run, noise_seed):
         assert ccp_measure(tx, num, *args) == resized_tone_ccp(tx.reshape(-1), num, *args)
 
 
-def test_ccp_parameters_validated():
-    num = small_num()
-    stream, k, ref = continuous_stream(num, 4)
-    with pytest.raises(ConfigError):
-        ccp_measure(stream, num, k, n_sweeps=0, shift_samples=1)
-    with pytest.raises(ConfigError):
-        ccp_measure(stream, num, k, n_sweeps=10, shift_samples=0)
-    with pytest.raises(ConfigError, match="window_start"):
-        ccp_measure(stream, num, k, n_sweeps=1, shift_samples=1,
-                    ref_symbol=ref, window_start=float(num.symbol_samples))
-
-
 # ------------------------------------------------------------ phase plumbing
 
 def test_wrap_phase_principal_interval():
@@ -380,12 +306,6 @@ def test_wrap_phase_principal_interval():
     assert np.all(vals >= -np.pi) and np.all(vals < np.pi)
     assert wrap_phase(np.pi) == pytest.approx(-np.pi)
     assert wrap_phase(0.25) == pytest.approx(0.25, abs=1e-15)
-
-
-@pytest.mark.parametrize("phase", [None, "1", 1j, [True]], ids=repr)
-def test_wrap_phase_of_a_non_real_value_is_rejected(phase):
-    with pytest.raises(ValueError, match="^phase must be a non-empty array of dtype kind in 'iuf"):
-        wrap_phase(phase)
 
 
 def test_ccp_mean_near_wrap():

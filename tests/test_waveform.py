@@ -149,30 +149,6 @@ def test_numpy_integers_are_stored_as_python_ints():
                           generate_prs_column(PrsConfig(6, 1, 4, 99), num))
 
 
-def test_bad_comb_rejected():
-    with pytest.raises(ConfigError):
-        PrsConfig(comb_size=5, comb_offset=0, n_symbols=1, sequence_seed=0)
-    with pytest.raises(ConfigError):
-        PrsConfig(comb_size=6, comb_offset=6, n_symbols=1, sequence_seed=0)
-    # Wrongly typed or negative numbers, each of which once built a PrsConfig.
-    for args in ((6.0, 0, 1, 7), (6, 0.0, 1, 7), (6, 0, 1.5, 7), (6, 0, 1, -1), (6, 0, 1, "x")):
-        with pytest.raises(ConfigError):
-            PrsConfig(*args)
-
-
-@pytest.mark.parametrize("changes", [
-    {"fc": "3.8e9"}, {"fc": float("nan")}, {"fc": float("inf")}, {"fc": True},
-    {"scs": float("nan")}, {"scs": float("inf")},
-    {"n_fft": 8.0}, {"n_cp": 9.0}, {"n_active": 48.0},
-    {"fc": 480e3}, {"fc": 1e3},    # at or below half the 960 kHz sample rate
-    {"n_fft": 2 ** 1100},          # a power of two past float range
-    {"n_fft": 100},                # no power of two
-])
-def test_bad_numerology_rejected(changes):
-    with pytest.raises(ConfigError):
-        small_num(**changes)
-
-
 def test_middle_subcarrier_closest_to_dc():
     num = make_numerology("FR1")
     prs = PrsConfig(6, 0, 1, 0)
