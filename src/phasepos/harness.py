@@ -164,8 +164,8 @@ class CdfResult:
                 and [r for r, _ in pairs] == sorted({r for r, _ in pairs})):
             raise ConfigError(f"failures must be a tuple of (reason, count) pairs, sorted and "
                               f"unique by reason, each reason one of {FAILURE_REASONS}")
-        for reason, n in pairs:
-            as_int(f"{reason} count", n, 1)
+        object.__setattr__(self, "failures",     # the Python ints JSON can hold
+                           tuple((r, as_int(f"{r} count", n, 1)) for r, n in pairs))
 
     # Derived, read-only: i/n for the i-th error; failed and all trials; linear p50-p95.
     cdf = property(lambda self: np.arange(1, len(self.abs_errors_m) + 1)

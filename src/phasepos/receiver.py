@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .constants import STREAM_BLOCK
-from .errors import NoSignalError, as_instance, as_int, as_positive, as_samples, record
+from .errors import (ConfigError, NoSignalError, as_instance, as_int, as_positive, as_samples,
+                     record)
 from .waveform import NumerologyConfig
 
 
@@ -156,8 +157,9 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     as_int("window_start", window_start, 0)
     half = num.n_active_subcarriers // 2
     k = as_int("subcarrier", subcarrier, -half, half)    # inside the allocation: no alias
-    ref = as_samples("ref_symbol", ref_symbol if np.ndim(ref_symbol) == 0 else None)  # not a list
-    as_positive("|ref_symbol|", abs(ref))
+    if (ref := np.asarray(ref_symbol)).ndim:    # a list or an array, not one number
+        raise ConfigError(f"ref_symbol must be one finite non-zero number, got shape {ref.shape}")
+    as_positive("|ref_symbol|", abs(as_samples("ref_symbol", ref).item()))
 
     n_fft = num.n_fft
     span = (n_sweeps - 1) * shift_samples + n_fft

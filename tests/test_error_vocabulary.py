@@ -17,7 +17,9 @@ every checked parameter has a row.
 Every record (dataclass) of the package binds its constructor's arguments by one
 rule: an unknown keyword, a surplus positional value, a field given both ways
 and a missing field are each a ``ConfigError``, while pickle, copy and
-``dataclasses.replace`` rebuild the record as it was.
+``dataclasses.replace`` rebuild the record as it was.  A record given its numbers
+as numpy scalars or ``Fraction``s stores the Python ints and floats it stores
+when given them plainly.
 """
 
 import copy
@@ -25,10 +27,12 @@ import dataclasses
 import decimal
 import importlib
 import math
+import numbers
 import os
 import pickle
 import pkgutil
 import re
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -59,7 +63,7 @@ SIGNATURES = {
     "CarrierRange": (pp.CarrierRange, dict(wavelength_m=0.08, fractional_cycles=0.25,
                                            integer_cycles=3)),
     "CdfResult": (partial(pp.CdfResult, method="cp"),
-                  dict(abs_errors_m=np.array([0.1]), failures=())),
+                  dict(abs_errors_m=np.array([0.1]), failures=(("no_signal", 2),))),
     "ChannelRealization": (pp.ChannelRealization,
                            dict(delays_s=np.array([1e-7]), gains=np.array([1.0 + 0.0j]))),
     "ChannelRealization.response": (CHANNEL.response,
@@ -337,10 +341,15 @@ REJECTED = [
      "sweep [0, 2456) out of range for stream of 288 samples"),
     *_rows("ccp_measure", "shift_samples", (0, 10.0),
            "shift_samples must be an integer in [1, inf], got {!r}"),
-    *_rows("ccp_measure", "ref_symbol", (None, "1", True, [1.0]),
-           "ref_symbol must be a non-empty array of dtype kind in 'iufc', got "),
-    *_rows("ccp_measure", "ref_symbol", (0, 0j, np.complex128(0)),   # not a NoSignalError
-           "|ref_symbol| must be finite and positive, got "),
+    *(("ccp_measure", {"ref_symbol": value}, ConfigError,
+       f"ref_symbol must be a non-empty array of dtype kind in 'iufc', got 1 {kind} values")
+      for value, kind in ((None, "object"), ("1", "<U1"), (True, "bool"))),
+    *(("ccp_measure", {"ref_symbol": value}, ConfigError,
+       f"ref_symbol must be one finite non-zero number, got shape {shape}")
+      for value, shape in (([1.0], (1,)), ((1 + 1j,), (1,)), ([[2.0]], (1, 1)), ([], (0,)))),
+    *(("ccp_measure", {"ref_symbol": value}, ConfigError,   # not a NoSignalError
+       f"|ref_symbol| must be finite and positive, got {shown}")
+      for value, shown in ((0, "0"), (0j, "0.0"), (np.complex128(0), "0.0"), (NAN, "nan"))),
     *_rows("ccp_measure", "window_start", (-1, 72.0),
            "window_start must be an integer in [0, inf], got {!r}"),
     ("ccp_measure", {"window_start": 217}, ValueError,
@@ -458,14 +467,16 @@ def test_a_rejected_argument_raises_its_exact_error(name, values, cls, prefix):
     assert type(raised.value) is cls     # a ValueError row fails on a ConfigError
 
 
+# The result records' fields that check nothing, and so store what they are given.
+UNCHECKED = {("MethodOutcome", "error_m"), ("MethodOutcome", "integer"),
+             ("PhaseMeasurement", "phase_rad"), ("PhaseMeasurement", "circular_variance"),
+             ("ToaMeasurement", "toa_s"), ("ToaMeasurement", "peak_metric"),
+             ("TrialResult", "trial_index")}
+
+
 def test_every_checked_parameter_has_a_row():
-    # The result records' fields that check nothing are the only parameters without one.
     pinned = {(name, param) for name, values, _, _ in REJECTED for param in values}
-    assert set(CASES) - pinned == {
-        ("MethodOutcome", "error_m"), ("MethodOutcome", "integer"),
-        ("PhaseMeasurement", "phase_rad"), ("PhaseMeasurement", "circular_variance"),
-        ("ToaMeasurement", "toa_s"), ("ToaMeasurement", "peak_metric"),
-        ("TrialResult", "trial_index")}
+    assert set(CASES) - pinned == UNCHECKED
 
 
 # The records' classes, by name; each is built from its valid arguments.
@@ -515,6 +526,34 @@ def test_a_record_survives_pickle_copy_replace_and_positional_fields(name):
     for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record),
                   dataclasses.replace(record), type(record)(*kw.values())):
         assert type(clone) is type(record) and repr(clone) == repr(record)
+
+
+# Each form a number is given in but a Python int or float, at any depth of tuples.
+FORMS = {"numpy": {int: np.int64, float: np.float64}, "fraction": {float: Fraction}}
+
+
+def _given_as(value, form):
+    if isinstance(value, tuple):
+        return tuple(_given_as(v, form) for v in value)
+    return FORMS[form].get(type(value), lambda v: v)(value)
+
+
+def _stored(value):
+    """``value``'s numbers with their exact types, at any depth of tuples."""
+    if isinstance(value, tuple):
+        return tuple(map(_stored, value))
+    return (type(value), value) if isinstance(value, numbers.Number) else type(value)
+
+
+@pytest.mark.parametrize("name,form", [(n, f) for n in RECORDS for f in FORMS],
+                         ids=[f"{n}-{f}" for n in RECORDS for f in FORMS])
+def test_a_record_stores_python_numbers(name, form):
+    # A numpy scalar or a Fraction stored as given breaks float arithmetic and JSON.
+    call, valid = SIGNATURES[name]
+    plain = call(**valid)
+    record = call(**{param: _given_as(value, form) for param, value in valid.items()})
+    for param in valid.keys() - {p for n, p in UNCHECKED if n == name}:
+        assert _stored(getattr(record, param)) == _stored(getattr(plain, param)), param
 
 
 def test_the_binding_rule_names_the_fields():

@@ -2,18 +2,16 @@
 
 import math
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from phasepos.angle import InterferometerConfig
-from phasepos.channel import ChannelRealization, ScenarioProfile
+from phasepos.channel import ChannelRealization
 from phasepos.errors import ConfigError, as_finite, as_int, as_positive, as_samples
 from phasepos.receiver import ccp_measure
-from phasepos.waveform import NumerologyConfig, PrsConfig, make_numerology, ofdm_modulate
+from phasepos.waveform import NumerologyConfig, make_numerology, ofdm_modulate
 
 # (value, is it an integer?) for values of every kind a config can hold.
 _TAGGED = st.one_of(
@@ -117,35 +115,12 @@ _FR1 = make_numerology("FR1")
 _STREAM = np.ones(8 * _FR1.symbol_samples, dtype=np.complex128)
 
 
-# Each config object built from numpy scalars: float32 reals and int64 integers.
-_NUMPY_BUILT = {
-    NumerologyConfig: dict(carrier_frequency_hz=np.float32(3.8e9), scs_hz=np.float32(30e3),
-                           n_fft=np.int64(4096), n_cp=np.int64(288),
-                           n_active_subcarriers=np.int64(3276)),
-    InterferometerConfig: dict(antenna_spacing_m=np.float32(0.05),
-                               wavelength_m=np.float32(0.0789)),
-    PrsConfig: dict(comb_size=np.int64(6), comb_offset=np.int64(1), n_symbols=np.int64(4),
-                    sequence_seed=np.int64(7)),
-    partial(ScenarioProfile, "InF-NLOS-D"): dict(rms_delay_spread_s=np.float32(9e-8),
-                                                 n_clutter_taps=np.int64(12),
-                                                 nlos_excess_delay_mean_s=np.float32(1e-7)),
-}
-
-
-@pytest.mark.parametrize("build", _NUMPY_BUILT, ids=lambda b: getattr(b, "func", b).__name__)
-def test_config_objects_store_python_numbers(build):
-    config = build(**_NUMPY_BUILT[build])
-    for name, given in _NUMPY_BUILT[build].items():
-        stored = getattr(config, name)
-        assert type(stored) is (int if isinstance(given, np.integer) else float), name
-        assert stored == given
-
-
 def test_float32_numerology_gives_the_python_float_response():
     # float32 would carry the carrier phase 2 pi (f_c + f) tau into the
     # response: about 1e-4 rad off for a 66.7 ns tap.
     channel = ChannelRealization(np.array([66.7e-9]), np.array([1.0 + 0.0j]))
-    built = NumerologyConfig(**_NUMPY_BUILT[NumerologyConfig])
+    built = NumerologyConfig(np.float32(3.8e9), np.float32(30e3), np.int64(4096), np.int64(288),
+                             np.int64(3276))
     assert built == _FR1
     assert np.array_equal(channel.response(built, -1638, 3277, 30e3),
                           channel.response(_FR1, -1638, 3277, 30e3))

@@ -63,6 +63,7 @@ _METHODS = "methods must be a nonempty list of ('toa', 'cp', 'ccp') without repe
 _SNR = "snr_db must lie within +-300 dB or be +inf, got {!r}"
 _K = "rician_k_db must lie within +-300 dB or be +inf, got "
 _GEOMETRY = "geometry must be a Geometry or a mapping of its two positions, got "
+_PAIRED = "widelane_second_fc_hz must be set if and only if ambiguity is widelane"
 _HALF_RATE = "widelane_second_fc_hz: carrier {} Hz must exceed half the sample rate"
 BAD_CONFIGS = [
     ({"band": "FR9"}, "unknown band 'FR9'"),
@@ -77,8 +78,9 @@ BAD_CONFIGS = [
     *_rows("methods", ([], ["toa", "doppler"], ["toa", "toa"], ["sonar"], "toa", {"toa": 1}, 5),
            _METHODS),
     ({"ambiguity": "fuzzy"}, "ambiguity mode must be one of ('oracle', 'toa', 'widelane')"),
-    ({"ambiguity": "widelane"},     # no carrier
-     "widelane_second_fc_hz must be set if and only if ambiguity is widelane, got None"),
+    ({"ambiguity": "widelane"}, f"{_PAIRED}, got None for widelane"),     # no carrier
+    *(({"ambiguity": mode, "widelane_second_fc_hz": 3.9e9},   # a carrier only widelane reads
+       f"{_PAIRED}, got 3900000000.0 for {mode}") for mode in ("oracle", "toa")),
     ({"ccp_sweeps": 0}, "ccp_sweeps must be an integer in [1, inf], got 0"),
     ({"ccp_sweeps": 26594}, "26594 sweeps do not fit in 8 symbols"),   # one past the stream end
     ({"ccp_sweeps": 100000}, "100000 sweeps do not fit in 8 symbols"),
@@ -644,7 +646,10 @@ def test_a_phase_stream_with_no_signal_fails_every_phase_method(monkeypatch, met
 
 
 def test_asset_cache_holds_one_scenario():
-    # Each entry holds two period spectra; callers run one scenario at a time.
+    # Each entry holds two period spectra; callers run one scenario at a time.  The config
+    # check and the per-scenario cache both build _Assets.
+    assert harness._build_assets.__wrapped__ is harness._Assets
+    assert harness._build_assets.cache_parameters() == {"maxsize": 1, "typed": False}
     harness._build_assets.cache_clear()
     harness._build_assets(FAST)
     harness._build_assets(dataclasses.replace(FAST, snr_db=0.0))
@@ -897,26 +902,15 @@ def test_band_is_stored_upper_cased(tmp_path):
         assert json.loads(out.read_text())["config"]["band"] == band.upper()
 
 
-@pytest.mark.parametrize("carrier", [None, 3.9e9], ids=["no-carrier", "carrier"])
 @pytest.mark.parametrize("mode", IA_MODES)
-def test_a_widelane_carrier_is_set_exactly_when_widelane_reads_it(tmp_path, capsys, mode,
-                                                                  carrier):
-    # Any mode but widelane would run without the carrier it was given.
-    pair = dict(ambiguity=mode, widelane_second_fc_hz=carrier)
+def test_a_widelane_carrier_is_set_exactly_when_widelane_reads_it(tmp_path, mode):
+    # Any mode but widelane would run without the carrier it was given: BAD_CONFIGS refuses it.
+    pair = dict(ambiguity=mode, widelane_second_fc_hz=3.9e9 if mode == "widelane" else None)
     out = tmp_path / "o.csv"
-    rc = cli.main(["run", "--config", write_cfg(tmp_path, **pair), "--out", str(out)])
-    builds = (lambda: ScenarioConfig(**pair), lambda: dataclasses.replace(FAST, **pair))
-    if (mode == "widelane") == (carrier is not None):
-        assert all(build().widelane_second_fc_hz == carrier for build in builds)
-        assert rc == 0 and out.exists()
-        return
-    message = (f"widelane_second_fc_hz must be set if and only if ambiguity is widelane, "
-               f"got {carrier} for {mode}")
-    for build in builds:
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            build()
-    assert rc == 2 and not out.exists()
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert cli.main(["run", "--config", write_cfg(tmp_path, **pair), "--out", str(out)]) == 0
+    assert out.exists()
+    for cfg in (ScenarioConfig(**pair), dataclasses.replace(FAST, **pair)):
+        assert cfg.widelane_second_fc_hz == pair["widelane_second_fc_hz"]
 
 
 # Only the config file sets scenario fields, so each of these is argparse's usage error.

@@ -1,9 +1,12 @@
-"""Every name a module imports is used in it, the package needs only numpy, it
-raises only ``ConfigError``, ``NoSignalError`` or ``ValueError``, it leaves
-the type, finiteness and range of a number argument and the kind and
-emptiness of a sample-array argument to ``errors.py``, every config object
-stores what its checks return, every record is declared with ``errors.record``,
-and the harness derives a scenario's parts in one place, ``_Assets``.
+"""Five scans of the source, a row of ``SCANS`` each: every name a module imports
+is used in it, the package needs only numpy, it raises only ``ConfigError``,
+``NoSignalError`` or ``ValueError``, it leaves the type, finiteness and range of
+a number argument and the kind and emptiness of a sample-array argument to
+``errors.py``, and the harness derives a scenario's parts in one place, ``_Assets``.
+Each scan finds its fixtures' exact findings, and nothing in the files it reads.
+
+What a record stores and how its constructor binds its arguments are checked by
+behaviour, in ``test_error_vocabulary.py``.
 
 ``__init__.py`` is skipped by the unused-import scan: its imports are the
 package's re-exports, which ``test_exports.py`` checks.
@@ -14,8 +17,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-from phasepos import errors, harness
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/phasepos/*.py"))
@@ -41,16 +42,6 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-def test_scan_finds_an_unused_import():
-    assert unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") == [
-        "os (line 1)", "tau (line 2)"]
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
-def test_no_unused_imports(path):
-    assert unused_imports(path.read_text(encoding="utf-8")) == []
-
-
 def foreign_imports(source: str) -> list[str]:
     """Top-level modules imported from outside the stdlib, numpy and the package."""
     allowed = set(sys.stdlib_module_names) | {"numpy", "phasepos"}
@@ -63,17 +54,6 @@ def foreign_imports(source: str) -> list[str]:
     return [name for name in names if name.split(".")[0] not in allowed]
 
 
-def test_scan_finds_a_foreign_import():
-    assert foreign_imports("import os, numpy.fft\nfrom . import waveform\n"
-                           "from scipy import signal\nimport yaml\n") == ["scipy", "yaml"]
-
-
-@pytest.mark.parametrize("path", [*PACKAGE, ROOT / "tests/work_counter.py"], ids=lambda p: p.name)
-def test_package_imports_only_stdlib_and_numpy(path):
-    # numpy is the one runtime dependency pyproject.toml declares, and all the work counter needs.
-    assert foreign_imports(path.read_text(encoding="utf-8")) == []
-
-
 def foreign_raises(source: str) -> list[str]:
     """Exceptions raised outside the package's vocabulary; a bare re-raise is not counted."""
     allowed = {"ConfigError", "NoSignalError", "ValueError"}
@@ -83,18 +63,6 @@ def foreign_raises(source: str) -> list[str]:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             names.append((ast.unparse(exc), node.lineno))
     return [f"{name} (line {line})" for name, line in names if name not in allowed]
-
-
-def test_scan_finds_a_foreign_raise():
-    assert foreign_raises("raise ValueError('x')\nraise ConfigError from None\n"
-                          "raise TypeError('y')\nraise errors.NoSignalError\nraise\n") == [
-        "TypeError (line 3)", "errors.NoSignalError (line 4)"]
-
-
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
-def test_package_raises_only_its_vocabulary(path):
-    # A search that finds nothing returns None or [], not an exception.
-    assert foreign_raises(path.read_text(encoding="utf-8")) == []
 
 
 _FINITE = {"math.isfinite", "np.isfinite"}
@@ -217,31 +185,6 @@ class Geometry:
 """
 
 
-def test_scan_finds_a_hand_written_rule():
-    assert hand_written_rules(_REPLACED_CHECKS) == [
-        "0 < frequency_hz < math.inf (line 2)", "math.isfinite(phase_rad) (line 2)",
-        "0 < half_width_m < math.inf (line 5)", "math.isfinite(center_m) (line 5)",
-        "0 < lambda1_m < math.inf (line 8)", "0 < lambda2_m < math.inf (line 8)",
-        "math.isfinite(phase_diff_rad) (line 11)",
-        "0 <= speed < math.inf (line 15)",
-        "x.dtype.kind (line 19)", "x.size == 0 (line 19)",
-        "p == 0 (line 27)",
-        "phase.dtype.kind (line 31)",
-        "p == 0 (line 35)",
-        "isinstance(ref_symbol, numbers.Complex) (line 38)"]
-    assert hand_written_rules("if not 0 < as_real('x', x) < inf: pass\n"
-                              "ok = as_int('n', n, 1) in (2, 4) or as_real('y', y) == 1\n"
-                              "if as_int('n', n) >= 2: pass\n") == [
-        "0 < as_real('x', x) < inf (line 1)", "as_int('n', n) >= 2 (line 3)"]
-
-
-@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "errors.py"],
-                         ids=lambda p: p.name)
-def test_package_leaves_argument_rules_to_errors(path):
-    # errors.py owns the rules: as_finite, as_positive, as_int's range, as_samples and the rest.
-    assert hand_written_rules(path.read_text(encoding="utf-8")) == []
-
-
 # What builds a part of a scenario: its numerology, pilot, profile and
 # streams, each stream as its period view.
 _DERIVERS = {"make_numerology", "PrsConfig", "profile_preset", "generate_prs_column",
@@ -265,108 +208,63 @@ def derivations_outside(source: str, owner: str = "_Assets") -> list[str]:
     return [f"{name} (line {line})" for line, name in sorted(found)]
 
 
-def test_scan_finds_a_derivation_outside_assets():
-    assert derivations_outside("class Config:\n"
-                               "    def check(self):\n"
-                               "        num = make_numerology(self.band)\n"
-                               "class _Assets:\n"
-                               "    def __init__(self, cfg):\n"
-                               "        self.num = make_numerology(cfg.band)\n"
-                               "        self.start = self.num.symbol_samples\n"
-                               "def stride(num):\n"
-                               "    return num.symbol_samples // 2\n") == [
-        "make_numerology (line 3)", ".symbol_samples (line 9)"]
+# Each scan: the files it reads, each of which it must pass, and its fixtures, each with
+# its exact findings.
+SCANS = {
+    "unused_imports": (unused_imports, MODULES, {
+        "import os\nfrom math import pi, tau\nprint(pi)\n": ["os (line 1)", "tau (line 2)"]}),
+    # numpy is the one runtime dependency pyproject.toml declares, and all the work counter needs.
+    "foreign_imports": (foreign_imports, [*PACKAGE, ROOT / "tests/work_counter.py"], {
+        "import os, numpy.fft\nfrom . import waveform\nfrom scipy import signal\nimport yaml\n":
+        ["scipy", "yaml"]}),
+    # A search that finds nothing returns None or [], not an exception.
+    "foreign_raises": (foreign_raises, PACKAGE, {
+        "raise ValueError('x')\nraise ConfigError from None\n"
+        "raise TypeError('y')\nraise errors.NoSignalError\nraise\n":
+        ["TypeError (line 3)", "errors.NoSignalError (line 4)"]}),
+    # errors.py owns the rules: as_finite, as_positive, as_int's range, as_samples and the rest.
+    "hand_written_rules": (hand_written_rules, [p for p in PACKAGE if p.name != "errors.py"], {
+        _REPLACED_CHECKS: [
+            "0 < frequency_hz < math.inf (line 2)", "math.isfinite(phase_rad) (line 2)",
+            "0 < half_width_m < math.inf (line 5)", "math.isfinite(center_m) (line 5)",
+            "0 < lambda1_m < math.inf (line 8)", "0 < lambda2_m < math.inf (line 8)",
+            "math.isfinite(phase_diff_rad) (line 11)",
+            "0 <= speed < math.inf (line 15)",
+            "x.dtype.kind (line 19)", "x.size == 0 (line 19)",
+            "p == 0 (line 27)",
+            "phase.dtype.kind (line 31)",
+            "p == 0 (line 35)",
+            "isinstance(ref_symbol, numbers.Complex) (line 38)"],
+        "if not 0 < as_real('x', x) < inf: pass\n"
+        "ok = as_int('n', n, 1) in (2, 4) or as_real('y', y) == 1\n"
+        "if as_int('n', n) >= 2: pass\n":
+        ["0 < as_real('x', x) < inf (line 1)", "as_int('n', n) >= 2 (line 3)"]}),
+    # harness.py builds a scenario's numerology, pilot, profile and streams in _Assets alone.
+    "derivations_outside": (derivations_outside, [ROOT / "src/phasepos/harness.py"], {
+        "class Config:\n"
+        "    def check(self):\n"
+        "        num = make_numerology(self.band)\n"
+        "class _Assets:\n"
+        "    def __init__(self, cfg):\n"
+        "        self.num = make_numerology(cfg.band)\n"
+        "        self.start = self.num.symbol_samples\n"
+        "def stride(num):\n"
+        "    return num.symbol_samples // 2\n":
+        ["make_numerology (line 3)", ".symbol_samples (line 9)"]}),
+}
 
 
-def test_harness_derives_a_scenario_once():
-    # The config check and the per-scenario cache both build _Assets.
-    source = (ROOT / "src/phasepos/harness.py").read_text(encoding="utf-8")
-    assert derivations_outside(source) == []
-    assert harness._build_assets.__wrapped__ is harness._Assets
-    assert harness._build_assets.cache_parameters() == {"maxsize": 1, "typed": False}
+@pytest.mark.parametrize("scan", SCANS)
+def test_scan_finds_its_fixture(scan):
+    find, _, fixtures = SCANS[scan]
+    for source, findings in fixtures.items():
+        assert find(source) == findings
 
 
-_RULES = {name for name in vars(errors) if name.startswith("as_")}
+SCANNED = [(scan, path) for scan, (_, paths, _) in SCANS.items() for path in paths]
 
 
-def discarded_checks(source: str) -> list[str]:
-    """Rules of ``errors.py`` called on a ``self.<field>`` as a bare statement in a
-    ``__post_init__``: the field is checked but keeps its given value, not the
-    Python number the rule returns (``errors.set_checked`` stores that)."""
-    found = []
-    for func in ast.walk(ast.parse(source)):
-        if not (isinstance(func, ast.FunctionDef) and func.name == "__post_init__"):
-            continue
-        found += [(node.lineno, ast.unparse(node.value)) for node in ast.walk(func)
-                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
-                  and ast.unparse(node.value.func).split(".")[-1] in _RULES
-                  and any(isinstance(arg, ast.Attribute) and ast.unparse(arg.value) == "self"
-                          for arg in node.value.args)]
-    return [f"{text} (line {line})" for line, text in sorted(found)]
-
-
-# The two bodies that checked their fields and kept the given values, as they
-# stood, and a dotted rule.  A bound value (n_fft = ...), set_checked and a
-# check outside a __post_init__ are not flagged.
-_DISCARDING_POST_INITS = """\
-class NumerologyConfig:
-    def __post_init__(self) -> None:
-        as_positive("carrier_frequency_hz", self.carrier_frequency_hz)
-        as_positive("scs_hz", self.scs_hz)
-        n_fft = as_int("n_fft", self.n_fft, 1)
-        as_real("n_fft", n_fft)     # the sample rate is a float
-        if n_fft & (n_fft - 1):
-            raise ConfigError(f"n_fft must be a power of two, got {n_fft}")
-        as_int("n_cp", self.n_cp, 0, n_fft - 1)
-        as_int("n_active_subcarriers", self.n_active_subcarriers, 1, n_fft - 1)   # DC excluded
-class InterferometerConfig:
-    def __post_init__(self) -> None:
-        as_positive("antenna_spacing_m", self.antenna_spacing_m)
-        as_positive("wavelength_m", self.wavelength_m)
-class PrsConfig:
-    def __post_init__(self) -> None:
-        errors.as_int("n_symbols", self.n_symbols, 1)
-        set_checked(self, (("comb_size", as_int),))
-def ccp_measure(rx, num, subcarrier, n_sweeps, shift_samples):
-    as_int("n_sweeps", n_sweeps, 1)
-"""
-
-
-def test_scan_finds_a_discarded_check():
-    assert discarded_checks(_DISCARDING_POST_INITS) == [
-        "as_positive('carrier_frequency_hz', self.carrier_frequency_hz) (line 3)",
-        "as_positive('scs_hz', self.scs_hz) (line 4)",
-        "as_int('n_cp', self.n_cp, 0, n_fft - 1) (line 9)",
-        "as_int('n_active_subcarriers', self.n_active_subcarriers, 1, n_fft - 1) (line 10)",
-        "as_positive('antenna_spacing_m', self.antenna_spacing_m) (line 13)",
-        "as_positive('wavelength_m', self.wavelength_m) (line 14)",
-        "errors.as_int('n_symbols', self.n_symbols, 1) (line 17)"]
-
-
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
-def test_config_objects_store_what_their_checks_return(path):
-    assert discarded_checks(path.read_text(encoding="utf-8")) == []
-
-
-def bare_dataclasses(source: str) -> list[str]:
-    """Classes decorated with ``dataclass`` itself, not ``errors.record``: their generated
-    ``__init__`` lets a misused argument escape as a raw TypeError."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ClassDef):
-            found += [f"{node.name} (line {node.lineno})" for d in node.decorator_list
-                      if ast.unparse(getattr(d, "func", d)).split(".")[-1] == "dataclass"]
-    return found
-
-
-def test_scan_finds_a_bare_dataclass():
-    assert bare_dataclasses("@dataclass\nclass A: pass\n"
-                            "@dataclasses.dataclass(frozen=True)\nclass B: pass\n"
-                            "@record(frozen=True)\nclass C: pass\n"
-                            "cls = dataclass(frozen=True)(cls)\n") == [
-        "A (line 2)", "B (line 4)"]
-
-
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
-def test_package_records_take_the_construction_rule(path):
-    assert bare_dataclasses(path.read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("scan,path", SCANNED,
+                         ids=[f"{scan}-{p.parent.name}/{p.name}" for scan, p in SCANNED])
+def test_source_passes_scan(scan, path):
+    assert SCANS[scan][0](path.read_text(encoding="utf-8")) == []

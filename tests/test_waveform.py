@@ -143,10 +143,7 @@ def test_same_seed_same_grid():
 def test_numpy_integers_are_stored_as_python_ints():
     # An int8 comb offset once made comb_subcarriers' arange overflow on FR1.
     prs = PrsConfig(np.int64(6), np.int8(1), np.int32(4), np.uint8(99))
-    assert [type(v) for v in vars(prs).values()] == [int] * 4
-    num = make_numerology("FR1")
-    assert np.array_equal(generate_prs_column(prs, num),
-                          generate_prs_column(PrsConfig(6, 1, 4, 99), num))
+    assert [type(v) for v in vars(prs).values()] == [int] * 4 and prs == PrsConfig(6, 1, 4, 99)
 
 
 def test_middle_subcarrier_closest_to_dc():
