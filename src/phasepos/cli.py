@@ -6,7 +6,8 @@ The config file sets every scenario field; the options set only the output
 and the worker count.  Exit codes: 0 on success, also when trials fail (each
 method's line counts them by reason); 2 for a bad config, an unknown option
 or an ``--out`` that names no file (a directory), is the config file or is
-not in an existing directory (all found before any trial); 3 if writing fails.
+not in an existing directory (all found before any trial); 3 if writing fails
+or a worker process dies; 130 on Ctrl-C.  No exit leaves a partial ``--out``.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -33,8 +33,8 @@ import numpy as np
 from .ambiguity import IA_MODES, phase_to_fraction, resolve
 from .channel import Geometry, add_awgn, apply_channel, draw_channel, profile_preset
 from .constants import SPEED_OF_LIGHT
-from .errors import (ConfigError, NoSignalError, as_db, as_instance, as_int, as_path, as_positive,
-                     record, set_checked)
+from .errors import (ConfigError, NoSignalError, as_db, as_finite, as_instance, as_int, as_path,
+                     as_positive, record, set_checked)
 from .receiver import ccp_measure, estimate_toa
 from .waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column, make_numerology,
                        middle_subcarrier, ofdm_modulate)
@@ -141,37 +141,35 @@ class TrialResult:
                                         for m, o in self.outcomes.items()})
 
 
-@record(eq=False)     # a generated == over arrays is ambiguous
+@record(frozen=True)
 class CdfResult:
-    """One method's run summary; ConfigError unless its fields have the shapes below."""
+    """One method's run summary: its outcome in each trial, in run order; the rest derives.
+
+    ConfigError unless ``method`` is in ``METHODS`` and ``outcomes`` a tuple of ``MethodOutcome``,
+    each failed one's reason in ``FAILURE_REASONS`` and each kept one's error a finite number."""
 
     method: str
-    abs_errors_m: np.ndarray                 # sorted ascending
-    failures: tuple[tuple[str, int], ...]    # (reason, count), sorted by reason, no zero count
+    outcomes: tuple[MethodOutcome, ...]
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        e = self.abs_errors_m
-        if not (isinstance(e, np.ndarray) and e.ndim == 1 and e.dtype.kind == "f"
-                and np.isfinite(e).all() and (e >= 0).all() and (e[1:] >= e[:-1]).all()):
-            raise ConfigError("abs_errors_m must be a 1-D float array, finite, non-negative "
-                              "and sorted ascending")
-        pairs = self.failures
-        if not (isinstance(pairs, tuple)
-                and all(isinstance(p, tuple) and len(p) == 2 and p[0] in FAILURE_REASONS
-                        for p in pairs)
-                and [r for r, _ in pairs] == sorted({r for r, _ in pairs})):
-            raise ConfigError(f"failures must be a tuple of (reason, count) pairs, sorted and "
-                              f"unique by reason, each reason one of {FAILURE_REASONS}")
-        object.__setattr__(self, "failures",     # the Python ints JSON can hold
-                           tuple((r, as_int(f"{r} count", n, 1)) for r, n in pairs))
+        for o in as_instance("outcomes", self.outcomes, tuple):
+            if as_instance("each outcome", o, MethodOutcome).failure is None:
+                as_finite("a kept outcome's error_m", o.error_m)
+            elif o.failure not in FAILURE_REASONS:
+                raise ConfigError(f"a failure must be one of {FAILURE_REASONS}, got {o.failure!r}")
 
-    # Derived, read-only: i/n for the i-th error; failed and all trials; linear p50-p95.
+    # The kept |errors| sorted, cached for the four readers; failed trials by reason.
+    abs_errors_m = cached_property(lambda self: np.sort(np.abs(np.array(
+        [o.error_m for o in self.outcomes if o.failure is None], float))))
+    failures = property(lambda self: tuple(sorted(Counter(
+        o.failure for o in self.outcomes if o.failure is not None).items())))
+    # i/n for the i-th error; failed and all trials; linear p50-p95.
     cdf = property(lambda self: np.arange(1, len(self.abs_errors_m) + 1)
                    / max(len(self.abs_errors_m), 1))
     n_failures = property(lambda self: sum(n for _, n in self.failures))
-    n_trials = property(lambda self: len(self.abs_errors_m) + self.n_failures)
+    n_trials = property(lambda self: len(self.outcomes))
     percentiles = property(lambda self: {p: float(np.percentile(self.abs_errors_m, p))
                                          for p in (50, 67, 90, 95) if len(self.abs_errors_m)})
     summary = property(lambda self: {   # the JSON block bar its two arrays
@@ -300,28 +298,30 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list[TrialResult]:
     workers = min(workers, cfg.n_trials, os.cpu_count() or 1)
     if workers == 1:
         return [run_trial(cfg, t) for t in trials]
-    from concurrent.futures import ProcessPoolExecutor   # 13-15 ms at import, for pools only
-    with ProcessPoolExecutor(workers) as pool:   # about four chunks a worker
-        return list(pool.map(run_trial, [cfg] * cfg.n_trials, trials,
-                             chunksize=max(1, cfg.n_trials // (4 * workers))))
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor   # 13-15 ms, pools only
+    from signal import SIG_DFL, SIGINT, signal
+    chunk = max(1, cfg.n_trials // (4 * workers))    # about four chunks a worker
+    try:    # Ctrl-C ends each worker at once (its default action), with no traceback
+        with ProcessPoolExecutor(workers, initializer=signal, initargs=(SIGINT, SIG_DFL)) as pool:
+            return list(pool.map(run_trial, [cfg] * cfg.n_trials, trials, chunksize=chunk))
+    except BrokenExecutor as exc:   # an OSError, as a failed write is: the CLI's exit 3
+        raise ChildProcessError("a worker process died") from exc
 
 
 def compute_cdf(results: list[TrialResult], method: str) -> CdfResult:
-    """Empirical CDF of |distance error| for one method.
+    """Empirical CDF of |distance error| for one method: the ``CdfResult`` of its outcome in
+    each of ``results``, in their order.
 
-    A trial is kept when its outcome has no failure reason, and the rest are
-    counted in ``failures`` by reason.  A method none of whose trials survive gets
-    empty arrays and no percentiles, so the other methods' results are still
-    written.  ConfigError unless ``results`` is a list or tuple of ``TrialResult`` and every
-    trial measured ``method``.
+    A trial is kept when its outcome has no failure reason, and the rest are counted in
+    ``failures`` by reason.  A method none of whose trials survive gets empty arrays and
+    no percentiles, so the other methods' results are still written.  ConfigError unless
+    ``results`` is a list or tuple of ``TrialResult`` and every trial measured ``method``.
     """
     for r in as_instance("results", results, (list, tuple)):
         as_instance("each result", r, TrialResult)
     if method not in METHODS or any(method not in r.outcomes for r in results):
         raise ConfigError(f"method {method!r} is not one of {METHODS} measured in every trial")
-    kept = [r.outcomes[method].error_m for r in results if r.outcomes[method].failure is None]
-    counts = Counter(r.outcomes[method].failure for r in results if r.outcomes[method].failure)
-    return CdfResult(method, np.sort(np.abs(np.array(kept, float))), tuple(sorted(counts.items())))
+    return CdfResult(method, tuple(r.outcomes[method] for r in results))
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
@@ -333,8 +333,9 @@ def emit_results(cdfs: list[CdfResult], cfg: ScenarioConfig, path: str,
                  fmt: str = "csv") -> str:
     """Write CDFs to ``path``, a str or os.PathLike, as csv or json; byte-deterministic.
 
-    ConfigError unless ``cdfs`` is a list or tuple of ``CdfResult`` and ``cfg`` a
-    ``ScenarioConfig``."""
+    Whole or not at all: a regular file is written beside ``path`` (beside its symlink's
+    target), then renamed over it.  ConfigError unless ``cdfs`` is a list or tuple of
+    ``CdfResult`` and ``cfg`` a ``ScenarioConfig``."""
     for c in as_instance("cdfs", cdfs, (list, tuple)):
         as_instance("each cdf", c, CdfResult)
     as_instance("cfg", cfg, ScenarioConfig)
@@ -352,8 +353,20 @@ def emit_results(cdfs: list[CdfResult], cfg: ScenarioConfig, path: str,
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    target = os.path.realpath(os.fsdecode(path))    # a symlink's file, which open(path) wrote
+    special = os.path.exists(target) and not os.path.isfile(target)   # /dev/null, a pipe
+    tmp = target if special else f"{target}.{os.getpid()}.tmp"   # a sibling: an atomic rename
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            if os.path.isfile(target):    # the mode open(path, "w") keeps
+                os.chmod(tmp, os.stat(target).st_mode)
+            fh.write(text)
+        if not special:
+            os.replace(tmp, target)
+    except BaseException:
+        if not special and os.path.lexists(tmp):
+            os.remove(tmp)
+        raise
     return path
 
 

@@ -54,16 +54,16 @@ CHANNEL = pp.ChannelRealization(np.array([1.234e-7]), np.array([0.6 + 0.8j]))
 IFC = pp.InterferometerConfig(0.5, 1.0)
 FINE, COARSE = pp.phase_to_fraction(0.5, 3.9e9), pp.phase_to_fraction(-1.0, 3.8e9)
 CFG = pp.ScenarioConfig(n_trials=1, n_symbols=8, ccp_sweeps=20)
-RESULTS = [pp.TrialResult(0, {"cp": pp.harness.MethodOutcome(0.1, 3)})]
-CDFS = [pp.CdfResult("cp", np.array([0.1]), ())]
+KEPT, FAILED = pp.harness.MethodOutcome(0.1, 3), pp.harness._NO_SIGNAL
+RESULTS = [pp.TrialResult(0, {"cp": KEPT})]
+CDFS = [pp.CdfResult("cp", (KEPT,))]
 
 # Each callable, with its other arguments bound, and a valid value of each of its
 # number, sample-array and config-object parameters; None marks one that has none.
 SIGNATURES = {
     "CarrierRange": (pp.CarrierRange, dict(wavelength_m=0.08, fractional_cycles=0.25,
                                            integer_cycles=3)),
-    "CdfResult": (partial(pp.CdfResult, method="cp"),
-                  dict(abs_errors_m=np.array([0.1]), failures=(("no_signal", 2),))),
+    "CdfResult": (partial(pp.CdfResult, method="cp"), dict(outcomes=(KEPT, FAILED))),
     "ChannelRealization": (pp.ChannelRealization,
                            dict(delays_s=np.array([1e-7]), gains=np.array([1.0 + 0.0j]))),
     "ChannelRealization.response": (CHANNEL.response,
@@ -192,17 +192,20 @@ REJECTED = [
            "fractional_cycles must be finite and in [0, 1], got {!r}"),
     *_rows("CarrierRange", "integer_cycles", (-1, 3.0),
            "integer_cycles must be an integer in [0, inf], got {!r}"),
-    *_rows("CdfResult", "abs_errors_m", [np.array(e) for e in ([[0.1]], [1], [-0.1], [below(0)],
-                                                               [INF], [0.3, 0.1])] + [[0.1]],
-           "abs_errors_m must be a 1-D float array, finite, non-negative and sorted ascending"),
-    *_rows("CdfResult", "failures", (0, (("bogus", 2),), [("no_signal", 1)],
-                                     (("wrong_integer", 1), ("no_candidate", 1)),
-                                     (("no_signal", 1), ("no_signal", 1))),
-           "failures must be a tuple of (reason, count) pairs, sorted and unique by reason"),
-    *_rows("CdfResult", "failures", ((("no_signal", 0),), (("no_signal", True),)),
-           "no_signal count must be an integer in [1, inf], got "),
-    ("CdfResult", {"failures": (("wrong_integer", -3),)}, ConfigError,
-     "wrong_integer count must be an integer in [1, inf], got -3"),
+    ("CdfResult", {"method": "xx"}, ConfigError,
+     "method must be one of ('toa', 'cp', 'ccp'), got 'xx'"),
+    *_rows("CdfResult", "outcomes", ([KEPT], None, 0), "outcomes must be a tuple, got {!r}"),
+    *(("CdfResult", {"outcomes": outcomes}, ConfigError,   # each one, not only the first
+       f"each outcome must be a MethodOutcome, got {outcomes[-1]!r}")
+      for outcomes in ((0.1,), (KEPT, None), ((0.1, None),))),
+    *(("CdfResult", {"outcomes": (pp.harness.MethodOutcome(NAN, None, reason),)}, ConfigError,
+       f"a failure must be one of {pp.harness.FAILURE_REASONS}, got {reason!r}")
+      for reason in ("bogus", "", 3)),
+    *(("CdfResult", {"outcomes": (pp.harness.MethodOutcome(error),)}, ConfigError,
+       f"a kept outcome's error_m must {rule}, got {error!r}")
+      for error, rule in (*((e, "be finite and in [-inf, inf]") for e in (NAN, INF, -INF)),
+                          ("0.1", "be a number"), (True, "be a number"),
+                          (10 ** 400, "fit in a float"))),
     ("ChannelRealization", {"delays_s": np.array([1e-7, 2e-7])}, ConfigError,
      "delays_s and gains must have one entry per tap, got 2 delays and 1 gains"),
     ("ChannelRealization", {"delays_s": ("a", "b"), "gains": np.ones(2, complex)}, ConfigError,
@@ -433,12 +436,14 @@ REJECTED = [
     ("compute_cdf", {"results": None}, ConfigError, "results must be a list or tuple, got None"),
     ("compute_cdf", {"results": [1, 2]}, ConfigError, "each result must be a TrialResult, got 1"),
     ("emit_results", {"cdfs": [None]}, ConfigError, "each cdf must be a CdfResult, got None"),
+    ("emit_results", {"fmt": "yaml"}, ConfigError, "unknown output format 'yaml'"),
 ]
 
 
 def label(value) -> str:
     """``value`` as a short test id: an int past 20 digits by its leading digits, an array
-    by its dtype and its values or, past four of them, its shape, a record by its class."""
+    by its dtype and its values or, past four of them, its shape, a record by its class
+    (a ``MethodOutcome`` by its error and reason)."""
     if isinstance(value, int) and not isinstance(value, bool) and abs(value) >= 10 ** 20:
         return format(decimal.Decimal(value), ".3g")    # repr refuses 4,300 digits and more
     if isinstance(value, np.ndarray):
@@ -449,6 +454,8 @@ def label(value) -> str:
     if isinstance(value, (list, tuple)):
         inner = ",".join(map(label, value))
         return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
+    if isinstance(value, pp.harness.MethodOutcome):     # by the two fields CdfResult checks
+        return f"MethodOutcome({label(value.error_m)},{label(value.failure)})"
     return type(value).__name__ if dataclasses.is_dataclass(value) else repr(value)
 
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -361,15 +362,17 @@ def test_cdf_counts_failures_by_reason(tmp_path, monkeypatch, capsys):
     block = json.loads(out.read_text())["methods"]["cp"]
     assert block["n_trials"] == 5
     assert block["failures"] == {"no_candidate": 1, "no_signal": 1, "wrong_integer": 2}
-    assert capsys.readouterr().out.splitlines()[0] == (
+    assert capsys.readouterr().out.splitlines() == [
         "cp: trials=5 failures=4 (no_candidate 1, no_signal 1, wrong_integer 2)"
-        " p50=0.5m p67=0.5m p90=0.5m p95=0.5m")
+        " p50=0.5m p67=0.5m p90=0.5m p95=0.5m", f"wrote {out}"]
 
 
-def test_cdf_results_compare_without_raising():
-    # A generated == over the error arrays raised for two or more errors.
-    a, b = (CdfResult("cp", np.array([0.1, 0.2]), ()) for _ in range(2))
-    assert a == a and a != b
+def test_cdf_results_compare_by_their_outcomes_and_derive_the_rest_read_only():
+    a, b = (compute_cdf(make_results([0.3, 9.0], [None, "wrong_integer"]), "cp") for _ in range(2))
+    assert a == b and hash(a) == hash(b) and a != compute_cdf(make_results([0.3, 9.0]), "cp")
+    for name in ("method", "outcomes", *(n for n in vars(CdfResult) if not n.startswith("_"))):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
 
 
 def test_cdf_all_failed_is_empty():
@@ -456,7 +459,7 @@ def test_pool_capped_at_trials_and_cpus(monkeypatch):
     class SerialPool:
         """Records the requested pool size and maps in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -484,7 +487,7 @@ def test_pool_chunks_give_every_worker_trials(monkeypatch):
     class RecordingPool:
         """Records its size and the chunk count of its one map, and runs nothing."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             self.workers = max_workers
 
         def __enter__(self):
@@ -509,8 +512,12 @@ def test_pool_chunks_give_every_worker_trials(monkeypatch):
             assert size <= n_chunks < 8 * size, (workers, n_trials)
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork" or (os.cpu_count() or 1) < 2,
-                    reason="needs two CPUs and pool children forked with the patched run_trial")
+FORKED_PAIR = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork" or (os.cpu_count() or 1) < 2,
+    reason="needs two CPUs and pool children forked with the patched run_trial")
+
+
+@FORKED_PAIR
 def test_two_workers_use_two_processes(monkeypatch):
     @functools.wraps(run_trial)     # keeps the name pickle resolves in a forked worker
     def tagged(cfg, trial):
@@ -550,9 +557,9 @@ PINNED = {name: sorted({r["trial"] for r in GOLDEN_RECORDS if r["config"] == nam
 
 def trial_records(name, cfg, trials):
     """The golden record of each of ``trials`` and each method of ``cfg``; NaN is None."""
-    return [{"config": name, "trial": t, "method": m,
-             "error_m": None if math.isnan(o.error_m) else o.error_m,
-             "integer": o.integer, "failure": o.failure}
+    return [{"config": name, "trial": t, "method": m, **{
+             k: None if isinstance(v, float) and math.isnan(v) else v
+             for k, v in dataclasses.asdict(o).items()}}
             for t in trials for m, o in run_trial(cfg, t).outcomes.items()]
 
 
@@ -570,11 +577,11 @@ def test_trial_matches_golden_record(want):
 
 
 def test_golden_store_is_in_canonical_form():
-    # What this module's main writes: one line of the six keys per pinned (config, trial,
-    # method), configs in GOLDEN_CONFIGS order, trials ascending, methods in config order.
+    # What this module's main writes: one line of the keys per pinned (config, trial, method),
+    # configs in GOLDEN_CONFIGS order, trials ascending, methods in config order.
     assert GOLDEN_LINES == [json.dumps(r) for r in GOLDEN_RECORDS]
-    assert all(list(r) == ["config", "trial", "method", "error_m", "integer", "failure"]
-               for r in GOLDEN_RECORDS)
+    keys = ["config", "trial", "method", *(f.name for f in dataclasses.fields(MethodOutcome))]
+    assert all(list(r) == keys for r in GOLDEN_RECORDS)
     assert [(r["config"], r["trial"], r["method"]) for r in GOLDEN_RECORDS] == [
         (name, t, m) for name, cfg in GOLDEN_CONFIGS.items() for t in PINNED[name]
         for m in cfg.methods]
@@ -722,16 +729,10 @@ def test_json_payload(tmp_path):
     assert set(cp["percentiles"]) == {"p50", "p67", "p90", "p95"}
 
 
-def test_unknown_format_rejected(tmp_path):
-    c = CdfResult("cp", np.array([1.0]), ())
-    with pytest.raises(ConfigError):
-        emit_results([c], FAST, str(tmp_path / "x.yaml"), "yaml")
-
-
 def test_a_path_that_is_no_str_or_path_like_is_a_config_error(tmp_path):
     # open() takes an int, a bool included, as a file descriptor, writes to it
     # and closes it; the path rule refuses it before anything is opened.
-    c = CdfResult("cp", np.array([1.0]), ())
+    c = CdfResult("cp", (MethodOutcome(1.0),))
     fd = os.open(tmp_path / "descriptor.csv", os.O_RDWR | os.O_CREAT)
     try:
         for call, path in [(lambda p: emit_results([c], FAST, p), fd),
@@ -743,35 +744,15 @@ def test_a_path_that_is_no_str_or_path_like_is_a_config_error(tmp_path):
         assert os.path.getsize(tmp_path / "descriptor.csv") == 0
     finally:
         os.close(fd)
-    emit_results([c], FAST, tmp_path / "results.csv")   # a pathlib.Path is a path
-    assert (tmp_path / "results.csv").read_text().startswith("method,abs_error_m,cdf\n")
-
-
-def test_a_hand_built_cdf_result_writes_what_compute_cdf_writes(tmp_path):
-    # A CdfResult stores the sorted |errors| and failure counts and derives the rest, so
-    # one built by hand cannot contradict itself; every ccp trial here fails.
-    results = [TrialResult(i, {"cp": MethodOutcome(e, None, f),
-                               "ccp": MethodOutcome(np.nan, None, "no_candidate")})
-               for i, (e, f) in enumerate([(0.3, None), (-0.1, None), (9.0, "wrong_integer"),
-                                           (-0.2, None)])]
-    computed = [compute_cdf(results, m) for m in ("cp", "ccp")]
-    built = [CdfResult("cp", np.array([0.1, 0.2, 0.3]), (("wrong_integer", 1),)),
-             CdfResult("ccp", np.array([]), (("no_candidate", 4),))]
-    for fmt in ("csv", "json"):
-        emit_results(computed, FAST, tmp_path / f"computed.{fmt}", fmt)
-        emit_results(built, FAST, tmp_path / f"built.{fmt}", fmt)
-        assert (tmp_path / f"built.{fmt}").read_bytes() == (
-            tmp_path / f"computed.{fmt}").read_bytes()
-    for name in ("cdf", "n_failures", "n_trials", "percentiles", "summary", "line"):
-        with pytest.raises(AttributeError):
-            setattr(built[0], name, getattr(built[0], name))
-
-
-def test_a_cdf_result_of_an_unknown_method_is_a_config_error():
-    # Its other fields' rules: the CdfResult rows of tests/test_error_vocabulary.py.
-    message = f"method must be one of {METHODS}, got 'xx'"
-    with pytest.raises(ConfigError, match="^" + re.escape(message)):
-        CdfResult("xx", [0.3, 0.1], (("bogus", 2),))
+    out, link = tmp_path / "results.csv", tmp_path / "link.csv"    # a pathlib.Path is a path
+    out.touch(0o640)
+    link.symlink_to(out)
+    mode = out.stat().st_mode
+    emit_results([c], FAST, link)    # replaces the link's file whole, in the mode it had
+    assert link.is_symlink() and out.stat().st_mode == mode
+    assert out.read_text().startswith("method,abs_error_m,cdf\n")
+    emit_results([c], FAST, os.devnull)    # written in place, never replaced
+    assert not os.path.isfile(os.devnull)
 
 
 # ------------------------------------------------------------------------ cli
@@ -992,6 +973,52 @@ def test_cli_unwritable_output_exits_3(tmp_path, capsys, monkeypatch):
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")])
     assert rc == 3
     assert capsys.readouterr().err.startswith("run failed: [Errno 13] Permission denied")
+    assert os.listdir(tmp_path) == ["scenario.json"]    # no temp file left
+
+
+@functools.wraps(run_trial)     # the name pickle resolves in a forked worker
+def _dies_on_trial_3(cfg, trial):
+    return os._exit(1) if trial == 3 else run_trial(cfg, trial)
+
+
+def _raises(exc):
+    def call(*args, **kwargs):
+        raise exc
+    return call
+
+
+def _full_after_one_byte(path, mode="r", **kwargs):
+    fh = open(path, mode, **kwargs)
+    def write(text):
+        type(fh).write(fh, text[:1])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    fh.write = write
+    return fh
+
+
+# Runs that fail once the config passed: what each patches, exit code, stderr line, workers.
+FAILED_RUNS = {
+    "worker-dies": pytest.param("phasepos.harness.run_trial", _dies_on_trial_3, 3,
+                                "run failed: a worker process died", "2", marks=FORKED_PAIR),
+    "ctrl-c": ("phasepos.cli.run_scenario", _raises(KeyboardInterrupt), 130, "interrupted", "1"),
+    "rename-denied": ("os.replace", _raises(PermissionError(errno.EACCES, "Permission denied")), 3,
+                      f"run failed: [Errno {errno.EACCES}] Permission denied", "1"),
+    "disk-full": ("phasepos.harness.open", _full_after_one_byte, 3,
+                  f"run failed: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}", "1"),
+}
+
+
+@pytest.mark.parametrize("target,patch,code,err,workers", FAILED_RUNS.values(), ids=FAILED_RUNS)
+def test_a_failed_run_is_one_line(tmp_path, capsys, monkeypatch, target, patch, code, err, workers):
+    cfg, out = write_cfg(tmp_path, n_trials=8), tmp_path / "res.csv"
+    out.write_text("previous results\n")
+    monkeypatch.setattr(target, patch, raising=False)
+    harness._build_assets.cache_clear()     # no pool child inherits this process's assets
+    assert cli.main(["run", "--config", cfg, "--out", str(out), "--workers", workers]) == code
+    assert capsys.readouterr().err == err + "\n"
+    assert out.read_text() == "previous results\n"
+    assert sorted(os.listdir(tmp_path)) == ["res.csv", "scenario.json"]    # no temp file left
 
 
 def test_cli_requires_subcommand():

@@ -1,8 +1,8 @@
 """Five scans of the source, a row of ``SCANS`` each: every name a module imports
 is used in it, the package needs only numpy, it raises only ``ConfigError``,
-``NoSignalError`` or ``ValueError``, it leaves the type, finiteness and range of
-a number argument and the kind and emptiness of a sample-array argument to
-``errors.py``, and the harness derives a scenario's parts in one place, ``_Assets``.
+``NoSignalError``, ``ValueError`` or (a dead worker) ``ChildProcessError``, it leaves the
+type, finiteness and range of a number argument and the kind and emptiness of a sample-array
+argument to ``errors.py``, and the harness derives a scenario's parts in one place, ``_Assets``.
 Each scan finds its fixtures' exact findings, and nothing in the files it reads.
 
 What a record stores and how its constructor binds its arguments are checked by
@@ -56,7 +56,7 @@ def foreign_imports(source: str) -> list[str]:
 
 def foreign_raises(source: str) -> list[str]:
     """Exceptions raised outside the package's vocabulary; a bare re-raise is not counted."""
-    allowed = {"ConfigError", "NoSignalError", "ValueError"}
+    allowed = {"ConfigError", "NoSignalError", "ValueError", "ChildProcessError"}   # a dead worker
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise) and node.exc is not None:
@@ -68,11 +68,12 @@ def foreign_raises(source: str) -> list[str]:
 _FINITE = {"math.isfinite", "np.isfinite"}
 _ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 _RANGED = ("as_real", "as_int")     # a range on their result belongs to as_finite or as_int
+_BINDERS = (ast.Assign, ast.NamedExpr)
 
 
-def _bindings(node: ast.Assign) -> list[tuple[str, ast.expr]]:
-    """(name, value) pairs of ``a = v`` and ``a, b = v, w``."""
-    target, value = node.targets[-1], node.value
+def _bindings(node: ast.Assign | ast.NamedExpr) -> list[tuple[str, ast.expr]]:
+    """(name, value) pairs of ``a = v``, ``a, b = v, w`` and ``(a := v)``."""
+    target, value = getattr(node, "target", None) or node.targets[-1], node.value
     if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
         return [(t.id, v) for t, v in zip(target.elts, value.elts) if isinstance(t, ast.Name)]
     return [(target.id, value)] if isinstance(target, ast.Name) else []
@@ -123,10 +124,10 @@ def hand_written_rules(source: str) -> list[str]:
         def is_size(node):
             return ((isinstance(node, ast.Name) and node.id in sizes)
                     or (isinstance(node, ast.Attribute) and node.attr == "size"
-                        and is_arg(node.value)))
+                        and is_arg(getattr(node.value, "target", node.value))))   # (a := v).size
 
         for node in ast.walk(func):         # breadth first: a binding before its use
-            for name, value in _bindings(node) if isinstance(node, ast.Assign) else ():
+            for name, value in _bindings(node) if isinstance(node, _BINDERS) else ():
                 if isinstance(value, ast.Call) and any(map(is_arg, value.args)):
                     args.add(name)
                 elif is_size(value):
@@ -238,7 +239,9 @@ SCANS = {
         "if not 0 < as_real('x', x) < inf: pass\n"
         "ok = as_int('n', n, 1) in (2, 4) or as_real('y', y) == 1\n"
         "if as_int('n', n) >= 2: pass\n":
-        ["0 < as_real('x', x) < inf (line 1)", "as_int('n', n) >= 2 (line 3)"]}),
+        ["0 < as_real('x', x) < inf (line 1)", "as_int('n', n) >= 2 (line 3)"],
+        "def f(x):\n    if (y := np.asarray(x)).size == 0: pass\n    if y.size == 0: pass\n":
+        ["(y := np.asarray(x)).size == 0 (line 2)", "y.size == 0 (line 3)"]}),
     # harness.py builds a scenario's numerology, pilot, profile and streams in _Assets alone.
     "derivations_outside": (derivations_outside, [ROOT / "src/phasepos/harness.py"], {
         "class Config:\n"
