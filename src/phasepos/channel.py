@@ -180,6 +180,9 @@ class ChannelRealization:
         lo = np.exp(-2j * np.pi * tau * (spacing_hz * np.arange(block))[:, None])
         # Each (bins, taps) table is C-contiguous, so the tap sum of every bin
         # runs over adjacent memory; einsum sums in numpy's own loops: no BLAS call.
+        # OpenBLAS's threads spin on after a call, against the other workers: a 60-trial
+        # fr1-short-widelane run at 2 workers took about twice as long with hi @ lo.T.
+        # tests/test_budgets.py::test_a_trial_leaves_no_blas_thread_spinning guards it.
         return np.einsum("qi,ri->qr", hi, lo).reshape(-1)[:n_bins]
 
 

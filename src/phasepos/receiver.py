@@ -125,30 +125,30 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
                 ref_symbol: complex = 1.0 + 0.0j, window_start: int = 0) -> PhaseMeasurement:
     """Carrier phase of one subcarrier averaged over swept FFT windows.
 
-    Places ``n_sweeps`` FFT windows ``shift_samples`` apart starting at
-    ``window_start`` and returns the circular mean of the per-window phases,
-    each derotated by its stream position.  ``n_sweeps=1`` is the
-    single-window (cp) measurement.  ``ref_symbol`` is the known transmitted
-    QPSK value on that subcarrier; it is conjugated away so the result is
-    the channel phase alone.
+    Places ``n_sweeps`` FFT windows ``shift_samples`` apart from ``window_start`` and
+    returns the circular mean of the per-window phases, each derotated by its stream
+    position; ``n_sweeps=1`` is the single-window (cp) measurement.  The known QPSK value
+    ``ref_symbol`` on that subcarrier is conjugated away: the result is the channel phase.
 
-    Derotating window ``o``'s bin by exp(-j 2 pi k o / n_fft) turns it into
-    a sum over absolute stream positions, so every window is a difference
-    of one prefix sum of the covered span times a fixed tone (the sliding-
-    DFT identity): z(o) = C[o + n_fft] - C[o].  Integer modular arithmetic
-    keeps the tone exact at large stream positions.  The prefix sum runs over
-    blocks of about ``STREAM_BLOCK`` samples, each seeded with the last sum
-    before it (the additions of one ``np.cumsum``, in its order), and keeps
-    only the C entries the windows read, two strided slices of a block's
-    sums: memory grows with the block and ``n_sweeps``, not with the span.
-    ``rx`` is read flattened, so a period view passed in is copied once.
+    Derotating window ``o``'s bin by exp(-j 2 pi k o / n_fft) turns it into a
+    sum over absolute stream positions, so every window is a difference of one
+    prefix sum of the covered span times a fixed tone (the sliding-DFT
+    identity): z(o) = C[o + n_fft] - C[o].  Integer modular arithmetic keeps
+    the tone exact at large stream positions.  The prefix sum runs over blocks
+    of about ``STREAM_BLOCK`` samples, each seeded with the last sum before it
+    (the additions of one ``np.cumsum``, in its order), and keeps only the C
+    entries the windows read: memory grows with the block and ``n_sweeps``,
+    not with the span.  ``rx`` is read flattened (a period view is copied once).
 
     Raises:
         ValueError: the sweep ends past the stream.
-        ConfigError: an empty or non-numeric ``rx``, ``ref_symbol`` not one finite
-            non-zero number, ``num`` no NumerologyConfig, ``subcarrier`` outside the
-            allocation, or a bad sweep.
-        NoSignalError: a window saw an empty subcarrier bin.
+        ConfigError: ``rx`` empty or non-numeric, ``ref_symbol`` not one finite non-zero number,
+            ``num`` no NumerologyConfig, ``subcarrier`` outside the allocation, or a bad sweep.
+        NoSignalError: a window's bin is at most eps span sqrt(n_fft) |ref_symbol| a, for a the
+            largest |rx| of the first window (at most the span's).  That bounds what rounding
+            leaves of a subcarrier the stream does not carry: it sums to zero over any n_fft
+            samples, so each exact C is at most n_fft a, and each of the at most ``span``
+            additions behind a computed C rounds by at most eps / 2 of that.
     """
     as_instance("num", num, NumerologyConfig)
     rx = as_samples("rx", rx).reshape(-1)
@@ -159,8 +159,7 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     k = as_int("subcarrier", subcarrier, -half, half)    # inside the allocation: no alias
     if (ref := np.asarray(ref_symbol)).ndim:    # a list or an array, not one number
         raise ConfigError(f"ref_symbol must be one finite non-zero number, got shape {ref.shape}")
-    as_positive("|ref_symbol|", abs(as_samples("ref_symbol", ref).item()))
-
+    ref_abs = as_positive("|ref_symbol|", abs(as_samples("ref_symbol", ref).item()))
     n_fft = num.n_fft
     span = (n_sweeps - 1) * shift_samples + n_fft
     if window_start + span > rx.size:
@@ -189,13 +188,14 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
             if a < b:
                 value[a:b] = part[a * shift_samples + base - lo - 1::shift_samples][:b - a]
     z = (picked[1] - picked[0]) * (np.conj(ref) / np.sqrt(n_fft))
-
-    mags = np.abs(z)
-    if np.any(mags == 0.0):
+    peak = np.abs(rx[window_start:window_start + n_fft]).max()
+    if (mags := np.abs(z)).min() <= np.finfo(float).eps * span * np.sqrt(n_fft) * ref_abs * peak:
         raise NoSignalError("swept window saw an empty subcarrier bin")
-    # z / |z| multiplies by 1 / |z|, which overflows for a subnormal |z| (a tiny
-    # rx or ref_symbol); such windows take their unit phasors from their angles.
-    unit = z / mags if mags.min() >= np.finfo(np.float64).tiny else np.exp(1j * np.angle(z))
-    mean_phasor = np.mean(unit)
+    # |z| = m 2^e with m in [0.5, 1): z 2^-e is exact, so z 2^-e / m has the bits of z / |z|
+    # (each multiplies by its divisor's reciprocal), and no reciprocal of a subnormal overflows.
+    exps = np.frexp(mags, out=(mags, np.empty(mags.shape, np.intc)))[1]
+    parts = z.view(np.float64).reshape(-1, 2)     # each window's real and imaginary part
+    np.ldexp(parts, -exps[:, None], out=parts)
+    mean_phasor = np.mean(np.divide(z, mags, out=z))
     phase = float(wrap_phase(np.angle(mean_phasor)))
     return PhaseMeasurement(phase, max(0.0, float(1.0 - np.abs(mean_phasor))))

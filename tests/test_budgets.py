@@ -20,17 +20,21 @@ or one of another length, fails with the counter named, as does a tiled or resiz
 counter as ``config counter old → new``.  The traced peaks fail on a transmit stream held
 whole, a stream-sized temporary or strided-row buffer in ``add_awgn``, a ``ccp_measure``
 whose memory grows with its span, a shifted or kept-alive response, or one more full-length
-array alive.
+array alive.  A fresh interpreter's trials leave no BLAS worker thread spinning.
 """
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from work_counter import calls, count_work, traced_peak, work_delta
 
+import phasepos
 from phasepos.channel import add_awgn, apply_channel, draw_channel
 from phasepos.constants import STREAM_BLOCK
 from phasepos.harness import ScenarioConfig, _Assets, _build_assets, run_trial
@@ -62,9 +66,10 @@ PEAK_HEADROOM_MIB = 4.0
 PEAK_MIB = {"FR1 toa+cp+ccp": (FR1_TOA, 9.4), "FR2 ccp 8192 sweeps": (FR2_CCP, 10.1),
             "FR1 widelane 128 symbols": (FR1_WIDELANE_128, 9.4)}
 # ccp_measure's allocations beside its STREAM_BLOCK-sample block of sums: the
-# two prefix sums each window reads, then its bin, magnitude and unit phasor
-# (measured 68.3 B per window on FR2's 8,192 sweeps), where one n_fft window
-# per sweep is 64 KiB, and the n_fft-sample tone row.
+# two prefix sums each window reads, then its bin, magnitude and exponent, the
+# bin scaled to its unit phasor in place (measured 56.2 B per window on FR2's
+# 8,192 sweeps), where one n_fft window per sweep is 64 KiB, and the n_fft-sample
+# tone row and the first window's magnitudes.
 CCP_BYTES_PER_WINDOW = 72
 CCP_BYTES_PER_TONE_SAMPLE = 64
 # Two warm calls on different spans differ by Python objects alone (measured
@@ -195,6 +200,35 @@ def test_cached_spectra_are_the_transmit_periods(cfg):
         assert not spectrum.flags.writeable
         assert rows == stream.shape[0]
         assert np.array_equal(spectrum, np.fft.fft(stream[0]))
+
+
+# A fresh interpreter runs a dense widelane trial (two 70,144-bin tap responses) and a
+# 128-symbol ia=toa trial, then sleeps.  A BLAS call on the trial path leaves OpenBLAS's
+# worker threads spinning past it: 0.038 to 0.068 s of CPU in the 0.3 s sleep with the
+# response as hi @ lo.T, under 0.001 s with einsum (2 CPUs, OpenBLAS 0.3.31).
+SPIN_PROBE = """
+import resource, time
+from phasepos.harness import ScenarioConfig, run_trial
+for kw in (dict(ambiguity="widelane", widelane_second_fc_hz=3.9e9, n_symbols=16),
+           dict(ambiguity="toa", n_symbols=128)):
+    run_trial(ScenarioConfig(band="FR1", ccp_sweeps=1000, **kw), 0)
+before = resource.getrusage(resource.RUSAGE_SELF)
+time.sleep(0.3)
+after = resource.getrusage(resource.RUSAGE_SELF)
+print(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
+"""
+SPIN_CPU_S = 0.02
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS threads need 2 CPUs")
+def test_a_trial_leaves_no_blas_thread_spinning():
+    env = {k: v for k, v in os.environ.items()      # BLAS at its default thread count
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(phasepos.__file__).parents[1])
+    probe = subprocess.run([sys.executable, "-c", SPIN_PROBE], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    assert float(probe.stdout) < SPIN_CPU_S, f"{probe.stdout.strip()} s of CPU while asleep"
 
 
 if __name__ == "__main__":     # PYTHONPATH=src python tests/test_budgets.py rewrites the file

@@ -12,7 +12,8 @@ Every refused argument is a row of ``REJECTED``: the callable, the arguments it
 changes, the exact class raised and the start of its message.  Each rule has a
 row just past each of its bounds, a config object (a numerology, a channel, a
 scenario) of the wrong kind is a ``ConfigError`` that names its parameter, and
-every checked parameter has a row.
+every checked parameter has a row.  ``ccp_measure``'s rounding floor has a row for a
+bin just under it, and a check that a bin just over it is measured.
 
 Every record (dataclass) of the package binds its constructor's arguments by one
 rule: an unknown keyword, a surplus positional value, a field given both ways
@@ -184,6 +185,19 @@ _EDGES = "2 pi (f_c + f) at the grid's edges must be finite"
 _WINDOW = "center_m +- half_width_m in wavelengths must be finite"
 _EMPTY = "must be a non-empty array of dtype kind in 'iufc', got 0 complex128 values"
 _BEATLESS = "equal wavelengths have no beat (virtual wavelength diverges)"
+_NO_BIN = "swept window saw an empty subcarrier bin"
+# ccp_measure's rounding floor on its 72-sample span is eps 72 sqrt(64) |ref| a.  This stream's
+# largest |rx| is a = 1, and both windows' DC bins are bin_sum / 8 |ref|, each summed exactly
+# as 1 - 1 + bin_sum, so a bin_sum of FLOOR_SUM puts them on the floor.
+FLOOR_SUM = np.finfo(np.float64).eps * 72 * 64
+
+
+def dc_stream(bin_sum: float) -> np.ndarray:
+    rx = np.zeros(288)
+    rx[[0, 1, 10]] = 1.0, -1.0, bin_sum
+    return rx
+
+
 REJECTED = [
     *_rows("CarrierRange", "wavelength_m", (0.0, -1.0, INF),
            "wavelength_m must be finite and positive, got {!r}"),
@@ -330,8 +344,10 @@ REJECTED = [
     *_rows("apply_channel", "rows", (0, -1, 2.5, True, None, "2"),
            "rows must be an integer in [1, inf], got {!r}"),
     ("apply_channel", {"spectrum": np.zeros(0, complex)}, ConfigError, "spectrum " + _EMPTY),
-    ("ccp_measure", {"rx": np.zeros(288, complex)}, NoSignalError,
-     "swept window saw an empty subcarrier bin"),
+    ("ccp_measure", {"rx": np.zeros(288, complex)}, NoSignalError, _NO_BIN),
+    ("ccp_measure", {"subcarrier": K + 1}, NoSignalError, _NO_BIN),   # noiseless, off the comb
+    ("ccp_measure", {"rx": dc_stream(FLOOR_SUM * (1 - 1e-9)), "subcarrier": 0}, NoSignalError,
+     _NO_BIN),   # test_a_bin_just_above_the_rounding_floor_is_measured is the other side
     *_rows("ccp_measure", "rx", (np.zeros(0, complex), np.zeros((3, 0), complex)), "rx " + _EMPTY),
     *_rows("ccp_measure", "subcarrier", (25, -25, 1639, -1639, 3000, 10 ** 30, -10 ** 30, 2.9,
                                          True, "3"),   # 3000 would alias, 10 ** 30 overflow
@@ -472,6 +488,13 @@ def test_a_rejected_argument_raises_its_exact_error(name, values, cls, prefix):
     with pytest.raises(cls, match="^" + re.escape(prefix)) as raised:
         call(**{**valid, **values})
     assert type(raised.value) is cls     # a ValueError row fails on a ConfigError
+
+
+def test_a_bin_just_above_the_rounding_floor_is_measured():
+    call, valid = SIGNATURES["ccp_measure"]
+    measured = call(**{**valid, "rx": dc_stream(FLOOR_SUM * (1 + 1e-9)), "subcarrier": 0})
+    assert measured.phase_rad == pytest.approx(-np.angle(valid["ref_symbol"]), abs=1e-12)
+    assert measured.circular_variance == 0.0
 
 
 # The result records' fields that check nothing, and so store what they are given.
