@@ -2,22 +2,21 @@
 
     phasepos run --config scenario.json --out results.csv --format csv
 
-The config file sets every scenario field; the options set only the output
-and the worker count.  Exit codes: 0 on success, also when trials fail (each
-method's line counts them by reason); 2 for a bad config, an unknown option
-or an ``--out`` that names no file (a directory), is the config file or is
-not in an existing directory (all found before any trial); 3 if writing fails
-or a worker process dies; 130 on Ctrl-C.  No exit leaves a partial ``--out``.
+The config file sets every scenario field; the options set only the output and the worker
+count.  Exit codes: 0 on success, also when trials fail (each method's line counts them by
+reason); 2 for a bad config, an unknown option or an ``--out`` that names no file (a
+directory), is the config file or is not in an existing directory (all found before any
+trial); 3 if writing fails or a worker process dies; 130 on Ctrl-C.  No exit leaves a
+partial ``--out`` file; a device or a pipe (``/dev/stdout`` into one) is written in place.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import ConfigError
-from .harness import compute_cdf, emit_results, load_config, run_scenario
+from .harness import _output_file, compute_cdf, emit_results, load_config, run_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,13 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    parent, name = os.path.split(args.out)
-    if not name or os.path.isdir(args.out):
-        raise ConfigError(f"--out {args.out} names no file")
-    if not os.path.isdir(parent or os.curdir):
-        raise ConfigError(f"--out {args.out} is not in an existing directory")
-    if os.path.exists(args.out) and os.path.samefile(args.out, args.config):
-        raise ConfigError(f"--out {args.out} is the config file")
+    _output_file("--out", args.out, config=args.config)     # refused before the first trial
     results = run_scenario(cfg, workers=args.workers)
     cdfs = [compute_cdf(results, m) for m in cfg.methods]
     emit_results(cdfs, cfg, args.out, args.format)

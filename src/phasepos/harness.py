@@ -329,17 +329,35 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     return dict(dataclasses.asdict(cfg), profile_overrides=dict(cfg.profile_overrides))
 
 
+def _output_file(option: str, path, **avoid) -> tuple[str, str | None]:
+    """The file to open for an output ``path`` and the real file it then replaces, None for a
+    device or a pipe (as ``path`` stats), written in place.  ConfigError naming ``option``
+    unless ``path`` names a file in an existing directory and is none of ``avoid``'s files."""
+    parent, base = os.path.split(as_path(option, path))
+    if not base or os.path.isdir(path):
+        raise ConfigError(f"{option} {path} names no file")
+    if not os.path.isdir(parent or os.curdir):
+        raise ConfigError(f"{option} {path} is not in an existing directory")
+    for what, other in avoid.items():
+        if os.path.exists(path) and os.path.samefile(path, other):
+            raise ConfigError(f"{option} {path} is the {what} file")
+    if os.path.exists(path) and not os.path.isfile(path):     # /dev/null, a pipe
+        return path, None
+    target = os.path.realpath(path)     # a symlink's file, which open(path) wrote
+    return f"{target}.{os.getpid()}.tmp", target     # a sibling: an atomic rename
+
+
 def emit_results(cdfs: list[CdfResult], cfg: ScenarioConfig, path: str,
                  fmt: str = "csv") -> str:
     """Write CDFs to ``path``, a str or os.PathLike, as csv or json; byte-deterministic.
 
-    Whole or not at all: a regular file is written beside ``path`` (beside its symlink's
-    target), then renamed over it.  ConfigError unless ``cdfs`` is a list or tuple of
-    ``CdfResult`` and ``cfg`` a ``ScenarioConfig``."""
+    Whole or not at all: a file is written beside ``path`` (its symlink's target) and renamed
+    over it; a device or a pipe is written in place.  ConfigError unless ``cdfs`` is a list or
+    tuple of ``CdfResult``, ``cfg`` a ``ScenarioConfig`` and ``path`` a file as ``--out`` is."""
     for c in as_instance("cdfs", cdfs, (list, tuple)):
         as_instance("each cdf", c, CdfResult)
     as_instance("cfg", cfg, ScenarioConfig)
-    as_path("path", path)
+    tmp, target = _output_file("path", path)
     if fmt == "csv":
         lines = ["method,abs_error_m,cdf"]
         for c in cdfs:
@@ -353,18 +371,15 @@ def emit_results(cdfs: list[CdfResult], cfg: ScenarioConfig, path: str,
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
-    target = os.path.realpath(os.fsdecode(path))    # a symlink's file, which open(path) wrote
-    special = os.path.exists(target) and not os.path.isfile(target)   # /dev/null, a pipe
-    tmp = target if special else f"{target}.{os.getpid()}.tmp"   # a sibling: an atomic rename
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            if os.path.isfile(target):    # the mode open(path, "w") keeps
+            if target and os.path.isfile(target):    # the mode open(path, "w") keeps
                 os.chmod(tmp, os.stat(target).st_mode)
             fh.write(text)
-        if not special:
+        if target:
             os.replace(tmp, target)
     except BaseException:
-        if not special and os.path.lexists(tmp):
+        if target and os.path.lexists(tmp):
             os.remove(tmp)
         raise
     return path

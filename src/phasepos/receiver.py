@@ -69,24 +69,24 @@ def estimate_toa(rx: np.ndarray, num: NumerologyConfig,
 
     Raises:
         ConfigError: ``rx`` or ``reference_spectrum`` is not a non-empty numeric array,
-            or ``num`` no NumerologyConfig.
+            ``num`` no NumerologyConfig, or their cross spectrum not finite (a NaN or inf sample).
         ValueError: ``rx`` is not a whole number of periods.
-        NoSignalError: no correlation peak.
+        NoSignalError: no correlation peak (an all-zero correlation has none).
     """
     as_instance("num", num, NumerologyConfig)
     rx, ref = as_samples("rx", rx), as_samples("reference_spectrum", reference_spectrum)
     n, p = rx.size, ref.size
     if n % p:
         raise ValueError(f"{n} received samples are no whole number of {p}-sample periods")
-    cross_spectrum = np.fft.fft(rx.reshape(-1, p).sum(axis=0)) * np.conj(ref.reshape(-1))
+    with np.errstate(invalid="ignore", over="ignore"):     # a NaN or inf is refused below
+        cross_spectrum = np.fft.fft(rx.reshape(-1, p).sum(axis=0)) * np.conj(ref.reshape(-1))
+    if not np.isfinite(cross_spectrum).all():
+        raise ConfigError("rx and reference_spectrum must give a finite cross spectrum")
     corr = np.abs(np.fft.ifft(cross_spectrum))
 
     horizon = min(n // 2, p - 1)
     window = corr[:horizon + 1]
     peak_global = float(np.max(window))
-    if peak_global <= 0.0:
-        raise NoSignalError("correlation floor is zero over the search window")
-
     prev = np.roll(corr, 1)[:horizon + 1]
     nxt = np.roll(corr, -1)[:horizon + 1]
     is_peak = (window > prev) & (window >= nxt) & (window >= EARLY_PEAK_RATIO * peak_global)
@@ -142,8 +142,9 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
 
     Raises:
         ValueError: the sweep ends past the stream.
-        ConfigError: ``rx`` empty or non-numeric, ``ref_symbol`` not one finite non-zero number,
-            ``num`` no NumerologyConfig, ``subcarrier`` outside the allocation, or a bad sweep.
+        ConfigError: ``rx`` empty, non-numeric or summing to a non-finite bin (a NaN or inf
+            sample in the sweep), ``ref_symbol`` not one finite non-zero number, ``num`` no
+            NumerologyConfig, ``subcarrier`` outside the allocation, or a bad sweep.
         NoSignalError: a window's bin is at most eps span sqrt(n_fft) |ref_symbol| a, for a the
             largest |rx| of the first window (at most the span's).  That bounds what rounding
             leaves of a subcarrier the stream does not carry: it sums to zero over any n_fft
@@ -172,22 +173,25 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     block = max(STREAM_BLOCK // n_fft, 1) * n_fft
     sums = np.empty(min(block, span), dtype=np.complex128)
     picked = np.zeros((2, n_sweeps), dtype=np.complex128)   # C[j shift], C[j shift + n_fft]
-    for lo in range(0, span, block):
-        hi = min(lo + block, span)
-        covered = rx[window_start + lo:window_start + hi]
-        part, cut = sums[:hi - lo], (hi - lo) - (hi - lo) % n_fft
-        np.multiply(covered[:cut].reshape(-1, n_fft), tone, out=part[:cut].reshape(-1, n_fft))
-        np.multiply(covered[cut:], tone[:hi - lo - cut], out=part[cut:])
-        if lo:
-            part[0] += carry    # C[lo], the previous block's last sum
-        np.cumsum(part, out=part)
-        carry = part[-1]
-        for value, base in zip(picked, (0, n_fft)):    # C[i] for lo < i <= hi is part[i - lo - 1]
-            a = max((lo - base) // shift_samples + 1, 0)   # window j reads i = j shift + base
-            b = min((hi - base) // shift_samples + 1, n_sweeps)
-            if a < b:
-                value[a:b] = part[a * shift_samples + base - lo - 1::shift_samples][:b - a]
-    z = (picked[1] - picked[0]) * (np.conj(ref) / np.sqrt(n_fft))
+    with np.errstate(invalid="ignore", over="ignore"):     # a NaN or inf is refused below
+        for lo in range(0, span, block):
+            hi = min(lo + block, span)
+            covered = rx[window_start + lo:window_start + hi]
+            part, cut = sums[:hi - lo], (hi - lo) - (hi - lo) % n_fft
+            np.multiply(covered[:cut].reshape(-1, n_fft), tone, out=part[:cut].reshape(-1, n_fft))
+            np.multiply(covered[cut:], tone[:hi - lo - cut], out=part[cut:])
+            if lo:
+                part[0] += carry    # C[lo], the previous block's last sum
+            np.cumsum(part, out=part)
+            carry = part[-1]
+            for value, base in zip(picked, (0, n_fft)):    # C[i], lo < i <= hi: part[i - lo - 1]
+                a = max((lo - base) // shift_samples + 1, 0)   # window j reads i = j shift + base
+                b = min((hi - base) // shift_samples + 1, n_sweeps)
+                if a < b:
+                    value[a:b] = part[a * shift_samples + base - lo - 1::shift_samples][:b - a]
+        z = (picked[1] - picked[0]) * (np.conj(ref) / np.sqrt(n_fft))
+    if not np.isfinite(z).all():     # a NaN or inf read makes every later prefix sum one
+        raise ConfigError("rx must be finite and sum to finite window bins")
     peak = np.abs(rx[window_start:window_start + n_fft]).max()
     if (mags := np.abs(z)).min() <= np.finfo(float).eps * span * np.sqrt(n_fft) * ref_abs * peak:
         raise NoSignalError("swept window saw an empty subcarrier bin")

@@ -198,6 +198,13 @@ def dc_stream(bin_sum: float) -> np.ndarray:
     return rx
 
 
+def spoiled(value: float) -> np.ndarray:
+    """STREAM with its sample 3, which every window of the sweep reads, set to ``value``."""
+    rx = STREAM.copy()
+    rx[0, 3] = value
+    return rx
+
+
 REJECTED = [
     *_rows("CarrierRange", "wavelength_m", (0.0, -1.0, INF),
            "wavelength_m must be finite and positive, got {!r}"),
@@ -349,6 +356,8 @@ REJECTED = [
     ("ccp_measure", {"rx": dc_stream(FLOOR_SUM * (1 - 1e-9)), "subcarrier": 0}, NoSignalError,
      _NO_BIN),   # test_a_bin_just_above_the_rounding_floor_is_measured is the other side
     *_rows("ccp_measure", "rx", (np.zeros(0, complex), np.zeros((3, 0), complex)), "rx " + _EMPTY),
+    *_rows("ccp_measure", "rx", (spoiled(NAN), spoiled(INF)),
+           "rx must be finite and sum to finite window bins"),
     *_rows("ccp_measure", "subcarrier", (25, -25, 1639, -1639, 3000, 10 ** 30, -10 ** 30, 2.9,
                                          True, "3"),   # 3000 would alias, 10 ** 30 overflow
            "subcarrier must be an integer in [-24, 24], got {!r}"),
@@ -384,8 +393,10 @@ REJECTED = [
     ("double_difference", {"phases_rad": np.zeros((2, 2), complex)}, ConfigError,
      "phases_rad must be a non-empty array of dtype kind in 'iuf', got 4 complex128 values"),
     *_rows("draw_channel", "seed", SEEDS, "seed must be an integer in [0, inf], got {!r}"),
-    ("estimate_toa", {"rx": np.zeros(288, complex)}, NoSignalError,
-     "correlation floor is zero over the search window"),
+    ("estimate_toa", {"rx": np.zeros(288, complex)}, NoSignalError,   # no peak: all are equal
+     "no correlation peak above the early-arrival threshold"),
+    *_rows("estimate_toa", "rx", (spoiled(NAN), spoiled(INF)),
+           "rx and reference_spectrum must give a finite cross spectrum"),
     ("estimate_toa", {"rx": None}, ConfigError,
      "rx must be a non-empty array of dtype kind in 'iufc', got 1 object values"),
     ("estimate_toa", {"rx": STREAM.reshape(-1)[:-1]}, ValueError,
@@ -458,13 +469,17 @@ REJECTED = [
 
 def label(value) -> str:
     """``value`` as a short test id: an int past 20 digits by its leading digits, an array
-    by its dtype and its values or, past four of them, its shape, a record by its class
-    (a ``MethodOutcome`` by its error and reason)."""
+    by its dtype and its values or, past four of them, its shape and its first non-finite
+    value at its flat index, a record by its class (a ``MethodOutcome`` by its error and
+    reason)."""
     if isinstance(value, int) and not isinstance(value, bool) and abs(value) >= 10 ** 20:
         return format(decimal.Decimal(value), ".3g")    # repr refuses 4,300 digits and more
     if isinstance(value, np.ndarray):
-        shape = "x".join(map(str, value.shape))
-        return f"{value.dtype}:{label(value.tolist()) if value.size <= 4 else shape}"
+        if value.size <= 4:
+            return f"{value.dtype}:{label(value.tolist())}"
+        bad = np.flatnonzero(~np.isfinite(value))[:1] if value.dtype.kind in "fc" else ()
+        return f"{value.dtype}:{'x'.join(map(str, value.shape))}" + "".join(
+            f":{value.flat[i].item()!r}@{i}" for i in bad)
     if isinstance(value, dict):
         return "{" + ",".join(f"{k}:{label(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):

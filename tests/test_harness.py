@@ -7,6 +7,8 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -943,12 +945,14 @@ def test_cli_out_that_is_the_config_exits_2(tmp_path, capsys, link):
     assert Path(cfg).read_bytes() == before
 
 
-@pytest.mark.parametrize("out, problem", [
-    ("no_such_dir/o.csv", "is not in an existing directory"),
-    ("scenario.json/o.csv", "is not in an existing directory"),
-    (".", "names no file"),
-    ("no_such_dir/", "names no file"),
-], ids=["missing-dir", "file-as-dir", "directory", "trailing-separator"])
+# Outputs refused the same way through the CLI's --out and emit_results' path.
+UNWRITABLE_OUTS = {"missing-dir": ("no_such_dir/o.csv", "is not in an existing directory"),
+                   "file-as-dir": ("scenario.json/o.csv", "is not in an existing directory"),
+                   "directory": (".", "names no file"),
+                   "trailing-separator": ("no_such_dir/", "names no file")}
+
+
+@pytest.mark.parametrize("out, problem", UNWRITABLE_OUTS.values(), ids=UNWRITABLE_OUTS)
 def test_cli_out_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, out, problem):
     # Found before the first trial, not after the last one.
     def no_run(*args, **kwargs):
@@ -959,6 +963,28 @@ def test_cli_out_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, o
     out = os.path.join(tmp_path, out)
     assert cli.main(["run", "--config", cfg, "--out", out]) == 2
     assert capsys.readouterr().err == f"config error: --out {out} {problem}\n"
+
+
+@pytest.mark.parametrize("out, problem", UNWRITABLE_OUTS.values(), ids=UNWRITABLE_OUTS)
+def test_emit_results_refuses_the_outs_the_cli_refuses(tmp_path, out, problem):
+    write_cfg(tmp_path)
+    out = os.path.join(tmp_path, out)
+    with pytest.raises(ConfigError, match=f"^path {re.escape(out)} {problem}$"):
+        emit_results([CdfResult("cp", (MethodOutcome(1.0),))], FAST, out)
+    assert os.listdir(tmp_path) == ["scenario.json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_cli_out_to_dev_stdout_writes_into_a_pipe(tmp_path, capsys):
+    # /dev/stdout resolves to a pipe, which is written in place like /dev/null.
+    cfg, out = write_cfg(tmp_path), tmp_path / "res.csv"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    piped = subprocess.run([sys.executable, "-m", "phasepos.cli", "run", "--config", cfg,
+                            "--out", "/dev/stdout"], stdout=subprocess.PIPE, env=env)
+    assert piped.returncode == 0
+    assert piped.stdout.startswith(out.read_bytes())
+    assert piped.stdout.endswith(b"\nwrote /dev/stdout\n")
 
 
 def test_cli_unwritable_output_exits_3(tmp_path, capsys, monkeypatch):
@@ -997,28 +1023,37 @@ def _full_after_one_byte(path, mode="r", **kwargs):
     return fh
 
 
-# Runs that fail once the config passed: what each patches, exit code, stderr line, workers.
+# Runs that fail once the config passed: what each patches, exit code, stderr line, workers
+# and what --out held before the run (None: no file, and none may be left).
+DISK_FULL = ("phasepos.harness.open", _full_after_one_byte, 3,
+             f"run failed: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}", "1")
 FAILED_RUNS = {
     "worker-dies": pytest.param("phasepos.harness.run_trial", _dies_on_trial_3, 3,
-                                "run failed: a worker process died", "2", marks=FORKED_PAIR),
-    "ctrl-c": ("phasepos.cli.run_scenario", _raises(KeyboardInterrupt), 130, "interrupted", "1"),
+                                "run failed: a worker process died", "2", "previous results\n",
+                                marks=FORKED_PAIR),
+    "ctrl-c": ("phasepos.cli.run_scenario", _raises(KeyboardInterrupt), 130, "interrupted", "1",
+               "previous results\n"),
     "rename-denied": ("os.replace", _raises(PermissionError(errno.EACCES, "Permission denied")), 3,
-                      f"run failed: [Errno {errno.EACCES}] Permission denied", "1"),
-    "disk-full": ("phasepos.harness.open", _full_after_one_byte, 3,
-                  f"run failed: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}", "1"),
+                      f"run failed: [Errno {errno.EACCES}] Permission denied", "1",
+                      "previous results\n"),
+    "disk-full": (*DISK_FULL, "previous results\n"),
+    "disk-full-new-out": (*DISK_FULL, None),
 }
 
 
-@pytest.mark.parametrize("target,patch,code,err,workers", FAILED_RUNS.values(), ids=FAILED_RUNS)
-def test_a_failed_run_is_one_line(tmp_path, capsys, monkeypatch, target, patch, code, err, workers):
+@pytest.mark.parametrize("target,patch,code,err,workers,before", FAILED_RUNS.values(),
+                         ids=FAILED_RUNS)
+def test_a_failed_run_is_one_line(tmp_path, capsys, monkeypatch, target, patch, code, err, workers,
+                                  before):
     cfg, out = write_cfg(tmp_path, n_trials=8), tmp_path / "res.csv"
-    out.write_text("previous results\n")
+    if before is not None:
+        out.write_text(before)
     monkeypatch.setattr(target, patch, raising=False)
     harness._build_assets.cache_clear()     # no pool child inherits this process's assets
     assert cli.main(["run", "--config", cfg, "--out", str(out), "--workers", workers]) == code
     assert capsys.readouterr().err == err + "\n"
-    assert out.read_text() == "previous results\n"
-    assert sorted(os.listdir(tmp_path)) == ["res.csv", "scenario.json"]    # no temp file left
+    left = {p.name: p.read_text() for p in tmp_path.iterdir() if p.name != "scenario.json"}
+    assert left == ({} if before is None else {"res.csv": before})    # no temp file left
 
 
 def test_cli_requires_subcommand():
