@@ -3,11 +3,12 @@
     phasepos run --config scenario.json --out results.csv --format csv
 
 The config file sets every scenario field; the options set only the output and the worker
-count.  Exit codes: 0 on success, also when trials fail (each method's line counts them by
-reason); 2 for a bad config, an unknown option or an ``--out`` that names no file (a
-directory), is the config file or is not in an existing directory (all found before any
-trial); 3 if writing fails or a worker process dies; 130 on Ctrl-C.  No exit leaves a
-partial ``--out`` file; a device or a pipe (``/dev/stdout`` into one) is written in place.
+count.  Stdout carries nothing but an ``--out`` of /dev/stdout; each method's line goes to
+stderr.  Exit codes: 0 on success, also when trials fail (each line counts them by reason);
+2 for a bad config, an unknown option or an ``--out`` that names no file (a directory), is
+the config file or is not in an existing directory (all before any trial); 3 if a write fails
+(``[Errno 32] Broken pipe``: a pipe closed before the file was whole) or a worker dies; 130
+on Ctrl-C.  No exit leaves a partial ``--out`` file; a device or a pipe is written in place.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _cmd_run(args) -> int:
     results = run_scenario(cfg, workers=args.workers)
     cdfs = [compute_cdf(results, m) for m in cfg.methods]
     emit_results(cdfs, cfg, args.out, args.format)
-    print(*(c.line for c in cdfs), f"wrote {args.out}", sep="\n")
+    print(*(c.line for c in cdfs), f"wrote {args.out}", sep="\n", file=sys.stderr)
     return 0
 
 

@@ -34,7 +34,7 @@ from .ambiguity import IA_MODES, phase_to_fraction, resolve
 from .channel import Geometry, add_awgn, apply_channel, draw_channel, profile_preset
 from .constants import SPEED_OF_LIGHT
 from .errors import (ConfigError, NoSignalError, as_db, as_finite, as_instance, as_int, as_path,
-                     as_positive, record, set_checked)
+                     as_positive, as_real, record, set_checked)
 from .receiver import ccp_measure, estimate_toa
 from .waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column, make_numerology,
                        middle_subcarrier, ofdm_modulate)
@@ -122,11 +122,16 @@ class ScenarioConfig:
 
 @record(frozen=True)
 class MethodOutcome:
-    """One method's verdict in one trial; a failed trial's error is NaN or off by a cycle."""
+    """One method's verdict in one trial; a failed trial's error is NaN or off by a cycle.
+    ConfigError unless ``error_m`` is a number and ``integer`` None or an int >= 0."""
 
     error_m: float
     integer: int | None = None    # the resolved integer cycles; None for toa
     failure: str | None = None    # None, "no_candidate", "wrong_integer" or "no_signal"
+
+    def __post_init__(self) -> None:
+        set_checked(self, (("error_m", as_real),) if self.integer is None
+                    else (("error_m", as_real), ("integer", as_int, 0)))
 
 
 @record()
@@ -172,7 +177,7 @@ class CdfResult:
     n_trials = property(lambda self: len(self.outcomes))
     percentiles = property(lambda self: {p: float(np.percentile(self.abs_errors_m, p))
                                          for p in (50, 67, 90, 95) if len(self.abs_errors_m)})
-    summary = property(lambda self: {   # the JSON block bar its two arrays
+    summary = property(lambda self: {   # the JSON block bar its outcomes
         "n_trials": self.n_trials, "failures": dict(self.failures),
         "percentiles": {f"p{p}": v for p, v in self.percentiles.items()}})
 
@@ -329,6 +334,11 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     return dict(dataclasses.asdict(cfg), profile_overrides=dict(cfg.profile_overrides))
 
 
+def outcome_to_dict(o: MethodOutcome) -> dict:
+    """``o``'s fields in field order, a NaN error as None: one record of a JSON run's outcomes."""
+    return {**dataclasses.asdict(o), "error_m": None if math.isnan(o.error_m) else o.error_m}
+
+
 def _output_file(option: str, path, **avoid) -> tuple[str, str | None]:
     """The file to open for an output ``path`` and the real file it then replaces, None for a
     device or a pipe (as ``path`` stats), written in place.  ConfigError naming ``option``
@@ -349,8 +359,8 @@ def _output_file(option: str, path, **avoid) -> tuple[str, str | None]:
 
 def emit_results(cdfs: list[CdfResult], cfg: ScenarioConfig, path: str,
                  fmt: str = "csv") -> str:
-    """Write CDFs to ``path``, a str or os.PathLike, as csv or json; byte-deterministic.
-
+    """Write CDFs to ``path``, a str or os.PathLike, byte-deterministic: as csv, each kept |error|
+    and its CDF; as json, each method's summary and its outcomes as ``outcome_to_dict`` records.
     Whole or not at all: a file is written beside ``path`` (its symlink's target) and renamed
     over it; a device or a pipe is written in place.  ConfigError unless ``cdfs`` is a list or
     tuple of ``CdfResult``, ``cfg`` a ``ScenarioConfig`` and ``path`` a file as ``--out`` is."""
@@ -365,9 +375,8 @@ def emit_results(cdfs: list[CdfResult], cfg: ScenarioConfig, path: str,
                          for e, p in zip(c.abs_errors_m, c.cdf))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        payload = {"schema": 1, "config": config_to_dict(cfg), "methods": {
-            c.method: {**c.summary, "abs_errors_m": [float(e) for e in c.abs_errors_m],
-                       "cdf": [float(v) for v in c.cdf]} for c in cdfs}}
+        payload = {"schema": 2, "config": config_to_dict(cfg), "methods": {c.method: {
+            **c.summary, "outcomes": list(map(outcome_to_dict, c.outcomes))} for c in cdfs}}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")

@@ -223,10 +223,8 @@ REJECTED = [
        f"a failure must be one of {pp.harness.FAILURE_REASONS}, got {reason!r}")
       for reason in ("bogus", "", 3)),
     *(("CdfResult", {"outcomes": (pp.harness.MethodOutcome(error),)}, ConfigError,
-       f"a kept outcome's error_m must {rule}, got {error!r}")
-      for error, rule in (*((e, "be finite and in [-inf, inf]") for e in (NAN, INF, -INF)),
-                          ("0.1", "be a number"), (True, "be a number"),
-                          (10 ** 400, "fit in a float"))),
+       f"a kept outcome's error_m must be finite and in [-inf, inf], got {error!r}")
+      for error in (NAN, INF, -INF)),
     ("ChannelRealization", {"delays_s": np.array([1e-7, 2e-7])}, ConfigError,
      "delays_s and gains must have one entry per tap, got 2 delays and 1 gains"),
     ("ChannelRealization", {"delays_s": ("a", "b"), "gains": np.ones(2, complex)}, ConfigError,
@@ -277,6 +275,10 @@ REJECTED = [
            "antenna_spacing_m must be finite and positive, got {!r}"),
     *_rows("InterferometerConfig", "wavelength_m", (-1.0, NAN, INF),
            "wavelength_m must be finite and positive, got {!r}"),
+    *_rows("MethodOutcome", "error_m", ("0.1", True, None), "error_m must be a number, got {!r}"),
+    ("MethodOutcome", {"error_m": 10 ** 400}, ConfigError, "error_m must fit in a float, got 1000"),
+    *_rows("MethodOutcome", "integer", ("3", -1, True, 3.0),
+           "integer must be an integer in [0, inf], got {!r}"),
     *_rows("NumerologyConfig", "carrier_frequency_hz", ("3.8e9", True),
            "carrier_frequency_hz must be a number, got {!r}"),
     *_rows("NumerologyConfig", "carrier_frequency_hz", (NAN, INF),
@@ -513,8 +515,7 @@ def test_a_bin_just_above_the_rounding_floor_is_measured():
 
 
 # The result records' fields that check nothing, and so store what they are given.
-UNCHECKED = {("MethodOutcome", "error_m"), ("MethodOutcome", "integer"),
-             ("PhaseMeasurement", "phase_rad"), ("PhaseMeasurement", "circular_variance"),
+UNCHECKED = {("PhaseMeasurement", "phase_rad"), ("PhaseMeasurement", "circular_variance"),
              ("ToaMeasurement", "toa_s"), ("ToaMeasurement", "peak_metric"),
              ("TrialResult", "trial_index")}
 

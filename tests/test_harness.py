@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from phasepos.channel import Geometry
 from phasepos.errors import MAX_ABS_DB, ConfigError, NoSignalError
 from phasepos.harness import (METHODS, CdfResult, MethodOutcome, ScenarioConfig, TrialResult,
                               compute_cdf, config_to_dict, emit_results, load_config,
-                              run_scenario, run_trial)
+                              outcome_to_dict, run_scenario, run_trial)
 
 # Small, fast scenario used by the mechanics tests: accuracy is irrelevant
 # here, only plumbing and determinism.
@@ -364,7 +365,8 @@ def test_cdf_counts_failures_by_reason(tmp_path, monkeypatch, capsys):
     block = json.loads(out.read_text())["methods"]["cp"]
     assert block["n_trials"] == 5
     assert block["failures"] == {"no_candidate": 1, "no_signal": 1, "wrong_integer": 2}
-    assert capsys.readouterr().out.splitlines() == [
+    assert [o["error_m"] for o in block["outcomes"]] == [-0.5, None, None, 9.0, -9.0]   # NaN: null
+    assert capsys.readouterr().err.splitlines() == [
         "cp: trials=5 failures=4 (no_candidate 1, no_signal 1, wrong_integer 2)"
         " p50=0.5m p67=0.5m p90=0.5m p95=0.5m", f"wrote {out}"]
 
@@ -558,10 +560,9 @@ PINNED = {name: sorted({r["trial"] for r in GOLDEN_RECORDS if r["config"] == nam
 
 
 def trial_records(name, cfg, trials):
-    """The golden record of each of ``trials`` and each method of ``cfg``; NaN is None."""
-    return [{"config": name, "trial": t, "method": m, **{
-             k: None if isinstance(v, float) and math.isnan(v) else v
-             for k, v in dataclasses.asdict(o).items()}}
+    """The golden record of each of ``trials`` and each method of ``cfg``: the run's record
+    of the outcome, after the keys that place it."""
+    return [{"config": name, "trial": t, "method": m, **outcome_to_dict(o)}
             for t in trials for m, o in run_trial(cfg, t).outcomes.items()]
 
 
@@ -627,7 +628,7 @@ def test_a_trial_with_no_signal_is_a_failure_and_the_run_goes_on(tmp_path, monke
     cfg = write_cfg(tmp_path, methods=list(METHODS), ambiguity="toa", n_trials=3,
                     master_seed=FAST.master_seed)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "res.csv")]) == 0
-    assert "toa: trials=3 failures=1 (no_signal 1)" in capsys.readouterr().out
+    assert "toa: trials=3 failures=1 (no_signal 1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("methods", [("toa", "cp", "ccp"), ("toa", "ccp", "cp")])
@@ -718,17 +719,18 @@ def test_json_payload(tmp_path):
     out = tmp_path / "out.json"
     emit_results(cdfs, FAST, str(out), "json")
     payload = json.loads(out.read_text())
-    assert set(payload) == {"schema", "config", "methods"} and payload["schema"] == 1
+    assert set(payload) == {"schema", "config", "methods"} and payload["schema"] == 2
     assert payload["config"]["master_seed"] == FAST.master_seed
     assert payload["config"] == json.loads(json.dumps(config_to_dict(FAST)))
     assert set(payload["methods"]) == {"toa", "cp", "ccp"}
-    for block in payload["methods"].values():
-        assert set(block) == {"n_trials", "failures", "percentiles", "abs_errors_m", "cdf"}
-        assert sum(block["failures"].values()) == block["n_trials"] - len(block["abs_errors_m"])
-    cp = payload["methods"]["cp"]
-    assert cp["n_trials"] == FAST.n_trials
-    assert len(cp["abs_errors_m"]) == len(cp["cdf"])
-    assert set(cp["percentiles"]) == {"p50", "p67", "p90", "p95"}
+    for c in cdfs:    # each block holds each trial's record, in run order
+        block = payload["methods"][c.method]
+        assert set(block) == {"n_trials", "failures", "percentiles", "outcomes"}
+        assert block["n_trials"] == len(block["outcomes"]) == FAST.n_trials
+        assert block["outcomes"] == [json.loads(json.dumps(outcome_to_dict(o))) for o in c.outcomes]
+    fields = [f.name for f in dataclasses.fields(MethodOutcome)]
+    assert all(list(o) == sorted(fields) for o in payload["methods"]["cp"]["outcomes"])
+    assert set(payload["methods"]["cp"]["percentiles"]) == {"p50", "p67", "p90", "p95"}
 
 
 def test_a_path_that_is_no_str_or_path_like_is_a_config_error(tmp_path):
@@ -769,7 +771,7 @@ def test_cli_run_csv(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "res.csv"
     rc = cli.main(["run", "--config", cfg, "--out", str(out)])
-    captured = capsys.readouterr().out
+    captured = capsys.readouterr().err
     assert rc == 0
     assert out.exists()
     assert "cp: trials=2 failures=0 p50=" in captured
@@ -838,24 +840,42 @@ def test_cli_run_counts_every_trial(tmp_path, name, expected):
     methods = json.loads(cli_run(tmp_path, name, "res.json", "--format", "json"))["methods"]
     assert set(methods) == set(expected)
     for m, (n_trials, failures, kept, bound) in expected.items():
-        errors = methods[m]["abs_errors_m"]
-        assert (methods[m]["n_trials"], methods[m]["failures"], len(errors)) == (
-            n_trials, failures, kept), m
+        outcomes = methods[m]["outcomes"]
+        errors = [abs(o["error_m"]) for o in outcomes if o["failure"] is None]
+        assert (methods[m]["n_trials"], len(outcomes), methods[m]["failures"], len(errors)) == (
+            n_trials, n_trials, failures, kept), m
         assert max(errors, default=0.0) <= bound, m
 
 
-# One and two workers write the same CSV on the dense, periodic and two-carrier paths;
-# the CSV lines at 9 trials.
+# One and two workers write the same CSV and JSON on the dense, periodic and two-carrier
+# paths; at 9 trials, the CSV lines and the JSON's records, one per trial and method.
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name,lines", [("dense", 16), ("periodic", 28),
                                         ("periodic-widelane", 24)])
-def test_worker_count_does_not_change_output(tmp_path, name, lines):
+def test_worker_count_does_not_change_output(tmp_path, name, lines, fmt):
     outs = []
     for workers in ("1", "2"):
         harness._build_assets.cache_clear()     # no pool child inherits this process's assets
-        outs.append(cli_run(tmp_path, name, f"w{workers}.csv", "--workers", workers,
-                            n_trials=9))
+        outs.append(cli_run(tmp_path, name, f"w{workers}.{fmt}", "--workers", workers,
+                            "--format", fmt, n_trials=9))
     assert outs[0] == outs[1]
-    assert outs[0].count(b"\n") == lines
+    mark, count = {"csv": (b"\n", lines), "json": (b'"error_m"', 9 * len(METHODS))}[fmt]
+    assert outs[0].count(mark) == count
+
+
+def test_json_outcomes_rebuild_the_csv(tmp_path):
+    # Each method's kept records, their |error| sorted, with i/n beside the i-th, are the
+    # CSV's rows bit for bit (repr round-trips), and its failures count its records by reason.
+    rows = cli_run(tmp_path, "ia", "res.csv").decode().splitlines()[1:]
+    methods = json.loads(cli_run(tmp_path, "ia", "res.json", "--format", "json"))["methods"]
+    rebuilt = []
+    for m in CLI_CONFIGS["ia"]["methods"]:    # the CSV's order
+        block = methods[m]
+        kept = sorted(abs(o["error_m"]) for o in block["outcomes"] if o["failure"] is None)
+        rebuilt += [f"{m},{e!r},{(i + 1) / len(kept)!r}" for i, e in enumerate(kept)]
+        assert block["failures"] == Counter(o["failure"] for o in block["outcomes"]
+                                            if o["failure"] is not None), m
+    assert rebuilt == rows
 
 
 def test_cli_method_with_every_trial_failed_keeps_the_others(tmp_path, capsys):
@@ -864,13 +884,13 @@ def test_cli_method_with_every_trial_failed_keeps_the_others(tmp_path, capsys):
                     ambiguity="toa", n_trials=8, n_symbols=16)
     csv_out, json_out = tmp_path / "res.csv", tmp_path / "res.json"
     assert cli.main(["run", "--config", cfg, "--out", str(csv_out)]) == 0
-    assert "\ncp: trials=8 failures=8 (wrong_integer 8)\n" in capsys.readouterr().out
+    assert "\ncp: trials=8 failures=8 (wrong_integer 8)\n" in capsys.readouterr().err
     rows = csv_out.read_text().splitlines()[1:]
     assert len(rows) == 8 and all(r.startswith("toa,") for r in rows)
     assert cli.main(["run", "--config", cfg, "--out", str(json_out), "--format", "json"]) == 0
     methods = json.loads(json_out.read_text())["methods"]
     assert methods["cp"]["percentiles"] == {} and methods["cp"]["failures"] == {"wrong_integer": 8}
-    assert methods["cp"]["abs_errors_m"] == []
+    assert [o["failure"] for o in methods["cp"]["outcomes"]] == ["wrong_integer"] * 8
     assert set(methods["toa"]["percentiles"]) == {"p50", "p67", "p90", "p95"}
 
 
@@ -981,10 +1001,10 @@ def test_cli_out_to_dev_stdout_writes_into_a_pipe(tmp_path, capsys):
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
     env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
     piped = subprocess.run([sys.executable, "-m", "phasepos.cli", "run", "--config", cfg,
-                            "--out", "/dev/stdout"], stdout=subprocess.PIPE, env=env)
+                            "--out", "/dev/stdout"], capture_output=True, env=env)
     assert piped.returncode == 0
-    assert piped.stdout.startswith(out.read_bytes())
-    assert piped.stdout.endswith(b"\nwrote /dev/stdout\n")
+    assert piped.stdout == out.read_bytes()     # the summary lines go to stderr
+    assert piped.stderr.endswith(b"\nwrote /dev/stdout\n")
 
 
 def test_cli_unwritable_output_exits_3(tmp_path, capsys, monkeypatch):
