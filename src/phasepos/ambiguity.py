@@ -130,8 +130,10 @@ def resolve(mode: str, fractions: list[CarrierRange], truth_m: float,
 
     Every mode searches +- the searched wavelength (widelane's beat one) around its centre:
     the truth for the oracle, else the TOA range clamped at zero.  Only widelane's fine
-    search can find no candidate, giving (None, "no_candidate"); else the reason is None
-    for the integer nearest the truth, else "wrong_integer".  ValueError for an unknown mode.
+    search, +- lambda_v / 4, can find no candidate (when lambda_v / 2 is under the finer
+    wavelength), giving (None, "no_candidate"); else the reason is None for the integer
+    nearest the truth, else "wrong_integer".  A +- lambda window always holds the integer
+    nearest its centre, so the oracle never fails.  ValueError for an unknown mode.
     """
     if mode not in IA_MODES:
         raise ValueError(f"ambiguity mode must be one of {IA_MODES}, got {mode!r}")

@@ -89,7 +89,7 @@ class ScenarioProfile:
     """
 
     kind: str
-    rician_k_db: float | None = None          # LOS only; +inf collapses to a single tap
+    rician_k_db: float | None = None          # LOS only; +inf is one direct tap, -inf refused
     rms_delay_spread_s: float = 30e-9
     n_clutter_taps: int = 12
     nlos_excess_delay_mean_s: float | None = None   # NLOS only
@@ -156,7 +156,9 @@ class ChannelRealization:
                  spacing_hz: float) -> np.ndarray:
         """Sum of g_i exp(-j 2 pi (f_c + f) tau_i) at f = (first_bin + j) * spacing_hz, j < n_bins.
 
-        f_c is the carrier of ``num``.  Writing j = q * B + r with B = ceil(sqrt(n_bins)),
+        f_c is the carrier of ``num``, so ``response(num, k, 1, num.scs_hz)[0]`` has the angle
+        of the noiseless carrier phase that cp and ccp measure on subcarrier k.  This is the one
+        place the tap line is evaluated.  Writing j = q * B + r with B = ceil(sqrt(n_bins)),
         each tap's term is a table over q times a table over r, so the grid is a
         (ceil(n_bins / B), B) sum of outer products, reshaped and cut to ``n_bins``.
         ConfigError unless ``first_bin`` is finite, ``spacing_hz`` finite > 0, n_bins an int
@@ -189,7 +191,7 @@ class ChannelRealization:
 def draw_channel(profile: ScenarioProfile, geometry: Geometry, seed: int) -> ChannelRealization:
     """Draw one tapped-delay-line realization.
 
-    LOS: a deterministic real direct tap at the geometric delay plus Rayleigh
+    LOS: a deterministic real direct tap at the geometric delay, first, then Rayleigh
     clutter taps at exponentially distributed excess delays, mean powers
     decaying exponentially with excess delay.  The K-factor is enforced
     exactly by rescaling the clutter block.  NLOS: no direct tap; the first

@@ -6,7 +6,8 @@ read through ``as_real``, ``as_finite``, ``as_positive``, ``as_int``, ``as_db``,
 ``as_instance``; the ``ConfigError`` they raise names the argument, its rule and the value.
 Every record is a ``record``, whose constructor binds its arguments to its fields.
 A config object's number fields are checked, and stored as what their rules return, by
-``set_checked``: a numpy scalar or a ``Fraction`` becomes a Python int or float.
+``set_checked``: a numpy scalar or a ``Fraction`` becomes a Python int or float, so a float32
+carrier cannot round the carrier phase and a config still writes as JSON.
 """
 
 import dataclasses

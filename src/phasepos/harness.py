@@ -41,7 +41,7 @@ from .waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column,
 
 METHODS = ("toa", "cp", "ccp")
 MAX_SYMBOLS = 1024       # 8x the default; a trial then holds one 72 MB FR1 received stream
-MAX_TRIALS = 1_000_000   # each kept TrialResult is about 0.8 KB
+MAX_TRIALS = 1_000_000   # each kept TrialResult is about 0.7 KB (three outcomes)
 _NUMBER_RULES = (("n_trials", as_int, 1, MAX_TRIALS), ("ccp_sweeps", as_int, 1, math.inf),
                  ("n_symbols", as_int, 2, MAX_SYMBOLS), ("master_seed", as_int, 0, math.inf),
                  ("snr_db", as_db), ("comb_size", as_int), ("comb_offset", as_int),
@@ -120,18 +120,27 @@ class ScenarioConfig:
             (name, getattr(profile, name)) for name, _ in self.profile_overrides))
 
 
+FAILURE_REASONS = ("no_candidate", "no_signal", "wrong_integer")   # resolve's two and _NO_SIGNAL's
+
+
 @record(frozen=True)
 class MethodOutcome:
     """One method's verdict in one trial; a failed trial's error is NaN or off by a cycle.
-    ConfigError unless ``error_m`` is a number and ``integer`` None or an int >= 0."""
+
+    ConfigError unless ``integer`` is None or an int >= 0, ``failure`` None (kept) or one of
+    ``FAILURE_REASONS``, and ``error_m`` a number: finite when kept, finite or NaN when failed,
+    so no outcome writes an infinity into a JSON run."""
 
     error_m: float
     integer: int | None = None    # the resolved integer cycles; None for toa
-    failure: str | None = None    # None, "no_candidate", "wrong_integer" or "no_signal"
+    failure: str | None = None    # None or one of FAILURE_REASONS
 
     def __post_init__(self) -> None:
-        set_checked(self, (("error_m", as_real),) if self.integer is None
-                    else (("error_m", as_real), ("integer", as_int, 0)))
+        error = ("error_m", as_real if self.failure else as_finite)    # a failed one may be NaN
+        set_checked(self, (error,) if self.integer is None else (error, ("integer", as_int, 0)))
+        if self.failure not in (None, *FAILURE_REASONS) or math.isinf(self.error_m):
+            raise ConfigError(f"a failure must be one of {FAILURE_REASONS} with a finite or NaN "
+                              f"error_m, got {self.failure!r} with {self.error_m!r}")
 
 
 @record()
@@ -151,7 +160,7 @@ class CdfResult:
     """One method's run summary: its outcome in each trial, in run order; the rest derives.
 
     ConfigError unless ``method`` is in ``METHODS`` and ``outcomes`` a tuple of ``MethodOutcome``,
-    each failed one's reason in ``FAILURE_REASONS`` and each kept one's error a finite number."""
+    each of which holds its own rules."""
 
     method: str
     outcomes: tuple[MethodOutcome, ...]
@@ -160,10 +169,7 @@ class CdfResult:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         for o in as_instance("outcomes", self.outcomes, tuple):
-            if as_instance("each outcome", o, MethodOutcome).failure is None:
-                as_finite("a kept outcome's error_m", o.error_m)
-            elif o.failure not in FAILURE_REASONS:
-                raise ConfigError(f"a failure must be one of {FAILURE_REASONS}, got {o.failure!r}")
+            as_instance("each outcome", o, MethodOutcome)
 
     # The kept |errors| sorted, cached for the four readers; failed trials by reason.
     abs_errors_m = cached_property(lambda self: np.sort(np.abs(np.array(
@@ -253,7 +259,6 @@ class _Assets:
 
 _build_assets = lru_cache(maxsize=1)(_Assets)   # callers run one scenario at a time
 _NO_SIGNAL = MethodOutcome(np.nan, None, "no_signal")
-FAILURE_REASONS = ("no_candidate", "no_signal", "wrong_integer")   # resolve's two and _NO_SIGNAL's
 
 
 def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
@@ -361,9 +366,12 @@ def emit_results(cdfs: list[CdfResult], cfg: ScenarioConfig, path: str,
                  fmt: str = "csv") -> str:
     """Write CDFs to ``path``, a str or os.PathLike, byte-deterministic: as csv, each kept |error|
     and its CDF; as json, each method's summary and its outcomes as ``outcome_to_dict`` records.
-    Whole or not at all: a file is written beside ``path`` (its symlink's target) and renamed
-    over it; a device or a pipe is written in place.  ConfigError unless ``cdfs`` is a list or
-    tuple of ``CdfResult``, ``cfg`` a ``ScenarioConfig`` and ``path`` a file as ``--out`` is."""
+    Whole or not at all: a file is written beside ``path`` (beside a symlink's target, so the
+    link stays one) with the mode an existing file has, then renamed over it, so the directory
+    must be writable; a device or a pipe is written in place.  ConfigError unless ``cdfs`` is a
+    list or tuple of ``CdfResult``, ``cfg`` a ``ScenarioConfig`` and ``path`` a file as ``--out``
+    is.  A JSON run holds standard JSON but for an infinite config value (``snr_db``, say),
+    which Python's json writes as the token ``Infinity``."""
     for c in as_instance("cdfs", cdfs, (list, tuple)):
         as_instance("each cdf", c, CdfResult)
     as_instance("cfg", cfg, ScenarioConfig)

@@ -137,8 +137,9 @@ def ccp_measure(rx: np.ndarray, num: NumerologyConfig, subcarrier: int,
     the tone exact at large stream positions.  The prefix sum runs over blocks
     of about ``STREAM_BLOCK`` samples, each seeded with the last sum before it
     (the additions of one ``np.cumsum``, in its order), and keeps only the C
-    entries the windows read: memory grows with the block and ``n_sweeps``,
-    not with the span.  ``rx`` is read flattened (a period view is copied once).
+    entries the windows read: a sweep costs one pass over its span whatever its window
+    count, and memory grows with the block and ``n_sweeps``, not with the span.  ``rx`` is
+    read flattened (a period view is copied once).
 
     Raises:
         ValueError: the sweep ends past the stream.

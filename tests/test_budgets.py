@@ -17,10 +17,12 @@ Each benchmark workload's trial 1 has a work vector (``work_counter``'s), held t
 bounds and exactly to ``trial_work.json``: one more noise draw, transform, exp or magnitude,
 or one of another length, fails with the counter named, as does a tiled or resized stream.
 ``PYTHONPATH=src python tests/test_budgets.py`` rewrites the file, printing each changed
-counter as ``config counter old → new``.  The traced peaks fail on a transmit stream held
-whole, a stream-sized temporary or strided-row buffer in ``add_awgn``, a ``ccp_measure``
-whose memory grows with its span, a shifted or kept-alive response, or one more full-length
-array alive.  A fresh interpreter's trials leave no BLAS worker thread spinning.
+counter as ``config counter old → new``.  Counts do not drift with the machine the way wall
+time does: a change that lowers one rewrites the file and quotes those lines in CHANGES.md,
+and a raised one is a regression unless CHANGES.md explains it.  The traced peaks fail on a
+transmit stream held whole, a stream-sized temporary or strided-row buffer in ``add_awgn``, a
+``ccp_measure`` whose memory grows with its span, a shifted or kept-alive response, or one
+more full-length array alive.  A fresh interpreter's trials leave no BLAS worker thread spinning.
 """
 
 import dataclasses

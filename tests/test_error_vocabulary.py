@@ -9,8 +9,10 @@ callable makes of the value, only ``ConfigError``, ``NoSignalError`` or
 (pyproject's ``filterwarnings``).
 
 Every refused argument is a row of ``REJECTED``: the callable, the arguments it
-changes, the exact class raised and the start of its message.  Each rule has a
-row just past each of its bounds, a config object (a numerology, a channel, a
+changes, the exact class raised and the start of its message.  The class is exact,
+``type(exc) is cls``: ``ConfigError`` and numpy's own errors both subclass ``ValueError``,
+so a bare ``ValueError`` check would pass when a check is gone and numpy fails later.  Each
+rule has a row just past each of its bounds, a config object (a numerology, a channel, a
 scenario) of the wrong kind is a ``ConfigError`` that names its parameter, and
 every checked parameter has a row.  ``ccp_measure``'s rounding floor has a row for a
 bin just under it, and a check that a bin just over it is measured.
@@ -219,12 +221,6 @@ REJECTED = [
     *(("CdfResult", {"outcomes": outcomes}, ConfigError,   # each one, not only the first
        f"each outcome must be a MethodOutcome, got {outcomes[-1]!r}")
       for outcomes in ((0.1,), (KEPT, None), ((0.1, None),))),
-    *(("CdfResult", {"outcomes": (pp.harness.MethodOutcome(NAN, None, reason),)}, ConfigError,
-       f"a failure must be one of {pp.harness.FAILURE_REASONS}, got {reason!r}")
-      for reason in ("bogus", "", 3)),
-    *(("CdfResult", {"outcomes": (pp.harness.MethodOutcome(error),)}, ConfigError,
-       f"a kept outcome's error_m must be finite and in [-inf, inf], got {error!r}")
-      for error in (NAN, INF, -INF)),
     ("ChannelRealization", {"delays_s": np.array([1e-7, 2e-7])}, ConfigError,
      "delays_s and gains must have one entry per tap, got 2 delays and 1 gains"),
     ("ChannelRealization", {"delays_s": ("a", "b"), "gains": np.ones(2, complex)}, ConfigError,
@@ -279,6 +275,15 @@ REJECTED = [
     ("MethodOutcome", {"error_m": 10 ** 400}, ConfigError, "error_m must fit in a float, got 1000"),
     *_rows("MethodOutcome", "integer", ("3", -1, True, 3.0),
            "integer must be an integer in [0, inf], got {!r}"),
+    # A failure has a reason; a kept outcome's error is finite, a failed one's finite or NaN.
+    *(("MethodOutcome", {"failure": reason}, ConfigError,
+       f"a failure must be one of {pp.harness.FAILURE_REASONS} with a finite or NaN error_m, "
+       f"got {reason!r} with 0.1") for reason in ("bogus", "", 3)),
+    *_rows("MethodOutcome", "error_m", (NAN, INF, -INF),
+           "error_m must be finite and in [-inf, inf], got {!r}"),
+    *(("MethodOutcome", {"error_m": error, "failure": "wrong_integer"}, ConfigError,
+       f"a failure must be one of {pp.harness.FAILURE_REASONS} with a finite or NaN error_m, "
+       f"got 'wrong_integer' with {error!r}") for error in (INF, -INF)),
     *_rows("NumerologyConfig", "carrier_frequency_hz", ("3.8e9", True),
            "carrier_frequency_hz must be a number, got {!r}"),
     *_rows("NumerologyConfig", "carrier_frequency_hz", (NAN, INF),
@@ -487,7 +492,7 @@ def label(value) -> str:
     if isinstance(value, (list, tuple)):
         inner = ",".join(map(label, value))
         return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
-    if isinstance(value, pp.harness.MethodOutcome):     # by the two fields CdfResult checks
+    if isinstance(value, pp.harness.MethodOutcome):     # by the two fields its rules join
         return f"MethodOutcome({label(value.error_m)},{label(value.failure)})"
     return type(value).__name__ if dataclasses.is_dataclass(value) else repr(value)
 

@@ -1,3 +1,33 @@
+"""Scenario configs, trials, CDFs, the emitters and the ``phasepos run`` CLI.
+
+Refused configs: each row of ``BAD_CONFIGS`` is a change to one valid base, ``BASE``, in the
+JSON a config file holds, with the start of its message.  It passes three doors:
+``ScenarioConfig(**raw)``, ``dataclasses.replace`` and ``cli.main`` on the written file, which
+must exit 2 with a stderr that starts ``config error: <message>``, print no traceback, write no
+output file and never reach ``run_scenario``.  ``LIBRARY_ONLY`` holds the shapes JSON cannot
+carry (profile overrides as pairs, an int key, ints past the int-to-str digit limit), for
+the two library doors, each of which pins the exact class, ``ConfigError``.
+
+The golden store, ``golden_trials.jsonl``: one JSON line per pinned trial and method of each
+``GOLDEN_CONFIGS`` scenario, the record ``harness.outcome_to_dict`` writes for a JSON run
+(``error_m`` in metres, null for NaN; ``integer``, null for toa and for no candidate;
+``failure``) after the ``config``, ``trial`` and ``method`` that place it.
+``test_trial_matches_golden_record`` reruns each trial and compares its error to 1e-9 m and
+its integer and reason exactly; ``test_golden_store_is_in_canonical_form`` holds the file to
+what its writer writes.  ``PYTHONPATH=src python tests/test_harness.py`` is that writer: it
+rewrites the store from today's outcomes through ``trial_records``, the function the check
+reads with, and gives a config added to ``GOLDEN_CONFIGS`` all its trials.  The ``fast-*``
+errors were written before cp and ccp shared one phase primitive and differ from a fresh run
+by up to 2.5e-14 m, so a rewrite moves their last digits.
+
+End to end, ``cli.main`` runs in-process on the ``CLI_CONFIGS`` scenarios:
+``test_cli_run_counts_every_trial`` pins each method's trials, failures by reason, kept
+errors and their bound; ``test_worker_count_does_not_change_output`` holds the CSV and the
+JSON byte-identical at 1 and 2 workers on the dense, periodic and two-carrier paths; and
+``test_json_outcomes_rebuild_the_csv`` rebuilds the CSV's rows from the JSON's records.
+CI runs the installed console script on its own, before the suite.
+"""
+
 import concurrent.futures
 import dataclasses
 import errno

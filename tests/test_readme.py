@@ -1,8 +1,10 @@
+import argparse
+import dataclasses
 import re
 import shlex
 from pathlib import Path
 
-from phasepos import cli
+from phasepos import ScenarioConfig, cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,3 +40,19 @@ def test_readme_summary_lines_match_the_cli_grammar():
     assert any("(" in line for line in quoted)     # one quotes its failures by reason
     for line in quoted:
         assert SUMMARY_LINE.fullmatch(line), line
+
+
+def test_readme_names_every_config_key_and_run_option():
+    # Each ScenarioConfig field as a `key`, and each option `phasepos run` defines.
+    text = README.read_text(encoding="utf-8")
+    run = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)).choices["run"]
+    options = [s for action in run._actions for s in action.option_strings
+               if s.startswith("--") and s != "--help"]
+    names = [f"`{f.name}`" for f in dataclasses.fields(ScenarioConfig)] + [f"`{o}" for o in options]
+    assert options and [name for name in names if name not in text] == []
+
+
+def test_readme_is_at_most_200_lines():
+    # README is the user's document; how the code works lives in the docstrings.
+    assert len(README.read_text(encoding="utf-8").splitlines()) <= 200
