@@ -21,12 +21,13 @@ trials by reason, for the JSON and the CLI line alike, even when all fail.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
 from collections import Counter
 from collections.abc import Mapping
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -171,18 +172,19 @@ class CdfResult:
         for o in as_instance("outcomes", self.outcomes, tuple):
             as_instance("each outcome", o, MethodOutcome)
 
-    # The kept |errors| sorted, cached for the four readers; failed trials by reason.
+    # The kept |errors| sorted, cached as the CDF and percentiles are; failed trials by reason.
     abs_errors_m = cached_property(lambda self: np.sort(np.abs(np.array(
         [o.error_m for o in self.outcomes if o.failure is None], float))))
     failures = property(lambda self: tuple(sorted(Counter(
         o.failure for o in self.outcomes if o.failure is not None).items())))
     # i/n for the i-th error; failed and all trials; linear p50-p95.
-    cdf = property(lambda self: np.arange(1, len(self.abs_errors_m) + 1)
-                   / max(len(self.abs_errors_m), 1))
+    cdf = cached_property(lambda self: np.arange(1, len(self.abs_errors_m) + 1)
+                          / max(len(self.abs_errors_m), 1))
     n_failures = property(lambda self: sum(n for _, n in self.failures))
     n_trials = property(lambda self: len(self.outcomes))
-    percentiles = property(lambda self: {p: float(np.percentile(self.abs_errors_m, p))
-                                         for p in (50, 67, 90, 95) if len(self.abs_errors_m)})
+    percentiles = cached_property(lambda self: {p: float(np.percentile(self.abs_errors_m, p))
+                                                for p in (50, 67, 90, 95)
+                                                if len(self.abs_errors_m)})
     summary = property(lambda self: {   # the JSON block bar its outcomes
         "n_trials": self.n_trials, "failures": dict(self.failures),
         "percentiles": {f"p{p}": v for p, v in self.percentiles.items()}})
@@ -362,37 +364,50 @@ def _output_file(option: str, path, **avoid) -> tuple[str, str | None]:
     return f"{target}.{os.getpid()}.tmp", target     # a sibling: an atomic rename
 
 
+def _json_lines(cdfs: list[CdfResult], cfg: ScenarioConfig):
+    """A JSON run's lines: the config echo, then each method's summary, left open for records."""
+    dump = partial(json.dumps, sort_keys=True, allow_nan=False)
+    # A config's one non-finite value, +inf, as a number json reads back; its names never spell it.
+    config = json.dumps(config_to_dict(cfg), sort_keys=True).replace("Infinity", "1e999")
+    yield f'{{"schema": 2, "config": {config}, "methods": {{'
+    for i, c in enumerate(sorted(cdfs, key=lambda c: c.method)):
+        yield f'{"," * bool(i)}\n"{c.method}": {dump(c.summary)[:-1]}, "outcomes": ['
+        for j, o in enumerate(c.outcomes):
+            yield f'{"," * bool(j)}\n{dump(outcome_to_dict(o))}'
+        yield "]}"
+    yield "}}\n"
+
+
 def emit_results(cdfs: list[CdfResult], cfg: ScenarioConfig, path: str,
                  fmt: str = "csv") -> str:
     """Write CDFs to ``path``, a str or os.PathLike, byte-deterministic: as csv, each kept |error|
-    and its CDF; as json, each method's summary and its outcomes as ``outcome_to_dict`` records.
+    and its CDF; as json, each method's summary and its outcomes as ``outcome_to_dict`` records,
+    one a line, in standard JSON: an infinite config value (``snr_db``, say) as ``1e999``.
+    Either is written a line at a time, so memory does not grow with the trial count.
     Whole or not at all: a file is written beside ``path`` (beside a symlink's target, so the
     link stays one) with the mode an existing file has, then renamed over it, so the directory
     must be writable; a device or a pipe is written in place.  ConfigError unless ``cdfs`` is a
-    list or tuple of ``CdfResult``, ``cfg`` a ``ScenarioConfig`` and ``path`` a file as ``--out``
-    is.  A JSON run holds standard JSON but for an infinite config value (``snr_db``, say),
-    which Python's json writes as the token ``Infinity``."""
-    for c in as_instance("cdfs", cdfs, (list, tuple)):
-        as_instance("each cdf", c, CdfResult)
+    list or tuple of ``CdfResult`` with no method twice, ``cfg`` a ``ScenarioConfig`` and
+    ``path`` a file as ``--out`` is."""
+    methods = [as_instance("each cdf", c, CdfResult).method
+               for c in as_instance("cdfs", cdfs, (list, tuple))]
+    if len(set(methods)) != len(methods):
+        raise ConfigError(f"cdfs must hold one CdfResult per method, got {methods}")
     as_instance("cfg", cfg, ScenarioConfig)
     tmp, target = _output_file("path", path)
     if fmt == "csv":
-        lines = ["method,abs_error_m,cdf"]
-        for c in cdfs:
-            lines.extend(f"{c.method},{float(e)!r},{float(p)!r}"
-                         for e, p in zip(c.abs_errors_m, c.cdf))
-        text = "\n".join(lines) + "\n"
+        lines = itertools.chain(["method,abs_error_m,cdf\n"], (
+            f"{c.method},{float(e)!r},{float(p)!r}\n"
+            for c in cdfs for e, p in zip(c.abs_errors_m, c.cdf)))
     elif fmt == "json":
-        payload = {"schema": 2, "config": config_to_dict(cfg), "methods": {c.method: {
-            **c.summary, "outcomes": list(map(outcome_to_dict, c.outcomes))} for c in cdfs}}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        lines = _json_lines(cdfs, cfg)
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             if target and os.path.isfile(target):    # the mode open(path, "w") keeps
                 os.chmod(tmp, os.stat(target).st_mode)
-            fh.write(text)
+            fh.writelines(lines)
         if target:
             os.replace(tmp, target)
     except BaseException:

@@ -21,12 +21,14 @@ counter as ``config counter old → new``.  Counts do not drift with the machine
 time does: a change that lowers one rewrites the file and quotes those lines in CHANGES.md,
 and a raised one is a regression unless CHANGES.md explains it.  The traced peaks fail on a
 transmit stream held whole, a stream-sized temporary or strided-row buffer in ``add_awgn``, a
-``ccp_measure`` whose memory grows with its span, a shifted or kept-alive response, or one
-more full-length array alive.  A fresh interpreter's trials leave no BLAS worker thread spinning.
+``ccp_measure`` whose memory grows with its span, a shifted or kept-alive response, one
+more full-length array alive, or a run file's writer that holds memory per trial.  A fresh
+interpreter's trials leave no BLAS worker thread spinning.
 """
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -39,7 +41,8 @@ from work_counter import calls, count_work, traced_peak, work_delta
 import phasepos
 from phasepos.channel import add_awgn, apply_channel, draw_channel
 from phasepos.constants import STREAM_BLOCK
-from phasepos.harness import ScenarioConfig, _Assets, _build_assets, run_trial
+from phasepos.harness import (METHODS, CdfResult, MethodOutcome, ScenarioConfig, _Assets,
+                              _build_assets, emit_results, run_trial)
 from phasepos.receiver import ccp_measure
 from phasepos.waveform import CONTINUOUS, CONVENTIONAL, make_numerology, ofdm_modulate
 
@@ -91,6 +94,13 @@ DENSE_FILTER_OVERHEAD_BYTES = 16 * 1024
 # one-symbol transforms each (measured peak 0.33 MB), where each stream held
 # whole is 8.98 MB.
 STREAM_BUILD_BYTES = 2 ** 20
+# emit_results' peak after a warm-up write of the same run, which derives each CdfResult's
+# sorted errors, CDF and percentiles: the open file's buffer and a line at a time (measured
+# 34,721 and 34,930 B as csv, 88,658 and 31,450 B as json, at the two sizes below), where a
+# writer that keeps 6 B per trial grows by 16 KiB.  A writer that builds the whole text first
+# peaked at 0.15 and 1.42 MB as csv, 0.89 and 8.36 MB as json.
+WRITE_SLACK_BYTES = 16 * 1024
+WRITE_TRIALS = (300, 3000)
 
 
 # The benchmark workload shapes by name, each with its streams' longest period and a trial's
@@ -190,6 +200,18 @@ def test_transmit_streams_hold_one_period():
     periods, peak = traced_peak(lambda: (assets.conv_period, assets.cont_period))
     assert [spectrum.size * rows for spectrum, rows in periods] == [128 * ONE_SYMBOL] * 2
     assert peak < STREAM_BUILD_BYTES, f"{peak} bytes"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writing_a_run_takes_memory_that_does_not_grow_with_its_trials(tmp_path, fmt):
+    path, peaks = tmp_path / f"run.{fmt}", []
+    for n in WRITE_TRIALS:    # a tenth of the trials fail, with a NaN error (a null record)
+        cdfs = [CdfResult(m, tuple(MethodOutcome(math.nan, None, "no_signal") if t % 10 == 0
+                                   else MethodOutcome(t / 7, t) for t in range(n)))
+                for m in METHODS]
+        emit_results(cdfs, FR1_TOA, path, fmt)
+        peaks.append(traced_peak(emit_results, cdfs, FR1_TOA, path, fmt)[1])
+    assert peaks[1] <= peaks[0] + WRITE_SLACK_BYTES, f"{peaks} bytes"
 
 
 @pytest.mark.parametrize("cfg", [FR1_WIDELANE, FR1_TOA, FR2_CCP],

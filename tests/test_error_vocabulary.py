@@ -470,6 +470,8 @@ REJECTED = [
     ("compute_cdf", {"results": None}, ConfigError, "results must be a list or tuple, got None"),
     ("compute_cdf", {"results": [1, 2]}, ConfigError, "each result must be a TrialResult, got 1"),
     ("emit_results", {"cdfs": [None]}, ConfigError, "each cdf must be a CdfResult, got None"),
+    ("emit_results", {"cdfs": CDFS * 2}, ConfigError,    # as json, one block would be lost
+     "cdfs must hold one CdfResult per method, got ['cp', 'cp']"),
     ("emit_results", {"fmt": "yaml"}, ConfigError, "unknown output format 'yaml'"),
 ]
 

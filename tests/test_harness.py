@@ -809,7 +809,8 @@ def test_cli_run_csv(tmp_path, capsys):
     assert out.read_text().startswith("method,abs_error_m,cdf\n")
 
 
-# Whole runs through the CLI, by name; Python's json writes and reads Infinity.
+# Whole runs through the CLI, by name.  A config's +inf is written as Python's json writes it,
+# Infinity, which load_config reads; a run echoes it as standard JSON (see strict_json).
 CLI_CONFIGS = {
     "exact": {"n_trials": 3, "n_symbols": 16, "ccp_sweeps": 200, "snr_db": math.inf,
               "profile_overrides": {"rician_k_db": math.inf}},
@@ -844,6 +845,11 @@ def cli_run(tmp_path, name, out, *options, **fields):
     return (tmp_path / out).read_bytes()
 
 
+def strict_json(data: bytes):
+    """``data`` read as standard JSON: an Infinity, -Infinity or NaN token fails the test."""
+    return json.loads(data, parse_constant=lambda token: pytest.fail(f"not standard JSON: {token}"))
+
+
 # Each run's (trials, failures by reason, kept errors, bound on every kept |error| in
 # metres) per method.
 CLI_RUNS = [
@@ -867,7 +873,12 @@ CLI_RUNS = [
 
 @pytest.mark.parametrize("name,expected", CLI_RUNS, ids=[run[0] for run in CLI_RUNS])
 def test_cli_run_counts_every_trial(tmp_path, name, expected):
-    methods = json.loads(cli_run(tmp_path, name, "res.json", "--format", "json"))["methods"]
+    run = strict_json(cli_run(tmp_path, name, "res.json", "--format", "json"))
+    # The config echo, read as standard JSON, is the config the run read: exact's +inf SNR
+    # and K come back as +inf.
+    (tmp_path / "echo.json").write_text(json.dumps(run["config"]))
+    assert load_config(tmp_path / "echo.json") == load_config(tmp_path / f"{name}.json")
+    methods = run["methods"]
     assert set(methods) == set(expected)
     for m, (n_trials, failures, kept, bound) in expected.items():
         outcomes = methods[m]["outcomes"]
@@ -891,6 +902,8 @@ def test_worker_count_does_not_change_output(tmp_path, name, lines, fmt):
     assert outs[0] == outs[1]
     mark, count = {"csv": (b"\n", lines), "json": (b'"error_m"', 9 * len(METHODS))}[fmt]
     assert outs[0].count(mark) == count
+    if fmt == "json":
+        strict_json(outs[0])
 
 
 def test_json_outcomes_rebuild_the_csv(tmp_path):
