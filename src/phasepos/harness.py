@@ -35,7 +35,7 @@ from .ambiguity import IA_MODES, phase_to_fraction, resolve
 from .channel import Geometry, add_awgn, apply_channel, draw_channel, profile_preset
 from .constants import SPEED_OF_LIGHT
 from .errors import (ConfigError, NoSignalError, as_db, as_finite, as_instance, as_int, as_path,
-                     as_positive, as_real, record, set_checked)
+                     as_positive, record, set_checked)
 from .receiver import ccp_measure, estimate_toa
 from .waveform import (CONTINUOUS, CONVENTIONAL, PrsConfig, generate_prs_column, make_numerology,
                        middle_subcarrier, ofdm_modulate)
@@ -126,22 +126,22 @@ FAILURE_REASONS = ("no_candidate", "no_signal", "wrong_integer")   # resolve's t
 
 @record(frozen=True)
 class MethodOutcome:
-    """One method's verdict in one trial; a failed trial's error is NaN or off by a cycle.
+    """One method's verdict in one trial; a failed one's error is None (no range) or a cycle off.
 
-    ConfigError unless ``integer`` is None or an int >= 0, ``failure`` None (kept) or one of
-    ``FAILURE_REASONS``, and ``error_m`` a number: finite when kept, finite or NaN when failed,
-    so no outcome writes an infinity into a JSON run."""
+    ConfigError unless ``failure`` is None (kept) or one of ``FAILURE_REASONS``, ``integer`` None
+    or an int >= 0, and ``error_m`` finite or, if failed, None: an absent value ``==`` itself."""
 
-    error_m: float
+    error_m: float | None
     integer: int | None = None    # the resolved integer cycles; None for toa
     failure: str | None = None    # None or one of FAILURE_REASONS
 
     def __post_init__(self) -> None:
-        error = ("error_m", as_real if self.failure else as_finite)    # a failed one may be NaN
-        set_checked(self, (error,) if self.integer is None else (error, ("integer", as_int, 0)))
-        if self.failure not in (None, *FAILURE_REASONS) or math.isinf(self.error_m):
-            raise ConfigError(f"a failure must be one of {FAILURE_REASONS} with a finite or NaN "
-                              f"error_m, got {self.failure!r} with {self.error_m!r}")
+        if self.failure not in (None, *FAILURE_REASONS):
+            raise ConfigError(f"failure must be None or one of {FAILURE_REASONS}, "
+                              f"got {self.failure!r}")
+        set_checked(self, (("error_m", as_finite),)
+                    * (self.error_m is not None or self.failure is None)    # None: no range
+                    + (("integer", as_int, 0),) * (self.integer is not None))
 
 
 @record()
@@ -149,7 +149,7 @@ class TrialResult:
     trial_index: int
     outcomes: dict[str, MethodOutcome]    # in cfg.methods order
 
-    # Read-only views, one dict per field, for readers of the older three-dict shape.
+    # Read-only views, one dict per field, for older three-dict readers; no range reads None.
     distance_error_m = property(lambda self: {m: o.error_m for m, o in self.outcomes.items()})
     resolved_integer = property(lambda self: {m: o.integer for m, o in self.outcomes.items()})
     ia_failure = property(lambda self: {m: o.failure is not None
@@ -260,7 +260,7 @@ class _Assets:
 
 
 _build_assets = lru_cache(maxsize=1)(_Assets)   # callers run one scenario at a time
-_NO_SIGNAL = MethodOutcome(np.nan, None, "no_signal")
+_NO_SIGNAL = MethodOutcome(None, None, "no_signal")
 
 
 def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
@@ -294,7 +294,7 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
             del rx
         for method, method_fracs in fracs.items():
             resolved, failure = resolve(cfg.ambiguity, method_fracs, d_true, toa_s)
-            outcomes[method] = (MethodOutcome(np.nan, None, failure) if resolved is None else
+            outcomes[method] = (MethodOutcome(None, None, failure) if resolved is None else
                                 MethodOutcome(resolved.distance_m - d_true,
                                               resolved.integer_cycles, failure))
     except NoSignalError:
@@ -303,7 +303,7 @@ def run_trial(cfg: ScenarioConfig, trial: int) -> TrialResult:
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list[TrialResult]:
-    """Run all trials; identical results for any worker count, capped at trials and CPUs."""
+    """Run all trials; equal results (``==``) for any worker count, capped at trials and CPUs."""
     as_instance("cfg", cfg, ScenarioConfig)
     as_int("workers", workers, 1)
     trials = range(cfg.n_trials)
@@ -342,8 +342,8 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def outcome_to_dict(o: MethodOutcome) -> dict:
-    """``o``'s fields in field order, a NaN error as None: one record of a JSON run's outcomes."""
-    return {**dataclasses.asdict(o), "error_m": None if math.isnan(o.error_m) else o.error_m}
+    """``o``'s fields in field order, as they are: one record of a JSON run's outcomes."""
+    return {f.name: getattr(o, f.name) for f in dataclasses.fields(o)}
 
 
 def _output_file(option: str, path, **avoid) -> tuple[str, str | None]:

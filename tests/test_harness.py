@@ -10,8 +10,8 @@ the two library doors, each of which pins the exact class, ``ConfigError``.
 
 The golden store, ``golden_trials.jsonl``: one JSON line per pinned trial and method of each
 ``GOLDEN_CONFIGS`` scenario, the record ``harness.outcome_to_dict`` writes for a JSON run
-(``error_m`` in metres, null for NaN; ``integer``, null for toa and for no candidate;
-``failure``) after the ``config``, ``trial`` and ``method`` that place it.
+(``error_m`` in metres, null when a failed trial has no range; ``integer``, null for toa and
+for no candidate; ``failure``) after the ``config``, ``trial`` and ``method`` that place it.
 ``test_trial_matches_golden_record`` reruns each trial and compares its error to 1e-9 m and
 its integer and reason exactly; ``test_golden_store_is_in_canonical_form`` holds the file to
 what its writer writes.  ``PYTHONPATH=src python tests/test_harness.py`` is that writer: it
@@ -373,7 +373,7 @@ def test_cdf_half_normal_p90():
 
 
 def test_cdf_excludes_failures():
-    res = make_results([1.0, 2.0, np.nan, 4.0], [None, "wrong_integer", "no_signal", None])
+    res = make_results([1.0, 2.0, None, 4.0], [None, "wrong_integer", "no_signal", None])
     c = compute_cdf(res, "cp")
     assert list(c.abs_errors_m) == [1.0, 4.0]
     assert c.n_failures == 2
@@ -383,7 +383,7 @@ def test_cdf_excludes_failures():
 def test_cdf_counts_failures_by_reason(tmp_path, monkeypatch, capsys):
     # One kept trial and four failed ones, three reasons; the JSON block and the CLI
     # line carry the same counts.
-    res = make_results([-0.5, np.nan, np.nan, 9.0, -9.0],
+    res = make_results([-0.5, None, None, 9.0, -9.0],
                        [None, "no_candidate", "no_signal", "wrong_integer", "wrong_integer"])
     c = compute_cdf(res, "cp")
     assert c.failures == (("no_candidate", 1), ("no_signal", 1), ("wrong_integer", 2))
@@ -395,7 +395,7 @@ def test_cdf_counts_failures_by_reason(tmp_path, monkeypatch, capsys):
     block = json.loads(out.read_text())["methods"]["cp"]
     assert block["n_trials"] == 5
     assert block["failures"] == {"no_candidate": 1, "no_signal": 1, "wrong_integer": 2}
-    assert [o["error_m"] for o in block["outcomes"]] == [-0.5, None, None, 9.0, -9.0]   # NaN: null
+    assert [o["error_m"] for o in block["outcomes"]] == [-0.5, None, None, 9.0, -9.0]
     assert capsys.readouterr().err.splitlines() == [
         "cp: trials=5 failures=4 (no_candidate 1, no_signal 1, wrong_integer 2)"
         " p50=0.5m p67=0.5m p90=0.5m p95=0.5m", f"wrote {out}"]
@@ -410,7 +410,7 @@ def test_cdf_results_compare_by_their_outcomes_and_derive_the_rest_read_only():
 
 
 def test_cdf_all_failed_is_empty():
-    res = make_results([1.0, np.nan], ["wrong_integer", "no_candidate"])
+    res = make_results([1.0, None], ["wrong_integer", "no_candidate"])
     c = compute_cdf(res, "cp")
     assert c.abs_errors_m.size == 0 and c.cdf.size == 0
     assert c.percentiles == {}
@@ -447,29 +447,32 @@ def test_scenario_matches_individual_trials():
 
 
 def _run_outcome(cfg, workers):
-    """Per-trial (index, each method's failure, integer and error repr), or the type raised."""
+    """The trials run on ``workers`` workers, or the type raised."""
     try:
-        results = run_scenario(cfg, workers=workers)
+        return run_scenario(cfg, workers=workers)
     except Exception as exc:   # the other worker count must raise the same type
         return type(exc)
-    return [(r.trial_index, {m: (o.failure, o.integer, repr(o.error_m))
-                             for m, o in r.outcomes.items()}) for r in results]
 
 
-# Any config gives the same trials in this process as split between two workers.
+# Any config gives the same trials in this process as split between two workers, under
+# ``==``: the example's 1 GHz widelane run has seven outcomes with no range (no_candidate).
 @settings(max_examples=5, deadline=None)
 @given(n_symbols=st.integers(2, 4), ccp_sweeps=st.integers(1, 50),
        methods=st.lists(st.sampled_from(METHODS), min_size=1, unique=True),
-       ambiguity=st.sampled_from(("oracle", "toa")),
+       ambiguity=st.sampled_from(("oracle", "toa", "widelane")),
+       second_fc_hz=st.floats(1.0e9, 3.0e9),     # read under widelane only
        profile=st.sampled_from(("InF-LOS", "InF-NLOS-S", "InF-NLOS-D")),
        snr_db=st.floats(-10.0, 40.0) | st.just(float("inf")),
        n_trials=st.integers(2, 12), master_seed=st.integers(0, 2**32 - 1))
+@example(n_symbols=8, ccp_sweeps=50, methods=list(METHODS), ambiguity="widelane",
+         second_fc_hz=1.0e9, profile="InF-LOS", snr_db=10.0, n_trials=8, master_seed=20260815)
 def test_any_config_same_trials_for_one_and_two_workers(n_symbols, ccp_sweeps, methods,
-                                                       ambiguity, profile, snr_db, n_trials,
-                                                       master_seed):
+                                                       ambiguity, second_fc_hz, profile, snr_db,
+                                                       n_trials, master_seed):
     cfg = ScenarioConfig(n_symbols=n_symbols, ccp_sweeps=ccp_sweeps, methods=tuple(methods),
                          ambiguity=ambiguity, profile=profile, snr_db=snr_db,
-                         n_trials=n_trials, master_seed=master_seed)
+                         n_trials=n_trials, master_seed=master_seed,
+                         widelane_second_fc_hz=second_fc_hz if ambiguity == "widelane" else None)
     assert _run_outcome(cfg, 1) == _run_outcome(cfg, 2)
 
 
@@ -627,14 +630,12 @@ def test_golden_store_is_in_canonical_form():
 
 def test_trial_result_views_are_the_three_dicts_perfbench_reads():
     # The dicts a TrialResult held before it had outcomes; perfbench still reads them.
-    no_candidate = MethodOutcome(math.nan, None, "no_candidate")
+    no_candidate = MethodOutcome(None, None, "no_candidate")
     r = TrialResult(0, {"toa": MethodOutcome(0.02), "cp": no_candidate,
                         "ccp": MethodOutcome(-0.16, 303, "wrong_integer")})
     assert r.resolved_integer == {"toa": None, "cp": None, "ccp": 303}
     assert r.ia_failure == {"toa": False, "cp": True, "ccp": True}
-    errors = r.distance_error_m
-    assert list(errors) == ["toa", "cp", "ccp"] and math.isnan(errors["cp"])
-    assert (errors["toa"], errors["ccp"]) == (0.02, -0.16)
+    assert list(r.distance_error_m.items()) == [("toa", 0.02), ("cp", None), ("ccp", -0.16)]
 
 
 def test_a_trial_with_no_signal_is_a_failure_and_the_run_goes_on(tmp_path, monkeypatch, capsys):
@@ -650,8 +651,7 @@ def test_a_trial_with_no_signal_is_a_failure_and_the_run_goes_on(tmp_path, monke
 
     monkeypatch.setattr(harness, "estimate_toa", second_call_finds_no_peak)
     results = run_scenario(dataclasses.replace(FAST, ambiguity="toa"))
-    assert [o.failure for o in results[1].outcomes.values()] == ["no_signal"] * 3
-    assert all(math.isnan(o.error_m) and o.integer is None for o in results[1].outcomes.values())
+    assert list(results[1].outcomes.values()) == [MethodOutcome(None, None, "no_signal")] * 3
     assert [o.failure for o in results[0].outcomes.values()] == [None] * 3
     assert results[2].outcomes["cp"].failure == "wrong_integer"    # golden record fast-toa-2-cp
     calls.clear()
@@ -681,8 +681,7 @@ def test_a_phase_stream_with_no_signal_fails_every_phase_method(monkeypatch, met
     assert sweeps.count(cfg.ccp_sweeps) == 2
     assert list(outcomes) == list(methods) and outcomes["toa"] == toa
     for method in ("cp", "ccp"):
-        got = outcomes[method]
-        assert (got.failure, got.integer) == ("no_signal", None) and math.isnan(got.error_m)
+        assert outcomes[method] == MethodOutcome(None, None, "no_signal")
 
 
 def test_asset_cache_holds_one_scenario():
