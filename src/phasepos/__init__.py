@@ -6,9 +6,9 @@ arrival, single-window carrier phase, or window-swept carrier phase, with
 integer-ambiguity resolution and a reproducible Monte-Carlo harness.
 """
 
-from .ambiguity import (CarrierRange, double_difference, ia_search, phase_to_fraction,
-                        virtual_wavelength, widelane_resolve)
-from .angle import InterferometerConfig, aoa_from_phase_diff, phase_diff_for_angle
+from .ambiguity import (CarrierRange, InterferometerConfig, aoa_from_phase_diff, double_difference,
+                        ia_search, phase_diff_for_angle, phase_to_fraction, virtual_wavelength,
+                        widelane_resolve)
 from .channel import (ChannelRealization, Geometry, ScenarioProfile, add_awgn, apply_channel,
                       doppler_ppm, draw_channel, profile_preset)
 from .constants import SPEED_OF_LIGHT

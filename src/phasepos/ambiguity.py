@@ -1,4 +1,4 @@
-"""Carrier-range construction: fractions, integer search, widelane, differencing.
+"""Integer ambiguity of a wrapped phase: carrier ranges and two-antenna angle of arrival.
 
 Distance maps to phase through d = (N + fraction) * wavelength with
 fraction = ((-phase) mod 2 pi) / 2 pi, consistent with the delay =>
@@ -6,6 +6,7 @@ negative-phase convention used by the channel and receiver.  ``ia_search``
 is the one integer search, over a window in metres that widelane takes too;
 ``resolve`` alone decides IA failure and names its reason, with one window
 rule for every mode: +- the searched wavelength around the mode's centre.
+Angle of arrival lists an antenna pair's phase wraps through ``ia_search``'s ``_wraps``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from .errors import as_finite, as_instance, as_int, as_positive, as_samples, rec
 from .receiver import wrap_phase
 
 IA_MODES = ("oracle", "toa", "widelane")
+# An antenna pair's spacing in wavelengths.  At the top a phase has at most 2e6 + 1 angles:
+# (1e3 m, 1e-3 m) lists 2,000,000 in about a second.  At the bottom the phase's wrap, to
+# ulp(pi) / 2, moves an angle theta by up to 3.5e-14 / sin(theta) rad; a ratio of 0 lists none.
+MIN_SPACING_WAVELENGTHS, MAX_SPACING_WAVELENGTHS = 1e-3, 1e6
 
 
 @record(frozen=True)
@@ -59,6 +64,11 @@ def phase_to_fraction(phase_rad: float, frequency_hz: float) -> CarrierRange:
     return CarrierRange(SPEED_OF_LIGHT / frequency_hz, frac)
 
 
+def _wraps(lo: float, hi: float) -> range:
+    """The integers in [lo, hi], each end widened by 1e-12 against rounding."""
+    return range(int(np.ceil(lo - 1e-12)), int(np.floor(hi + 1e-12)) + 1)
+
+
 def ia_search(fraction: CarrierRange, center_m: float,
               half_width_m: float) -> CarrierRange | None:
     """Resolve the integer ambiguity inside a distance window.
@@ -80,8 +90,8 @@ def ia_search(fraction: CarrierRange, center_m: float,
     frac = fraction.fractional_cycles
     lo, hi = (as_finite("center_m +- half_width_m in wavelengths", edge / lam)
               for edge in (center_m - half_width_m, center_m + half_width_m))
-    n_min = max(0, int(np.ceil(lo - frac - 1e-12)))     # no N < 0: the window starts at 0
-    n_max = int(np.floor(hi - frac + 1e-12))
+    wraps = _wraps(lo - frac, hi - frac)
+    n_min, n_max = max(0, wraps.start), wraps.stop - 1     # no N < 0: the window starts at 0
     if n_max < n_min:
         return None
     below = int(np.floor(center_m / lam - frac))
@@ -159,3 +169,47 @@ def double_difference(phases_rad: np.ndarray) -> float:
     if not np.all(np.isfinite(mat)):
         raise ValueError("phase matrix contains a missing or non-finite entry")
     return float(wrap_phase((mat[0, 0] - mat[0, 1]) - (mat[1, 0] - mat[1, 1])))
+
+
+@record(frozen=True)
+class InterferometerConfig:
+    """Antenna pair: spacing and the carrier wavelength it measures at.  ConfigError unless both
+    are finite and positive and the spacing in wavelengths within ``*_SPACING_WAVELENGTHS``."""
+
+    antenna_spacing_m: float
+    wavelength_m: float
+
+    def __post_init__(self) -> None:
+        set_checked(self, (("antenna_spacing_m", as_positive), ("wavelength_m", as_positive)))
+        as_finite("antenna_spacing_m / wavelength_m", self.antenna_spacing_m / self.wavelength_m,
+                  MIN_SPACING_WAVELENGTHS, MAX_SPACING_WAVELENGTHS)
+
+
+def aoa_from_phase_diff(phase_diff_rad: float, config: InterferometerConfig) -> list[float]:
+    """All arrival angles consistent with a measured phase difference.
+
+    A plane wave from angle theta (measured from the baseline axis) arrives with inter-antenna
+    phase difference 2 pi d cos(theta) / lambda; spacings beyond half a wavelength alias, so
+    every integer wrap m with |(Delta + 2 pi m) lambda / (2 pi d)| <= 1 gives a candidate.
+    Candidates are returned ascending in angle, in [0, pi]; a phase no angle fits
+    (|Delta| > 2 pi d / lambda at sub-half-wave spacing) gives [], and a NaN or
+    infinite phase or a ``config`` of another kind is a ConfigError.
+    """
+    as_instance("config", config, InterferometerConfig)
+    phase_diff_rad = as_finite("phase_diff_rad", phase_diff_rad)
+    d, lam = config.antenna_spacing_m, config.wavelength_m
+    scale = lam / (2.0 * np.pi * d)
+    # cos(theta) = (Delta + 2 pi m) * scale must land in [-1, 1]
+    cosines = ((phase_diff_rad + 2.0 * np.pi * m) * scale
+               for m in _wraps((-1.0 / scale - phase_diff_rad) / (2.0 * np.pi),
+                               (1.0 / scale - phase_diff_rad) / (2.0 * np.pi)))
+    return sorted(float(np.arccos(c)) for c in cosines if -1.0 <= c <= 1.0)
+
+
+def phase_diff_for_angle(angle_rad: float, config: InterferometerConfig) -> float:
+    """Wrapped phase difference of a plane wave at a finite angle (ConfigError otherwise,
+    or for a ``config`` of another kind)."""
+    as_instance("config", config, InterferometerConfig)
+    angle_rad = as_finite("angle_rad", angle_rad)
+    delta = 2.0 * np.pi * config.antenna_spacing_m * np.cos(angle_rad) / config.wavelength_m
+    return float(wrap_phase(delta))

@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from phasepos.ambiguity import (double_difference, phase_to_fraction, virtual_wavelength,
+from phasepos.ambiguity import (InterferometerConfig, aoa_from_phase_diff, double_difference,
+                                phase_diff_for_angle, phase_to_fraction, virtual_wavelength,
                                 widelane_resolve)
-from phasepos.angle import InterferometerConfig, aoa_from_phase_diff, phase_diff_for_angle
 from phasepos.channel import Geometry, add_awgn, apply_channel, doppler_ppm, draw_channel
 from phasepos.constants import SPEED_OF_LIGHT
 from phasepos.harness import (ScenarioConfig, _build_assets, compute_cdf, emit_results,

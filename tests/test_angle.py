@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from phasepos.angle import InterferometerConfig, aoa_from_phase_diff, phase_diff_for_angle
+from phasepos.ambiguity import InterferometerConfig, aoa_from_phase_diff, phase_diff_for_angle
+from phasepos.errors import ConfigError
 
 HALF_WAVE = InterferometerConfig(antenna_spacing_m=0.5, wavelength_m=1.0)
 
@@ -64,3 +67,23 @@ def test_negated_phase_mirrors_candidates():
         fwd = aoa_from_phase_diff(delta, cfg)
         rev = aoa_from_phase_diff(-delta, cfg)
         assert sorted(np.pi - np.asarray(fwd)) == pytest.approx(sorted(rev), abs=1e-9)
+
+
+# Any antenna pair is refused when built, or gives back every angle it is sent from.  Before
+# the spacing bound the examples were accepted: AoA then raised ZeroDivisionError, raised
+# OverflowError (an infinite window edge made an int), and never returned (1e305 wraps).
+@settings(max_examples=200, deadline=None)
+@given(spacing_m=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+       wavelength_m=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+       theta=st.floats(1e-3, np.pi - 1e-3))
+@example(spacing_m=1e300, wavelength_m=1e-300, theta=1.0)
+@example(spacing_m=1e200, wavelength_m=1e-110, theta=1.0)
+@example(spacing_m=1e305, wavelength_m=1.0, theta=1.0)
+def test_any_antenna_pair_is_refused_or_round_trips(spacing_m, wavelength_m, theta):
+    try:
+        cfg = InterferometerConfig(spacing_m, wavelength_m)
+    except ConfigError:
+        return
+    cands = aoa_from_phase_diff(phase_diff_for_angle(theta, cfg), cfg)
+    assert cands == sorted(cands) and all(0.0 <= c <= np.pi for c in cands)
+    assert min(abs(c - theta) for c in cands) < 1e-9

@@ -271,6 +271,13 @@ REJECTED = [
            "antenna_spacing_m must be finite and positive, got {!r}"),
     *_rows("InterferometerConfig", "wavelength_m", (-1.0, NAN, INF),
            "wavelength_m must be finite and positive, got {!r}"),
+    # Spacing ratios AoA could not list (a ZeroDivisionError, an OverflowError, 1e305 wraps),
+    # and ones just past each bound; test_an_antenna_pair_at_a_spacing_bound_is_accepted is
+    # the other side.
+    *(("InterferometerConfig", {"antenna_spacing_m": d, "wavelength_m": lam}, ConfigError,
+       "antenna_spacing_m / wavelength_m must be finite and in [0.001, 1000000.0], got ")
+      for d, lam in ((1e300, 1e-300), (1e200, 1e-110), (1e305, 1.0), (above(1e6), 1.0),
+                     (below(1e-3), 1.0), (1e-300, 1e300))),
     *_rows("MethodOutcome", "error_m", ("0.1", True, None), "error_m must be a number, got {!r}"),
     ("MethodOutcome", {"error_m": 10 ** 400}, ConfigError, "error_m must fit in a float, got 1000"),
     *_rows("MethodOutcome", "integer", ("3", -1, True, 3.0),
@@ -510,6 +517,12 @@ def test_a_rejected_argument_raises_its_exact_error(name, values, cls, prefix):
     with pytest.raises(cls, match="^" + re.escape(prefix)) as raised:
         call(**{**valid, **values})
     assert type(raised.value) is cls     # a ValueError row fails on a ConfigError
+
+
+@pytest.mark.parametrize("ratio", [pp.ambiguity.MIN_SPACING_WAVELENGTHS,
+                                   pp.ambiguity.MAX_SPACING_WAVELENGTHS])
+def test_an_antenna_pair_at_a_spacing_bound_is_accepted(ratio):
+    assert pp.InterferometerConfig(ratio, 1.0).antenna_spacing_m == ratio
 
 
 def test_a_bin_just_above_the_rounding_floor_is_measured():

@@ -214,8 +214,10 @@ def derivations_outside(source: str, owner: str = "_Assets") -> list[str]:
 SCANS = {
     "unused_imports": (unused_imports, MODULES, {
         "import os\nfrom math import pi, tau\nprint(pi)\n": ["os (line 1)", "tau (line 2)"]}),
-    # numpy is the one runtime dependency pyproject.toml declares, and all the work counter needs.
-    "foreign_imports": (foreign_imports, [*PACKAGE, ROOT / "tests/work_counter.py"], {
+    # numpy is the one runtime dependency pyproject.toml declares, and all the work counter and
+    # the outcome checker, which a script outside pytest may import, need.
+    "foreign_imports": (foreign_imports, [*PACKAGE, ROOT / "tests/work_counter.py",
+                                          ROOT / "tests/outcome_rules.py"], {
         "import os, numpy.fft\nfrom . import waveform\nfrom scipy import signal\nimport yaml\n":
         ["scipy", "yaml"]}),
     # A search that finds nothing returns None or [], not an exception.

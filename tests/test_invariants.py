@@ -14,6 +14,11 @@ outcome moves as the physics says:
 lambda_eff is the wavelength of the measured subcarrier, f_c + k scs.  The
 scenario is short (16 symbols, 200 sweeps) and each test draws few examples,
 so the five take a few seconds together.
+
+A sixth test draws whole configs over the space a config may span (both bands, every
+profile with overrides, every IA mode, 2-8 symbols, 1-50 sweeps, every comb, SNR from
+-300 dB to +inf) and runs a trial or two of each: every config is a ``ConfigError`` when
+built, or each of its trials keeps ``outcome_rules``' rules.
 """
 
 import dataclasses
@@ -21,14 +26,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasepos import harness
 from phasepos.channel import ChannelRealization, Geometry
 from phasepos.constants import SPEED_OF_LIGHT
-from phasepos.harness import ScenarioConfig, run_trial
+from phasepos.errors import ConfigError
+from phasepos.harness import ScenarioConfig, run_scenario, run_trial
 from phasepos.waveform import make_numerology
+from outcome_rules import trial_problem
 
 BASE = ScenarioConfig(n_symbols=16, ccp_sweeps=200)
 BANDS = st.sampled_from(("FR1", "FR2"))
@@ -114,3 +121,39 @@ def test_one_wavelength_further_is_one_more_integer(band, trial):
         assert further[m].integer == near[m].integer + 1, m
         assert max(abs(near[m].error_m), abs(further[m].error_m)) <= 1e-9, m
         assert near[m].failure is None and further[m].failure is None, m
+
+
+@st.composite
+def scenarios(draw) -> dict:
+    """The fields of a config over the space it may span, overrides that fit the profile."""
+    profile, ambiguity = draw(PROFILES), draw(st.sampled_from(("oracle", "toa", "widelane")))
+    comb_size = draw(st.sampled_from((2, 4, 6, 12)))
+    seconds = st.floats(1e-10, 1e-6)
+    overrides = draw(st.fixed_dictionaries({}, optional={
+        "rms_delay_spread_s": seconds, "n_clutter_taps": st.integers(1, 500),
+        **({"rician_k_db": st.floats(-300.0, 300.0) | st.just(math.inf)}
+           if profile == "InF-LOS" else {"nlos_excess_delay_mean_s": seconds})}))
+    return dict(band=draw(BANDS), profile=profile, profile_overrides=overrides,
+                ambiguity=ambiguity, widelane_second_fc_hz=draw(st.floats(1e9, 40e9))
+                if ambiguity == "widelane" else None,
+                methods=draw(st.lists(st.sampled_from(("toa", "cp", "ccp")), min_size=1,
+                                      unique=True)),
+                n_symbols=draw(st.integers(2, 8)), ccp_sweeps=draw(st.integers(1, 50)),
+                comb_size=comb_size, comb_offset=draw(st.integers(0, comb_size - 1)),
+                snr_db=draw(st.floats(-300.0, 300.0) | st.just(math.inf)),
+                n_trials=draw(st.integers(1, 2)), master_seed=draw(st.integers(0, 2**32 - 1)))
+
+
+# A draw may be refused when built: a channel past the comb's TOA range, a widelane carrier
+# equal to the band's.  The example's widelane trial 0 has cp and ccp without a candidate.
+@settings(max_examples=200, deadline=None)
+@given(raw=scenarios())
+@example(raw=dict(ambiguity="widelane", widelane_second_fc_hz=1e9, n_symbols=8,
+                  ccp_sweeps=50, n_trials=2))
+def test_any_config_is_refused_or_keeps_every_outcome_rule(raw):
+    try:
+        cfg = ScenarioConfig(**raw)
+    except ConfigError:
+        return
+    for result in run_scenario(cfg):
+        assert trial_problem(result, cfg) is None, trial_problem(result, cfg)
