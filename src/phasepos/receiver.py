@@ -36,9 +36,11 @@ class PhaseMeasurement:
 
 
 def wrap_phase(phase: float | np.ndarray):
-    """Wrap angle(s) to [-pi, pi), NaN for a NaN or inf; ConfigError unless real and non-empty."""
+    """Wrap angle(s) to [-pi, pi), NaN for a NaN or inf; ConfigError unless real and non-empty.
+    A phase already in [-pi, pi) comes back exact, not rounded to ulp(pi) by the wrap."""
+    p = as_samples("phase", phase, "iuf")
     with np.errstate(invalid="ignore"):     # an inf phase gives NaN, as a NaN one does
-        return (as_samples("phase", phase, "iuf") + np.pi) % (2.0 * np.pi) - np.pi
+        return np.where((p >= -np.pi) & (p < np.pi), p, (p + np.pi) % (2.0 * np.pi) - np.pi)[()]
 
 
 def estimate_toa(rx: np.ndarray, num: NumerologyConfig,

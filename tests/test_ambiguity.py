@@ -373,3 +373,8 @@ def test_double_difference_wraps_to_principal_interval():
     m = double_difference(mat)
     assert -np.pi <= m < np.pi
     assert m == pytest.approx(float(wrap_phase(12.0)), abs=1e-12)
+
+
+def test_double_difference_keeps_a_difference_under_an_ulp_of_pi():
+    # Wrapping through (x + pi) % 2 pi - pi would round anything under 2.2e-16 rad to 0.
+    assert double_difference(np.array([[1e-17, 0.0], [0.0, 0.0]])) == 1e-17

@@ -1041,7 +1041,9 @@ def test_cli_out_to_dev_stdout_writes_into_a_pipe(tmp_path, capsys):
     # /dev/stdout resolves to a pipe, which is written in place like /dev/null.
     cfg, out = write_cfg(tmp_path), tmp_path / "res.csv"
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
-    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    # A warning in the CLI process fails the run, as pytest's filterwarnings does here.
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]),
+               PYTHONWARNINGS="error")
     piped = subprocess.run([sys.executable, "-m", "phasepos.cli", "run", "--config", cfg,
                             "--out", "/dev/stdout"], capture_output=True, env=env)
     assert piped.returncode == 0

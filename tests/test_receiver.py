@@ -304,8 +304,19 @@ def test_ccp_matches_resized_tone_formulation(run, noise_seed):
 def test_wrap_phase_principal_interval():
     vals = wrap_phase(np.array([0.0, np.pi, -np.pi, 3 * np.pi, -3.5 * np.pi, 6.5]))
     assert np.all(vals >= -np.pi) and np.all(vals < np.pi)
-    assert wrap_phase(np.pi) == pytest.approx(-np.pi)
-    assert wrap_phase(0.25) == pytest.approx(0.25, abs=1e-15)
+    assert wrap_phase(np.pi) == -np.pi
+    assert wrap_phase(0.25) == 0.25
+    assert wrap_phase(1e-17) == 1e-17     # (1e-17 + pi) - pi would read 0
+
+
+@given(st.one_of(st.floats(-np.pi, np.pi, exclude_max=True),
+                 st.floats(allow_nan=False, allow_infinity=False)))
+def test_wrap_phase_keeps_a_principal_phase_and_wraps_the_rest_by_the_modulo(phase):
+    got = wrap_phase(phase)
+    if -np.pi <= phase < np.pi:
+        assert got.tobytes() == np.float64(phase).tobytes()     # bit for bit, -0.0 too
+    else:
+        assert got == (np.float64(phase) + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def test_ccp_mean_near_wrap():

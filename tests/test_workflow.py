@@ -1,6 +1,7 @@
 """CI's verification gate is the tier-1 command: one workflow step runs pytest,
 with options only, so it collects what pyproject's testpaths name, the
-benchmark's smoke tests included.
+benchmark's smoke tests included.  The only other check is one run of the
+installed console script; a CLI behaviour is pinned by a tier-1 test.
 """
 
 import re
@@ -27,3 +28,10 @@ def test_one_step_runs_pytest_with_the_tier1_command(request):
     assert "--continue-on-collection-errors" in command
     assert all(REPORT_OPTION.fullmatch(option) for option in command[4:]), command
     assert request.config.getini("testpaths") == ["tests", "perfbench"]
+
+
+def test_one_step_runs_the_console_script_once():
+    # Whether the installed entry point runs is all pytest cannot see; a second
+    # `phasepos` command would re-check what a tier-1 CLI test already pins.
+    calls = [len(re.findall(r"\bphasepos\b", step)) for step in workflow_steps()]
+    assert sorted(n for n in calls if n) == [1], calls
